@@ -32,7 +32,7 @@ from .halfedge import (
     build_from_face_edge_lists,
     validate,
 )
-from .metric import MetricError, PennerMetric, RealOps, REAL64
+from .metric import MetricError, PennerMetric, scaled_length
 from .symmetry import ReflectionMap, SymmetryError, validate_symmetry
 
 
@@ -169,7 +169,6 @@ def symmetric_make_delaunay(
     u: "list[float]",
     eps_flip: float = 1e-12,
     flip_budget_factor: float = 100.0,
-    ops: RealOps = REAL64,
 ):
     """Flip the cover to Delaunay with symmetry-preserving surgeries."""
     from .metric import make_delaunay
@@ -181,7 +180,6 @@ def symmetric_make_delaunay(
         refl=cover.refl,
         eps_flip=eps_flip,
         flip_budget_factor=flip_budget_factor,
-        ops=ops,
     )
 
 
@@ -189,7 +187,6 @@ def restrict_to_single_cover(
     cover: DoubleCover,
     metric: PennerMetric,
     u: "list[float]",
-    ops: RealOps = REAL64,
 ) -> tuple[CombinatorialMesh, PennerMetric, list[float]]:
     """Cut a symmetric scaled metric along its axis and keep one sheet.
 
@@ -204,9 +201,7 @@ def restrict_to_single_cover(
     v0 = cover.n_source_vertices
 
     def lp(h: int) -> float:
-        return metric.lengths[h] * ops.exp(
-            0.5 * (u[mesh.to[h]] + u[mesh.to[mesh.opp[h]]])
-        )
+        return scaled_length(mesh, metric, u, h)
 
     crossing = sorted(e for e in mesh.edges() if refl.r[e] == e)
     midpoint: dict[int, int] = {}
@@ -261,7 +256,7 @@ def restrict_to_single_cover(
             arg = s * s - 0.25 * b * b
             if not arg > 0.0:
                 raise MetricError(f"axis triangle {f} has no real height")
-            cut = fresh(ops.sqrt(arg))
+            cut = fresh(math.sqrt(arg))
             m = midpoint[mesh.edge_of(c)]
             if mesh.next_he[g] == c:
                 # g runs apex -> sheet-1 vertex, then the crossing side.
@@ -284,9 +279,9 @@ def restrict_to_single_cover(
             arg = s * s - 0.25 * (b1 - b2) * (b1 - b2)
             if not arg > 0.0:
                 raise MetricError(f"axis quad {f} has no real height")
-            height = ops.sqrt(arg)
+            height = math.sqrt(arg)
             cut = fresh(height)
-            diag = fresh(ops.sqrt(0.25 * b1 * b1 + height * height))
+            diag = fresh(math.sqrt(0.25 * b1 * b1 + height * height))
             faces_v.append([m_in, a, m_out])
             faces_e.append([half_edge_id(pg), diag, cut])
             faces_v.append([a, b, m_out])

@@ -39,6 +39,13 @@ class ProblemFile:
     options: dict[str, float] = field(default_factory=dict)
 
 
+def _finite(tok: str) -> float:
+    val = float(tok)
+    if not math.isfinite(val):
+        raise ValueError(f"non-finite number {tok!r}")
+    return val
+
+
 def _tokens(path: str):
     with open(path, "r") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -55,7 +62,7 @@ def read_mesh_file(path: str) -> ProblemFile:
     for lineno, tok in _tokens(path):
         try:
             if tok[0] == "v" and len(tok) == 4:
-                positions.append((float(tok[1]), float(tok[2]), float(tok[3])))
+                positions.append((_finite(tok[1]), _finite(tok[2]), _finite(tok[3])))
             elif tok[0] == "f" and len(tok) == 4:
                 f = [int(t) - 1 for t in tok[1:]]
                 if min(f) < 0:
@@ -63,7 +70,7 @@ def read_mesh_file(path: str) -> ProblemFile:
                 faces.append(f)
             elif tok[0] == "el" and len(tok) == 4:
                 i, j = int(tok[1]) - 1, int(tok[2]) - 1
-                val = float(tok[3])
+                val = _finite(tok[3])
                 if min(i, j) < 0 or not val > 0.0:
                     raise ValueError("bad el line")
                 lengths[(min(i, j), max(i, j))] = val
@@ -83,11 +90,11 @@ def read_targets_file(path: str, prob: ProblemFile) -> None:
     for lineno, tok in _tokens(path):
         try:
             if tok[0] == "v" and len(tok) == 3:
-                prob.theta_targets[int(tok[1]) - 1] = float(tok[2])
+                prob.theta_targets[int(tok[1]) - 1] = _finite(tok[2])
             elif tok[0] == "k" and len(tok) == 3:
-                prob.kappa_targets[int(tok[1]) - 1] = float(tok[2])
+                prob.kappa_targets[int(tok[1]) - 1] = _finite(tok[2])
             elif tok[0] == "opt" and len(tok) == 3:
-                prob.options[tok[1]] = float(tok[2])
+                prob.options[tok[1]] = _finite(tok[2])
             else:
                 raise ValueError(f"unrecognized line {tok[0]!r}")
         except ValueError as exc:

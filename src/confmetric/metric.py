@@ -15,10 +15,25 @@ Transient quad faces (created by symmetric flips) are measured through
 their stored diagonal: the quad splits into two virtual triangles along
 the diagonal, which scales like an ordinary edge between its endpoints.
 
+Angle sums and the cotangent Hessian come from one numpy corner-table
+kernel.  It reads the triangles straight off the halfedge arrays (a face
+is a halfedge with ``he_face[h] == h`` that is neither parked, in a quad
+nor an outer loop), expands every stored quad into its two virtual
+triangles, and yields per-triangle corner vertices with the scaled side
+opposite each corner.  Corner quantities come from needle-safe Heron terms
+(Kahan's ordering): angles from the half-angle tangent, summed per vertex
+with one ``bincount``, and cotangents as (b^2 + c^2 - a^2) / 4A for the
+Hessian's triplets.  The law-of-cosines ``arccos`` loses about
+``1e-16 / angle`` per corner, which on needles near 1e-7 rad left the
+single-cone solves short of their tolerance.  A side longer than the other
+two gives a flat triangle (angles pi, 0, 0).  The kernel raises
+:class:`MetricError` rather than let a zero or non-finite length turn into
+NaN.
+
 ``make_delaunay`` flips until every interior edge satisfies the Delaunay
-condition.  The scan is vectorized over triangle-triangle edges when
-running in float64; a scalar path covers quads, other precisions, and the
-per-edge helpers used by tests.
+condition.  Its full scan is vectorized over triangle-triangle edges; the
+flip loop re-tests one edge at a time with the scalar ``is_delaunay``,
+which also covers edges of quads.
 """
 
 from __future__ import annotations
@@ -42,33 +57,6 @@ class MetricError(Exception):
 
 class FlipBudgetError(Exception):
     """Raised when make_delaunay exceeds its flip budget."""
-
-
-class RealOps:
-    """Scalar hooks used by the metric kernels.
-
-    The default routes through :mod:`math` (float64).  The kernels only
-    call these entry points for transcendental steps, so a subclass backed
-    by a wider float type can reuse them unchanged; only float64 is
-    exercised by the shipped tools.
-    """
-
-    pi = math.pi
-
-    @staticmethod
-    def exp(x: float) -> float:
-        return math.exp(x)
-
-    @staticmethod
-    def acos(x: float) -> float:
-        return math.acos(x)
-
-    @staticmethod
-    def sqrt(x: float) -> float:
-        return math.sqrt(x)
-
-
-REAL64 = RealOps()
 
 
 @dataclass
@@ -113,12 +101,11 @@ def scaled_length(
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     h: int,
-    ops: RealOps = REAL64,
 ) -> float:
     """Length of the edge of ``h`` under the conformal factor ``u``."""
     i = mesh.to[mesh.opp[h]]
     j = mesh.to[h]
-    return metric.lengths[h] * ops.exp(0.5 * (u[i] + u[j]))
+    return metric.lengths[h] * math.exp(0.5 * (u[i] + u[j]))
 
 
 def _scaled_diag(
@@ -126,15 +113,25 @@ def _scaled_diag(
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     f: int,
-    ops: RealOps = REAL64,
 ) -> float:
     hs = mesh.face_halfedges(f)
     a = mesh.to[hs[1]]
     b = mesh.to[hs[3]]
-    return metric.quad_diag[f] * ops.exp(0.5 * (u[a] + u[b]))
+    return metric.quad_diag[f] * math.exp(0.5 * (u[a] + u[b]))
 
 
-def corner_angle(l_opp: float, l_a: float, l_b: float, ops: RealOps = REAL64) -> float:
+def _array(xs: list, dtype: type = np.intp) -> np.ndarray:
+    """Copy a mesh or metric list into a numpy array (``fromiter`` copies
+    a list of Python scalars fastest)."""
+    return np.fromiter(xs, dtype, len(xs))
+
+
+def _scale(lengths: np.ndarray, u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vectorized ``scaled_length``: ``lengths * exp((u[a] + u[b]) / 2)``."""
+    return lengths * np.exp(0.5 * (u[a] + u[b]))
+
+
+def corner_angle(l_opp: float, l_a: float, l_b: float) -> float:
     """Angle between sides ``l_a`` and ``l_b`` opposite ``l_opp``.
 
     The cosine is clamped to [-1, 1]: lengths violating the triangle
@@ -145,50 +142,98 @@ def corner_angle(l_opp: float, l_a: float, l_b: float, ops: RealOps = REAL64) ->
         c = 1.0
     elif c < -1.0:
         c = -1.0
-    return ops.acos(c)
+    return math.acos(c)
+
+
+# -- corner table -------------------------------------------------------------
+
+
+def _corner_table(
+    mesh: CombinatorialMesh,
+    metric: PennerMetric,
+    u: "list[float] | np.ndarray",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Corner vertices ``V`` and scaled opposite sides ``S``, both (T, 3).
+
+    Row t is one triangle, or one virtual triangle of a quad, with its
+    corners in face order; ``S[t, k]`` is the scaled side opposite corner
+    ``V[t, k]``.  Raises MetricError on a zero or non-finite side.
+    """
+    nxt = _array(mesh.next_he)
+    to = _array(mesh.to)
+    opp = _array(mesh.opp)
+    lengths = _array(metric.lengths, float)
+    uu = np.asarray(u, dtype=float)
+
+    q0 = _array(list(metric.quad_diag))
+    is_face = _array(mesh.he_face) == np.arange(len(nxt))
+    if any(mesh.parked):
+        is_face &= ~_array(mesh.parked, bool)
+    if any(mesh.in_quad):
+        is_face &= ~_array(mesh.in_quad, bool)
+    is_face[list(mesh.boundary_faces)] = False
+    is_face[q0] = False
+    h0 = np.flatnonzero(is_face)
+    h1 = nxt[h0]
+    h2 = nxt[h1]
+    if np.any(nxt[h2] != h0):
+        raise MetricError("a face is neither a triangle nor a quad with a stored diagonal")
+    # Corner k sits at the head of side k, between sides k and k+1.
+    cyc = np.stack((h0, h1, h2), axis=1)
+    sides = _scale(lengths[cyc], uu, to[cyc], to[opp[cyc]])
+    heads = to[cyc]
+
+    if len(q0):
+        q1 = nxt[q0]
+        q2 = nxt[q1]
+        q3 = nxt[q2]
+        quad = np.stack((q0, q1, q2, q3), axis=1)
+        ql = _scale(lengths[quad], uu, to[quad], to[opp[quad]])
+        d = _scale(_array(list(metric.quad_diag.values()), float), uu, to[q1], to[q3])
+        # The diagonal runs head(q1) -> head(q3) in the first virtual
+        # triangle (q0, q1, diag) and back in the second (q2, q3, diag).
+        sides = np.concatenate(
+            (sides, np.stack((ql[:, 0], ql[:, 1], d), axis=1),
+             np.stack((ql[:, 2], ql[:, 3], d), axis=1))
+        )
+        heads = np.concatenate((heads, to[quad[:, [0, 1, 3]]], to[quad[:, [2, 3, 1]]]))
+
+    if not np.all((sides > 0.0) & (sides < math.inf)):
+        raise MetricError("zero or non-finite scaled length")
+    return heads, sides[:, [2, 0, 1]]
+
+
+def _heron_terms(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Needle-safe Heron terms of every triangle from its (T, 3) sides.
+
+    Returns the sides rescaled per triangle by a power of two, which is
+    exact and keeps every product below in range; the perimeter ``p``
+    (T, 1); and ``q = p - 2 S`` (T, 3), formed as ``min + (max - side)`` so
+    that it never cancels (Kahan's ordering), clamped at 0 where a side
+    exceeds the other two.  ``p * q0 * q1 * q2`` is 16 times the squared
+    area.
+    """
+    S = np.ldexp(S, -np.frexp(S.max(axis=1, keepdims=True))[1])
+    b = S[:, [1, 2, 0]]
+    c = S[:, [2, 0, 1]]
+    q = np.maximum(np.minimum(b, c) + (np.maximum(b, c) - S), 0.0)
+    return S, S.sum(axis=1, keepdims=True), q
 
 
 def vertex_angle_sums(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
-    ops: RealOps = REAL64,
-) -> list[float]:
+) -> np.ndarray:
     """Total scaled angle around each vertex; quads count via their
     virtual triangulation along the stored diagonal."""
-    theta = [0.0] * mesh.n_vertices
-    sl = metric.lengths
-    to = mesh.to
-    opp = mesh.opp
-
-    cache: dict[int, float] = {}
-
-    def lp(h: int) -> float:
-        v = cache.get(h)
-        if v is None:
-            v = sl[h] * ops.exp(0.5 * (u[to[h]] + u[to[opp[h]]]))
-            cache[h] = v
-        return v
-
-    for f in mesh.faces():
-        hs = mesh.face_halfedges(f)
-        if len(hs) == 3:
-            h0, h1, h2 = hs
-            a, b, c = lp(h0), lp(h1), lp(h2)
-            theta[to[h0]] += corner_angle(c, a, b, ops)
-            theta[to[h1]] += corner_angle(a, b, c, ops)
-            theta[to[h2]] += corner_angle(b, c, a, ops)
-        else:
-            q0, q1, q2, q3 = hs
-            l0, l1, l2, l3 = lp(q0), lp(q1), lp(q2), lp(q3)
-            d = _scaled_diag(mesh, metric, u, f, ops)
-            theta[to[q3]] += corner_angle(l1, l0, d, ops)
-            theta[to[q0]] += corner_angle(d, l0, l1, ops)
-            theta[to[q1]] += corner_angle(l0, l1, d, ops)
-            theta[to[q1]] += corner_angle(l3, l2, d, ops)
-            theta[to[q2]] += corner_angle(d, l2, l3, ops)
-            theta[to[q3]] += corner_angle(l2, l3, d, ops)
-    return theta
+    V, S = _corner_table(mesh, metric, u)
+    _, p, q = _heron_terms(S)
+    # tan(angle / 2) = sqrt(q_next * q_prev / (p * q_own)), accurate for
+    # needles where arccos of the law-of-cosines cosine is not.  A side
+    # longer than the other two gives angles pi, 0, 0.
+    angles = 2.0 * np.arctan2(np.sqrt(q[:, [1, 2, 0]] * q[:, [2, 0, 1]]), np.sqrt(p * q))
+    return np.bincount(V.ravel(), weights=angles.ravel(), minlength=mesh.n_vertices)
 
 
 # -- Delaunay predicate -------------------------------------------------------
@@ -199,7 +244,6 @@ def _side_term(
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     h: int,
-    ops: RealOps,
 ) -> float:
     """One side's contribution to the Delaunay value of its edge.
 
@@ -207,23 +251,20 @@ def _side_term(
     corner; for a quad side the opposite corner lives in the virtual
     triangle cut off by the stored diagonal.
     """
-
-    def lp(x: int) -> float:
-        return metric.lengths[x] * ops.exp(
-            0.5 * (u[mesh.to[x]] + u[mesh.to[mesh.opp[x]]])
-        )
-
-    c = lp(h)
+    c = scaled_length(mesh, metric, u, h)
     if not mesh.in_quad[h]:
-        a = lp(mesh.next_he[h])
-        b = lp(mesh.next_he[mesh.next_he[h]])
-        return (a * a + b * b - c * c) / (a * b)
-    f = mesh.he_face[h]
-    hs = mesh.face_halfedges(f)
-    idx = hs.index(h)
-    partner = lp(hs[idx ^ 1])
-    d = _scaled_diag(mesh, metric, u, f, ops)
-    return (partner * partner + d * d - c * c) / (partner * d)
+        nh = mesh.next_he[h]
+        a = scaled_length(mesh, metric, u, nh)
+        b = scaled_length(mesh, metric, u, mesh.next_he[nh])
+    else:
+        f = mesh.he_face[h]
+        hs = mesh.face_halfedges(f)
+        a = scaled_length(mesh, metric, u, hs[hs.index(h) ^ 1])
+        b = _scaled_diag(mesh, metric, u, f)
+    ab = a * b
+    if not 0.0 < ab < math.inf:
+        raise MetricError(f"scaled lengths beside halfedge {h} left the float range")
+    return (a * a + b * b - c * c) / ab
 
 
 def delaunay_value(
@@ -231,12 +272,9 @@ def delaunay_value(
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     e: int,
-    ops: RealOps = REAL64,
 ) -> float:
     """Sum of the two side terms of edge ``e``; nonnegative means Delaunay."""
-    return _side_term(mesh, metric, u, e, ops) + _side_term(
-        mesh, metric, u, mesh.opp[e], ops
-    )
+    return _side_term(mesh, metric, u, e) + _side_term(mesh, metric, u, mesh.opp[e])
 
 
 def is_delaunay(
@@ -246,7 +284,6 @@ def is_delaunay(
     e: int,
     refl: ReflectionMap | None = None,
     eps_flip: float = 1e-12,
-    ops: RealOps = REAL64,
 ) -> bool:
     """Delaunay test with a guard band: values down to ``-eps_flip`` pass.
 
@@ -257,7 +294,7 @@ def is_delaunay(
         kind, _ = classify_flip(mesh, refl, e)
         if kind is FlipType.ALWAYS_DELAUNAY:
             return True
-    return delaunay_value(mesh, metric, u, e, ops) >= -eps_flip
+    return delaunay_value(mesh, metric, u, e) >= -eps_flip
 
 
 # -- flips --------------------------------------------------------------------
@@ -321,27 +358,6 @@ class FlipLog:
         self.quad_quad += other.quad_quad
 
 
-def _scan_violations_scalar(
-    mesh: CombinatorialMesh,
-    metric: PennerMetric,
-    u: "list[float] | np.ndarray",
-    refl: ReflectionMap | None,
-    eps_flip: float,
-    ops: RealOps,
-) -> list[int]:
-    out = []
-    for e in mesh.edges():
-        if mesh.is_boundary_edge(e):
-            continue
-        if refl is not None:
-            kind, _ = classify_flip(mesh, refl, e)
-            if kind is FlipType.ALWAYS_DELAUNAY:
-                continue
-        if delaunay_value(mesh, metric, u, e, ops) < -eps_flip:
-            out.append(e)
-    return out
-
-
 def _scan_violations_vectorized(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
@@ -351,20 +367,17 @@ def _scan_violations_vectorized(
 ) -> list[int]:
     n = mesh.n_halfedges()
     idx = np.arange(n)
-    nxt = np.asarray(mesh.next_he)
-    opp = np.asarray(mesh.opp)
-    to = np.asarray(mesh.to)
-    parked = np.asarray(mesh.parked, dtype=bool)
-    in_quad = np.asarray(mesh.in_quad, dtype=bool)
+    nxt = _array(mesh.next_he)
+    opp = _array(mesh.opp)
+    to = _array(mesh.to)
+    parked = _array(mesh.parked, bool)
+    in_quad = _array(mesh.in_quad, bool)
     uu = np.asarray(u, dtype=float)
     active = ~parked
 
     lp = np.ones(n)
-    heads = np.where(active, to, 0)
-    tails = np.where(active, to[opp], 0)
-    lp[active] = np.asarray(metric.lengths)[active] * np.exp(
-        0.5 * (uu[heads[active]] + uu[tails[active]])
-    )
+    live = np.flatnonzero(active)
+    lp[live] = _scale(_array(metric.lengths, float)[live], uu, to[live], to[opp[live]])
 
     # Triangle side terms for every active non-quad halfedge.
     tri_side = active & ~in_quad
@@ -373,7 +386,7 @@ def _scan_violations_vectorized(
     with np.errstate(invalid="ignore", divide="ignore"):
         term = (a * a + b * b - lp * lp) / (a * b)
 
-    he_face = np.asarray(mesh.he_face)
+    he_face = _array(mesh.he_face)
     canonical = active & (idx < opp)
     tri_edge = canonical & tri_side & tri_side[opp]
     quad_edge = canonical & (in_quad | in_quad[opp])
@@ -419,7 +432,6 @@ def make_delaunay(
     refl: ReflectionMap | None = None,
     eps_flip: float = 1e-12,
     flip_budget_factor: float = 100.0,
-    ops: RealOps = REAL64,
 ) -> FlipLog:
     """Flip edges until the scaled metric is Delaunay; returns flip counts.
 
@@ -433,10 +445,7 @@ def make_delaunay(
     log = FlipLog()
     budget = flip_budget_factor * mesh.n_edges()
     while True:
-        if ops is REAL64:
-            violations = _scan_violations_vectorized(mesh, metric, u, refl, eps_flip)
-        else:
-            violations = _scan_violations_scalar(mesh, metric, u, refl, eps_flip, ops)
+        violations = _scan_violations_vectorized(mesh, metric, u, refl, eps_flip)
         if not violations:
             return log
         stack = sorted(violations, reverse=True)
@@ -444,7 +453,7 @@ def make_delaunay(
             h = stack.pop()
             if mesh.parked[h] or mesh.is_boundary_edge(h):
                 continue
-            if is_delaunay(mesh, metric, u, h, refl, eps_flip, ops):
+            if is_delaunay(mesh, metric, u, h, refl, eps_flip):
                 continue
             if log.total >= budget:
                 raise FlipBudgetError(
@@ -466,39 +475,20 @@ def make_delaunay(
 # -- Newton derivatives -------------------------------------------------------
 
 
-def _corner_cots(la: float, lb: float, lc: float) -> tuple[float, float, float]:
-    """Cotangents of the angles opposite sides (la, lb, lc)."""
-    out = []
-    for l_opp, l1, l2 in ((la, lb, lc), (lb, lc, la), (lc, la, lb)):
-        c = (l1 * l1 + l2 * l2 - l_opp * l_opp) / (2.0 * l1 * l2)
-        if c > 1.0:
-            c = 1.0
-        elif c < -1.0:
-            c = -1.0
-        s = math.sqrt(max(0.0, 1.0 - c * c))
-        if s == 0.0:
-            raise MetricError("degenerate triangle while assembling the Hessian")
-        out.append(c / s)
-    return out[0], out[1], out[2]
-
-
 def gradient(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     theta_hat: "list[float] | np.ndarray",
-    ops: RealOps = REAL64,
 ) -> np.ndarray:
     """Residual target minus current angle sums (the Newton right-hand side)."""
-    theta = vertex_angle_sums(mesh, metric, u, ops)
-    return np.asarray(theta_hat, dtype=float) - np.asarray(theta)
+    return np.asarray(theta_hat, dtype=float) - vertex_angle_sums(mesh, metric, u)
 
 
 def hessian(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
-    ops: RealOps = REAL64,
 ) -> "scipy.sparse.csr_matrix":
     """Positive semidefinite cotangent matrix of the scaled metric.
 
@@ -510,43 +500,21 @@ def hessian(
     """
     import scipy.sparse
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    def lp(h: int) -> float:
-        return metric.lengths[h] * ops.exp(
-            0.5 * (u[mesh.to[h]] + u[mesh.to[mesh.opp[h]]])
-        )
-
-    def add_triangle(va: int, vb: int, vc: int, lab: float, lbc: float, lca: float):
-        cot_a, cot_b, cot_c = _corner_cots(lbc, lca, lab)
-        # Angle at va sits opposite side bc, etc.  Each angle contributes
-        # +cot/2 to the two off-diagonal entries of its row and balances
-        # the diagonal, then the whole matrix is negated.
-        for v_self, v1, v2, c1, c2 in (
-            (va, vb, vc, cot_c, cot_b),
-            (vb, vc, va, cot_a, cot_c),
-            (vc, va, vb, cot_b, cot_a),
-        ):
-            rows.extend((v_self, v_self, v_self))
-            cols.extend((v1, v2, v_self))
-            vals.extend((-0.5 * c1, -0.5 * c2, 0.5 * (c1 + c2)))
-
-    for f in mesh.faces():
-        hs = mesh.face_halfedges(f)
-        if len(hs) == 3:
-            h0, h1, h2 = hs
-            add_triangle(
-                mesh.to[h2], mesh.to[h0], mesh.to[h1], lp(h0), lp(h1), lp(h2)
-            )
-        else:
-            q0, q1, q2, q3 = hs
-            d = _scaled_diag(mesh, metric, u, f, ops)
-            add_triangle(mesh.to[q3], mesh.to[q0], mesh.to[q1], lp(q0), lp(q1), d)
-            add_triangle(mesh.to[q1], mesh.to[q2], mesh.to[q3], lp(q2), lp(q3), d)
-
+    V, S = _corner_table(mesh, metric, u)
+    S, p, q = _heron_terms(S)
+    area4 = np.sqrt(p[:, 0] * q[:, 0] * q[:, 1] * q[:, 2])
+    if not np.all(area4 > 0.0):
+        raise MetricError("degenerate triangle while assembling the Hessian")
+    # Each corner adds half its cotangent (b^2 + c^2 - a^2) / 4A to the edge
+    # it faces, from va to vb: -w off the diagonal at (va, vb) and (vb, va),
+    # +w on the diagonal at va and vb.
+    b = S[:, [1, 2, 0]]
+    c = S[:, [2, 0, 1]]
+    w = (0.5 * (b * b + c * c - S * S) / area4[:, None]).ravel()
+    va = V[:, [1, 2, 0]].ravel()
+    vb = V[:, [2, 0, 1]].ravel()
+    rows = np.concatenate((va, vb, va, vb))
+    cols = np.concatenate((vb, va, va, vb))
+    vals = np.concatenate((-w, -w, w, w))
     n = mesh.n_vertices
-    return scipy.sparse.csr_matrix(
-        scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    )
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))

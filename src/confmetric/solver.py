@@ -18,17 +18,16 @@ import scipy.sparse.linalg
 
 from .halfedge import CombinatorialMesh
 from .metric import (
-    REAL64,
     FlipLog,
     MetricError,
     PennerMetric,
-    RealOps,
+    _array,
+    _scale,
     _scaled_diag,
     gradient,
     hessian,
     is_delaunay,
     make_delaunay,
-    scaled_length,
 )
 from .symmetry import ReflectionMap
 
@@ -107,7 +106,10 @@ class SolverReport:
 
 @dataclass
 class LineSearchResult:
+    """The accepted point, and the residual ``g_try`` evaluated there."""
+
     u: np.ndarray
+    g_try: np.ndarray
     halvings: int
     flips: FlipLog
     slope: float
@@ -161,13 +163,12 @@ def _verify_delaunay(
     u: np.ndarray,
     refl: ReflectionMap | None,
     eps_flip: float,
-    ops: RealOps,
 ) -> int:
     checked = 0
     for e in mesh.edges():
         if mesh.is_boundary_edge(e):
             continue
-        if not is_delaunay(mesh, metric, u, e, refl, eps_flip, ops):
+        if not is_delaunay(mesh, metric, u, e, refl, eps_flip):
             raise MetricError(f"edge {e} violates the Delaunay condition after make_delaunay")
         checked += 1
     return checked
@@ -185,7 +186,6 @@ def line_search(
     eps_flip: float = 1e-12,
     flip_budget_factor: float = 100.0,
     verify: bool = False,
-    ops: RealOps = REAL64,
 ) -> LineSearchResult:
     """Backtracking step: try u + d, halving d until <d, g(u + d)> <= 0.
 
@@ -200,14 +200,14 @@ def line_search(
     for halvings in range(max_halvings + 1):
         u_try = u + step
         flips.merge(
-            make_delaunay(mesh, metric, u_try, refl, eps_flip, flip_budget_factor, ops)
+            make_delaunay(mesh, metric, u_try, refl, eps_flip, flip_budget_factor)
         )
         if verify:
-            checks += _verify_delaunay(mesh, metric, u_try, refl, eps_flip, ops)
-        g_try = gradient(mesh, metric, u_try, theta_hat, ops)
+            checks += _verify_delaunay(mesh, metric, u_try, refl, eps_flip)
+        g_try = gradient(mesh, metric, u_try, theta_hat)
         slope = float(step @ g_try)
         if slope <= 0.0:
-            return LineSearchResult(u_try, halvings, flips, slope, checks)
+            return LineSearchResult(u_try, g_try, halvings, flips, slope, checks)
         step = step / 2.0
     raise LineSearchError(f"no acceptable step within {max_halvings} halvings")
 
@@ -235,15 +235,15 @@ def scale_conformally(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
     u: np.ndarray,
-    ops: RealOps = REAL64,
 ) -> PennerMetric:
     """Materialize the scaled metric: lengths and quad diagonals at u."""
-    lengths = list(metric.lengths)
-    for h in range(mesh.n_halfedges()):
-        if not mesh.parked[h]:
-            lengths[h] = scaled_length(mesh, metric, u, h, ops)
-    diag = {f: _scaled_diag(mesh, metric, u, f, ops) for f in metric.quad_diag}
-    return PennerMetric(lengths, diag)
+    uu = np.asarray(u, dtype=float)
+    to = _array(mesh.to)
+    lengths = _array(metric.lengths, float)
+    live = np.flatnonzero(~_array(mesh.parked, bool))
+    lengths[live] = _scale(lengths[live], uu, to[live], to[_array(mesh.opp)[live]])
+    diag = {f: _scaled_diag(mesh, metric, u, f) for f in metric.quad_diag}
+    return PennerMetric(lengths.tolist(), diag)
 
 
 def find_conformal_metric(
@@ -253,7 +253,6 @@ def find_conformal_metric(
     config: SolverConfig | None = None,
     refl: ReflectionMap | None = None,
     u0: "list[float] | np.ndarray | None" = None,
-    ops: RealOps = REAL64,
 ) -> tuple[CombinatorialMesh, PennerMetric, np.ndarray, SolverReport]:
     """Newton iteration for |theta_hat - Theta|_inf <= eps_tol.
 
@@ -270,10 +269,10 @@ def find_conformal_metric(
         raise MetricError("theta_hat length does not match vertex count")
 
     checks = 0
-    flips0 = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor, ops)
+    flips0 = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
     if cfg.verify_delaunay:
-        checks += _verify_delaunay(mesh, metric, u, refl, cfg.eps_flip, ops)
-    g = gradient(mesh, metric, u, theta_hat, ops)
+        checks += _verify_delaunay(mesh, metric, u, refl, cfg.eps_flip)
+    g = gradient(mesh, metric, u, theta_hat)
     err = float(np.abs(g).max()) if n else 0.0
     steps = [
         NewtonStep(
@@ -286,7 +285,7 @@ def find_conformal_metric(
         if err <= cfg.eps_tol:
             termination = "converged"
             break
-        H = hessian(mesh, metric, u, ops)
+        H = hessian(mesh, metric, u)
         try:
             d = newton_direction(H, g)
         except SolverError:
@@ -310,17 +309,16 @@ def find_conformal_metric(
                 eps_flip=cfg.eps_flip,
                 flip_budget_factor=cfg.flip_budget_factor,
                 verify=cfg.verify_delaunay,
-                ops=ops,
             )
         except LineSearchError:
             # The failed trials moved the triangulation; restore the
             # Delaunay state for the u we are keeping.
-            make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor, ops)
+            make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
             termination = "line_search_failed"
             break
         u = ls.u
+        g = ls.g_try
         checks += ls.delaunay_checks
-        g = gradient(mesh, metric, u, theta_hat, ops)
         err = float(np.abs(g).max())
         steps.append(
             NewtonStep(
@@ -336,7 +334,7 @@ def find_conformal_metric(
     if termination is None:
         termination = "converged" if err <= cfg.eps_tol else "max_newton_steps"
 
-    scaled = scale_conformally(mesh, metric, u, ops)
+    scaled = scale_conformally(mesh, metric, u)
     report = SolverReport(
         steps=steps,
         termination=termination,

@@ -21,7 +21,6 @@ from confmetric.cover import build_double_cover, restrict_to_single_cover
 from confmetric.generate import generate
 from confmetric.halfedge import build_from_face_lists
 from confmetric.metric import (
-    REAL64,
     PennerMetric,
     delaunay_value,
     flip_edge,
@@ -62,8 +61,8 @@ class RetriangulationAudit:
         real = solver_mod.make_delaunay
 
         def audited(mesh, metric, u, refl=None, eps_flip=1e-12,
-                    flip_budget_factor=100.0, ops=REAL64):
-            log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor, ops)
+                    flip_budget_factor=100.0):
+            log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor)
             bad = metric_mod._scan_violations_vectorized(mesh, metric, u, refl, 0.0)
             self.scans += 1
             self.checks += self.interior_edges(mesh)

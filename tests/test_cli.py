@@ -59,6 +59,32 @@ def test_solve_gauss_bonnet_violation(tmp_path, capsys):
     assert reported == pytest.approx(0.1, abs=1e-12)
 
 
+def test_solve_nan_target_rejected(tmp_path, capsys):
+    mesh = tetra_files(tmp_path, [math.nan, math.pi, math.pi, math.pi])
+    assert main(["solve", mesh]) == 2
+    assert "non-finite number 'nan'" in capsys.readouterr().err
+
+
+def test_solve_infinite_targets_rejected(tmp_path, capsys):
+    mesh = tetra_files(tmp_path, [math.inf, -math.inf, math.pi, math.pi])
+    assert main(["solve", mesh]) == 2
+    assert "non-finite number 'inf'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "v 0 0 nan\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+        "f 1 2 3\nel 1 2 inf\nel 2 3 1\nel 1 3 1\n",
+    ],
+)
+def test_solve_non_finite_mesh_numbers_rejected(tmp_path, capsys, body):
+    mesh = put(tmp_path, "d.mesh", body)
+    put(tmp_path, "d.targets", "")
+    assert main(["solve", mesh]) == 2
+    assert "non-finite number" in capsys.readouterr().err
+
+
 def test_solve_missing_targets(tmp_path, capsys):
     mesh = put(tmp_path, "alone.mesh", "f 1 2 3\nel 1 2 1\nel 2 3 1\nel 1 3 1\n")
     assert main(["solve", mesh]) == 2

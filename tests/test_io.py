@@ -75,6 +75,8 @@ def test_el_lines_override_positions(tmp_path):
         "v 0 0 0\n",                    # no faces
         "f 1 2 3\nel 1 2 -1.0\n",       # nonpositive length
         "v 0 0 0\nv 1 0 0\nf 1 2 3\n",  # missing third v line
+        "v 0 0 inf\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",  # non-finite position
+        "f 1 2 3\nel 1 2 nan\n",      # non-finite length
     ],
 )
 def test_mesh_file_rejects(tmp_path, body):

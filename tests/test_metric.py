@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from confmetric.halfedge import build_from_face_lists
 from confmetric.metric import (
-    REAL64,
     FlipBudgetError,
     MetricError,
     PennerMetric,
-    RealOps,
     corner_angle,
     delaunay_value,
     flip_edge,
@@ -88,6 +86,56 @@ def test_vertex_angle_sums_on_platonic_meshes():
     assert sums == pytest.approx([4 * math.pi / 3] * 6, rel=1e-14)
 
 
+def reference_angle_sums(mesh, metric, u):
+    """Per-face loop over corner_angle, the kernel's independent reference."""
+    theta = [0.0] * mesh.n_vertices
+    for f in mesh.faces():
+        hs = mesh.face_halfedges(f)
+        ls = [scaled_length(mesh, metric, u, h) for h in hs]
+        vs = [mesh.to[h] for h in hs]
+        if len(hs) == 3:
+            a, b, c = ls
+            theta[vs[0]] += corner_angle(c, a, b)
+            theta[vs[1]] += corner_angle(a, b, c)
+            theta[vs[2]] += corner_angle(b, c, a)
+        else:
+            l0, l1, l2, l3 = ls
+            v0, v1, v2, v3 = vs
+            d = metric.quad_diag[f] * math.exp(0.5 * (u[v1] + u[v3]))
+            theta[v3] += corner_angle(l1, l0, d)
+            theta[v0] += corner_angle(d, l0, l1)
+            theta[v1] += corner_angle(l0, l1, d)
+            theta[v1] += corner_angle(l3, l2, d)
+            theta[v2] += corner_angle(d, l2, l3)
+            theta[v3] += corner_angle(l2, l3, d)
+    return theta
+
+
+def test_angle_sums_match_per_face_reference():
+    rng = np.random.default_rng(12)
+    mesh, metric = helpers.shuffled_closed_mesh(rng, level=1, flips=20)
+    u = rng.normal(0.0, 0.3, mesh.n_vertices)
+    want = reference_angle_sums(mesh, metric, u)
+    assert vertex_angle_sums(mesh, metric, u) == pytest.approx(want, rel=1e-14, abs=1e-14)
+    cover, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cover, cmetric)
+    u = rng.normal(0.0, 0.3, cover.mesh.n_vertices)
+    want = reference_angle_sums(cover.mesh, cmetric, u)
+    assert vertex_angle_sums(cover.mesh, cmetric, u) == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+def test_needle_angles_keep_relative_accuracy():
+    # arccos of the law-of-cosines cosine gets the 1e-7 rad apex of this
+    # isosceles needle wrong by about 4e-4 of its size
+    mesh = build_from_face_lists([[0, 1, 2]])
+    metric = PennerMetric.uniform(mesh)
+    helpers.set_length(mesh, metric, 1, 2, 1e-7)
+    apex = 2.0 * math.asin(0.5e-7)
+    sums = vertex_angle_sums(mesh, metric, [0.0] * 3)
+    assert sums[0] == pytest.approx(apex, rel=1e-14)
+    assert sums[1] == pytest.approx(0.5 * (math.pi - apex), rel=1e-15)
+
+
 def test_angle_sums_invariant_under_constant_shift():
     octa = helpers.octa()
     metric = PennerMetric.uniform(octa)
@@ -118,6 +166,14 @@ def test_delaunay_guard_band():
     u = [0.0] * 4
     val = delaunay_value(mesh, metric, u, e)
     assert is_delaunay(mesh, metric, u, e, eps_flip=abs(val) + 1e-15)
+
+
+def test_delaunay_value_raises_on_underflowed_length():
+    # exp(-750) underflows to 0, so every edge at vertex 0 scales to 0
+    mesh, metric, e = square_with_diagonal(math.sqrt(2.0))
+    u = [-1500.0, 0.0, 0.0, 0.0]
+    with pytest.raises(MetricError):
+        delaunay_value(mesh, metric, u, e)
 
 
 # -- Ptolemy flips ---------------------------------------------------------
@@ -243,18 +299,6 @@ def test_make_delaunay_path_independence():
     assert la == pytest.approx(lb, rel=1e-9)
 
 
-def test_make_delaunay_scalar_and_vector_scans_agree():
-    rng = np.random.default_rng(9)
-    mesh_a, metric_a = helpers.shuffled_closed_mesh(rng, flips=8)
-    mesh_b, metric_b = mesh_a.copy(), metric_a.copy()
-    u = rng.normal(0.0, 0.5, mesh_a.n_vertices)
-    log_a = make_delaunay(mesh_a, metric_a, u)            # vectorized scan
-    log_b = make_delaunay(mesh_b, metric_b, u, ops=RealOps())  # scalar scan
-    assert log_a.total == log_b.total
-    assert metric_a.lengths == metric_b.lengths
-    assert mesh_a.to == mesh_b.to and mesh_a.next_he == mesh_b.next_he
-
-
 def test_make_delaunay_flip_budget():
     mesh = helpers.octa()
     metric = PennerMetric.uniform(mesh)
@@ -322,11 +366,7 @@ def test_hessian_rows_sum_to_zero_and_psd():
     assert evals.min() >= -1e-10
 
 
-def test_hessian_matches_finite_differences():
-    rng = np.random.default_rng(4)
-    mesh, metric = helpers.shuffled_closed_mesh(rng, flips=6)
-    u = rng.normal(0.0, 0.05, mesh.n_vertices)
-    make_delaunay(mesh, metric, u)
+def assert_hessian_matches_finite_differences(mesh, metric, u):
     H = hessian(mesh, metric, u).toarray()
     theta_hat = np.zeros(mesh.n_vertices)
     step = 1e-6
@@ -343,6 +383,40 @@ def test_hessian_matches_finite_differences():
     # residual = target - angles, whose Jacobian is +H
     mask = np.abs(H) > 1e-8
     assert np.max(np.abs((fd[mask] - H[mask]) / H[mask])) <= 1e-5
+
+
+def test_hessian_matches_finite_differences():
+    rng = np.random.default_rng(4)
+    mesh, metric = helpers.shuffled_closed_mesh(rng, flips=6)
+    u = rng.normal(0.0, 0.05, mesh.n_vertices)
+    make_delaunay(mesh, metric, u)
+    assert_hessian_matches_finite_differences(mesh, metric, u)
+
+
+def test_hessian_matches_finite_differences_on_quads():
+    # The quads' virtual triangles go through the same kernel as triangles.
+    # The surgery chain leaves flat (clamped) corners, which have no
+    # derivative, so the quad state gets fresh near-equilateral lengths.
+    cover, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cover, cmetric)
+    assert len(cmetric.quad_diag) == 2
+    rng = np.random.default_rng(8)
+    cmetric.lengths = helpers.random_symmetric_lengths(cover.mesh, cover.refl, rng, 0.9, 1.1)
+    for f in cmetric.quad_diag:
+        cmetric.quad_diag[f] = float(rng.uniform(0.9, 1.1))
+    u = rng.normal(0.0, 0.05, cover.mesh.n_vertices)
+    assert_hessian_matches_finite_differences(cover.mesh, cmetric, u)
+
+
+@pytest.mark.parametrize("u0", [-1500.0, math.nan])
+def test_kernel_raises_instead_of_nan_on_zero_or_nan_side(u0):
+    mesh = helpers.octa()
+    metric = PennerMetric.uniform(mesh)
+    u = [u0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(MetricError):
+        vertex_angle_sums(mesh, metric, u)
+    with pytest.raises(MetricError):
+        hessian(mesh, metric, u)
 
 
 def test_hessian_of_quad_state_degenerate_raises():
