@@ -13,9 +13,7 @@ import sys
 import time
 
 from confmetric.generate import generate
-from confmetric.halfedge import build_from_face_lists
-from confmetric.metric import PennerMetric
-from confmetric.solver import SolverConfig, find_conformal_metric
+from confmetric.solver import SolverConfig, solve_problem
 
 
 def main():
@@ -29,14 +27,11 @@ def main():
     cfg = SolverConfig(eps_tol=args.tol, max_newton_steps=args.max_steps)
     worst_rc = 0
     for g in range(args.genus_min, args.genus_max + 1):
-        inst = generate(f"single-cone-genus-{g}", seed=0, size=0)
-        mesh = build_from_face_lists(inst.faces)
-        metric = PennerMetric.uniform(mesh)
-        theta_hat = [inst.theta_targets[v] for v in range(mesh.n_vertices)]
-        cone = max(theta_hat)
+        prob = generate(f"single-cone-genus-{g}", seed=0, size=0)
+        cone = max(prob.theta_targets.values())
         t0 = time.perf_counter()
         try:
-            _, _, _, report = find_conformal_metric(mesh, metric, theta_hat, cfg)
+            mesh, _, _, report = solve_problem(prob, cfg)
         except Exception as exc:  # report every failure and go on to the next genus
             print(f"genus {g:2d}  cone={cone:7.3f}  FAILED: {type(exc).__name__}: {exc}")
             worst_rc = 4

@@ -16,11 +16,9 @@ import time
 
 import scipy.stats
 
-from confmetric.cover import build_double_cover, restrict_to_single_cover
 from confmetric.generate import generate
-from confmetric.halfedge import build_from_face_lists
-from confmetric.metric import PennerMetric, vertex_angle_sums
-from confmetric.solver import SolverConfig, find_conformal_metric
+from confmetric.metric import vertex_angle_sums
+from confmetric.solver import SolverConfig, solve_problem
 
 
 def main():
@@ -40,31 +38,20 @@ def main():
     symmetry_held = True
     t0 = time.perf_counter()
     for seed in range(args.seed0, args.seed0 + args.count):
-        inst = generate("disk-random-boundary", seed=seed, size=args.size)
-        mesh = build_from_face_lists(inst.faces)
-        lengths = {}
-        for e in mesh.edges():
-            a, b = mesh.edge_endpoints(e)
-            lengths[e] = math.dist(inst.positions[a], inst.positions[b])
-        metric = PennerMetric.from_edge_lengths(mesh, lengths)
-        kappa = [inst.kappa_targets.get(v, 0.0) for v in range(mesh.n_vertices)]
-        cover, cmetric, targets = build_double_cover(mesh, metric, kappa, kappa)
-        _, _, u, report = find_conformal_metric(
-            cover.mesh, cmetric, targets.theta_hat, cfg, refl=cover.refl
-        )
-        rmesh, rmetric, _ = restrict_to_single_cover(cover, cmetric, u)
+        prob = generate("disk-random-boundary", seed=seed, size=args.size)
+        rmesh, rmetric, _, report = solve_problem(prob, cfg)
         sums = vertex_angle_sums(rmesh, rmetric, [0.0] * rmesh.n_vertices)
-        dev = max(abs(sums[v] - (math.pi - k)) for v, k in inst.kappa_targets.items())
+        dev = max(abs(sums[v] - (math.pi - k)) for v, k in prob.kappa_targets.items())
         worst_dev = max(worst_dev, dev)
         sym = all(rec.symmetry_ok for rec in report.steps)
         symmetry_held = symmetry_held and sym
         if report.converged:
             converged += 1
-        ks = list(inst.kappa_targets.values())
+        ks = list(prob.kappa_targets.values())
         flips.append(report.total_flips().total)
         ranges.append(max(ks) - min(ks))
         print(
-            f"seed {seed:4d}  V={mesh.n_vertices:5d}  {report.termination:<18s} "
+            f"seed {seed:4d}  V={prob.n_vertices:5d}  {report.termination:<18s} "
             f"steps={report.newton_steps:3d}  flips={flips[-1]:6d}  "
             f"kappa-range={ranges[-1]:5.2f}  boundary-dev={dev:.2e}  sym={'ok' if sym else 'BROKEN'}"
         )

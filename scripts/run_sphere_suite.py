@@ -9,28 +9,14 @@ metrics themselves.
 """
 
 import argparse
-import math
+import os
 import statistics
 import sys
 import time
 
 from confmetric.generate import generate
-from confmetric.halfedge import build_from_face_lists
 from confmetric.io import bundle_from_solution, write_bundle
-from confmetric.metric import PennerMetric
-from confmetric.solver import SolverConfig, find_conformal_metric
-
-
-def build_problem(seed, size):
-    inst = generate("sphere-random-angles", seed=seed, size=size)
-    mesh = build_from_face_lists(inst.faces)
-    lengths = {}
-    for e in mesh.edges():
-        a, b = mesh.edge_endpoints(e)
-        lengths[e] = math.dist(inst.positions[a], inst.positions[b])
-    metric = PennerMetric.from_edge_lengths(mesh, lengths)
-    theta_hat = [inst.theta_targets[v] for v in range(mesh.n_vertices)]
-    return mesh, metric, theta_hat
+from confmetric.solver import SolverConfig, solve_problem
 
 
 def main():
@@ -45,17 +31,15 @@ def main():
 
     cfg = SolverConfig(eps_tol=args.tol, max_newton_steps=args.max_steps)
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
 
     converged = 0
     steps = []
     t0 = time.perf_counter()
     for seed in range(args.seed0, args.seed0 + args.count):
-        mesh, metric, theta_hat = build_problem(seed, args.size)
+        prob = generate("sphere-random-angles", seed=seed, size=args.size)
         t1 = time.perf_counter()
-        mesh, scaled, u, report = find_conformal_metric(mesh, metric, theta_hat, cfg)
+        mesh, scaled, u, report = solve_problem(prob, cfg)
         dt = time.perf_counter() - t1
         steps.append(report.newton_steps)
         if report.converged:
@@ -66,8 +50,6 @@ def main():
             f"flips={report.total_flips().total:6d}  {dt:6.2f}s"
         )
         if args.out:
-            import os
-
             bundle = bundle_from_solution(mesh, scaled, u, report, 0 if report.converged else 3)
             write_bundle(bundle, os.path.join(args.out, f"sphere-s{seed}.result"))
     total = time.perf_counter() - t0

@@ -5,13 +5,7 @@ intrinsic Delaunay retriangulation by Ptolemy flips; surfaces with
 boundary are handled through a reflection-symmetric double cover.
 """
 
-from .cover import (
-    DoubleCover,
-    TargetAngles,
-    build_double_cover,
-    restrict_to_single_cover,
-    symmetric_make_delaunay,
-)
+from .cover import DoubleCover, build_double_cover, restrict_to_single_cover
 from .halfedge import (
     CombinatorialMesh,
     FlipError,
@@ -32,7 +26,6 @@ from .metric import (
     hessian,
     is_delaunay,
     make_delaunay,
-    ptolemy_flip_length,
     scaled_length,
     vertex_angle_sums,
 )
@@ -46,6 +39,7 @@ from .solver import (
     line_search,
     newton_direction,
     scale_conformally,
+    solve_problem,
 )
 from .symmetry import (
     FlipRecord,
@@ -75,7 +69,6 @@ __all__ = [
     "SolverError",
     "SolverReport",
     "SymmetryError",
-    "TargetAngles",
     "apply_symmetric_flip",
     "asymmetric_flip",
     "build_double_cover",
@@ -91,11 +84,10 @@ __all__ = [
     "line_search",
     "make_delaunay",
     "newton_direction",
-    "ptolemy_flip_length",
     "restrict_to_single_cover",
     "scale_conformally",
     "scaled_length",
-    "symmetric_make_delaunay",
+    "solve_problem",
     "validate",
     "validate_symmetry",
     "vertex_angle_sums",

@@ -2,26 +2,23 @@
 
 Exit codes: 0 success/converged, 2 parse or validation failure,
 3 non-convergence within budgets, 4 internal invariant breach
-(flip budget exhausted, symmetry corruption, degenerate geometry).
+(flip budget exhausted, symmetry corruption, degenerate geometry, or any
+other unexpected failure of one input).
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .cover import build_double_cover, restrict_to_single_cover
 from .generate import generate
-from .halfedge import MeshError, build_from_face_lists
+from .halfedge import MeshError
 from .io import (
     ParseError,
     ProblemFile,
     bundle_from_solution,
     bundle_to_csv,
-    gauss_bonnet_deviation,
     problem_to_mesh,
     read_bundle,
     read_mesh_file,
@@ -31,8 +28,7 @@ from .io import (
     write_problem_files,
 )
 from .metric import FlipBudgetError, MetricError, make_delaunay
-from .solver import SolverConfig, find_conformal_metric, scale_conformally
-from .symmetry import SymmetryError
+from .solver import SolverConfig, solve_problem
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -72,7 +68,7 @@ def _result_path(mesh_path: str, out: str | None, many: bool) -> str:
         return out
     stem = mesh_path.rsplit(".", 1)[0] if "." in os.path.basename(mesh_path) else mesh_path
     name = stem + ".result"
-    if out:  # directory mode for batches
+    if out:  # a directory when there are several inputs
         os.makedirs(out, exist_ok=True)
         return os.path.join(out, os.path.basename(name))
     return name
@@ -90,70 +86,19 @@ def _load_problem(mesh_path: str, targets_path: str | None, need_targets: bool) 
 
 def _solve_one(mesh_path: str, args, many: bool) -> int:
     try:
-        prob = _load_problem(mesh_path, args.targets if not many else None, True)
-        mesh, metric = problem_to_mesh(prob)
+        prob = _load_problem(mesh_path, args.targets, True)
         cfg = _build_config(prob.options, args)
+        mesh, scaled, u, report = solve_problem(prob, cfg, args.keep_double_cover)
+        code = EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+        bundle = bundle_from_solution(mesh, scaled, u, report, code)
+        out_path = _result_path(mesh_path, args.out, many)
+        write_bundle(bundle, out_path)
     except (ParseError, OSError) as exc:
         print(f"{mesh_path}: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-
-    two_pi = 2.0 * math.pi
-    n = mesh.n_vertices
-    try:
-        if not mesh.boundary_faces:
-            if prob.kappa_targets:
-                theta = [two_pi - prob.kappa_targets.get(v, 0.0) for v in range(n)]
-            else:
-                theta = [prob.theta_targets.get(v, two_pi) for v in range(n)]
-            deviation = gauss_bonnet_deviation(mesh, theta)
-            if abs(deviation) > 1e-8 * max(1, n):
-                print(
-                    f"{mesh_path}: error: targets violate Gauss-Bonnet "
-                    f"(deviation {deviation!r})",
-                    file=sys.stderr,
-                )
-                return EXIT_PARSE
-            mesh, scaled, u, report = find_conformal_metric(mesh, metric, theta, cfg)
-            code = EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
-            bundle = bundle_from_solution(mesh, scaled, u, report, code)
-        else:
-            boundary = {
-                mesh.vertex_of(h)
-                for h in range(mesh.n_halfedges())
-                if mesh.is_boundary_halfedge(h)
-            }
-            if prob.kappa_targets:
-                kappa = [prob.kappa_targets.get(v, 0.0) for v in range(n)]
-            else:
-                kappa = [
-                    (math.pi if v in boundary else two_pi) - prob.theta_targets.get(v, two_pi)
-                    for v in range(n)
-                ]
-            chi = mesh.n_vertices - mesh.n_edges() + mesh.n_faces()
-            deviation = math.fsum(kappa) - two_pi * chi
-            if abs(deviation) > 1e-8 * max(1, n):
-                print(
-                    f"{mesh_path}: error: targets violate Gauss-Bonnet "
-                    f"(deviation {deviation!r})",
-                    file=sys.stderr,
-                )
-                return EXIT_PARSE
-            cover, cmetric, targets = build_double_cover(mesh, metric, kappa, kappa)
-            cmesh, cscaled, u, report = find_conformal_metric(
-                cover.mesh, cmetric, targets.theta_hat, cfg, refl=cover.refl
-            )
-            code = EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
-            if args.keep_double_cover:
-                bundle = bundle_from_solution(cmesh, cscaled, u, report, code)
-            else:
-                rmesh, rmetric, ru = restrict_to_single_cover(cover, cmetric, u)
-                bundle = bundle_from_solution(rmesh, rmetric, ru, report, code)
-    except (FlipBudgetError, SymmetryError, MetricError, MeshError) as exc:
-        print(f"{mesh_path}: invariant breach: {exc}", file=sys.stderr)
+    except Exception as exc:  # one failed input must not stop the others
+        print(f"{mesh_path}: invariant breach: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-
-    out_path = _result_path(mesh_path, args.out, many)
-    write_bundle(bundle, out_path)
     print(
         f"{mesh_path}: {report.termination} steps={report.newton_steps} "
         f"residual={report.final_residual:.3e} flips={bundle.flip_totals[0]} -> {out_path}"
@@ -166,12 +111,7 @@ def cmd_solve(args) -> int:
     if args.targets and many:
         print("error: --targets only applies to a single input", file=sys.stderr)
         return EXIT_PARSE
-    if args.batch and many:
-        with ThreadPoolExecutor(max_workers=args.batch) as pool:
-            codes = list(pool.map(lambda p: _solve_one(p, args, True), args.inputs))
-    else:
-        codes = [_solve_one(p, args, many) for p in args.inputs]
-    return max(codes)
+    return max(_solve_one(p, args, many) for p in args.inputs)
 
 
 def cmd_delaunay(args) -> int:
@@ -232,14 +172,12 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="run the Newton pipeline on problem files")
     sp.add_argument("inputs", nargs="+", help="mesh files (targets in <stem>.targets)")
     sp.add_argument("--targets", help="explicit targets file (single input only)")
-    sp.add_argument("--out", help="result path (single input) or directory (batch)")
+    sp.add_argument("--out", help="result path (single input) or directory (several inputs)")
     sp.add_argument("--tol", type=float, help="convergence tolerance on max angle error")
     sp.add_argument("--max-steps", type=int, help="Newton step budget")
     sp.add_argument("--max-halvings", type=int, help="line-search halving budget")
     sp.add_argument("--flip-budget", type=float, help="flip budget factor per retriangulation")
-    sp.add_argument("--seed", type=int, default=0, help="accepted for interface parity; solving is deterministic")
     sp.add_argument("--keep-double-cover", action="store_true", help="emit the symmetric cover instead of restricting")
-    sp.add_argument("--batch", type=int, metavar="N", help="solve inputs on N worker threads")
     sp.set_defaults(func=cmd_solve)
 
     dp = sub.add_parser("delaunay", help="retriangulate to intrinsic Delaunay at u = 0")

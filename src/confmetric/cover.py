@@ -32,46 +32,22 @@ from .halfedge import (
     build_from_face_edge_lists,
     validate,
 )
+from .io import gauss_bonnet_deviation
 from .metric import MetricError, PennerMetric, scaled_length
 from .symmetry import ReflectionMap, SymmetryError, validate_symmetry
-
-
-@dataclass
-class TargetAngles:
-    """Per-vertex target angle sums for a closed mesh.
-
-    Solvable targets must exhaust the total angle of all faces:
-    sum(theta_hat) equals pi * sum(deg f - 2) over faces.  ``residual``
-    measures the violation of that balance.
-    """
-
-    theta_hat: list[float]
-
-    def residual(self, mesh: CombinatorialMesh) -> float:
-        want = math.pi * sum(mesh.degree(f) - 2 for f in mesh.faces())
-        return math.fsum(self.theta_hat) - want
 
 
 @dataclass
 class DoubleCover:
     """A closed symmetric mesh built from a bounded one.
 
-    ``origin`` reports, for a halfedge index of the construction state,
-    which sheet it lies on and which source halfedge it duplicates; flips
-    reuse slots, so the mapping describes construction-time identity only.
     Vertices 0..n_source_vertices-1 keep their source ids; mirrored
     interior vertices follow.
     """
 
     mesh: CombinatorialMesh
     refl: ReflectionMap
-    n_source_halfedges: int
     n_source_vertices: int
-
-    def origin(self, h: int) -> tuple[int, int]:
-        if h < self.n_source_halfedges:
-            return (1, h)
-        return (2, h - self.n_source_halfedges)
 
 
 def build_double_cover(
@@ -79,13 +55,14 @@ def build_double_cover(
     metric: PennerMetric,
     kappa_interior: "list[float]",
     kappa_boundary: "list[float]",
-) -> tuple[DoubleCover, PennerMetric, TargetAngles]:
+) -> tuple[DoubleCover, PennerMetric, list[float]]:
     """Glue a mirror copy of ``mesh`` along its boundary.
 
     ``kappa_interior[v]`` is the target cone curvature at interior vertex
     ``v``; ``kappa_boundary[v]`` the target geodesic curvature at boundary
     vertex ``v``.  Entries at vertices of the other kind are ignored.
-    Returns the cover, its (mirrored) metric, and per-vertex target angles.
+    Returns the cover, its (mirrored) metric, and per-vertex target angles;
+    raises MeshError when those angles violate Gauss-Bonnet on the cover.
     """
     if not mesh.boundary_faces:
         raise MeshError("input mesh has no boundary; nothing to double")
@@ -147,40 +124,14 @@ def build_double_cover(
             theta_hat[v] = 2.0 * math.pi - kappa_interior[v]
             theta_hat[vrefl[v]] = theta_hat[v]
 
-    targets = TargetAngles(theta_hat)
-    deviation = targets.residual(cover_mesh)
+    deviation = gauss_bonnet_deviation(cover_mesh, theta_hat)
     if abs(deviation) > 1e-8 * max(1, n_cover_v):
         raise MeshError(
             f"targets violate Gauss-Bonnet on the closed cover (deviation {deviation!r})"
         )
 
-    cover = DoubleCover(
-        mesh=cover_mesh,
-        refl=refl,
-        n_source_halfedges=n_int,
-        n_source_vertices=v0,
-    )
-    return cover, PennerMetric(lengths), targets
-
-
-def symmetric_make_delaunay(
-    cover: DoubleCover,
-    metric: PennerMetric,
-    u: "list[float]",
-    eps_flip: float = 1e-12,
-    flip_budget_factor: float = 100.0,
-):
-    """Flip the cover to Delaunay with symmetry-preserving surgeries."""
-    from .metric import make_delaunay
-
-    return make_delaunay(
-        cover.mesh,
-        metric,
-        u,
-        refl=cover.refl,
-        eps_flip=eps_flip,
-        flip_budget_factor=flip_budget_factor,
-    )
+    cover = DoubleCover(mesh=cover_mesh, refl=refl, n_source_vertices=v0)
+    return cover, PennerMetric(lengths), theta_hat
 
 
 def restrict_to_single_cover(

@@ -10,31 +10,11 @@ discrete Gauss-Bonnet identity holds to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .halfedge import MeshError, build_from_face_lists
-
-
-@dataclass
-class ProblemInstance:
-    """In-memory problem description, ready for the file writers.
-
-    Either ``positions`` (edge lengths = Euclidean distances) or
-    ``edge_lengths`` (keyed by sorted vertex pair) supplies the metric.
-    Targets come as per-vertex angle sums ``theta_targets`` or curvatures
-    ``kappa_targets``; exactly one of the two is populated.
-    """
-
-    kind: str
-    seed: int
-    faces: list[list[int]]
-    n_vertices: int
-    positions: list[tuple[float, float, float]] | None = None
-    edge_lengths: dict[tuple[int, int], float] | None = None
-    theta_targets: dict[int, float] = field(default_factory=dict)
-    kappa_targets: dict[int, float] = field(default_factory=dict)
+from .io import ProblemFile
 
 
 # -- base meshes ---------------------------------------------------------------
@@ -183,7 +163,7 @@ def closest_icosphere_level(size: int) -> int:
     return min(range(len(ICOSPHERE_SIZES)), key=lambda i: abs(ICOSPHERE_SIZES[i] - size))
 
 
-def generate(kind: str, seed: int, size: int | None = None) -> ProblemInstance:
+def generate(kind: str, seed: int, size: int | None = None) -> ProblemFile:
     """Build a deterministic random instance of the named family.
 
     ``size`` is a vertex-count hint: spheres snap to the nearest icosphere
@@ -194,11 +174,9 @@ def generate(kind: str, seed: int, size: int | None = None) -> ProblemInstance:
     if kind == "sphere-random-angles":
         level = closest_icosphere_level(size if size is not None else 642)
         faces, pos = icosphere(level)
-        nv = len(pos)
-        theta = _sphere_targets(rng, nv, len(faces))
-        return ProblemInstance(
-            kind, seed, faces, nv, positions=pos,
-            theta_targets={i: float(t) for i, t in enumerate(theta)},
+        theta = _sphere_targets(rng, len(pos), len(faces))
+        return ProblemFile(
+            faces, positions=pos, theta_targets={i: float(t) for i, t in enumerate(theta)}
         )
     if kind == "disk-random-boundary":
         n = max(2, round(math.sqrt(size if size is not None else 1089)))
@@ -208,9 +186,8 @@ def generate(kind: str, seed: int, size: int | None = None) -> ProblemInstance:
             {mesh.vertex_of(h) for h in range(mesh.n_halfedges()) if mesh.is_boundary_halfedge(h)}
         )
         kappa = _disk_boundary_kappa(rng, len(boundary))
-        return ProblemInstance(
-            kind, seed, faces, len(pos), positions=pos,
-            kappa_targets={v: float(k) for v, k in zip(boundary, kappa)},
+        return ProblemFile(
+            faces, positions=pos, kappa_targets={v: float(k) for v, k in zip(boundary, kappa)}
         )
     if kind.startswith("single-cone-genus-"):
         try:
@@ -227,7 +204,5 @@ def generate(kind: str, seed: int, size: int | None = None) -> ProblemInstance:
         cone = 1  # any vertex off the glue seams; fixed for determinism
         theta = {v: 2.0 * math.pi for v in range(nv)}
         theta[cone] = 2.0 * math.pi * (2 * genus - 1)
-        return ProblemInstance(
-            kind, seed, faces, nv, edge_lengths=lengths, theta_targets=theta
-        )
+        return ProblemFile(faces, edge_lengths=lengths, theta_targets=theta)
     raise MeshError(f"unsupported instance kind {kind!r}")

@@ -163,23 +163,6 @@ class CombinatorialMesh:
     def is_boundary_edge(self, e: int) -> bool:
         return self.is_boundary_halfedge(e) or self.is_boundary_halfedge(self.opp[e])
 
-    def vertex_halfedges(self, h: int) -> list[int]:
-        """All halfedges sharing the head of ``h`` (the vertex circulator orbit)."""
-        orbit = [h]
-        cur = self.opp[self.prev(h)]
-        while cur != h:
-            orbit.append(cur)
-            cur = self.opp[self.prev(cur)]
-        return orbit
-
-    def halfedges_into(self) -> list[list[int]]:
-        """Per-vertex lists of incoming halfedges, indexed by vertex label."""
-        into: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for h in range(len(self.to)):
-            if not self.parked[h]:
-                into[self.to[h]].append(h)
-        return into
-
     # -- counts -----------------------------------------------------------
 
     def n_edges(self) -> int:

@@ -38,6 +38,11 @@ class ProblemFile:
     kappa_targets: dict[int, float] = field(default_factory=dict)
     options: dict[str, float] = field(default_factory=dict)
 
+    @property
+    def n_vertices(self) -> int:
+        """Vertex count of the mesh the faces build: one past the largest id."""
+        return 1 + max(max(f) for f in self.faces)
+
 
 def _finite(tok: str) -> float:
     val = float(tok)
@@ -87,12 +92,19 @@ def read_mesh_file(path: str) -> ProblemFile:
 
 
 def read_targets_file(path: str, prob: ProblemFile) -> None:
+    """Parse `v i theta`, `k i kappa` and `opt name value` lines into ``prob``.
+
+    Every target must name a vertex of ``prob``, 1..V.
+    """
+    n = prob.n_vertices
     for lineno, tok in _tokens(path):
         try:
-            if tok[0] == "v" and len(tok) == 3:
-                prob.theta_targets[int(tok[1]) - 1] = _finite(tok[2])
-            elif tok[0] == "k" and len(tok) == 3:
-                prob.kappa_targets[int(tok[1]) - 1] = _finite(tok[2])
+            if tok[0] in ("v", "k") and len(tok) == 3:
+                v = int(tok[1])
+                if not 1 <= v <= n:
+                    raise ValueError(f"vertex index {v} outside 1..{n}")
+                targets = prob.theta_targets if tok[0] == "v" else prob.kappa_targets
+                targets[v - 1] = _finite(tok[2])
             elif tok[0] == "opt" and len(tok) == 3:
                 prob.options[tok[1]] = _finite(tok[2])
             else:
@@ -132,29 +144,27 @@ def problem_to_mesh(prob: ProblemFile) -> tuple[CombinatorialMesh, PennerMetric]
 
 
 def write_problem_files(
-    prob: "ProblemFile | object", mesh_path: str, targets_path: str | None = None
+    prob: ProblemFile, mesh_path: str, targets_path: str | None = None
 ) -> str:
-    """Write mesh + sidecar; accepts ProblemFile or generate.ProblemInstance."""
+    """Write mesh + sidecar; returns the sidecar's path."""
     if targets_path is None:
         targets_path = sidecar_path(mesh_path)
     lines = []
-    if getattr(prob, "positions", None) is not None:
+    if prob.positions is not None:
         for p in prob.positions:
             lines.append(f"v {p[0]!r} {p[1]!r} {p[2]!r}")
     for f in prob.faces:
         lines.append("f " + " ".join(str(w + 1) for w in f))
-    el = getattr(prob, "edge_lengths", None)
-    if el:
-        for (a, b), val in sorted(el.items()):
-            lines.append(f"el {a + 1} {b + 1} {val!r}")
+    for (a, b), val in sorted(prob.edge_lengths.items()):
+        lines.append(f"el {a + 1} {b + 1} {val!r}")
     with open(mesh_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     lines = []
-    for v, t in sorted(getattr(prob, "theta_targets", {}).items()):
+    for v, t in sorted(prob.theta_targets.items()):
         lines.append(f"v {v + 1} {t!r}")
-    for v, k in sorted(getattr(prob, "kappa_targets", {}).items()):
+    for v, k in sorted(prob.kappa_targets.items()):
         lines.append(f"k {v + 1} {k!r}")
-    for name, val in sorted(getattr(prob, "options", {}).items()):
+    for name, val in sorted(prob.options.items()):
         lines.append(f"opt {name} {val!r}")
     with open(targets_path, "w") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
@@ -167,7 +177,11 @@ def sidecar_path(mesh_path: str) -> str:
 
 
 def gauss_bonnet_deviation(mesh: CombinatorialMesh, theta_hat: "list[float]") -> float:
-    """Sum of targets minus the combinatorial angle total pi*sum(deg f - 2)."""
+    """Sum of targets minus the combinatorial angle total pi*sum(deg f - 2).
+
+    Solvable targets make it zero.  On a mesh with boundary this is the
+    Gauss-Bonnet identity when boundary targets are pi - kappa.
+    """
     expected = math.pi * sum(mesh.degree(f) - 2 for f in mesh.faces())
     return math.fsum(theta_hat) - expected
 

@@ -300,13 +300,6 @@ def is_delaunay(
 # -- flips --------------------------------------------------------------------
 
 
-def ptolemy_flip_length(mesh: CombinatorialMesh, metric: PennerMetric, h: int) -> float:
-    """Original-scale length the edge of ``h`` acquires when flipped."""
-    fr = plan_flip(mesh, h)
-    sl = metric.lengths
-    return (sl[fr.h1] * sl[fr.h4] + sl[fr.h2] * sl[fr.h5]) / sl[fr.h0]
-
-
 def flip_edge(
     mesh: CombinatorialMesh, metric: PennerMetric, h: int
 ) -> tuple[FlipFrame, float]:

@@ -16,6 +16,8 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from . import io
+from .cover import build_double_cover, restrict_to_single_cover
 from .halfedge import CombinatorialMesh
 from .metric import (
     FlipLog,
@@ -344,3 +346,63 @@ def find_conformal_metric(
         delaunay_checks=checks,
     )
     return mesh, scaled, u, report
+
+
+def _n_components(mesh: CombinatorialMesh) -> int:
+    """Connected components of the vertex graph; isolated vertices count."""
+    root = list(range(mesh.n_vertices))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for e in mesh.edges():
+        root[find(mesh.to[e])] = find(mesh.tail_of(e))
+    return sum(root[v] == v for v in range(mesh.n_vertices))
+
+
+def solve_problem(
+    prob: io.ProblemFile,
+    config: SolverConfig | None = None,
+    keep_double_cover: bool = False,
+) -> tuple[CombinatorialMesh, PennerMetric, "np.ndarray | list[float]", SolverReport]:
+    """Solve a parsed problem, closed or with boundary.
+
+    Targets are theta (angle sums, default 2*pi) or kappa (curvatures,
+    default 0); a boundary vertex's angle sum is pi - kappa.  A closed mesh
+    goes straight to ``find_conformal_metric``.  A mesh with boundary is
+    solved on its mirror-symmetric double cover, and the result is cut back
+    to the source disk unless ``keep_double_cover`` is set; the restricted
+    u is NaN at the midpoint vertices the cut adds.  Returns the same tuple
+    as ``find_conformal_metric``.  Raises ``io.ParseError`` when the input
+    is rejected: bad lengths, more than one connected component, or
+    targets that violate Gauss-Bonnet.
+    """
+    mesh, metric = io.problem_to_mesh(prob)
+    n = mesh.n_vertices
+    if _n_components(mesh) > 1:
+        raise io.ParseError("mesh is not connected")
+    two_pi = 2.0 * math.pi
+    boundary = {mesh.to[h] for h in range(mesh.n_halfedges()) if mesh.is_boundary_halfedge(h)}
+    flat = [math.pi if v in boundary else two_pi for v in range(n)]
+    if prob.kappa_targets:
+        kappa = [prob.kappa_targets.get(v, 0.0) for v in range(n)]
+        theta = [f - k for f, k in zip(flat, kappa)]
+    else:
+        theta = [prob.theta_targets.get(v, two_pi) for v in range(n)]
+        kappa = [f - t for f, t in zip(flat, theta)]
+    deviation = io.gauss_bonnet_deviation(mesh, theta)
+    if abs(deviation) > 1e-8 * max(1, n):
+        raise io.ParseError(f"targets violate Gauss-Bonnet (deviation {deviation!r})")
+    if not mesh.boundary_faces:
+        return find_conformal_metric(mesh, metric, theta, config)
+    cover, cmetric, theta_hat = build_double_cover(mesh, metric, kappa, kappa)
+    cmesh, cscaled, u, report = find_conformal_metric(
+        cover.mesh, cmetric, theta_hat, config, refl=cover.refl
+    )
+    if keep_double_cover:
+        return cmesh, cscaled, u, report
+    rmesh, rmetric, ru = restrict_to_single_cover(cover, cmetric, u)
+    return rmesh, rmetric, ru, report

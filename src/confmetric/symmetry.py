@@ -83,9 +83,6 @@ class ReflectionMap:
     def copy(self) -> "ReflectionMap":
         return ReflectionMap(list(self.r), list(self.he_label), list(self.vertex_refl))
 
-    def is_fixed_halfedge(self, h: int) -> bool:
-        return self.r[h] == h
-
 
 @dataclass(frozen=True)
 class FlipRecord:

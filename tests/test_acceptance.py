@@ -17,11 +17,8 @@ import scipy.stats
 
 import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
-from confmetric.cover import build_double_cover, restrict_to_single_cover
 from confmetric.generate import generate
-from confmetric.halfedge import build_from_face_lists
 from confmetric.metric import (
-    PennerMetric,
     delaunay_value,
     flip_edge,
     gradient,
@@ -29,7 +26,7 @@ from confmetric.metric import (
     make_delaunay,
     vertex_angle_sums,
 )
-from confmetric.solver import SolverConfig, find_conformal_metric
+from confmetric.solver import SolverConfig, solve_problem
 from confmetric.symmetry import FlipType, apply_symmetric_flip, classify_flip
 
 import helpers
@@ -77,14 +74,6 @@ class RetriangulationAudit:
         return min(self.offenders) if self.offenders else 0.0
 
 
-def _metric_from_positions(mesh, positions):
-    lengths = {}
-    for e in mesh.edges():
-        a, b = mesh.edge_endpoints(e)
-        lengths[e] = math.dist(positions[a], positions[b])
-    return PennerMetric.from_edge_lengths(mesh, lengths)
-
-
 @pytest.fixture(scope="module")
 def sphere_suite():
     audit = RetriangulationAudit()
@@ -94,11 +83,7 @@ def sphere_suite():
     t0 = time.perf_counter()
     try:
         for seed in range(SUITE_SIZE):
-            inst = generate("sphere-random-angles", seed=seed, size=642)
-            mesh = build_from_face_lists(inst.faces)
-            metric = _metric_from_positions(mesh, inst.positions)
-            theta_hat = [inst.theta_targets[v] for v in range(mesh.n_vertices)]
-            _, _, _, report = find_conformal_metric(mesh, metric, theta_hat, cfg)
+            mesh, _, _, report = solve_problem(generate("sphere-random-angles", seed, 642), cfg)
             runs.append((mesh.n_vertices, report))
     finally:
         solver_mod.make_delaunay = real
@@ -117,23 +102,18 @@ def disk_suite():
     t0 = time.perf_counter()
     try:
         for seed in range(SUITE_SIZE):
-            inst = generate("disk-random-boundary", seed=seed, size=1089)
-            mesh = build_from_face_lists(inst.faces)
-            metric = _metric_from_positions(mesh, inst.positions)
-            kappa = [inst.kappa_targets.get(v, 0.0) for v in range(mesh.n_vertices)]
-            cover, cmetric, targets = build_double_cover(mesh, metric, kappa, kappa)
-            _, _, u, report = find_conformal_metric(
-                cover.mesh, cmetric, targets.theta_hat, cfg, refl=cover.refl
-            )
-            rmesh, rmetric, _ = restrict_to_single_cover(cover, cmetric, u)
+            prob = generate("disk-random-boundary", seed, 1089)
+            rmesh, rmetric, _, report = solve_problem(prob, cfg)
             sums = vertex_angle_sums(rmesh, rmetric, [0.0] * rmesh.n_vertices)
             boundary_dev = max(
-                abs(sums[v] - (math.pi - k)) for v, k in inst.kappa_targets.items()
+                abs(sums[v] - (math.pi - k)) for v, k in prob.kappa_targets.items()
             )
-            ks = list(inst.kappa_targets.values())
+            ks = list(prob.kappa_targets.values())
             runs.append(
                 {
-                    "n_cover_vertices": cover.mesh.n_vertices,
+                    # The generator prescribes kappa at exactly the boundary
+                    # vertices, and the cover shares those between its sheets.
+                    "n_cover_vertices": 2 * prob.n_vertices - len(ks),
                     "report": report,
                     "boundary_dev": boundary_dev,
                     "flips": report.total_flips().total,
@@ -147,12 +127,8 @@ def disk_suite():
 
 @pytest.fixture(scope="module")
 def cone_run():
-    inst = generate("single-cone-genus-2", seed=0, size=0)
-    mesh = build_from_face_lists(inst.faces)
-    metric = PennerMetric.uniform(mesh)
-    theta_hat = [inst.theta_targets[v] for v in range(mesh.n_vertices)]
     cfg = SolverConfig(eps_tol=1e-8, verify_delaunay=True)
-    _, _, _, report = find_conformal_metric(mesh, metric, theta_hat, cfg)
+    mesh, _, _, report = solve_problem(generate("single-cone-genus-2", 0, 0), cfg)
     return {"n_vertices": mesh.n_vertices, "report": report}
 
 

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import confmetric.cli
 from confmetric.cli import main
 from confmetric.io import read_bundle
 
@@ -83,6 +84,32 @@ def test_solve_non_finite_mesh_numbers_rejected(tmp_path, capsys, body):
     put(tmp_path, "d.targets", "")
     assert main(["solve", mesh]) == 2
     assert "non-finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", [0, 99])
+def test_solve_target_outside_vertex_range_rejected(tmp_path, capsys, index):
+    mesh = tetra_files(tmp_path)
+    with open(tmp_path / "t.targets", "a") as fh:
+        fh.write(f"v {index} 1.0\n")
+    assert main(["solve", mesh]) == 2
+    assert f"t.targets:5: vertex index {index} outside 1..4" in capsys.readouterr().err
+
+
+def test_solve_disconnected_mesh_rejected(tmp_path, capsys):
+    # Two tetrahedra: the targets balance over both (sum 8*pi) but not
+    # over each one, so no metric exists.
+    tets = [[1, 2, 3], [1, 3, 4], [1, 4, 2], [2, 4, 3]]
+    faces = tets + [[v + 4 for v in f] for f in tets]
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    mesh = put(
+        tmp_path, "two.mesh",
+        "".join(f"f {a} {b} {c}\n" for a, b, c in faces)
+        + "".join(f"el {a + k} {b + k} 1.0\n" for k in (0, 4) for a, b in pairs),
+    )
+    theta = [math.pi + 0.5] * 4 + [math.pi - 0.5] * 4
+    put(tmp_path, "two.targets", "".join(f"v {i + 1} {t!r}\n" for i, t in enumerate(theta)))
+    assert main(["solve", mesh]) == 2
+    assert "not connected" in capsys.readouterr().err
 
 
 def test_solve_missing_targets(tmp_path, capsys):
@@ -239,7 +266,7 @@ def test_batch_solve_writes_all_results(tmp_path, capsys):
         put(tmp_path, f"case{k}.targets",
             "".join(f"v {i} {PI}\n" for i in (1, 2, 3, 4)))
         files.append(m)
-    assert main(["solve", *files, "--batch", "2", "--out", outdir]) == 0
+    assert main(["solve", *files, "--out", outdir]) == 0
     assert sorted(os.listdir(outdir)) == [f"case{k}.result" for k in range(3)]
     out = capsys.readouterr().out
     assert out.count("converged") == 3
@@ -253,6 +280,27 @@ def test_batch_exit_code_is_worst_case(tmp_path):
     b1.mkdir()
     bad = tetra_files(b1, [math.pi + 0.5, math.pi, math.pi, math.pi])
     assert main(["solve", good, bad]) == 2
+
+
+def test_unexpected_failure_ends_only_its_input(tmp_path, capsys, monkeypatch):
+    files = []
+    for name in ("first", "second"):
+        (tmp_path / name).mkdir()
+        files.append(tetra_files(tmp_path / name))
+    real = confmetric.cli.solve_problem
+    calls = []
+
+    def fail_first(prob, *args):
+        calls.append(prob)
+        if len(calls) == 1:
+            raise RuntimeError("boom")
+        return real(prob, *args)
+
+    monkeypatch.setattr(confmetric.cli, "solve_problem", fail_first)
+    assert main(["solve", *files]) == 4
+    assert "first/t.mesh: invariant breach: RuntimeError: boom" in capsys.readouterr().err
+    assert not (tmp_path / "first" / "t.result").exists()
+    assert read_bundle(str(tmp_path / "second" / "t.result")).termination == "converged"
 
 
 def test_delaunay_identity(tmp_path, capsys):

@@ -4,15 +4,11 @@ import math
 
 import pytest
 
-from confmetric.cover import (
-    TargetAngles,
-    build_double_cover,
-    restrict_to_single_cover,
-    symmetric_make_delaunay,
-)
+from confmetric.cover import build_double_cover, restrict_to_single_cover
 from confmetric.generate import grid_disk
 from confmetric.halfedge import MeshError, build_from_face_lists, validate
-from confmetric.metric import PennerMetric, is_delaunay, vertex_angle_sums
+from confmetric.io import gauss_bonnet_deviation
+from confmetric.metric import PennerMetric, is_delaunay, make_delaunay, vertex_angle_sums
 from confmetric.symmetry import FlipType, apply_symmetric_flip, validate_symmetry
 
 import helpers
@@ -21,7 +17,7 @@ import helpers
 def test_cover_of_single_triangle():
     disk = build_from_face_lists([[0, 1, 2]])
     metric = PennerMetric.uniform(disk)
-    cover, cmetric, targets = build_double_cover(
+    cover, cmetric, theta_hat = build_double_cover(
         disk, metric, [0.0] * 3, [2 * math.pi / 3] * 3
     )
     m = cover.mesh
@@ -30,8 +26,8 @@ def test_cover_of_single_triangle():
     assert m.euler_characteristic() == 2
     # every edge lies on the axis
     assert all(cover.refl.r[e] == m.opp[e] for e in m.edges())
-    assert targets.theta_hat == pytest.approx([2 * math.pi / 3] * 3)
-    assert abs(targets.residual(m)) < 1e-12
+    assert theta_hat == pytest.approx([2 * math.pi / 3] * 3)
+    assert abs(gauss_bonnet_deviation(m, theta_hat)) < 1e-12
 
 
 def test_cover_of_square_fan():
@@ -67,17 +63,16 @@ def test_targets_interior_and_boundary():
     metric = PennerMetric.uniform(disk)
     ki = 0.3
     kb = (4 * math.pi - 2 * ki) / 12
-    cover, _, targets = build_double_cover(
+    cover, _, th = build_double_cover(
         disk, metric, [0.0] * 6 + [ki], [kb] * 6 + [0.0]
     )
-    th = targets.theta_hat
     # boundary vertices lose twice their curvature target, interior ones
     # once, and the mirrored interior copy repeats its source
     for v in range(6):
         assert th[v] == pytest.approx(2 * math.pi - 2 * kb, rel=1e-15)
     assert th[6] == pytest.approx(2 * math.pi - ki, rel=1e-15)
     assert th[7] == th[6]
-    assert abs(targets.residual(cover.mesh)) < 1e-12
+    assert abs(gauss_bonnet_deviation(cover.mesh, th)) < 1e-12
 
 
 def test_unbalanced_targets_rejected():
@@ -107,7 +102,7 @@ def test_flat_grid_cover_needs_no_flips():
                     for h in range(disk.n_halfedges())))
     kb = [2 * math.pi / nb] * disk.n_vertices
     cover, cmetric, _ = build_double_cover(disk, metric, [0.0] * 16, kb)
-    log = symmetric_make_delaunay(cover, cmetric, [0.0] * cover.mesh.n_vertices)
+    log = make_delaunay(cover.mesh, cmetric, [0.0] * cover.mesh.n_vertices, refl=cover.refl)
     assert log.total == 0
 
 
@@ -115,7 +110,7 @@ def test_symmetric_make_delaunay_repairs_and_validates():
     cover, cmetric, _ = helpers.hexagon_cover(long_edges=((0, 1), (3, 4)))
     mesh, refl = cover.mesh, cover.refl
     u = [0.0] * mesh.n_vertices
-    log = symmetric_make_delaunay(cover, cmetric, u)
+    log = make_delaunay(mesh, cmetric, u, refl=refl)
     assert log.total >= 2
     assert validate(mesh) == []
     assert validate_symmetry(mesh, refl, cmetric) == []

@@ -19,7 +19,6 @@ from confmetric.metric import (
     hessian,
     is_delaunay,
     make_delaunay,
-    ptolemy_flip_length,
     scaled_length,
     vertex_angle_sums,
 )
@@ -179,9 +178,14 @@ def test_delaunay_value_raises_on_underflowed_length():
 # -- Ptolemy flips ---------------------------------------------------------
 
 
+def flipped_length(mesh, metric, h):
+    """Length flip_edge gives the edge of ``h``, leaving the inputs unflipped."""
+    return flip_edge(mesh.copy(), metric.copy(), h)[1]
+
+
 def test_ptolemy_length_of_square_diagonal():
     mesh, metric, e = square_with_diagonal(math.sqrt(2.0))
-    assert ptolemy_flip_length(mesh, metric, e) == pytest.approx(
+    assert flipped_length(mesh, metric, e) == pytest.approx(
         math.sqrt(2.0), rel=1e-15
     )
 
@@ -197,8 +201,8 @@ def test_ptolemy_length_hand_value():
     helpers.set_length(mesh, metric, 3, 0, 1.1)
     helpers.set_length(mesh, metric, 0, 2, 2.0)
     e = next(x for x in mesh.edges() if set(mesh.edge_endpoints(x)) == {0, 2})
-    assert ptolemy_flip_length(mesh, metric, e) == pytest.approx(1.31, rel=1e-15)
-    assert ptolemy_flip_length(mesh, metric, mesh.opp[e]) == pytest.approx(
+    assert flipped_length(mesh, metric, e) == pytest.approx(1.31, rel=1e-15)
+    assert flipped_length(mesh, metric, mesh.opp[e]) == pytest.approx(
         1.31, rel=1e-15
     )
     _, lnew = flip_edge(mesh, metric, e)
@@ -210,7 +214,7 @@ def test_ptolemy_length_on_tetra():
     metric = PennerMetric.uniform(mesh)
     e = next(iter(mesh.edges()))
     helpers.set_length(mesh, metric, *mesh.edge_endpoints(e), 1.9)
-    assert ptolemy_flip_length(mesh, metric, e) == pytest.approx(2.0 / 1.9, rel=1e-15)
+    assert flipped_length(mesh, metric, e) == pytest.approx(2.0 / 1.9, rel=1e-15)
 
 
 @settings(max_examples=60, deadline=None)

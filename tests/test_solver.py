@@ -173,23 +173,19 @@ def test_flat_grid_cover_solves_in_zero_steps():
     for v, (x, y, _) in enumerate(pos):
         if {x, y} <= {0.0, 3.0} :
             kappa[v] = math.pi / 2
-    cover, cmetric, targets = build_double_cover(disk, metric, [0.0] * 16, kappa)
-    _, _, u, report = find_conformal_metric(
-        cover.mesh, cmetric, targets.theta_hat, refl=cover.refl
-    )
+    cover, cmetric, theta_hat = build_double_cover(disk, metric, [0.0] * 16, kappa)
+    _, _, u, report = find_conformal_metric(cover.mesh, cmetric, theta_hat, refl=cover.refl)
     assert report.converged
     assert report.newton_steps == 0
     assert np.max(np.abs(u)) == 0.0
 
 
 def test_symmetric_solve_keeps_bitwise_mirror_symmetry():
-    cover, cmetric, targets = helpers.hexagon_cover(
+    cover, cmetric, theta_hat = helpers.hexagon_cover(
         long_edges=((0, 1), (2, 3)), length=1.6
     )
     mesh, refl = cover.mesh, cover.refl
-    _, scaled, u, report = find_conformal_metric(
-        mesh, cmetric, targets.theta_hat, refl=refl
-    )
+    _, scaled, u, report = find_conformal_metric(mesh, cmetric, theta_hat, refl=refl)
     assert report.converged
     assert all(rec.symmetry_ok for rec in report.steps)
     for v in range(mesh.n_vertices):
@@ -202,7 +198,7 @@ def test_symmetric_solve_keeps_bitwise_mirror_symmetry():
     rmesh, rmetric, ru = restrict_to_single_cover(cover, cmetric, u)
     sums = vertex_angle_sums(rmesh, rmetric, [0.0] * rmesh.n_vertices)
     for v in range(7):
-        want = targets.theta_hat[v] / 2 if v < 6 else targets.theta_hat[v]
+        want = theta_hat[v] / 2 if v < 6 else theta_hat[v]
         assert sums[v] == pytest.approx(want, abs=1e-9)
 
 
