@@ -231,85 +231,27 @@ def _close_boundary_loops(
         raise MeshError("boundary loops did not close")
 
 
-def _finish_build(
-    next_he: list[int],
-    opp: list[int],
-    to: list[int],
-    n_vertices: int,
-    n_interior: int,
-) -> CombinatorialMesh:
-    mesh = CombinatorialMesh(
-        next_he=next_he,
-        opp=opp,
-        to=to,
-        n_vertices=n_vertices,
-        boundary_faces=set(),
-    )
-    for orbit in build_orbits(mesh.next_he):
-        if any(hh >= n_interior for hh in orbit):
-            mesh.boundary_faces.add(min(orbit))
-    errors = validate(mesh)
-    if errors:
-        raise MeshError("; ".join(errors))
-    return mesh
-
-
 def build_from_face_lists(
     faces: list[list[int]], n_vertices: int | None = None
 ) -> CombinatorialMesh:
     """Construct a mesh from per-face vertex loops (counterclockwise).
 
-    Boundary is detected from unpaired directed edges and closed with outer
-    loops.  Raises :class:`MeshError` on non-manifold or unorientable input.
+    Each unordered vertex pair is one edge, numbered in order of first use,
+    and :func:`build_from_face_edge_lists` pairs the halfedges and closes
+    the boundary (pairs used once) with outer loops.  Raises
+    :class:`MeshError` on a face that repeats a vertex, and on non-manifold
+    or unorientable input.
     """
-    if n_vertices is None:
-        n_vertices = 1 + max(max(f) for f in faces)
+    eid: dict[tuple[int, int], int] = {}
+    face_edges = []
     for f in faces:
-        if len(f) < 3:
-            raise MeshError(f"face {f} has fewer than 3 vertices")
         if len(set(f)) != len(f):
             raise MeshError(f"face {f} repeats a vertex")
-
-    n_interior = sum(len(f) for f in faces)
-    next_he: list[int] = [-1] * n_interior
-    to: list[int] = [-1] * n_interior
-    directed: dict[tuple[int, int], int] = {}
-
-    h = 0
-    for f in faces:
         k = len(f)
-        base = h
-        for i in range(k):
-            a, b = f[i], f[(i + 1) % k]
-            if (a, b) in directed:
-                raise MeshError(
-                    f"directed edge ({a},{b}) appears twice: "
-                    "non-manifold or inconsistently oriented input"
-                )
-            directed[(a, b)] = h
-            to[h] = b
-            next_he[h] = base + (i + 1) % k
-            h += 1
-
-    # Pair opposites; each unpaired directed edge gets a boundary halfedge.
-    opp: list[int] = [-1] * n_interior
-    for (a, b), ha in directed.items():
-        hb = directed.get((b, a))
-        if hb is not None:
-            opp[ha] = hb
-
-    boundary_of: dict[int, int] = {}
-    for (a, b), ha in directed.items():
-        if opp[ha] == -1:
-            hb = len(next_he)
-            next_he.append(-1)
-            to.append(a)
-            opp[ha] = hb
-            opp.append(ha)
-            boundary_of[ha] = hb
-
-    _close_boundary_loops(next_he, opp, boundary_of, n_interior)
-    return _finish_build(next_he, opp, to, n_vertices, n_interior)
+        pairs = ((f[i], f[(i + 1) % k]) for i in range(k))
+        keys = [(a, b) if a < b else (b, a) for a, b in pairs]
+        face_edges.append([eid.setdefault(key, len(eid)) for key in keys])
+    return build_from_face_edge_lists(faces, face_edges, n_vertices)[0]
 
 
 def build_from_face_edge_lists(
@@ -359,7 +301,9 @@ def build_from_face_edge_lists(
     boundary_of: dict[int, int] = {}
     for eid, hs in uses.items():
         if len(hs) > 2:
-            raise MeshError(f"edge id {eid} used {len(hs)} times")
+            raise MeshError(
+                f"edge id {eid} ({tail[hs[0]]}-{to[hs[0]]}) used {len(hs)} times"
+            )
         if len(hs) == 2:
             ha, hb = hs
             if (tail[ha], to[ha]) != (to[hb], tail[hb]):
@@ -380,7 +324,14 @@ def build_from_face_edge_lists(
             boundary_of[ha] = hb
 
     _close_boundary_loops(next_he, opp, boundary_of, n_interior)
-    return _finish_build(next_he, opp, to, n_vertices, n_interior), he_eid
+    mesh = CombinatorialMesh(next_he=next_he, opp=opp, to=to, n_vertices=n_vertices)
+    for orbit in build_orbits(mesh.next_he):
+        if any(hh >= n_interior for hh in orbit):
+            mesh.boundary_faces.add(min(orbit))
+    errors = validate(mesh)
+    if errors:
+        raise MeshError("; ".join(errors))
+    return mesh, he_eid
 
 
 def validate(mesh: CombinatorialMesh) -> list[str]:

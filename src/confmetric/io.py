@@ -86,8 +86,8 @@ def read_mesh_file(path: str) -> ProblemFile:
     if not faces:
         raise ParseError(f"{path}: no faces")
     n = max(w for f in faces for w in f) + 1
-    if positions and len(positions) < n:
-        raise ParseError(f"{path}: face references vertex {n} but only {len(positions)} v lines")
+    if positions and len(positions) != n:
+        raise ParseError(f"{path}: {len(positions)} v lines but the faces use vertices 1..{n}")
     return ProblemFile(faces, positions or None, lengths)
 
 

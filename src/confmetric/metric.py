@@ -31,9 +31,10 @@ two gives a flat triangle (angles pi, 0, 0).  The kernel raises
 NaN.
 
 ``make_delaunay`` flips until every interior edge satisfies the Delaunay
-condition.  Its full scan is vectorized over triangle-triangle edges; the
-flip loop re-tests one edge at a time with the scalar ``is_delaunay``,
-which also covers edges of quads.
+condition.  Its full scan reads the same corner table, quads included:
+each side's term (b^2 + c^2 - a^2) / bc lands on its halfedge, and an
+edge's Delaunay value is the sum over its two halfedges.  The flip loop
+re-tests one edge at a time with the scalar ``is_delaunay``.
 """
 
 from __future__ import annotations
@@ -152,21 +153,24 @@ def _corner_table(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Corner vertices ``V`` and scaled opposite sides ``S``, both (T, 3).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corner vertices ``V``, scaled opposite sides ``S`` and the halfedges
+    ``H`` of those sides, all (T, 3).
 
     Row t is one triangle, or one virtual triangle of a quad, with its
     corners in face order; ``S[t, k]`` is the scaled side opposite corner
-    ``V[t, k]``.  Raises MetricError on a zero or non-finite side.
+    ``V[t, k]`` and ``H[t, k]`` its halfedge, or -1 for a quad's stored
+    diagonal.  Raises MetricError on a zero or non-finite side.
     """
     nxt = _array(mesh.next_he)
+    n = len(nxt)
     to = _array(mesh.to)
-    opp = _array(mesh.opp)
+    tail = to[_array(mesh.opp)]
     lengths = _array(metric.lengths, float)
     uu = np.asarray(u, dtype=float)
 
     q0 = _array(list(metric.quad_diag))
-    is_face = _array(mesh.he_face) == np.arange(len(nxt))
+    is_face = _array(mesh.he_face) == np.arange(n)
     if any(mesh.parked):
         is_face &= ~_array(mesh.parked, bool)
     if any(mesh.in_quad):
@@ -180,27 +184,25 @@ def _corner_table(
         raise MetricError("a face is neither a triangle nor a quad with a stored diagonal")
     # Corner k sits at the head of side k, between sides k and k+1.
     cyc = np.stack((h0, h1, h2), axis=1)
-    sides = _scale(lengths[cyc], uu, to[cyc], to[opp[cyc]])
-    heads = to[cyc]
 
     if len(q0):
         q1 = nxt[q0]
         q2 = nxt[q1]
         q3 = nxt[q2]
-        quad = np.stack((q0, q1, q2, q3), axis=1)
-        ql = _scale(lengths[quad], uu, to[quad], to[opp[quad]])
-        d = _scale(_array(list(metric.quad_diag.values()), float), uu, to[q1], to[q3])
-        # The diagonal runs head(q1) -> head(q3) in the first virtual
-        # triangle (q0, q1, diag) and back in the second (q2, q3, diag).
-        sides = np.concatenate(
-            (sides, np.stack((ql[:, 0], ql[:, 1], d), axis=1),
-             np.stack((ql[:, 2], ql[:, 3], d), axis=1))
-        )
-        heads = np.concatenate((heads, to[quad[:, [0, 1, 3]]], to[quad[:, [2, 3, 1]]]))
+        # Each stored diagonal becomes two virtual halfedges past the real
+        # ones: head(q1) -> head(q3) closes (q0, q1), the reverse (q2, q3).
+        d1 = n + np.arange(len(q0))
+        d2 = d1 + len(q0)
+        cyc = np.concatenate((cyc, np.stack((q0, q1, d1), 1), np.stack((q2, q3, d2), 1)))
+        d = _array(list(metric.quad_diag.values()), float)
+        lengths = np.concatenate((lengths, d, d))
+        to, tail = np.concatenate((to, to[q3], to[q1])), np.concatenate((tail, to[q1], to[q3]))
 
+    sides = _scale(lengths[cyc], uu, to[cyc], tail[cyc])
     if not np.all((sides > 0.0) & (sides < math.inf)):
         raise MetricError("zero or non-finite scaled length")
-    return heads, sides[:, [2, 0, 1]]
+    H = np.where(cyc < n, cyc, -1)
+    return to[cyc], sides[:, [2, 0, 1]], H[:, [2, 0, 1]]
 
 
 def _heron_terms(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,7 +229,7 @@ def vertex_angle_sums(
 ) -> np.ndarray:
     """Total scaled angle around each vertex; quads count via their
     virtual triangulation along the stored diagonal."""
-    V, S = _corner_table(mesh, metric, u)
+    V, S, _ = _corner_table(mesh, metric, u)
     _, p, q = _heron_terms(S)
     # tan(angle / 2) = sqrt(q_next * q_prev / (p * q_own)), accurate for
     # needles where arccos of the law-of-cosines cosine is not.  A side
@@ -358,64 +360,40 @@ def _scan_violations_vectorized(
     refl: ReflectionMap | None,
     eps_flip: float,
 ) -> list[int]:
+    """Canonical ids of the edges whose Delaunay value is below ``-eps_flip``.
+
+    Every side of the corner table stores its term (b^2 + c^2 - a^2) / bc
+    at its halfedge.  Halfedges of outer loops and parked halfedges keep
+    NaN, so boundary edges never compare as violations.  With a reflection
+    map, edges that ``classify_flip`` calls ALWAYS_DELAUNAY are masked out.
+    Raises MetricError where a product bc is zero or not finite.
+    """
+    _, S, H = _corner_table(mesh, metric, u)
+    b = S[:, [1, 2, 0]]
+    c = S[:, [2, 0, 1]]
+    bc = b * c
+    if not np.all(((bc > 0.0) & (bc < math.inf)) | (H < 0)):
+        raise MetricError("scaled lengths beside a side left the float range")
     n = mesh.n_halfedges()
+    # Entries at stored diagonals (H = -1) land in the spare last slot.
+    term = np.full(n + 1, np.nan)
+    term[H] = (b * b + c * c - S * S) / bc
+
     idx = np.arange(n)
-    nxt = _array(mesh.next_he)
     opp = _array(mesh.opp)
-    to = _array(mesh.to)
-    parked = _array(mesh.parked, bool)
-    in_quad = _array(mesh.in_quad, bool)
-    uu = np.asarray(u, dtype=float)
-    active = ~parked
-
-    lp = np.ones(n)
-    live = np.flatnonzero(active)
-    lp[live] = _scale(_array(metric.lengths, float)[live], uu, to[live], to[opp[live]])
-
-    # Triangle side terms for every active non-quad halfedge.
-    tri_side = active & ~in_quad
-    a = lp[nxt]
-    b = lp[nxt[nxt]]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        term = (a * a + b * b - lp * lp) / (a * b)
-
-    he_face = _array(mesh.he_face)
-    canonical = active & (idx < opp)
-    tri_edge = canonical & tri_side & tri_side[opp]
-    quad_edge = canonical & (in_quad | in_quad[opp])
-
-    if mesh.boundary_faces:
-        bnd = np.zeros(n, dtype=bool)
-        for f in mesh.boundary_faces:
-            bnd |= he_face == f
-        interior = ~(bnd | bnd[opp])
-        tri_edge &= interior
-        quad_edge &= interior
+    bad = (idx < opp) & (term[:n] + term[opp] < -eps_flip)
 
     if refl is not None:
+        he_face = _array(mesh.he_face)
         r = np.asarray(refl.r)
-        fixed = active & (r == idx)
+        # Parked halfedges have he_face -1 and belong to no face.
+        fixed = (r == idx) & (he_face >= 0)
         face_is_axis = np.zeros(n, dtype=bool)
-        face_is_axis[np.unique(he_face[fixed])] = True
+        face_is_axis[he_face[fixed]] = True
         axis_h = face_is_axis[he_face]
         skip = (he_face == he_face[opp]) | (axis_h & axis_h[opp] & (r != idx))
-        tri_edge &= ~skip
-        quad_edge &= ~skip
-
-    value = term + term[opp]
-    bad = tri_edge & (value < -eps_flip)
-    out = list(np.flatnonzero(bad))
-
-    for e in np.flatnonzero(quad_edge):
-        e = int(e)
-        if refl is not None:
-            kind, _ = classify_flip(mesh, refl, e)
-            if kind is FlipType.ALWAYS_DELAUNAY:
-                continue
-        if delaunay_value(mesh, metric, u, e) < -eps_flip:
-            out.append(e)
-    out.sort()
-    return [int(e) for e in out]
+        bad &= ~skip
+    return np.flatnonzero(bad).tolist()
 
 
 def make_delaunay(
@@ -493,7 +471,7 @@ def hessian(
     """
     import scipy.sparse
 
-    V, S = _corner_table(mesh, metric, u)
+    V, S, _ = _corner_table(mesh, metric, u)
     S, p, q = _heron_terms(S)
     area4 = np.sqrt(p[:, 0] * q[:, 0] * q[:, 1] * q[:, 2])
     if not np.all(area4 > 0.0):

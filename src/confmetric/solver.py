@@ -194,6 +194,8 @@ def line_search(
     Every trial retriangulates to Delaunay in place before evaluating the
     gradient, and rejected trials leave their flips in the mesh; the next
     trial continues from whatever triangulation the previous one reached.
+    Raises LineSearchError when no trial within ``max_halvings`` is
+    accepted, or when a trial leaves u unchanged.
     """
     u = np.asarray(u, dtype=float)
     step = np.asarray(d, dtype=float).copy()
@@ -201,6 +203,10 @@ def line_search(
     checks = 0
     for halvings in range(max_halvings + 1):
         u_try = u + step
+        if np.array_equal(u_try, u):
+            # The step is below the float resolution of u: accepting it
+            # would repeat the same step until the Newton budget runs out.
+            raise LineSearchError("step does not move u")
         flips.merge(
             make_delaunay(mesh, metric, u_try, refl, eps_flip, flip_budget_factor)
         )

@@ -112,6 +112,15 @@ def test_solve_disconnected_mesh_rejected(tmp_path, capsys):
     assert "not connected" in capsys.readouterr().err
 
 
+def test_solve_unused_v_line_rejected(tmp_path, capsys):
+    # Dropping a v line that no face uses would solve a smaller mesh than
+    # the file describes.
+    mesh = put(tmp_path, "d.mesh", "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\n")
+    put(tmp_path, "d.targets", "".join(f"k {i} {2 * math.pi / 3!r}\n" for i in (1, 2, 3)))
+    assert main(["solve", mesh]) == 2
+    assert "4 v lines but the faces use vertices 1..3" in capsys.readouterr().err
+
+
 def test_solve_missing_targets(tmp_path, capsys):
     mesh = put(tmp_path, "alone.mesh", "f 1 2 3\nel 1 2 1\nel 2 3 1\nel 1 3 1\n")
     assert main(["solve", mesh]) == 2

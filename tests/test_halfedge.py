@@ -67,14 +67,26 @@ def test_double_cover_of_triangle_counts():
     assert (mesh.n_vertices, mesh.n_edges(), mesh.n_faces()) == (3, 3, 2)
 
 
-def test_nonmanifold_edge_rejected():
-    with pytest.raises(MeshError):
-        build_from_face_lists([[0, 1, 2], [0, 1, 3], [1, 0, 4]])
-
-
-def test_inconsistent_orientation_rejected():
-    with pytest.raises(MeshError):
-        build_from_face_lists([[0, 1, 2], [0, 1, 3]])
+@pytest.mark.parametrize(
+    "faces, match",
+    [
+        ([[0, 1, 1]], "repeats a vertex"),
+        ([[0, 1]], "fewer than 3 vertices"),
+        ([[0, 1, 2], [0, 1, 3]], "inconsistent orientation"),
+        ([[0, 1, 2], [0, 1, 2]], "inconsistent orientation"),
+        ([[0, 1, 2], [0, 1, 3], [1, 0, 4]], "used 3 times"),
+    ],
+    ids=[
+        "repeated_vertex",
+        "two_vertex_face",
+        "inconsistent_orientation",
+        "duplicate_face",
+        "nonmanifold_edge",
+    ],
+)
+def test_face_list_builder_rejects(faces, match):
+    with pytest.raises(MeshError, match=match):
+        build_from_face_lists(faces)
 
 
 def test_flip_square_diagonal():

@@ -12,6 +12,7 @@ from confmetric.metric import (
     FlipBudgetError,
     MetricError,
     PennerMetric,
+    _scan_violations_vectorized,
     corner_angle,
     delaunay_value,
     flip_edge,
@@ -22,6 +23,7 @@ from confmetric.metric import (
     scaled_length,
     vertex_angle_sums,
 )
+from confmetric.symmetry import FlipType, classify_flip
 
 import helpers
 
@@ -301,6 +303,44 @@ def test_make_delaunay_path_independence():
     lb = helpers.active_lengths(mesh_b, metric_b)
     assert len(la) == len(lb)
     assert la == pytest.approx(lb, rel=1e-9)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 0.0, 0.5, -4.0])
+def test_scan_flags_exactly_the_scalar_violations(eps):
+    # The scan reads the corner table; the scalar delaunay_value walks each
+    # edge's faces.  They must agree on quads and on shuffled triangles,
+    # and at a negative band that flags most edges.
+    rng = np.random.default_rng(17)
+    cover, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cover, cmetric)
+    assert cmetric.quad_diag
+    mesh, metric = helpers.shuffled_closed_mesh(rng, level=1, flips=30)
+    for m, met, refl in [(cover.mesh, cmetric, cover.refl), (mesh, metric, None)]:
+        candidates = [
+            e for e in m.edges()
+            if not m.is_boundary_edge(e)
+            and (refl is None or classify_flip(m, refl, e)[0] is not FlipType.ALWAYS_DELAUNAY)
+        ]
+        for _ in range(4):
+            u = rng.normal(0.0, 0.3, m.n_vertices)
+            want = [e for e in candidates if delaunay_value(m, met, u, e) < -eps]
+            assert _scan_violations_vectorized(m, met, u, refl, eps) == want
+            if eps < 0:
+                assert len(want) > len(candidates) / 2
+                if refl is not None:
+                    assert any(m.in_quad[e] or m.in_quad[m.opp[e]] for e in want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_scan_raises_where_a_side_product_overflows():
+    # Sides near 1e260 are finite, but the product of two is not.
+    mesh = helpers.octa()
+    metric = PennerMetric.uniform(mesh)
+    u = [600.0] * 6
+    with pytest.raises(MetricError):
+        delaunay_value(mesh, metric, u, mesh.edges()[0])
+    with pytest.raises(MetricError, match="float range"):
+        _scan_violations_vectorized(mesh, metric, u, None, 1e-12)
 
 
 def test_make_delaunay_flip_budget():

@@ -11,6 +11,7 @@ from confmetric.generate import grid_disk
 from confmetric.halfedge import build_from_face_lists, validate
 from confmetric.metric import PennerMetric, hessian, make_delaunay, vertex_angle_sums
 from confmetric.solver import (
+    LineSearchError,
     SolverConfig,
     SolverError,
     find_conformal_metric,
@@ -102,6 +103,20 @@ def test_line_search_slope_is_nonpositive_at_acceptance():
     assert res.slope <= 0.0
     # the returned point is exactly u + d / 2**halvings
     assert res.u == pytest.approx(u + d / 2.0**res.halvings, abs=1e-15)
+
+
+def test_line_search_rejects_a_step_that_does_not_move_u():
+    # A step below the float resolution of u has slope <= 0; accepting it
+    # would repeat the same step until max_newton_steps.
+    from confmetric.metric import gradient
+
+    mesh = helpers.tetra()
+    metric = PennerMetric.uniform(mesh)
+    u = np.array([0.5, -0.5, 0.25, -0.25])
+    theta_hat = np.full(4, math.pi)
+    g = gradient(mesh, metric, u, theta_hat)
+    with pytest.raises(LineSearchError):
+        line_search(mesh, metric, u, -1e-20 * g, theta_hat)
 
 
 # -- full driver -------------------------------------------------------------
