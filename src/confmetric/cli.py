@@ -175,7 +175,12 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="result path (single input) or directory (several inputs)")
     sp.add_argument("--tol", type=float, help="convergence tolerance on max angle error")
     sp.add_argument("--max-steps", type=int, help="Newton step budget")
-    sp.add_argument("--max-halvings", type=int, help="line-search halving budget")
+    sp.add_argument(
+        "--max-halvings",
+        type=int,
+        help="line-search budget N: trials at t = 1, 1/2, ..., 2^-N, plus at most "
+        "two for a regula-falsi refinement",
+    )
     sp.add_argument("--flip-budget", type=float, help="flip budget factor per retriangulation")
     sp.add_argument("--keep-double-cover", action="store_true", help="emit the symmetric cover instead of restricting")
     sp.set_defaults(func=cmd_solve)

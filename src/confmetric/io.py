@@ -392,7 +392,10 @@ def bundle_from_solution(
     )
 
 
-CSV_HEADER = "step,max_error,halvings,flips_111,flips_par,flips_t,flips_q"
+CSV_HEADER = (
+    "step,max_error,halvings,flips_111,flips_par,flips_t,flips_q,"
+    "decrement,grad_sum,symmetry_ok"
+)
 
 
 def bundle_to_csv(bundle: ResultBundle) -> str:
@@ -400,6 +403,7 @@ def bundle_to_csv(bundle: ResultBundle) -> str:
     for it in bundle.iterations:
         rows.append(
             f"{it.step},{it.max_error!r},{it.halvings},"
-            f"{it.flips_111},{it.flips_par},{it.flips_t},{it.flips_q}"
+            f"{it.flips_111},{it.flips_par},{it.flips_t},{it.flips_q},"
+            f"{it.decrement!r},{it.grad_sum!r},{it.symmetry_ok}"
         )
     return "\n".join(rows) + "\n"

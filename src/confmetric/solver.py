@@ -2,9 +2,12 @@
 
 The iteration follows the classical scheme for the convex scale-factor
 energy while never evaluating the energy itself: residual g = theta_hat -
-Theta(u), direction d = -H^-1 g with H the cotangent matrix, and a
-backtracking line search that retriangulates to Delaunay before every
-gradient evaluation.  A step is accepted as soon as <d, g(u + d)> <= 0.
+Theta(u), direction d = -H^-1 g with H the cotangent matrix, and a line
+search that retriangulates to Delaunay before every gradient evaluation.
+The line search halves t from 1 until the slope <d, g(u + t*d)> is
+nonpositive; when a rejected trial at 2t brackets the minimiser, it then
+tries one regula-falsi point between t and 2t on that slope, so a full
+step that lands just past the minimiser does not cost a rate-1/2 phase.
 """
 
 from __future__ import annotations
@@ -71,6 +74,9 @@ class NewtonStep:
     every surgery performed during the step, including rejected line-search
     trials (the mesh keeps those flips; there is no rollback).
     ``symmetry_ok`` is None for solves without a reflection map.
+    ``halvings`` counts the line-search trials after the first, and
+    ``refined`` is True when the step taken is the line search's
+    regula-falsi point.
     """
 
     step: int
@@ -80,6 +86,7 @@ class NewtonStep:
     decrement: float
     grad_sum: float
     symmetry_ok: bool | None
+    refined: bool = False
 
 
 @dataclass
@@ -108,14 +115,21 @@ class SolverReport:
 
 @dataclass
 class LineSearchResult:
-    """The accepted point, and the residual ``g_try`` evaluated there."""
+    """The accepted point u + t*d, and the residual ``g_try`` evaluated there.
+
+    ``halvings`` is the number of trials after the first, ``slope`` is
+    <d, g_try>, and ``refined`` is True when t is the regula-falsi point
+    rather than a power of two.
+    """
 
     u: np.ndarray
     g_try: np.ndarray
     halvings: int
     flips: FlipLog
     slope: float
-    delaunay_checks: int = 0
+    delaunay_checks: int
+    t: float
+    refined: bool
 
 
 def newton_direction(H: "scipy.sparse.spmatrix", g: np.ndarray) -> np.ndarray:
@@ -189,20 +203,34 @@ def line_search(
     flip_budget_factor: float = 100.0,
     verify: bool = False,
 ) -> LineSearchResult:
-    """Backtracking step: try u + d, halving d until <d, g(u + d)> <= 0.
+    """Step to u + t*d with slope phi'(t) = <d, g(u + t*d)> <= 0.
+
+    Trials run at t = 1, 1/2, 1/4, ... until one has phi'(t) <= 0.  When a
+    rejected trial at 2t precedes it, phi'(t) <= 0 < phi'(2t) brackets the
+    minimiser along d, and one regula-falsi trial at
+    t_r = t + t * -phi'(t) / (phi'(2t) - phi'(t)) follows: t_r is accepted
+    if its slope is <= 0, otherwise the mesh is retriangulated at t and the
+    gradient evaluated there again (should that slope now be positive,
+    halving resumes below t).  The energy is convex, so a nonpositive slope
+    means descent without evaluating the energy.
 
     Every trial retriangulates to Delaunay in place before evaluating the
     gradient, and rejected trials leave their flips in the mesh; the next
     trial continues from whatever triangulation the previous one reached.
-    Raises LineSearchError when no trial within ``max_halvings`` is
+    The returned u is exactly ``u + t * d``, and ``halvings`` counts the
+    trials after the first (gradient evaluations minus one).  Raises
+    LineSearchError when no trial within ``max_halvings`` halvings is
     accepted, or when a trial leaves u unchanged.
     """
     u = np.asarray(u, dtype=float)
-    step = np.asarray(d, dtype=float).copy()
+    d = np.asarray(d, dtype=float)
     flips = FlipLog()
     checks = 0
-    for halvings in range(max_halvings + 1):
-        u_try = u + step
+    trials = 0
+
+    def trial(t: float) -> tuple[np.ndarray, np.ndarray, float]:
+        nonlocal checks, trials
+        u_try = u + t * d
         if np.array_equal(u_try, u):
             # The step is below the float resolution of u: accepting it
             # would repeat the same step until the Newton budget runs out.
@@ -213,11 +241,31 @@ def line_search(
         if verify:
             checks += _verify_delaunay(mesh, metric, u_try, refl, eps_flip)
         g_try = gradient(mesh, metric, u_try, theta_hat)
-        slope = float(step @ g_try)
+        trials += 1
+        return u_try, g_try, float(d @ g_try)
+
+    k = 0  # t = 2^-k
+    slope_2t = None  # phi'(2t), once the trial at 2t has been rejected
+    may_refine = True
+    while True:
+        t = 0.5**k
+        u_try, g_try, slope = trial(t)
         if slope <= 0.0:
-            return LineSearchResult(u_try, g_try, halvings, flips, slope, checks)
-        step = step / 2.0
-    raise LineSearchError(f"no acceptable step within {max_halvings} halvings")
+            if may_refine and slope_2t is not None:
+                may_refine = False
+                t_r = t + t * -slope / (slope_2t - slope)
+                if t < t_r < 2.0 * t:
+                    u_r, g_r, slope_r = trial(t_r)
+                    if slope_r <= 0.0:
+                        return LineSearchResult(
+                            u_r, g_r, trials - 1, flips, slope_r, checks, t_r, True
+                        )
+                    continue  # retriangulate at t and evaluate there again
+            return LineSearchResult(u_try, g_try, trials - 1, flips, slope, checks, t, False)
+        if k == max_halvings:
+            raise LineSearchError(f"no acceptable step within {max_halvings} halvings")
+        slope_2t = slope
+        k += 1
 
 
 def _symmetry_snapshot(
@@ -337,6 +385,7 @@ def find_conformal_metric(
                 decrement,
                 float(g.sum()),
                 _symmetry_snapshot(mesh, metric, u, refl),
+                ls.refined,
             )
         )
     if termination is None:

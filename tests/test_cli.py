@@ -359,7 +359,10 @@ def test_report_stdout_and_file(tmp_path, capsys):
     result = str(tmp_path / "t.result")
     assert main(["report", result]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[0] == "step,max_error,halvings,flips_111,flips_par,flips_t,flips_q"
+    assert out.splitlines()[0] == (
+        "step,max_error,halvings,flips_111,flips_par,flips_t,flips_q,"
+        "decrement,grad_sum,symmetry_ok"
+    )
     csv_path = str(tmp_path / "trace.csv")
     assert main(["report", result, "--out", csv_path]) == 0
     assert open(csv_path).read().splitlines()[0].startswith("step,")

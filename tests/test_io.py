@@ -222,6 +222,17 @@ def test_csv_header_and_rows():
     assert len(lines) == 1 + len(report.steps)
     first = lines[1].split(",")
     assert first[0] == "0"
+    # every iteration field is emitted, floats exactly
+    for line, it in zip(lines[1:], bundle.iterations):
+        cells = line.split(",")
+        assert len(cells) == len(CSV_HEADER.split(","))
+        assert [int(c) for c in cells[2:7]] == [
+            it.halvings, it.flips_111, it.flips_par, it.flips_t, it.flips_q
+        ]
+        decrement, grad_sum = float(cells[7]), float(cells[8])
+        assert decrement == it.decrement or math.isnan(decrement) and math.isnan(it.decrement)
+        assert grad_sum == it.grad_sum
+        assert int(cells[9]) == it.symmetry_ok
 
 
 def test_csv_of_zero_step_solve():

@@ -7,9 +7,9 @@ import pytest
 
 import confmetric.solver as solver_mod
 from confmetric.cover import build_double_cover, restrict_to_single_cover
-from confmetric.generate import grid_disk
+from confmetric.generate import generate, grid_disk
 from confmetric.halfedge import build_from_face_lists, validate
-from confmetric.metric import PennerMetric, hessian, make_delaunay, vertex_angle_sums
+from confmetric.metric import PennerMetric, hessian, is_delaunay, make_delaunay, vertex_angle_sums
 from confmetric.solver import (
     LineSearchError,
     SolverConfig,
@@ -18,6 +18,7 @@ from confmetric.solver import (
     line_search,
     newton_direction,
     scale_conformally,
+    solve_problem,
 )
 
 import helpers
@@ -101,8 +102,97 @@ def test_line_search_slope_is_nonpositive_at_acceptance():
     d = newton_direction(hessian(mesh, metric, u), g)
     res = line_search(mesh, metric, u, d, np.asarray(theta_hat))
     assert res.slope <= 0.0
-    # the returned point is exactly u + d / 2**halvings
-    assert res.u == pytest.approx(u + d / 2.0**res.halvings, abs=1e-15)
+    # the returned point is exactly u + t*d, with t a power of two or the
+    # regula-falsi point strictly inside a bracket [2^k, 2^(k+1)]
+    assert np.array_equal(res.u, u + res.t * d)
+    lo = 2.0 ** math.floor(math.log2(res.t))
+    assert res.t == lo or (res.refined and lo < res.t < 2.0 * lo)
+
+
+def _octa_search_inputs(seed, spread):
+    from confmetric.metric import gradient
+
+    mesh, metric, theta_hat = octa_problem(seed, spread)
+    u = np.zeros(6)
+    g = gradient(mesh, metric, u, theta_hat)
+    d = newton_direction(hessian(mesh, metric, u), g)
+    return mesh, metric, u, d, np.asarray(theta_hat)
+
+
+def _spy_gradient(monkeypatch):
+    """Record the u of every gradient evaluation the solver makes."""
+    seen = []
+    real = solver_mod.gradient
+
+    def spy(mesh, metric, u, theta_hat):
+        seen.append(np.array(u, dtype=float))
+        return real(mesh, metric, u, theta_hat)
+
+    monkeypatch.setattr(solver_mod, "gradient", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "seed, spread, halvings, t, refined",
+    [(3, 0.01, 0, 1.0, False), (4, 0.8, 2, None, True), (14, 1.0, 3, 0.5, False)],
+    ids=["full_step", "refined", "refinement_rejected"],
+)
+def test_line_search_gradient_calls_are_halvings_plus_one(
+    monkeypatch, seed, spread, halvings, t, refined
+):
+    mesh, metric, u, d, theta_hat = _octa_search_inputs(seed, spread)
+    seen = _spy_gradient(monkeypatch)
+    res = line_search(mesh, metric, u, d, theta_hat)
+    assert len(seen) == res.halvings + 1 == halvings + 1
+    assert res.refined is refined
+    if t is not None:
+        assert res.t == t
+    # the accepted point is the last one evaluated; after a rejected
+    # refinement that is the second evaluation at t
+    assert np.array_equal(seen[-1], res.u)
+
+
+def test_rejected_refinement_returns_the_power_of_two_point_on_a_delaunay_mesh(monkeypatch):
+    # t = 1 is rejected and t = 1/2 accepted; the regula-falsi point between
+    # them has a positive slope and flips an edge, which the fallback
+    # retriangulation at t = 1/2 must flip back.
+    from confmetric.metric import gradient
+
+    mesh, metric, u, d, theta_hat = _octa_search_inputs(14, 1.0)
+    seen = _spy_gradient(monkeypatch)
+    res = line_search(mesh, metric, u, d, theta_hat)
+    assert not res.refined and res.t == 0.5 and res.slope <= 0.0
+    assert np.array_equal(res.u, u + 0.5 * d)
+    t_tried = [float((x - u) @ d / (d @ d)) for x in seen]
+    assert t_tried[:2] == pytest.approx([1.0, 0.5], abs=1e-14)
+    assert 0.5 < t_tried[2] < 1.0
+    assert res.flips.total > 0
+    for e in mesh.edges():
+        if not mesh.is_boundary_edge(e):
+            assert is_delaunay(mesh, metric, res.u, e, None, 1e-12)
+    assert np.array_equal(res.g_try, gradient(mesh, metric, res.u, theta_hat))
+
+
+def test_line_search_resumes_halving_if_the_fallback_slope_turns_positive(monkeypatch):
+    # A co-circular tie resolved differently after the refinement trial
+    # could flip the sign of a near-zero slope at t; force that on the
+    # fallback evaluation and require halving to go on below t.
+    mesh, metric, u, d, theta_hat = _octa_search_inputs(14, 1.0)
+    real = solver_mod.gradient
+    calls = []
+
+    def gradient(mesh, metric, u_try, theta_hat):
+        g = real(mesh, metric, u_try, theta_hat)
+        calls.append(None)
+        if len(calls) == 4:
+            g = g + d * (abs(d @ g) + 1.0) / (d @ d)  # slope d.g becomes +1
+        return g
+
+    monkeypatch.setattr(solver_mod, "gradient", gradient)
+    res = line_search(mesh, metric, u, d, theta_hat)
+    assert len(calls) == res.halvings + 1 == 5
+    assert res.t == 0.25 and not res.refined and res.slope <= 0.0
+    assert np.array_equal(res.u, u + 0.25 * d)
 
 
 def test_line_search_rejects_a_step_that_does_not_move_u():
@@ -271,6 +361,17 @@ def test_gradient_only_evaluated_on_delaunay_states(monkeypatch):
             seen_md_at.add(u_key)
         else:
             assert u_key in seen_md_at, "gradient evaluated before make_delaunay"
+
+
+@pytest.mark.parametrize(
+    "kind, size", [("sphere-random-angles", 642), ("disk-random-boundary", 1089)]
+)
+def test_full_step_overshoot_costs_no_halving_phase(kind, size):
+    # Seed 1 of both families lands each full Newton step just past the
+    # minimiser; halving alone took 29 (sphere) and 24 (disk) steps.
+    *_, report = solve_problem(generate(kind, 1, size))
+    assert report.converged
+    assert report.newton_steps <= 10
 
 
 def test_report_totals_add_up():
