@@ -33,7 +33,7 @@ from .halfedge import (
     validate,
 )
 from .io import gauss_bonnet_deviation
-from .metric import MetricError, PennerMetric, scaled_length
+from .metric import MetricError, PennerMetric, scalar_metric
 from .symmetry import ReflectionMap, SymmetryError, validate_symmetry
 
 
@@ -151,9 +151,7 @@ def restrict_to_single_cover(
     mesh, refl = cover.mesh, cover.refl
     v0 = cover.n_source_vertices
 
-    def lp(h: int) -> float:
-        return scaled_length(mesh, metric, u, h)
-
+    lp = scalar_metric(mesh, metric, u).length
     crossing = sorted(e for e in mesh.edges() if refl.r[e] == e)
     midpoint: dict[int, int] = {}
     half_len: dict[int, float] = {}
@@ -174,19 +172,12 @@ def restrict_to_single_cover(
         edge_len[eid] = length
         return eid
 
-    def kept_edge(h: int) -> int:
+    def edge_id(h: int) -> int:
+        # A crossing edge keeps only its sheet-1 half.
         e = mesh.edge_of(h)
         eid = eid_of_cover_edge.get(e)
         if eid is None:
-            eid = fresh(lp(h))
-            eid_of_cover_edge[e] = eid
-        return eid
-
-    def half_edge_id(h: int) -> int:
-        e = mesh.edge_of(h)
-        eid = eid_of_cover_edge.get(e)
-        if eid is None:
-            eid = fresh(half_len[e])
+            eid = fresh(half_len[e] if e in half_len else lp(h))
             eid_of_cover_edge[e] = eid
         return eid
 
@@ -197,7 +188,7 @@ def restrict_to_single_cover(
             if labs[0] == 2:
                 continue
             faces_v.append([mesh.tail_of(x) for x in hs])
-            faces_e.append([kept_edge(x) for x in hs])
+            faces_e.append([edge_id(x) for x in hs])
             continue
         if len(hs) == 3:
             c = next(x for x in hs if refl.r[x] == x)
@@ -212,10 +203,10 @@ def restrict_to_single_cover(
             if mesh.next_he[g] == c:
                 # g runs apex -> sheet-1 vertex, then the crossing side.
                 faces_v.append([mesh.tail_of(g), mesh.to[g], m])
-                faces_e.append([kept_edge(g), half_edge_id(c), cut])
+                faces_e.append([edge_id(g), edge_id(c), cut])
             else:
                 faces_v.append([m, mesh.tail_of(g), mesh.to[g]])
-                faces_e.append([half_edge_id(c), kept_edge(g), cut])
+                faces_e.append([edge_id(c), edge_id(g), cut])
         else:
             g = next(x for x in hs if refl.he_label[x] == 1)
             pg = mesh.prev(g)
@@ -234,9 +225,9 @@ def restrict_to_single_cover(
             cut = fresh(height)
             diag = fresh(math.sqrt(0.25 * b1 * b1 + height * height))
             faces_v.append([m_in, a, m_out])
-            faces_e.append([half_edge_id(pg), diag, cut])
+            faces_e.append([edge_id(pg), diag, cut])
             faces_v.append([a, b, m_out])
-            faces_e.append([kept_edge(g), half_edge_id(ng), diag])
+            faces_e.append([edge_id(g), edge_id(ng), diag])
 
     n_out_v = v0 + len(crossing)
     out_mesh, he_eid = build_from_face_edge_lists(faces_v, faces_e, n_out_v)

@@ -183,7 +183,7 @@ def generate(kind: str, seed: int, size: int | None = None) -> ProblemFile:
         faces, pos = grid_disk(n)
         mesh = build_from_face_lists(faces)
         boundary = sorted(
-            {mesh.vertex_of(h) for h in range(mesh.n_halfedges()) if mesh.is_boundary_halfedge(h)}
+            {mesh.to[h] for h in range(mesh.n_halfedges()) if mesh.is_boundary_halfedge(h)}
         )
         kappa = _disk_boundary_kappa(rng, len(boundary))
         return ProblemFile(

@@ -15,7 +15,7 @@ halfedge index set plus a head-vertex table:
   vertex id would drift when flips move corner halfedges between vertices,
   invalidating any per-vertex array held by a caller mid-run.
 
-Faces and edges do use canonical min-index ids: ``face_of(h)`` is the
+Faces and edges do use canonical min-index ids: ``he_face[h]`` is the
 smallest halfedge in the ``next_he`` orbit, ``edge_of(h)`` is
 ``min(h, opp[h])``.  Face-keyed state is rekeyed locally by the code that
 mutates faces.
@@ -71,10 +71,10 @@ def build_orbits(perm: list[int], skip: list[bool] | None = None) -> list[list[i
 class CombinatorialMesh:
     """Connectivity of an oriented surface mesh, boundary closed by marked faces.
 
-    ``he_face[h]`` caches ``face_of(h)``; surgeries refresh it for the faces
-    they rebuild.  ``in_quad[h]`` marks halfedges of transient quad faces.
-    ``quad_pairs`` maps a quad face id to the parked halfedge pair that the
-    inverse surgery will reinstall.
+    ``he_face[h]`` is the face id of ``h``; surgeries refresh it for the
+    faces they rebuild.  ``in_quad[h]`` marks halfedges of transient quad
+    faces.  ``quad_pairs`` maps a quad face id to the parked halfedge pair
+    that the inverse surgery will reinstall.
     """
 
     next_he: list[int]
@@ -105,17 +105,11 @@ class CombinatorialMesh:
     def n_halfedges(self) -> int:
         return len(self.next_he)
 
-    def vertex_of(self, h: int) -> int:
-        return self.to[h]
-
     def tail_of(self, h: int) -> int:
         return self.to[self.opp[h]]
 
     def edge_of(self, h: int) -> int:
         return min(h, self.opp[h])
-
-    def face_of(self, h: int) -> int:
-        return self.he_face[h]
 
     def prev(self, h: int) -> int:
         """Inverse of ``next_he`` by orbit walk (faces have small degree)."""
@@ -423,6 +417,12 @@ class FlipFrame:
     h4: int
     h5: int
 
+    def ptolemy(self, lengths: list[float]) -> float:
+        """Ptolemy length of the flipped edge, (l1 l4 + l2 l5) / l0, from
+        per-halfedge ``lengths``."""
+        L = lengths
+        return (L[self.h1] * L[self.h4] + L[self.h2] * L[self.h5]) / L[self.h0]
+
 
 def plan_flip(mesh: CombinatorialMesh, h: int) -> FlipFrame:
     """Resolve the surgery frame for flipping the edge of ``h``.
@@ -460,10 +460,3 @@ def apply_flip(mesh: CombinatorialMesh, fr: FlipFrame) -> None:
     mesh.to[fr.h3] = m
     mesh.rebuild_face([fr.h0, fr.h2, fr.h4])
     mesh.rebuild_face([fr.h1, fr.h3, fr.h5])
-
-
-def asymmetric_flip(mesh: CombinatorialMesh, h: int) -> FlipFrame:
-    """Plan and apply a plain triangle-triangle flip; returns the frame used."""
-    fr = plan_flip(mesh, h)
-    apply_flip(mesh, fr)
-    return fr

@@ -34,14 +34,15 @@ NaN.
 condition.  Its full scan reads the same corner table, quads included:
 each side's term (b^2 + c^2 - a^2) / bc lands on its halfedge, and an
 edge's Delaunay value is the sum over its two halfedges.  The flip loop
-re-tests one edge at a time with the scalar ``is_delaunay``.
+re-tests edges with ``scalar_metric``, the one scalar scaled length and
+side term, bound to the mesh and metric lists once per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -97,30 +98,6 @@ class PennerMetric:
         return cls([value] * mesh.n_halfedges())
 
 
-def scaled_length(
-    mesh: CombinatorialMesh,
-    metric: PennerMetric,
-    u: "list[float] | np.ndarray",
-    h: int,
-) -> float:
-    """Length of the edge of ``h`` under the conformal factor ``u``."""
-    i = mesh.to[mesh.opp[h]]
-    j = mesh.to[h]
-    return metric.lengths[h] * math.exp(0.5 * (u[i] + u[j]))
-
-
-def _scaled_diag(
-    mesh: CombinatorialMesh,
-    metric: PennerMetric,
-    u: "list[float] | np.ndarray",
-    f: int,
-) -> float:
-    hs = mesh.face_halfedges(f)
-    a = mesh.to[hs[1]]
-    b = mesh.to[hs[3]]
-    return metric.quad_diag[f] * math.exp(0.5 * (u[a] + u[b]))
-
-
 def _array(xs: list, dtype: type = np.intp) -> np.ndarray:
     """Copy a mesh or metric list into a numpy array (``fromiter`` copies
     a list of Python scalars fastest)."""
@@ -128,22 +105,8 @@ def _array(xs: list, dtype: type = np.intp) -> np.ndarray:
 
 
 def _scale(lengths: np.ndarray, u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized ``scaled_length``: ``lengths * exp((u[a] + u[b]) / 2)``."""
+    """Vectorized ``ScalarMetric.length``: ``lengths * exp((u[a] + u[b]) / 2)``."""
     return lengths * np.exp(0.5 * (u[a] + u[b]))
-
-
-def corner_angle(l_opp: float, l_a: float, l_b: float) -> float:
-    """Angle between sides ``l_a`` and ``l_b`` opposite ``l_opp``.
-
-    The cosine is clamped to [-1, 1]: lengths violating the triangle
-    inequality yield a flat angle of 0 or pi instead of a domain error.
-    """
-    c = (l_a * l_a + l_b * l_b - l_opp * l_opp) / (2.0 * l_a * l_b)
-    if c > 1.0:
-        c = 1.0
-    elif c < -1.0:
-        c = -1.0
-    return math.acos(c)
 
 
 # -- corner table -------------------------------------------------------------
@@ -238,65 +201,78 @@ def vertex_angle_sums(
     return np.bincount(V.ravel(), weights=angles.ravel(), minlength=mesh.n_vertices)
 
 
-# -- Delaunay predicate -------------------------------------------------------
+# -- scalar lengths and the Delaunay predicate -------------------------------
 
 
-def _side_term(
+class ScalarMetric(NamedTuple):
+    """Scalar queries at one ``u``; see :func:`scalar_metric`."""
+
+    length: Callable[[int], float]
+    diag: Callable[[int], float]
+    value: Callable[[int], float]
+    holds: Callable[[int], bool]
+
+
+def scalar_metric(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
-    h: int,
-) -> float:
-    """One side's contribution to the Delaunay value of its edge.
-
-    For a triangle side this equals twice the cosine of the opposite
-    corner; for a quad side the opposite corner lives in the virtual
-    triangle cut off by the stored diagonal.
-    """
-    c = scaled_length(mesh, metric, u, h)
-    if not mesh.in_quad[h]:
-        nh = mesh.next_he[h]
-        a = scaled_length(mesh, metric, u, nh)
-        b = scaled_length(mesh, metric, u, mesh.next_he[nh])
-    else:
-        f = mesh.he_face[h]
-        hs = mesh.face_halfedges(f)
-        a = scaled_length(mesh, metric, u, hs[hs.index(h) ^ 1])
-        b = _scaled_diag(mesh, metric, u, f)
-    ab = a * b
-    if not 0.0 < ab < math.inf:
-        raise MetricError(f"scaled lengths beside halfedge {h} left the float range")
-    return (a * a + b * b - c * c) / ab
-
-
-def delaunay_value(
-    mesh: CombinatorialMesh,
-    metric: PennerMetric,
-    u: "list[float] | np.ndarray",
-    e: int,
-) -> float:
-    """Sum of the two side terms of edge ``e``; nonnegative means Delaunay."""
-    return _side_term(mesh, metric, u, e) + _side_term(mesh, metric, u, mesh.opp[e])
-
-
-def is_delaunay(
-    mesh: CombinatorialMesh,
-    metric: PennerMetric,
-    u: "list[float] | np.ndarray",
-    e: int,
     refl: ReflectionMap | None = None,
     eps_flip: float = 1e-12,
-) -> bool:
-    """Delaunay test with a guard band: values down to ``-eps_flip`` pass.
+) -> ScalarMetric:
+    """Bind the mesh and metric lists once for scalar queries at ``u``.
 
-    With a reflection map, configurations whose symmetry forces the
-    condition short-circuit to true without evaluating lengths.
+    ``length(h)`` scales the edge of ``h`` and ``diag(f)`` the stored
+    diagonal of quad ``f``.  ``value(e)`` sums the two side terms (a^2 + b^2
+    - c^2) / ab of edge ``e`` (for a quad side, in the virtual triangle cut
+    off by the stored diagonal) and raises MetricError when a product ab
+    leaves the float range; ``holds(e)`` is ``value(e) >= -eps_flip``, or
+    true where ``refl`` forces the condition.  Flips mutate the bound lists
+    in place, so one binding serves every flip at the same ``u``.
     """
-    if refl is not None:
-        kind, _ = classify_flip(mesh, refl, e)
-        if kind is FlipType.ALWAYS_DELAUNAY:
+    nxt, opp, to = mesh.next_he, mesh.opp, mesh.to
+    he_face, in_quad, face_halfedges = mesh.he_face, mesh.in_quad, mesh.face_halfedges
+    L, quad_diag = metric.lengths, metric.quad_diag
+    uu = np.asarray(u, dtype=float).tolist()
+
+    def scaled(l: float, a: int, b: int) -> float:
+        return l * math.exp(0.5 * (uu[a] + uu[b]))
+
+    def length(h: int) -> float:
+        return scaled(L[h], to[opp[h]], to[h])
+
+    def diag(f: int) -> float:
+        q1 = nxt[f]
+        return scaled(quad_diag[f], to[q1], to[nxt[nxt[q1]]])
+
+    def side(h: int) -> float:
+        if in_quad[h]:
+            f = he_face[h]
+            hs = face_halfedges(f)
+            c = length(h)
+            a = length(hs[hs.index(h) ^ 1])
+            b = diag(f)
+        else:
+            # The triangle i -> j -> k -> i, with h running from i to j.
+            nh = nxt[h]
+            i, j, k = to[opp[h]], to[h], to[nh]
+            c = scaled(L[h], i, j)
+            a = scaled(L[nh], j, k)
+            b = scaled(L[nxt[nh]], k, i)
+        ab = a * b
+        if not 0.0 < ab < math.inf:
+            raise MetricError(f"scaled lengths beside halfedge {h} left the float range")
+        return (a * a + b * b - c * c) / ab
+
+    def value(e: int) -> float:
+        return side(e) + side(opp[e])
+
+    def holds(e: int) -> bool:
+        if refl is not None and classify_flip(mesh, refl, e)[0] is FlipType.ALWAYS_DELAUNAY:
             return True
-    return delaunay_value(mesh, metric, u, e) >= -eps_flip
+        return value(e) >= -eps_flip
+
+    return ScalarMetric(length, diag, value, holds)
 
 
 # -- flips --------------------------------------------------------------------
@@ -308,7 +284,7 @@ def flip_edge(
     """Plain (asymmetric) flip with the Ptolemy length update."""
     sl = metric.lengths
     fr = plan_flip(mesh, h)
-    lnew = (sl[fr.h1] * sl[fr.h4] + sl[fr.h2] * sl[fr.h5]) / sl[fr.h0]
+    lnew = fr.ptolemy(sl)
     apply_flip(mesh, fr)
     sl[fr.h0] = lnew
     sl[fr.h3] = lnew
@@ -410,21 +386,21 @@ def make_delaunay(
     the reflection structure is maintained; without it flips are plain
     triangle-triangle flips.  A full scan seeds a stack; after each flip
     the edges of the rebuilt faces are re-examined, and the scan repeats
-    until clean.  Raises :class:`FlipBudgetError` after
-    ``flip_budget_factor * n_edges`` flips.
+    until clean or a round flips nothing.  Raises :class:`FlipBudgetError`
+    after ``flip_budget_factor * n_edges`` flips.
     """
     log = FlipLog()
     budget = flip_budget_factor * mesh.n_edges()
+    holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
     while True:
         violations = _scan_violations_vectorized(mesh, metric, u, refl, eps_flip)
         if not violations:
             return log
+        flips_before = log.total
         stack = sorted(violations, reverse=True)
         while stack:
             h = stack.pop()
-            if mesh.parked[h] or mesh.is_boundary_edge(h):
-                continue
-            if is_delaunay(mesh, metric, u, h, refl, eps_flip):
+            if mesh.parked[h] or mesh.is_boundary_edge(h) or holds(h):
                 continue
             if log.total >= budget:
                 raise FlipBudgetError(
@@ -441,6 +417,11 @@ def make_delaunay(
                 for f in rec.faces:
                     for x in mesh.face_halfedges(f):
                         stack.append(mesh.edge_of(x))
+        if log.total == flips_before:
+            # The scan's numpy exp and the re-check's libm exp can differ in
+            # the last bit, so the scan may flag edges within an ulp of
+            # -eps_flip that re-check as Delaunay; rescanning would repeat.
+            return log
 
 
 # -- Newton derivatives -------------------------------------------------------

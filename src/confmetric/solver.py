@@ -28,11 +28,10 @@ from .metric import (
     PennerMetric,
     _array,
     _scale,
-    _scaled_diag,
     gradient,
     hessian,
-    is_delaunay,
     make_delaunay,
+    scalar_metric,
 )
 from .symmetry import ReflectionMap
 
@@ -165,11 +164,9 @@ def newton_direction(H: "scipy.sparse.spmatrix", g: np.ndarray) -> np.ndarray:
 def _symmetrize_direction(d: np.ndarray, refl: ReflectionMap) -> np.ndarray:
     # Copy each mirror orbit from its lower-index member so u stays
     # bitwise symmetric; the solve itself only matches to roundoff.
-    vr = refl.vertex_refl
-    for v in range(d.shape[0]):
-        w = vr[v]
-        if w > v:
-            d[w] = d[v]
+    vr = _array(refl.vertex_refl)
+    low = np.flatnonzero(vr > np.arange(len(vr)))
+    d[vr[low]] = d[low]
     return d
 
 
@@ -180,11 +177,12 @@ def _verify_delaunay(
     refl: ReflectionMap | None,
     eps_flip: float,
 ) -> int:
+    holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
     checked = 0
     for e in mesh.edges():
         if mesh.is_boundary_edge(e):
             continue
-        if not is_delaunay(mesh, metric, u, e, refl, eps_flip):
+        if not holds(e):
             raise MetricError(f"edge {e} violates the Delaunay condition after make_delaunay")
         checked += 1
     return checked
@@ -276,15 +274,11 @@ def _symmetry_snapshot(
 ) -> bool | None:
     if refl is None:
         return None
-    vr = refl.vertex_refl
-    for v in range(u.shape[0]):
-        if u[v] != u[vr[v]]:
-            return False
-    L = metric.lengths
-    for h in range(mesh.n_halfedges()):
-        if not mesh.parked[h] and L[h] != L[refl.r[h]]:
-            return False
-    return True
+    if np.any(u != u[_array(refl.vertex_refl)]):
+        return False
+    L = _array(metric.lengths, float)
+    live = np.flatnonzero(~_array(mesh.parked, bool))
+    return not np.any(L[live] != L[_array(refl.r)[live]])
 
 
 def scale_conformally(
@@ -298,7 +292,8 @@ def scale_conformally(
     lengths = _array(metric.lengths, float)
     live = np.flatnonzero(~_array(mesh.parked, bool))
     lengths[live] = _scale(lengths[live], uu, to[live], to[_array(mesh.opp)[live]])
-    diag = {f: _scaled_diag(mesh, metric, u, f) for f in metric.quad_diag}
+    scaled_diag = scalar_metric(mesh, metric, u).diag
+    diag = {f: scaled_diag(f) for f in metric.quad_diag}
     return PennerMetric(lengths.tolist(), diag)
 
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .halfedge import CombinatorialMesh, FlipError, apply_flip, plan_flip
+from .halfedge import CombinatorialMesh, FlipError, FlipFrame, apply_flip, plan_flip
 
 if TYPE_CHECKING:  # pragma: no cover
     from .metric import PennerMetric
@@ -211,7 +211,7 @@ def _flip_paired(
     fr2 = plan_flip(mesh, s1)
     # The two frames touch disjoint faces (one sheet each), so both plans
     # stay valid while the flips are applied in sequence.
-    lnew = (L[fr1.h1] * L[fr1.h4] + L[fr1.h2] * L[fr1.h5]) / L[fr1.h0]
+    lnew = fr1.ptolemy(L)
     apply_flip(mesh, fr1)
     apply_flip(mesh, fr2)
     for x in (fr1.h0, fr1.h3, s1, s2):
@@ -237,7 +237,7 @@ def _flip_axis_forward(
 ) -> FlipRecord:
     L = metric.lengths
     fr = plan_flip(mesh, h)
-    lnew = (L[fr.h1] * L[fr.h4] + L[fr.h2] * L[fr.h5]) / L[fr.h0]
+    lnew = fr.ptolemy(L)
     apply_flip(mesh, fr)
     L[fr.h0] = lnew
     L[fr.h3] = lnew
@@ -261,7 +261,8 @@ def _flip_axis_reverse(
     h3 = mesh.opp[h0]
     h5 = mesh.next_he[h3]
     h1 = mesh.next_he[h5]
-    lnew = (L[h1] * L[h4] + L[h2] * L[h5]) / L[h0]
+    # The frame of h0 in the current faces, (h0, h2, h4) and (h3, h5, h1).
+    lnew = FlipFrame(h0, h2, h4, h3, h5, h1).ptolemy(L)
     to_h5 = mesh.to[h5]
     to_h2 = mesh.to[h2]
     mesh.to[h0] = to_h5

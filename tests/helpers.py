@@ -11,6 +11,21 @@ from confmetric.metric import PennerMetric, flip_edge
 from confmetric.symmetry import FlipType, apply_symmetric_flip, classify_flip
 
 
+def corner_angle(l_opp, l_a, l_b):
+    """Angle between sides ``l_a`` and ``l_b`` opposite ``l_opp``, by arccos.
+
+    The independent law-of-cosines oracle for the corner-table kernel.  The
+    cosine is clamped to [-1, 1]: lengths violating the triangle inequality
+    yield a flat angle of 0 or pi instead of a domain error.
+    """
+    c = (l_a * l_a + l_b * l_b - l_opp * l_opp) / (2.0 * l_a * l_b)
+    if c > 1.0:
+        c = 1.0
+    elif c < -1.0:
+        c = -1.0
+    return math.acos(c)
+
+
 def tetra():
     return build_from_face_lists([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
 

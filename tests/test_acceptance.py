@@ -19,11 +19,11 @@ import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
 from confmetric.generate import generate
 from confmetric.metric import (
-    delaunay_value,
     flip_edge,
     gradient,
     hessian,
     make_delaunay,
+    scalar_metric,
     vertex_angle_sums,
 )
 from confmetric.solver import SolverConfig, solve_problem
@@ -63,8 +63,9 @@ class RetriangulationAudit:
             bad = metric_mod._scan_violations_vectorized(mesh, metric, u, refl, 0.0)
             self.scans += 1
             self.checks += self.interior_edges(mesh)
+            value = scalar_metric(mesh, metric, u).value
             for e in bad:
-                self.offenders.append(float(delaunay_value(mesh, metric, u, e)))
+                self.offenders.append(float(value(e)))
             return log
 
         solver_mod.make_delaunay = audited
@@ -338,6 +339,7 @@ def test_symmetry_forced_configurations_stay_delaunay_under_random_metrics():
                 w = refl.vertex_refl[v]
                 if w >= v:
                     u[v] = u[w] = rng.normal(0.0, 0.3)
+            value = scalar_metric(mesh, cmetric, u).value
             for e in mesh.edges():
                 if mesh.is_boundary_edge(e):
                     continue
@@ -347,7 +349,7 @@ def test_symmetry_forced_configurations_stay_delaunay_under_random_metrics():
                 if _edge_signature(mesh, refl, e) != sig:
                     continue
                 tallies[sig] += 1
-                minima[sig] = min(minima[sig], delaunay_value(mesh, cmetric, u, e))
+                minima[sig] = min(minima[sig], value(e))
     print("")
     for sig, chain in FORCED_DELAUNAY_CHAINS.items():
         print(f"{sig}: {tallies[sig]} evaluations, min value {minima[sig]:.3e}")

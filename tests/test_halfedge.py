@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from confmetric.halfedge import (
     FlipError,
     MeshError,
-    asymmetric_flip,
+    apply_flip,
     build_from_face_edge_lists,
     build_from_face_lists,
     plan_flip,
@@ -92,7 +92,7 @@ def test_face_list_builder_rejects(faces, match):
 def test_flip_square_diagonal():
     mesh = build_from_face_lists([[0, 1, 2], [0, 2, 3]])
     diag = next(e for e in mesh.edges() if set(mesh.edge_endpoints(e)) == {0, 2})
-    asymmetric_flip(mesh, diag)
+    apply_flip(mesh, plan_flip(mesh, diag))
     assert validate(mesh) == []
     pairs = {frozenset(mesh.edge_endpoints(e)) for e in mesh.edges()}
     assert frozenset({1, 3}) in pairs and frozenset({0, 2}) not in pairs
@@ -101,7 +101,7 @@ def test_flip_square_diagonal():
 def test_tetra_flip_creates_double_edge_but_validates():
     mesh = helpers.tetra()
     e = next(iter(mesh.edges()))
-    asymmetric_flip(mesh, e)
+    apply_flip(mesh, plan_flip(mesh, e))
     assert validate(mesh) == []
     # The flip replaces {a,b} with the second copy of the opposite pair.
     other = [frozenset(mesh.edge_endpoints(x)) for x in mesh.edges()]
@@ -112,8 +112,9 @@ def test_flip_twice_restores_connectivity():
     mesh = helpers.tetra()
     before = sorted(frozenset(mesh.edge_endpoints(e)) for e in mesh.edges())
     e = next(iter(mesh.edges()))
-    rec = asymmetric_flip(mesh, e)
-    asymmetric_flip(mesh, rec.h0)
+    rec = plan_flip(mesh, e)
+    apply_flip(mesh, rec)
+    apply_flip(mesh, plan_flip(mesh, rec.h0))
     after = sorted(frozenset(mesh.edge_endpoints(e)) for e in mesh.edges())
     assert validate(mesh) == []
     assert before == after
@@ -133,7 +134,7 @@ def test_flip_to_self_loop_and_self_adjacency():
     # one face) and must be refused.
     mesh = build_from_face_lists([[0, 1, 2], [2, 1, 0]])
     e = next(x for x in mesh.edges() if set(mesh.edge_endpoints(x)) == {0, 1})
-    asymmetric_flip(mesh, e)
+    apply_flip(mesh, plan_flip(mesh, e))
     assert validate(mesh) == []
     loops = [x for x in mesh.edges() if len(set(mesh.edge_endpoints(x))) == 1]
     assert len(loops) == 1

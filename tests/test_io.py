@@ -1,6 +1,10 @@
 """Problem files, result bundles, CSV traces, instance generators."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,3 +329,15 @@ def test_generate_rejects_unknown_kind():
         generate("klein-bottle", seed=0)
     with pytest.raises(MeshError):
         generate("single-cone-genus-1", seed=0)
+
+
+def test_importing_the_package_and_io_leaves_scipy_unloaded():
+    # metric.hessian imports scipy lazily; the package root must not pull
+    # it in through the solver, so parsing and writing files stays light.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, confmetric, confmetric.io; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -7,20 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confmetric.metric as metric_mod
 from confmetric.halfedge import build_from_face_lists
 from confmetric.metric import (
     FlipBudgetError,
     MetricError,
     PennerMetric,
     _scan_violations_vectorized,
-    corner_angle,
-    delaunay_value,
     flip_edge,
     gradient,
     hessian,
-    is_delaunay,
     make_delaunay,
-    scaled_length,
+    scalar_metric,
     vertex_angle_sums,
 )
 from confmetric.symmetry import FlipType, classify_flip
@@ -44,7 +42,7 @@ def test_scaled_length_identity_at_zero():
     metric = PennerMetric.uniform(mesh, 1.7)
     for h in range(mesh.n_halfedges()):
         if not mesh.is_boundary_halfedge(h):
-            assert scaled_length(mesh, metric, [0.0, 0.0, 0.0], h) == 1.7
+            assert scalar_metric(mesh, metric, [0.0, 0.0, 0.0]).length(h) == 1.7
 
 
 def test_scaled_length_uses_average_of_endpoint_factors():
@@ -55,11 +53,11 @@ def test_scaled_length_uses_average_of_endpoint_factors():
         if not mesh.is_boundary_halfedge(x)
         and {mesh.tail_of(x), mesh.to[x]} == {0, 1}
     )
-    assert scaled_length(mesh, metric, [math.log(4.0), 0.0, 0.0], h) == pytest.approx(
+    assert scalar_metric(mesh, metric, [math.log(4.0), 0.0, 0.0]).length(h) == pytest.approx(
         4.0, rel=1e-15
     )
     # opposite shifts cancel
-    assert scaled_length(mesh, metric, [0.2, -0.2, 0.0], h) == pytest.approx(
+    assert scalar_metric(mesh, metric, [0.2, -0.2, 0.0]).length(h) == pytest.approx(
         2.0, rel=1e-15
     )
 
@@ -68,14 +66,14 @@ def test_scaled_length_uses_average_of_endpoint_factors():
 
 
 def test_corner_angle_basics():
-    assert corner_angle(1.0, 1.0, 1.0) == pytest.approx(math.pi / 3, rel=1e-15)
-    assert corner_angle(5.0, 3.0, 4.0) == pytest.approx(math.pi / 2, rel=1e-15)
-    assert corner_angle(3.0, 4.0, 5.0) == pytest.approx(math.asin(3.0 / 5.0))
+    assert helpers.corner_angle(1.0, 1.0, 1.0) == pytest.approx(math.pi / 3, rel=1e-15)
+    assert helpers.corner_angle(5.0, 3.0, 4.0) == pytest.approx(math.pi / 2, rel=1e-15)
+    assert helpers.corner_angle(3.0, 4.0, 5.0) == pytest.approx(math.asin(3.0 / 5.0))
 
 
 def test_corner_angle_clamps_instead_of_raising():
-    assert corner_angle(2.5, 1.0, 1.0) == math.pi
-    assert corner_angle(0.0, 1.0, 1.0) == 0.0
+    assert helpers.corner_angle(2.5, 1.0, 1.0) == math.pi
+    assert helpers.corner_angle(0.0, 1.0, 1.0) == 0.0
 
 
 def test_vertex_angle_sums_on_platonic_meshes():
@@ -90,25 +88,26 @@ def test_vertex_angle_sums_on_platonic_meshes():
 def reference_angle_sums(mesh, metric, u):
     """Per-face loop over corner_angle, the kernel's independent reference."""
     theta = [0.0] * mesh.n_vertices
+    length = scalar_metric(mesh, metric, u).length
     for f in mesh.faces():
         hs = mesh.face_halfedges(f)
-        ls = [scaled_length(mesh, metric, u, h) for h in hs]
+        ls = [length(h) for h in hs]
         vs = [mesh.to[h] for h in hs]
         if len(hs) == 3:
             a, b, c = ls
-            theta[vs[0]] += corner_angle(c, a, b)
-            theta[vs[1]] += corner_angle(a, b, c)
-            theta[vs[2]] += corner_angle(b, c, a)
+            theta[vs[0]] += helpers.corner_angle(c, a, b)
+            theta[vs[1]] += helpers.corner_angle(a, b, c)
+            theta[vs[2]] += helpers.corner_angle(b, c, a)
         else:
             l0, l1, l2, l3 = ls
             v0, v1, v2, v3 = vs
             d = metric.quad_diag[f] * math.exp(0.5 * (u[v1] + u[v3]))
-            theta[v3] += corner_angle(l1, l0, d)
-            theta[v0] += corner_angle(d, l0, l1)
-            theta[v1] += corner_angle(l0, l1, d)
-            theta[v1] += corner_angle(l3, l2, d)
-            theta[v2] += corner_angle(d, l2, l3)
-            theta[v3] += corner_angle(l2, l3, d)
+            theta[v3] += helpers.corner_angle(l1, l0, d)
+            theta[v0] += helpers.corner_angle(d, l0, l1)
+            theta[v1] += helpers.corner_angle(l0, l1, d)
+            theta[v1] += helpers.corner_angle(l3, l2, d)
+            theta[v2] += helpers.corner_angle(d, l2, l3)
+            theta[v3] += helpers.corner_angle(l2, l3, d)
     return theta
 
 
@@ -153,20 +152,22 @@ def test_angle_sums_invariant_under_constant_shift():
 def test_delaunay_value_unit_square_diagonals():
     mesh, metric, e = square_with_diagonal(1.0)
     u = [0.0] * 4
-    assert delaunay_value(mesh, metric, u, e) == pytest.approx(2.0, abs=1e-15)
+    assert scalar_metric(mesh, metric, u).value(e) == pytest.approx(2.0, abs=1e-15)
     mesh, metric, e = square_with_diagonal(math.sqrt(2.0))
-    assert delaunay_value(mesh, metric, u, e) == pytest.approx(0.0, abs=1e-15)
-    assert is_delaunay(mesh, metric, u, e)
+    sm = scalar_metric(mesh, metric, u)
+    assert sm.value(e) == pytest.approx(0.0, abs=1e-15)
+    assert sm.holds(e)
     mesh, metric, e = square_with_diagonal(1.9)
-    assert delaunay_value(mesh, metric, u, e) == pytest.approx(-3.22, abs=1e-14)
-    assert not is_delaunay(mesh, metric, u, e)
+    sm = scalar_metric(mesh, metric, u)
+    assert sm.value(e) == pytest.approx(-3.22, abs=1e-14)
+    assert not sm.holds(e)
 
 
 def test_delaunay_guard_band():
     mesh, metric, e = square_with_diagonal(math.sqrt(2.0))
     u = [0.0] * 4
-    val = delaunay_value(mesh, metric, u, e)
-    assert is_delaunay(mesh, metric, u, e, eps_flip=abs(val) + 1e-15)
+    val = scalar_metric(mesh, metric, u).value(e)
+    assert scalar_metric(mesh, metric, u, eps_flip=abs(val) + 1e-15).holds(e)
 
 
 def test_delaunay_value_raises_on_underflowed_length():
@@ -174,7 +175,7 @@ def test_delaunay_value_raises_on_underflowed_length():
     mesh, metric, e = square_with_diagonal(math.sqrt(2.0))
     u = [-1500.0, 0.0, 0.0, 0.0]
     with pytest.raises(MetricError):
-        delaunay_value(mesh, metric, u, e)
+        scalar_metric(mesh, metric, u).value(e)
 
 
 # -- Ptolemy flips ---------------------------------------------------------
@@ -255,8 +256,9 @@ def test_make_delaunay_flips_the_stretched_edge():
     assert log.total >= 1
     assert mesh.n_faces() == faces_before
     u = [0.0] * 6
+    holds = scalar_metric(mesh, metric, u).holds
     for e in mesh.edges():
-        assert is_delaunay(mesh, metric, u, e)
+        assert holds(e)
     # flips preserve the per-face flat structure, so the total angle stays
     # the number of triangles times pi
     assert math.fsum(vertex_angle_sums(mesh, metric, u)) == pytest.approx(
@@ -282,8 +284,9 @@ def test_make_delaunay_restores_triangle_inequalities():
     mesh, metric = helpers.shuffled_closed_mesh(rng, flips=20, low=0.4, high=2.5)
     u = rng.normal(0.0, 0.6, mesh.n_vertices)
     make_delaunay(mesh, metric, u)
+    length = scalar_metric(mesh, metric, u).length
     for f in mesh.faces():
-        sides = [scaled_length(mesh, metric, u, h) for h in mesh.face_halfedges(f)]
+        sides = [length(h) for h in mesh.face_halfedges(f)]
         per = sum(sides)
         for s in sides:
             assert per - 2 * s >= -1e-12 * per
@@ -307,7 +310,7 @@ def test_make_delaunay_path_independence():
 
 @pytest.mark.parametrize("eps", [1e-12, 0.0, 0.5, -4.0])
 def test_scan_flags_exactly_the_scalar_violations(eps):
-    # The scan reads the corner table; the scalar delaunay_value walks each
+    # The scan reads the corner table; the scalar predicate walks each
     # edge's faces.  They must agree on quads and on shuffled triangles,
     # and at a negative band that flags most edges.
     rng = np.random.default_rng(17)
@@ -323,7 +326,8 @@ def test_scan_flags_exactly_the_scalar_violations(eps):
         ]
         for _ in range(4):
             u = rng.normal(0.0, 0.3, m.n_vertices)
-            want = [e for e in candidates if delaunay_value(m, met, u, e) < -eps]
+            value = scalar_metric(m, met, u).value
+            want = [e for e in candidates if value(e) < -eps]
             assert _scan_violations_vectorized(m, met, u, refl, eps) == want
             if eps < 0:
                 assert len(want) > len(candidates) / 2
@@ -338,9 +342,37 @@ def test_scan_raises_where_a_side_product_overflows():
     metric = PennerMetric.uniform(mesh)
     u = [600.0] * 6
     with pytest.raises(MetricError):
-        delaunay_value(mesh, metric, u, mesh.edges()[0])
+        scalar_metric(mesh, metric, u).value(mesh.edges()[0])
     with pytest.raises(MetricError, match="float range"):
         _scan_violations_vectorized(mesh, metric, u, None, 1e-12)
+
+
+def test_make_delaunay_ends_when_every_flagged_edge_rechecks_as_delaunay(monkeypatch):
+    # The scan's numpy exp and the re-check's libm exp can differ in the
+    # last bit, so the scan may flag an edge that the re-check passes.  Here
+    # the scan always flags one extra edge; the loop must not rescan the
+    # unchanged state forever.
+    mesh = helpers.octa()
+    metric = PennerMetric.uniform(mesh)
+    helpers.set_length(mesh, metric, 0, 1, 1.9)
+    want_metric = metric.copy()
+    want = make_delaunay(mesh.copy(), want_metric, [0.0] * 6)
+    real = metric_mod._scan_violations_vectorized
+    extra = mesh.edges()[0]
+    scans = 0
+
+    def scan_with_a_tie(*args):
+        nonlocal scans
+        scans += 1
+        if scans > 50:
+            raise AssertionError("make_delaunay keeps rescanning an unchanged state")
+        return sorted({*real(*args), extra})
+
+    monkeypatch.setattr(metric_mod, "_scan_violations_vectorized", scan_with_a_tie)
+    log = make_delaunay(mesh, metric, [0.0] * 6)
+    assert want.total >= 1
+    assert log == want
+    assert metric.lengths == want_metric.lengths
 
 
 def test_make_delaunay_flip_budget():
