@@ -1,9 +1,9 @@
 """Command line front end: solve, delaunay, generate, report.
 
-Exit codes: 0 success/converged, 2 parse or validation failure,
-3 non-convergence within budgets, 4 internal invariant breach
-(flip budget exhausted, symmetry corruption, degenerate geometry, or any
-other unexpected failure of one input).
+Exit codes: 0 success/converged, 2 parse or validation failure or a file
+that cannot be read or written, 3 non-convergence within budgets,
+4 internal invariant breach (flip budget exhausted, symmetry corruption,
+degenerate geometry, or any other unexpected failure of one input).
 """
 
 from __future__ import annotations
@@ -46,20 +46,18 @@ _OPT_NAMES = {
 
 
 def _build_config(options: dict, args) -> SolverConfig:
-    cfg = SolverConfig()
-    for name, value in options.items():
+    """Solver settings from ``opt`` lines; a command line flag of the same
+    name wins."""
+    for name in options:
         if name not in _OPT_NAMES:
             raise ParseError(f"unknown solver option {name!r}")
-        field, cast = _OPT_NAMES[name]
-        setattr(cfg, field, cast(value))
-    if getattr(args, "tol", None) is not None:
-        cfg.eps_tol = args.tol
-    if getattr(args, "max_steps", None) is not None:
-        cfg.max_newton_steps = args.max_steps
-    if getattr(args, "max_halvings", None) is not None:
-        cfg.max_halvings = args.max_halvings
-    if getattr(args, "flip_budget", None) is not None:
-        cfg.flip_budget_factor = args.flip_budget
+    cfg = SolverConfig()
+    for name, (field, cast) in _OPT_NAMES.items():
+        flag = getattr(args, name, None)
+        if flag is not None:
+            setattr(cfg, field, flag)
+        elif name in options:
+            setattr(cfg, field, cast(options[name]))
     return cfg
 
 
@@ -115,12 +113,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_delaunay(args) -> int:
-    try:
-        prob = _load_problem(args.input, None, False)
-        mesh, metric = problem_to_mesh(prob)
-    except (ParseError, OSError) as exc:
-        print(f"{args.input}: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    mesh, metric = problem_to_mesh(_load_problem(args.input, None, False))
     u = [0.0] * mesh.n_vertices
     try:
         log = make_delaunay(mesh, metric, u)
@@ -147,12 +140,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        bundle = read_bundle(args.result)
-    except (ParseError, OSError) as exc:
-        print(f"{args.result}: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    csv = bundle_to_csv(bundle)
+    csv = bundle_to_csv(read_bundle(args.result))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(csv)
@@ -206,7 +194,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -53,16 +53,14 @@ class DoubleCover:
 def build_double_cover(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
-    kappa_interior: "list[float]",
-    kappa_boundary: "list[float]",
+    kappa: "list[float]",
 ) -> tuple[DoubleCover, PennerMetric, list[float]]:
     """Glue a mirror copy of ``mesh`` along its boundary.
 
-    ``kappa_interior[v]`` is the target cone curvature at interior vertex
-    ``v``; ``kappa_boundary[v]`` the target geodesic curvature at boundary
-    vertex ``v``.  Entries at vertices of the other kind are ignored.
-    Returns the cover, its (mirrored) metric, and per-vertex target angles;
-    raises MeshError when those angles violate Gauss-Bonnet on the cover.
+    ``kappa[v]`` is the target cone curvature at an interior vertex ``v``
+    and the target geodesic curvature at a boundary vertex.  Returns the
+    cover, its (mirrored) metric, and per-vertex target angles; raises
+    MeshError when those angles violate Gauss-Bonnet on the cover.
     """
     if not mesh.boundary_faces:
         raise MeshError("input mesh has no boundary; nothing to double")
@@ -119,9 +117,9 @@ def build_double_cover(
     theta_hat = [0.0] * n_cover_v
     for v in range(v0):
         if v in boundary_v:
-            theta_hat[v] = 2.0 * math.pi - 2.0 * kappa_boundary[v]
+            theta_hat[v] = 2.0 * math.pi - 2.0 * kappa[v]
         else:
-            theta_hat[v] = 2.0 * math.pi - kappa_interior[v]
+            theta_hat[v] = 2.0 * math.pi - kappa[v]
             theta_hat[vrefl[v]] = theta_hat[v]
 
     deviation = gauss_bonnet_deviation(cover_mesh, theta_hat)

@@ -262,67 +262,66 @@ def write_bundle(bundle: ResultBundle, path: str) -> None:
 
 
 def read_bundle(path: str) -> ResultBundle:
+    """Parse a result bundle.  Raises ParseError, with the path and the
+    line, at any missing line or malformed field."""
     rows = list(_tokens(path))
-    it = iter(rows)
+    pos = 0
 
     def need(tag: str) -> list[str]:
-        try:
-            lineno, tok = next(it)
-        except StopIteration:
-            raise ParseError(f"{path}: missing {tag!r} line") from None
+        nonlocal pos
+        if pos == len(rows):
+            raise ParseError(f"{path}: missing {tag!r} line")
+        lineno, tok = rows[pos]
         if tok[0] != tag:
             raise ParseError(f"{path}:{lineno}: expected {tag!r}, found {tok[0]!r}")
+        pos += 1
         return tok
 
-    head = need("confmetric-result")
-    if head[1] != "1":
-        raise ParseError(f"{path}: unsupported bundle version {head[1]}")
-    termination = need("termination")[1]
-    exit_code = int(need("exit")[1])
-    t = need("residual")
-    residual = _parse_hex(t[2])
-    t = need("urange")
-    u_min, u_max = _parse_hex(t[2]), _parse_hex(t[4])
-    t = need("flips")
-    flip_totals = tuple(int(x) for x in t[1:7])
-    nv = int(need("nv")[1])
-    u = [_parse_hex(need("u")[2]) for _ in range(nv)]
-    nf = int(need("nf")[1])
-    faces_v, faces_e = [], []
-    for _ in range(nf):
-        faces_v.append([int(w) - 1 for w in need("fv")[1:]])
-        faces_e.append([int(w) - 1 for w in need("fe")[1:]])
-    ne = int(need("ne")[1])
-    lengths = [_parse_hex(need("el")[2]) for _ in range(ne)]
-    quad_diags: dict[int, float] = {}
-    tail = list(it)
-    k = 0
-    while k < len(tail) and tail[k][1][0] == "qd":
-        tok = tail[k][1]
-        quad_diags[int(tok[1]) - 1] = _parse_hex(tok[3])
-        k += 1
-    if k >= len(tail) or tail[k][1][0] != "nit":
-        raise ParseError(f"{path}: missing 'nit' line")
-    nit = int(tail[k][1][1])
-    iterations = []
-    for j in range(nit):
-        lineno, tok = tail[k + 1 + j]
-        if tok[0] != "it" or len(tok) != 14:
-            raise ParseError(f"{path}:{lineno}: malformed it line")
-        iterations.append(
-            IterationRow(
-                step=int(tok[1]),
-                max_error=_parse_hex(tok[3]),
-                halvings=int(tok[4]),
-                flips_111=int(tok[5]),
-                flips_par=int(tok[6]),
-                flips_t=int(tok[7]),
-                flips_q=int(tok[8]),
-                decrement=_parse_hex(tok[10]),
-                grad_sum=_parse_hex(tok[12]),
-                symmetry_ok=int(tok[13]),
+    try:
+        head = need("confmetric-result")
+        if head[1] != "1":
+            raise ParseError(f"{path}: unsupported bundle version {head[1]}")
+        termination = need("termination")[1]
+        exit_code = int(need("exit")[1])
+        residual = _parse_hex(need("residual")[2])
+        t = need("urange")
+        u_min, u_max = _parse_hex(t[2]), _parse_hex(t[4])
+        t = need("flips")
+        if len(t) != 7:
+            raise ValueError("expected six flip counts")
+        flip_totals = tuple(int(x) for x in t[1:])
+        u = [_parse_hex(need("u")[2]) for _ in range(int(need("nv")[1]))]
+        faces_v, faces_e = [], []
+        for _ in range(int(need("nf")[1])):
+            faces_v.append([int(w) - 1 for w in need("fv")[1:]])
+            faces_e.append([int(w) - 1 for w in need("fe")[1:]])
+        lengths = [_parse_hex(need("el")[2]) for _ in range(int(need("ne")[1]))]
+        quad_diags: dict[int, float] = {}
+        while pos < len(rows) and rows[pos][1][0] == "qd":
+            t = need("qd")
+            quad_diags[int(t[1]) - 1] = _parse_hex(t[3])
+        iterations = []
+        for _ in range(int(need("nit")[1])):
+            t = need("it")
+            if len(t) != 14:
+                raise ValueError("expected 13 fields")
+            iterations.append(
+                IterationRow(
+                    step=int(t[1]),
+                    max_error=_parse_hex(t[3]),
+                    halvings=int(t[4]),
+                    flips_111=int(t[5]),
+                    flips_par=int(t[6]),
+                    flips_t=int(t[7]),
+                    flips_q=int(t[8]),
+                    decrement=_parse_hex(t[10]),
+                    grad_sum=_parse_hex(t[12]),
+                    symmetry_ok=int(t[13]),
+                )
             )
-        )
+    except (ValueError, IndexError) as exc:
+        lineno, tok = rows[pos - 1]
+        raise ParseError(f"{path}:{lineno}: malformed {tok[0]!r} line: {exc}") from None
     return ResultBundle(
         termination, exit_code, residual, u_min, u_max, flip_totals,
         u, faces_v, faces_e, lengths, quad_diags, iterations,

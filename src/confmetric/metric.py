@@ -31,11 +31,14 @@ two gives a flat triangle (angles pi, 0, 0).  The kernel raises
 NaN.
 
 ``make_delaunay`` flips until every interior edge satisfies the Delaunay
-condition.  Its full scan reads the same corner table, quads included:
-each side's term (b^2 + c^2 - a^2) / bc lands on its halfedge, and an
-edge's Delaunay value is the sum over its two halfedges.  The flip loop
-re-tests edges with ``scalar_metric``, the one scalar scaled length and
-side term, bound to the mesh and metric lists once per call.
+condition, in one pass.  One full scan reads the same corner table, quads
+included: each side's term (b^2 + c^2 - a^2) / bc lands on its halfedge,
+and an edge's Delaunay value is the sum over its two halfedges.  The edges
+it flags seed one work list.  ``holds`` from ``scalar_metric``, the one
+scalar scaled length and side term bound to the mesh and metric lists once
+per call, alone decides which popped edges are skipped: parked and
+boundary edges, edges whose value clears the tie band, and edges that the
+mirror symmetry forces to be Delaunay.
 """
 
 from __future__ import annotations
@@ -226,12 +229,15 @@ def scalar_metric(
     diagonal of quad ``f``.  ``value(e)`` sums the two side terms (a^2 + b^2
     - c^2) / ab of edge ``e`` (for a quad side, in the virtual triangle cut
     off by the stored diagonal) and raises MetricError when a product ab
-    leaves the float range; ``holds(e)`` is ``value(e) >= -eps_flip``, or
-    true where ``refl`` forces the condition.  Flips mutate the bound lists
-    in place, so one binding serves every flip at the same ``u``.
+    leaves the float range.  ``holds(e)`` is true for a parked or boundary
+    edge, else when ``value(e) >= -eps_flip``, else when ``refl`` forces
+    the condition (``classify_flip`` is asked only then).  Flips mutate the
+    bound lists in place, so one binding serves every flip at the same
+    ``u``.
     """
     nxt, opp, to = mesh.next_he, mesh.opp, mesh.to
     he_face, in_quad, face_halfedges = mesh.he_face, mesh.in_quad, mesh.face_halfedges
+    boundary_faces = mesh.boundary_faces
     L, quad_diag = metric.lengths, metric.quad_diag
     uu = np.asarray(u, dtype=float).tolist()
 
@@ -268,9 +274,12 @@ def scalar_metric(
         return side(e) + side(opp[e])
 
     def holds(e: int) -> bool:
-        if refl is not None and classify_flip(mesh, refl, e)[0] is FlipType.ALWAYS_DELAUNAY:
+        fa = he_face[e]
+        if fa < 0 or fa in boundary_faces or he_face[opp[e]] in boundary_faces:
             return True
-        return value(e) >= -eps_flip
+        if value(e) >= -eps_flip:
+            return True
+        return refl is not None and classify_flip(mesh, refl, e)[0] is FlipType.ALWAYS_DELAUNAY
 
     return ScalarMetric(length, diag, value, holds)
 
@@ -333,16 +342,17 @@ def _scan_violations_vectorized(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
-    refl: ReflectionMap | None,
     eps_flip: float,
 ) -> list[int]:
-    """Canonical ids of the edges whose Delaunay value is below ``-eps_flip``.
+    """Canonical ids, ascending, of the edges whose Delaunay value is below
+    ``-eps_flip``.
 
     Every side of the corner table stores its term (b^2 + c^2 - a^2) / bc
     at its halfedge.  Halfedges of outer loops and parked halfedges keep
-    NaN, so boundary edges never compare as violations.  With a reflection
-    map, edges that ``classify_flip`` calls ALWAYS_DELAUNAY are masked out.
-    Raises MetricError where a product bc is zero or not finite.
+    NaN, so boundary edges never compare as violations.  The scan measures
+    only: edges that the mirror symmetry forces to be Delaunay are flagged
+    like any other and left to ``holds``.  Raises MetricError where a
+    product bc is zero or not finite.
     """
     _, S, H = _corner_table(mesh, metric, u)
     b = S[:, [1, 2, 0]]
@@ -354,21 +364,8 @@ def _scan_violations_vectorized(
     # Entries at stored diagonals (H = -1) land in the spare last slot.
     term = np.full(n + 1, np.nan)
     term[H] = (b * b + c * c - S * S) / bc
-
-    idx = np.arange(n)
     opp = _array(mesh.opp)
-    bad = (idx < opp) & (term[:n] + term[opp] < -eps_flip)
-
-    if refl is not None:
-        he_face = _array(mesh.he_face)
-        r = np.asarray(refl.r)
-        # Parked halfedges have he_face -1 and belong to no face.
-        fixed = (r == idx) & (he_face >= 0)
-        face_is_axis = np.zeros(n, dtype=bool)
-        face_is_axis[he_face[fixed]] = True
-        axis_h = face_is_axis[he_face]
-        skip = (he_face == he_face[opp]) | (axis_h & axis_h[opp] & (r != idx))
-        bad &= ~skip
+    bad = (np.arange(n) < opp) & (term[:n] + term[opp] < -eps_flip)
     return np.flatnonzero(bad).tolist()
 
 
@@ -384,44 +381,34 @@ def make_delaunay(
 
     Works in place.  With ``refl`` every flip is a symmetric surgery and
     the reflection structure is maintained; without it flips are plain
-    triangle-triangle flips.  A full scan seeds a stack; after each flip
-    the edges of the rebuilt faces are re-examined, and the scan repeats
-    until clean or a round flips nothing.  Raises :class:`FlipBudgetError`
+    triangle-triangle flips.  One full scan seeds a stack, and every edge
+    popped from it that does not hold is flipped; a plain flip pushes its
+    four outer edges, a surgery the edges of the faces it rebuilds.  The
+    call returns when the stack is empty.  Raises :class:`FlipBudgetError`
     after ``flip_budget_factor * n_edges`` flips.
     """
     log = FlipLog()
     budget = flip_budget_factor * mesh.n_edges()
     holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
-    while True:
-        violations = _scan_violations_vectorized(mesh, metric, u, refl, eps_flip)
-        if not violations:
-            return log
-        flips_before = log.total
-        stack = sorted(violations, reverse=True)
-        while stack:
-            h = stack.pop()
-            if mesh.parked[h] or mesh.is_boundary_edge(h) or holds(h):
-                continue
-            if log.total >= budget:
-                raise FlipBudgetError(
-                    f"exceeded {budget:.0f} flips without reaching Delaunay"
-                )
-            if refl is None:
-                fr, _ = flip_edge(mesh, metric, h)
-                log.add(None)
-                for x in (fr.h1, fr.h2, fr.h4, fr.h5):
+    stack = _scan_violations_vectorized(mesh, metric, u, eps_flip)[::-1]
+    while stack:
+        h = stack.pop()
+        if holds(h):
+            continue
+        if log.total >= budget:
+            raise FlipBudgetError(f"exceeded {budget:.0f} flips without reaching Delaunay")
+        if refl is None:
+            fr, _ = flip_edge(mesh, metric, h)
+            log.add(None)
+            for x in (fr.h1, fr.h2, fr.h4, fr.h5):
+                stack.append(mesh.edge_of(x))
+        else:
+            rec = apply_symmetric_flip(mesh, metric, refl, h)
+            log.add(rec.kind)
+            for f in rec.faces:
+                for x in mesh.face_halfedges(f):
                     stack.append(mesh.edge_of(x))
-            else:
-                rec = apply_symmetric_flip(mesh, metric, refl, h)
-                log.add(rec.kind)
-                for f in rec.faces:
-                    for x in mesh.face_halfedges(f):
-                        stack.append(mesh.edge_of(x))
-        if log.total == flips_before:
-            # The scan's numpy exp and the re-check's libm exp can differ in
-            # the last bit, so the scan may flag edges within an ulp of
-            # -eps_flip that re-check as Delaunay; rescanning would repeat.
-            return log
+    return log
 
 
 # -- Newton derivatives -------------------------------------------------------

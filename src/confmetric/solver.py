@@ -178,14 +178,11 @@ def _verify_delaunay(
     eps_flip: float,
 ) -> int:
     holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
-    checked = 0
-    for e in mesh.edges():
-        if mesh.is_boundary_edge(e):
-            continue
+    edges = mesh.edges()
+    for e in edges:
         if not holds(e):
             raise MetricError(f"edge {e} violates the Delaunay condition after make_delaunay")
-        checked += 1
-    return checked
+    return len(edges)
 
 
 def line_search(
@@ -448,7 +445,7 @@ def solve_problem(
         raise io.ParseError(f"targets violate Gauss-Bonnet (deviation {deviation!r})")
     if not mesh.boundary_faces:
         return find_conformal_metric(mesh, metric, theta, config)
-    cover, cmetric, theta_hat = build_double_cover(mesh, metric, kappa, kappa)
+    cover, cmetric, theta_hat = build_double_cover(mesh, metric, kappa)
     cmesh, cscaled, u, report = find_conformal_metric(
         cover.mesh, cmetric, theta_hat, config, refl=cover.refl
     )

@@ -60,7 +60,7 @@ class RetriangulationAudit:
         def audited(mesh, metric, u, refl=None, eps_flip=1e-12,
                     flip_budget_factor=100.0):
             log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor)
-            bad = metric_mod._scan_violations_vectorized(mesh, metric, u, refl, 0.0)
+            bad = metric_mod._scan_violations_vectorized(mesh, metric, u, 0.0)
             self.scans += 1
             self.checks += self.interior_edges(mesh)
             value = scalar_metric(mesh, metric, u).value
@@ -178,10 +178,11 @@ def test_every_retriangulation_leaves_all_edges_delaunay(sphere_suite, disk_suit
     The disk suite runs with a zero tie band, so its rescan must be
     literally clean.  The sphere runs keep the default 1e-12 band because
     their co-circular ties cycle if forced; a tie evaluates to either side
-    of zero in double precision (the scalar recheck may even land on the
-    opposite side of the vectorized scan), so offenders there must stay
-    inside the band in magnitude.  Anything beyond it is a genuine
-    violation; those sit around 1e-5 when the scan is broken on purpose.
+    of zero in double precision, and the flip loop's scalar ``holds``, not
+    this vectorized rescan, decides whether an edge is flipped, so
+    offenders there must stay inside the band in magnitude.  Anything
+    beyond it is a genuine violation; those sit around 1e-5 when the scan
+    is broken on purpose.
     """
     sphere_audit = sphere_suite["audit"]
     disk_audit = disk_suite["audit"]
@@ -355,6 +356,25 @@ def test_symmetry_forced_configurations_stay_delaunay_under_random_metrics():
         print(f"{sig}: {tallies[sig]} evaluations, min value {minima[sig]:.3e}")
         assert tallies[sig] >= 1000
         assert minima[sig] >= 0.0
+
+
+def test_holds_accepts_exactly_the_forced_edges_when_no_value_clears_the_band():
+    # With an infinite negative band no value clears it, so only
+    # classify_flip can make an edge hold.  (A band of -4 would not do:
+    # Penner lengths need not satisfy triangle inequalities, and these
+    # states hold edges with values from 4 to 8.)
+    for sig, chain in FORCED_DELAUNAY_CHAINS.items():
+        cover, cmetric, _ = helpers.hexagon_cover(long_edges=(), length=1.0)
+        mesh, refl = cover.mesh, cover.refl
+        for e in chain:
+            apply_symmetric_flip(mesh, cmetric, refl, e)
+        holds = scalar_metric(mesh, cmetric, [0.0] * mesh.n_vertices, refl, -math.inf).holds
+        forced = {
+            e for e in mesh.edges()
+            if classify_flip(mesh, refl, e)[0] is FlipType.ALWAYS_DELAUNAY
+        }
+        assert any(_edge_signature(mesh, refl, e) == sig for e in forced)
+        assert {e for e in mesh.edges() if holds(e)} == forced
 
 
 def test_genus_two_cone_of_three_full_turns_converges(cone_run):

@@ -7,7 +7,8 @@ import pytest
 
 import confmetric.cli
 from confmetric.cli import main
-from confmetric.io import read_bundle
+from confmetric.io import read_bundle, read_mesh_file, read_targets_file, sidecar_path
+from confmetric.metric import PennerMetric, vertex_angle_sums
 
 import helpers
 
@@ -347,6 +348,26 @@ def test_generate_then_solve(tmp_path, capsys):
     assert len(bundle.u) == 42
 
 
+def test_solve_bundle_stores_the_solved_lengths(tmp_path):
+    # At u = 0 the stored lengths give the target angle sums; u only
+    # records how far the input lengths were scaled.
+    mesh_path = str(tmp_path / "s.mesh")
+    assert main(["generate", "sphere-random-angles", "--seed", "1", "--size", "42",
+                 "--out", mesh_path]) == 0
+    assert main(["solve", mesh_path]) == 0
+    bundle = read_bundle(str(tmp_path / "s.result"))
+    mesh, he_eid = bundle.rebuild_mesh()
+    metric = PennerMetric([bundle.edge_lengths[i] for i in he_eid])
+    prob = read_mesh_file(mesh_path)
+    read_targets_file(sidecar_path(mesh_path), prob)
+    theta = [prob.theta_targets.get(v, 2 * math.pi) for v in range(mesh.n_vertices)]
+    sums = vertex_angle_sums(mesh, metric, [0.0] * mesh.n_vertices)
+    assert max(abs(s - t) for s, t in zip(sums, theta)) <= 1e-10
+    # Scaling the stored lengths by u once more misses the targets.
+    sums = vertex_angle_sums(mesh, metric, bundle.u)
+    assert max(abs(s - t) for s, t in zip(sums, theta)) > 1.0
+
+
 def test_generate_unknown_kind(tmp_path, capsys):
     assert main(["generate", "moebius", "--out", str(tmp_path / "x.mesh")]) == 2
     assert "error" in capsys.readouterr().err
@@ -370,3 +391,39 @@ def test_report_stdout_and_file(tmp_path, capsys):
 
 def test_report_on_missing_file(tmp_path, capsys):
     assert main(["report", str(tmp_path / "none.result")]) == 2
+
+
+def _solved_bundle(tmp_path):
+    main(["solve", tetra_files(tmp_path)])
+    return str(tmp_path / "t.result")
+
+
+def _edited_bundle(tmp_path, edit):
+    path = _solved_bundle(tmp_path)
+    lines = open(path).read().splitlines(keepends=True)
+    open(path, "w").write("".join(edit(lines)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["delaunay", tetra_files(tmp), "--out", str(tmp / "missing" / "x.result")],
+        lambda tmp: ["report", _solved_bundle(tmp), "--out", str(tmp / "missing" / "x.csv")],
+        lambda tmp: ["generate", "sphere-random-angles", "--size", "42",
+                     "--out", str(tmp / "missing" / "x.mesh")],
+        lambda tmp: ["report", _edited_bundle(
+            tmp, lambda ls: ["nv abc\n" if x.startswith("nv ") else x for x in ls])],
+        lambda tmp: ["report", _edited_bundle(tmp, lambda ls: ls[: len(ls) // 2])],
+    ],
+    ids=["delaunay-out-dir", "report-out-dir", "generate-out-dir", "bundle-bad-count",
+         "bundle-truncated"],
+)
+def test_bad_file_or_path_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+

@@ -17,9 +17,7 @@ import helpers
 def test_cover_of_single_triangle():
     disk = build_from_face_lists([[0, 1, 2]])
     metric = PennerMetric.uniform(disk)
-    cover, cmetric, theta_hat = build_double_cover(
-        disk, metric, [0.0] * 3, [2 * math.pi / 3] * 3
-    )
+    cover, cmetric, theta_hat = build_double_cover(disk, metric, [2 * math.pi / 3] * 3)
     m = cover.mesh
     assert validate(m) == []
     assert (m.n_vertices, m.n_edges(), m.n_faces()) == (3, 3, 2)
@@ -33,9 +31,7 @@ def test_cover_of_single_triangle():
 def test_cover_of_square_fan():
     disk = helpers.fan_disk(4)
     metric = PennerMetric.uniform(disk)
-    cover, _, _ = build_double_cover(
-        disk, metric, [0.0] * 5, [math.pi / 2] * 5
-    )
+    cover, _, _ = build_double_cover(disk, metric, [math.pi / 2] * 4 + [0.0])
     m = cover.mesh
     assert validate(m) == []
     # V = 2*5-4, E = 2*8-4, F = 2*4
@@ -49,9 +45,7 @@ def test_cover_count_formula(k):
     disk = helpers.fan_disk(k)
     metric = PennerMetric.uniform(disk)
     v0, e0, f0 = disk.n_vertices, disk.n_edges(), disk.n_faces()
-    cover, _, _ = build_double_cover(
-        disk, metric, [0.0] * v0, [2 * math.pi / k] * v0
-    )
+    cover, _, _ = build_double_cover(disk, metric, [2 * math.pi / k] * k + [0.0])
     m = cover.mesh
     assert m.n_vertices == 2 * v0 - k
     assert m.n_edges() == 2 * e0 - k
@@ -63,9 +57,7 @@ def test_targets_interior_and_boundary():
     metric = PennerMetric.uniform(disk)
     ki = 0.3
     kb = (4 * math.pi - 2 * ki) / 12
-    cover, _, th = build_double_cover(
-        disk, metric, [0.0] * 6 + [ki], [kb] * 6 + [0.0]
-    )
+    cover, _, th = build_double_cover(disk, metric, [kb] * 6 + [ki])
     # boundary vertices lose twice their curvature target, interior ones
     # once, and the mirrored interior copy repeats its source
     for v in range(6):
@@ -78,16 +70,16 @@ def test_targets_interior_and_boundary():
 def test_unbalanced_targets_rejected():
     disk = helpers.fan_disk(6)
     metric = PennerMetric.uniform(disk)
-    kb = [math.pi / 3] * 7
-    kb[2] += 0.4
+    kappa = [math.pi / 3] * 6 + [0.0]
+    kappa[2] += 0.4
     with pytest.raises(MeshError):
-        build_double_cover(disk, metric, [0.0] * 7, kb)
+        build_double_cover(disk, metric, kappa)
 
 
 def test_closed_input_rejected():
     mesh = helpers.tetra()
     with pytest.raises(MeshError):
-        build_double_cover(mesh, PennerMetric.uniform(mesh), [0.0] * 4, [0.0] * 4)
+        build_double_cover(mesh, PennerMetric.uniform(mesh), [0.0] * 4)
 
 
 def test_flat_grid_cover_needs_no_flips():
@@ -97,11 +89,9 @@ def test_flat_grid_cover_needs_no_flips():
     for e in disk.edges():
         a, b = disk.edge_endpoints(e)
         metric.lengths[e] = metric.lengths[disk.opp[e]] = math.dist(pos[a], pos[b])
-    nb = sum(1 for v in range(disk.n_vertices)
-             if any(disk.is_boundary_halfedge(h) and disk.to[h] == v
-                    for h in range(disk.n_halfedges())))
-    kb = [2 * math.pi / nb] * disk.n_vertices
-    cover, cmetric, _ = build_double_cover(disk, metric, [0.0] * 16, kb)
+    boundary = {disk.to[h] for h in range(disk.n_halfedges()) if disk.is_boundary_halfedge(h)}
+    kappa = [2 * math.pi / len(boundary) if v in boundary else 0.0 for v in range(16)]
+    cover, cmetric, _ = build_double_cover(disk, metric, kappa)
     log = make_delaunay(cover.mesh, cmetric, [0.0] * cover.mesh.n_vertices, refl=cover.refl)
     assert log.total == 0
 

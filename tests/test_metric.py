@@ -21,7 +21,6 @@ from confmetric.metric import (
     scalar_metric,
     vertex_angle_sums,
 )
-from confmetric.symmetry import FlipType, classify_flip
 
 import helpers
 
@@ -311,27 +310,24 @@ def test_make_delaunay_path_independence():
 @pytest.mark.parametrize("eps", [1e-12, 0.0, 0.5, -4.0])
 def test_scan_flags_exactly_the_scalar_violations(eps):
     # The scan reads the corner table; the scalar predicate walks each
-    # edge's faces.  They must agree on quads and on shuffled triangles,
-    # and at a negative band that flags most edges.
+    # edge's faces.  They must agree on every interior edge, forced ones
+    # included, on quads and on shuffled triangles, and at a negative band
+    # that flags most edges.
     rng = np.random.default_rng(17)
     cover, cmetric, _ = helpers.hexagon_cover()
     helpers.drive_to_quads(cover, cmetric)
     assert cmetric.quad_diag
     mesh, metric = helpers.shuffled_closed_mesh(rng, level=1, flips=30)
-    for m, met, refl in [(cover.mesh, cmetric, cover.refl), (mesh, metric, None)]:
-        candidates = [
-            e for e in m.edges()
-            if not m.is_boundary_edge(e)
-            and (refl is None or classify_flip(m, refl, e)[0] is not FlipType.ALWAYS_DELAUNAY)
-        ]
+    for m, met, quads in [(cover.mesh, cmetric, True), (mesh, metric, False)]:
+        candidates = [e for e in m.edges() if not m.is_boundary_edge(e)]
         for _ in range(4):
             u = rng.normal(0.0, 0.3, m.n_vertices)
             value = scalar_metric(m, met, u).value
             want = [e for e in candidates if value(e) < -eps]
-            assert _scan_violations_vectorized(m, met, u, refl, eps) == want
+            assert _scan_violations_vectorized(m, met, u, eps) == want
             if eps < 0:
                 assert len(want) > len(candidates) / 2
-                if refl is not None:
+                if quads:
                     assert any(m.in_quad[e] or m.in_quad[m.opp[e]] for e in want)
 
 
@@ -344,14 +340,14 @@ def test_scan_raises_where_a_side_product_overflows():
     with pytest.raises(MetricError):
         scalar_metric(mesh, metric, u).value(mesh.edges()[0])
     with pytest.raises(MetricError, match="float range"):
-        _scan_violations_vectorized(mesh, metric, u, None, 1e-12)
+        _scan_violations_vectorized(mesh, metric, u, 1e-12)
 
 
 def test_make_delaunay_ends_when_every_flagged_edge_rechecks_as_delaunay(monkeypatch):
     # The scan's numpy exp and the re-check's libm exp can differ in the
     # last bit, so the scan may flag an edge that the re-check passes.  Here
-    # the scan always flags one extra edge; the loop must not rescan the
-    # unchanged state forever.
+    # the scan always flags one extra edge; ``holds`` skips it, and the one
+    # pass flips exactly what it flips without the extra edge.
     mesh = helpers.octa()
     metric = PennerMetric.uniform(mesh)
     helpers.set_length(mesh, metric, 0, 1, 1.9)
@@ -364,15 +360,41 @@ def test_make_delaunay_ends_when_every_flagged_edge_rechecks_as_delaunay(monkeyp
     def scan_with_a_tie(*args):
         nonlocal scans
         scans += 1
-        if scans > 50:
-            raise AssertionError("make_delaunay keeps rescanning an unchanged state")
         return sorted({*real(*args), extra})
 
     monkeypatch.setattr(metric_mod, "_scan_violations_vectorized", scan_with_a_tie)
     log = make_delaunay(mesh, metric, [0.0] * 6)
+    assert scans == 1
     assert want.total >= 1
     assert log == want
     assert metric.lengths == want_metric.lengths
+
+
+def test_make_delaunay_scans_once_per_call(monkeypatch):
+    # One scan seeds the work list and the pass ends when the list is
+    # empty; the flips re-examine every edge they change, so no rescan is
+    # needed to confirm the result.
+    real = metric_mod._scan_violations_vectorized
+    scans = 0
+
+    def counted(*args):
+        nonlocal scans
+        scans += 1
+        return real(*args)
+
+    monkeypatch.setattr(metric_mod, "_scan_violations_vectorized", counted)
+    octa = helpers.octa()
+    metric = PennerMetric.uniform(octa)
+    helpers.set_length(octa, metric, 0, 1, 1.9)
+    cover, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cover, cmetric)
+    for mesh, met, refl in [(octa, metric, None), (cover.mesh, cmetric, cover.refl)]:
+        u = [0.0] * mesh.n_vertices
+        scans = 0
+        assert make_delaunay(mesh, met, u, refl).total >= 1
+        assert scans == 1
+        holds = scalar_metric(mesh, met, u, refl).holds
+        assert all(holds(e) for e in mesh.edges())
 
 
 def test_make_delaunay_flip_budget():

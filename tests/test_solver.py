@@ -9,7 +9,15 @@ import confmetric.solver as solver_mod
 from confmetric.cover import build_double_cover, restrict_to_single_cover
 from confmetric.generate import generate, grid_disk
 from confmetric.halfedge import build_from_face_lists, validate
-from confmetric.metric import PennerMetric, hessian, make_delaunay, scalar_metric, vertex_angle_sums
+from confmetric.io import problem_to_mesh
+from confmetric.metric import (
+    PennerMetric,
+    gradient,
+    hessian,
+    make_delaunay,
+    scalar_metric,
+    vertex_angle_sums,
+)
 from confmetric.solver import (
     LineSearchError,
     SolverConfig,
@@ -199,8 +207,6 @@ def test_line_search_resumes_halving_if_the_fallback_slope_turns_positive(monkey
 def test_line_search_rejects_a_step_that_does_not_move_u():
     # A step below the float resolution of u has slope <= 0; accepting it
     # would repeat the same step until max_newton_steps.
-    from confmetric.metric import gradient
-
     mesh = helpers.tetra()
     metric = PennerMetric.uniform(mesh)
     u = np.array([0.5, -0.5, 0.25, -0.25])
@@ -208,6 +214,21 @@ def test_line_search_rejects_a_step_that_does_not_move_u():
     g = gradient(mesh, metric, u, theta_hat)
     with pytest.raises(LineSearchError):
         line_search(mesh, metric, u, -1e-20 * g, theta_hat)
+
+
+def test_first_trial_of_the_genus_16_cone_retriangulates_within_budget():
+    # The full first Newton step (|d| up to 366) scales some sides down to
+    # about 1e-158.  There a quad's two diagonals both evaluate to -1.3e-9,
+    # and a retriangulation that rescanned after each pass flipped that
+    # edge back and forth until FlipBudgetError.  One pass ends after about
+    # 31,500 flips and leaves that one edge as it is.
+    prob = generate("single-cone-genus-16", 0, 0)
+    mesh, metric = problem_to_mesh(prob)
+    theta_hat = [prob.theta_targets.get(v, 2.0 * math.pi) for v in range(mesh.n_vertices)]
+    u = np.zeros(mesh.n_vertices)
+    make_delaunay(mesh, metric, u)
+    d = newton_direction(hessian(mesh, metric, u), gradient(mesh, metric, u, theta_hat))
+    assert make_delaunay(mesh, metric, u + d).total > 0
 
 
 # -- full driver -------------------------------------------------------------
@@ -279,7 +300,7 @@ def test_flat_grid_cover_solves_in_zero_steps():
     for v, (x, y, _) in enumerate(pos):
         if {x, y} <= {0.0, 3.0} :
             kappa[v] = math.pi / 2
-    cover, cmetric, theta_hat = build_double_cover(disk, metric, [0.0] * 16, kappa)
+    cover, cmetric, theta_hat = build_double_cover(disk, metric, kappa)
     _, _, u, report = find_conformal_metric(cover.mesh, cmetric, theta_hat, refl=cover.refl)
     assert report.converged
     assert report.newton_steps == 0
