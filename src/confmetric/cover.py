@@ -69,9 +69,7 @@ def build_double_cover(
     pos = {h: i for i, h in enumerate(src)}
     n_int = len(src)
 
-    boundary_v = {
-        mesh.to[h] for h in range(mesh.n_halfedges()) if mesh.is_boundary_halfedge(h)
-    }
+    boundary_v = mesh.boundary_vertices()
     v0 = mesh.n_vertices
     interior_vs = [v for v in range(v0) if v not in boundary_v]
     n_cover_v = v0 + len(interior_vs)

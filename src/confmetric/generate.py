@@ -181,10 +181,7 @@ def generate(kind: str, seed: int, size: int | None = None) -> ProblemFile:
     if kind == "disk-random-boundary":
         n = max(2, round(math.sqrt(size if size is not None else 1089)))
         faces, pos = grid_disk(n)
-        mesh = build_from_face_lists(faces)
-        boundary = sorted(
-            {mesh.to[h] for h in range(mesh.n_halfedges()) if mesh.is_boundary_halfedge(h)}
-        )
+        boundary = sorted(build_from_face_lists(faces).boundary_vertices())
         kappa = _disk_boundary_kappa(rng, len(boundary))
         return ProblemFile(
             faces, positions=pos, kappa_targets={v: float(k) for v, k in zip(boundary, kappa)}

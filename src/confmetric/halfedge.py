@@ -26,11 +26,12 @@ as ordinary ``next_he`` orbits whose ids sit in ``boundary_faces``.  This
 keeps both permutations total, at the cost of one membership test wherever
 real triangles are enumerated.
 
-Halfedges may also be *parked*: detached from the active complex (their
-``next_he``/``opp`` form a private 2-cycle, ``to`` is -1) while a symmetric
-flip has temporarily merged two triangles into a quad.  Parked halfedges are
-invisible to iteration and validation but keep their index so the inverse
-surgery can reinstall them.
+Halfedges may also be *parked*: detached from the active complex while a
+symmetric flip has temporarily merged two triangles into a quad.  A parked
+halfedge has ``he_face[h] == -1``; its ``next_he``/``opp`` form a private
+2-cycle and its ``to`` is -1.  Parked halfedges are invisible to iteration
+and validation but keep their index so the inverse surgery can reinstall
+them.
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ def build_orbits(perm: list[int], skip: list[bool] | None = None) -> list[list[i
 class CombinatorialMesh:
     """Connectivity of an oriented surface mesh, boundary closed by marked faces.
 
-    ``he_face[h]`` is the face id of ``h``; surgeries refresh it for the
-    faces they rebuild.  ``in_quad[h]`` marks halfedges of transient quad
-    faces.  ``quad_pairs`` maps a quad face id to the parked halfedge pair
-    that the inverse surgery will reinstall.
+    ``he_face[h]`` is the face id of ``h``, or -1 for a parked halfedge;
+    surgeries refresh it for the faces they rebuild.  ``quad_pairs`` maps
+    each transient quad face id to the parked halfedge pair that the
+    inverse surgery will reinstall; its keys are the quad faces.
     """
 
     next_he: list[int]
@@ -82,20 +83,13 @@ class CombinatorialMesh:
     to: list[int]
     n_vertices: int
     boundary_faces: set[int] = field(default_factory=set)
-    parked: list[bool] = field(default_factory=list)
     he_face: list[int] = field(default_factory=list)
-    in_quad: list[bool] = field(default_factory=list)
     quad_pairs: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = len(self.next_he)
-        if not self.parked:
-            self.parked = [False] * n
-        if not self.in_quad:
-            self.in_quad = [False] * n
         if not self.he_face:
-            self.he_face = [-1] * n
-            for orbit in build_orbits(self.next_he, self.parked):
+            self.he_face = [-1] * len(self.next_he)
+            for orbit in build_orbits(self.next_he):
                 fid = orbit[0]
                 for h in orbit:
                     self.he_face[h] = fid
@@ -133,19 +127,17 @@ class CombinatorialMesh:
 
     def faces(self, include_boundary: bool = False) -> list[int]:
         """Active face ids (min halfedge per orbit), outer loops optional."""
-        out = []
-        for orbit in build_orbits(self.next_he, self.parked):
-            fid = orbit[0]
-            if fid in self.boundary_faces and not include_boundary:
-                continue
-            out.append(fid)
-        return out
+        return [
+            f
+            for f, fid in enumerate(self.he_face)
+            if f == fid and (include_boundary or f not in self.boundary_faces)
+        ]
 
     def edges(self) -> list[int]:
         return [
             h
             for h in range(len(self.opp))
-            if not self.parked[h] and h < self.opp[h]
+            if self.he_face[h] >= 0 and h < self.opp[h]
         ]
 
     def edge_endpoints(self, e: int) -> tuple[int, int]:
@@ -156,6 +148,10 @@ class CombinatorialMesh:
 
     def is_boundary_edge(self, e: int) -> bool:
         return self.is_boundary_halfedge(e) or self.is_boundary_halfedge(self.opp[e])
+
+    def boundary_vertices(self) -> set[int]:
+        """Heads of the outer-loop halfedges."""
+        return {self.to[h] for f in self.boundary_faces for h in self.face_halfedges(f)}
 
     # -- counts -----------------------------------------------------------
 
@@ -177,15 +173,13 @@ class CombinatorialMesh:
             to=list(self.to),
             n_vertices=self.n_vertices,
             boundary_faces=set(self.boundary_faces),
-            parked=list(self.parked),
             he_face=list(self.he_face),
-            in_quad=list(self.in_quad),
             quad_pairs=dict(self.quad_pairs),
         )
 
     # -- surgery helper ---------------------------------------------------
 
-    def rebuild_face(self, cycle: list[int], quad: bool = False) -> int:
+    def rebuild_face(self, cycle: list[int]) -> int:
         """Wire ``cycle`` into a face orbit and refresh its caches.
 
         ``to`` entries must already be correct; callers read all heads they
@@ -196,7 +190,6 @@ class CombinatorialMesh:
         for i, h in enumerate(cycle):
             self.next_he[h] = cycle[(i + 1) % k]
             self.he_face[h] = fid
-            self.in_quad[h] = quad
         return fid
 
 
@@ -319,9 +312,7 @@ def build_from_face_edge_lists(
 
     _close_boundary_loops(next_he, opp, boundary_of, n_interior)
     mesh = CombinatorialMesh(next_he=next_he, opp=opp, to=to, n_vertices=n_vertices)
-    for orbit in build_orbits(mesh.next_he):
-        if any(hh >= n_interior for hh in orbit):
-            mesh.boundary_faces.add(min(orbit))
+    mesh.boundary_faces = set(mesh.he_face[n_interior:])
     errors = validate(mesh)
     if errors:
         raise MeshError("; ".join(errors))
@@ -332,11 +323,12 @@ def validate(mesh: CombinatorialMesh) -> list[str]:
     """Structural diagnostics; empty list means the complex is consistent."""
     errs: list[str] = []
     n = len(mesh.next_he)
-    active = [h for h in range(n) if not mesh.parked[h]]
+    parked = [f < 0 for f in mesh.he_face]
+    active = [h for h in range(n) if not parked[h]]
 
     for h in active:
         o = mesh.opp[h]
-        if mesh.parked[o]:
+        if parked[o]:
             errs.append(f"opp[{h}]={o} is parked")
         elif mesh.opp[o] != h:
             errs.append(f"opp not involutive at {h}")
@@ -349,7 +341,7 @@ def validate(mesh: CombinatorialMesh) -> list[str]:
     hit = [0] * n
     for h in active:
         nx = mesh.next_he[h]
-        if mesh.parked[nx]:
+        if parked[nx]:
             errs.append(f"next_he[{h}]={nx} is parked")
         else:
             hit[nx] += 1
@@ -359,22 +351,15 @@ def validate(mesh: CombinatorialMesh) -> list[str]:
     if errs:
         return errs
 
-    for orbit in build_orbits(mesh.next_he, mesh.parked):
+    for orbit in build_orbits(mesh.next_he, parked):
         fid = min(orbit)
         if orbit[0] != fid:
             errs.append(f"orbit listing of face {fid} does not start at min")
         deg = len(orbit)
-        is_bnd = fid in mesh.boundary_faces
-        is_quad = any(mesh.in_quad[h] for h in orbit)
-        if is_quad and not all(mesh.in_quad[h] for h in orbit):
-            errs.append(f"face {fid} mixes quad and non-quad halfedges")
-        if not is_bnd:
-            if is_quad and deg != 4:
-                errs.append(f"quad face {fid} has degree {deg}")
-            if not is_quad and deg != 3:
-                errs.append(f"triangle face {fid} has degree {deg}")
-        if is_quad and fid not in mesh.quad_pairs:
-            errs.append(f"quad face {fid} missing parked-pair record")
+        if fid not in mesh.boundary_faces:
+            kind, want = ("quad", 4) if fid in mesh.quad_pairs else ("triangle", 3)
+            if deg != want:
+                errs.append(f"{kind} face {fid} has degree {deg}")
         for h in orbit:
             if mesh.he_face[h] != fid:
                 errs.append(f"he_face[{h}]={mesh.he_face[h]} but orbit min is {fid}")
@@ -384,9 +369,11 @@ def validate(mesh: CombinatorialMesh) -> list[str]:
             if mesh.to[h] != mesh.to[mesh.opp[nx]]:
                 errs.append(f"vertex chaining broken at halfedge {h}")
 
-    for fid, (p1, p2) in mesh.quad_pairs.items():
-        for p in (p1, p2):
-            if not mesh.parked[p]:
+    for fid, pair in mesh.quad_pairs.items():
+        if mesh.he_face[fid] != fid or fid in mesh.boundary_faces:
+            errs.append(f"quad record {fid} names no live face")
+        for p in pair:
+            if not parked[p]:
                 errs.append(f"recorded parked halfedge {p} of quad {fid} is active")
 
     # Every active vertex label is reachable; labels are consistent per orbit
@@ -435,7 +422,7 @@ def plan_flip(mesh: CombinatorialMesh, h: int) -> FlipFrame:
     f0, f3 = mesh.he_face[h0], mesh.he_face[h3]
     if f0 in mesh.boundary_faces or f3 in mesh.boundary_faces:
         raise FlipError(f"edge of halfedge {h} is on the boundary")
-    if mesh.in_quad[h0] or mesh.in_quad[h3]:
+    if f0 in mesh.quad_pairs or f3 in mesh.quad_pairs:
         raise FlipError(f"edge of halfedge {h} borders a quad face")
     if f0 == f3:
         raise FlipError(f"edge of halfedge {h} is self-adjacent (both sides one face)")

@@ -336,7 +336,8 @@ def bundle_from_solution(
     exit_code: int,
     flips=None,
 ) -> ResultBundle:
-    """Snapshot a finished solve (or a bare retriangulation) as a bundle."""
+    """Snapshot a finished solve, or a bare retriangulation (``report`` None
+    and its ``flips``), as a bundle."""
     edge_ids = sorted(mesh.edges())
     dense = {e: i for i, e in enumerate(edge_ids)}
     faces_v, faces_e, quad_diags = [], [], {}
@@ -364,9 +365,7 @@ def bundle_from_solution(
         residual = report.final_residual
         u_min, u_max = report.u_min, report.u_max
     else:
-        from .metric import FlipLog
-
-        totals = flips if flips is not None else FlipLog()
+        totals = flips
         termination = "delaunay"
         residual = math.nan
         finite = [x for x in u if not math.isnan(x)]

@@ -17,18 +17,18 @@ the diagonal, which scales like an ordinary edge between its endpoints.
 
 Angle sums and the cotangent Hessian come from one numpy corner-table
 kernel.  It reads the triangles straight off the halfedge arrays (a face
-is a halfedge with ``he_face[h] == h`` that is neither parked, in a quad
-nor an outer loop), expands every stored quad into its two virtual
-triangles, and yields per-triangle corner vertices with the scaled side
-opposite each corner.  Corner quantities come from needle-safe Heron terms
-(Kahan's ordering): angles from the half-angle tangent, summed per vertex
-with one ``bincount``, and cotangents as (b^2 + c^2 - a^2) / 4A for the
-Hessian's triplets.  The law-of-cosines ``arccos`` loses about
-``1e-16 / angle`` per corner, which on needles near 1e-7 rad left the
-single-cone solves short of their tolerance.  A side longer than the other
-two gives a flat triangle (angles pi, 0, 0).  The kernel raises
-:class:`MetricError` rather than let a zero or non-finite length turn into
-NaN.
+is a halfedge with ``he_face[h] == h``, which a parked halfedge never has,
+that is neither a stored quad nor an outer loop), expands every stored
+quad into its two virtual triangles, and yields per-triangle corner
+vertices with the scaled side opposite each corner.  Corner quantities
+come from needle-safe Heron terms (Kahan's ordering): angles from the
+half-angle tangent, summed per vertex with one ``bincount``, and
+cotangents as (b^2 + c^2 - a^2) / 4A for the Hessian's triplets.  The
+law-of-cosines ``arccos`` loses about ``1e-16 / angle`` per corner, which
+on needles near 1e-7 rad left the single-cone solves short of their
+tolerance.  A side longer than the other two gives a flat triangle (angles
+pi, 0, 0).  The kernel raises :class:`MetricError` rather than let a zero
+or non-finite length turn into NaN.
 
 ``make_delaunay`` flips until every interior edge satisfies the Delaunay
 condition, in one pass.  One full scan reads the same corner table, quads
@@ -137,10 +137,6 @@ def _corner_table(
 
     q0 = _array(list(metric.quad_diag))
     is_face = _array(mesh.he_face) == np.arange(n)
-    if any(mesh.parked):
-        is_face &= ~_array(mesh.parked, bool)
-    if any(mesh.in_quad):
-        is_face &= ~_array(mesh.in_quad, bool)
     is_face[list(mesh.boundary_faces)] = False
     is_face[q0] = False
     h0 = np.flatnonzero(is_face)
@@ -236,7 +232,7 @@ def scalar_metric(
     ``u``.
     """
     nxt, opp, to = mesh.next_he, mesh.opp, mesh.to
-    he_face, in_quad, face_halfedges = mesh.he_face, mesh.in_quad, mesh.face_halfedges
+    he_face, face_halfedges = mesh.he_face, mesh.face_halfedges
     boundary_faces = mesh.boundary_faces
     L, quad_diag = metric.lengths, metric.quad_diag
     uu = np.asarray(u, dtype=float).tolist()
@@ -252,8 +248,8 @@ def scalar_metric(
         return scaled(quad_diag[f], to[q1], to[nxt[nxt[q1]]])
 
     def side(h: int) -> float:
-        if in_quad[h]:
-            f = he_face[h]
+        f = he_face[h]
+        if f in quad_diag:
             hs = face_halfedges(f)
             c = length(h)
             a = length(hs[hs.index(h) ^ 1])
@@ -309,15 +305,17 @@ class FlipLog:
     flips they bundle.
     """
 
-    total: int = 0
     single: int = 0
     paired: int = 0
     axis: int = 0
     tri_quad: int = 0
     quad_quad: int = 0
 
+    @property
+    def total(self) -> int:
+        return self.single + self.paired + self.axis + self.tri_quad + self.quad_quad
+
     def add(self, kind: FlipType | None) -> None:
-        self.total += 1
         if kind is None:
             self.single += 1
         elif kind is FlipType.PAIRED:
@@ -330,7 +328,6 @@ class FlipLog:
             self.quad_quad += 1
 
     def merge(self, other: "FlipLog") -> None:
-        self.total += other.total
         self.single += other.single
         self.paired += other.paired
         self.axis += other.axis

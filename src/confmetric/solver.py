@@ -274,7 +274,7 @@ def _symmetry_snapshot(
     if np.any(u != u[_array(refl.vertex_refl)]):
         return False
     L = _array(metric.lengths, float)
-    live = np.flatnonzero(~_array(mesh.parked, bool))
+    live = np.flatnonzero(_array(mesh.he_face) >= 0)
     return not np.any(L[live] != L[_array(refl.r)[live]])
 
 
@@ -287,7 +287,7 @@ def scale_conformally(
     uu = np.asarray(u, dtype=float)
     to = _array(mesh.to)
     lengths = _array(metric.lengths, float)
-    live = np.flatnonzero(~_array(mesh.parked, bool))
+    live = np.flatnonzero(_array(mesh.he_face) >= 0)
     lengths[live] = _scale(lengths[live], uu, to[live], to[_array(mesh.opp)[live]])
     scaled_diag = scalar_metric(mesh, metric, u).diag
     diag = {f: scaled_diag(f) for f in metric.quad_diag}
@@ -432,7 +432,7 @@ def solve_problem(
     if _n_components(mesh) > 1:
         raise io.ParseError("mesh is not connected")
     two_pi = 2.0 * math.pi
-    boundary = {mesh.to[h] for h in range(mesh.n_halfedges()) if mesh.is_boundary_halfedge(h)}
+    boundary = mesh.boundary_vertices()
     flat = [math.pi if v in boundary else two_pi for v in range(n)]
     if prob.kappa_targets:
         kappa = [prob.kappa_targets.get(v, 0.0) for v in range(n)]

@@ -129,7 +129,7 @@ def classify_flip(
 
     if rh == h:
         # Crossing edge: both incident faces are fixed by R.
-        qa, qb = mesh.in_quad[h], mesh.in_quad[o]
+        qa, qb = fa in mesh.quad_pairs, fb in mesh.quad_pairs
         if fa == fb:
             # A quad can meet its own mirror image along both crossing
             # sides; the stored-diagonal relation then forces Delaunay.
@@ -149,7 +149,7 @@ def classify_flip(
             return FlipType.ALWAYS_DELAUNAY, True
         la, lb = face_label(mesh, refl, fa), face_label(mesh, refl, fb)
         if {la, lb} == {1, 2}:
-            if mesh.in_quad[h] or mesh.in_quad[o]:
+            if fa in mesh.quad_pairs or fb in mesh.quad_pairs:
                 raise SymmetryError(f"axis-parallel edge {h} borders a quad copy face")
             return FlipType.AXIS, True
         raise SymmetryError(
@@ -163,8 +163,7 @@ def classify_flip(
     if la == 0 and lb == 0:
         return FlipType.ALWAYS_DELAUNAY, True
     if la == 0 or lb == 0:
-        on_axis_face = h if la == 0 else o
-        if mesh.in_quad[on_axis_face]:
+        if (fa if la == 0 else fb) in mesh.quad_pairs:
             return FlipType.QUAD_QUAD, True
         return FlipType.TRI_QUAD, True
     lab = refl.he_label[h]
@@ -180,22 +179,15 @@ def classify_flip(
 
 def _park(mesh: CombinatorialMesh, a: int, b: int) -> None:
     # Detach the pair into a private 2-cycle; r and its mutual pairing are
-    # kept so the inverse surgery reinstalls a mirror pair.
+    # kept so the inverse surgery reinstalls a mirror pair.  he_face -1
+    # marks the pair parked, and to -1 poisons any read of its heads.
     for h in (a, b):
-        mesh.parked[h] = True
         mesh.to[h] = -1
         mesh.he_face[h] = -1
-        mesh.in_quad[h] = False
     mesh.next_he[a] = b
     mesh.next_he[b] = a
     mesh.opp[a] = b
     mesh.opp[b] = a
-
-
-def _unpark(mesh: CombinatorialMesh, a: int, b: int) -> None:
-    # Caller rewires opp/to/next immediately afterwards.
-    mesh.parked[a] = False
-    mesh.parked[b] = False
 
 
 # -- the six surgeries --------------------------------------------------------
@@ -315,7 +307,7 @@ def _flip_tri_quad_forward(
     mesh.to[h0] = k
     mesh.to[h3] = m
     ft = mesh.rebuild_face([h0, h2, h4])
-    fq = mesh.rebuild_face([h1, h3, h5, h6], quad=True)
+    fq = mesh.rebuild_face([h1, h3, h5, h6])
     mesh.quad_pairs[fq] = (h7, h8)
     metric.quad_diag[fq] = diag
     L[h0] = lnew
@@ -331,7 +323,7 @@ def _flip_tri_quad_reverse(
     mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
 ) -> FlipRecord:
     L = metric.lengths
-    h0 = mesh.opp[h] if mesh.in_quad[h] else h
+    h0 = mesh.opp[h] if mesh.he_face[h] in mesh.quad_pairs else h
     h2 = mesh.next_he[h0]
     h4 = mesh.next_he[h2]
     h3 = mesh.opp[h0]
@@ -350,7 +342,6 @@ def _flip_tri_quad_reverse(
     to_h6 = mesh.to[h6]
     to_h2 = mesh.to[h2]
     to_h5 = mesh.to[h5]
-    _unpark(mesh, h7, h8)
     mesh.opp[h0] = h7
     mesh.opp[h7] = h0
     mesh.opp[h3] = h8
@@ -383,7 +374,7 @@ def _flip_quad_quad_forward(
     mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
 ) -> FlipRecord:
     L = metric.lengths
-    h0 = mesh.opp[h] if mesh.in_quad[h] else h
+    h0 = mesh.opp[h] if mesh.he_face[h] in mesh.quad_pairs else h
     h9 = mesh.opp[h0]
     h7 = mesh.next_he[h9]
     h8 = mesh.next_he[h7]
@@ -415,8 +406,8 @@ def _flip_quad_quad_forward(
     mesh.opp[h3] = h0
     mesh.to[h0] = k
     mesh.to[h3] = m
-    fa = mesh.rebuild_face([h0, h2, h7, h4], quad=True)
-    fb = mesh.rebuild_face([h1, h3, h5, h6], quad=True)
+    fa = mesh.rebuild_face([h0, h2, h7, h4])
+    fb = mesh.rebuild_face([h1, h3, h5, h6])
     mesh.quad_pairs[fa] = (h8, h9)
     mesh.quad_pairs[fb] = (p1, p2)
     metric.quad_diag[fa] = x
@@ -460,7 +451,6 @@ def _flip_quad_quad_reverse(
     to_h7 = mesh.to[h7]
     to_h2 = mesh.to[h2]
     to_h5 = mesh.to[h5]
-    _unpark(mesh, h8, h9)
     mesh.opp[h0] = h9
     mesh.opp[h9] = h0
     mesh.opp[h3] = h8
@@ -471,7 +461,7 @@ def _flip_quad_quad_reverse(
     mesh.to[h8] = to_h5
     f1 = mesh.rebuild_face([h0, h1, h2])
     f2 = mesh.rebuild_face([h3, h4, h5])
-    fm = mesh.rebuild_face([h6, h9, h7, h8], quad=True)
+    fm = mesh.rebuild_face([h6, h9, h7, h8])
     mesh.quad_pairs[fm] = pb
     metric.quad_diag[fm] = d0
     for x in (h0, h9, h3, h8):
@@ -533,6 +523,7 @@ def validate_symmetry(
     """
     errs: list[str] = []
     n = mesh.n_halfedges()
+    parked = [f < 0 for f in mesh.he_face]
     if len(refl.r) != n or len(refl.he_label) != n:
         return [f"reflection arrays sized for {len(refl.r)} of {n} halfedges"]
     if len(refl.vertex_refl) != mesh.n_vertices:
@@ -558,10 +549,10 @@ def validate_symmetry(
         if refl.r[rh] != h:
             errs.append(f"r not involutive at {h}")
             continue
-        if mesh.parked[h] != mesh.parked[rh]:
+        if parked[h] != parked[rh]:
             errs.append(f"r pairs parked halfedge {h} with active {rh}")
             continue
-        if mesh.parked[h]:
+        if parked[h]:
             if rh == h:
                 errs.append(f"parked halfedge {h} is r-fixed")
             continue
@@ -598,10 +589,7 @@ def validate_symmetry(
             if len(set(labs)) != 1:
                 errs.append(f"copy face {f} mixes labels {sorted(set(labs))}")
 
-    quad_faces = {f for f in mesh.faces() if mesh.in_quad[f]}
-    if set(mesh.quad_pairs) != quad_faces:
-        errs.append("quad_pairs keys disagree with the quad faces present")
-    parked_set = {h for h in range(n) if mesh.parked[h]}
+    parked_set = {h for h in range(n) if parked[h]}
     recorded: set[int] = set()
     for f, (p1, p2) in mesh.quad_pairs.items():
         if refl.r[p1] != p2:
@@ -613,7 +601,7 @@ def validate_symmetry(
     if metric is not None:
         L = metric.lengths
         for h in range(n):
-            if mesh.parked[h]:
+            if parked[h]:
                 continue
             if L[h] != L[mesh.opp[h]]:
                 errs.append(f"halfedge lengths of edge {mesh.edge_of(h)} differ")
@@ -621,8 +609,8 @@ def validate_symmetry(
                 errs.append(f"mirror edges at {h} have different lengths")
             if not L[h] > 0:
                 errs.append(f"nonpositive length at halfedge {h}")
-        if set(metric.quad_diag) != quad_faces:
-            errs.append("quad_diag keys disagree with the quad faces present")
+        if set(metric.quad_diag) != set(mesh.quad_pairs):
+            errs.append("quad_diag keys disagree with the quad_pairs records")
         for f, dv in metric.quad_diag.items():
             if not dv > 0:
                 errs.append(f"nonpositive stored diagonal for quad {f}")

@@ -120,7 +120,7 @@ def drive_to_quads(cover, cmetric):
 
 def active_lengths(mesh, metric):
     return sorted(
-        metric.lengths[h] for h in range(mesh.n_halfedges()) if not mesh.parked[h]
+        metric.lengths[h] for h in range(mesh.n_halfedges()) if mesh.he_face[h] >= 0
     )
 
 
@@ -128,7 +128,7 @@ def random_symmetric_lengths(mesh, refl, rng, low=0.5, high=2.0):
     """Fresh positive lengths, assigned once per reflection orbit."""
     L = [0.0] * mesh.n_halfedges()
     for h in range(mesh.n_halfedges()):
-        if mesh.parked[h] or L[h]:
+        if mesh.he_face[h] < 0 or L[h]:
             continue
         val = float(rng.uniform(low, high))
         for x in (h, mesh.opp[h], refl.r[h], mesh.opp[refl.r[h]]):

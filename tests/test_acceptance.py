@@ -239,7 +239,7 @@ def test_flip_unflip_involution_across_hundred_thousand_pairs():
             flip_edge(mesh, metric, e)
             pairs += 1
             for h in range(mesh.n_halfedges()):
-                if mesh.parked[h]:
+                if mesh.he_face[h] < 0:
                     continue
                 rel = abs(metric.lengths[h] - before[h]) / before[h]
                 if rel > worst:
@@ -312,8 +312,8 @@ def _edge_signature(mesh, refl, e):
         cls = "perp"
     else:
         cls = "sheet"
-    a = "q" if mesh.in_quad[e] else "t"
-    b = "q" if mesh.in_quad[mesh.opp[e]] else "t"
+    a = "q" if mesh.he_face[e] in mesh.quad_pairs else "t"
+    b = "q" if mesh.he_face[mesh.opp[e]] in mesh.quad_pairs else "t"
     lo, hi = sorted((a, b))
     adj = "self" if mesh.he_face[e] == mesh.he_face[mesh.opp[e]] else "two"
     return (lo, cls, hi, adj)
@@ -331,7 +331,7 @@ def test_symmetry_forced_configurations_stay_delaunay_under_random_metrics():
             mesh, refl = cover.mesh, cover.refl
             fresh = helpers.random_symmetric_lengths(mesh, refl, rng)
             for h in range(mesh.n_halfedges()):
-                if not mesh.parked[h]:
+                if mesh.he_face[h] >= 0:
                     cmetric.lengths[h] = fresh[h]
             for e in chain:
                 apply_symmetric_flip(mesh, cmetric, refl, e)

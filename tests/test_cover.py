@@ -122,7 +122,7 @@ def test_quad_measures_agree_across_both_diagonals():
         hs = mesh.face_halfedges(f)
         l0, l1, l2, l3 = (cmetric.lengths[h] for h in hs)
         d = cmetric.quad_diag[f]
-        mesh.rebuild_face(hs[1:] + hs[:1], quad=True)
+        mesh.rebuild_face(hs[1:] + hs[:1])
         cmetric.quad_diag[f] = (l0 * l2 + l1 * l3) / d
     assert validate(mesh) == []
     after = vertex_angle_sums(mesh, cmetric, u)

@@ -328,7 +328,7 @@ def test_scan_flags_exactly_the_scalar_violations(eps):
             if eps < 0:
                 assert len(want) > len(candidates) / 2
                 if quads:
-                    assert any(m.in_quad[e] or m.in_quad[m.opp[e]] for e in want)
+                    assert any({m.he_face[e], m.he_face[m.opp[e]]} & m.quad_pairs.keys() for e in want)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

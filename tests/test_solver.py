@@ -318,7 +318,7 @@ def test_symmetric_solve_keeps_bitwise_mirror_symmetry():
     for v in range(mesh.n_vertices):
         assert u[v] == u[refl.vertex_refl[v]]
     for h in range(mesh.n_halfedges()):
-        if not mesh.parked[h]:
+        if mesh.he_face[h] >= 0:
             assert cmetric.lengths[h] == cmetric.lengths[refl.r[h]]
     # restriction of the solved cover has the prescribed boundary angles;
     # it takes the original-scale metric and applies u itself

@@ -34,7 +34,7 @@ def test_initial_cover_is_valid_symmetric_state():
 
 def test_reflection_identities():
     mesh, refl, _ = fresh()
-    hs = [h for h in range(mesh.n_halfedges()) if not mesh.parked[h]]
+    hs = [h for h in range(mesh.n_halfedges()) if mesh.he_face[h] >= 0]
     assert all(refl.r[refl.r[h]] == h for h in hs)
     assert all(refl.vertex_refl[refl.vertex_refl[v]] == v
                for v in range(mesh.n_vertices))
@@ -112,8 +112,36 @@ def test_surgery_chain_reaches_every_quad_kind():
     assert degs.count(4) == 2
 
 
+def test_validators_catch_quad_bookkeeping_faults():
+    # Each case corrupts one quad record of a valid surgery state; the
+    # structural or the symmetry validator must report it.
+    def delete_record(mesh, refl, cmetric, quad, tri):
+        del mesh.quad_pairs[quad]
+
+    def move_record_onto_triangle(mesh, refl, cmetric, quad, tri):
+        mesh.quad_pairs[tri] = mesh.quad_pairs.pop(quad)
+
+    def delete_diag(mesh, refl, cmetric, quad, tri):
+        del cmetric.quad_diag[quad]
+
+    def point_record_at_live_pair(mesh, refl, cmetric, quad, tri):
+        h = next(h for h in mesh.edges() if refl.r[h] not in (h, mesh.opp[h]))
+        mesh.quad_pairs[quad] = (h, refl.r[h])
+
+    for fault in (delete_record, move_record_onto_triangle, delete_diag,
+                  point_record_at_live_pair):
+        cover, cmetric, _ = helpers.hexagon_cover()
+        mesh, refl = cover.mesh, cover.refl
+        helpers.drive_to_quads(cover, cmetric)
+        quad = min(mesh.quad_pairs)
+        tri = next(f for f in mesh.faces() if f not in mesh.quad_pairs)
+        fault(mesh, refl, cmetric, quad, tri)
+        errs = validate(mesh) + validate_symmetry(mesh, refl, cmetric)
+        assert errs, fault.__name__
+
+
 def _structure(mesh, refl, cmetric):
-    live = [not p for p in mesh.parked]
+    live = [f >= 0 for f in mesh.he_face]
     pick = lambda xs: tuple(x for x, keep in zip(xs, live) if keep)
     return (
         pick(mesh.to), pick(mesh.next_he), pick(mesh.opp),
