@@ -32,7 +32,6 @@ from .halfedge import (
     build_from_face_edge_lists,
     validate,
 )
-from .io import gauss_bonnet_deviation
 from .metric import MetricError, PennerMetric, scalar_metric
 from .symmetry import ReflectionMap, SymmetryError, validate_symmetry
 
@@ -59,8 +58,7 @@ def build_double_cover(
 
     ``kappa[v]`` is the target cone curvature at an interior vertex ``v``
     and the target geodesic curvature at a boundary vertex.  Returns the
-    cover, its (mirrored) metric, and per-vertex target angles; raises
-    MeshError when those angles violate Gauss-Bonnet on the cover.
+    cover, its (mirrored) metric, and per-vertex target angles.
     """
     if not mesh.boundary_faces:
         raise MeshError("input mesh has no boundary; nothing to double")
@@ -119,12 +117,6 @@ def build_double_cover(
         else:
             theta_hat[v] = 2.0 * math.pi - kappa[v]
             theta_hat[vrefl[v]] = theta_hat[v]
-
-    deviation = gauss_bonnet_deviation(cover_mesh, theta_hat)
-    if abs(deviation) > 1e-8 * max(1, n_cover_v):
-        raise MeshError(
-            f"targets violate Gauss-Bonnet on the closed cover (deviation {deviation!r})"
-        )
 
     cover = DoubleCover(mesh=cover_mesh, refl=refl, n_source_vertices=v0)
     return cover, PennerMetric(lengths), theta_hat

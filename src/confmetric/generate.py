@@ -168,8 +168,13 @@ def generate(kind: str, seed: int, size: int | None = None) -> ProblemFile:
 
     ``size`` is a vertex-count hint: spheres snap to the nearest icosphere
     level, disks to the nearest square grid.  ``single-cone-genus-<g>``
-    parses the genus from the kind string and ignores ``size``.
+    parses the genus from the kind string and ignores ``size``.  Raises
+    MeshError for an unknown kind and a negative seed or size.
     """
+    if seed < 0:
+        raise MeshError(f"seed must be >= 0, got {seed}")
+    if size is not None and size < 0:
+        raise MeshError(f"size must be >= 0, got {size}")
     rng = np.random.default_rng(seed)
     if kind == "sphere-random-angles":
         level = closest_icosphere_level(size if size is not None else 642)

@@ -192,11 +192,7 @@ def line_search(
     d: np.ndarray,
     theta_hat: np.ndarray,
     refl: ReflectionMap | None = None,
-    *,
-    max_halvings: int = 40,
-    eps_flip: float = 1e-12,
-    flip_budget_factor: float = 100.0,
-    verify: bool = False,
+    config: SolverConfig | None = None,
 ) -> LineSearchResult:
     """Step to u + t*d with slope phi'(t) = <d, g(u + t*d)> <= 0.
 
@@ -214,9 +210,12 @@ def line_search(
     trial continues from whatever triangulation the previous one reached.
     The returned u is exactly ``u + t * d``, and ``halvings`` counts the
     trials after the first (gradient evaluations minus one).  Raises
-    LineSearchError when no trial within ``max_halvings`` halvings is
-    accepted, or when a trial leaves u unchanged.
+    LineSearchError when no trial within ``config.max_halvings`` halvings
+    is accepted, or when a trial leaves u unchanged.  ``config`` also gives
+    the Delaunay tie tolerance, the flip budget and whether each
+    retriangulation is verified.
     """
+    cfg = config if config is not None else SolverConfig()
     u = np.asarray(u, dtype=float)
     d = np.asarray(d, dtype=float)
     flips = FlipLog()
@@ -231,10 +230,10 @@ def line_search(
             # would repeat the same step until the Newton budget runs out.
             raise LineSearchError("step does not move u")
         flips.merge(
-            make_delaunay(mesh, metric, u_try, refl, eps_flip, flip_budget_factor)
+            make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, cfg.flip_budget_factor)
         )
-        if verify:
-            checks += _verify_delaunay(mesh, metric, u_try, refl, eps_flip)
+        if cfg.verify_delaunay:
+            checks += _verify_delaunay(mesh, metric, u_try, refl, cfg.eps_flip)
         g_try = gradient(mesh, metric, u_try, theta_hat)
         trials += 1
         return u_try, g_try, float(d @ g_try)
@@ -257,8 +256,8 @@ def line_search(
                         )
                     continue  # retriangulate at t and evaluate there again
             return LineSearchResult(u_try, g_try, trials - 1, flips, slope, checks, t, False)
-        if k == max_halvings:
-            raise LineSearchError(f"no acceptable step within {max_halvings} halvings")
+        if k == cfg.max_halvings:
+            raise LineSearchError(f"no acceptable step within {cfg.max_halvings} halvings")
         slope_2t = slope
         k += 1
 
@@ -346,18 +345,7 @@ def find_conformal_metric(
         if refl is not None:
             d = _symmetrize_direction(d, refl)
         try:
-            ls = line_search(
-                mesh,
-                metric,
-                u,
-                d,
-                theta_hat,
-                refl,
-                max_halvings=cfg.max_halvings,
-                eps_flip=cfg.eps_flip,
-                flip_budget_factor=cfg.flip_budget_factor,
-                verify=cfg.verify_delaunay,
-            )
+            ls = line_search(mesh, metric, u, d, theta_hat, refl, cfg)
         except LineSearchError:
             # The failed trials moved the triangulation; restore the
             # Delaunay state for the u we are keeping.
@@ -425,8 +413,11 @@ def solve_problem(
     u is NaN at the midpoint vertices the cut adds.  Returns the same tuple
     as ``find_conformal_metric``.  Raises ``io.ParseError`` when the input
     is rejected: bad lengths, more than one connected component, or
-    targets that violate Gauss-Bonnet.
+    targets that violate Gauss-Bonnet.  Gauss-Bonnet is checked on the
+    system the solver receives (the cover for a bounded mesh): the residual
+    sums to the deviation, so a deviation above V * eps_tol cannot converge.
     """
+    cfg = config if config is not None else SolverConfig()
     mesh, metric = io.problem_to_mesh(prob)
     n = mesh.n_vertices
     if _n_components(mesh) > 1:
@@ -440,16 +431,19 @@ def solve_problem(
     else:
         theta = [prob.theta_targets.get(v, two_pi) for v in range(n)]
         kappa = [f - t for f, t in zip(flat, theta)]
+    refl = None
+    if mesh.boundary_faces:
+        # From here on the system is the double cover.
+        cover, metric, theta = build_double_cover(mesh, metric, kappa)
+        mesh, refl = cover.mesh, cover.refl
     deviation = io.gauss_bonnet_deviation(mesh, theta)
-    if abs(deviation) > 1e-8 * max(1, n):
-        raise io.ParseError(f"targets violate Gauss-Bonnet (deviation {deviation!r})")
-    if not mesh.boundary_faces:
-        return find_conformal_metric(mesh, metric, theta, config)
-    cover, cmetric, theta_hat = build_double_cover(mesh, metric, kappa)
-    cmesh, cscaled, u, report = find_conformal_metric(
-        cover.mesh, cmetric, theta_hat, config, refl=cover.refl
-    )
-    if keep_double_cover:
-        return cmesh, cscaled, u, report
-    rmesh, rmetric, ru = restrict_to_single_cover(cover, cmetric, u)
+    bound = mesh.n_vertices * cfg.eps_tol
+    if abs(deviation) > bound:
+        raise io.ParseError(
+            f"targets violate Gauss-Bonnet beyond V * tol = {bound!r} (deviation {deviation!r})"
+        )
+    smesh, scaled, u, report = find_conformal_metric(mesh, metric, theta, cfg, refl=refl)
+    if refl is None or keep_double_cover:
+        return smesh, scaled, u, report
+    rmesh, rmetric, ru = restrict_to_single_cover(cover, metric, u)
     return rmesh, rmetric, ru, report

@@ -29,13 +29,16 @@ grouped surgeries that restore it:
 * ``AXIS`` forward: flip an axis-parallel edge; the two copy triangles
   become two axis triangles sharing a new crossing edge.  Reverse: flip
   that crossing edge back.
-* ``TRI_QUAD`` forward: flip the leg pair of an axis triangle (one copy
-  edge and its mirror share the axis triangle), merging triangle and legs
-  into an axis quad; two halfedges are parked.  Reverse: flip the crossing
-  edge between an axis triangle and an axis quad, splitting the quad.
-* ``QUAD_QUAD`` forward: flip the leg pair of an axis quad, rebuilding two
-  axis quads around a new crossing edge.  Reverse: flip a crossing edge
-  between two axis quads, merging them and releasing a triangle pair.
+* Leg pair, forward: flip the two mirrored legs of an axis face.  The
+  face and the two copy triangles on its legs become two axis faces around
+  a new crossing edge, and the legs are parked.  An axis triangle is read
+  as the quad whose middle crossing side is empty and whose stored
+  diagonal is its leg, so one surgery serves both degrees: a triangle
+  yields a triangle and a quad (``TRI_QUAD``), a quad yields two quads
+  (``QUAD_QUAD``).  Reverse: flip a crossing edge that borders a quad,
+  releasing a parked pair; the counted kind follows the degree of the
+  other face.  A quad record lists first the parked halfedge that returns
+  opposite the crossing halfedge of the other face.
 * ``ALWAYS_DELAUNAY``: configurations whose symmetry forces the Delaunay
   condition (self-adjacent faces, or copy edges between two axis faces);
   these are never flipped.
@@ -174,7 +177,7 @@ def classify_flip(
     )
 
 
-# -- parking ----------------------------------------------------------------
+# -- shared writes ----------------------------------------------------------
 
 
 def _park(mesh: CombinatorialMesh, a: int, b: int) -> None:
@@ -190,7 +193,26 @@ def _park(mesh: CombinatorialMesh, a: int, b: int) -> None:
     mesh.opp[b] = a
 
 
-# -- the six surgeries --------------------------------------------------------
+def _crossing(L: list[float], refl: ReflectionMap, a: int, b: int, length: float) -> None:
+    # The halfedges a, b of a new crossing edge are each fixed by R.
+    for h in (a, b):
+        L[h] = length
+        refl.r[h] = h
+        refl.he_label[h] = 0
+
+
+def _mirror(
+    L: list[float], refl: ReflectionMap, a: int, b: int, length: float, la: int, lb: int
+) -> None:
+    # Restore a and b as each other's mirror, in sheets la and lb.
+    L[a] = L[b] = length
+    refl.r[a] = b
+    refl.r[b] = a
+    refl.he_label[a] = la
+    refl.he_label[b] = lb
+
+
+# -- the surgeries ------------------------------------------------------------
 
 
 def _flip_paired(
@@ -227,18 +249,12 @@ def _flip_paired(
 def _flip_axis_forward(
     mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
 ) -> FlipRecord:
-    L = metric.lengths
     fr = plan_flip(mesh, h)
-    lnew = fr.ptolemy(L)
+    lnew = fr.ptolemy(metric.lengths)
     apply_flip(mesh, fr)
-    L[fr.h0] = lnew
-    L[fr.h3] = lnew
     # The new edge crosses the axis between a vertex and its mirror; the
     # legs (h1,h5) and (h2,h4) were mirror pairs already and stay so.
-    refl.r[fr.h0] = fr.h0
-    refl.r[fr.h3] = fr.h3
-    refl.he_label[fr.h0] = 0
-    refl.he_label[fr.h3] = 0
+    _crossing(metric.lengths, refl, fr.h0, fr.h3, lnew)
     faces = (mesh.he_face[fr.h0], mesh.he_face[fr.h3])
     return FlipRecord(FlipType.AXIS, True, faces, lnew, min(fr.h0, fr.h3))
 
@@ -255,228 +271,145 @@ def _flip_axis_reverse(
     h1 = mesh.next_he[h5]
     # The frame of h0 in the current faces, (h0, h2, h4) and (h3, h5, h1).
     lnew = FlipFrame(h0, h2, h4, h3, h5, h1).ptolemy(L)
-    to_h5 = mesh.to[h5]
-    to_h2 = mesh.to[h2]
-    mesh.to[h0] = to_h5
-    mesh.to[h3] = to_h2
+    mesh.to[h0], mesh.to[h3] = mesh.to[h5], mesh.to[h2]
     f1 = mesh.rebuild_face([h0, h1, h2])
     f2 = mesh.rebuild_face([h3, h4, h5])
-    L[h0] = lnew
-    L[h3] = lnew
     # The restored edge is axis-parallel between two axis vertices; each
     # new face lies in the sheet of the legs it inherited.
-    refl.r[h0] = h3
-    refl.r[h3] = h0
-    refl.he_label[h0] = refl.he_label[h1]
-    refl.he_label[h3] = refl.he_label[h4]
+    _mirror(L, refl, h0, h3, lnew, refl.he_label[h1], refl.he_label[h4])
     return FlipRecord(FlipType.AXIS, False, (f1, f2), lnew, min(h0, h3))
 
 
-def _flip_tri_quad_forward(
+def _flip_legs_forward(
     mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
 ) -> FlipRecord:
     L = metric.lengths
-    h0 = h
-    if face_label(mesh, refl, mesh.he_face[h0]) == 0:
-        h0 = mesh.opp[h0]
-    # Normalize chirality: walk the axis triangle so the flipped leg is
-    # followed by its mirror leg; otherwise operate on the mirror edge.
-    if mesh.next_he[mesh.opp[h0]] != refl.r[mesh.opp[h0]]:
+    nxt = mesh.next_he
+    h0 = mesh.opp[h] if face_label(mesh, refl, mesh.he_face[h]) == 0 else h
+    # h0 lies in copy face (h0, h1, h2); across it, the axis face walks
+    # leg p, [middle crossing], mirror leg q, crossing c.  A triangle is the
+    # quad with an empty middle side, so of its two legs p must be the one
+    # followed by its mirror.
+    fq = mesh.he_face[mesh.opp[h0]]
+    quad = fq in mesh.quad_pairs
+    if not quad and nxt[mesh.opp[h0]] != refl.r[mesh.opp[h0]]:
         h0 = refl.r[h0]
-    h7 = mesh.opp[h0]
-    h8 = mesh.next_he[h7]
-    h6 = mesh.next_he[h8]
     h3 = refl.r[h0]
-    h1 = mesh.next_he[h0]
-    h2 = mesh.next_he[h1]
-    h4 = mesh.next_he[h3]
-    h5 = mesh.next_he[h4]
+    p, q = mesh.opp[h0], mesh.opp[h3]
+    mid = [nxt[p]] if quad else []
+    c = nxt[q]
+    h1 = nxt[h0]
+    h2 = nxt[h1]
+    h4 = nxt[h3]
+    h5 = nxt[h4]
 
-    d = L[h0]
-    s1 = L[h1]
-    s2 = L[h2]
-    b = L[h6]
-    diag = (s1 * d + s2 * b) / d
-    lnew = (diag * s2 + s2 * s1) / d
-
-    k = mesh.to[h1]
-    m = mesh.to[h4]
-    _park(mesh, h7, h8)
-    mesh.opp[h0] = h3
-    mesh.opp[h3] = h0
-    mesh.to[h0] = k
-    mesh.to[h3] = m
-    ft = mesh.rebuild_face([h0, h2, h4])
-    fq = mesh.rebuild_face([h1, h3, h5, h6])
-    mesh.quad_pairs[fq] = (h7, h8)
-    metric.quad_diag[fq] = diag
-    L[h0] = lnew
-    L[h3] = lnew
-    refl.r[h0] = h0
-    refl.r[h3] = h3
-    refl.he_label[h0] = 0
-    refl.he_label[h3] = 0
-    return FlipRecord(FlipType.TRI_QUAD, True, (ft, fq), lnew, min(h0, h3))
-
-
-def _flip_tri_quad_reverse(
-    mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
-) -> FlipRecord:
-    L = metric.lengths
-    h0 = mesh.opp[h] if mesh.he_face[h] in mesh.quad_pairs else h
-    h2 = mesh.next_he[h0]
-    h4 = mesh.next_he[h2]
-    h3 = mesh.opp[h0]
-    h5 = mesh.next_he[h3]
-    h6 = mesh.next_he[h5]
-    h1 = mesh.next_he[h6]
-    fq = mesh.he_face[h3]
-    h7, h8 = mesh.quad_pairs.pop(fq)
-    diag = metric.quad_diag.pop(fq)
-
-    w = L[h0]
-    leg = L[h2]
-    a = L[h1]
-    lnew = (a * leg + diag * leg) / w
-
-    to_h6 = mesh.to[h6]
-    to_h2 = mesh.to[h2]
-    to_h5 = mesh.to[h5]
-    mesh.opp[h0] = h7
-    mesh.opp[h7] = h0
-    mesh.opp[h3] = h8
-    mesh.opp[h8] = h3
-    mesh.to[h0] = to_h6
-    mesh.to[h3] = to_h2
-    mesh.to[h7] = to_h2
-    mesh.to[h8] = to_h5
-    f1 = mesh.rebuild_face([h0, h1, h2])
-    f2 = mesh.rebuild_face([h3, h4, h5])
-    ft = mesh.rebuild_face([h6, h7, h8])
-    for x in (h0, h7, h3, h8):
-        L[x] = lnew
-    # The two restored copy edges are mirror images; the released pair
-    # (h7,h8) becomes the legs of the reinstated axis triangle.
-    lab1 = refl.he_label[h1]
-    lab5 = refl.he_label[h5]
-    refl.r[h0] = h3
-    refl.r[h3] = h0
-    refl.r[h7] = h8
-    refl.r[h8] = h7
-    refl.he_label[h0] = lab1
-    refl.he_label[h7] = lab1
-    refl.he_label[h3] = lab5
-    refl.he_label[h8] = lab5
-    return FlipRecord(FlipType.TRI_QUAD, False, (f1, f2, ft), lnew, min(h0, h7))
-
-
-def _flip_quad_quad_forward(
-    mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
-) -> FlipRecord:
-    L = metric.lengths
-    h0 = mesh.opp[h] if mesh.he_face[h] in mesh.quad_pairs else h
-    h9 = mesh.opp[h0]
-    h7 = mesh.next_he[h9]
-    h8 = mesh.next_he[h7]
-    h6 = mesh.next_he[h8]
-    h3 = refl.r[h0]
-    h1 = mesh.next_he[h0]
-    h2 = mesh.next_he[h1]
-    h4 = mesh.next_he[h3]
-    h5 = mesh.next_he[h4]
-    fq = mesh.he_face[h9]
-    p1, p2 = mesh.quad_pairs.pop(fq)
-    d0 = metric.quad_diag.pop(fq)
-
+    # The diagonals x, y of the two new faces, then the new crossing edge:
+    # the lengths the same flips give on the virtual triangulation, where
+    # the stored diagonal d0 of a triangle is its leg and x its side h2.
     d = L[h0]
     m1 = L[h1]
     m2 = L[h2]
-    w2 = L[h7]
-    w1 = L[h6]
-    # Diagonals of the two new quads, then the new crossing edge; these are
-    # the lengths the same flips would produce on the virtual triangulation.
-    x = (w2 * m1 + d0 * m2) / d
-    y = (w1 * m2 + d0 * m1) / d
+    if quad:
+        d0 = metric.quad_diag.pop(fq)
+        x = (L[mid[0]] * m1 + d0 * m2) / d
+    else:
+        d0, x = d, m2
+    y = (L[c] * m2 + d0 * m1) / d
     lnew = (m1 * m2 + x * y) / d0
 
+    # A record lists first the parked halfedge that returns opposite the
+    # other face's crossing halfedge: p returns opposite h0, q opposite h3.
+    # A quad passes its record on to fb and takes the new pair for fa.
+    pair_b = mesh.quad_pairs.pop(fq) if quad else (p, q)
     k = mesh.to[h1]
     m = mesh.to[h4]
-    _park(mesh, h8, h9)
+    _park(mesh, p, q)
     mesh.opp[h0] = h3
     mesh.opp[h3] = h0
     mesh.to[h0] = k
     mesh.to[h3] = m
-    fa = mesh.rebuild_face([h0, h2, h7, h4])
-    fb = mesh.rebuild_face([h1, h3, h5, h6])
-    mesh.quad_pairs[fa] = (h8, h9)
-    mesh.quad_pairs[fb] = (p1, p2)
-    metric.quad_diag[fa] = x
+    fa = mesh.rebuild_face([h0, h2, *mid, h4])
+    fb = mesh.rebuild_face([h1, h3, h5, c])
+    if quad:
+        mesh.quad_pairs[fa] = (q, p)
+        metric.quad_diag[fa] = x
+    mesh.quad_pairs[fb] = pair_b
     metric.quad_diag[fb] = y
-    L[h0] = lnew
-    L[h3] = lnew
-    refl.r[h0] = h0
-    refl.r[h3] = h3
-    refl.he_label[h0] = 0
-    refl.he_label[h3] = 0
-    return FlipRecord(FlipType.QUAD_QUAD, True, (fa, fb), lnew, min(h0, h3))
+    _crossing(L, refl, h0, h3, lnew)
+    kind = FlipType.QUAD_QUAD if quad else FlipType.TRI_QUAD
+    return FlipRecord(kind, True, (fa, fb), lnew, min(h0, h3))
 
 
-def _flip_quad_quad_reverse(
+def _flip_legs_reverse(
     mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
 ) -> FlipRecord:
     L = metric.lengths
+    nxt = mesh.next_he
+    # The crossing edge h0 | h3 separates faces (h0, h2, [mid], h4) and
+    # (h3, h5, c, h1); the face of h3 is a quad, the face of h0 may be a
+    # triangle (a quad with an empty middle side).
     h0 = min(h, mesh.opp[h])
-    h2 = mesh.next_he[h0]
-    h7 = mesh.next_he[h2]
-    h4 = mesh.next_he[h7]
+    if mesh.he_face[mesh.opp[h0]] not in mesh.quad_pairs:
+        h0 = mesh.opp[h0]
     h3 = mesh.opp[h0]
-    h5 = mesh.next_he[h3]
-    h6 = mesh.next_he[h5]
-    h1 = mesh.next_he[h6]
-    fa = mesh.he_face[h0]
-    fb = mesh.he_face[h3]
-    h8, h9 = mesh.quad_pairs.pop(fa)
-    pb = mesh.quad_pairs.pop(fb)
-    da = metric.quad_diag.pop(fa)
+    fa, fb = mesh.he_face[h0], mesh.he_face[h3]
+    quad = fa in mesh.quad_pairs
+    h2 = nxt[h0]
+    pre4 = nxt[h2] if quad else h2  # the side before h4
+    mid = [pre4] if quad else []
+    h4 = nxt[pre4]
+    h5 = nxt[h3]
+    c = nxt[h5]
+    h1 = nxt[c]
+    # The released pair (p, q) returns opposite (h0, h3), by the record
+    # order of _flip_legs_forward; a quad at h0 passes fb's record on.
+    kept = mesh.quad_pairs.pop(fb)
     db = metric.quad_diag.pop(fb)
+    if quad:
+        q, p = mesh.quad_pairs.pop(fa)
+        da = metric.quad_diag.pop(fa)
+    else:
+        p, q = kept
+        da = L[h2]
 
     w = L[h0]
     m1 = L[h1]
     m2 = L[h2]
-    w2 = L[h7]
     d0 = (da * db + m2 * m1) / w
-    lnew = (d0 * m2 + m1 * w2) / da
+    lnew = (d0 * m2 + m1 * L[pre4]) / da if quad else d0
 
-    to_h6 = mesh.to[h6]
-    to_h7 = mesh.to[h7]
-    to_h2 = mesh.to[h2]
-    to_h5 = mesh.to[h5]
-    mesh.opp[h0] = h9
-    mesh.opp[h9] = h0
-    mesh.opp[h3] = h8
-    mesh.opp[h8] = h3
-    mesh.to[h0] = to_h6
-    mesh.to[h3] = to_h7
-    mesh.to[h9] = to_h2
-    mesh.to[h8] = to_h5
+    mesh.opp[h0] = p
+    mesh.opp[p] = h0
+    mesh.opp[h3] = q
+    mesh.opp[q] = h3
+    mesh.to[h0] = mesh.to[c]
+    mesh.to[h3] = mesh.to[pre4]
+    mesh.to[p] = mesh.to[h2]
+    mesh.to[q] = mesh.to[h5]
     f1 = mesh.rebuild_face([h0, h1, h2])
     f2 = mesh.rebuild_face([h3, h4, h5])
-    fm = mesh.rebuild_face([h6, h9, h7, h8])
-    mesh.quad_pairs[fm] = pb
-    metric.quad_diag[fm] = d0
-    for x in (h0, h9, h3, h8):
-        L[x] = lnew
-    lab2 = refl.he_label[h2]
+    fm = mesh.rebuild_face([c, p, *mid, q])
+    if quad:
+        mesh.quad_pairs[fm] = kept
+        metric.quad_diag[fm] = d0
+    # The restored copy edges are mirror images, and so are p and q.
+    lab1 = refl.he_label[h1]
     lab5 = refl.he_label[h5]
-    refl.r[h0] = h3
-    refl.r[h3] = h0
-    refl.r[h9] = h8
-    refl.r[h8] = h9
-    refl.he_label[h0] = lab2
-    refl.he_label[h9] = lab2
-    refl.he_label[h3] = lab5
-    refl.he_label[h8] = lab5
-    return FlipRecord(FlipType.QUAD_QUAD, False, (f1, f2, fm), lnew, min(h0, h9))
+    _mirror(L, refl, h0, h3, lnew, lab1, lab5)
+    _mirror(L, refl, p, q, lnew, lab1, lab5)
+    kind = FlipType.QUAD_QUAD if quad else FlipType.TRI_QUAD
+    return FlipRecord(kind, False, (f1, f2, fm), lnew, min(h0, p))
+
+
+_SURGERIES = {
+    (FlipType.PAIRED, True): _flip_paired,
+    (FlipType.AXIS, True): _flip_axis_forward,
+    (FlipType.AXIS, False): _flip_axis_reverse,
+    (FlipType.TRI_QUAD, True): _flip_legs_forward,
+    (FlipType.TRI_QUAD, False): _flip_legs_reverse,
+    (FlipType.QUAD_QUAD, True): _flip_legs_forward,
+    (FlipType.QUAD_QUAD, False): _flip_legs_reverse,
+}
 
 
 def apply_symmetric_flip(
@@ -494,19 +427,7 @@ def apply_symmetric_flip(
     kind, forward = classify_flip(mesh, refl, h)
     if kind is FlipType.ALWAYS_DELAUNAY:
         raise FlipError(f"edge of halfedge {h} is always Delaunay; flip undefined")
-    if kind is FlipType.PAIRED:
-        return _flip_paired(mesh, metric, refl, h)
-    if kind is FlipType.AXIS:
-        if forward:
-            return _flip_axis_forward(mesh, metric, refl, h)
-        return _flip_axis_reverse(mesh, metric, refl, h)
-    if kind is FlipType.TRI_QUAD:
-        if forward:
-            return _flip_tri_quad_forward(mesh, metric, refl, h)
-        return _flip_tri_quad_reverse(mesh, metric, refl, h)
-    if forward:
-        return _flip_quad_quad_forward(mesh, metric, refl, h)
-    return _flip_quad_quad_reverse(mesh, metric, refl, h)
+    return _SURGERIES[kind, forward](mesh, metric, refl, h)
 
 
 def validate_symmetry(

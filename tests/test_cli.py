@@ -61,6 +61,32 @@ def test_solve_gauss_bonnet_violation(tmp_path, capsys):
     assert reported == pytest.approx(0.1, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "kind, seed, size, delta",
+    [
+        # One boundary curvature off by 1.06e-5, under 1e-8 per disk vertex:
+        # the 2050-vertex cover doubles it to 2.12e-5, above 2050 * 1e-10.
+        ("disk-random-boundary", 0, 1089, -1.06e-5),
+        # One angle off by 1e-6: the mean residual 1e-6 / 642 is above the
+        # default tolerance 1e-10, so no Newton step could reach it.
+        ("sphere-random-angles", 1, 642, 1e-6),
+    ],
+)
+def test_solve_gauss_bonnet_deviation_above_tolerance(tmp_path, capsys, kind, seed, size, delta):
+    mesh = str(tmp_path / "g.mesh")
+    assert main(["generate", kind, "--seed", str(seed), "--size", str(size),
+                 "--out", mesh]) == 0
+    targets = tmp_path / "g.targets"
+    lines = targets.read_text().splitlines()
+    tag, index, value = lines[0].split()
+    lines[0] = f"{tag} {index} {float(value) + delta!r}"
+    targets.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["solve", mesh]) == 2
+    assert "Gauss-Bonnet" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "g.result")
+
+
 def test_solve_nan_target_rejected(tmp_path, capsys):
     mesh = tetra_files(tmp_path, [math.nan, math.pi, math.pi, math.pi])
     assert main(["solve", mesh]) == 2
@@ -371,6 +397,14 @@ def test_solve_bundle_stores_the_solved_lengths(tmp_path):
 def test_generate_unknown_kind(tmp_path, capsys):
     assert main(["generate", "moebius", "--out", str(tmp_path / "x.mesh")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--size", "-5")])
+def test_generate_negative_seed_or_size_exit_2(tmp_path, capsys, flag, value):
+    mesh = str(tmp_path / "x.mesh")
+    assert main(["generate", "disk-random-boundary", flag, value, "--out", mesh]) == 2
+    assert f"must be >= 0, got {value}" in capsys.readouterr().err
+    assert not os.path.exists(mesh)
 
 
 def test_report_stdout_and_file(tmp_path, capsys):

@@ -7,8 +7,9 @@ import pytest
 from confmetric.cover import build_double_cover, restrict_to_single_cover
 from confmetric.generate import grid_disk
 from confmetric.halfedge import MeshError, build_from_face_lists, validate
-from confmetric.io import gauss_bonnet_deviation
+from confmetric.io import ParseError, ProblemFile, gauss_bonnet_deviation
 from confmetric.metric import PennerMetric, make_delaunay, scalar_metric, vertex_angle_sums
+from confmetric.solver import solve_problem
 from confmetric.symmetry import FlipType, apply_symmetric_flip, validate_symmetry
 
 import helpers
@@ -68,12 +69,18 @@ def test_targets_interior_and_boundary():
 
 
 def test_unbalanced_targets_rejected():
-    disk = helpers.fan_disk(6)
-    metric = PennerMetric.uniform(disk)
+    # The hexagon fan disk of helpers.fan_disk(6), as a problem file.
+    faces = [[i, (i + 1) % 6, 6] for i in range(6)]
+    sides = {tuple(sorted(p)) for f in faces for p in zip(f, f[1:] + f[:1])}
     kappa = [math.pi / 3] * 6 + [0.0]
     kappa[2] += 0.4
-    with pytest.raises(MeshError):
-        build_double_cover(disk, metric, kappa)
+    prob = ProblemFile(
+        faces,
+        edge_lengths={p: 1.0 for p in sides},
+        kappa_targets=dict(enumerate(kappa)),
+    )
+    with pytest.raises(ParseError):
+        solve_problem(prob)
 
 
 def test_closed_input_rejected():

@@ -241,3 +241,35 @@ def test_random_symmetric_flip_walks_stay_valid(seed, n_flips):
         # classification stays total
         for x in mesh.edges():
             classify_flip(mesh, refl, x)
+
+
+def test_seeded_walks_meet_every_surgery_and_stay_valid():
+    # Three stretched boundary edges give walks that reach every surgery
+    # kind in both directions: the leg-pair surgeries on triangles and
+    # quads included.
+    seen = set()
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        cover, cmetric, _ = helpers.hexagon_cover(
+            long_edges=((0, 1), (2, 3), (4, 5)), length=1.7
+        )
+        mesh, refl = cover.mesh, cover.refl
+        L = helpers.random_symmetric_lengths(mesh, refl, rng)
+        for h, val in enumerate(L):
+            if val:
+                cmetric.lengths[h] = val
+        for _ in range(30):
+            moves = [(e, classify_flip(mesh, refl, e)) for e in mesh.edges()]
+            moves = [m for m in moves if m[1][0] is not FlipType.ALWAYS_DELAUNAY]
+            e, (kind, forward) = moves[int(rng.integers(len(moves)))]
+            rec = apply_symmetric_flip(mesh, cmetric, refl, e)
+            assert (rec.kind, rec.forward) == (kind, forward)
+            assert validate(mesh) == []
+            assert validate_symmetry(mesh, refl, cmetric) == []
+            seen.add((kind, forward))
+    assert seen == {
+        (FlipType.PAIRED, True),
+        (FlipType.AXIS, True), (FlipType.AXIS, False),
+        (FlipType.TRI_QUAD, True), (FlipType.TRI_QUAD, False),
+        (FlipType.QUAD_QUAD, True), (FlipType.QUAD_QUAD, False),
+    }
