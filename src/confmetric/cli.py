@@ -9,6 +9,7 @@ degenerate geometry, or any other unexpected failure of one input).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -47,17 +48,27 @@ _OPT_NAMES = {
 
 def _build_config(options: dict, args) -> SolverConfig:
     """Solver settings from ``opt`` lines; a command line flag of the same
-    name wins."""
+    name wins.  Every value must be finite and nonnegative, ``tol``
+    positive, and ``max_steps`` and ``max_halvings`` integral."""
     for name in options:
         if name not in _OPT_NAMES:
             raise ParseError(f"unknown solver option {name!r}")
     cfg = SolverConfig()
     for name, (field, cast) in _OPT_NAMES.items():
         flag = getattr(args, name, None)
-        if flag is not None:
-            setattr(cfg, field, flag)
-        elif name in options:
-            setattr(cfg, field, cast(options[name]))
+        value = flag if flag is not None else options.get(name)
+        if value is None:
+            continue
+        positive = name == "tol"
+        if not (
+            math.isfinite(value)
+            and cast(value) == value
+            and (value > 0 if positive else value >= 0)
+        ):
+            kind = "an integer" if cast is int else "a finite number"
+            low = "> 0" if positive else ">= 0"
+            raise ParseError(f"solver option {name} must be {kind} {low}, got {value!r}")
+        setattr(cfg, field, cast(value))
     return cfg
 
 

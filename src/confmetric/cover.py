@@ -8,17 +8,16 @@ vertices become axis vertices shared by both sheets.  The reflection simply
 exchanges the two slots of every halfedge pair, and mirrored edges reuse
 the same length values, so the initial state is exactly symmetric.
 
-Target angles transfer as curvatures: an interior vertex with target
-curvature k keeps theta_hat = 2*pi - k on both of its copies, while a
-boundary vertex with target geodesic curvature k gets the doubled budget
-theta_hat = 2*pi - 2*k, since its two half-disks merge into one disk.
+Target angle sums transfer directly: an interior vertex keeps its target
+on both of its copies, while a boundary vertex gets twice its target,
+since its two half-disks merge into one disk.
 
-``restrict_to_single_cover`` maps a converged symmetric metric back to a
+``restrict_to_single_cover`` maps a solved symmetric metric back to a
 bounded mesh: copy-1 faces are kept whole, and every axis face is cut along
-the symmetry axis through the midpoints of its crossing edges.  The cut
-produces concrete Euclidean lengths (the scaled metric of a Delaunay state
-satisfies the triangle inequality), so the output carries scaled lengths
-and needs no conformal factor of its own.
+the symmetry axis through the midpoints of its crossing edges.  It cuts the
+scaled lengths the solver returns (the scaled metric of a Delaunay state
+satisfies the triangle inequality), so the output needs no conformal
+factor of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .halfedge import (
     build_from_face_edge_lists,
     validate,
 )
-from .metric import MetricError, PennerMetric, scalar_metric
+from .metric import MetricError, PennerMetric
 from .symmetry import ReflectionMap, SymmetryError, validate_symmetry
 
 
@@ -52,13 +51,13 @@ class DoubleCover:
 def build_double_cover(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
-    kappa: "list[float]",
+    theta: "list[float]",
 ) -> tuple[DoubleCover, PennerMetric, list[float]]:
     """Glue a mirror copy of ``mesh`` along its boundary.
 
-    ``kappa[v]`` is the target cone curvature at an interior vertex ``v``
-    and the target geodesic curvature at a boundary vertex.  Returns the
-    cover, its (mirrored) metric, and per-vertex target angles.
+    ``theta[v]`` is the target angle sum at vertex ``v`` of ``mesh``
+    (``pi - kappa`` at a boundary vertex).  Returns the cover, its
+    (mirrored) metric, and its per-vertex target angle sums.
     """
     if not mesh.boundary_faces:
         raise MeshError("input mesh has no boundary; nothing to double")
@@ -112,11 +111,7 @@ def build_double_cover(
 
     theta_hat = [0.0] * n_cover_v
     for v in range(v0):
-        if v in boundary_v:
-            theta_hat[v] = 2.0 * math.pi - 2.0 * kappa[v]
-        else:
-            theta_hat[v] = 2.0 * math.pi - kappa[v]
-            theta_hat[vrefl[v]] = theta_hat[v]
+        theta_hat[v] = theta_hat[vrefl[v]] = 2.0 * theta[v] if v in boundary_v else theta[v]
 
     cover = DoubleCover(mesh=cover_mesh, refl=refl, n_source_vertices=v0)
     return cover, PennerMetric(lengths), theta_hat
@@ -124,103 +119,83 @@ def build_double_cover(
 
 def restrict_to_single_cover(
     cover: DoubleCover,
-    metric: PennerMetric,
+    scaled: PennerMetric,
     u: "list[float]",
 ) -> tuple[CombinatorialMesh, PennerMetric, list[float]]:
-    """Cut a symmetric scaled metric along its axis and keep one sheet.
+    """Cut a solved symmetric metric along its axis and keep one sheet.
 
-    Every crossing edge gets a midpoint vertex; axis triangles keep the
-    half on sheet 1 (apex, sheet-1 vertex, midpoint), axis quads keep the
-    half-quad between their two midpoints, split into two triangles.  The
-    returned mesh carries *scaled* lengths and a conformal factor list
-    holding the solved values at kept source vertices and NaN at the new
-    midpoints.
+    ``scaled`` is the scaled metric the solver returns for the cover.  Every
+    crossing edge gets a midpoint vertex.  An axis face keeps the part on
+    sheet 1 of its sheet-1 leg a -> b: the polygon ``[m_in] a b [m_out]``
+    between the midpoints of the crossing sides before and after the leg,
+    split along a -> m_out into two triangles.  An axis triangle is read
+    as an axis quad whose crossing side at one end of the leg is missing:
+    it has length 0 and its midpoint is the apex on the axis, so only one
+    triangle remains.  The returned mesh carries scaled lengths and a
+    conformal factor list holding the solved ``u`` at kept source vertices
+    and NaN at the new midpoints.
     """
     mesh, refl = cover.mesh, cover.refl
     v0 = cover.n_source_vertices
+    L = scaled.lengths
 
-    lp = scalar_metric(mesh, metric, u).length
     crossing = sorted(e for e in mesh.edges() if refl.r[e] == e)
-    midpoint: dict[int, int] = {}
-    half_len: dict[int, float] = {}
-    for rank, e in enumerate(crossing):
-        midpoint[e] = v0 + rank
-        half_len[e] = 0.5 * lp(e)
+    midpoint = {e: v0 + rank for rank, e in enumerate(crossing)}
 
     faces_v: list[list[int]] = []
     faces_e: list[list[int]] = []
-    edge_len: dict[int, float] = {}
+    edge_len: list[float] = []
     eid_of_cover_edge: dict[int, int] = {}
-    next_eid = 0
 
     def fresh(length: float) -> int:
-        nonlocal next_eid
-        eid = next_eid
-        next_eid += 1
-        edge_len[eid] = length
-        return eid
+        edge_len.append(length)
+        return len(edge_len) - 1
 
     def edge_id(h: int) -> int:
         # A crossing edge keeps only its sheet-1 half.
         e = mesh.edge_of(h)
         eid = eid_of_cover_edge.get(e)
         if eid is None:
-            eid = fresh(half_len[e] if e in half_len else lp(h))
-            eid_of_cover_edge[e] = eid
+            eid = eid_of_cover_edge[e] = fresh(0.5 * L[h] if e in midpoint else L[h])
         return eid
 
     for f in mesh.faces():
         hs = mesh.face_halfedges(f)
         labs = [refl.he_label[x] for x in hs]
         if 0 not in labs:
-            if labs[0] == 2:
-                continue
-            faces_v.append([mesh.tail_of(x) for x in hs])
-            faces_e.append([edge_id(x) for x in hs])
+            if labs[0] == 1:
+                faces_v.append([mesh.tail_of(x) for x in hs])
+                faces_e.append([edge_id(x) for x in hs])
             continue
-        if len(hs) == 3:
-            c = next(x for x in hs if refl.r[x] == x)
-            g = next(x for x in hs if refl.he_label[x] == 1)
-            s = lp(g)
-            b = lp(c)
-            arg = s * s - 0.25 * b * b
-            if not arg > 0.0:
-                raise MetricError(f"axis triangle {f} has no real height")
-            cut = fresh(math.sqrt(arg))
-            m = midpoint[mesh.edge_of(c)]
-            if mesh.next_he[g] == c:
-                # g runs apex -> sheet-1 vertex, then the crossing side.
-                faces_v.append([mesh.tail_of(g), mesh.to[g], m])
-                faces_e.append([edge_id(g), edge_id(c), cut])
-            else:
-                faces_v.append([m, mesh.tail_of(g), mesh.to[g]])
-                faces_e.append([edge_id(c), edge_id(g), cut])
+        g = next(x for x in hs if refl.he_label[x] == 1)
+        pg, ng = mesh.prev(g), mesh.next_he[g]
+        a, b = mesh.tail_of(g), mesh.to[g]
+        m_in = midpoint.get(mesh.edge_of(pg), a)
+        m_out = midpoint.get(mesh.edge_of(ng), b)
+        b1 = L[pg] if m_in != a else 0.0
+        b2 = L[ng] if m_out != b else 0.0
+        arg = L[g] * L[g] - 0.25 * (b1 - b2) * (b1 - b2)
+        if not arg > 0.0:
+            raise MetricError(f"axis face {f} has no real height")
+        height = math.sqrt(arg)
+        cut = fresh(height)  # m_out -> m_in, along the axis
+        # The split a -> m_out is the cut when m_in is the apex a, and the
+        # leg itself when m_out is the apex b.
+        if m_in == a:
+            diag = cut
+        elif m_out == b:
+            diag = edge_id(g)
         else:
-            g = next(x for x in hs if refl.he_label[x] == 1)
-            pg = mesh.prev(g)
-            ng = mesh.next_he[g]
-            a = mesh.tail_of(g)
-            b = mesh.to[g]
-            m_in = midpoint[mesh.edge_of(pg)]
-            m_out = midpoint[mesh.edge_of(ng)]
-            b1 = lp(pg)
-            b2 = lp(ng)
-            s = lp(g)
-            arg = s * s - 0.25 * (b1 - b2) * (b1 - b2)
-            if not arg > 0.0:
-                raise MetricError(f"axis quad {f} has no real height")
-            height = math.sqrt(arg)
-            cut = fresh(height)
             diag = fresh(math.sqrt(0.25 * b1 * b1 + height * height))
+        if m_in != a:
             faces_v.append([m_in, a, m_out])
             faces_e.append([edge_id(pg), diag, cut])
+        if m_out != b:
             faces_v.append([a, b, m_out])
             faces_e.append([edge_id(g), edge_id(ng), diag])
 
     n_out_v = v0 + len(crossing)
     out_mesh, he_eid = build_from_face_edge_lists(faces_v, faces_e, n_out_v)
-    out_lengths = [0.0] * out_mesh.n_halfedges()
-    for h in range(out_mesh.n_halfedges()):
-        out_lengths[h] = edge_len[he_eid[h]]
+    out_lengths = [edge_len[eid] for eid in he_eid]
     u_out = [float(u[v]) for v in range(v0)] + [math.nan] * len(crossing)
     return out_mesh, PennerMetric(out_lengths), u_out

@@ -121,26 +121,25 @@ def problem_to_mesh(prob: ProblemFile) -> tuple[CombinatorialMesh, PennerMetric]
         mesh = build_from_face_lists(prob.faces)
     except MeshError as exc:
         raise ParseError(str(exc)) from None
-    lengths: dict[int, float] = {}
+    lengths = [0.0] * mesh.n_halfedges()
     for e in mesh.edges():
         a, b = mesh.edge_endpoints(e)
         key = (min(a, b), max(a, b))
         if key in prob.edge_lengths:
-            lengths[e] = prob.edge_lengths[key]
+            val = prob.edge_lengths[key]
         elif prob.positions is not None:
-            pa, pb = prob.positions[a], prob.positions[b]
-            lengths[e] = math.dist(pa, pb)
+            val = math.dist(prob.positions[a], prob.positions[b])
         else:
             raise ParseError(f"no length for edge {a + 1}-{b + 1} and no positions")
-        if not lengths[e] > 0.0:
+        if not val > 0.0:
             raise ParseError(f"degenerate edge {a + 1}-{b + 1}")
+        lengths[e] = lengths[mesh.opp[e]] = val
     # Solver input contract: faces must start as honest triangles.
     for f in mesh.faces():
-        hs = mesh.face_halfedges(f)
-        ls = sorted(lengths[mesh.edge_of(h)] for h in hs)
+        ls = sorted(lengths[h] for h in mesh.face_halfedges(f))
         if ls[0] + ls[1] < ls[2]:
             raise ParseError(f"triangle inequality violated on face {f}")
-    return mesh, PennerMetric.from_edge_lengths(mesh, lengths)
+    return mesh, PennerMetric(lengths)
 
 
 def write_problem_files(

@@ -81,22 +81,6 @@ class PennerMetric:
         return PennerMetric(list(self.lengths), dict(self.quad_diag))
 
     @classmethod
-    def from_edge_lengths(
-        cls, mesh: CombinatorialMesh, edge_lengths: dict[int, float]
-    ) -> "PennerMetric":
-        """Expand a per-edge map (keyed by edge id) to per-halfedge storage."""
-        lengths = [0.0] * mesh.n_halfedges()
-        for e, val in edge_lengths.items():
-            if not val > 0:
-                raise MetricError(f"edge {e} has nonpositive length {val}")
-            lengths[e] = val
-            lengths[mesh.opp[e]] = val
-        for e in mesh.edges():
-            if lengths[e] == 0.0:
-                raise MetricError(f"edge {e} missing from the length map")
-        return cls(lengths)
-
-    @classmethod
     def uniform(cls, mesh: CombinatorialMesh, value: float = 1.0) -> "PennerMetric":
         return cls([value] * mesh.n_halfedges())
 

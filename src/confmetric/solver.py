@@ -170,19 +170,25 @@ def _symmetrize_direction(d: np.ndarray, refl: ReflectionMap) -> np.ndarray:
     return d
 
 
-def _verify_delaunay(
+def _retriangulate(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
     u: np.ndarray,
     refl: ReflectionMap | None,
-    eps_flip: float,
-) -> int:
-    holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
+    cfg: SolverConfig,
+) -> tuple[FlipLog, int]:
+    """``make_delaunay`` at u; with ``cfg.verify_delaunay`` every edge is
+    then re-checked, raising MetricError on a violation.  Returns the flips
+    and the number of edges checked."""
+    flips = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
+    if not cfg.verify_delaunay:
+        return flips, 0
+    holds = scalar_metric(mesh, metric, u, refl, cfg.eps_flip).holds
     edges = mesh.edges()
     for e in edges:
         if not holds(e):
             raise MetricError(f"edge {e} violates the Delaunay condition after make_delaunay")
-    return len(edges)
+    return flips, len(edges)
 
 
 def line_search(
@@ -229,11 +235,9 @@ def line_search(
             # The step is below the float resolution of u: accepting it
             # would repeat the same step until the Newton budget runs out.
             raise LineSearchError("step does not move u")
-        flips.merge(
-            make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, cfg.flip_budget_factor)
-        )
-        if cfg.verify_delaunay:
-            checks += _verify_delaunay(mesh, metric, u_try, refl, cfg.eps_flip)
+        log, n_checked = _retriangulate(mesh, metric, u_try, refl, cfg)
+        flips.merge(log)
+        checks += n_checked
         g_try = gradient(mesh, metric, u_try, theta_hat)
         trials += 1
         return u_try, g_try, float(d @ g_try)
@@ -315,10 +319,7 @@ def find_conformal_metric(
     if theta_hat.shape[0] != n:
         raise MetricError("theta_hat length does not match vertex count")
 
-    checks = 0
-    flips0 = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
-    if cfg.verify_delaunay:
-        checks += _verify_delaunay(mesh, metric, u, refl, cfg.eps_flip)
+    flips0, checks = _retriangulate(mesh, metric, u, refl, cfg)
     g = gradient(mesh, metric, u, theta_hat)
     err = float(np.abs(g).max()) if n else 0.0
     steps = [
@@ -349,7 +350,7 @@ def find_conformal_metric(
         except LineSearchError:
             # The failed trials moved the triangulation; restore the
             # Delaunay state for the u we are keeping.
-            make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
+            checks += _retriangulate(mesh, metric, u, refl, cfg)[1]
             termination = "line_search_failed"
             break
         u = ls.u
@@ -423,18 +424,16 @@ def solve_problem(
     if _n_components(mesh) > 1:
         raise io.ParseError("mesh is not connected")
     two_pi = 2.0 * math.pi
-    boundary = mesh.boundary_vertices()
-    flat = [math.pi if v in boundary else two_pi for v in range(n)]
     if prob.kappa_targets:
-        kappa = [prob.kappa_targets.get(v, 0.0) for v in range(n)]
-        theta = [f - k for f, k in zip(flat, kappa)]
+        boundary = mesh.boundary_vertices()
+        flat = [math.pi if v in boundary else two_pi for v in range(n)]
+        theta = [f - prob.kappa_targets.get(v, 0.0) for v, f in enumerate(flat)]
     else:
         theta = [prob.theta_targets.get(v, two_pi) for v in range(n)]
-        kappa = [f - t for f, t in zip(flat, theta)]
     refl = None
     if mesh.boundary_faces:
         # From here on the system is the double cover.
-        cover, metric, theta = build_double_cover(mesh, metric, kappa)
+        cover, metric, theta = build_double_cover(mesh, metric, theta)
         mesh, refl = cover.mesh, cover.refl
     deviation = io.gauss_bonnet_deviation(mesh, theta)
     bound = mesh.n_vertices * cfg.eps_tol
@@ -445,5 +444,5 @@ def solve_problem(
     smesh, scaled, u, report = find_conformal_metric(mesh, metric, theta, cfg, refl=refl)
     if refl is None or keep_double_cover:
         return smesh, scaled, u, report
-    rmesh, rmetric, ru = restrict_to_single_cover(cover, metric, u)
+    rmesh, rmetric, ru = restrict_to_single_cover(cover, scaled, u)
     return rmesh, rmetric, ru, report

@@ -92,7 +92,7 @@ def hexagon_cover(long_edges=((0, 1),), length=1.9):
         if tuple(sorted(disk.edge_endpoints(e))) in {tuple(sorted(p)) for p in long_edges}:
             metric.lengths[e] = length
             metric.lengths[disk.opp[e]] = length
-    return build_double_cover(disk, metric, [math.pi / 3] * 6 + [0.0])
+    return build_double_cover(disk, metric, [math.pi - math.pi / 3] * 6 + [2 * math.pi])
 
 
 def find_flip_of_kind(mesh, refl, want, forward):

@@ -269,6 +269,32 @@ def test_unknown_option_rejected(tmp_path, capsys):
     assert "banana" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, flags, opt",
+    [
+        ("tol", ["--tol", "nan"], ""),
+        ("tol", ["--tol", "-1"], ""),
+        ("tol", ["--tol", "0"], ""),
+        ("tol", [], "opt tol 0\n"),
+        ("max_steps", ["--max-steps", "-3"], ""),
+        ("max_steps", [], "opt max_steps 2.5\n"),
+        ("max_halvings", ["--max-halvings", "-1"], ""),
+        ("max_halvings", [], "opt max_halvings 1.5\n"),
+        ("flip_budget", ["--flip-budget", "inf"], ""),
+        ("flip_budget", [], "opt flip_budget -1\n"),
+        ("min_decrement", [], "opt min_decrement -1e-3\n"),
+        ("eps_flip", [], "opt eps_flip -1e-12\n"),
+    ],
+)
+def test_out_of_range_solver_option_exit_2(tmp_path, capsys, name, flags, opt):
+    mesh = tetra_files(tmp_path)
+    with open(sidecar_path(mesh), "a") as fh:
+        fh.write(opt)
+    assert main(["solve", mesh, *flags]) == 2
+    assert f"solver option {name} must be" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "t.result")
+
+
 def test_flip_budget_breach_exit_4(tmp_path, capsys):
     mesh = put(
         tmp_path, "sq.mesh",

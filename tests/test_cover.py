@@ -5,7 +5,7 @@ import math
 import pytest
 
 from confmetric.cover import build_double_cover, restrict_to_single_cover
-from confmetric.generate import grid_disk
+from confmetric.generate import generate, grid_disk
 from confmetric.halfedge import MeshError, build_from_face_lists, validate
 from confmetric.io import ParseError, ProblemFile, gauss_bonnet_deviation
 from confmetric.metric import PennerMetric, make_delaunay, scalar_metric, vertex_angle_sums
@@ -18,7 +18,7 @@ import helpers
 def test_cover_of_single_triangle():
     disk = build_from_face_lists([[0, 1, 2]])
     metric = PennerMetric.uniform(disk)
-    cover, cmetric, theta_hat = build_double_cover(disk, metric, [2 * math.pi / 3] * 3)
+    cover, cmetric, theta_hat = build_double_cover(disk, metric, [math.pi - 2 * math.pi / 3] * 3)
     m = cover.mesh
     assert validate(m) == []
     assert (m.n_vertices, m.n_edges(), m.n_faces()) == (3, 3, 2)
@@ -32,7 +32,7 @@ def test_cover_of_single_triangle():
 def test_cover_of_square_fan():
     disk = helpers.fan_disk(4)
     metric = PennerMetric.uniform(disk)
-    cover, _, _ = build_double_cover(disk, metric, [math.pi / 2] * 4 + [0.0])
+    cover, _, _ = build_double_cover(disk, metric, [math.pi / 2] * 4 + [2 * math.pi])
     m = cover.mesh
     assert validate(m) == []
     # V = 2*5-4, E = 2*8-4, F = 2*4
@@ -46,7 +46,7 @@ def test_cover_count_formula(k):
     disk = helpers.fan_disk(k)
     metric = PennerMetric.uniform(disk)
     v0, e0, f0 = disk.n_vertices, disk.n_edges(), disk.n_faces()
-    cover, _, _ = build_double_cover(disk, metric, [2 * math.pi / k] * k + [0.0])
+    cover, _, _ = build_double_cover(disk, metric, [math.pi - 2 * math.pi / k] * k + [2 * math.pi])
     m = cover.mesh
     assert m.n_vertices == 2 * v0 - k
     assert m.n_edges() == 2 * e0 - k
@@ -58,9 +58,10 @@ def test_targets_interior_and_boundary():
     metric = PennerMetric.uniform(disk)
     ki = 0.3
     kb = (4 * math.pi - 2 * ki) / 12
-    cover, _, th = build_double_cover(disk, metric, [kb] * 6 + [ki])
-    # boundary vertices lose twice their curvature target, interior ones
-    # once, and the mirrored interior copy repeats its source
+    cover, _, th = build_double_cover(disk, metric, [math.pi - kb] * 6 + [2 * math.pi - ki])
+    # boundary vertices get twice their angle sum pi - kb, so lose twice
+    # their curvature, interior ones keep theirs, and the mirrored interior
+    # copy repeats its source
     for v in range(6):
         assert th[v] == pytest.approx(2 * math.pi - 2 * kb, rel=1e-15)
     assert th[6] == pytest.approx(2 * math.pi - ki, rel=1e-15)
@@ -86,7 +87,7 @@ def test_unbalanced_targets_rejected():
 def test_closed_input_rejected():
     mesh = helpers.tetra()
     with pytest.raises(MeshError):
-        build_double_cover(mesh, PennerMetric.uniform(mesh), [0.0] * 4)
+        build_double_cover(mesh, PennerMetric.uniform(mesh), [2 * math.pi] * 4)
 
 
 def test_flat_grid_cover_needs_no_flips():
@@ -97,8 +98,9 @@ def test_flat_grid_cover_needs_no_flips():
         a, b = disk.edge_endpoints(e)
         metric.lengths[e] = metric.lengths[disk.opp[e]] = math.dist(pos[a], pos[b])
     boundary = {disk.to[h] for h in range(disk.n_halfedges()) if disk.is_boundary_halfedge(h)}
-    kappa = [2 * math.pi / len(boundary) if v in boundary else 0.0 for v in range(16)]
-    cover, cmetric, _ = build_double_cover(disk, metric, kappa)
+    turn = 2 * math.pi / len(boundary)
+    theta = [math.pi - turn if v in boundary else 2 * math.pi for v in range(16)]
+    cover, cmetric, _ = build_double_cover(disk, metric, theta)
     log = make_delaunay(cover.mesh, cmetric, [0.0] * cover.mesh.n_vertices, refl=cover.refl)
     assert log.total == 0
 
@@ -176,3 +178,26 @@ def test_restriction_cuts_axis_triangles_at_right_angles():
     assert incident == pytest.approx([0.5 * b, alt, alt], rel=1e-14)
     sums = vertex_angle_sums(res_mesh, res_metric, [0.0] * 8)
     assert sums[m] == pytest.approx(math.pi, abs=1e-14)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 9])  # 2, 1 and 3 axis quads at the end
+def test_restriction_cuts_axis_quads_of_a_solved_disk(seed):
+    prob = generate("disk-random-boundary", seed, 100)
+    cmesh, cscaled, _, _ = solve_problem(prob, keep_double_cover=True)
+    assert cmesh.quad_pairs
+    mesh, metric, _, _ = solve_problem(prob)
+    v0 = prob.n_vertices
+    sums = vertex_angle_sums(mesh, metric, [0.0] * mesh.n_vertices)
+    for m in range(v0, mesh.n_vertices):
+        assert sums[m] == pytest.approx(math.pi, abs=1e-14)
+    for v, k in prob.kappa_targets.items():
+        assert sums[v] == pytest.approx(math.pi - k, abs=1e-9)
+    # an edge between two source vertices is a whole cover edge, cut from
+    # the lengths the cover solve returns
+    cover_lengths = {}
+    for e in cmesh.edges():
+        cover_lengths.setdefault(frozenset(cmesh.edge_endpoints(e)), set()).add(cscaled.lengths[e])
+    whole = [e for e in mesh.edges() if max(mesh.edge_endpoints(e)) < v0]
+    assert whole
+    for e in whole:
+        assert metric.lengths[e] in cover_lengths[frozenset(mesh.edge_endpoints(e))]

@@ -224,9 +224,9 @@ def test_ptolemy_length_on_tetra():
 def test_flip_then_flip_back_restores_length(lens, which):
     mesh = helpers.tetra()
     eids = sorted(mesh.edges())
-    metric = PennerMetric.from_edge_lengths(
-        mesh, {e: v for e, v in zip(eids, lens)}
-    )
+    metric = PennerMetric.uniform(mesh)
+    for e, v in zip(eids, lens):
+        metric.lengths[e] = metric.lengths[mesh.opp[e]] = v
     e = eids[which]
     before = metric.lengths[e]
     pairs = sorted(frozenset(mesh.edge_endpoints(x)) for x in mesh.edges())

@@ -296,11 +296,12 @@ def test_flat_grid_cover_solves_in_zero_steps():
         a, b = disk.edge_endpoints(e)
         metric.lengths[e] = metric.lengths[disk.opp[e]] = math.dist(pos[a], pos[b])
     # flat grid boundary: right-angle corners, straight edges elsewhere
-    kappa = [0.0] * 16
+    boundary = disk.boundary_vertices()
+    theta = [math.pi if v in boundary else 2 * math.pi for v in range(16)]
     for v, (x, y, _) in enumerate(pos):
         if {x, y} <= {0.0, 3.0} :
-            kappa[v] = math.pi / 2
-    cover, cmetric, theta_hat = build_double_cover(disk, metric, kappa)
+            theta[v] = math.pi / 2
+    cover, cmetric, theta_hat = build_double_cover(disk, metric, theta)
     _, _, u, report = find_conformal_metric(cover.mesh, cmetric, theta_hat, refl=cover.refl)
     assert report.converged
     assert report.newton_steps == 0
@@ -321,8 +322,8 @@ def test_symmetric_solve_keeps_bitwise_mirror_symmetry():
         if mesh.he_face[h] >= 0:
             assert cmetric.lengths[h] == cmetric.lengths[refl.r[h]]
     # restriction of the solved cover has the prescribed boundary angles;
-    # it takes the original-scale metric and applies u itself
-    rmesh, rmetric, ru = restrict_to_single_cover(cover, cmetric, u)
+    # it cuts the scaled metric the solver returns
+    rmesh, rmetric, ru = restrict_to_single_cover(cover, scaled, u)
     sums = vertex_angle_sums(rmesh, rmetric, [0.0] * rmesh.n_vertices)
     for v in range(7):
         want = theta_hat[v] / 2 if v < 6 else theta_hat[v]
@@ -336,6 +337,20 @@ def test_verify_delaunay_config_counts_checks():
     )
     assert report.converged
     assert report.delaunay_checks > 0
+
+
+def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
+    def fail(*args, **kwargs):
+        raise LineSearchError("forced")
+
+    monkeypatch.setattr(solver_mod, "line_search", fail)
+    mesh, metric, theta_hat = octa_problem(8)
+    _, _, _, report = find_conformal_metric(
+        mesh, metric, theta_hat, SolverConfig(verify_delaunay=True)
+    )
+    assert report.termination == "line_search_failed"
+    # one sweep after the initial retriangulation, one after the restore
+    assert report.delaunay_checks == 2 * mesh.n_edges()
 
 
 def test_decrement_floor_stops_iteration():
