@@ -40,7 +40,6 @@ _OPT_NAMES = {
     "tol": ("eps_tol", float),
     "max_steps": ("max_newton_steps", int),
     "max_halvings": ("max_halvings", int),
-    "min_decrement": ("min_decrement", float),
     "flip_budget": ("flip_budget_factor", float),
     "eps_flip": ("eps_flip", float),
 }

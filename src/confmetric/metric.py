@@ -110,7 +110,9 @@ def _corner_table(
     Row t is one triangle, or one virtual triangle of a quad, with its
     corners in face order; ``S[t, k]`` is the scaled side opposite corner
     ``V[t, k]`` and ``H[t, k]`` its halfedge, or -1 for a quad's stored
-    diagonal.  Raises MetricError on a zero or non-finite side.
+    diagonal.  Each row of ``S`` is divided by the power of two of its
+    largest side: exact, and it keeps products of two sides in range.
+    Raises MetricError on a zero or non-finite side.
     """
     nxt = _array(mesh.next_he)
     n = len(nxt)
@@ -147,25 +149,23 @@ def _corner_table(
     sides = _scale(lengths[cyc], uu, to[cyc], tail[cyc])
     if not np.all((sides > 0.0) & (sides < math.inf)):
         raise MetricError("zero or non-finite scaled length")
+    sides = np.ldexp(sides, -np.frexp(sides.max(axis=1, keepdims=True))[1])
     H = np.where(cyc < n, cyc, -1)
     return to[cyc], sides[:, [2, 0, 1]], H[:, [2, 0, 1]]
 
 
-def _heron_terms(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _heron_terms(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Needle-safe Heron terms of every triangle from its (T, 3) sides.
 
-    Returns the sides rescaled per triangle by a power of two, which is
-    exact and keeps every product below in range; the perimeter ``p``
-    (T, 1); and ``q = p - 2 S`` (T, 3), formed as ``min + (max - side)`` so
-    that it never cancels (Kahan's ordering), clamped at 0 where a side
-    exceeds the other two.  ``p * q0 * q1 * q2`` is 16 times the squared
-    area.
+    Returns the perimeter ``p`` (T, 1) and ``q = p - 2 S`` (T, 3), formed
+    as ``min + (max - side)`` so that it never cancels (Kahan's ordering),
+    clamped at 0 where a side exceeds the other two.  ``p * q0 * q1 * q2``
+    is 16 times the squared area.
     """
-    S = np.ldexp(S, -np.frexp(S.max(axis=1, keepdims=True))[1])
     b = S[:, [1, 2, 0]]
     c = S[:, [2, 0, 1]]
     q = np.maximum(np.minimum(b, c) + (np.maximum(b, c) - S), 0.0)
-    return S, S.sum(axis=1, keepdims=True), q
+    return S.sum(axis=1, keepdims=True), q
 
 
 def vertex_angle_sums(
@@ -176,7 +176,7 @@ def vertex_angle_sums(
     """Total scaled angle around each vertex; quads count via their
     virtual triangulation along the stored diagonal."""
     V, S, _ = _corner_table(mesh, metric, u)
-    _, p, q = _heron_terms(S)
+    p, q = _heron_terms(S)
     # tan(angle / 2) = sqrt(q_next * q_prev / (p * q_own)), accurate for
     # needles where arccos of the law-of-cosines cosine is not.  A side
     # longer than the other two gives angles pi, 0, 0.
@@ -208,12 +208,13 @@ def scalar_metric(
     ``length(h)`` scales the edge of ``h`` and ``diag(f)`` the stored
     diagonal of quad ``f``.  ``value(e)`` sums the two side terms (a^2 + b^2
     - c^2) / ab of edge ``e`` (for a quad side, in the virtual triangle cut
-    off by the stored diagonal) and raises MetricError when a product ab
-    leaves the float range.  ``holds(e)`` is true for a parked or boundary
-    edge, else when ``value(e) >= -eps_flip``, else when ``refl`` forces
-    the condition (``classify_flip`` is asked only then).  Flips mutate the
-    bound lists in place, so one binding serves every flip at the same
-    ``u``.
+    off by the stored diagonal).  Where ab would be subnormal or a square
+    overflows, a, b and c are first rescaled as in the corner table, and
+    MetricError is raised if ab is still zero.  ``holds(e)`` is true for a
+    parked or boundary edge, else when ``value(e) >= -eps_flip``, else when
+    ``refl`` forces the condition (``classify_flip`` is asked only then).
+    Flips mutate the bound lists in place, so one binding serves every flip
+    at the same ``u``.
     """
     nxt, opp, to = mesh.next_he, mesh.opp, mesh.to
     he_face, face_halfedges = mesh.he_face, mesh.face_halfedges
@@ -246,9 +247,16 @@ def scalar_metric(
             a = scaled(L[nh], j, k)
             b = scaled(L[nxt[nh]], k, i)
         ab = a * b
-        if not 0.0 < ab < math.inf:
-            raise MetricError(f"scaled lengths beside halfedge {h} left the float range")
-        return (a * a + b * b - c * c) / ab
+        num = a * a + b * b - c * c
+        if not (1e-270 < ab and abs(num) < math.inf):
+            # ab is near the subnormal range or a square overflowed.
+            e = -math.frexp(max(a, b, c))[1]
+            a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
+            ab = a * b
+            if not 0.0 < ab < math.inf:
+                raise MetricError(f"scaled lengths beside halfedge {h} left the float range")
+            num = a * a + b * b - c * c
+        return num / ab
 
     def value(e: int) -> float:
         return side(e) + side(opp[e])
@@ -300,16 +308,8 @@ class FlipLog:
         return self.single + self.paired + self.axis + self.tri_quad + self.quad_quad
 
     def add(self, kind: FlipType | None) -> None:
-        if kind is None:
-            self.single += 1
-        elif kind is FlipType.PAIRED:
-            self.paired += 1
-        elif kind is FlipType.AXIS:
-            self.axis += 1
-        elif kind is FlipType.TRI_QUAD:
-            self.tri_quad += 1
-        elif kind is FlipType.QUAD_QUAD:
-            self.quad_quad += 1
+        name = "single" if kind is None else kind.value  # a surgery's value names its field
+        setattr(self, name, getattr(self, name) + 1)
 
     def merge(self, other: "FlipLog") -> None:
         self.single += other.single
@@ -333,13 +333,13 @@ def _scan_violations_vectorized(
     NaN, so boundary edges never compare as violations.  The scan measures
     only: edges that the mirror symmetry forces to be Delaunay are flagged
     like any other and left to ``holds``.  Raises MetricError where a
-    product bc is zero or not finite.
+    product bc of rescaled sides is zero.
     """
     _, S, H = _corner_table(mesh, metric, u)
     b = S[:, [1, 2, 0]]
     c = S[:, [2, 0, 1]]
     bc = b * c
-    if not np.all(((bc > 0.0) & (bc < math.inf)) | (H < 0)):
+    if not np.all((bc > 0.0) | (H < 0)):
         raise MetricError("scaled lengths beside a side left the float range")
     n = mesh.n_halfedges()
     # Entries at stored diagonals (H = -1) land in the spare last slot.
@@ -421,7 +421,7 @@ def hessian(
     import scipy.sparse
 
     V, S, _ = _corner_table(mesh, metric, u)
-    S, p, q = _heron_terms(S)
+    p, q = _heron_terms(S)
     area4 = np.sqrt(p[:, 0] * q[:, 0] * q[:, 1] * q[:, 2])
     if not np.all(area4 > 0.0):
         raise MetricError("degenerate triangle while assembling the Hessian")

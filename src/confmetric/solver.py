@@ -8,12 +8,14 @@ The line search halves t from 1 until the slope <d, g(u + t*d)> is
 nonpositive; when a rejected trial at 2t brackets the minimiser, it then
 tries one regula-falsi point between t and 2t on that slope, so a full
 step that lands just past the minimiser does not cost a rate-1/2 phase.
+The Newton system is solved with one unknown per mirror orbit of the
+double cover; a closed mesh has one vertex per orbit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -52,13 +54,13 @@ class SolverConfig:
     sits in [-eps_flip, 0) are treated as co-circular and never flipped.
     ``verify_delaunay`` re-scans every edge after each retriangulation and
     raises on any violation; it exists for test harnesses and costs a full
-    predicate sweep per make_delaunay call.
+    predicate sweep per make_delaunay call.  The orbit solve has no knob:
+    a direction that misses its 1e-10 residual gate ends the iteration.
     """
 
     eps_tol: float = 1e-10
     max_newton_steps: int = 50
     max_halvings: int = 40
-    min_decrement: float = 0.0
     flip_budget_factor: float = 100.0
     eps_flip: float = 1e-12
     verify_delaunay: bool = False
@@ -131,42 +133,39 @@ class LineSearchResult:
     refined: bool
 
 
-def newton_direction(H: "scipy.sparse.spmatrix", g: np.ndarray) -> np.ndarray:
-    """Solve H d = -g on the complement of constants; d has zero mean.
+def newton_direction(
+    H: "scipy.sparse.spmatrix", g: np.ndarray, refl: ReflectionMap | None = None
+) -> np.ndarray:
+    """Solve H d = -g with one unknown per mirror orbit; d has zero mean.
 
-    H is PSD with nullspace spanned by the constant vector on a connected
-    mesh, so the system is solved with vertex 0 pinned and the result
-    recentred.  g is projected to zero mean first (its mean is Gauss-Bonnet
-    roundoff).  Raises SolverError if the direction is non-finite or the
-    residual exceeds 1e-10 * |g|.
+    P maps the orbits of ``refl.vertex_refl`` (single vertices when
+    ``refl`` is None) to vertices, so d = P y is mirror-symmetric bitwise.
+    g is projected to zero mean (Gauss-Bonnet roundoff) and averaged per
+    orbit to g_bar, which drops the antisymmetric roundoff no symmetric d
+    can cancel.  P^T H P y = -P^T g_bar is solved with orbit 0 pinned (the
+    constants span H's nullspace) and d recentred.  Raises SolverError if
+    d is non-finite or |H d + g_bar| exceeds 1e-10 * |g_bar|.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    g0 = g - g.mean()
-    gnorm = float(np.linalg.norm(g0))
-    if gnorm == 0.0 or n == 1:
+    rep = np.arange(n) if refl is None else np.minimum(np.arange(n), _array(refl.vertex_refl))
+    _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+    g_sum = np.bincount(orbit, g - g.mean())  # P^T g_bar
+    g_bar = (g_sum / size)[orbit]
+    gnorm = float(np.linalg.norm(g_bar))
+    if gnorm == 0.0 or len(size) == 1:
         return np.zeros(n)
-    reduced = scipy.sparse.csc_matrix(H)[1:, 1:]
-    x = scipy.sparse.linalg.spsolve(reduced, -g0[1:])
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
+    P = scipy.sparse.csr_matrix((np.ones(n), orbit, np.arange(n + 1)), shape=(n, len(size)))
+    y = scipy.sparse.linalg.spsolve(scipy.sparse.csc_matrix(P.T @ H @ P)[1:, 1:], -g_sum[1:])
+    d = np.concatenate(([0.0], np.atleast_1d(y)))[orbit]
+    if not np.all(np.isfinite(d)):
         raise SolverError("non-finite Newton direction (degenerate Hessian)")
-    d = np.concatenate(([0.0], x))
     d -= d.mean()
-    residual = float(np.linalg.norm(H @ d + g0))
+    residual = float(np.linalg.norm(H @ d + g_bar))
     if residual > 1e-10 * gnorm:
         raise SolverError(
             f"linear solve residual {residual:.3e} exceeds 1e-10 * |g| = {1e-10 * gnorm:.3e}"
         )
-    return d
-
-
-def _symmetrize_direction(d: np.ndarray, refl: ReflectionMap) -> np.ndarray:
-    # Copy each mirror orbit from its lower-index member so u stays
-    # bitwise symmetric; the solve itself only matches to roundoff.
-    vr = _array(refl.vertex_refl)
-    low = np.flatnonzero(vr > np.arange(len(vr)))
-    d[vr[low]] = d[low]
     return d
 
 
@@ -335,16 +334,11 @@ def find_conformal_metric(
             break
         H = hessian(mesh, metric, u)
         try:
-            d = newton_direction(H, g)
+            d = newton_direction(H, g, refl)
         except SolverError:
             termination = "linear_solve_breakdown"
             break
         decrement = float(-(d @ g))
-        if decrement < cfg.min_decrement:
-            termination = "decrement_floor"
-            break
-        if refl is not None:
-            d = _symmetrize_direction(d, refl)
         try:
             ls = line_search(mesh, metric, u, d, theta_hat, refl, cfg)
         except LineSearchError:

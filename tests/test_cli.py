@@ -267,6 +267,10 @@ def test_unknown_option_rejected(tmp_path, capsys):
         "k 3 2.0943951023931953\nopt banana 1\n")
     assert main(["solve", mesh]) == 2
     assert "banana" in capsys.readouterr().err
+    # a removed option is rejected like any other unknown name
+    put(tmp_path, "d.targets", "opt min_decrement 0\n")
+    assert main(["solve", mesh]) == 2
+    assert "unknown solver option 'min_decrement'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -282,7 +286,7 @@ def test_unknown_option_rejected(tmp_path, capsys):
         ("max_halvings", [], "opt max_halvings 1.5\n"),
         ("flip_budget", ["--flip-budget", "inf"], ""),
         ("flip_budget", [], "opt flip_budget -1\n"),
-        ("min_decrement", [], "opt min_decrement -1e-3\n"),
+        ("max_halvings", [], "opt max_halvings -2\n"),
         ("eps_flip", [], "opt eps_flip -1e-12\n"),
     ],
 )

@@ -331,16 +331,20 @@ def test_scan_flags_exactly_the_scalar_violations(eps):
                     assert any({m.he_face[e], m.he_face[m.opp[e]]} & m.quad_pairs.keys() for e in want)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_scan_raises_where_a_side_product_overflows():
-    # Sides near 1e260 are finite, but the product of two is not.
+@pytest.mark.parametrize("u0", [600.0, -600.0])
+def test_side_terms_are_exact_where_a_side_product_leaves_the_float_range(u0):
+    # Sides near 1e260 are finite, but the product of two is not; near
+    # 1e-260 it underflows to 0.  A power-of-two rescale is exact, so the
+    # uniform octahedron gives exactly its u = 0 values: 1 per side, 2 per
+    # edge, which the scan flags below a threshold just above 2 and not at 2.
     mesh = helpers.octa()
     metric = PennerMetric.uniform(mesh)
-    u = [600.0] * 6
-    with pytest.raises(MetricError):
-        scalar_metric(mesh, metric, u).value(mesh.edges()[0])
-    with pytest.raises(MetricError, match="float range"):
-        _scan_violations_vectorized(mesh, metric, u, 1e-12)
+    edges = mesh.edges()
+    for u in ([0.0] * 6, [u0] * 6):
+        value = scalar_metric(mesh, metric, u).value
+        assert [value(e) for e in edges] == [2.0] * len(edges)
+        assert _scan_violations_vectorized(mesh, metric, u, -2.0) == []
+        assert _scan_violations_vectorized(mesh, metric, u, -math.nextafter(2.0, 3.0)) == edges
 
 
 def test_make_delaunay_ends_when_every_flagged_edge_rechecks_as_delaunay(monkeypatch):

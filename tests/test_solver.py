@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 import confmetric.solver as solver_mod
 from confmetric.cover import build_double_cover, restrict_to_single_cover
@@ -83,6 +85,77 @@ def test_direction_breakdown_raises():
     H[:, 1] = 0.0          # vertex 1 decoupled: singular reduced system
     with pytest.raises(SolverError):
         newton_direction(H.tocsr(), np.array([0.3, -0.3, 0.2, -0.2, 0.1, -0.1]))
+
+
+def _pinned_reference(H, g, refl):
+    """The direction of a full pinned solve, with each mirror orbit then
+    copied from its lower-index member."""
+    g0 = g - g.mean()
+    x = scipy.sparse.linalg.spsolve(scipy.sparse.csc_matrix(H)[1:, 1:], -g0[1:])
+    d = np.concatenate(([0.0], x))
+    d -= d.mean()
+    if refl is not None:
+        vr = np.array(refl.vertex_refl)
+        low = np.flatnonzero(vr > np.arange(len(vr)))
+        d[vr[low]] = d[low]
+    return d
+
+
+def _direction_inputs(monkeypatch, solve):
+    """Every (H, g, refl) that ``solve()`` hands to newton_direction."""
+    seen = []
+    real = solver_mod.newton_direction
+
+    def spy(H, g, refl=None):
+        seen.append((H, np.array(g), refl.copy() if refl is not None else None))
+        return real(H, g, refl)
+
+    monkeypatch.setattr(solver_mod, "newton_direction", spy)
+    solve()
+    return seen
+
+
+def _first_direction_input(monkeypatch, instance):
+    if instance == "octahedron":
+        mesh, metric, theta_hat = octa_problem(5)
+        solve = lambda: find_conformal_metric(mesh, metric, theta_hat)
+    elif instance == "hexagon-cover":
+        cover, cmetric, theta_hat = helpers.hexagon_cover(long_edges=((0, 1), (2, 3)), length=1.6)
+        solve = lambda: find_conformal_metric(cover.mesh, cmetric, theta_hat, refl=cover.refl)
+    else:
+        prob = generate("disk-random-boundary", 0, 1089)
+        solve = lambda: solve_problem(prob, SolverConfig(max_newton_steps=1))
+    return _direction_inputs(monkeypatch, solve)[0]
+
+
+@pytest.mark.parametrize("instance", ["octahedron", "hexagon-cover", "disk-cover"])
+def test_orbit_solve_is_mirror_symmetric_and_matches_a_full_solve(monkeypatch, instance):
+    H, g, refl = _first_direction_input(monkeypatch, instance)
+    d = newton_direction(H, g, refl)
+    want = _pinned_reference(H, g, refl)
+    if refl is None:
+        # one vertex per orbit: the same solve as the full pinned one
+        assert np.array_equal(d, want)
+        return
+    assert any(v != w for v, w in enumerate(refl.vertex_refl))
+    assert np.array_equal(d, d[refl.vertex_refl])
+    assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_orbit_solve_passes_the_residual_gate_near_convergence(monkeypatch):
+    # The last step of this disk starts from |g| about 2.6e-10, where the
+    # antisymmetric roundoff of g (norm about 8e-15) exceeds what the 1e-10 gate
+    # allows; the gate measures d against the orbit-averaged g.
+    prob = generate("disk-random-boundary", 0, 1089)
+    H, g, refl = _direction_inputs(monkeypatch, lambda: solve_problem(prob))[-1]
+    assert 1e-11 < np.abs(g).max() < 1e-9
+    d = newton_direction(H, g, refl)
+    assert np.array_equal(d, d[refl.vertex_refl])
+    vr = np.array(refl.vertex_refl)
+    g0 = g - g.mean()
+    g_bar = np.where(vr == np.arange(len(vr)), g0, 0.5 * (g0 + g0[vr]))
+    assert np.linalg.norm(g0 - g_bar) > 1e-10 * np.linalg.norm(g_bar)
+    assert np.linalg.norm(H @ d + g_bar) <= 1e-10 * np.linalg.norm(g_bar)
 
 
 # -- line search -------------------------------------------------------------
@@ -216,19 +289,47 @@ def test_line_search_rejects_a_step_that_does_not_move_u():
         line_search(mesh, metric, u, -1e-20 * g, theta_hat)
 
 
-def test_first_trial_of_the_genus_16_cone_retriangulates_within_budget():
-    # The full first Newton step (|d| up to 366) scales some sides down to
-    # about 1e-158.  There a quad's two diagonals both evaluate to -1.3e-9,
-    # and a retriangulation that rescanned after each pass flipped that
-    # edge back and forth until FlipBudgetError.  One pass ends after about
-    # 31,500 flips and leaves that one edge as it is.
-    prob = generate("single-cone-genus-16", 0, 0)
+def _cone_first_trial(genus):
+    """A single-cone mesh retriangulated at the full first Newton step."""
+    prob = generate(f"single-cone-genus-{genus}", 0, 0)
     mesh, metric = problem_to_mesh(prob)
     theta_hat = [prob.theta_targets.get(v, 2.0 * math.pi) for v in range(mesh.n_vertices)]
     u = np.zeros(mesh.n_vertices)
     make_delaunay(mesh, metric, u)
     d = newton_direction(hessian(mesh, metric, u), gradient(mesh, metric, u, theta_hat))
-    assert make_delaunay(mesh, metric, u + d).total > 0
+    flips = make_delaunay(mesh, metric, u + d)
+    holds = scalar_metric(mesh, metric, u + d).holds
+    return flips, [e for e in mesh.edges() if not holds(e)]
+
+
+def test_first_trial_of_the_genus_16_cone_retriangulates_within_budget():
+    # The full first Newton step (|d| up to 366) scales some sides down to
+    # about 1e-158.  A retriangulation that rescanned after each pass
+    # flipped one edge back and forth until FlipBudgetError.  Unscaled, the
+    # squares of those sides are subnormal, and both diagonals of that quad
+    # evaluated to -1.3e-9; with the power-of-two rescale one pass ends
+    # after about 31,500 flips with every edge Delaunay.
+    flips, failing = _cone_first_trial(16)
+    assert flips.total > 0
+    assert failing == []
+
+
+def test_first_trial_of_the_genus_17_cone_retriangulates():
+    # Here the products of two sides overflow, which made the scan raise
+    # MetricError before the power-of-two rescale.
+    flips, failing = _cone_first_trial(17)
+    assert flips.total > 0
+    assert failing == []
+
+
+@pytest.mark.parametrize("genus, verify", [(16, True), (17, False)])
+def test_high_genus_cone_solves_end_in_a_termination(genus, verify):
+    # Genus 16 with verify_delaunay and the genus-17 line of the cone sweep
+    # raised MetricError at their first trial without the rescale.
+    cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=1, verify_delaunay=verify)
+    *_, report = solve_problem(generate(f"single-cone-genus-{genus}", 0, 0), cfg)
+    assert report.termination == "max_newton_steps"
+    assert report.newton_steps == 1
 
 
 # -- full driver -------------------------------------------------------------
@@ -351,15 +452,6 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
     assert report.termination == "line_search_failed"
     # one sweep after the initial retriangulation, one after the restore
     assert report.delaunay_checks == 2 * mesh.n_edges()
-
-
-def test_decrement_floor_stops_iteration():
-    mesh, metric, theta_hat = octa_problem(9)
-    _, _, _, report = find_conformal_metric(
-        mesh, metric, theta_hat, SolverConfig(min_decrement=1e3)
-    )
-    assert report.termination == "decrement_floor"
-    assert not report.converged
 
 
 def test_step_budget_reaches_max_newton_steps():
