@@ -74,8 +74,7 @@ def _build_config(options: dict, args) -> SolverConfig:
 def _result_path(mesh_path: str, out: str | None, many: bool) -> str:
     if out and not many:
         return out
-    stem = mesh_path.rsplit(".", 1)[0] if "." in os.path.basename(mesh_path) else mesh_path
-    name = stem + ".result"
+    name = sidecar_path(mesh_path, ".result")
     if out:  # a directory when there are several inputs
         os.makedirs(out, exist_ok=True)
         return os.path.join(out, os.path.basename(name))

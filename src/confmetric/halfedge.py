@@ -125,12 +125,10 @@ class CombinatorialMesh:
     def degree(self, f: int) -> int:
         return len(self.face_halfedges(f))
 
-    def faces(self, include_boundary: bool = False) -> list[int]:
-        """Active face ids (min halfedge per orbit), outer loops optional."""
+    def faces(self) -> list[int]:
+        """Active face ids (min halfedge per orbit), outer loops excluded."""
         return [
-            f
-            for f, fid in enumerate(self.he_face)
-            if f == fid and (include_boundary or f not in self.boundary_faces)
+            f for f, fid in enumerate(self.he_face) if f == fid and f not in self.boundary_faces
         ]
 
     def edges(self) -> list[int]:
@@ -156,7 +154,8 @@ class CombinatorialMesh:
     # -- counts -----------------------------------------------------------
 
     def n_edges(self) -> int:
-        return len(self.edges())
+        """O(1) edge count: halfedge pairs less one parked pair per quad."""
+        return len(self.opp) // 2 - len(self.quad_pairs)
 
     def n_faces(self) -> int:
         return len(self.faces())
@@ -218,9 +217,7 @@ def _close_boundary_loops(
         raise MeshError("boundary loops did not close")
 
 
-def build_from_face_lists(
-    faces: list[list[int]], n_vertices: int | None = None
-) -> CombinatorialMesh:
+def build_from_face_lists(faces: list[list[int]]) -> CombinatorialMesh:
     """Construct a mesh from per-face vertex loops (counterclockwise).
 
     Each unordered vertex pair is one edge, numbered in order of first use,
@@ -238,7 +235,7 @@ def build_from_face_lists(
         pairs = ((f[i], f[(i + 1) % k]) for i in range(k))
         keys = [(a, b) if a < b else (b, a) for a, b in pairs]
         face_edges.append([eid.setdefault(key, len(eid)) for key in keys])
-    return build_from_face_edge_lists(faces, face_edges, n_vertices)[0]
+    return build_from_face_edge_lists(faces, face_edges)[0]
 
 
 def build_from_face_edge_lists(

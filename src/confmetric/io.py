@@ -52,11 +52,16 @@ def _finite(tok: str) -> float:
 
 
 def _tokens(path: str):
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line.split()
+    """(line number, fields) per nonblank line; ParseError at a non-UTF-8 line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
+        if line:
+            yield lineno, line.split()
 
 
 def read_mesh_file(path: str) -> ProblemFile:
@@ -170,9 +175,11 @@ def write_problem_files(
     return targets_path
 
 
-def sidecar_path(mesh_path: str) -> str:
+def sidecar_path(mesh_path: str, suffix: str = ".targets") -> str:
+    """``mesh_path`` with the last extension of its file name, if it has
+    one, replaced by ``suffix``: the targets file, or the result bundle."""
     stem = mesh_path.rsplit(".", 1)[0] if "." in mesh_path.rsplit("/", 1)[-1] else mesh_path
-    return stem + ".targets"
+    return stem + suffix
 
 
 def gauss_bonnet_deviation(mesh: CombinatorialMesh, theta_hat: "list[float]") -> float:

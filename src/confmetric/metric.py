@@ -366,7 +366,7 @@ def make_delaunay(
     popped from it that does not hold is flipped; a plain flip pushes its
     four outer edges, a surgery the edges of the faces it rebuilds.  The
     call returns when the stack is empty.  Raises :class:`FlipBudgetError`
-    after ``flip_budget_factor * n_edges`` flips.
+    after ``flip_budget_factor * mesh.n_edges()`` flips, counted at entry.
     """
     log = FlipLog()
     budget = flip_budget_factor * mesh.n_edges()

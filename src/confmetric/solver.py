@@ -52,10 +52,8 @@ class SolverConfig:
 
     ``eps_flip`` is the Delaunay tie tolerance: edges whose predicate value
     sits in [-eps_flip, 0) are treated as co-circular and never flipped.
-    ``verify_delaunay`` re-scans every edge after each retriangulation and
-    raises on any violation; it exists for test harnesses and costs a full
-    predicate sweep per make_delaunay call.  The orbit solve has no knob:
-    a direction that misses its 1e-10 residual gate ends the iteration.
+    Each field has an ``opt`` name (``cli._OPT_NAMES``).  The orbit solve
+    has no knob: a direction missing its 1e-10 residual gate ends the solve.
     """
 
     eps_tol: float = 1e-10
@@ -63,7 +61,6 @@ class SolverConfig:
     max_halvings: int = 40
     flip_budget_factor: float = 100.0
     eps_flip: float = 1e-12
-    verify_delaunay: bool = False
 
 
 @dataclass
@@ -97,7 +94,6 @@ class SolverReport:
     final_residual: float
     u_min: float
     u_max: float
-    delaunay_checks: int = 0
 
     @property
     def converged(self) -> bool:
@@ -128,7 +124,6 @@ class LineSearchResult:
     halvings: int
     flips: FlipLog
     slope: float
-    delaunay_checks: int
     t: float
     refined: bool
 
@@ -169,27 +164,6 @@ def newton_direction(
     return d
 
 
-def _retriangulate(
-    mesh: CombinatorialMesh,
-    metric: PennerMetric,
-    u: np.ndarray,
-    refl: ReflectionMap | None,
-    cfg: SolverConfig,
-) -> tuple[FlipLog, int]:
-    """``make_delaunay`` at u; with ``cfg.verify_delaunay`` every edge is
-    then re-checked, raising MetricError on a violation.  Returns the flips
-    and the number of edges checked."""
-    flips = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
-    if not cfg.verify_delaunay:
-        return flips, 0
-    holds = scalar_metric(mesh, metric, u, refl, cfg.eps_flip).holds
-    edges = mesh.edges()
-    for e in edges:
-        if not holds(e):
-            raise MetricError(f"edge {e} violates the Delaunay condition after make_delaunay")
-    return flips, len(edges)
-
-
 def line_search(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
@@ -217,26 +191,23 @@ def line_search(
     trials after the first (gradient evaluations minus one).  Raises
     LineSearchError when no trial within ``config.max_halvings`` halvings
     is accepted, or when a trial leaves u unchanged.  ``config`` also gives
-    the Delaunay tie tolerance, the flip budget and whether each
-    retriangulation is verified.
+    the Delaunay tie tolerance and the flip budget of each retriangulation.
     """
     cfg = config if config is not None else SolverConfig()
     u = np.asarray(u, dtype=float)
     d = np.asarray(d, dtype=float)
     flips = FlipLog()
-    checks = 0
     trials = 0
 
     def trial(t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        nonlocal checks, trials
+        nonlocal trials
         u_try = u + t * d
         if np.array_equal(u_try, u):
             # The step is below the float resolution of u: accepting it
             # would repeat the same step until the Newton budget runs out.
             raise LineSearchError("step does not move u")
-        log, n_checked = _retriangulate(mesh, metric, u_try, refl, cfg)
+        log = make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, cfg.flip_budget_factor)
         flips.merge(log)
-        checks += n_checked
         g_try = gradient(mesh, metric, u_try, theta_hat)
         trials += 1
         return u_try, g_try, float(d @ g_try)
@@ -254,11 +225,9 @@ def line_search(
                 if t < t_r < 2.0 * t:
                     u_r, g_r, slope_r = trial(t_r)
                     if slope_r <= 0.0:
-                        return LineSearchResult(
-                            u_r, g_r, trials - 1, flips, slope_r, checks, t_r, True
-                        )
+                        return LineSearchResult(u_r, g_r, trials - 1, flips, slope_r, t_r, True)
                     continue  # retriangulate at t and evaluate there again
-            return LineSearchResult(u_try, g_try, trials - 1, flips, slope, checks, t, False)
+            return LineSearchResult(u_try, g_try, trials - 1, flips, slope, t, False)
         if k == cfg.max_halvings:
             raise LineSearchError(f"no acceptable step within {cfg.max_halvings} halvings")
         slope_2t = slope
@@ -302,23 +271,25 @@ def find_conformal_metric(
     theta_hat: "list[float] | np.ndarray",
     config: SolverConfig | None = None,
     refl: ReflectionMap | None = None,
-    u0: "list[float] | np.ndarray | None" = None,
 ) -> tuple[CombinatorialMesh, PennerMetric, np.ndarray, SolverReport]:
     """Newton iteration for |theta_hat - Theta|_inf <= eps_tol.
 
     Mutates mesh and metric in place (flips); returns the mesh, the final
     scaled metric, the scale factors, and the iteration report.  The
-    returned triangulation is Delaunay for the returned u.  Convergence is
-    judged on the residual recomputed after the final retriangulation.
+    iteration starts at u = 0; scaling every input length by one factor
+    changes no angle, so it scales the returned metric by that factor and
+    leaves u as it is, up to rounding.  The returned triangulation is
+    Delaunay for the returned u.  Convergence is judged on the residual
+    recomputed after the final retriangulation.
     """
     cfg = config if config is not None else SolverConfig()
     n = mesh.n_vertices
-    u = np.zeros(n) if u0 is None else np.asarray(u0, dtype=float).copy()
+    u = np.zeros(n)
     theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat.shape[0] != n:
         raise MetricError("theta_hat length does not match vertex count")
 
-    flips0, checks = _retriangulate(mesh, metric, u, refl, cfg)
+    flips0 = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
     g = gradient(mesh, metric, u, theta_hat)
     err = float(np.abs(g).max()) if n else 0.0
     steps = [
@@ -344,12 +315,11 @@ def find_conformal_metric(
         except LineSearchError:
             # The failed trials moved the triangulation; restore the
             # Delaunay state for the u we are keeping.
-            checks += _retriangulate(mesh, metric, u, refl, cfg)[1]
+            make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
             termination = "line_search_failed"
             break
         u = ls.u
         g = ls.g_try
-        checks += ls.delaunay_checks
         err = float(np.abs(g).max())
         steps.append(
             NewtonStep(
@@ -373,7 +343,6 @@ def find_conformal_metric(
         final_residual=err,
         u_min=float(u.min()) if n else 0.0,
         u_max=float(u.max()) if n else 0.0,
-        delaunay_checks=checks,
     )
     return mesh, scaled, u, report
 

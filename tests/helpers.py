@@ -1,13 +1,15 @@
 """Shared fixtures: small meshes, randomized states, symmetric test rigs."""
 
+import contextlib
 import math
 
 import numpy as np
 
+import confmetric.solver as solver_mod
 from confmetric.cover import build_double_cover
 from confmetric.generate import icosphere
 from confmetric.halfedge import build_from_face_lists, plan_flip
-from confmetric.metric import PennerMetric, flip_edge
+from confmetric.metric import PennerMetric, flip_edge, scalar_metric
 from confmetric.symmetry import FlipType, apply_symmetric_flip, classify_flip
 
 
@@ -116,6 +118,33 @@ def drive_to_quads(cover, cmetric):
         assert e is not None, f"no forward {want} available"
         recs.append(apply_symmetric_flip(mesh, cmetric, refl, e))
     return recs
+
+
+@contextlib.contextmanager
+def delaunay_after_every_retriangulation():
+    """Wrap the solver's ``make_delaunay`` for the duration of the block.
+
+    After each call every edge must hold at the call's tie band, with the
+    same scalar predicate the flip loop uses; a failing edge raises
+    AssertionError out of the solve.  Yields the list of the u of every
+    audited call, in call order.
+    """
+    real = solver_mod.make_delaunay
+    audited = []
+
+    def audit(mesh, metric, u, refl=None, eps_flip=1e-12, flip_budget_factor=100.0):
+        log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor)
+        holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
+        failing = [e for e in mesh.edges() if not holds(e)]
+        assert failing == [], f"{len(failing)} edges not Delaunay after make_delaunay"
+        audited.append(np.array(u, dtype=float))
+        return log
+
+    solver_mod.make_delaunay = audit
+    try:
+        yield audited
+    finally:
+        solver_mod.make_delaunay = real
 
 
 def active_lengths(mesh, metric):

@@ -6,6 +6,9 @@ between several tests, so they run once as module fixtures.  Every
 retriangulation inside those suites is audited: after each make_delaunay
 return the full edge set is rescanned with the solver's own vectorized
 predicate scan at a zero tie band, and any offender's raw value is kept.
+The genus-2 cone solve runs under
+``helpers.delaunay_after_every_retriangulation``, which asserts after each
+make_delaunay return that every edge holds at the solver's tie band.
 """
 
 import math
@@ -79,12 +82,11 @@ class RetriangulationAudit:
 def sphere_suite():
     audit = RetriangulationAudit()
     real = audit.install()
-    cfg = SolverConfig(verify_delaunay=True)
     runs = []
     t0 = time.perf_counter()
     try:
         for seed in range(SUITE_SIZE):
-            mesh, _, _, report = solve_problem(generate("sphere-random-angles", seed, 642), cfg)
+            mesh, _, _, report = solve_problem(generate("sphere-random-angles", seed, 642))
             runs.append((mesh.n_vertices, report))
     finally:
         solver_mod.make_delaunay = real
@@ -98,7 +100,7 @@ def disk_suite():
     # so these runs enforce the weak inequality with no band at all.
     audit = RetriangulationAudit()
     real = audit.install()
-    cfg = SolverConfig(verify_delaunay=True, eps_flip=0.0)
+    cfg = SolverConfig(eps_flip=0.0)
     runs = []
     t0 = time.perf_counter()
     try:
@@ -128,8 +130,9 @@ def disk_suite():
 
 @pytest.fixture(scope="module")
 def cone_run():
-    cfg = SolverConfig(eps_tol=1e-8, verify_delaunay=True)
-    mesh, _, _, report = solve_problem(generate("single-cone-genus-2", 0, 0), cfg)
+    cfg = SolverConfig(eps_tol=1e-8)
+    with helpers.delaunay_after_every_retriangulation():
+        mesh, _, _, report = solve_problem(generate("single-cone-genus-2", 0, 0), cfg)
     return {"n_vertices": mesh.n_vertices, "report": report}
 
 

@@ -1,5 +1,6 @@
 """End-to-end command line behavior and exit codes."""
 
+import dataclasses
 import math
 import os
 
@@ -9,6 +10,7 @@ import confmetric.cli
 from confmetric.cli import main
 from confmetric.io import read_bundle, read_mesh_file, read_targets_file, sidecar_path
 from confmetric.metric import PennerMetric, vertex_angle_sums
+from confmetric.solver import SolverConfig
 
 import helpers
 
@@ -491,3 +493,21 @@ def test_bad_file_or_path_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
 
+
+@pytest.mark.parametrize("command, name", [
+    ("solve", "bin.mesh"), ("delaunay", "bin.mesh"), ("report", "bin.result"),
+])
+def test_file_that_is_not_utf8_exits_2_with_one_error_line(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe\x00\x01\x02\x03")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "not UTF-8" in err
+    assert err.count("\n") == 1
+
+
+def test_every_solver_setting_is_an_opt_name():
+    # A SolverConfig field that no opt line or flag sets is a knob only
+    # tests can turn.
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert fields == {field for field, _ in confmetric.cli._OPT_NAMES.values()}

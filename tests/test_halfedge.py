@@ -60,6 +60,24 @@ def test_two_triangle_sphere():
     assert mesh.n_edges() == 3
 
 
+def _cover_with_quads():
+    cover, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cover, cmetric)
+    assert cover.mesh.quad_pairs
+    return cover.mesh
+
+
+@pytest.mark.parametrize(
+    "make",
+    [helpers.octa, lambda: helpers.fan_disk(6), lambda: helpers.hexagon_cover()[0].mesh,
+     _cover_with_quads],
+    ids=["closed", "bounded", "cover", "cover-with-quads"],
+)
+def test_edge_count_matches_the_edge_list(make):
+    mesh = make()
+    assert mesh.n_edges() == len(mesh.edges())
+
+
 def test_double_cover_of_triangle_counts():
     # Same surface as the two-face sphere: 6 halfedges, 3 edges, 2 faces.
     mesh = build_from_face_lists([[0, 1, 2], [2, 1, 0]])

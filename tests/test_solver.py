@@ -1,5 +1,6 @@
 """Newton iteration: direction solve, line search, full driver."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from confmetric.halfedge import build_from_face_lists, validate
 from confmetric.io import problem_to_mesh
 from confmetric.metric import (
     PennerMetric,
+    flip_edge,
     gradient,
     hessian,
     make_delaunay,
@@ -322,12 +324,15 @@ def test_first_trial_of_the_genus_17_cone_retriangulates():
     assert failing == []
 
 
-@pytest.mark.parametrize("genus, verify", [(16, True), (17, False)])
-def test_high_genus_cone_solves_end_in_a_termination(genus, verify):
-    # Genus 16 with verify_delaunay and the genus-17 line of the cone sweep
-    # raised MetricError at their first trial without the rescale.
-    cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=1, verify_delaunay=verify)
-    *_, report = solve_problem(generate(f"single-cone-genus-{genus}", 0, 0), cfg)
+@pytest.mark.parametrize("genus, audit", [(16, True), (17, False)])
+def test_high_genus_cone_solves_end_in_a_termination(genus, audit):
+    # Genus 16 with every retriangulation checked and the genus-17 line of
+    # the cone sweep raised MetricError at their first trial without the
+    # rescale.
+    cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=1)
+    prob = generate(f"single-cone-genus-{genus}", 0, 0)
+    with helpers.delaunay_after_every_retriangulation() if audit else contextlib.nullcontext():
+        *_, report = solve_problem(prob, cfg)
     assert report.termination == "max_newton_steps"
     assert report.newton_steps == 1
 
@@ -373,19 +378,20 @@ def test_solved_scaled_metric_matches_scale_conformally():
 
 
 def test_solve_is_gauge_invariant():
+    # Lengths scaled by e^1.5 are the start u = 1.5 of the unscaled problem.
+    # Angles do not see the scale, so u must come out the same and the
+    # solved metric scaled by e^1.5; the step-by-step paths may differ in
+    # ulps, so only the solutions are compared.
+    scale = math.exp(1.5)
     mesh_a, metric_a, theta_hat = octa_problem(7)
-    mesh_b, metric_b = mesh_a.copy(), metric_a.copy()
-    _, _, u_a, rep_a = find_conformal_metric(mesh_a, metric_a, theta_hat)
-    _, _, u_b, rep_b = find_conformal_metric(
-        mesh_b, metric_b, theta_hat, u0=np.full(6, 1.5)
-    )
+    mesh_b = mesh_a.copy()
+    metric_b = PennerMetric([x * scale for x in metric_a.lengths])
+    _, scaled_a, u_a, rep_a = find_conformal_metric(mesh_a, metric_a, theta_hat)
+    _, scaled_b, u_b, rep_b = find_conformal_metric(mesh_b, metric_b, theta_hat)
     assert rep_a.converged and rep_b.converged
-    # the minimizer is unique up to an additive constant; the step-by-step
-    # paths may differ in ulps, so only the solutions are compared
-    shift = u_b - u_a
-    assert np.max(np.abs(shift - shift.mean())) <= 1e-9
-    la = sorted(helpers.active_lengths(mesh_a, metric_a))
-    lb = sorted(helpers.active_lengths(mesh_b, metric_b))
+    assert np.max(np.abs(u_b - u_a)) <= 1e-9
+    la = helpers.active_lengths(mesh_a, scaled_a)
+    lb = [x / scale for x in helpers.active_lengths(mesh_b, scaled_b)]
     assert la == pytest.approx(lb, rel=1e-9)
 
 
@@ -431,27 +437,25 @@ def test_symmetric_solve_keeps_bitwise_mirror_symmetry():
         assert sums[v] == pytest.approx(want, abs=1e-9)
 
 
-def test_verify_delaunay_config_counts_checks():
-    mesh, metric, theta_hat = octa_problem(8)
-    _, _, _, report = find_conformal_metric(
-        mesh, metric, theta_hat, SolverConfig(verify_delaunay=True)
-    )
-    assert report.converged
-    assert report.delaunay_checks > 0
-
-
 def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
-    def fail(*args, **kwargs):
+    mesh, metric, theta_hat = octa_problem(8)
+    edge = {frozenset(mesh.edge_endpoints(e)): e for e in mesh.edges()}
+
+    def fail(mesh, metric, *args, **kwargs):
+        # Failed trials leave their flips in the mesh.  Flipping two edges
+        # with no face in common leaves two edges of the uniform
+        # octahedron that fail at u = 0, so the restore needs two flips.
+        for a, b in ((0, 1), (3, 5)):
+            flip_edge(mesh, metric, edge[frozenset((a, b))])
         raise LineSearchError("forced")
 
     monkeypatch.setattr(solver_mod, "line_search", fail)
-    mesh, metric, theta_hat = octa_problem(8)
-    _, _, _, report = find_conformal_metric(
-        mesh, metric, theta_hat, SolverConfig(verify_delaunay=True)
-    )
+    with helpers.delaunay_after_every_retriangulation() as audited:
+        _, _, u, report = find_conformal_metric(mesh, metric, theta_hat)
     assert report.termination == "line_search_failed"
-    # one sweep after the initial retriangulation, one after the restore
-    assert report.delaunay_checks == 2 * mesh.n_edges()
+    # one audit after the initial retriangulation, one after the restore
+    assert len(audited) == 2
+    assert np.array_equal(audited[1], u)
 
 
 def test_step_budget_reaches_max_newton_steps():
