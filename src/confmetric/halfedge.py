@@ -37,6 +37,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class MeshError(Exception):
@@ -144,9 +145,6 @@ class CombinatorialMesh:
     def is_boundary_halfedge(self, h: int) -> bool:
         return self.he_face[h] in self.boundary_faces
 
-    def is_boundary_edge(self, e: int) -> bool:
-        return self.is_boundary_halfedge(e) or self.is_boundary_halfedge(self.opp[e])
-
     def boundary_vertices(self) -> set[int]:
         """Heads of the outer-loop halfedges."""
         return {self.to[h] for f in self.boundary_faces for h in self.face_halfedges(f)}
@@ -156,14 +154,6 @@ class CombinatorialMesh:
     def n_edges(self) -> int:
         """O(1) edge count: halfedge pairs less one parked pair per quad."""
         return len(self.opp) // 2 - len(self.quad_pairs)
-
-    def n_faces(self) -> int:
-        return len(self.faces())
-
-    def euler_characteristic(self) -> int:
-        # Outer loops are not faces of the surface; each contributes a
-        # boundary component, not a 2-cell.
-        return self.n_vertices - self.n_edges() + self.n_faces()
 
     def copy(self) -> "CombinatorialMesh":
         return CombinatorialMesh(
@@ -384,8 +374,7 @@ def validate(mesh: CombinatorialMesh) -> list[str]:
 # -- elementary (asymmetric) edge flip ------------------------------------
 
 
-@dataclass(frozen=True)
-class FlipFrame:
+class FlipFrame(NamedTuple):
     """The six halfedges around a flippable interior edge.
 
     ``h0 = i->j`` is the flipped halfedge, ``h3 = opp[h0] = j->i``;
@@ -414,20 +403,21 @@ def plan_flip(mesh: CombinatorialMesh, h: int) -> FlipFrame:
     Requires both incident faces to be triangles (no quads, no outer loops).
     Self-adjacent edges (both halfedges in one triangle) are not flippable.
     """
+    nxt, he_face = mesh.next_he, mesh.he_face
     h0 = h
     h3 = mesh.opp[h0]
-    f0, f3 = mesh.he_face[h0], mesh.he_face[h3]
+    f0, f3 = he_face[h0], he_face[h3]
     if f0 in mesh.boundary_faces or f3 in mesh.boundary_faces:
         raise FlipError(f"edge of halfedge {h} is on the boundary")
     if f0 in mesh.quad_pairs or f3 in mesh.quad_pairs:
         raise FlipError(f"edge of halfedge {h} borders a quad face")
     if f0 == f3:
         raise FlipError(f"edge of halfedge {h} is self-adjacent (both sides one face)")
-    h1 = mesh.next_he[h0]
-    h2 = mesh.next_he[h1]
-    h4 = mesh.next_he[h3]
-    h5 = mesh.next_he[h4]
-    if mesh.next_he[h2] != h0 or mesh.next_he[h5] != h3:
+    h1 = nxt[h0]
+    h2 = nxt[h1]
+    h4 = nxt[h3]
+    h5 = nxt[h4]
+    if nxt[h2] != h0 or nxt[h5] != h3:
         raise FlipError(f"faces at halfedge {h} are not triangles")
     return FlipFrame(h0, h1, h2, h3, h4, h5)
 
@@ -438,9 +428,11 @@ def apply_flip(mesh: CombinatorialMesh, fr: FlipFrame) -> None:
     ``(h0,h1,h2),(h3,h4,h5)`` become ``(h0,h2,h4),(h1,h3,h5)`` with
     ``to[h0] = k`` and ``to[h3] = m`` read before mutation.
     """
-    k = mesh.to[fr.h1]
-    m = mesh.to[fr.h4]
-    mesh.to[fr.h0] = k
-    mesh.to[fr.h3] = m
-    mesh.rebuild_face([fr.h0, fr.h2, fr.h4])
-    mesh.rebuild_face([fr.h1, fr.h3, fr.h5])
+    h0, h1, h2, h3, h4, h5 = fr
+    to, nxt, he_face = mesh.to, mesh.next_he, mesh.he_face
+    to[h0] = to[h1]
+    to[h3] = to[h4]
+    nxt[h0], nxt[h2], nxt[h4] = h2, h4, h0
+    nxt[h1], nxt[h3], nxt[h5] = h3, h5, h1
+    he_face[h0] = he_face[h2] = he_face[h4] = min(h0, h2, h4)
+    he_face[h1] = he_face[h3] = he_face[h5] = min(h1, h3, h5)

@@ -38,7 +38,9 @@ it flags seed one work list.  ``holds`` from ``scalar_metric``, the one
 scalar scaled length and side term bound to the mesh and metric lists once
 per call, alone decides which popped edges are skipped: parked and
 boundary edges, edges whose value clears the tie band, and edges that the
-mirror symmetry forces to be Delaunay.
+mirror symmetry forces to be Delaunay.  Between two triangles ``value``
+reads the edge's frame once, and each plain flip calls this module's
+``flip_edge`` global, so a wrapper there sees every ``FlipLog.single``.
 """
 
 from __future__ import annotations
@@ -210,20 +212,24 @@ def scalar_metric(
     - c^2) / ab of edge ``e`` (for a quad side, in the virtual triangle cut
     off by the stored diagonal).  Where ab would be subnormal or a square
     overflows, a, b and c are first rescaled as in the corner table, and
-    MetricError is raised if ab is still zero.  ``holds(e)`` is true for a
-    parked or boundary edge, else when ``value(e) >= -eps_flip``, else when
-    ``refl`` forces the condition (``classify_flip`` is asked only then).
-    Flips mutate the bound lists in place, so one binding serves every flip
-    at the same ``u``.
+    MetricError is raised if ab is still zero.  Between two triangles,
+    ``value`` reads the frame of ``e`` once and forms both terms inline;
+    quad sides and out-of-range terms take the per-side path.  ``holds(e)``
+    is true for a parked or boundary edge, else when ``value(e) >=
+    -eps_flip``, else when ``refl`` forces the condition (``classify_flip``
+    is asked only then).  Flips mutate the bound lists in place, so one
+    binding serves every flip at the same ``u``.
     """
     nxt, opp, to = mesh.next_he, mesh.opp, mesh.to
     he_face, face_halfedges = mesh.he_face, mesh.face_halfedges
     boundary_faces = mesh.boundary_faces
     L, quad_diag = metric.lengths, metric.quad_diag
     uu = np.asarray(u, dtype=float).tolist()
+    exp, inf = math.exp, math.inf
+    tie = -eps_flip
 
     def scaled(l: float, a: int, b: int) -> float:
-        return l * math.exp(0.5 * (uu[a] + uu[b]))
+        return l * exp(0.5 * (uu[a] + uu[b]))
 
     def length(h: int) -> float:
         return scaled(L[h], to[opp[h]], to[h])
@@ -248,7 +254,7 @@ def scalar_metric(
             b = scaled(L[nxt[nh]], k, i)
         ab = a * b
         num = a * a + b * b - c * c
-        if not (1e-270 < ab and abs(num) < math.inf):
+        if not (1e-270 < ab and -inf < num < inf):
             # ab is near the subnormal range or a square overflowed.
             e = -math.frexp(max(a, b, c))[1]
             a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
@@ -259,13 +265,32 @@ def scalar_metric(
         return num / ab
 
     def value(e: int) -> float:
-        return side(e) + side(opp[e])
+        o = opp[e]
+        if he_face[e] in quad_diag or he_face[o] in quad_diag:
+            return side(e) + side(o)
+        # side(e) + side(o) from one read of the frame: the triangles
+        # i -> j -> k and j -> i -> m, with e running from i to j.
+        h1, h4 = nxt[e], nxt[o]
+        ui, uj, uk, um = uu[to[o]], uu[to[e]], uu[to[h1]], uu[to[h4]]
+        sij = exp(0.5 * (ui + uj))  # IEEE + commutes: the factor of both c
+        c = L[e] * sij
+        a = L[h1] * exp(0.5 * (uj + uk))
+        b = L[nxt[h1]] * exp(0.5 * (uk + ui))
+        ab = a * b
+        num = a * a + b * b - c * c
+        t = num / ab if 1e-270 < ab and -inf < num < inf else side(e)
+        c = L[o] * sij
+        a = L[h4] * exp(0.5 * (ui + um))
+        b = L[nxt[h4]] * exp(0.5 * (um + uj))
+        ab = a * b
+        num = a * a + b * b - c * c
+        return t + (num / ab if 1e-270 < ab and -inf < num < inf else side(o))
 
     def holds(e: int) -> bool:
         fa = he_face[e]
         if fa < 0 or fa in boundary_faces or he_face[opp[e]] in boundary_faces:
             return True
-        if value(e) >= -eps_flip:
+        if value(e) >= tie:
             return True
         return refl is not None and classify_flip(mesh, refl, e)[0] is FlipType.ALWAYS_DELAUNAY
 
@@ -307,9 +332,8 @@ class FlipLog:
     def total(self) -> int:
         return self.single + self.paired + self.axis + self.tri_quad + self.quad_quad
 
-    def add(self, kind: FlipType | None) -> None:
-        name = "single" if kind is None else kind.value  # a surgery's value names its field
-        setattr(self, name, getattr(self, name) + 1)
+    def add(self, kind: FlipType) -> None:
+        setattr(self, kind.value, getattr(self, kind.value) + 1)  # the value names its field
 
     def merge(self, other: "FlipLog") -> None:
         self.single += other.single
@@ -370,6 +394,7 @@ def make_delaunay(
     """
     log = FlipLog()
     budget = flip_budget_factor * mesh.n_edges()
+    opp = mesh.opp
     holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
     stack = _scan_violations_vectorized(mesh, metric, u, eps_flip)[::-1]
     while stack:
@@ -379,10 +404,9 @@ def make_delaunay(
         if log.total >= budget:
             raise FlipBudgetError(f"exceeded {budget:.0f} flips without reaching Delaunay")
         if refl is None:
-            fr, _ = flip_edge(mesh, metric, h)
-            log.add(None)
-            for x in (fr.h1, fr.h2, fr.h4, fr.h5):
-                stack.append(mesh.edge_of(x))
+            _, h1, h2, _, h4, h5 = flip_edge(mesh, metric, h)[0]
+            log.single += 1
+            stack += (min(h1, opp[h1]), min(h2, opp[h2]), min(h4, opp[h4]), min(h5, opp[h5]))
         else:
             rec = apply_symmetric_flip(mesh, metric, refl, h)
             log.add(rec.kind)

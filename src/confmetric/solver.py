@@ -150,8 +150,11 @@ def newton_direction(
     gnorm = float(np.linalg.norm(g_bar))
     if gnorm == 0.0 or len(size) == 1:
         return np.zeros(n)
-    P = scipy.sparse.csr_matrix((np.ones(n), orbit, np.arange(n + 1)), shape=(n, len(size)))
-    y = scipy.sparse.linalg.spsolve(scipy.sparse.csc_matrix(P.T @ H @ P)[1:, 1:], -g_sum[1:])
+    Hr = H
+    if len(size) < n:  # else every orbit is one vertex and P = I
+        P = scipy.sparse.csr_matrix((np.ones(n), orbit, np.arange(n + 1)), shape=(n, len(size)))
+        Hr = P.T @ H @ P
+    y = scipy.sparse.linalg.spsolve(scipy.sparse.csc_matrix(Hr)[1:, 1:], -g_sum[1:])
     d = np.concatenate(([0.0], np.atleast_1d(y)))[orbit]
     if not np.all(np.isfinite(d)):
         raise SolverError("non-finite Newton direction (degenerate Hessian)")

@@ -55,10 +55,24 @@ def set_length(mesh, metric, a, b, val):
     assert hit, f"no edge {a}-{b}"
 
 
+def is_boundary_edge(mesh, e):
+    return mesh.is_boundary_halfedge(e) or mesh.is_boundary_halfedge(mesh.opp[e])
+
+
+def n_faces(mesh):
+    return len(mesh.faces())
+
+
+def euler_characteristic(mesh):
+    # Outer loops are not faces of the surface; each contributes a
+    # boundary component, not a 2-cell.
+    return mesh.n_vertices - mesh.n_edges() + n_faces(mesh)
+
+
 def flippable_edges(mesh):
     out = []
     for e in mesh.edges():
-        if mesh.is_boundary_edge(e):
+        if is_boundary_edge(mesh, e):
             continue
         try:
             plan_flip(mesh, e)
@@ -145,6 +159,31 @@ def delaunay_after_every_retriangulation():
         yield audited
     finally:
         solver_mod.make_delaunay = real
+
+
+def reference_delaunay_value(mesh, metric, u, e):
+    """Delaunay value of edge ``e`` built from ``scalar_metric(...).length``.
+
+    Each halfedge h of ``e`` adds (a^2 + b^2 - c^2) / ab, where c is the
+    scaled length of h and a, b the other two sides of its triangle (for a
+    side of a quad, its neighbour in the virtual triangle and the stored
+    diagonal).  The three sides are first divided by the power of two of
+    the largest, which is exact, so every term is formed in range.
+    """
+    sm = scalar_metric(mesh, metric, u)
+    terms = []
+    for h in (e, mesh.opp[e]):
+        f = mesh.he_face[h]
+        if f in metric.quad_diag:
+            hs = mesh.face_halfedges(f)
+            a, b = sm.length(hs[hs.index(h) ^ 1]), sm.diag(f)
+        else:
+            a, b = sm.length(mesh.next_he[h]), sm.length(mesh.prev(h))
+        c = sm.length(h)
+        s = -math.frexp(max(a, b, c))[1]
+        a, b, c = math.ldexp(a, s), math.ldexp(b, s), math.ldexp(c, s)
+        terms.append((a * a + b * b - c * c) / (a * b))
+    return terms[0] + terms[1]
 
 
 def active_lengths(mesh, metric):

@@ -53,7 +53,7 @@ class RetriangulationAudit:
         key = id(mesh)
         if key not in self._interior:
             self._interior[key] = sum(
-                1 for e in mesh.edges() if not mesh.is_boundary_edge(e)
+                1 for e in mesh.edges() if not helpers.is_boundary_edge(mesh, e)
             )
         return self._interior[key]
 
@@ -345,7 +345,7 @@ def test_symmetry_forced_configurations_stay_delaunay_under_random_metrics():
                     u[v] = u[w] = rng.normal(0.0, 0.3)
             value = scalar_metric(mesh, cmetric, u).value
             for e in mesh.edges():
-                if mesh.is_boundary_edge(e):
+                if helpers.is_boundary_edge(mesh, e):
                     continue
                 kind, _ = classify_flip(mesh, refl, e)
                 if kind is not FlipType.ALWAYS_DELAUNAY:

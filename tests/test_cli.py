@@ -12,8 +12,6 @@ from confmetric.io import read_bundle, read_mesh_file, read_targets_file, sideca
 from confmetric.metric import PennerMetric, vertex_angle_sums
 from confmetric.solver import SolverConfig
 
-import helpers
-
 
 PI = repr(math.pi)
 

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confmetric.metric as metric_mod
+import confmetric.solver as solver_mod
+from confmetric.generate import generate
 from confmetric.halfedge import build_from_face_lists
 from confmetric.metric import (
     FlipBudgetError,
@@ -21,6 +23,7 @@ from confmetric.metric import (
     scalar_metric,
     vertex_angle_sums,
 )
+from confmetric.solver import SolverConfig, solve_problem
 
 import helpers
 
@@ -250,10 +253,10 @@ def test_make_delaunay_flips_the_stretched_edge():
     mesh = helpers.octa()
     metric = PennerMetric.uniform(mesh)
     helpers.set_length(mesh, metric, 0, 1, 1.9)
-    faces_before = mesh.n_faces()
+    faces_before = helpers.n_faces(mesh)
     log = make_delaunay(mesh, metric, [0.0] * 6)
     assert log.total >= 1
-    assert mesh.n_faces() == faces_before
+    assert helpers.n_faces(mesh) == faces_before
     u = [0.0] * 6
     holds = scalar_metric(mesh, metric, u).holds
     for e in mesh.edges():
@@ -312,18 +315,22 @@ def test_scan_flags_exactly_the_scalar_violations(eps):
     # The scan reads the corner table; the scalar predicate walks each
     # edge's faces.  They must agree on every interior edge, forced ones
     # included, on quads and on shuffled triangles, and at a negative band
-    # that flags most edges.
+    # that flags most edges.  The scalar value itself must be bitwise the
+    # sum of two side terms formed from scaled lengths, quad sides included.
     rng = np.random.default_rng(17)
     cover, cmetric, _ = helpers.hexagon_cover()
     helpers.drive_to_quads(cover, cmetric)
     assert cmetric.quad_diag
     mesh, metric = helpers.shuffled_closed_mesh(rng, level=1, flips=30)
     for m, met, quads in [(cover.mesh, cmetric, True), (mesh, metric, False)]:
-        candidates = [e for e in m.edges() if not m.is_boundary_edge(e)]
+        candidates = [e for e in m.edges() if not helpers.is_boundary_edge(m, e)]
         for _ in range(4):
             u = rng.normal(0.0, 0.3, m.n_vertices)
             value = scalar_metric(m, met, u).value
             want = [e for e in candidates if value(e) < -eps]
+            assert [value(e).hex() for e in candidates] == [
+                helpers.reference_delaunay_value(m, met, u, e).hex() for e in candidates
+            ]
             assert _scan_violations_vectorized(m, met, u, eps) == want
             if eps < 0:
                 assert len(want) > len(candidates) / 2
@@ -337,14 +344,23 @@ def test_side_terms_are_exact_where_a_side_product_leaves_the_float_range(u0):
     # 1e-260 it underflows to 0.  A power-of-two rescale is exact, so the
     # uniform octahedron gives exactly its u = 0 values: 1 per side, 2 per
     # edge, which the scan flags below a threshold just above 2 and not at 2.
+    # On shuffled lengths the rescaled values are bitwise the reference's.
     mesh = helpers.octa()
     metric = PennerMetric.uniform(mesh)
     edges = mesh.edges()
     for u in ([0.0] * 6, [u0] * 6):
         value = scalar_metric(mesh, metric, u).value
-        assert [value(e) for e in edges] == [2.0] * len(edges)
+        reference = [helpers.reference_delaunay_value(mesh, metric, u, e) for e in edges]
+        assert [value(e) for e in edges] == reference == [2.0] * len(edges)
         assert _scan_violations_vectorized(mesh, metric, u, -2.0) == []
         assert _scan_violations_vectorized(mesh, metric, u, -math.nextafter(2.0, 3.0)) == edges
+    rng = np.random.default_rng(5)
+    mesh, metric = helpers.shuffled_closed_mesh(rng, level=1, flips=30)
+    u = u0 + rng.normal(0.0, 0.3, mesh.n_vertices)
+    value = scalar_metric(mesh, metric, u).value
+    assert [value(e).hex() for e in mesh.edges()] == [
+        helpers.reference_delaunay_value(mesh, metric, u, e).hex() for e in mesh.edges()
+    ]
 
 
 def test_make_delaunay_ends_when_every_flagged_edge_rechecks_as_delaunay(monkeypatch):
@@ -401,6 +417,39 @@ def test_make_delaunay_scans_once_per_call(monkeypatch):
         assert all(holds(e) for e in mesh.edges())
 
 
+def test_make_delaunay_calls_flip_edge_once_per_plain_flip(monkeypatch):
+    # A traced run counts plain flips by wrapping this module's flip_edge,
+    # so the flip loop calls it through the module global, once for every
+    # flip that FlipLog.single counts: on the octahedron, and in every
+    # retriangulation of the genus-2 cone solve.
+    real = metric_mod.flip_edge
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(metric_mod, "flip_edge", counted)
+    octa = helpers.octa()
+    log = make_delaunay(octa, PennerMetric.uniform(octa), [0.0, -2.0, 0.0, -2.0, 0.0, 0.0])
+    assert log.single == calls == 4
+
+    real_make_delaunay = solver_mod.make_delaunay
+    per_call = []
+
+    def audited(*args):
+        before = calls
+        log = real_make_delaunay(*args)
+        per_call.append((log.single, calls - before))
+        return log
+
+    monkeypatch.setattr(solver_mod, "make_delaunay", audited)
+    solve_problem(generate("single-cone-genus-2", 0, 0), SolverConfig(eps_tol=1e-8))
+    assert sum(single for single, _ in per_call) > 0
+    assert all(single == n for single, n in per_call)
+
+
 def test_make_delaunay_flip_budget():
     mesh = helpers.octa()
     metric = PennerMetric.uniform(mesh)
@@ -427,7 +476,7 @@ def test_gradient_sums_to_zero_for_admissible_targets():
     mesh, metric = helpers.shuffled_closed_mesh(rng, level=1, flips=0)
     u = rng.normal(0.0, 0.3, mesh.n_vertices)
     make_delaunay(mesh, metric, u)
-    theta_hat = np.full(mesh.n_vertices, math.pi * mesh.n_faces() / mesh.n_vertices)
+    theta_hat = np.full(mesh.n_vertices, math.pi * helpers.n_faces(mesh) / mesh.n_vertices)
     g = gradient(mesh, metric, u, theta_hat)
     assert abs(float(np.sum(g))) <= 1e-10
 

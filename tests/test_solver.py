@@ -252,7 +252,7 @@ def test_rejected_refinement_returns_the_power_of_two_point_on_a_delaunay_mesh(m
     assert res.flips.total > 0
     holds = scalar_metric(mesh, metric, res.u, None, 1e-12).holds
     for e in mesh.edges():
-        if not mesh.is_boundary_edge(e):
+        if not helpers.is_boundary_edge(mesh, e):
             assert holds(e)
     assert np.array_equal(res.g_try, gradient(mesh, metric, res.u, theta_hat))
 

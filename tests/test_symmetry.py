@@ -1,7 +1,5 @@
 """Reflection bookkeeping and the symmetric surgery zoo."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +27,7 @@ def test_initial_cover_is_valid_symmetric_state():
     mesh, refl, cmetric = fresh()
     assert validate(mesh) == []
     assert validate_symmetry(mesh, refl, cmetric) == []
-    assert (mesh.n_vertices, mesh.n_edges(), mesh.n_faces()) == (8, 18, 12)
+    assert (mesh.n_vertices, mesh.n_edges(), helpers.n_faces(mesh)) == (8, 18, 12)
 
 
 def test_reflection_identities():
