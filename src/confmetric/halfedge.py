@@ -172,7 +172,8 @@ class CombinatorialMesh:
         """Wire ``cycle`` into a face orbit and refresh its caches.
 
         ``to`` entries must already be correct; callers read all heads they
-        need before any rewiring.  Returns the face id.
+        need before any rewiring.  Returns the face id, its smallest
+        halfedge (``apply_flip`` repeats this rule inline).
         """
         k = len(cycle)
         fid = min(cycle)
@@ -426,7 +427,8 @@ def apply_flip(mesh: CombinatorialMesh, fr: FlipFrame) -> None:
     """Rewire the two triangles of ``fr`` to the opposite diagonal.
 
     ``(h0,h1,h2),(h3,h4,h5)`` become ``(h0,h2,h4),(h1,h3,h5)`` with
-    ``to[h0] = k`` and ``to[h3] = m`` read before mutation.
+    ``to[h0] = k`` and ``to[h3] = m`` read before mutation.  The flip loop
+    runs this per flip, so both ``rebuild_face`` calls are written out.
     """
     h0, h1, h2, h3, h4, h5 = fr
     to, nxt, he_face = mesh.to, mesh.next_he, mesh.he_face

@@ -38,9 +38,9 @@ it flags seed one work list.  ``holds`` from ``scalar_metric``, the one
 scalar scaled length and side term bound to the mesh and metric lists once
 per call, alone decides which popped edges are skipped: parked and
 boundary edges, edges whose value clears the tie band, and edges that the
-mirror symmetry forces to be Delaunay.  Between two triangles ``value``
-reads the edge's frame once, and each plain flip calls this module's
-``flip_edge`` global, so a wrapper there sees every ``FlipLog.single``.
+mirror symmetry forces to be Delaunay.  ``value`` reads the edge's frame
+once, and each plain flip calls this module's ``flip_edge`` global, so a
+wrapper there sees every ``FlipLog.single``.
 """
 
 from __future__ import annotations
@@ -212,13 +212,13 @@ def scalar_metric(
     - c^2) / ab of edge ``e`` (for a quad side, in the virtual triangle cut
     off by the stored diagonal).  Where ab would be subnormal or a square
     overflows, a, b and c are first rescaled as in the corner table, and
-    MetricError is raised if ab is still zero.  Between two triangles,
-    ``value`` reads the frame of ``e`` once and forms both terms inline;
-    quad sides and out-of-range terms take the per-side path.  ``holds(e)``
-    is true for a parked or boundary edge, else when ``value(e) >=
-    -eps_flip``, else when ``refl`` forces the condition (``classify_flip``
-    is asked only then).  Flips mutate the bound lists in place, so one
-    binding serves every flip at the same ``u``.
+    MetricError is raised if ab is still zero.  ``value`` reads the frame of
+    ``e`` once and forms a triangle's term inline; only a quad side's term
+    and the rescale are calls.  ``holds(e)`` is true for a parked or
+    boundary edge, else when ``value(e) >= -eps_flip``, else when ``refl``
+    forces the condition (``classify_flip`` is asked only then).  Flips
+    mutate the bound lists in place, so one binding serves every flip at
+    the same ``u``.
     """
     nxt, opp, to = mesh.next_he, mesh.opp, mesh.to
     he_face, face_halfedges = mesh.he_face, mesh.face_halfedges
@@ -238,53 +238,52 @@ def scalar_metric(
         q1 = nxt[f]
         return scaled(quad_diag[f], to[q1], to[nxt[nxt[q1]]])
 
-    def side(h: int) -> float:
+    def rescaled(a: float, b: float, c: float, h: int) -> float:
+        # ab is near the subnormal range or a square overflowed.
+        e = -math.frexp(max(a, b, c))[1]
+        a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
+        ab = a * b
+        if not 0.0 < ab < inf:
+            raise MetricError(f"scaled lengths beside halfedge {h} left the float range")
+        return (a * a + b * b - c * c) / ab
+
+    def quad_side(h: int) -> float:
         f = he_face[h]
-        if f in quad_diag:
-            hs = face_halfedges(f)
-            c = length(h)
-            a = length(hs[hs.index(h) ^ 1])
-            b = diag(f)
-        else:
-            # The triangle i -> j -> k -> i, with h running from i to j.
-            nh = nxt[h]
-            i, j, k = to[opp[h]], to[h], to[nh]
-            c = scaled(L[h], i, j)
-            a = scaled(L[nh], j, k)
-            b = scaled(L[nxt[nh]], k, i)
+        hs = face_halfedges(f)
+        c = length(h)
+        a = length(hs[hs.index(h) ^ 1])
+        b = diag(f)
         ab = a * b
         num = a * a + b * b - c * c
-        if not (1e-270 < ab and -inf < num < inf):
-            # ab is near the subnormal range or a square overflowed.
-            e = -math.frexp(max(a, b, c))[1]
-            a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
-            ab = a * b
-            if not 0.0 < ab < math.inf:
-                raise MetricError(f"scaled lengths beside halfedge {h} left the float range")
-            num = a * a + b * b - c * c
-        return num / ab
+        return num / ab if 1e-270 < ab and -inf < num < inf else rescaled(a, b, c, h)
 
     def value(e: int) -> float:
+        # One read of the frame: the triangles i -> j -> k and j -> i -> m,
+        # with e running from i to j.  A quad side takes quad_side.
         o = opp[e]
-        if he_face[e] in quad_diag or he_face[o] in quad_diag:
-            return side(e) + side(o)
-        # side(e) + side(o) from one read of the frame: the triangles
-        # i -> j -> k and j -> i -> m, with e running from i to j.
-        h1, h4 = nxt[e], nxt[o]
-        ui, uj, uk, um = uu[to[o]], uu[to[e]], uu[to[h1]], uu[to[h4]]
+        ui, uj = uu[to[o]], uu[to[e]]
         sij = exp(0.5 * (ui + uj))  # IEEE + commutes: the factor of both c
-        c = L[e] * sij
-        a = L[h1] * exp(0.5 * (uj + uk))
-        b = L[nxt[h1]] * exp(0.5 * (uk + ui))
-        ab = a * b
-        num = a * a + b * b - c * c
-        t = num / ab if 1e-270 < ab and -inf < num < inf else side(e)
+        if he_face[e] in quad_diag:
+            t = quad_side(e)
+        else:
+            h1 = nxt[e]
+            uk = uu[to[h1]]
+            c = L[e] * sij
+            a = L[h1] * exp(0.5 * (uj + uk))
+            b = L[nxt[h1]] * exp(0.5 * (uk + ui))
+            ab = a * b
+            num = a * a + b * b - c * c
+            t = num / ab if 1e-270 < ab and -inf < num < inf else rescaled(a, b, c, e)
+        if he_face[o] in quad_diag:
+            return t + quad_side(o)
+        h4 = nxt[o]
+        um = uu[to[h4]]
         c = L[o] * sij
         a = L[h4] * exp(0.5 * (ui + um))
         b = L[nxt[h4]] * exp(0.5 * (um + uj))
         ab = a * b
         num = a * a + b * b - c * c
-        return t + (num / ab if 1e-270 < ab and -inf < num < inf else side(o))
+        return t + (num / ab if 1e-270 < ab and -inf < num < inf else rescaled(a, b, c, o))
 
     def holds(e: int) -> bool:
         fa = he_face[e]

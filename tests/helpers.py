@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
 from confmetric.cover import build_double_cover
 from confmetric.generate import icosphere
@@ -139,26 +140,36 @@ def delaunay_after_every_retriangulation():
     """Wrap the solver's ``make_delaunay`` for the duration of the block.
 
     After each call every edge must hold at the call's tie band, with the
-    same scalar predicate the flip loop uses; a failing edge raises
-    AssertionError out of the solve.  Yields the list of the u of every
-    audited call, in call order.
+    same scalar predicate the flip loop uses, and the call must have made
+    exactly ``FlipLog.single`` calls to ``confmetric.metric.flip_edge``
+    (a traced run counts plain flips by wrapping that global); a failure
+    raises AssertionError out of the solve.  Yields the list of the u of
+    every audited call, in call order.
     """
-    real = solver_mod.make_delaunay
+    real, real_flip = solver_mod.make_delaunay, metric_mod.flip_edge
     audited = []
+    flips = 0
+
+    def counted(*args):
+        nonlocal flips
+        flips += 1
+        return real_flip(*args)
 
     def audit(mesh, metric, u, refl=None, eps_flip=1e-12, flip_budget_factor=100.0):
+        before = flips
         log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor)
+        assert flips - before == log.single, "flip_edge not called once per plain flip"
         holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
         failing = [e for e in mesh.edges() if not holds(e)]
         assert failing == [], f"{len(failing)} edges not Delaunay after make_delaunay"
         audited.append(np.array(u, dtype=float))
         return log
 
-    solver_mod.make_delaunay = audit
+    solver_mod.make_delaunay, metric_mod.flip_edge = audit, counted
     try:
         yield audited
     finally:
-        solver_mod.make_delaunay = real
+        solver_mod.make_delaunay, metric_mod.flip_edge = real, real_flip
 
 
 def reference_delaunay_value(mesh, metric, u, e):

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import confmetric.metric as metric_mod
-import confmetric.solver as solver_mod
-from confmetric.generate import generate
 from confmetric.halfedge import build_from_face_lists
 from confmetric.metric import (
     FlipBudgetError,
@@ -23,7 +21,6 @@ from confmetric.metric import (
     scalar_metric,
     vertex_angle_sums,
 )
-from confmetric.solver import SolverConfig, solve_problem
 
 import helpers
 
@@ -420,8 +417,8 @@ def test_make_delaunay_scans_once_per_call(monkeypatch):
 def test_make_delaunay_calls_flip_edge_once_per_plain_flip(monkeypatch):
     # A traced run counts plain flips by wrapping this module's flip_edge,
     # so the flip loop calls it through the module global, once for every
-    # flip that FlipLog.single counts: on the octahedron, and in every
-    # retriangulation of the genus-2 cone solve.
+    # flip that FlipLog.single counts.  helpers.delaunay_after_every_
+    # retriangulation holds every audited solve to the same count.
     real = metric_mod.flip_edge
     calls = 0
 
@@ -434,20 +431,6 @@ def test_make_delaunay_calls_flip_edge_once_per_plain_flip(monkeypatch):
     octa = helpers.octa()
     log = make_delaunay(octa, PennerMetric.uniform(octa), [0.0, -2.0, 0.0, -2.0, 0.0, 0.0])
     assert log.single == calls == 4
-
-    real_make_delaunay = solver_mod.make_delaunay
-    per_call = []
-
-    def audited(*args):
-        before = calls
-        log = real_make_delaunay(*args)
-        per_call.append((log.single, calls - before))
-        return log
-
-    monkeypatch.setattr(solver_mod, "make_delaunay", audited)
-    solve_problem(generate("single-cone-genus-2", 0, 0), SolverConfig(eps_tol=1e-8))
-    assert sum(single for single, _ in per_call) > 0
-    assert all(single == n for single, n in per_call)
 
 
 def test_make_delaunay_flip_budget():
