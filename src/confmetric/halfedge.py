@@ -155,17 +155,6 @@ class CombinatorialMesh:
         """O(1) edge count: halfedge pairs less one parked pair per quad."""
         return len(self.opp) // 2 - len(self.quad_pairs)
 
-    def copy(self) -> "CombinatorialMesh":
-        return CombinatorialMesh(
-            next_he=list(self.next_he),
-            opp=list(self.opp),
-            to=list(self.to),
-            n_vertices=self.n_vertices,
-            boundary_faces=set(self.boundary_faces),
-            he_face=list(self.he_face),
-            quad_pairs=dict(self.quad_pairs),
-        )
-
     # -- surgery helper ---------------------------------------------------
 
     def rebuild_face(self, cycle: list[int]) -> int:

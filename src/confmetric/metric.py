@@ -15,12 +15,13 @@ Transient quad faces (created by symmetric flips) are measured through
 their stored diagonal: the quad splits into two virtual triangles along
 the diagonal, which scales like an ordinary edge between its endpoints.
 
-Angle sums and the cotangent Hessian come from one numpy corner-table
-kernel.  It reads the triangles straight off the halfedge arrays (a face
-is a halfedge with ``he_face[h] == h``, which a parked halfedge never has,
-that is neither a stored quad nor an outer loop), expands every stored
-quad into its two virtual triangles, and yields per-triangle corner
-vertices with the scaled side opposite each corner.  Corner quantities
+Angle sums and the cotangent Hessian come from one numpy corner table.
+``read_triangles`` copies the lists into a u-free ``TriangleRead``: the
+triangles straight off the halfedge arrays (a face is a halfedge with
+``he_face[h] == h``, which a parked halfedge never has, that is neither a
+stored quad nor an outer loop), every stored quad as its two virtual
+triangles, corner vertices and the side opposite each corner.  The solver
+reuses one read until it flips; other calls read afresh.  Corner quantities
 come from needle-safe Heron terms (Kahan's ordering): angles from the
 half-angle tangent, summed per vertex with one ``bincount``, and
 cotangents as (b^2 + c^2 - a^2) / 4A for the Hessian's triplets.  The
@@ -79,9 +80,6 @@ class PennerMetric:
     lengths: list[float]
     quad_diag: dict[int, float] = field(default_factory=dict)
 
-    def copy(self) -> "PennerMetric":
-        return PennerMetric(list(self.lengths), dict(self.quad_diag))
-
     @classmethod
     def uniform(cls, mesh: CombinatorialMesh, value: float = 1.0) -> "PennerMetric":
         return cls([value] * mesh.n_halfedges())
@@ -101,27 +99,29 @@ def _scale(lengths: np.ndarray, u: np.ndarray, a: np.ndarray, b: np.ndarray) -> 
 # -- corner table -------------------------------------------------------------
 
 
-def _corner_table(
-    mesh: CombinatorialMesh,
-    metric: PennerMetric,
-    u: "list[float] | np.ndarray",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corner vertices ``V``, scaled opposite sides ``S`` and the halfedges
-    ``H`` of those sides, all (T, 3).
+class TriangleRead(NamedTuple):
+    """The u-free half of the corner table: the mesh and metric lists read
+    into numpy, valid until the next flip.  Row t is a triangle or a
+    virtual triangle of a quad, with corners ``V`` in face order; column k
+    holds the side opposite ``V[t, k]``: its length ``L``, head ``A``, tail
+    ``B`` and halfedge ``H`` (-1 at a stored diagonal)."""
 
-    Row t is one triangle, or one virtual triangle of a quad, with its
-    corners in face order; ``S[t, k]`` is the scaled side opposite corner
-    ``V[t, k]`` and ``H[t, k]`` its halfedge, or -1 for a quad's stored
-    diagonal.  Each row of ``S`` is divided by the power of two of its
-    largest side: exact, and it keeps products of two sides in range.
-    Raises MetricError on a zero or non-finite side.
-    """
+    V: np.ndarray
+    L: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    H: np.ndarray
+    opp: np.ndarray
+
+
+def read_triangles(mesh: CombinatorialMesh, metric: PennerMetric) -> TriangleRead:
+    """Copy the mesh and metric lists into a :class:`TriangleRead`."""
     nxt = _array(mesh.next_he)
     n = len(nxt)
     to = _array(mesh.to)
-    tail = to[_array(mesh.opp)]
+    opp = _array(mesh.opp)
+    tail = to[opp]
     lengths = _array(metric.lengths, float)
-    uu = np.asarray(u, dtype=float)
 
     q0 = _array(list(metric.quad_diag))
     is_face = _array(mesh.he_face) == np.arange(n)
@@ -148,12 +148,26 @@ def _corner_table(
         lengths = np.concatenate((lengths, d, d))
         to, tail = np.concatenate((to, to[q3], to[q1])), np.concatenate((tail, to[q1], to[q3]))
 
-    sides = _scale(lengths[cyc], uu, to[cyc], tail[cyc])
+    side = cyc[:, [2, 0, 1]]  # the side opposite each corner
+    H = np.where(side < n, side, -1)
+    return TriangleRead(to[cyc], lengths[side], to[side], tail[side], H, opp)
+
+
+def _corner_table(
+    mesh: CombinatorialMesh,
+    metric: PennerMetric,
+    u: "list[float] | np.ndarray",
+    read: TriangleRead | None = None,
+) -> tuple[TriangleRead, np.ndarray]:
+    """``read`` (read afresh when None) and its sides scaled at u, each row
+    divided by the power of two of its largest side: exact, and it keeps
+    products of two sides in range.  Raises MetricError on a zero or
+    non-finite side."""
+    r = read if read is not None else read_triangles(mesh, metric)
+    sides = _scale(r.L, np.asarray(u, dtype=float), r.A, r.B)
     if not np.all((sides > 0.0) & (sides < math.inf)):
         raise MetricError("zero or non-finite scaled length")
-    sides = np.ldexp(sides, -np.frexp(sides.max(axis=1, keepdims=True))[1])
-    H = np.where(cyc < n, cyc, -1)
-    return to[cyc], sides[:, [2, 0, 1]], H[:, [2, 0, 1]]
+    return r, np.ldexp(sides, -np.frexp(sides.max(axis=1, keepdims=True))[1])
 
 
 def _heron_terms(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,16 +188,18 @@ def vertex_angle_sums(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
+    read: TriangleRead | None = None,
 ) -> np.ndarray:
     """Total scaled angle around each vertex; quads count via their
-    virtual triangulation along the stored diagonal."""
-    V, S, _ = _corner_table(mesh, metric, u)
+    virtual triangulation along the stored diagonal.  ``read`` must be a
+    read of the current lists; None reads them afresh."""
+    r, S = _corner_table(mesh, metric, u, read)
     p, q = _heron_terms(S)
     # tan(angle / 2) = sqrt(q_next * q_prev / (p * q_own)), accurate for
     # needles where arccos of the law-of-cosines cosine is not.  A side
     # longer than the other two gives angles pi, 0, 0.
     angles = 2.0 * np.arctan2(np.sqrt(q[:, [1, 2, 0]] * q[:, [2, 0, 1]]), np.sqrt(p * q))
-    return np.bincount(V.ravel(), weights=angles.ravel(), minlength=mesh.n_vertices)
+    return np.bincount(r.V.ravel(), weights=angles.ravel(), minlength=mesh.n_vertices)
 
 
 # -- scalar lengths and the Delaunay predicate -------------------------------
@@ -347,6 +363,7 @@ def _scan_violations_vectorized(
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     eps_flip: float,
+    read: TriangleRead | None = None,
 ) -> list[int]:
     """Canonical ids, ascending, of the edges whose Delaunay value is below
     ``-eps_flip``.
@@ -358,17 +375,17 @@ def _scan_violations_vectorized(
     like any other and left to ``holds``.  Raises MetricError where a
     product bc of rescaled sides is zero.
     """
-    _, S, H = _corner_table(mesh, metric, u)
+    r, S = _corner_table(mesh, metric, u, read)
     b = S[:, [1, 2, 0]]
     c = S[:, [2, 0, 1]]
     bc = b * c
-    if not np.all((bc > 0.0) | (H < 0)):
+    if not np.all((bc > 0.0) | (r.H < 0)):
         raise MetricError("scaled lengths beside a side left the float range")
-    n = mesh.n_halfedges()
+    opp = r.opp
+    n = len(opp)
     # Entries at stored diagonals (H = -1) land in the spare last slot.
     term = np.full(n + 1, np.nan)
-    term[H] = (b * b + c * c - S * S) / bc
-    opp = _array(mesh.opp)
+    term[r.H] = (b * b + c * c - S * S) / bc
     bad = (np.arange(n) < opp) & (term[:n] + term[opp] < -eps_flip)
     return np.flatnonzero(bad).tolist()
 
@@ -380,6 +397,7 @@ def make_delaunay(
     refl: ReflectionMap | None = None,
     eps_flip: float = 1e-12,
     flip_budget_factor: float = 100.0,
+    read: TriangleRead | None = None,
 ) -> FlipLog:
     """Flip edges until the scaled metric is Delaunay; returns flip counts.
 
@@ -390,12 +408,13 @@ def make_delaunay(
     four outer edges, a surgery the edges of the faces it rebuilds.  The
     call returns when the stack is empty.  Raises :class:`FlipBudgetError`
     after ``flip_budget_factor * mesh.n_edges()`` flips, counted at entry.
+    The scan uses ``read`` as ``vertex_angle_sums`` does.
     """
     log = FlipLog()
     budget = flip_budget_factor * mesh.n_edges()
     opp = mesh.opp
     holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
-    stack = _scan_violations_vectorized(mesh, metric, u, eps_flip)[::-1]
+    stack = _scan_violations_vectorized(mesh, metric, u, eps_flip, read)[::-1]
     while stack:
         h = stack.pop()
         if holds(h):
@@ -423,15 +442,17 @@ def gradient(
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     theta_hat: "list[float] | np.ndarray",
+    read: TriangleRead | None = None,
 ) -> np.ndarray:
     """Residual target minus current angle sums (the Newton right-hand side)."""
-    return np.asarray(theta_hat, dtype=float) - vertex_angle_sums(mesh, metric, u)
+    return np.asarray(theta_hat, dtype=float) - vertex_angle_sums(mesh, metric, u, read)
 
 
 def hessian(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
+    read: TriangleRead | None = None,
 ) -> "scipy.sparse.csr_matrix":
     """Positive semidefinite cotangent matrix of the scaled metric.
 
@@ -439,11 +460,11 @@ def hessian(
     respect to u: off-diagonal entries are -(cot a + cot b)/2 over the
     corners opposite the edge ij, diagonals make rows sum to zero.  Quads
     are assembled through their virtual triangles, consistent with how
-    ``vertex_angle_sums`` measures them.
+    ``vertex_angle_sums`` measures them, from ``read`` as it does.
     """
     import scipy.sparse
 
-    V, S, _ = _corner_table(mesh, metric, u)
+    r, S = _corner_table(mesh, metric, u, read)
     p, q = _heron_terms(S)
     area4 = np.sqrt(p[:, 0] * q[:, 0] * q[:, 1] * q[:, 2])
     if not np.all(area4 > 0.0):
@@ -454,8 +475,8 @@ def hessian(
     b = S[:, [1, 2, 0]]
     c = S[:, [2, 0, 1]]
     w = (0.5 * (b * b + c * c - S * S) / area4[:, None]).ravel()
-    va = V[:, [1, 2, 0]].ravel()
-    vb = V[:, [2, 0, 1]].ravel()
+    va = r.V[:, [1, 2, 0]].ravel()
+    vb = r.V[:, [2, 0, 1]].ravel()
     rows = np.concatenate((va, vb, va, vb))
     cols = np.concatenate((vb, va, va, vb))
     vals = np.concatenate((-w, -w, w, w))

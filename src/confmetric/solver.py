@@ -10,6 +10,10 @@ tries one regula-falsi point between t and 2t on that slope, so a full
 step that lands just past the minimiser does not cost a rate-1/2 phase.
 The Newton system is solved with one unknown per mirror orbit of the
 double cover; a closed mesh has one vertex per orbit.
+
+A solve reads the mesh and metric lists into numpy at its start and
+after every retriangulation that flips; each read serves the scans,
+gradients and Hessians up to the next flip, and dies with the solve.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from .metric import (
     FlipLog,
     MetricError,
     PennerMetric,
+    TriangleRead,
     _array,
     _scale,
     gradient,
     hessian,
     make_delaunay,
+    read_triangles,
     scalar_metric,
 )
 from .symmetry import ReflectionMap
@@ -116,7 +122,7 @@ class LineSearchResult:
 
     ``halvings`` is the number of trials after the first, ``slope`` is
     <d, g_try>, and ``refined`` is True when t is the regula-falsi point
-    rather than a power of two.
+    rather than a power of two.  ``read`` is what the last gradient read.
     """
 
     u: np.ndarray
@@ -126,6 +132,7 @@ class LineSearchResult:
     slope: float
     t: float
     refined: bool
+    read: TriangleRead | None
 
 
 def newton_direction(
@@ -175,6 +182,7 @@ def line_search(
     theta_hat: np.ndarray,
     refl: ReflectionMap | None = None,
     config: SolverConfig | None = None,
+    read: TriangleRead | None = None,
 ) -> LineSearchResult:
     """Step to u + t*d with slope phi'(t) = <d, g(u + t*d)> <= 0.
 
@@ -195,6 +203,8 @@ def line_search(
     LineSearchError when no trial within ``config.max_halvings`` halvings
     is accepted, or when a trial leaves u unchanged.  ``config`` also gives
     the Delaunay tie tolerance and the flip budget of each retriangulation.
+    ``read`` reads the mesh at entry (None: read afresh); every trial that
+    flips reads again.
     """
     cfg = config if config is not None else SolverConfig()
     u = np.asarray(u, dtype=float)
@@ -203,15 +213,16 @@ def line_search(
     trials = 0
 
     def trial(t: float) -> tuple[np.ndarray, np.ndarray, float]:
-        nonlocal trials
+        nonlocal trials, read
         u_try = u + t * d
         if np.array_equal(u_try, u):
             # The step is below the float resolution of u: accepting it
             # would repeat the same step until the Newton budget runs out.
             raise LineSearchError("step does not move u")
-        log = make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, cfg.flip_budget_factor)
+        log = make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, cfg.flip_budget_factor, read)
+        read = read_triangles(mesh, metric) if log.total else read
         flips.merge(log)
-        g_try = gradient(mesh, metric, u_try, theta_hat)
+        g_try = gradient(mesh, metric, u_try, theta_hat, read)
         trials += 1
         return u_try, g_try, float(d @ g_try)
 
@@ -228,9 +239,9 @@ def line_search(
                 if t < t_r < 2.0 * t:
                     u_r, g_r, slope_r = trial(t_r)
                     if slope_r <= 0.0:
-                        return LineSearchResult(u_r, g_r, trials - 1, flips, slope_r, t_r, True)
+                        return LineSearchResult(u_r, g_r, trials - 1, flips, slope_r, t_r, True, read)
                     continue  # retriangulate at t and evaluate there again
-            return LineSearchResult(u_try, g_try, trials - 1, flips, slope, t, False)
+            return LineSearchResult(u_try, g_try, trials - 1, flips, slope, t, False, read)
         if k == cfg.max_halvings:
             raise LineSearchError(f"no acceptable step within {cfg.max_halvings} halvings")
         slope_2t = slope
@@ -292,8 +303,10 @@ def find_conformal_metric(
     if theta_hat.shape[0] != n:
         raise MetricError("theta_hat length does not match vertex count")
 
-    flips0 = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
-    g = gradient(mesh, metric, u, theta_hat)
+    read = read_triangles(mesh, metric)
+    flips0 = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor, read)
+    read = read_triangles(mesh, metric) if flips0.total else read
+    g = gradient(mesh, metric, u, theta_hat, read)
     err = float(np.abs(g).max()) if n else 0.0
     steps = [
         NewtonStep(
@@ -306,7 +319,7 @@ def find_conformal_metric(
         if err <= cfg.eps_tol:
             termination = "converged"
             break
-        H = hessian(mesh, metric, u)
+        H = hessian(mesh, metric, u, read)
         try:
             d = newton_direction(H, g, refl)
         except SolverError:
@@ -314,14 +327,14 @@ def find_conformal_metric(
             break
         decrement = float(-(d @ g))
         try:
-            ls = line_search(mesh, metric, u, d, theta_hat, refl, cfg)
+            ls = line_search(mesh, metric, u, d, theta_hat, refl, cfg, read)
         except LineSearchError:
             # The failed trials moved the triangulation; restore the
-            # Delaunay state for the u we are keeping.
+            # Delaunay state for the u we are keeping, from a fresh read.
             make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
             termination = "line_search_failed"
             break
-        u = ls.u
+        u, read = ls.u, ls.read
         g = ls.g_try
         err = float(np.abs(g).max())
         steps.append(

@@ -83,9 +83,6 @@ class ReflectionMap:
     he_label: list[int]
     vertex_refl: list[int]
 
-    def copy(self) -> "ReflectionMap":
-        return ReflectionMap(list(self.r), list(self.he_label), list(self.vertex_refl))
-
 
 @dataclass(frozen=True)
 class FlipRecord:

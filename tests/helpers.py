@@ -1,6 +1,8 @@
 """Shared fixtures: small meshes, randomized states, symmetric test rigs."""
 
+import collections
 import contextlib
+import inspect
 import math
 
 import numpy as np
@@ -9,9 +11,9 @@ import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
 from confmetric.cover import build_double_cover
 from confmetric.generate import icosphere
-from confmetric.halfedge import build_from_face_lists, plan_flip
-from confmetric.metric import PennerMetric, flip_edge, scalar_metric
-from confmetric.symmetry import FlipType, apply_symmetric_flip, classify_flip
+from confmetric.halfedge import CombinatorialMesh, build_from_face_lists, plan_flip
+from confmetric.metric import PennerMetric, flip_edge, read_triangles, scalar_metric
+from confmetric.symmetry import FlipType, ReflectionMap, apply_symmetric_flip, classify_flip
 
 
 def corner_angle(l_opp, l_a, l_b):
@@ -27,6 +29,26 @@ def corner_angle(l_opp, l_a, l_b):
     elif c < -1.0:
         c = -1.0
     return math.acos(c)
+
+
+def copy_mesh(mesh):
+    return CombinatorialMesh(
+        next_he=list(mesh.next_he),
+        opp=list(mesh.opp),
+        to=list(mesh.to),
+        n_vertices=mesh.n_vertices,
+        boundary_faces=set(mesh.boundary_faces),
+        he_face=list(mesh.he_face),
+        quad_pairs=dict(mesh.quad_pairs),
+    )
+
+
+def copy_metric(metric):
+    return PennerMetric(list(metric.lengths), dict(metric.quad_diag))
+
+
+def copy_refl(refl):
+    return ReflectionMap(list(refl.r), list(refl.he_label), list(refl.vertex_refl))
 
 
 def tetra():
@@ -155,9 +177,9 @@ def delaunay_after_every_retriangulation():
         flips += 1
         return real_flip(*args)
 
-    def audit(mesh, metric, u, refl=None, eps_flip=1e-12, flip_budget_factor=100.0):
+    def audit(mesh, metric, u, refl=None, eps_flip=1e-12, flip_budget_factor=100.0, read=None):
         before = flips
-        log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor)
+        log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor, read)
         assert flips - before == log.single, "flip_edge not called once per plain flip"
         holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
         failing = [e for e in mesh.edges() if not holds(e)]
@@ -170,6 +192,49 @@ def delaunay_after_every_retriangulation():
         yield audited
     finally:
         solver_mod.make_delaunay, metric_mod.flip_edge = real, real_flip
+
+
+@contextlib.contextmanager
+def every_read_is_fresh():
+    """Wrap the solver's ``gradient`` and ``hessian`` and the metric
+    module's scan for the duration of the block.
+
+    A read handed to any of them must equal a fresh ``read_triangles`` of
+    the mesh and metric lists at that moment, array by array and bitwise;
+    a stale one raises AssertionError out of the solve.  Yields a Counter
+    of the calls made with a read (``"read"``) and without (``"fresh"``).
+    """
+    targets = [(solver_mod, "gradient"), (solver_mod, "hessian"),
+               (metric_mod, "_scan_violations_vectorized")]
+    saved = [getattr(module, name) for module, name in targets]
+    calls = collections.Counter()
+
+    def checked(fn):
+        sig = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs).arguments
+            read = bound.get("read")
+            if read is None:
+                calls["fresh"] += 1
+            else:
+                want = read_triangles(bound["mesh"], bound["metric"])
+                assert all(
+                    x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+                    for x, y in zip(read, want, strict=True)
+                ), f"{fn.__name__} was handed a stale read"
+                calls["read"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for (module, name), fn in zip(targets, saved):
+        setattr(module, name, checked(fn))
+    try:
+        yield calls
+    finally:
+        for (module, name), fn in zip(targets, saved):
+            setattr(module, name, fn)
 
 
 def reference_delaunay_value(mesh, metric, u, e):

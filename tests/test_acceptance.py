@@ -8,7 +8,9 @@ return the full edge set is rescanned with the solver's own vectorized
 predicate scan at a zero tie band, and any offender's raw value is kept.
 The genus-2 cone solve runs under
 ``helpers.delaunay_after_every_retriangulation``, which asserts after each
-make_delaunay return that every edge holds at the solver's tie band.
+make_delaunay return that every edge holds at the solver's tie band, and
+under ``helpers.every_read_is_fresh``, which asserts that every read the
+solver hands to a scan, a gradient or a Hessian is a fresh one.
 """
 
 import math
@@ -29,7 +31,7 @@ from confmetric.metric import (
     scalar_metric,
     vertex_angle_sums,
 )
-from confmetric.solver import SolverConfig, solve_problem
+from confmetric.solver import SolverConfig, find_conformal_metric, solve_problem
 from confmetric.symmetry import FlipType, apply_symmetric_flip, classify_flip
 
 import helpers
@@ -61,8 +63,8 @@ class RetriangulationAudit:
         real = solver_mod.make_delaunay
 
         def audited(mesh, metric, u, refl=None, eps_flip=1e-12,
-                    flip_budget_factor=100.0):
-            log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor)
+                    flip_budget_factor=100.0, read=None):
+            log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor, read)
             bad = metric_mod._scan_violations_vectorized(mesh, metric, u, 0.0)
             self.scans += 1
             self.checks += self.interior_edges(mesh)
@@ -131,9 +133,9 @@ def disk_suite():
 @pytest.fixture(scope="module")
 def cone_run():
     cfg = SolverConfig(eps_tol=1e-8)
-    with helpers.delaunay_after_every_retriangulation():
+    with helpers.delaunay_after_every_retriangulation(), helpers.every_read_is_fresh() as reads:
         mesh, _, _, report = solve_problem(generate("single-cone-genus-2", 0, 0), cfg)
-    return {"n_vertices": mesh.n_vertices, "report": report}
+    return {"n_vertices": mesh.n_vertices, "report": report, "reads": reads}
 
 
 # -- the battery ---------------------------------------------------------------
@@ -389,6 +391,34 @@ def test_genus_two_cone_of_three_full_turns_converges(cone_run):
     )
     assert report.converged
     assert report.final_residual <= 1e-8
+
+
+def _kernel_calls(report):
+    """Scans, gradients and Hessians of a solve without a line-search failure."""
+    retriangulations = 1 + sum(rec.halvings + 1 for rec in report.steps[1:])
+    return 2 * retriangulations + report.newton_steps
+
+
+def test_the_cone_solve_hands_its_kernels_only_fresh_reads(cone_run):
+    # helpers.every_read_is_fresh compared every read with a fresh one as
+    # it reached a scan, a gradient or a Hessian; every call had one.
+    assert cone_run["reads"] == {"read": _kernel_calls(cone_run["report"])}
+
+
+def test_cover_solves_hand_their_kernels_only_fresh_reads():
+    # The same audit through paired, axis and leg-pair surgeries, and on a
+    # hexagon cover whose first retriangulation flips.
+    with helpers.every_read_is_fresh() as reads:
+        *_, report = solve_problem(generate("disk-random-boundary", 0, 1089))
+    flips = report.total_flips()
+    assert report.converged
+    assert flips.paired and flips.axis and flips.tri_quad and flips.quad_quad
+    assert reads == {"read": _kernel_calls(report)}
+    cover, cmetric, theta_hat = helpers.hexagon_cover(((0, 1), (2, 3)), 1.6)
+    with helpers.every_read_is_fresh() as reads:
+        *_, report = find_conformal_metric(cover.mesh, cmetric, theta_hat, refl=cover.refl)
+    assert report.converged and report.steps[0].flips.total > 0
+    assert reads == {"read": _kernel_calls(report)}
 
 
 def test_angle_residual_sum_vanishes_at_every_iteration(sphere_suite, disk_suite, cone_run):

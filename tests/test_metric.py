@@ -182,7 +182,7 @@ def test_delaunay_value_raises_on_underflowed_length():
 
 def flipped_length(mesh, metric, h):
     """Length flip_edge gives the edge of ``h``, leaving the inputs unflipped."""
-    return flip_edge(mesh.copy(), metric.copy(), h)[1]
+    return flip_edge(helpers.copy_mesh(mesh), helpers.copy_metric(metric), h)[1]
 
 
 def test_ptolemy_length_of_square_diagonal():
@@ -268,7 +268,7 @@ def test_make_delaunay_flips_the_stretched_edge():
 def test_make_delaunay_commutes_with_constant_shift():
     rng = np.random.default_rng(3)
     mesh_a, metric_a = helpers.shuffled_closed_mesh(rng, flips=10)
-    mesh_b, metric_b = mesh_a.copy(), metric_a.copy()
+    mesh_b, metric_b = helpers.copy_mesh(mesh_a), helpers.copy_metric(metric_a)
     u = rng.normal(0.0, 0.5, mesh_a.n_vertices)
     log_a = make_delaunay(mesh_a, metric_a, u)
     log_b = make_delaunay(mesh_b, metric_b, u + 2.0)
@@ -296,7 +296,7 @@ def test_make_delaunay_path_independence():
     # jump: intermediate Delaunay states are way stations, not choices
     rng = np.random.default_rng(5)
     mesh_a, metric_a = helpers.shuffled_closed_mesh(rng, level=1, flips=0)
-    mesh_b, metric_b = mesh_a.copy(), metric_a.copy()
+    mesh_b, metric_b = helpers.copy_mesh(mesh_a), helpers.copy_metric(metric_a)
     u = rng.normal(0.0, 0.45, mesh_a.n_vertices)
     make_delaunay(mesh_a, metric_a, u)
     for t in np.linspace(0.0, 1.0, 50):
@@ -368,16 +368,16 @@ def test_make_delaunay_ends_when_every_flagged_edge_rechecks_as_delaunay(monkeyp
     mesh = helpers.octa()
     metric = PennerMetric.uniform(mesh)
     helpers.set_length(mesh, metric, 0, 1, 1.9)
-    want_metric = metric.copy()
-    want = make_delaunay(mesh.copy(), want_metric, [0.0] * 6)
+    want_metric = helpers.copy_metric(metric)
+    want = make_delaunay(helpers.copy_mesh(mesh), want_metric, [0.0] * 6)
     real = metric_mod._scan_violations_vectorized
     extra = mesh.edges()[0]
     scans = 0
 
-    def scan_with_a_tie(*args):
+    def scan_with_a_tie(*args, **kwargs):
         nonlocal scans
         scans += 1
-        return sorted({*real(*args), extra})
+        return sorted({*real(*args, **kwargs), extra})
 
     monkeypatch.setattr(metric_mod, "_scan_violations_vectorized", scan_with_a_tie)
     log = make_delaunay(mesh, metric, [0.0] * 6)
@@ -394,10 +394,10 @@ def test_make_delaunay_scans_once_per_call(monkeypatch):
     real = metric_mod._scan_violations_vectorized
     scans = 0
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         nonlocal scans
         scans += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(metric_mod, "_scan_violations_vectorized", counted)
     octa = helpers.octa()

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
+import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
 from confmetric.cover import build_double_cover, restrict_to_single_cover
 from confmetric.generate import generate, grid_disk
@@ -109,7 +110,7 @@ def _direction_inputs(monkeypatch, solve):
     real = solver_mod.newton_direction
 
     def spy(H, g, refl=None):
-        seen.append((H, np.array(g), refl.copy() if refl is not None else None))
+        seen.append((H, np.array(g), helpers.copy_refl(refl) if refl is not None else None))
         return real(H, g, refl)
 
     monkeypatch.setattr(solver_mod, "newton_direction", spy)
@@ -207,9 +208,9 @@ def _spy_gradient(monkeypatch):
     seen = []
     real = solver_mod.gradient
 
-    def spy(mesh, metric, u, theta_hat):
+    def spy(mesh, metric, u, theta_hat, *args):
         seen.append(np.array(u, dtype=float))
-        return real(mesh, metric, u, theta_hat)
+        return real(mesh, metric, u, theta_hat, *args)
 
     monkeypatch.setattr(solver_mod, "gradient", spy)
     return seen
@@ -265,8 +266,8 @@ def test_line_search_resumes_halving_if_the_fallback_slope_turns_positive(monkey
     real = solver_mod.gradient
     calls = []
 
-    def gradient(mesh, metric, u_try, theta_hat):
-        g = real(mesh, metric, u_try, theta_hat)
+    def gradient(mesh, metric, u_try, theta_hat, *args):
+        g = real(mesh, metric, u_try, theta_hat, *args)
         calls.append(None)
         if len(calls) == 4:
             g = g + d * (abs(d @ g) + 1.0) / (d @ d)  # slope d.g becomes +1
@@ -367,7 +368,7 @@ def test_octahedron_solve_converges():
 
 def test_solved_scaled_metric_matches_scale_conformally():
     mesh, metric, theta_hat = octa_problem(6)
-    pristine = metric.copy()
+    pristine = helpers.copy_metric(metric)
     mesh_out, scaled, u, report = find_conformal_metric(mesh, metric, theta_hat)
     again = scale_conformally(mesh_out, metric, u)
     assert scaled.lengths == again.lengths
@@ -384,7 +385,7 @@ def test_solve_is_gauge_invariant():
     # ulps, so only the solutions are compared.
     scale = math.exp(1.5)
     mesh_a, metric_a, theta_hat = octa_problem(7)
-    mesh_b = mesh_a.copy()
+    mesh_b = helpers.copy_mesh(mesh_a)
     metric_b = PennerMetric([x * scale for x in metric_a.lengths])
     _, scaled_a, u_a, rep_a = find_conformal_metric(mesh_a, metric_a, theta_hat)
     _, scaled_b, u_b, rep_b = find_conformal_metric(mesh_b, metric_b, theta_hat)
@@ -494,6 +495,37 @@ def test_gradient_only_evaluated_on_delaunay_states(monkeypatch):
             seen_md_at.add(u_key)
         else:
             assert u_key in seen_md_at, "gradient evaluated before make_delaunay"
+
+
+@pytest.mark.parametrize(
+    "kind, size", [("sphere-random-angles", 642), ("disk-random-boundary", 1089)]
+)
+def test_a_solve_reads_the_lists_once_per_triangulation(monkeypatch, kind, size):
+    # One read at the start and one after every retriangulation that
+    # flipped serve all scans, gradients and Hessians of the solve.
+    calls = dict.fromkeys(("read", "flipping", "kernel"), 0)
+
+    def counted(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if key != "flipping" or out.total:
+                calls[key] += 1
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(solver_mod, "read_triangles", "read")
+    counted(metric_mod, "read_triangles", "read")
+    counted(solver_mod, "make_delaunay", "flipping")
+    for module, name in [(solver_mod, "gradient"), (solver_mod, "hessian"),
+                         (metric_mod, "_scan_violations_vectorized")]:
+        counted(module, name, "kernel")
+    *_, report = solve_problem(generate(kind, 0, size))
+    assert report.converged
+    assert calls["read"] == calls["flipping"] + 1
+    assert calls["read"] < calls["kernel"] / 2
 
 
 @pytest.mark.parametrize(
