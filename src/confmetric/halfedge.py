@@ -37,7 +37,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class MeshError(Exception):
@@ -222,6 +222,7 @@ def build_from_face_edge_lists(
     faces: list[list[int]],
     face_edges: list[list[int]],
     n_vertices: int | None = None,
+    quad_rows: Iterable[int] = (),
 ) -> tuple[CombinatorialMesh, list[int]]:
     """Construct a mesh from vertex loops plus parallel edge-id loops.
 
@@ -231,7 +232,9 @@ def build_from_face_edge_lists(
     a face, which vertex pairs cannot express.  Each edge id may appear at
     most twice, in opposite directions; ids appearing once lie on the
     boundary.  Returns the mesh and the edge id of every halfedge
-    (boundary halfedges inherit their partner's id).
+    (boundary halfedges inherit their partner's id).  Each row named in
+    ``quad_rows`` becomes a recorded quad; its parked pair, appended last,
+    takes the row's first edge id.
     """
     if n_vertices is None:
         n_vertices = 1 + max(max(f) for f in faces)
@@ -246,7 +249,9 @@ def build_from_face_edge_lists(
     uses: dict[int, list[int]] = {}
 
     h = 0
+    first: list[int] = []  # each row's first halfedge, its face id
     for f, fe in zip(faces, face_edges):
+        first.append(h)
         k = len(f)
         if k < 3:
             raise MeshError(f"face {f} has fewer than 3 vertices")
@@ -288,8 +293,19 @@ def build_from_face_edge_lists(
             boundary_of[ha] = hb
 
     _close_boundary_loops(next_he, opp, boundary_of, n_interior)
+    n_active = len(next_he)
+    quad_pairs = {}
+    for row in quad_rows:
+        a, b = len(next_he), len(next_he) + 1
+        next_he += [b, a]
+        opp += [b, a]
+        to += [-1, -1]
+        he_eid += [face_edges[row][0]] * 2
+        quad_pairs[first[row]] = (a, b)
     mesh = CombinatorialMesh(next_he=next_he, opp=opp, to=to, n_vertices=n_vertices)
-    mesh.boundary_faces = set(mesh.he_face[n_interior:])
+    mesh.he_face[n_active:] = [-1] * (len(next_he) - n_active)
+    mesh.boundary_faces = set(mesh.he_face[n_interior:n_active])
+    mesh.quad_pairs = quad_pairs
     errors = validate(mesh)
     if errors:
         raise MeshError("; ".join(errors))

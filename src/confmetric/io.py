@@ -9,7 +9,7 @@ survives write -> read -> write byte-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 from .halfedge import CombinatorialMesh, MeshError, build_from_face_edge_lists, build_from_face_lists
 from .metric import PennerMetric
@@ -121,7 +121,11 @@ def read_targets_file(path: str, prob: ProblemFile) -> None:
 
 
 def problem_to_mesh(prob: ProblemFile) -> tuple[CombinatorialMesh, PennerMetric]:
-    """Build mesh + metric, deriving lengths from positions where needed."""
+    """Build mesh + metric, deriving lengths from positions where needed.
+    The faces must use every vertex index up to the largest."""
+    used = len({w for f in prob.faces for w in f})
+    if used != prob.n_vertices:
+        raise ParseError(f"the faces use {used} of the vertex indices 1..{prob.n_vertices}")
     try:
         mesh = build_from_face_lists(prob.faces)
     except MeshError as exc:
@@ -197,6 +201,12 @@ def gauss_bonnet_deviation(mesh: CombinatorialMesh, theta_hat: "list[float]") ->
 
 @dataclass
 class IterationRow:
+    """One Newton step of the trace: a bundle ``it`` line and a CSV row.
+
+    The field order is the order of both.  The bundle writes a float field
+    as ``repr hex`` and an int field as one token; the CSV writes ``repr``.
+    """
+
     step: int
     max_error: float
     halvings: int
@@ -207,6 +217,11 @@ class IterationRow:
     decrement: float
     grad_sum: float
     symmetry_ok: int  # -1 n/a, 0 broken, 1 held
+
+
+# True for each float field of IterationRow, in field order.
+_IT_FLOATS = tuple(f.type in (float, "float") for f in fields(IterationRow))
+_IT_TOKENS = len(_IT_FLOATS) + sum(_IT_FLOATS)
 
 
 @dataclass
@@ -225,16 +240,16 @@ class ResultBundle:
     iterations: list[IterationRow]
 
     def rebuild_mesh(self) -> tuple[CombinatorialMesh, list[int]]:
-        return build_from_face_edge_lists(self.faces_v, self.faces_e, len(self.u))
+        """The bundle's mesh, each 4-entry row a recorded quad, and the
+        ``edge_lengths`` index of every halfedge."""
+        return build_from_face_edge_lists(
+            self.faces_v, self.faces_e, len(self.u), quad_rows=self.quad_diags
+        )
 
 
 def _fl(x: float) -> str:
     x = float(x)
     return f"{x!r} {x.hex()}"
-
-
-def _parse_hex(tok: str) -> float:
-    return float.fromhex(tok)
 
 
 def write_bundle(bundle: ResultBundle, path: str) -> None:
@@ -245,26 +260,31 @@ def write_bundle(bundle: ResultBundle, path: str) -> None:
     L.append(f"urange {_fl(bundle.u_min)} {_fl(bundle.u_max)}")
     L.append("flips " + " ".join(str(c) for c in bundle.flip_totals))
     L.append(f"nv {len(bundle.u)}")
-    for x in bundle.u:
-        L.append(f"u {_fl(x)}")
+    L += [f"u {_fl(x)}" for x in bundle.u]
     L.append(f"nf {len(bundle.faces_v)}")
     for fv, fe in zip(bundle.faces_v, bundle.faces_e):
         L.append("fv " + " ".join(str(w + 1) for w in fv))
         L.append("fe " + " ".join(str(e + 1) for e in fe))
     L.append(f"ne {len(bundle.edge_lengths)}")
-    for x in bundle.edge_lengths:
-        L.append(f"el {_fl(x)}")
-    for row, d in sorted(bundle.quad_diags.items()):
-        L.append(f"qd {row + 1} {_fl(d)}")
+    L += [f"el {_fl(x)}" for x in bundle.edge_lengths]
+    L += [f"qd {row + 1} {_fl(d)}" for row, d in sorted(bundle.quad_diags.items())]
     L.append(f"nit {len(bundle.iterations)}")
     for it in bundle.iterations:
-        L.append(
-            f"it {it.step} {_fl(it.max_error)} {it.halvings} "
-            f"{it.flips_111} {it.flips_par} {it.flips_t} {it.flips_q} "
-            f"{_fl(it.decrement)} {_fl(it.grad_sum)} {it.symmetry_ok}"
-        )
+        toks = (_fl(v) if fl else str(v) for v, fl in zip(astuple(it), _IT_FLOATS))
+        L.append("it " + " ".join(toks))
     with open(path, "w") as fh:
         fh.write("\n".join(L) + "\n")
+
+
+def _iteration_row(t: list[str]) -> IterationRow:
+    """An ``it`` line's tokens, tag included, as a row; floats from hex."""
+    if len(t) != 1 + _IT_TOKENS:
+        raise ValueError(f"expected {_IT_TOKENS} fields")
+    vals, i = [], 1
+    for fl in _IT_FLOATS:
+        vals.append(float.fromhex(t[i + 1]) if fl else int(t[i]))
+        i += 2 if fl else 1
+    return IterationRow(*vals)
 
 
 def read_bundle(path: str) -> ResultBundle:
@@ -289,42 +309,27 @@ def read_bundle(path: str) -> ResultBundle:
             raise ParseError(f"{path}: unsupported bundle version {head[1]}")
         termination = need("termination")[1]
         exit_code = int(need("exit")[1])
-        residual = _parse_hex(need("residual")[2])
+        residual = float.fromhex(need("residual")[2])
         t = need("urange")
-        u_min, u_max = _parse_hex(t[2]), _parse_hex(t[4])
+        u_min, u_max = float.fromhex(t[2]), float.fromhex(t[4])
         t = need("flips")
         if len(t) != 7:
             raise ValueError("expected six flip counts")
         flip_totals = tuple(int(x) for x in t[1:])
-        u = [_parse_hex(need("u")[2]) for _ in range(int(need("nv")[1]))]
+        u = [float.fromhex(need("u")[2]) for _ in range(int(need("nv")[1]))]
         faces_v, faces_e = [], []
         for _ in range(int(need("nf")[1])):
             faces_v.append([int(w) - 1 for w in need("fv")[1:]])
             faces_e.append([int(w) - 1 for w in need("fe")[1:]])
-        lengths = [_parse_hex(need("el")[2]) for _ in range(int(need("ne")[1]))]
+        lengths = [float.fromhex(need("el")[2]) for _ in range(int(need("ne")[1]))]
         quad_diags: dict[int, float] = {}
         while pos < len(rows) and rows[pos][1][0] == "qd":
             t = need("qd")
-            quad_diags[int(t[1]) - 1] = _parse_hex(t[3])
-        iterations = []
-        for _ in range(int(need("nit")[1])):
-            t = need("it")
-            if len(t) != 14:
-                raise ValueError("expected 13 fields")
-            iterations.append(
-                IterationRow(
-                    step=int(t[1]),
-                    max_error=_parse_hex(t[3]),
-                    halvings=int(t[4]),
-                    flips_111=int(t[5]),
-                    flips_par=int(t[6]),
-                    flips_t=int(t[7]),
-                    flips_q=int(t[8]),
-                    decrement=_parse_hex(t[10]),
-                    grad_sum=_parse_hex(t[12]),
-                    symmetry_ok=int(t[13]),
-                )
-            )
+            row = int(t[1]) - 1
+            if not 0 <= row < len(faces_v) or len(faces_v[row]) != 4:
+                raise ValueError(f"face row {row + 1} is not a 4-entry row")
+            quad_diags[row] = float.fromhex(t[3])
+        iterations = [_iteration_row(need("it")) for _ in range(int(need("nit")[1]))]
     except (ValueError, IndexError) as exc:
         lineno, tok = rows[pos - 1]
         raise ParseError(f"{path}:{lineno}: malformed {tok[0]!r} line: {exc}") from None
@@ -342,8 +347,8 @@ def bundle_from_solution(
     exit_code: int,
     flips=None,
 ) -> ResultBundle:
-    """Snapshot a finished solve, or a bare retriangulation (``report`` None
-    and its ``flips``), as a bundle."""
+    """Snapshot a finished solve, or a bare retriangulation at u = 0
+    (``report`` None and its ``flips``), as a bundle."""
     edge_ids = sorted(mesh.edges())
     dense = {e: i for i, e in enumerate(edge_ids)}
     faces_v, faces_e, quad_diags = [], [], {}
@@ -353,61 +358,33 @@ def bundle_from_solution(
         faces_e.append([dense[mesh.edge_of(h)] for h in hs])
         if len(hs) == 4:
             quad_diags[row] = scaled.quad_diag[f]
-    iterations = []
     steps = report.steps if report is not None else []
-    for rec in steps:
-        sym = -1 if rec.symmetry_ok is None else int(rec.symmetry_ok)
-        iterations.append(
-            IterationRow(
-                rec.step, rec.max_error, rec.halvings,
-                rec.flips.single + rec.flips.paired, rec.flips.axis,
-                rec.flips.tri_quad, rec.flips.quad_quad,
-                rec.decrement, rec.grad_sum, sym,
-            )
+    iterations = [
+        IterationRow(
+            rec.step, rec.max_error, rec.halvings,
+            rec.flips.single + rec.flips.paired, rec.flips.axis,
+            rec.flips.tri_quad, rec.flips.quad_quad,
+            rec.decrement, rec.grad_sum,
+            -1 if rec.symmetry_ok is None else int(rec.symmetry_ok),
         )
-    if report is not None:
-        totals = report.total_flips()
-        termination = report.termination
-        residual = report.final_residual
-        u_min, u_max = report.u_min, report.u_max
+        for rec in steps
+    ]
+    if report is None:
+        termination, residual, u_min, u_max, log = "delaunay", math.nan, 0.0, 0.0, flips
     else:
-        totals = flips
-        termination = "delaunay"
-        residual = math.nan
-        finite = [x for x in u if not math.isnan(x)]
-        u_min = min(finite) if finite else 0.0
-        u_max = max(finite) if finite else 0.0
+        termination, residual = report.termination, report.final_residual
+        u_min, u_max, log = report.u_min, report.u_max, report.total_flips()
     return ResultBundle(
-        termination=termination,
-        exit_code=exit_code,
-        final_residual=residual,
-        u_min=u_min,
-        u_max=u_max,
-        flip_totals=(
-            totals.total, totals.single, totals.paired,
-            totals.axis, totals.tri_quad, totals.quad_quad,
-        ),
-        u=[float(x) for x in u],
-        faces_v=faces_v,
-        faces_e=faces_e,
-        edge_lengths=[scaled.lengths[e] for e in edge_ids],
-        quad_diags=quad_diags,
-        iterations=iterations,
+        termination, exit_code, residual, u_min, u_max, (log.total, *astuple(log)),
+        [float(x) for x in u], faces_v, faces_e, [scaled.lengths[e] for e in edge_ids],
+        quad_diags, iterations,
     )
 
 
-CSV_HEADER = (
-    "step,max_error,halvings,flips_111,flips_par,flips_t,flips_q,"
-    "decrement,grad_sum,symmetry_ok"
-)
+CSV_HEADER = ",".join(f.name for f in fields(IterationRow))
 
 
 def bundle_to_csv(bundle: ResultBundle) -> str:
     rows = [CSV_HEADER]
-    for it in bundle.iterations:
-        rows.append(
-            f"{it.step},{it.max_error!r},{it.halvings},"
-            f"{it.flips_111},{it.flips_par},{it.flips_t},{it.flips_q},"
-            f"{it.decrement!r},{it.grad_sum!r},{it.symmetry_ok}"
-        )
+    rows += (",".join(repr(v) for v in astuple(it)) for it in bundle.iterations)
     return "\n".join(rows) + "\n"

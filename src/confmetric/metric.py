@@ -47,7 +47,7 @@ wrapper there sees every ``FlipLog.single``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -351,11 +351,8 @@ class FlipLog:
         setattr(self, kind.value, getattr(self, kind.value) + 1)  # the value names its field
 
     def merge(self, other: "FlipLog") -> None:
-        self.single += other.single
-        self.paired += other.paired
-        self.axis += other.axis
-        self.tri_quad += other.tri_quad
-        self.quad_quad += other.quad_quad
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _scan_violations_vectorized(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from . import io
@@ -365,17 +366,11 @@ def find_conformal_metric(
 
 def _n_components(mesh: CombinatorialMesh) -> int:
     """Connected components of the vertex graph; isolated vertices count."""
-    root = list(range(mesh.n_vertices))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    for e in mesh.edges():
-        root[find(mesh.to[e])] = find(mesh.tail_of(e))
-    return sum(root[v] == v for v in range(mesh.n_vertices))
+    edges = mesh.edges()
+    n = mesh.n_vertices
+    ends = ([mesh.tail_of(e) for e in edges], [mesh.to[e] for e in edges])
+    graph = scipy.sparse.coo_matrix((np.ones(len(edges)), ends), shape=(n, n))
+    return scipy.sparse.csgraph.connected_components(graph, directed=False)[0]
 
 
 def solve_problem(

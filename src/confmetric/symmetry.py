@@ -86,20 +86,17 @@ class ReflectionMap:
 
 @dataclass(frozen=True)
 class FlipRecord:
-    """What a symmetric flip did: its type, direction, and the faces it rebuilt.
+    """What a symmetric flip did: its type and the faces it rebuilt.
 
     ``faces`` lists the face ids created by the surgery so a Delaunay scan
-    can re-examine the edges around the modified region.  ``new_length``
-    is the original-scale length written to the new edge slots.  ``edge``
-    is the canonical id of the edge the surgery produced (the new crossing
-    edge for a forward flip, one of the restored edges for a reverse), so
-    the opposite surgery applied to ``edge`` undoes this one.
+    can re-examine the edges around the modified region.  ``edge`` is the
+    canonical id of the edge the surgery produced (the new crossing edge
+    for a forward flip, one of the restored edges for a reverse), so the
+    opposite surgery applied to ``edge`` undoes this one.
     """
 
     kind: FlipType
-    forward: bool
     faces: tuple[int, ...]
-    new_length: float
     edge: int
 
 
@@ -240,7 +237,7 @@ def _flip_paired(
         mesh.he_face[fr2.h0],
         mesh.he_face[fr2.h1],
     )
-    return FlipRecord(FlipType.PAIRED, True, faces, lnew, min(h0, h3))
+    return FlipRecord(FlipType.PAIRED, faces, min(h0, h3))
 
 
 def _flip_axis_forward(
@@ -253,7 +250,7 @@ def _flip_axis_forward(
     # legs (h1,h5) and (h2,h4) were mirror pairs already and stay so.
     _crossing(metric.lengths, refl, fr.h0, fr.h3, lnew)
     faces = (mesh.he_face[fr.h0], mesh.he_face[fr.h3])
-    return FlipRecord(FlipType.AXIS, True, faces, lnew, min(fr.h0, fr.h3))
+    return FlipRecord(FlipType.AXIS, faces, min(fr.h0, fr.h3))
 
 
 def _flip_axis_reverse(
@@ -274,7 +271,7 @@ def _flip_axis_reverse(
     # The restored edge is axis-parallel between two axis vertices; each
     # new face lies in the sheet of the legs it inherited.
     _mirror(L, refl, h0, h3, lnew, refl.he_label[h1], refl.he_label[h4])
-    return FlipRecord(FlipType.AXIS, False, (f1, f2), lnew, min(h0, h3))
+    return FlipRecord(FlipType.AXIS, (f1, f2), min(h0, h3))
 
 
 def _flip_legs_forward(
@@ -334,7 +331,7 @@ def _flip_legs_forward(
     metric.quad_diag[fb] = y
     _crossing(L, refl, h0, h3, lnew)
     kind = FlipType.QUAD_QUAD if quad else FlipType.TRI_QUAD
-    return FlipRecord(kind, True, (fa, fb), lnew, min(h0, h3))
+    return FlipRecord(kind, (fa, fb), min(h0, h3))
 
 
 def _flip_legs_reverse(
@@ -395,7 +392,7 @@ def _flip_legs_reverse(
     _mirror(L, refl, h0, h3, lnew, lab1, lab5)
     _mirror(L, refl, p, q, lnew, lab1, lab5)
     kind = FlipType.QUAD_QUAD if quad else FlipType.TRI_QUAD
-    return FlipRecord(kind, False, (f1, f2, fm), lnew, min(h0, p))
+    return FlipRecord(kind, (f1, f2, fm), min(h0, p))
 
 
 _SURGERIES = {

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import time
 
 import pytest
 
@@ -146,6 +147,26 @@ def test_solve_unused_v_line_rejected(tmp_path, capsys):
     put(tmp_path, "d.targets", "".join(f"k {i} {2 * math.pi / 3!r}\n" for i in (1, 2, 3)))
     assert main(["solve", mesh]) == 2
     assert "4 v lines but the faces use vertices 1..3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "delaunay"])
+def test_faces_that_skip_a_vertex_index_rejected_before_allocating(tmp_path, capsys, command):
+    # A tetrahedron whose fourth vertex is numbered 1,000,000: a mesh of
+    # 1,000,000 vertices, 999,996 of them in no face.
+    n = 1_000_000
+    pairs = [(1, 2), (1, 3), (1, n), (2, 3), (2, n), (3, n)]
+    mesh = put(
+        tmp_path, "t.mesh",
+        f"f 1 2 3\nf 1 3 {n}\nf 1 {n} 2\nf 2 {n} 3\n"
+        + "".join(f"el {a} {b} 1.0\n" for a, b in pairs),
+    )
+    put(tmp_path, "t.targets", "".join(f"v {i} {PI}\n" for i in (1, 2, 3, n)))
+    start = time.perf_counter()
+    assert main([command, mesh]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "the faces use 4 of the vertex indices 1..1000000" in err
+    assert err.count("\n") == 1
 
 
 def test_solve_missing_targets(tmp_path, capsys):
@@ -479,9 +500,11 @@ def _edited_bundle(tmp_path, edit):
         lambda tmp: ["report", _edited_bundle(
             tmp, lambda ls: ["nv abc\n" if x.startswith("nv ") else x for x in ls])],
         lambda tmp: ["report", _edited_bundle(tmp, lambda ls: ls[: len(ls) // 2])],
+        lambda tmp: ["report", _edited_bundle(
+            tmp, lambda ls: [("qd 1 1.0 0x1p+0\n" + x) if x.startswith("nit ") else x for x in ls])],
     ],
     ids=["delaunay-out-dir", "report-out-dir", "generate-out-dir", "bundle-bad-count",
-         "bundle-truncated"],
+         "bundle-truncated", "bundle-quad-diagonal-on-a-triangle"],
 )
 def test_bad_file_or_path_exits_2_with_one_error_line(tmp_path, capsys, argv):
     argv = argv(tmp_path)
@@ -489,6 +512,28 @@ def test_bad_file_or_path_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda t: t[:-1],
+        lambda t: t + ["0"],
+        lambda t: t[:4] + ["1.5"] + t[5:],
+    ],
+    ids=["missing-token", "extra-token", "non-integer-halvings"],
+)
+def test_malformed_it_line_exits_2_naming_file_and_line(tmp_path, capsys, edit):
+    path = _solved_bundle(tmp_path)
+    lines = open(path).read().splitlines()
+    k = next(i for i, x in enumerate(lines) if x.startswith("it "))
+    lines[k] = " ".join(edit(lines[k].split()))
+    open(path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{k + 1}: malformed 'it' line: ")
     assert err.count("\n") == 1
 
 

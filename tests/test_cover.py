@@ -161,7 +161,7 @@ def test_restriction_cuts_axis_triangles_at_right_angles():
         and set(mesh.edge_endpoints(x)) == {0, 1}
     )
     rec = apply_symmetric_flip(mesh, cmetric, refl, e)
-    b = rec.new_length
+    b = cmetric.lengths[rec.edge]
     res_mesh, res_metric, res_u = restrict_to_single_cover(
         cover, cmetric, [0.0] * mesh.n_vertices
     )

@@ -32,7 +32,7 @@ from confmetric.io import (
     write_bundle,
     write_problem_files,
 )
-from confmetric.metric import PennerMetric
+from confmetric.metric import FlipLog, PennerMetric, vertex_angle_sums
 from confmetric.solver import find_conformal_metric
 
 import helpers
@@ -216,6 +216,30 @@ def test_bundle_mesh_rebuilds(tmp_path):
     # scaled lengths transfer through the dense edge numbering
     for e in rebuilt.edges():
         assert bundle.edge_lengths[he_eid[e]] > 0.0
+
+
+def test_bundle_with_quads_rebuilds_recorded_quads(tmp_path):
+    cover, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cover, cmetric)
+    mesh = cover.mesh
+    u = [0.0] * mesh.n_vertices
+    p = str(tmp_path / "q.result")
+    write_bundle(bundle_from_solution(mesh, cmetric, u, None, 0, flips=FlipLog()), p)
+    bundle = read_bundle(p)
+    assert len(bundle.quad_diags) == 2
+    rebuilt, he_eid = bundle.rebuild_mesh()
+    assert validate(rebuilt) == []
+    assert rebuilt.n_edges() == len(bundle.edge_lengths)
+    assert all(0 <= e < len(bundle.edge_lengths) for e in he_eid)
+    rows = sorted(rebuilt.faces())  # a rebuilt face's id is its row's first halfedge
+    metric = PennerMetric(
+        [bundle.edge_lengths[e] for e in he_eid],
+        {rows[row]: d for row, d in bundle.quad_diags.items()},
+    )
+    assert set(metric.quad_diag) == set(rebuilt.quad_pairs)
+    want = vertex_angle_sums(mesh, cmetric, u)
+    got = vertex_angle_sums(rebuilt, metric, u)
+    assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12
 
 
 def test_csv_header_and_rows():

@@ -1,5 +1,8 @@
-"""Smoke runs of the three suite drivers on small inputs."""
+"""Smoke runs of the three suite drivers on small inputs, and the
+benchmark tracer's table of wrapped functions."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,3 +32,26 @@ def test_suite_driver_runs(script, args, prefix, lines):
     rows = [line for line in proc.stdout.splitlines() if line.startswith(prefix)]
     assert len(rows) == lines, proc.stdout
     assert all("converged" in row for row in rows)
+
+
+def test_benchmark_tracer_wraps_every_target_but_four():
+    # The tracer reports a target it cannot find as absent instead of
+    # failing, so a renamed kernel would read 0 in the benchmark's layer
+    # metrics and skip its traced self-checks.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(importlib.import_module(m), attr) for m, attr, _ in tracer.TARGETS]
+    before = [getattr(module, attr, None) for module, attr in targets]
+    t = tracer.Tracer()
+    try:
+        t.install()
+    finally:
+        t.restore()
+    assert t.absent == [
+        "confmetric.metric.is_delaunay",
+        "confmetric.cli.find_conformal_metric",
+        "confmetric.cli.build_double_cover",
+        "confmetric.cli.restrict_to_single_cover",
+    ]
+    assert all(getattr(m, attr, None) is fn for (m, attr), fn in zip(targets, before))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmetric.halfedge import FlipError, validate
+from confmetric.halfedge import FlipError, plan_flip, validate
 from confmetric.symmetry import (
     FlipType,
     SymmetryError,
@@ -68,21 +68,22 @@ def test_paired_flip_acts_on_both_sheets():
     mesh, refl, cmetric = fresh()
     e = helpers.find_flip_of_kind(mesh, refl, FlipType.PAIRED, True)
     n_edges = mesh.n_edges()
+    ptolemy = plan_flip(mesh, e).ptolemy(cmetric.lengths)
     rec = apply_symmetric_flip(mesh, cmetric, refl, e)
-    assert rec.kind is FlipType.PAIRED and rec.forward
+    assert rec.kind is FlipType.PAIRED
     assert validate(mesh) == []
     assert validate_symmetry(mesh, refl, cmetric) == []
     assert mesh.n_edges() == n_edges
     # The new edge and its mirror carry the same length bitwise.
     assert cmetric.lengths[rec.edge] == cmetric.lengths[refl.r[rec.edge]]
-    assert rec.new_length == cmetric.lengths[rec.edge]
+    assert cmetric.lengths[rec.edge] == ptolemy
 
 
 def test_axis_forward_builds_crossing_edge():
     mesh, refl, cmetric = fresh()
     e = helpers.find_flip_of_kind(mesh, refl, FlipType.AXIS, True)
     rec = apply_symmetric_flip(mesh, cmetric, refl, e)
-    assert rec.kind is FlipType.AXIS and rec.forward
+    assert rec.kind is FlipType.AXIS
     assert validate(mesh) == []
     assert validate_symmetry(mesh, refl, cmetric) == []
     # Two mirror-twin triangles become two self-mirrored (label 0) ones
@@ -98,11 +99,10 @@ def test_axis_forward_builds_crossing_edge():
 def test_surgery_chain_reaches_every_quad_kind():
     cover, cmetric, _ = helpers.hexagon_cover()
     mesh, refl = cover.mesh, cover.refl
-    recs = helpers.drive_to_quads(cover, cmetric)
+    recs = helpers.drive_to_quads(cover, cmetric)  # forward flips, by classify_flip
     assert [r.kind for r in recs] == [
         FlipType.AXIS, FlipType.TRI_QUAD, FlipType.QUAD_QUAD
     ]
-    assert all(r.forward for r in recs)
     assert validate(mesh) == []
     assert validate_symmetry(mesh, refl, cmetric) == []
     assert len(mesh.quad_pairs) == 2
@@ -261,7 +261,7 @@ def test_seeded_walks_meet_every_surgery_and_stay_valid():
             moves = [m for m in moves if m[1][0] is not FlipType.ALWAYS_DELAUNAY]
             e, (kind, forward) = moves[int(rng.integers(len(moves)))]
             rec = apply_symmetric_flip(mesh, cmetric, refl, e)
-            assert (rec.kind, rec.forward) == (kind, forward)
+            assert rec.kind is kind
             assert validate(mesh) == []
             assert validate_symmetry(mesh, refl, cmetric) == []
             seen.add((kind, forward))
