@@ -122,7 +122,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_delaunay(args) -> int:
-    mesh, metric = problem_to_mesh(_load_problem(args.input, None, False))
+    try:
+        mesh, metric = problem_to_mesh(_load_problem(args.input, None, False))
+    except (ParseError, OSError) as exc:
+        print(f"{args.input}: error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     u = [0.0] * mesh.n_vertices
     try:
         log = make_delaunay(mesh, metric, u)
@@ -175,8 +179,9 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--max-halvings",
         type=int,
-        help="line-search budget N: trials at t = 1, 1/2, ..., 2^-N, plus at most "
-        "two for a regula-falsi refinement",
+        help="line-search budget N: trials at t0, t0/2, ..., t0 * 2^-N, plus at most "
+        "two for a regula-falsi refinement; t0 is 1 on the first Newton step, then "
+        "the largest power of two <= min(1, 2 * the last accepted t)",
     )
     sp.add_argument("--flip-budget", type=float, help="flip budget factor per retriangulation")
     sp.add_argument("--keep-double-cover", action="store_true", help="emit the symmetric cover instead of restricting")

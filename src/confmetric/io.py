@@ -143,11 +143,13 @@ def problem_to_mesh(prob: ProblemFile) -> tuple[CombinatorialMesh, PennerMetric]
         if not val > 0.0:
             raise ParseError(f"degenerate edge {a + 1}-{b + 1}")
         lengths[e] = lengths[mesh.opp[e]] = val
-    # Solver input contract: faces must start as honest triangles.
-    for f in mesh.faces():
+    # Solver input contract: faces must start as honest triangles.  Face
+    # ids rise with the f rows they were built from.
+    for i, f in enumerate(mesh.faces()):
         ls = sorted(lengths[h] for h in mesh.face_halfedges(f))
         if ls[0] + ls[1] < ls[2]:
-            raise ParseError(f"triangle inequality violated on face {f}")
+            verts = " ".join(str(w + 1) for w in prob.faces[i])
+            raise ParseError(f"triangle inequality violated on face {i + 1} (f {verts})")
     return mesh, PennerMetric(lengths)
 
 

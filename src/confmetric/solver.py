@@ -4,10 +4,15 @@ The iteration follows the classical scheme for the convex scale-factor
 energy while never evaluating the energy itself: residual g = theta_hat -
 Theta(u), direction d = -H^-1 g with H the cotangent matrix, and a line
 search that retriangulates to Delaunay before every gradient evaluation.
-The line search halves t from 1 until the slope <d, g(u + t*d)> is
-nonpositive; when a rejected trial at 2t brackets the minimiser, it then
-tries one regula-falsi point between t and 2t on that slope, so a full
-step that lands just past the minimiser does not cost a rate-1/2 phase.
+The line search halves t from its first trial until the slope
+<d, g(u + t*d)> is nonpositive; when a rejected trial at 2t brackets the
+minimiser, it then tries one regula-falsi point between t and 2t on that
+slope, so a full step that lands just past the minimiser does not cost a
+rate-1/2 phase.  The first trial is warm-started near the last accepted
+step: at the largest power of two <= min(1, 2 * t_prev), and at t = 1 on
+the first Newton step.  A step that accepted t >= 1/2 thus starts the
+next one at t = 1; after a short step the search no longer pays the
+flips toward a full step and back that each rejected trial costs.
 The Newton system is solved with one unknown per mirror orbit of the
 double cover; a closed mesh has one vertex per orbit.
 
@@ -43,6 +48,11 @@ from .metric import (
     scalar_metric,
 )
 from .symmetry import ReflectionMap
+
+# The first trial of a line search is at most this factor times the t the
+# previous Newton step accepted (Nocedal & Wright, Numerical Optimization,
+# section 3.5).
+_T_GROWTH = 2.0
 
 
 class SolverError(Exception):
@@ -81,7 +91,9 @@ class NewtonStep:
     ``symmetry_ok`` is None for solves without a reflection map.
     ``halvings`` counts the line-search trials after the first, and
     ``refined`` is True when the step taken is the line search's
-    regula-falsi point.
+    regula-falsi point.  ``t`` is the step the line search accepted and
+    ``t0`` its first trial: 1.0 unless the step was warm-started below a
+    full step.  Both are NaN at step 0.
     """
 
     step: int
@@ -92,6 +104,8 @@ class NewtonStep:
     grad_sum: float
     symmetry_ok: bool | None
     refined: bool = False
+    t: float = math.nan
+    t0: float = math.nan
 
 
 @dataclass
@@ -122,8 +136,9 @@ class LineSearchResult:
     """The accepted point u + t*d, and the residual ``g_try`` evaluated there.
 
     ``halvings`` is the number of trials after the first, ``slope`` is
-    <d, g_try>, and ``refined`` is True when t is the regula-falsi point
-    rather than a power of two.  ``read`` is what the last gradient read.
+    <d, g_try>, ``t0`` is the first trial, and ``refined`` is True when t
+    is the regula-falsi point rather than a power of two.  ``read`` is
+    what the last gradient read.
     """
 
     u: np.ndarray
@@ -132,6 +147,7 @@ class LineSearchResult:
     flips: FlipLog
     slope: float
     t: float
+    t0: float
     refined: bool
     read: TriangleRead | None
 
@@ -184,10 +200,13 @@ def line_search(
     refl: ReflectionMap | None = None,
     config: SolverConfig | None = None,
     read: TriangleRead | None = None,
+    t_max: float = 1.0,
 ) -> LineSearchResult:
     """Step to u + t*d with slope phi'(t) = <d, g(u + t*d)> <= 0.
 
-    Trials run at t = 1, 1/2, 1/4, ... until one has phi'(t) <= 0.  When a
+    Trials run at t = t0, t0/2, t0/4, ... until one has phi'(t) <= 0,
+    where t0 is the largest power of two <= ``t_max`` (1 by default;
+    ``find_conformal_metric`` passes twice the last accepted t).  When a
     rejected trial at 2t precedes it, phi'(t) <= 0 < phi'(2t) brackets the
     minimiser along d, and one regula-falsi trial at
     t_r = t + t * -phi'(t) / (phi'(2t) - phi'(t)) follows: t_r is accepted
@@ -202,8 +221,9 @@ def line_search(
     The returned u is exactly ``u + t * d``, and ``halvings`` counts the
     trials after the first (gradient evaluations minus one).  Raises
     LineSearchError when no trial within ``config.max_halvings`` halvings
-    is accepted, or when a trial leaves u unchanged.  ``config`` also gives
-    the Delaunay tie tolerance and the flip budget of each retriangulation.
+    of t0 is accepted, or when a trial leaves u unchanged.  ``config``
+    also gives the Delaunay tie tolerance and the flip budget of each
+    retriangulation.
     ``read`` reads the mesh at entry (None: read afresh); every trial that
     flips reads again.
     """
@@ -227,11 +247,12 @@ def line_search(
         trials += 1
         return u_try, g_try, float(d @ g_try)
 
-    k = 0  # t = 2^-k
+    t0 = math.ldexp(0.5, math.frexp(t_max)[1])  # largest power of two <= t_max
+    k = 0  # t = t0 * 2^-k
     slope_2t = None  # phi'(2t), once the trial at 2t has been rejected
     may_refine = True
     while True:
-        t = 0.5**k
+        t = t0 * 0.5**k
         u_try, g_try, slope = trial(t)
         if slope <= 0.0:
             if may_refine and slope_2t is not None:
@@ -240,9 +261,11 @@ def line_search(
                 if t < t_r < 2.0 * t:
                     u_r, g_r, slope_r = trial(t_r)
                     if slope_r <= 0.0:
-                        return LineSearchResult(u_r, g_r, trials - 1, flips, slope_r, t_r, True, read)
+                        return LineSearchResult(
+                            u_r, g_r, trials - 1, flips, slope_r, t_r, t0, True, read
+                        )
                     continue  # retriangulate at t and evaluate there again
-            return LineSearchResult(u_try, g_try, trials - 1, flips, slope, t, False, read)
+            return LineSearchResult(u_try, g_try, trials - 1, flips, slope, t, t0, False, read)
         if k == cfg.max_halvings:
             raise LineSearchError(f"no acceptable step within {cfg.max_halvings} halvings")
         slope_2t = slope
@@ -316,6 +339,7 @@ def find_conformal_metric(
     ]
 
     termination: str | None = None
+    t_max = 1.0
     for k in range(1, cfg.max_newton_steps + 1):
         if err <= cfg.eps_tol:
             termination = "converged"
@@ -328,7 +352,7 @@ def find_conformal_metric(
             break
         decrement = float(-(d @ g))
         try:
-            ls = line_search(mesh, metric, u, d, theta_hat, refl, cfg, read)
+            ls = line_search(mesh, metric, u, d, theta_hat, refl, cfg, read, t_max)
         except LineSearchError:
             # The failed trials moved the triangulation; restore the
             # Delaunay state for the u we are keeping, from a fresh read.
@@ -337,6 +361,7 @@ def find_conformal_metric(
             break
         u, read = ls.u, ls.read
         g = ls.g_try
+        t_max = min(1.0, _T_GROWTH * ls.t)
         err = float(np.abs(g).max())
         steps.append(
             NewtonStep(
@@ -348,6 +373,8 @@ def find_conformal_metric(
                 float(g.sum()),
                 _symmetry_snapshot(mesh, metric, u, refl),
                 ls.refined,
+                ls.t,
+                ls.t0,
             )
         )
     if termination is None:

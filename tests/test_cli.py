@@ -169,6 +169,15 @@ def test_faces_that_skip_a_vertex_index_rejected_before_allocating(tmp_path, cap
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "delaunay"])
+def test_triangle_inequality_violation_exits_2_naming_the_file(tmp_path, capsys, command):
+    mesh = triangle_disk_files(tmp_path)
+    put(tmp_path, "d.mesh", "f 1 2 3\nel 1 2 1.0\nel 2 3 1.0\nel 1 3 3.0\n")
+    assert main([command, mesh]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{mesh}: error: triangle inequality violated on face 1 (f 1 2 3)\n"
+
+
 def test_solve_missing_targets(tmp_path, capsys):
     mesh = put(tmp_path, "alone.mesh", "f 1 2 3\nel 1 2 1\nel 2 3 1\nel 1 3 1\n")
     assert main(["solve", mesh]) == 2

@@ -104,6 +104,16 @@ def test_triangle_inequality_enforced_on_input(tmp_path):
         problem_to_mesh(read_mesh_file(str(p)))
 
 
+def test_triangle_inequality_error_names_the_f_row(tmp_path):
+    # The second face's halfedges start at id 3; the message names its row.
+    p = tmp_path / "m.mesh"
+    p.write_text(
+        "f 1 2 3\nf 1 3 4\nel 1 2 1.0\nel 2 3 1.0\nel 1 3 1.0\nel 3 4 1.0\nel 1 4 3.0\n"
+    )
+    with pytest.raises(ParseError, match=r"violated on face 2 \(f 1 3 4\)$"):
+        problem_to_mesh(read_mesh_file(str(p)))
+
+
 def test_targets_file_theta_and_options(tmp_path):
     m = tmp_path / "m.mesh"
     m.write_text("f 1 2 3\nel 1 2 1\nel 2 3 1\nel 1 3 1\n")

@@ -292,14 +292,54 @@ def test_line_search_rejects_a_step_that_does_not_move_u():
         line_search(mesh, metric, u, -1e-20 * g, theta_hat)
 
 
-def _cone_first_trial(genus):
-    """A single-cone mesh retriangulated at the full first Newton step."""
+def _cone_search_inputs(genus):
+    """A single-cone mesh, Delaunay at u = 0, and its first Newton direction."""
     prob = generate(f"single-cone-genus-{genus}", 0, 0)
     mesh, metric = problem_to_mesh(prob)
-    theta_hat = [prob.theta_targets.get(v, 2.0 * math.pi) for v in range(mesh.n_vertices)]
-    u = np.zeros(mesh.n_vertices)
+    n = mesh.n_vertices
+    theta_hat = np.array([prob.theta_targets.get(v, 2.0 * math.pi) for v in range(n)])
+    u = np.zeros(n)
     make_delaunay(mesh, metric, u)
     d = newton_direction(hessian(mesh, metric, u), gradient(mesh, metric, u, theta_hat))
+    return mesh, metric, u, d, theta_hat
+
+
+@pytest.mark.parametrize("t_max, t0", [(0.7, 0.5), (0.5, 0.5), (0.3, 0.25)])
+def test_warm_started_line_search_starts_at_the_largest_power_of_two_below_t_max(
+    monkeypatch, t_max, t0
+):
+    # From t = 1 the genus-2 cone's first step rejects t = 1 and 1/2 and
+    # refines between 1/4 and 1/2; a search started at 1/2 skips t = 1.
+    mesh, metric, u, d, theta_hat = _cone_search_inputs(2)
+    seen = _spy_gradient(monkeypatch)
+    res = line_search(mesh, metric, u, d, theta_hat, t_max=t_max)
+    assert np.array_equal(seen[0], u + t0 * d)
+    assert res.t0 == t0
+    assert len(seen) == res.halvings + 1
+    assert np.array_equal(seen[-1], res.u) and np.array_equal(res.u, u + res.t * d)
+    if t0 == 0.5:
+        assert res.refined and res.halvings == 2 and 0.25 < res.t < 0.5
+    else:
+        assert not res.refined and res.halvings == 0 and res.t == 0.25
+
+
+def test_warm_started_line_search_counts_max_halvings_from_its_first_trial(monkeypatch):
+    # t = 1/2 is rejected: with no halving that is the only trial, and one
+    # halving reaches the accepted t = 1/4 and its refinement.
+    seen = _spy_gradient(monkeypatch)
+    mesh, metric, u, d, theta_hat = _cone_search_inputs(2)
+    with pytest.raises(LineSearchError):
+        line_search(mesh, metric, u, d, theta_hat, config=SolverConfig(max_halvings=0), t_max=0.5)
+    assert len(seen) == 1
+    seen.clear()
+    mesh, metric, u, d, theta_hat = _cone_search_inputs(2)
+    res = line_search(mesh, metric, u, d, theta_hat, config=SolverConfig(max_halvings=1), t_max=0.5)
+    assert res.refined and len(seen) == res.halvings + 1 == 3
+
+
+def _cone_first_trial(genus):
+    """A single-cone mesh retriangulated at the full first Newton step."""
+    mesh, metric, u, d, _ = _cone_search_inputs(genus)
     flips = make_delaunay(mesh, metric, u + d)
     holds = scalar_metric(mesh, metric, u + d).holds
     return flips, [e for e in mesh.edges() if not holds(e)]
@@ -336,6 +376,48 @@ def test_high_genus_cone_solves_end_in_a_termination(genus, audit):
         *_, report = solve_problem(prob, cfg)
     assert report.termination == "max_newton_steps"
     assert report.newton_steps == 1
+
+
+def test_cone_sweep_converges_with_warm_started_line_searches():
+    # Started at t = 1, each line search of the sweep flipped toward a full
+    # step and back: 60,575 flips over genus 2-8.  Warm-started at twice
+    # the last accepted step, the sweep needs 28,079.
+    cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=200)
+    flips = 0
+    for genus in range(2, 9):
+        *_, report = solve_problem(generate(f"single-cone-genus-{genus}", 0, 0), cfg)
+        assert report.converged, genus
+        flips += report.total_flips().total
+    assert flips <= 36_000
+
+
+def test_newton_steps_record_the_accepted_and_first_trial_step():
+    cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=200)
+    *_, report = solve_problem(generate("single-cone-genus-4", 0, 0), cfg)
+    assert report.converged
+    assert math.isnan(report.steps[0].t) and math.isnan(report.steps[0].t0)
+    t_max = 1.0  # the first step starts at a full step
+    for rec in report.steps[1:]:
+        assert math.frexp(rec.t0)[0] == 0.5  # a power of two
+        assert rec.t0 <= t_max < 2.0 * rec.t0
+        assert rec.t <= rec.t0
+        t_max = min(1.0, 2.0 * rec.t)
+    assert any(rec.t0 < 1.0 for rec in report.steps[1:])
+
+
+def test_sphere_solve_is_bitwise_the_same_with_every_line_search_started_at_t_1(monkeypatch):
+    # Every step of this solve accepts t >= 1/2, a refined t included, so
+    # the warm start never moves the first trial below t = 1.
+    *_, u_warm, warm = solve_problem(generate("sphere-random-angles", 1, 642))
+    real = solver_mod.line_search
+    monkeypatch.setattr(solver_mod, "line_search", lambda *args: real(*args[:8], t_max=1.0))
+    *_, u_cold, cold = solve_problem(generate("sphere-random-angles", 1, 642))
+    assert any(rec.refined for rec in warm.steps)
+    assert all(rec.t0 == 1.0 for rec in warm.steps[1:])
+    assert [(r.halvings, r.flips) for r in warm.steps] == [
+        (r.halvings, r.flips) for r in cold.steps
+    ]
+    assert np.array_equal(u_warm, u_cold)
 
 
 # -- full driver -------------------------------------------------------------
