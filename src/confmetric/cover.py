@@ -25,10 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .halfedge import (
     CombinatorialMesh,
     MeshError,
     build_from_face_edge_lists,
+    first_use_ids,
     validate,
 )
 from .metric import MetricError, PennerMetric
@@ -62,45 +65,44 @@ def build_double_cover(
     if not mesh.boundary_faces:
         raise MeshError("input mesh has no boundary; nothing to double")
 
-    src = [h for h in range(mesh.n_halfedges()) if not mesh.is_boundary_halfedge(h)]
-    pos = {h: i for i, h in enumerate(src)}
+    nxt = np.asarray(mesh.next_he)
+    opp = np.asarray(mesh.opp)
+    head = np.asarray(mesh.to)
+    outer = np.isin(np.asarray(mesh.he_face), list(mesh.boundary_faces))
+    src = np.flatnonzero(~outer)
     n_int = len(src)
+    pos = np.full(len(nxt), -1)
+    pos[src] = np.arange(n_int)
+    prev = np.empty_like(nxt)
+    prev[nxt] = np.arange(len(nxt))
 
-    boundary_v = mesh.boundary_vertices()
     v0 = mesh.n_vertices
-    interior_vs = [v for v in range(v0) if v not in boundary_v]
+    on_boundary = np.zeros(v0, dtype=bool)
+    on_boundary[head[outer]] = True
+    interior_vs = np.flatnonzero(~on_boundary)
     n_cover_v = v0 + len(interior_vs)
-    vrefl = list(range(n_cover_v))
-    for rank, v in enumerate(interior_vs):
-        vrefl[v] = v0 + rank
-        vrefl[v0 + rank] = v
+    vrefl = np.arange(n_cover_v)
+    vrefl[interior_vs] = np.arange(v0, n_cover_v)
+    vrefl[v0:] = interior_vs
 
-    next_he = [-1] * (2 * n_int)
-    opp = [-1] * (2 * n_int)
-    to = [-1] * (2 * n_int)
-    lengths = [0.0] * (2 * n_int)
-    for i, h in enumerate(src):
-        j = i + n_int
-        next_he[i] = pos[mesh.next_he[h]]
-        next_he[j] = pos[mesh.prev(h)] + n_int
-        o = mesh.opp[h]
-        if mesh.is_boundary_halfedge(o):
-            opp[i] = j
-            opp[j] = i
-        else:
-            opp[i] = pos[o]
-            opp[j] = pos[o] + n_int
-        to[i] = mesh.to[h]
-        to[j] = vrefl[mesh.to[o]]
-        lengths[i] = metric.lengths[h]
-        lengths[j] = metric.lengths[h]
+    # Copy 1 is slots 0..n_int-1, copy 2 the same halfedges reversed;
+    # ``mirror`` is the copy-2 slot of each copy-1 halfedge.
+    o = opp[src]
+    axis = outer[o]
+    mirror = np.arange(n_int) + n_int
+    next_he = np.concatenate([pos[nxt[src]], pos[prev[src]] + n_int])
+    opp_c = np.concatenate(
+        [np.where(axis, mirror, pos[o]), np.where(axis, mirror - n_int, pos[o] + n_int)]
+    )
+    to = np.concatenate([head[src], vrefl[head[o]]])
+    lengths = np.asarray(metric.lengths)[src]
 
     cover_mesh = CombinatorialMesh(
-        next_he=next_he, opp=opp, to=to, n_vertices=n_cover_v
+        next_he=next_he.tolist(), opp=opp_c.tolist(), to=to.tolist(), n_vertices=n_cover_v
     )
-    r = [i + n_int for i in range(n_int)] + list(range(n_int))
+    r = np.concatenate([mirror, mirror - n_int]).tolist()
     he_label = [1] * n_int + [2] * n_int
-    refl = ReflectionMap(r=r, he_label=he_label, vertex_refl=vrefl)
+    refl = ReflectionMap(r=r, he_label=he_label, vertex_refl=vrefl.tolist())
 
     errs = validate(cover_mesh)
     if errs:
@@ -109,12 +111,12 @@ def build_double_cover(
     if errs:
         raise SymmetryError("double cover asymmetric: " + "; ".join(errs))
 
-    theta_hat = [0.0] * n_cover_v
-    for v in range(v0):
-        theta_hat[v] = theta_hat[vrefl[v]] = 2.0 * theta[v] if v in boundary_v else theta[v]
+    th = np.asarray(theta, dtype=float)
+    th = np.where(on_boundary, 2.0 * th, th)
+    theta_hat = np.concatenate([th, th[interior_vs]]).tolist()
 
     cover = DoubleCover(mesh=cover_mesh, refl=refl, n_source_vertices=v0)
-    return cover, PennerMetric(lengths), theta_hat
+    return cover, PennerMetric(np.concatenate([lengths, lengths]).tolist()), theta_hat
 
 
 def restrict_to_single_cover(
@@ -138,35 +140,53 @@ def restrict_to_single_cover(
     mesh, refl = cover.mesh, cover.refl
     v0 = cover.n_source_vertices
     L = scaled.lengths
+    n = mesh.n_halfedges()
+    nxt = np.asarray(mesh.next_he)
+    opp = np.asarray(mesh.opp)
+    he_face = np.asarray(mesh.he_face)
+    label = np.asarray(refl.he_label)
+    h = np.arange(n)
 
-    crossing = sorted(e for e in mesh.edges() if refl.r[e] == e)
-    midpoint = {e: v0 + rank for rank, e in enumerate(crossing)}
+    is_crossing = (he_face >= 0) & (h < opp) & (np.asarray(refl.r) == h)
+    crossing = np.flatnonzero(is_crossing)
+    midpoint = dict(zip(crossing.tolist(), range(v0, v0 + len(crossing))))
 
-    faces_v: list[list[int]] = []
-    faces_e: list[list[int]] = []
-    edge_len: list[float] = []
-    eid_of_cover_edge: dict[int, int] = {}
+    faces = np.flatnonzero(he_face == h)
+    has_axis = np.zeros(n, dtype=bool)
+    has_axis[he_face[(he_face >= 0) & (label == 0)]] = True
+    axis_faces = faces[has_axis[faces]]
+    # Copy faces are triangles: surgeries make quads only of axis faces.
+    copy1 = faces[~has_axis[faces] & (label[faces] == 1)]
+    sides = np.stack([copy1, nxt[copy1], nxt[nxt[copy1]]], axis=1)
 
-    def fresh(length: float) -> int:
-        edge_len.append(length)
-        return len(edge_len) - 1
+    # Rows and the output edges they refer to.  A reference is a cover
+    # halfedge, or -1 for a fresh edge; the copy rows refer to their sides.
+    ref_face = np.repeat(copy1, 3).tolist()
+    ref_h = sides.ravel().tolist()
+    fresh_len: list[float] = []
+    row_face, row_rank = copy1.tolist(), [0] * len(copy1)
+    faces_v = np.asarray(mesh.to)[opp[sides]]
+    faces_e = np.arange(sides.size).reshape(-1, 3)
+    axis_v: list[list[int]] = []
+    axis_e: list[list[int]] = []
 
-    def edge_id(h: int) -> int:
-        # A crossing edge keeps only its sheet-1 half.
-        e = mesh.edge_of(h)
-        eid = eid_of_cover_edge.get(e)
-        if eid is None:
-            eid = eid_of_cover_edge[e] = fresh(0.5 * L[h] if e in midpoint else L[h])
-        return eid
+    def ref(f: int, x: int) -> int:
+        ref_face.append(f)
+        ref_h.append(x)
+        return len(ref_h) - 1
 
-    for f in mesh.faces():
+    def fresh(f: int, length: float) -> int:
+        fresh_len.append(length)
+        return ref(f, -1)
+
+    def row(f: int, rank: int, verts: list[int], refs: list[int]) -> None:
+        row_face.append(f)
+        row_rank.append(rank)
+        axis_v.append(verts)
+        axis_e.append(refs)
+
+    for f in axis_faces.tolist():
         hs = mesh.face_halfedges(f)
-        labs = [refl.he_label[x] for x in hs]
-        if 0 not in labs:
-            if labs[0] == 1:
-                faces_v.append([mesh.tail_of(x) for x in hs])
-                faces_e.append([edge_id(x) for x in hs])
-            continue
         g = next(x for x in hs if refl.he_label[x] == 1)
         pg, ng = mesh.prev(g), mesh.next_he[g]
         a, b = mesh.tail_of(g), mesh.to[g]
@@ -178,24 +198,41 @@ def restrict_to_single_cover(
         if not arg > 0.0:
             raise MetricError(f"axis face {f} has no real height")
         height = math.sqrt(arg)
-        cut = fresh(height)  # m_out -> m_in, along the axis
+        cut = fresh(f, height)  # m_out -> m_in, along the axis
         # The split a -> m_out is the cut when m_in is the apex a, and the
         # leg itself when m_out is the apex b.
         if m_in == a:
             diag = cut
         elif m_out == b:
-            diag = edge_id(g)
+            diag = ref(f, g)
         else:
-            diag = fresh(math.sqrt(0.25 * b1 * b1 + height * height))
+            diag = fresh(f, math.sqrt(0.25 * b1 * b1 + height * height))
         if m_in != a:
-            faces_v.append([m_in, a, m_out])
-            faces_e.append([edge_id(pg), diag, cut])
+            row(f, 0, [m_in, a, m_out], [ref(f, pg), diag, cut])
         if m_out != b:
-            faces_v.append([a, b, m_out])
-            faces_e.append([edge_id(g), edge_id(ng), diag])
+            row(f, 1, [a, b, m_out], [ref(f, g), ref(f, ng), diag])
 
+    # Output edge ids follow first reference, in the order of a face by
+    # face walk: ascending face id, and within a face the order of the
+    # references above (an axis face makes its cut and split before its
+    # rows).  A cover edge takes the length of its first referring
+    # halfedge, halved for a crossing edge.
+    src_h = np.array(ref_h)
+    new = src_h < 0
+    key = np.where(new, n + np.cumsum(new) - 1, np.minimum(src_h, opp[src_h]))
+    ref_len = np.empty(len(src_h))
+    old_len = np.asarray(L)[src_h[~new]]
+    ref_len[~new] = np.where(is_crossing[key[~new]], 0.5 * old_len, old_len)
+    ref_len[new] = fresh_len
+    walk = np.lexsort((np.arange(len(key)), ref_face))
+    eid = np.empty_like(key)
+    eid[walk], lead = first_use_ids(key[walk])
+    edge_len = ref_len[walk[lead]]
+
+    rows = np.lexsort((row_rank, row_face))
+    faces_v = np.concatenate([faces_v, np.array(axis_v, dtype=np.int64).reshape(-1, 3)])
+    faces_e = np.concatenate([faces_e, np.array(axis_e, dtype=np.int64).reshape(-1, 3)])
     n_out_v = v0 + len(crossing)
-    out_mesh, he_eid = build_from_face_edge_lists(faces_v, faces_e, n_out_v)
-    out_lengths = [edge_len[eid] for eid in he_eid]
+    out_mesh, he_eid = build_from_face_edge_lists(faces_v[rows], eid[faces_e[rows]], n_out_v)
     u_out = [float(u[v]) for v in range(v0)] + [math.nan] * len(crossing)
-    return out_mesh, PennerMetric(out_lengths), u_out
+    return out_mesh, PennerMetric(edge_len[he_eid].tolist()), u_out

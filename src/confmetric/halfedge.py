@@ -26,6 +26,15 @@ as ordinary ``next_he`` orbits whose ids sit in ``boundary_faces``.  This
 keeps both permutations total, at the cost of one membership test wherever
 real triangles are enumerated.
 
+The builders number halfedges by a fixed rule, which result bundles rely
+on to come back byte-identical.  The halfedges of the input rows come
+first, in row order: side ``i`` of row ``f`` (from ``faces[f][i]`` to
+``faces[f][i+1]``) is halfedge ``sum(len(faces[:f])) + i``, so a face's id
+is its row's first halfedge.  The outer halfedges follow, one per edge id
+used once, in the order in which those ids are first used; that is the
+order of their interior partners, not of the ids' values.  The parked
+pairs of recorded quads come last.
+
 Halfedges may also be *parked*: detached from the active complex while a
 symmetric flip has temporarily merged two triangles into a quad.  A parked
 halfedge has ``he_face[h] == -1``; its ``next_he``/``opp`` form a private
@@ -37,7 +46,10 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 
 class MeshError(Exception):
@@ -48,25 +60,34 @@ class FlipError(Exception):
     """Raised when an edge flip is combinatorially impossible."""
 
 
-def build_orbits(perm: list[int], skip: list[bool] | None = None) -> list[list[int]]:
-    """Decompose a permutation into orbits, each listed from its minimum element.
+def first_use_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys 0, 1, ... in order of first occurrence.
 
-    ``skip[i]`` excludes index ``i`` (used to hide parked halfedges).
+    Returns each key's number and, per number, the position of its first
+    occurrence.
     """
-    n = len(perm)
-    seen = [False] * n
-    orbits: list[list[int]] = []
-    for start in range(n):
-        if seen[start] or (skip is not None and skip[start]):
-            continue
-        orbit = []
-        h = start
-        while not seen[h]:
-            seen[h] = True
-            orbit.append(h)
-            h = perm[h]
-        orbits.append(orbit)
-    return orbits
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(first)
+    rank[order] = np.arange(len(first))
+    return rank[inverse], first[order]
+
+
+def orbit_min(perm: np.ndarray) -> np.ndarray:
+    """The smallest element of each index's orbit under the permutation ``perm``.
+
+    Pointer doubling: after round k, ``m[h]`` is the minimum of the 2**k
+    elements from ``h`` on.  A round that changes nothing has reached every
+    orbit's minimum, since then ``m`` is constant along each orbit's
+    stride-2**k chain, whose windows cover the orbit.
+    """
+    m = np.arange(len(perm))
+    p = np.asarray(perm)
+    while True:
+        step = np.minimum(m, m[p])
+        if np.array_equal(step, m):
+            return m
+        m, p = step, p[p]
 
 
 @dataclass
@@ -89,11 +110,7 @@ class CombinatorialMesh:
 
     def __post_init__(self) -> None:
         if not self.he_face:
-            self.he_face = [-1] * len(self.next_he)
-            for orbit in build_orbits(self.next_he):
-                fid = orbit[0]
-                for h in orbit:
-                    self.he_face[h] = fid
+            self.he_face = orbit_min(np.asarray(self.next_he, dtype=np.int64)).tolist()
 
     # -- element ids ------------------------------------------------------
 
@@ -172,50 +189,72 @@ class CombinatorialMesh:
         return fid
 
 
-def _close_boundary_loops(
-    next_he: list[int],
-    opp: list[int],
-    boundary_of: dict[int, int],
-    n_interior: int,
-) -> None:
-    """Wire the appended boundary halfedges into outer loops.
+def _rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's length, and all rows concatenated, as int arrays."""
+    if isinstance(rows, np.ndarray):
+        return np.full(len(rows), rows.shape[1]), rows.ravel()
+    k = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(k.sum()))
+    return k, flat
 
-    For each interior halfedge ha = a->b with a gap, circulate the outgoing
-    halfedges of b until the next gap hc; the boundary partner of hc is then
-    followed by the boundary partner of ha.
+
+def _check_rows(faces: list[list[int]], k: np.ndarray, k_edges: np.ndarray) -> None:
+    """MeshError at the first row with fewer than 3 vertices, or with an
+    edge id count other than its vertex count."""
+    bad = np.flatnonzero((k < 3) | (k_edges != k))
+    if bad.size:
+        i = bad[0]
+        if k[i] < 3:
+            raise MeshError(f"face {faces[i]} has fewer than 3 vertices")
+        raise MeshError(f"face {faces[i]} has {k_edges[i]} edge ids for {k[i]} sides")
+
+
+def _close_boundary_loops(next_he: np.ndarray, opp: np.ndarray, gaps: np.ndarray) -> None:
+    """Wire the appended outer halfedges into loops.
+
+    ``gaps`` lists the interior halfedges whose edge id is used once; their
+    outer partners are ``opp[gaps]``.  For each gap ha = a->b, circulate the
+    outgoing halfedges of b until the next gap hc; the outer partner of hc
+    is then followed by the outer partner of ha.  All walks advance
+    together, one outgoing halfedge per round.
     """
-    for ha, hb in boundary_of.items():
-        it = next_he[ha]
-        guard = 0
-        while it not in boundary_of:
-            it = next_he[opp[it]]
-            guard += 1
-            if guard > n_interior:
-                raise MeshError("boundary walk failed to close; bad connectivity")
-        next_he[boundary_of[it]] = hb
-    if any(x == -1 for x in next_he):
+    n_interior = len(next_he) - len(gaps)
+    is_gap = np.zeros(n_interior, dtype=bool)
+    is_gap[gaps] = True
+    it = next_he[gaps]
+    walking = np.flatnonzero(~is_gap[it])
+    rounds = 0
+    while walking.size:
+        rounds += 1
+        if rounds > n_interior:
+            raise MeshError("boundary walk failed to close; bad connectivity")
+        it[walking] = next_he[opp[it[walking]]]
+        walking = walking[~is_gap[it[walking]]]
+    next_he[opp[it]] = opp[gaps]
+    if (next_he < 0).any():
         raise MeshError("boundary loops did not close")
 
 
 def build_from_face_lists(faces: list[list[int]]) -> CombinatorialMesh:
     """Construct a mesh from per-face vertex loops (counterclockwise).
 
-    Each unordered vertex pair is one edge, numbered in order of first use,
-    and :func:`build_from_face_edge_lists` pairs the halfedges and closes
-    the boundary (pairs used once) with outer loops.  Raises
-    :class:`MeshError` on a face that repeats a vertex, and on non-manifold
-    or unorientable input.
+    Each unordered vertex pair is one edge, its id numbered by first use
+    over the halfedges in row order; halfedges are numbered as by
+    :func:`build_from_face_edge_lists`.  Raises :class:`MeshError` on a
+    face that repeats a vertex, and on non-manifold or unorientable input.
     """
-    eid: dict[tuple[int, int], int] = {}
-    face_edges = []
-    for f in faces:
-        if len(set(f)) != len(f):
-            raise MeshError(f"face {f} repeats a vertex")
-        k = len(f)
-        pairs = ((f[i], f[(i + 1) % k]) for i in range(k))
-        keys = [(a, b) if a < b else (b, a) for a, b in pairs]
-        face_edges.append([eid.setdefault(key, len(eid)) for key in keys])
-    return build_from_face_edge_lists(faces, face_edges)[0]
+    k, tail = _rows(faces)
+    low, top = int(tail.min()), int(tail.max())
+    span = top - low + 1
+    # A face repeats a vertex when two of its (row, vertex) keys agree.
+    keys = np.sort(np.repeat(np.arange(len(faces)), k) * span + (tail - low))
+    repeats = keys[1:][keys[1:] == keys[:-1]]
+    if repeats.size:
+        raise MeshError(f"face {faces[repeats[0] // span]} repeats a vertex")
+    _check_rows(faces, k, k)
+    to = tail[_successor(k)]
+    pair = (np.minimum(tail, to) - low) * span + (np.maximum(tail, to) - low)
+    return _build(faces, k, tail, first_use_ids(pair)[0], top + 1)[0]
 
 
 def build_from_face_edge_lists(
@@ -227,153 +266,162 @@ def build_from_face_edge_lists(
     """Construct a mesh from vertex loops plus parallel edge-id loops.
 
     ``face_edges[f][i]`` names the edge from ``faces[f][i]`` to
-    ``faces[f][i+1]``.  Pairing by edge id instead of by vertex pair makes
-    the format safe for meshes with parallel edges or repeated vertices in
-    a face, which vertex pairs cannot express.  Each edge id may appear at
+    ``faces[f][i+1]``; either may also be an (F, k) int array.  Pairing by
+    edge id instead of by vertex pair makes the format safe for meshes with
+    parallel edges or repeated vertices in a face, which vertex pairs
+    cannot express.  Each edge id may appear at
     most twice, in opposite directions; ids appearing once lie on the
     boundary.  Returns the mesh and the edge id of every halfedge
     (boundary halfedges inherit their partner's id).  Each row named in
-    ``quad_rows`` becomes a recorded quad; its parked pair, appended last,
-    takes the row's first edge id.
+    ``quad_rows`` becomes a recorded quad; its parked pair takes the row's
+    first edge id.
+
+    Halfedges are numbered by the module's rule: the rows' sides in row
+    order, so a face's id is its row's first halfedge; then the outer
+    halfedges in the order in which their edge ids are first used,
+    whatever the ids' values; then the parked pairs in ``quad_rows`` order.
     """
-    if n_vertices is None:
-        n_vertices = 1 + max(max(f) for f in faces)
     if len(faces) != len(face_edges):
         raise MeshError("faces and face_edges differ in length")
+    k, tail = _rows(faces)
+    k_edges, he_eid = _rows(face_edges)
+    _check_rows(faces, k, k_edges)
+    if n_vertices is None:
+        n_vertices = 1 + int(tail.max())
+    return _build(faces, k, tail, he_eid, n_vertices, quad_rows)
 
-    n_interior = sum(len(f) for f in faces)
-    next_he: list[int] = [-1] * n_interior
-    to: list[int] = [-1] * n_interior
-    tail: list[int] = [-1] * n_interior
-    he_eid: list[int] = [-1] * n_interior
-    uses: dict[int, list[int]] = {}
 
-    h = 0
-    first: list[int] = []  # each row's first halfedge, its face id
-    for f, fe in zip(faces, face_edges):
-        first.append(h)
-        k = len(f)
-        if k < 3:
-            raise MeshError(f"face {f} has fewer than 3 vertices")
-        if len(fe) != k:
-            raise MeshError(f"face {f} has {len(fe)} edge ids for {k} sides")
-        base = h
-        for i in range(k):
-            tail[h] = f[i]
-            to[h] = f[(i + 1) % k]
-            he_eid[h] = fe[i]
-            next_he[h] = base + (i + 1) % k
-            uses.setdefault(fe[i], []).append(h)
-            h += 1
+def _successor(k: np.ndarray) -> np.ndarray:
+    """The next halfedge in its row, for rows of lengths ``k`` laid end to end."""
+    ends = np.cumsum(k)
+    nxt = np.arange(1, int(ends[-1]) + 1)
+    nxt[ends - 1] = ends - k
+    return nxt
 
-    opp: list[int] = [-1] * n_interior
-    boundary_of: dict[int, int] = {}
-    for eid, hs in uses.items():
-        if len(hs) > 2:
-            raise MeshError(
-                f"edge id {eid} ({tail[hs[0]]}-{to[hs[0]]}) used {len(hs)} times"
-            )
-        if len(hs) == 2:
-            ha, hb = hs
-            if (tail[ha], to[ha]) != (to[hb], tail[hb]):
-                raise MeshError(
-                    f"edge id {eid} used with inconsistent orientation "
-                    f"({tail[ha]}->{to[ha]} vs {tail[hb]}->{to[hb]})"
-                )
-            opp[ha] = hb
-            opp[hb] = ha
-        else:
-            ha = hs[0]
-            hb = len(next_he)
-            next_he.append(-1)
-            to.append(tail[ha])
-            he_eid.append(eid)
-            opp[ha] = hb
-            opp.append(ha)
-            boundary_of[ha] = hb
 
-    _close_boundary_loops(next_he, opp, boundary_of, n_interior)
-    n_active = len(next_he)
-    quad_pairs = {}
-    for row in quad_rows:
-        a, b = len(next_he), len(next_he) + 1
-        next_he += [b, a]
-        opp += [b, a]
-        to += [-1, -1]
-        he_eid += [face_edges[row][0]] * 2
-        quad_pairs[first[row]] = (a, b)
-    mesh = CombinatorialMesh(next_he=next_he, opp=opp, to=to, n_vertices=n_vertices)
-    mesh.he_face[n_active:] = [-1] * (len(next_he) - n_active)
-    mesh.boundary_faces = set(mesh.he_face[n_interior:n_active])
-    mesh.quad_pairs = quad_pairs
+def _build(
+    faces: list[list[int]],
+    k: np.ndarray,
+    tail: np.ndarray,
+    he_eid: np.ndarray,
+    n_vertices: int,
+    quad_rows: Iterable[int] = (),
+) -> tuple[CombinatorialMesh, list[int]]:
+    """The mesh of checked rows: pair the halfedges by edge id, close the
+    boundary, park one pair per quad row, and validate."""
+    n = len(tail)
+    nxt = _successor(k)
+    to = tail[nxt]
+    # A stable sort lists the uses of each edge id in halfedge order.
+    order = np.argsort(he_eid, kind="stable")
+    ids = he_eid[order]
+    start = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    uses = np.diff(np.r_[start, n])
+    ha = order[start]
+    hb = order[np.minimum(start + 1, n - 1)]
+    flipped = (uses == 2) & ((tail[ha] != to[hb]) | (to[ha] != tail[hb]))
+    bad = np.flatnonzero((uses > 2) | flipped)
+    if bad.size:
+        i = bad[np.argmin(ha[bad])]  # the first edge id used
+        a, b = ha[i], hb[i]
+        if uses[i] > 2:
+            raise MeshError(f"edge id {he_eid[a]} ({tail[a]}-{to[a]}) used {uses[i]} times")
+        raise MeshError(
+            f"edge id {he_eid[a]} used with inconsistent orientation "
+            f"({tail[a]}->{to[a]} vs {tail[b]}->{to[b]})"
+        )
+
+    paired = uses == 2
+    gaps = np.sort(ha[uses == 1])  # first-use order of the boundary ids
+    n_active = n + len(gaps)
+    outer = np.arange(n, n_active)
+    opp = np.empty(n_active, dtype=np.int64)
+    opp[ha[paired]] = hb[paired]
+    opp[hb[paired]] = ha[paired]
+    opp[gaps] = outer
+    opp[outer] = gaps
+    next_he = np.concatenate([nxt, np.full(len(gaps), -1)])
+    _close_boundary_loops(next_he, opp, gaps)
+    he_face = orbit_min(next_he)
+
+    first = np.cumsum(k) - k
+    quads = first[np.fromiter(quad_rows, dtype=np.int64)]
+    parked = np.arange(n_active, n_active + 2 * len(quads)).reshape(-1, 2)
+    swap = parked[:, ::-1].ravel()
+    mesh = CombinatorialMesh(
+        next_he=np.concatenate([next_he, swap]).tolist(),
+        opp=np.concatenate([opp, swap]).tolist(),
+        to=np.concatenate([to, tail[gaps], np.full(swap.size, -1)]).tolist(),
+        n_vertices=n_vertices,
+        boundary_faces=set(he_face[n:].tolist()),
+        he_face=np.concatenate([he_face, np.full(swap.size, -1)]).tolist(),
+        quad_pairs={f: (a, b) for f, (a, b) in zip(quads.tolist(), parked.tolist())},
+    )
     errors = validate(mesh)
     if errors:
         raise MeshError("; ".join(errors))
-    return mesh, he_eid
+    return mesh, np.concatenate([he_eid, he_eid[gaps], np.repeat(he_eid[quads], 2)]).tolist()
 
 
 def validate(mesh: CombinatorialMesh) -> list[str]:
-    """Structural diagnostics; empty list means the complex is consistent."""
-    errs: list[str] = []
-    n = len(mesh.next_he)
-    parked = [f < 0 for f in mesh.he_face]
-    active = [h for h in range(n) if not parked[h]]
+    """Structural diagnostics; empty list means the complex is consistent.
 
-    for h in active:
-        o = mesh.opp[h]
-        if parked[o]:
-            errs.append(f"opp[{h}]={o} is parked")
-        elif mesh.opp[o] != h:
-            errs.append(f"opp not involutive at {h}")
-        if mesh.opp[h] == h:
-            errs.append(f"opp has fixed point at {h}")
-        if not (0 <= mesh.to[h] < mesh.n_vertices):
-            errs.append(f"to[{h}]={mesh.to[h]} out of range")
+    Each check is one mask over the active halfedges (or the faces, or the
+    quad records), and reports its failures in ascending order.
+    """
+    nxt = np.asarray(mesh.next_he, dtype=np.int64)
+    opp = np.asarray(mesh.opp, dtype=np.int64)
+    to = np.asarray(mesh.to, dtype=np.int64)
+    he_face = np.asarray(mesh.he_face, dtype=np.int64)
+    n = len(nxt)
+    parked = he_face < 0
+    act = np.flatnonzero(~parked)
+
+    o = opp[act]
+    lost = parked[o]
+    errs = [f"opp[{h}]={x} is parked" for h, x in zip(act[lost], o[lost])]
+    errs += [f"opp not involutive at {h}" for h in act[~lost & (opp[o] != act)]]
+    errs += [f"opp has fixed point at {h}" for h in act[o == act]]
+    head = to[act]
+    wild = (head < 0) | (head >= mesh.n_vertices)
+    errs += [f"to[{h}]={v} out of range" for h, v in zip(act[wild], head[wild])]
 
     # next_he restricted to active halfedges must be a permutation.
-    hit = [0] * n
-    for h in active:
-        nx = mesh.next_he[h]
-        if parked[nx]:
-            errs.append(f"next_he[{h}]={nx} is parked")
-        else:
-            hit[nx] += 1
-    for h in active:
-        if hit[h] != 1:
-            errs.append(f"next_he not a bijection at {h} (hit {hit[h]})")
+    nx = nxt[act]
+    lost = parked[nx]
+    errs += [f"next_he[{h}]={x} is parked" for h, x in zip(act[lost], nx[lost])]
+    hit = np.bincount(nx[~lost], minlength=n)[act]
+    odd = hit != 1
+    errs += [f"next_he not a bijection at {h} (hit {c})" for h, c in zip(act[odd], hit[odd])]
     if errs:
         return errs
 
-    for orbit in build_orbits(mesh.next_he, parked):
-        fid = min(orbit)
-        if orbit[0] != fid:
-            errs.append(f"orbit listing of face {fid} does not start at min")
-        deg = len(orbit)
-        if fid not in mesh.boundary_faces:
-            kind, want = ("quad", 4) if fid in mesh.quad_pairs else ("triangle", 3)
-            if deg != want:
-                errs.append(f"{kind} face {fid} has degree {deg}")
-        for h in orbit:
-            if mesh.he_face[h] != fid:
-                errs.append(f"he_face[{h}]={mesh.he_face[h]} but orbit min is {fid}")
-        # Head/tail chaining: the head of h is the tail of next(h).
-        for i, h in enumerate(orbit):
-            nx = orbit[(i + 1) % deg]
-            if mesh.to[h] != mesh.to[mesh.opp[nx]]:
-                errs.append(f"vertex chaining broken at halfedge {h}")
+    fid = orbit_min(np.where(parked, np.arange(n), nxt))[act]
+    faces = act[fid == act]
+    deg = np.bincount(fid, minlength=n)[faces]
+    quad = np.isin(faces, list(mesh.quad_pairs))
+    wrong = ~np.isin(faces, list(mesh.boundary_faces)) & (deg != np.where(quad, 4, 3))
+    errs += [
+        f"{'quad' if q else 'triangle'} face {f} has degree {d}"
+        for f, q, d in zip(faces[wrong], quad[wrong], deg[wrong])
+    ]
+    off = he_face[act] != fid
+    errs += [
+        f"he_face[{h}]={he_face[h]} but orbit min is {f}" for h, f in zip(act[off], fid[off])
+    ]
+    # Head/tail chaining: the head of h is the tail of next(h).
+    errs += [f"vertex chaining broken at halfedge {h}" for h in act[head != to[opp[nx]]]]
 
-    for fid, pair in mesh.quad_pairs.items():
-        if mesh.he_face[fid] != fid or fid in mesh.boundary_faces:
-            errs.append(f"quad record {fid} names no live face")
-        for p in pair:
-            if not parked[p]:
-                errs.append(f"recorded parked halfedge {p} of quad {fid} is active")
-
-    # Every active vertex label is reachable; labels are consistent per orbit
-    # by the chaining check above, so just count coverage.
-    seen_v = set(mesh.to[h] for h in active)
-    if len(seen_v) > mesh.n_vertices:
-        errs.append("more vertex labels in use than n_vertices")
+    if mesh.quad_pairs:
+        q = np.fromiter(mesh.quad_pairs, dtype=np.int64)
+        pairs = np.array(list(mesh.quad_pairs.values()), dtype=np.int64)
+        dead = (he_face[q] != q) | np.isin(q, list(mesh.boundary_faces))
+        errs += [f"quad record {f} names no live face" for f in q[dead]]
+        live = ~parked[pairs]
+        errs += [
+            f"recorded parked halfedge {p} of quad {f} is active"
+            for f, p in zip(np.repeat(q, 2)[live.ravel()], pairs[live])
+        ]
     return errs
 
 

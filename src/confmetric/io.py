@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields
+from itertools import chain
+
+import numpy as np
 
 from .halfedge import CombinatorialMesh, MeshError, build_from_face_edge_lists, build_from_face_lists
 from .metric import PennerMetric
@@ -122,35 +125,50 @@ def read_targets_file(path: str, prob: ProblemFile) -> None:
 
 def problem_to_mesh(prob: ProblemFile) -> tuple[CombinatorialMesh, PennerMetric]:
     """Build mesh + metric, deriving lengths from positions where needed.
-    The faces must use every vertex index up to the largest."""
-    used = len({w for f in prob.faces for w in f})
-    if used != prob.n_vertices:
-        raise ParseError(f"the faces use {used} of the vertex indices 1..{prob.n_vertices}")
+
+    The faces must use every vertex index up to the largest, and every
+    ``el`` pair must be an edge of the faces."""
+    used = np.unique(np.fromiter(chain.from_iterable(prob.faces), dtype=np.int64))
+    if used.size != used[-1] + 1:
+        raise ParseError(f"the faces use {used.size} of the vertex indices 1..{used[-1] + 1}")
     try:
         mesh = build_from_face_lists(prob.faces)
     except MeshError as exc:
         raise ParseError(str(exc)) from None
-    lengths = [0.0] * mesh.n_halfedges()
-    for e in mesh.edges():
-        a, b = mesh.edge_endpoints(e)
-        key = (min(a, b), max(a, b))
-        if key in prob.edge_lengths:
-            val = prob.edge_lengths[key]
-        elif prob.positions is not None:
-            val = math.dist(prob.positions[a], prob.positions[b])
+    opp = np.asarray(mesh.opp)
+    to = np.asarray(mesh.to)
+    edges = np.flatnonzero(np.arange(len(opp)) < opp)  # the builder parks nothing
+    ends = list(zip(to[opp[edges]].tolist(), to[edges].tolist()))
+    given, positions = prob.edge_lengths, prob.positions
+    found = 0
+    vals = []
+    for a, b in ends:
+        val = given.get((a, b) if a < b else (b, a))
+        if val is not None:
+            found += 1
+        elif positions is not None:
+            val = math.dist(positions[a], positions[b])
         else:
             raise ParseError(f"no length for edge {a + 1}-{b + 1} and no positions")
         if not val > 0.0:
             raise ParseError(f"degenerate edge {a + 1}-{b + 1}")
-        lengths[e] = lengths[mesh.opp[e]] = val
-    # Solver input contract: faces must start as honest triangles.  Face
-    # ids rise with the f rows they were built from.
-    for i, f in enumerate(mesh.faces()):
-        ls = sorted(lengths[h] for h in mesh.face_halfedges(f))
-        if ls[0] + ls[1] < ls[2]:
-            verts = " ".join(str(w + 1) for w in prob.faces[i])
-            raise ParseError(f"triangle inequality violated on face {i + 1} (f {verts})")
-    return mesh, PennerMetric(lengths)
+        vals.append(val)
+    if found < len(given):
+        pairs = {(a, b) if a < b else (b, a) for a, b in ends}
+        a, b = next(key for key in given if key not in pairs)
+        raise ParseError(f"el {a + 1} {b + 1} names no edge of the faces")
+    lengths = np.empty(len(opp))
+    lengths[edges] = lengths[opp[edges]] = vals
+    # Solver input contract: faces must start as honest triangles.  The
+    # builder has checked that every f row is one, and row i's sides are
+    # halfedges 3i..3i+2.
+    sides = np.sort(lengths[: 3 * len(prob.faces)].reshape(-1, 3), axis=1)
+    bad = np.flatnonzero(sides[:, 0] + sides[:, 1] < sides[:, 2])
+    if bad.size:
+        i = bad[0]
+        verts = " ".join(str(w + 1) for w in prob.faces[i])
+        raise ParseError(f"triangle inequality violated on face {i + 1} (f {verts})")
+    return mesh, PennerMetric(lengths.tolist())
 
 
 def write_problem_files(
@@ -194,7 +212,11 @@ def gauss_bonnet_deviation(mesh: CombinatorialMesh, theta_hat: "list[float]") ->
     Solvable targets make it zero.  On a mesh with boundary this is the
     Gauss-Bonnet identity when boundary targets are pi - kappa.
     """
-    expected = math.pi * sum(mesh.degree(f) - 2 for f in mesh.faces())
+    he_face = np.asarray(mesh.he_face)
+    inner = np.flatnonzero((he_face >= 0) & ~np.isin(he_face, list(mesh.boundary_faces)))
+    # sum(deg f - 2) = the corners of the faces less two per face, an int.
+    corners = inner.size - 2 * int(np.count_nonzero(he_face[inner] == inner))
+    expected = math.pi * corners
     return math.fsum(theta_hat) - expected
 
 

@@ -393,9 +393,10 @@ def find_conformal_metric(
 
 def _n_components(mesh: CombinatorialMesh) -> int:
     """Connected components of the vertex graph; isolated vertices count."""
-    edges = mesh.edges()
+    opp, to = np.asarray(mesh.opp), np.asarray(mesh.to)
+    edges = np.flatnonzero((np.asarray(mesh.he_face) >= 0) & (np.arange(len(opp)) < opp))
     n = mesh.n_vertices
-    ends = ([mesh.tail_of(e) for e in edges], [mesh.to[e] for e in edges])
+    ends = (to[opp[edges]], to[edges])
     graph = scipy.sparse.coo_matrix((np.ones(len(edges)), ends), shape=(n, n))
     return scipy.sparse.csgraph.connected_components(graph, directed=False)[0]
 

@@ -53,6 +53,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .halfedge import CombinatorialMesh, FlipError, FlipFrame, apply_flip, plan_flip
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -434,96 +436,112 @@ def validate_symmetry(
     Checks the involution properties of ``r`` and ``vertex_refl``, their
     compatibility with the mesh permutations, the label discipline, the
     shape of axis faces, parked-pair bookkeeping, and (when a metric is
-    given) bitwise equality of mirrored lengths.
+    given) bitwise equality of mirrored lengths.  Faces are grouped by
+    ``he_face``, which :func:`~confmetric.halfedge.validate` checks.
     """
-    errs: list[str] = []
     n = mesh.n_halfedges()
-    parked = [f < 0 for f in mesh.he_face]
+    nv = mesh.n_vertices
     if len(refl.r) != n or len(refl.he_label) != n:
         return [f"reflection arrays sized for {len(refl.r)} of {n} halfedges"]
-    if len(refl.vertex_refl) != mesh.n_vertices:
-        return [
-            f"vertex_refl has {len(refl.vertex_refl)} entries "
-            f"for {mesh.n_vertices} vertices"
-        ]
+    if len(refl.vertex_refl) != nv:
+        return [f"vertex_refl has {len(refl.vertex_refl)} entries for {nv} vertices"]
 
-    for v in range(mesh.n_vertices):
-        w = refl.vertex_refl[v]
-        if not 0 <= w < mesh.n_vertices:
-            errs.append(f"vertex_refl[{v}]={w} out of range")
-        elif refl.vertex_refl[w] != v:
-            errs.append(f"vertex_refl not involutive at {v}")
+    v = np.arange(nv)
+    vr = np.asarray(refl.vertex_refl, dtype=np.int64)
+    wild = (vr < 0) | (vr >= nv)
+    errs = [f"vertex_refl[{x}]={w} out of range" for x, w in zip(v[wild], vr[wild])]
+    tame = v[~wild]
+    errs += [f"vertex_refl not involutive at {x}" for x in tame[vr[vr[tame]] != tame]]
     if errs:
         return errs
 
-    for h in range(n):
-        rh = refl.r[h]
-        if not 0 <= rh < n:
-            errs.append(f"r[{h}]={rh} out of range")
-            continue
-        if refl.r[rh] != h:
-            errs.append(f"r not involutive at {h}")
-            continue
-        if parked[h] != parked[rh]:
-            errs.append(f"r pairs parked halfedge {h} with active {rh}")
-            continue
-        if parked[h]:
-            if rh == h:
-                errs.append(f"parked halfedge {h} is r-fixed")
-            continue
-        lab = refl.he_label[h]
-        if lab not in (0, 1, 2):
-            errs.append(f"he_label[{h}]={lab} invalid")
-        elif (lab == 0) != (rh == h):
-            errs.append(f"he_label[{h}]={lab} inconsistent with r[{h}]={rh}")
-        elif lab != 0 and refl.he_label[rh] != 3 - lab:
-            errs.append(f"mirror of {h} has label {refl.he_label[rh]}, not {3 - lab}")
-        if refl.r[mesh.opp[h]] != mesh.opp[rh]:
-            errs.append(f"r does not commute with opp at {h}")
-        if refl.r[mesh.next_he[h]] != mesh.prev(rh):
-            errs.append(f"r does not reverse the face walk at {h}")
-        if mesh.to[rh] != refl.vertex_refl[mesh.tail_of(h)]:
-            errs.append(f"head of r[{h}] is not the mirrored tail of {h}")
+    h = np.arange(n)
+    nxt = np.asarray(mesh.next_he, dtype=np.int64)
+    opp = np.asarray(mesh.opp, dtype=np.int64)
+    to = np.asarray(mesh.to, dtype=np.int64)
+    he_face = np.asarray(mesh.he_face, dtype=np.int64)
+    r = np.asarray(refl.r, dtype=np.int64)
+    lab = np.asarray(refl.he_label, dtype=np.int64)
+    parked = he_face < 0
+    # Each halfedge fails at most one of the checks up to its label's.
+    wild = (r < 0) | (r >= n)
+    errs += [f"r[{x}]={y} out of range" for x, y in zip(h[wild], r[wild])]
+    rh = np.where(wild, h, r)
+    bad = ~wild & (r[rh] != h)
+    errs += [f"r not involutive at {x}" for x in h[bad]]
+    ok = ~wild & ~bad
+    bad = ok & (parked != parked[rh])
+    errs += [f"r pairs parked halfedge {x} with active {y}" for x, y in zip(h[bad], r[bad])]
+    ok &= ~bad
+    errs += [f"parked halfedge {x} is r-fixed" for x in h[ok & parked & (r == h)]]
+    live = ok & ~parked
+    bad = live & (lab != 0) & (lab != 1) & (lab != 2)
+    errs += [f"he_label[{x}]={y} invalid" for x, y in zip(h[bad], lab[bad])]
+    ok = live & ~bad
+    bad = ok & ((lab == 0) != (r == h))
+    errs += [
+        f"he_label[{x}]={y} inconsistent with r[{x}]={z}"
+        for x, y, z in zip(h[bad], lab[bad], r[bad])
+    ]
+    bad = ok & ~bad & (lab != 0) & (lab[rh] != 3 - lab)
+    errs += [
+        f"mirror of {x} has label {y}, not {3 - z}"
+        for x, y, z in zip(h[bad], lab[rh][bad], lab[bad])
+    ]
+    prev = np.empty_like(nxt)
+    prev[nxt] = h
+    x, rx = h[live], rh[live]
+    errs += [f"r does not commute with opp at {y}" for y in x[r[opp[x]] != opp[rx]]]
+    errs += [f"r does not reverse the face walk at {y}" for y in x[r[nxt[x]] != prev[rx]]]
+    errs += [
+        f"head of r[{y}] is not the mirrored tail of {y}" for y in x[to[rx] != vr[to[opp[x]]]]
+    ]
     if errs:
         return errs
 
-    for f in mesh.faces():
-        hs = mesh.face_halfedges(f)
-        labs = [refl.he_label[x] for x in hs]
-        if 0 in labs:
-            if {refl.r[x] for x in hs} != set(hs):
-                errs.append(f"axis face {f} is not mapped to itself by r")
-                continue
-            fixed_pos = [i for i, x in enumerate(hs) if refl.r[x] == x]
-            if len(hs) == 3 and len(fixed_pos) != 1:
-                errs.append(f"axis triangle {f} has {len(fixed_pos)} fixed sides")
-            if len(hs) == 4:
-                if len(fixed_pos) != 2 or (fixed_pos[1] - fixed_pos[0]) != 2:
-                    errs.append(f"axis quad {f} lacks opposite fixed sides")
-        else:
-            if len(set(labs)) != 1:
-                errs.append(f"copy face {f} mixes labels {sorted(set(labs))}")
+    act = np.flatnonzero(~parked & ~np.isin(he_face, list(mesh.boundary_faces)))
+    fid = he_face[act]
+    faces = act[fid == act]
+    on_axis = np.zeros(n, dtype=bool)
+    on_axis[fid[lab[act] == 0]] = True
+    unmapped = np.zeros(n, dtype=bool)
+    unmapped[fid[on_axis[fid] & (he_face[r[act]] != fid)]] = True
+    deg = np.bincount(fid, minlength=n)
+    fixed = r == h
+    n_fixed = np.bincount(fid, weights=fixed[act], minlength=n).astype(np.int64)
+    adjacent = np.zeros(n, dtype=bool)
+    adjacent[fid[fixed[act] & fixed[nxt[act]]]] = True
+    axis = faces[on_axis[faces]]
+    errs += [f"axis face {f} is not mapped to itself by r" for f in axis[unmapped[axis]]]
+    axis = axis[~unmapped[axis]]
+    tri = axis[(deg[axis] == 3) & (n_fixed[axis] != 1)]
+    errs += [f"axis triangle {f} has {k} fixed sides" for f, k in zip(tri, n_fixed[tri])]
+    quad = axis[(deg[axis] == 4) & ((n_fixed[axis] != 2) | adjacent[axis])]
+    errs += [f"axis quad {f} lacks opposite fixed sides" for f in quad]
+    mixed = np.zeros(n, dtype=bool)
+    mixed[fid[lab[act] != lab[fid]]] = True
+    for f in faces[~on_axis[faces] & mixed[faces]].tolist():
+        labs = {refl.he_label[x] for x in mesh.face_halfedges(f)}
+        errs.append(f"copy face {f} mixes labels {sorted(labs)}")
 
-    parked_set = {h for h in range(n) if parked[h]}
     recorded: set[int] = set()
     for f, (p1, p2) in mesh.quad_pairs.items():
         if refl.r[p1] != p2:
             errs.append(f"parked pair of quad {f} is not a mirror pair")
         recorded.update((p1, p2))
-    if recorded != parked_set:
+    if recorded != set(np.flatnonzero(parked).tolist()):
         errs.append("parked halfedges and quad_pairs records disagree")
 
     if metric is not None:
-        L = metric.lengths
-        for h in range(n):
-            if parked[h]:
-                continue
-            if L[h] != L[mesh.opp[h]]:
-                errs.append(f"halfedge lengths of edge {mesh.edge_of(h)} differ")
-            if L[h] != L[refl.r[h]]:
-                errs.append(f"mirror edges at {h} have different lengths")
-            if not L[h] > 0:
-                errs.append(f"nonpositive length at halfedge {h}")
+        L = np.asarray(metric.lengths, dtype=float)
+        live = np.flatnonzero(~parked)
+        own = L[live]
+        bad = own != L[opp[live]]
+        errs += [
+            f"halfedge lengths of edge {e} differ" for e in np.minimum(live, opp[live])[bad]
+        ]
+        errs += [f"mirror edges at {x} have different lengths" for x in live[own != L[r[live]]]]
+        errs += [f"nonpositive length at halfedge {x}" for x in live[~(own > 0)]]
         if set(metric.quad_diag) != set(mesh.quad_pairs):
             errs.append("quad_diag keys disagree with the quad_pairs records")
         for f, dv in metric.quad_diag.items():

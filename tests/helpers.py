@@ -4,6 +4,7 @@ import collections
 import contextlib
 import inspect
 import math
+from typing import Iterable
 
 import numpy as np
 
@@ -11,7 +12,7 @@ import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
 from confmetric.cover import build_double_cover
 from confmetric.generate import icosphere
-from confmetric.halfedge import CombinatorialMesh, build_from_face_lists, plan_flip
+from confmetric.halfedge import CombinatorialMesh, MeshError, build_from_face_lists, plan_flip
 from confmetric.metric import PennerMetric, flip_edge, read_triangles, scalar_metric
 from confmetric.symmetry import FlipType, ReflectionMap, apply_symmetric_flip, classify_flip
 
@@ -278,3 +279,241 @@ def random_symmetric_lengths(mesh, refl, rng, low=0.5, high=2.0):
         for x in (h, mesh.opp[h], refl.r[h], mesh.opp[refl.r[h]]):
             L[x] = val
     return L
+
+
+# -- scalar reference of the mesh builder and validate --------------------------
+#
+# Per-halfedge loops that build and check a mesh one element at a time: the
+# oracle the tests hold the numpy builder and ``validate`` to.  Their
+# numbering and their messages are the contract.
+
+
+def reference_orbits(perm: list[int], skip: list[bool] | None = None) -> list[list[int]]:
+    """Decompose a permutation into orbits, each listed from its minimum element.
+
+    ``skip[i]`` excludes index ``i`` (used to hide parked halfedges).
+    """
+    n = len(perm)
+    seen = [False] * n
+    orbits: list[list[int]] = []
+    for start in range(n):
+        if seen[start] or (skip is not None and skip[start]):
+            continue
+        orbit = []
+        h = start
+        while not seen[h]:
+            seen[h] = True
+            orbit.append(h)
+            h = perm[h]
+        orbits.append(orbit)
+    return orbits
+
+
+def _reference_close_boundary_loops(
+    next_he: list[int],
+    opp: list[int],
+    boundary_of: dict[int, int],
+    n_interior: int,
+) -> None:
+    """Wire the appended boundary halfedges into outer loops.
+
+    For each interior halfedge ha = a->b with a gap, circulate the outgoing
+    halfedges of b until the next gap hc; the boundary partner of hc is then
+    followed by the boundary partner of ha.
+    """
+    for ha, hb in boundary_of.items():
+        it = next_he[ha]
+        guard = 0
+        while it not in boundary_of:
+            it = next_he[opp[it]]
+            guard += 1
+            if guard > n_interior:
+                raise MeshError("boundary walk failed to close; bad connectivity")
+        next_he[boundary_of[it]] = hb
+    if any(x == -1 for x in next_he):
+        raise MeshError("boundary loops did not close")
+
+
+def reference_build_from_face_lists(faces: list[list[int]]) -> CombinatorialMesh:
+    """Construct a mesh from per-face vertex loops (counterclockwise).
+
+    Each unordered vertex pair is one edge, numbered in order of first use,
+    and :func:`build_from_face_edge_lists` pairs the halfedges and closes
+    the boundary (pairs used once) with outer loops.  Raises
+    :class:`MeshError` on a face that repeats a vertex, and on non-manifold
+    or unorientable input.
+    """
+    eid: dict[tuple[int, int], int] = {}
+    face_edges = []
+    for f in faces:
+        if len(set(f)) != len(f):
+            raise MeshError(f"face {f} repeats a vertex")
+        k = len(f)
+        pairs = ((f[i], f[(i + 1) % k]) for i in range(k))
+        keys = [(a, b) if a < b else (b, a) for a, b in pairs]
+        face_edges.append([eid.setdefault(key, len(eid)) for key in keys])
+    return reference_build_from_face_edge_lists(faces, face_edges)[0]
+
+
+def reference_build_from_face_edge_lists(
+    faces: list[list[int]],
+    face_edges: list[list[int]],
+    n_vertices: int | None = None,
+    quad_rows: Iterable[int] = (),
+) -> tuple[CombinatorialMesh, list[int]]:
+    """Construct a mesh from vertex loops plus parallel edge-id loops.
+
+    ``face_edges[f][i]`` names the edge from ``faces[f][i]`` to
+    ``faces[f][i+1]``.  Pairing by edge id instead of by vertex pair makes
+    the format safe for meshes with parallel edges or repeated vertices in
+    a face, which vertex pairs cannot express.  Each edge id may appear at
+    most twice, in opposite directions; ids appearing once lie on the
+    boundary.  Returns the mesh and the edge id of every halfedge
+    (boundary halfedges inherit their partner's id).  Each row named in
+    ``quad_rows`` becomes a recorded quad; its parked pair, appended last,
+    takes the row's first edge id.
+    """
+    if n_vertices is None:
+        n_vertices = 1 + max(max(f) for f in faces)
+    if len(faces) != len(face_edges):
+        raise MeshError("faces and face_edges differ in length")
+
+    n_interior = sum(len(f) for f in faces)
+    next_he: list[int] = [-1] * n_interior
+    to: list[int] = [-1] * n_interior
+    tail: list[int] = [-1] * n_interior
+    he_eid: list[int] = [-1] * n_interior
+    uses: dict[int, list[int]] = {}
+
+    h = 0
+    first: list[int] = []  # each row's first halfedge, its face id
+    for f, fe in zip(faces, face_edges):
+        first.append(h)
+        k = len(f)
+        if k < 3:
+            raise MeshError(f"face {f} has fewer than 3 vertices")
+        if len(fe) != k:
+            raise MeshError(f"face {f} has {len(fe)} edge ids for {k} sides")
+        base = h
+        for i in range(k):
+            tail[h] = f[i]
+            to[h] = f[(i + 1) % k]
+            he_eid[h] = fe[i]
+            next_he[h] = base + (i + 1) % k
+            uses.setdefault(fe[i], []).append(h)
+            h += 1
+
+    opp: list[int] = [-1] * n_interior
+    boundary_of: dict[int, int] = {}
+    for eid, hs in uses.items():
+        if len(hs) > 2:
+            raise MeshError(
+                f"edge id {eid} ({tail[hs[0]]}-{to[hs[0]]}) used {len(hs)} times"
+            )
+        if len(hs) == 2:
+            ha, hb = hs
+            if (tail[ha], to[ha]) != (to[hb], tail[hb]):
+                raise MeshError(
+                    f"edge id {eid} used with inconsistent orientation "
+                    f"({tail[ha]}->{to[ha]} vs {tail[hb]}->{to[hb]})"
+                )
+            opp[ha] = hb
+            opp[hb] = ha
+        else:
+            ha = hs[0]
+            hb = len(next_he)
+            next_he.append(-1)
+            to.append(tail[ha])
+            he_eid.append(eid)
+            opp[ha] = hb
+            opp.append(ha)
+            boundary_of[ha] = hb
+
+    _reference_close_boundary_loops(next_he, opp, boundary_of, n_interior)
+    n_active = len(next_he)
+    quad_pairs = {}
+    for row in quad_rows:
+        a, b = len(next_he), len(next_he) + 1
+        next_he += [b, a]
+        opp += [b, a]
+        to += [-1, -1]
+        he_eid += [face_edges[row][0]] * 2
+        quad_pairs[first[row]] = (a, b)
+    he_face = [-1] * len(next_he)
+    for orbit in reference_orbits(next_he[:n_active]):
+        for h in orbit:
+            he_face[h] = orbit[0]
+    mesh = CombinatorialMesh(
+        next_he=next_he, opp=opp, to=to, n_vertices=n_vertices, he_face=he_face
+    )
+    mesh.boundary_faces = set(mesh.he_face[n_interior:n_active])
+    mesh.quad_pairs = quad_pairs
+    errors = reference_validate(mesh)
+    if errors:
+        raise MeshError("; ".join(errors))
+    return mesh, he_eid
+
+
+def reference_validate(mesh: CombinatorialMesh) -> list[str]:
+    """Structural diagnostics; empty list means the complex is consistent."""
+    errs: list[str] = []
+    n = len(mesh.next_he)
+    parked = [f < 0 for f in mesh.he_face]
+    active = [h for h in range(n) if not parked[h]]
+
+    for h in active:
+        o = mesh.opp[h]
+        if parked[o]:
+            errs.append(f"opp[{h}]={o} is parked")
+        elif mesh.opp[o] != h:
+            errs.append(f"opp not involutive at {h}")
+        if mesh.opp[h] == h:
+            errs.append(f"opp has fixed point at {h}")
+        if not (0 <= mesh.to[h] < mesh.n_vertices):
+            errs.append(f"to[{h}]={mesh.to[h]} out of range")
+
+    # next_he restricted to active halfedges must be a permutation.
+    hit = [0] * n
+    for h in active:
+        nx = mesh.next_he[h]
+        if parked[nx]:
+            errs.append(f"next_he[{h}]={nx} is parked")
+        else:
+            hit[nx] += 1
+    for h in active:
+        if hit[h] != 1:
+            errs.append(f"next_he not a bijection at {h} (hit {hit[h]})")
+    if errs:
+        return errs
+
+    for orbit in reference_orbits(mesh.next_he, parked):
+        fid = min(orbit)
+        if orbit[0] != fid:
+            errs.append(f"orbit listing of face {fid} does not start at min")
+        deg = len(orbit)
+        if fid not in mesh.boundary_faces:
+            kind, want = ("quad", 4) if fid in mesh.quad_pairs else ("triangle", 3)
+            if deg != want:
+                errs.append(f"{kind} face {fid} has degree {deg}")
+        for h in orbit:
+            if mesh.he_face[h] != fid:
+                errs.append(f"he_face[{h}]={mesh.he_face[h]} but orbit min is {fid}")
+        # Head/tail chaining: the head of h is the tail of next(h).
+        for i, h in enumerate(orbit):
+            nx = orbit[(i + 1) % deg]
+            if mesh.to[h] != mesh.to[mesh.opp[nx]]:
+                errs.append(f"vertex chaining broken at halfedge {h}")
+
+    for fid, pair in mesh.quad_pairs.items():
+        if mesh.he_face[fid] != fid or fid in mesh.boundary_faces:
+            errs.append(f"quad record {fid} names no live face")
+        for p in pair:
+            if not parked[p]:
+                errs.append(f"recorded parked halfedge {p} of quad {fid} is active")
+
+    # Every active vertex label is reachable; labels are consistent per orbit
+    # by the chaining check above, so just count coverage.
+    seen_v = set(mesh.to[h] for h in active)
+    if len(seen_v) > mesh.n_vertices:
+        errs.append("more vertex labels in use than n_vertices")
+    return errs

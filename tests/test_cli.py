@@ -140,6 +140,14 @@ def test_solve_disconnected_mesh_rejected(tmp_path, capsys):
     assert "not connected" in capsys.readouterr().err
 
 
+def test_solve_el_line_naming_no_edge_exits_2(tmp_path, capsys):
+    mesh = tetra_files(tmp_path)
+    with open(mesh, "a") as fh:
+        fh.write("el 2 9 7.0\n")
+    assert main(["solve", mesh]) == 2
+    assert "el 2 9 names no edge of the faces" in capsys.readouterr().err
+
+
 def test_solve_unused_v_line_rejected(tmp_path, capsys):
     # Dropping a v line that no face uses would solve a smaller mesh than
     # the file describes.

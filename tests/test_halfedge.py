@@ -1,9 +1,13 @@
 """Connectivity kernel: builders, validation, plain flips."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import confmetric.cover as cover_mod
+from confmetric.cli import main
+from confmetric.generate import generate
 from confmetric.halfedge import (
     FlipError,
     MeshError,
@@ -13,7 +17,9 @@ from confmetric.halfedge import (
     plan_flip,
     validate,
 )
+from confmetric.io import read_bundle, write_problem_files
 from confmetric.metric import PennerMetric, flip_edge
+from confmetric.solver import solve_problem
 
 import helpers
 
@@ -211,3 +217,150 @@ def test_face_edge_builder_supports_multi_edges():
     rebuilt, he_eid = build_from_face_edge_lists(faces_v, faces_e)
     assert validate(rebuilt) == []
     assert rebuilt.n_edges() == mesh.n_edges()
+
+
+# -- the numpy builder and validate against the scalar reference ---------------
+
+MESH_FIELDS = ("next_he", "opp", "to", "he_face", "boundary_faces", "quad_pairs", "n_vertices")
+
+
+def _assert_same_mesh(got, want):
+    for name in MESH_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def _relabelled_faces(kind, size, seed):
+    """A generated instance's faces with the vertices relabelled, the rows
+    shuffled and each row's cycle rotated."""
+    faces = generate(kind, 0, size).faces
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(1 + max(max(f) for f in faces)).tolist()
+    faces = [[perm[v] for v in f] for f in faces]
+    turns = rng.integers(0, 3, len(faces)).tolist()
+    return [faces[i][t:] + faces[i][:t] for i, t in zip(rng.permutation(len(faces)), turns)]
+
+
+def _small_disk():
+    # Disk 0 of size 60: its solved cover keeps a quad.
+    return generate("disk-random-boundary", 0, 60)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize(
+    "kind, size", [("sphere-random-angles", 162), ("disk-random-boundary", 120)]
+)
+def test_builders_number_as_the_reference_on_relabelled_meshes(kind, size, seed):
+    faces = _relabelled_faces(kind, size, seed)
+    mesh = build_from_face_lists(faces)
+    _assert_same_mesh(mesh, helpers.reference_build_from_face_lists(faces))
+    # The same rows with edge ids in a random order, so the ids' first uses
+    # do not ascend: outer halfedges follow first use, not id value.
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(len(mesh.opp)).tolist()
+    face_edges = [
+        [ids[mesh.edge_of(h)] for h in mesh.face_halfedges(f)] for f in sorted(mesh.faces())
+    ]
+    got = build_from_face_edge_lists(faces, face_edges)
+    want = helpers.reference_build_from_face_edge_lists(faces, face_edges)
+    _assert_same_mesh(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def test_restricted_disk_builds_as_the_reference(tmp_path, monkeypatch):
+    calls = []
+
+    def recorded(faces, face_edges, n_vertices=None, quad_rows=()):
+        got = build_from_face_edge_lists(faces, face_edges, n_vertices, quad_rows)
+        calls.append((faces, face_edges, n_vertices, got))
+        return got
+
+    monkeypatch.setattr(cover_mod, "build_from_face_edge_lists", recorded)
+    rmesh, _, _, _ = solve_problem(_small_disk())
+    [(faces, face_edges, n_vertices, (mesh, he_eid))] = calls
+    assert mesh is rmesh
+    want = helpers.reference_build_from_face_edge_lists(
+        np.asarray(faces).tolist(), np.asarray(face_edges).tolist(), n_vertices
+    )
+    _assert_same_mesh(mesh, want[0])
+    assert he_eid == want[1]
+
+
+def test_kept_cover_bundle_with_a_quad_rebuilds_as_the_reference(tmp_path):
+    path, out = str(tmp_path / "disk.mesh"), str(tmp_path / "cover.result")
+    write_problem_files(_small_disk(), path)
+    assert main(["solve", path, "--keep-double-cover", "--out", out]) == 0
+    bundle = read_bundle(out)
+    assert bundle.quad_diags
+    got = bundle.rebuild_mesh()
+    want = helpers.reference_build_from_face_edge_lists(
+        bundle.faces_v, bundle.faces_e, len(bundle.u), quad_rows=bundle.quad_diags
+    )
+    _assert_same_mesh(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def _cover_with_quad():
+    mesh, _, _, _ = solve_problem(_small_disk(), keep_double_cover=True)
+    assert mesh.quad_pairs
+    return mesh
+
+
+def _two_faces(mesh):
+    return sorted(f for f in mesh.faces() if f not in mesh.quad_pairs)[:2]
+
+
+def _opp_fixed_point(mesh):
+    mesh.opp[3] = 3
+
+
+def _next_not_a_bijection(mesh):
+    mesh.next_he[0] = mesh.next_he[1]
+
+
+def _chaining_broken(mesh):
+    f = _two_faces(mesh)[0]
+    mesh.to[f] = (mesh.to[f] + 1) % mesh.n_vertices
+
+
+def _wrong_degree(mesh):
+    # Exchanging the successors of two faces' first halfedges merges the
+    # triangles into one hexagon.
+    a, b = _two_faces(mesh)
+    nxt = mesh.next_he
+    nxt[a], nxt[b] = nxt[b], nxt[a]
+
+
+def _wrong_he_face(mesh):
+    a, b = _two_faces(mesh)
+    mesh.he_face[mesh.next_he[a]] = b
+
+
+def _quad_record_on_a_triangle(mesh):
+    quad = min(mesh.quad_pairs)
+    mesh.quad_pairs[_two_faces(mesh)[0]] = mesh.quad_pairs.pop(quad)
+
+
+def _quad_record_of_live_halfedges(mesh):
+    f = _two_faces(mesh)[0]
+    mesh.quad_pairs[min(mesh.quad_pairs)] = (f, mesh.opp[f])
+
+
+MESHES = {
+    "closed": helpers.octa, "bounded": lambda: helpers.fan_disk(6), "cover": _cover_with_quad,
+}
+
+
+@pytest.mark.parametrize(
+    "make, mutate",
+    [(make, mutate) for make in MESHES
+     for mutate in (None, _opp_fixed_point, _next_not_a_bijection, _chaining_broken,
+                    _wrong_degree, _wrong_he_face)]
+    + [("cover", _quad_record_on_a_triangle), ("cover", _quad_record_of_live_halfedges)],
+)
+def test_validate_reports_what_the_reference_reports(make, mutate):
+    mesh = MESHES[make]()
+    if mutate is not None:
+        mutate(mesh)
+    got, want = validate(mesh), helpers.reference_validate(mesh)
+    assert (got == []) == (mutate is None)
+    assert sorted(got) == sorted(want)

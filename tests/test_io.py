@@ -97,6 +97,19 @@ def test_lengths_without_positions_must_cover_all_edges(tmp_path):
         problem_to_mesh(read_mesh_file(str(p)))
 
 
+@pytest.mark.parametrize("line, pair", [("el 1 1 5.0", "1 1"), ("el 9 2 7.0", "2 9")])
+def test_el_pair_that_is_no_edge_is_rejected(tmp_path, line, pair):
+    # A loop pair, and a pair naming vertex 9 of a tetrahedron.
+    p = tmp_path / "m.mesh"
+    p.write_text(
+        "f 1 2 3\nf 1 3 4\nf 1 4 2\nf 2 4 3\n"
+        + "".join(f"el {a} {b} 1.0\n" for a, b in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+        + line + "\n"
+    )
+    with pytest.raises(ParseError, match=f"^el {pair} names no edge of the faces$"):
+        problem_to_mesh(read_mesh_file(str(p)))
+
+
 def test_triangle_inequality_enforced_on_input(tmp_path):
     p = tmp_path / "m.mesh"
     p.write_text("f 1 2 3\nel 1 2 1.0\nel 2 3 1.0\nel 1 3 9.0\n")
