@@ -17,7 +17,9 @@ bounded mesh: copy-1 faces are kept whole, and every axis face is cut along
 the symmetry axis through the midpoints of its crossing edges.  It cuts the
 scaled lengths the solver returns (the scaled metric of a Delaunay state
 satisfies the triangle inequality), so the output needs no conformal
-factor of its own.
+factor of its own.  Both directions are array passes over all halfedges
+and faces at once; the restriction labels each output edge by its cover
+edge id, which the mesh builder only compares.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .halfedge import (
     CombinatorialMesh,
     MeshError,
     build_from_face_edge_lists,
-    first_use_ids,
     validate,
 )
 from .metric import MetricError, PennerMetric
@@ -139,100 +140,66 @@ def restrict_to_single_cover(
     """
     mesh, refl = cover.mesh, cover.refl
     v0 = cover.n_source_vertices
-    L = scaled.lengths
+    L = np.asarray(scaled.lengths)
     n = mesh.n_halfedges()
     nxt = np.asarray(mesh.next_he)
     opp = np.asarray(mesh.opp)
+    to = np.asarray(mesh.to)
     he_face = np.asarray(mesh.he_face)
     label = np.asarray(refl.he_label)
     h = np.arange(n)
+    edge = np.minimum(h, opp)
+    prev = np.empty_like(nxt)
+    prev[nxt] = h
 
     is_crossing = (he_face >= 0) & (h < opp) & (np.asarray(refl.r) == h)
     crossing = np.flatnonzero(is_crossing)
-    midpoint = dict(zip(crossing.tolist(), range(v0, v0 + len(crossing))))
+    midpoint = np.full(n, -1)
+    midpoint[crossing] = np.arange(v0, v0 + len(crossing))
 
-    faces = np.flatnonzero(he_face == h)
     has_axis = np.zeros(n, dtype=bool)
     has_axis[he_face[(he_face >= 0) & (label == 0)]] = True
-    axis_faces = faces[has_axis[faces]]
+    faces = np.flatnonzero(he_face == h)
     # Copy faces are triangles: surgeries make quads only of axis faces.
     copy1 = faces[~has_axis[faces] & (label[faces] == 1)]
     sides = np.stack([copy1, nxt[copy1], nxt[nxt[copy1]]], axis=1)
 
-    # Rows and the output edges they refer to.  A reference is a cover
-    # halfedge, or -1 for a fresh edge; the copy rows refer to their sides.
-    ref_face = np.repeat(copy1, 3).tolist()
-    ref_h = sides.ravel().tolist()
-    fresh_len: list[float] = []
-    row_face, row_rank = copy1.tolist(), [0] * len(copy1)
-    faces_v = np.asarray(mesh.to)[opp[sides]]
-    faces_e = np.arange(sides.size).reshape(-1, 3)
-    axis_v: list[list[int]] = []
-    axis_e: list[list[int]] = []
+    # The sheet-1 leg g = a -> b of every axis face, and the sides before
+    # and after it; a side that is no crossing edge ends at the apex.
+    g = np.flatnonzero((he_face >= 0) & has_axis[he_face] & (label == 1))
+    f = he_face[g]
+    pg, ng = prev[g], nxt[g]
+    a, b = to[opp[g]], to[g]
+    c_in, c_out = is_crossing[edge[pg]], is_crossing[edge[ng]]
+    m_in = np.where(c_in, midpoint[edge[pg]], a)
+    m_out = np.where(c_out, midpoint[edge[ng]], b)
+    b1 = np.where(c_in, L[pg], 0.0)
+    b2 = np.where(c_out, L[ng], 0.0)
+    arg = L[g] * L[g] - 0.25 * (b1 - b2) * (b1 - b2)
+    flat = ~(arg > 0.0)
+    if flat.any():
+        raise MetricError(f"axis face {f[flat].min()} has no real height")
+    height = np.sqrt(arg)
+    # Output edges are keyed by cover edge id and take its length, halved
+    # for a crossing edge (both halfedges of an edge carry bitwise the same
+    # scaled length); the fresh cut m_out -> m_in along the axis and the
+    # fresh split a -> m_out take ids past n.  The split is the cut when
+    # m_in is the apex a, and the leg itself when m_out is the apex b.
+    cut = n + np.arange(len(g))
+    split = np.where(c_in, np.where(c_out, cut + len(g), edge[g]), cut)
+    edge_len = np.concatenate(
+        [np.where(is_crossing, 0.5 * L, L), height, np.sqrt(0.25 * b1 * b1 + height * height)]
+    )
 
-    def ref(f: int, x: int) -> int:
-        ref_face.append(f)
-        ref_h.append(x)
-        return len(ref_h) - 1
-
-    def fresh(f: int, length: float) -> int:
-        fresh_len.append(length)
-        return ref(f, -1)
-
-    def row(f: int, rank: int, verts: list[int], refs: list[int]) -> None:
-        row_face.append(f)
-        row_rank.append(rank)
-        axis_v.append(verts)
-        axis_e.append(refs)
-
-    for f in axis_faces.tolist():
-        hs = mesh.face_halfedges(f)
-        g = next(x for x in hs if refl.he_label[x] == 1)
-        pg, ng = mesh.prev(g), mesh.next_he[g]
-        a, b = mesh.tail_of(g), mesh.to[g]
-        m_in = midpoint.get(mesh.edge_of(pg), a)
-        m_out = midpoint.get(mesh.edge_of(ng), b)
-        b1 = L[pg] if m_in != a else 0.0
-        b2 = L[ng] if m_out != b else 0.0
-        arg = L[g] * L[g] - 0.25 * (b1 - b2) * (b1 - b2)
-        if not arg > 0.0:
-            raise MetricError(f"axis face {f} has no real height")
-        height = math.sqrt(arg)
-        cut = fresh(f, height)  # m_out -> m_in, along the axis
-        # The split a -> m_out is the cut when m_in is the apex a, and the
-        # leg itself when m_out is the apex b.
-        if m_in == a:
-            diag = cut
-        elif m_out == b:
-            diag = ref(f, g)
-        else:
-            diag = fresh(f, math.sqrt(0.25 * b1 * b1 + height * height))
-        if m_in != a:
-            row(f, 0, [m_in, a, m_out], [ref(f, pg), diag, cut])
-        if m_out != b:
-            row(f, 1, [a, b, m_out], [ref(f, g), ref(f, ng), diag])
-
-    # Output edge ids follow first reference, in the order of a face by
-    # face walk: ascending face id, and within a face the order of the
-    # references above (an axis face makes its cut and split before its
-    # rows).  A cover edge takes the length of its first referring
-    # halfedge, halved for a crossing edge.
-    src_h = np.array(ref_h)
-    new = src_h < 0
-    key = np.where(new, n + np.cumsum(new) - 1, np.minimum(src_h, opp[src_h]))
-    ref_len = np.empty(len(src_h))
-    old_len = np.asarray(L)[src_h[~new]]
-    ref_len[~new] = np.where(is_crossing[key[~new]], 0.5 * old_len, old_len)
-    ref_len[new] = fresh_len
-    walk = np.lexsort((np.arange(len(key)), ref_face))
-    eid = np.empty_like(key)
-    eid[walk], lead = first_use_ids(key[walk])
-    edge_len = ref_len[walk[lead]]
-
-    rows = np.lexsort((row_rank, row_face))
-    faces_v = np.concatenate([faces_v, np.array(axis_v, dtype=np.int64).reshape(-1, 3)])
-    faces_e = np.concatenate([faces_e, np.array(axis_e, dtype=np.int64).reshape(-1, 3)])
-    n_out_v = v0 + len(crossing)
-    out_mesh, he_eid = build_from_face_edge_lists(faces_v[rows], eid[faces_e[rows]], n_out_v)
+    row_v = np.concatenate(
+        [to[opp[sides]], np.stack([m_in, a, m_out], 1)[c_in], np.stack([a, b, m_out], 1)[c_out]]
+    )
+    row_e = np.concatenate(
+        [edge[sides], np.stack([edge[pg], split, cut], 1)[c_in],
+         np.stack([edge[g], edge[ng], split], 1)[c_out]]
+    )
+    rank = np.repeat([0, 0, 1], [len(copy1), c_in.sum(), c_out.sum()])
+    rows = np.lexsort((rank, np.concatenate([copy1, f[c_in], f[c_out]])))
+    out_mesh, he_eid = build_from_face_edge_lists(row_v[rows], row_e[rows], v0 + len(crossing))
     u_out = [float(u[v]) for v in range(v0)] + [math.nan] * len(crossing)
     return out_mesh, PennerMetric(edge_len[he_eid].tolist()), u_out

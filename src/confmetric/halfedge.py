@@ -33,7 +33,8 @@ first, in row order: side ``i`` of row ``f`` (from ``faces[f][i]`` to
 is its row's first halfedge.  The outer halfedges follow, one per edge id
 used once, in the order in which those ids are first used; that is the
 order of their interior partners, not of the ids' values.  The parked
-pairs of recorded quads come last.
+pairs of recorded quads come last.  The numbering never reads an id's
+value: ids only tell which halfedges share an edge.
 
 Halfedges may also be *parked*: detached from the active complex while a
 symmetric flip has temporarily merged two triangles into a quad.  A parked
@@ -58,19 +59,6 @@ class MeshError(Exception):
 
 class FlipError(Exception):
     """Raised when an edge flip is combinatorially impossible."""
-
-
-def first_use_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct keys 0, 1, ... in order of first occurrence.
-
-    Returns each key's number and, per number, the position of its first
-    occurrence.
-    """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(first)
-    rank[order] = np.arange(len(first))
-    return rank[inverse], first[order]
 
 
 def orbit_min(perm: np.ndarray) -> np.ndarray:
@@ -123,13 +111,6 @@ class CombinatorialMesh:
     def edge_of(self, h: int) -> int:
         return min(h, self.opp[h])
 
-    def prev(self, h: int) -> int:
-        """Inverse of ``next_he`` by orbit walk (faces have small degree)."""
-        p = h
-        while self.next_he[p] != h:
-            p = self.next_he[p]
-        return p
-
     # -- iteration --------------------------------------------------------
 
     def face_halfedges(self, f: int) -> list[int]:
@@ -139,9 +120,6 @@ class CombinatorialMesh:
             orbit.append(h)
             h = self.next_he[h]
         return orbit
-
-    def degree(self, f: int) -> int:
-        return len(self.face_halfedges(f))
 
     def faces(self) -> list[int]:
         """Active face ids (min halfedge per orbit), outer loops excluded."""
@@ -155,12 +133,6 @@ class CombinatorialMesh:
             for h in range(len(self.opp))
             if self.he_face[h] >= 0 and h < self.opp[h]
         ]
-
-    def edge_endpoints(self, e: int) -> tuple[int, int]:
-        return self.to[self.opp[e]], self.to[e]
-
-    def is_boundary_halfedge(self, h: int) -> bool:
-        return self.he_face[h] in self.boundary_faces
 
     def boundary_vertices(self) -> set[int]:
         """Heads of the outer-loop halfedges."""
@@ -238,10 +210,10 @@ def _close_boundary_loops(next_he: np.ndarray, opp: np.ndarray, gaps: np.ndarray
 def build_from_face_lists(faces: list[list[int]]) -> CombinatorialMesh:
     """Construct a mesh from per-face vertex loops (counterclockwise).
 
-    Each unordered vertex pair is one edge, its id numbered by first use
-    over the halfedges in row order; halfedges are numbered as by
-    :func:`build_from_face_edge_lists`.  Raises :class:`MeshError` on a
-    face that repeats a vertex, and on non-manifold or unorientable input.
+    Each unordered vertex pair is one edge, and the pair itself is its
+    edge id; halfedges are numbered as by :func:`build_from_face_edge_lists`.
+    Raises :class:`MeshError` on a face that repeats a vertex, and on
+    non-manifold or unorientable input.
     """
     k, tail = _rows(faces)
     low, top = int(tail.min()), int(tail.max())
@@ -254,7 +226,7 @@ def build_from_face_lists(faces: list[list[int]]) -> CombinatorialMesh:
     _check_rows(faces, k, k)
     to = tail[_successor(k)]
     pair = (np.minimum(tail, to) - low) * span + (np.maximum(tail, to) - low)
-    return _build(faces, k, tail, first_use_ids(pair)[0], top + 1)[0]
+    return _build(faces, k, tail, pair, top + 1)[0]
 
 
 def build_from_face_edge_lists(

@@ -80,10 +80,6 @@ class PennerMetric:
     lengths: list[float]
     quad_diag: dict[int, float] = field(default_factory=dict)
 
-    @classmethod
-    def uniform(cls, mesh: CombinatorialMesh, value: float = 1.0) -> "PennerMetric":
-        return cls([value] * mesh.n_halfedges())
-
 
 def _array(xs: list, dtype: type = np.intp) -> np.ndarray:
     """Copy a mesh or metric list into a numpy array (``fromiter`` copies

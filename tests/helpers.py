@@ -12,8 +12,14 @@ import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
 from confmetric.cover import build_double_cover
 from confmetric.generate import icosphere
-from confmetric.halfedge import CombinatorialMesh, MeshError, build_from_face_lists, plan_flip
-from confmetric.metric import PennerMetric, flip_edge, read_triangles, scalar_metric
+from confmetric.halfedge import (
+    CombinatorialMesh,
+    MeshError,
+    build_from_face_edge_lists,
+    build_from_face_lists,
+    plan_flip,
+)
+from confmetric.metric import MetricError, PennerMetric, flip_edge, read_triangles, scalar_metric
 from confmetric.symmetry import FlipType, ReflectionMap, apply_symmetric_flip, classify_flip
 
 
@@ -52,6 +58,31 @@ def copy_refl(refl):
     return ReflectionMap(list(refl.r), list(refl.he_label), list(refl.vertex_refl))
 
 
+def prev(mesh, h):
+    """Inverse of ``next_he`` by orbit walk (faces have small degree)."""
+    p = h
+    while mesh.next_he[p] != h:
+        p = mesh.next_he[p]
+    return p
+
+
+def degree(mesh, f):
+    return len(mesh.face_halfedges(f))
+
+
+def edge_endpoints(mesh, e):
+    return mesh.to[mesh.opp[e]], mesh.to[e]
+
+
+def is_boundary_halfedge(mesh, h):
+    return mesh.he_face[h] in mesh.boundary_faces
+
+
+def uniform_metric(mesh, value=1.0):
+    """The same length on every halfedge of ``mesh``."""
+    return PennerMetric([value] * mesh.n_halfedges())
+
+
 def tetra():
     return build_from_face_lists([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
 
@@ -72,7 +103,7 @@ def set_length(mesh, metric, a, b, val):
     """Assign one edge length by endpoint pair (both halfedge slots)."""
     hit = False
     for e in mesh.edges():
-        if set(mesh.edge_endpoints(e)) == {a, b}:
+        if set(edge_endpoints(mesh, e)) == {a, b}:
             metric.lengths[e] = val
             metric.lengths[mesh.opp[e]] = val
             hit = True
@@ -80,7 +111,7 @@ def set_length(mesh, metric, a, b, val):
 
 
 def is_boundary_edge(mesh, e):
-    return mesh.is_boundary_halfedge(e) or mesh.is_boundary_halfedge(mesh.opp[e])
+    return is_boundary_halfedge(mesh, e) or is_boundary_halfedge(mesh, mesh.opp[e])
 
 
 def n_faces(mesh):
@@ -109,7 +140,7 @@ def flippable_edges(mesh):
 def shuffled_closed_mesh(rng, level=0, flips=12, low=0.6, high=1.8):
     """Random connectivity + random Penner lengths on a small sphere."""
     mesh = build_from_face_lists(icosphere(level)[0])
-    metric = PennerMetric.uniform(mesh)
+    metric = uniform_metric(mesh)
     for e in mesh.edges():
         val = float(rng.uniform(low, high))
         metric.lengths[e] = val
@@ -127,9 +158,9 @@ def hexagon_cover(long_edges=((0, 1),), length=1.9):
     the cover, which is the seed every symmetric surgery chain grows from.
     """
     disk = fan_disk(6)
-    metric = PennerMetric.uniform(disk)
+    metric = uniform_metric(disk)
     for e in disk.edges():
-        if tuple(sorted(disk.edge_endpoints(e))) in {tuple(sorted(p)) for p in long_edges}:
+        if tuple(sorted(edge_endpoints(disk, e))) in {tuple(sorted(p)) for p in long_edges}:
             metric.lengths[e] = length
             metric.lengths[disk.opp[e]] = length
     return build_double_cover(disk, metric, [math.pi - math.pi / 3] * 6 + [2 * math.pi])
@@ -255,7 +286,7 @@ def reference_delaunay_value(mesh, metric, u, e):
             hs = mesh.face_halfedges(f)
             a, b = sm.length(hs[hs.index(h) ^ 1]), sm.diag(f)
         else:
-            a, b = sm.length(mesh.next_he[h]), sm.length(mesh.prev(h))
+            a, b = sm.length(mesh.next_he[h]), sm.length(prev(mesh, h))
         c = sm.length(h)
         s = -math.frexp(max(a, b, c))[1]
         a, b, c = math.ldexp(a, s), math.ldexp(b, s), math.ldexp(c, s)
@@ -517,3 +548,117 @@ def reference_validate(mesh: CombinatorialMesh) -> list[str]:
     if len(seen_v) > mesh.n_vertices:
         errs.append("more vertex labels in use than n_vertices")
     return errs
+
+
+# -- reference of the axis restriction ------------------------------------------
+#
+# The restriction as it cut one axis face at a time and numbered its output
+# edges by first reference: the oracle the array restriction is held to.
+
+
+def reference_restrict_to_single_cover(cover, scaled, u):
+    """Cut a solved symmetric metric along its axis and keep one sheet.
+
+    Copy-1 faces are copied with arrays; each axis face is cut in a loop:
+    its sheet-1 leg a -> b and the midpoints ``m_in``/``m_out`` of the
+    crossing sides before and after it bound the polygon
+    ``[m_in] a b [m_out]``, split along a -> m_out.  Output edge ids follow
+    first reference in a face by face walk, and an edge takes the length of
+    its first referring halfedge, halved for a crossing edge.
+    """
+    mesh, refl = cover.mesh, cover.refl
+    v0 = cover.n_source_vertices
+    L = scaled.lengths
+    n = mesh.n_halfedges()
+    nxt = np.asarray(mesh.next_he)
+    opp = np.asarray(mesh.opp)
+    he_face = np.asarray(mesh.he_face)
+    label = np.asarray(refl.he_label)
+    h = np.arange(n)
+
+    is_crossing = (he_face >= 0) & (h < opp) & (np.asarray(refl.r) == h)
+    crossing = np.flatnonzero(is_crossing)
+    midpoint = dict(zip(crossing.tolist(), range(v0, v0 + len(crossing))))
+
+    faces = np.flatnonzero(he_face == h)
+    has_axis = np.zeros(n, dtype=bool)
+    has_axis[he_face[(he_face >= 0) & (label == 0)]] = True
+    axis_faces = faces[has_axis[faces]]
+    copy1 = faces[~has_axis[faces] & (label[faces] == 1)]
+    sides = np.stack([copy1, nxt[copy1], nxt[nxt[copy1]]], axis=1)
+
+    # A reference is a cover halfedge, or -1 for a fresh edge.
+    ref_face = np.repeat(copy1, 3).tolist()
+    ref_h = sides.ravel().tolist()
+    fresh_len: list[float] = []
+    row_face, row_rank = copy1.tolist(), [0] * len(copy1)
+    faces_v = np.asarray(mesh.to)[opp[sides]]
+    faces_e = np.arange(sides.size).reshape(-1, 3)
+    axis_v: list[list[int]] = []
+    axis_e: list[list[int]] = []
+
+    def ref(f, x):
+        ref_face.append(f)
+        ref_h.append(x)
+        return len(ref_h) - 1
+
+    def fresh(f, length):
+        fresh_len.append(length)
+        return ref(f, -1)
+
+    def row(f, rank, verts, refs):
+        row_face.append(f)
+        row_rank.append(rank)
+        axis_v.append(verts)
+        axis_e.append(refs)
+
+    for f in axis_faces.tolist():
+        hs = mesh.face_halfedges(f)
+        g = next(x for x in hs if refl.he_label[x] == 1)
+        pg, ng = prev(mesh, g), mesh.next_he[g]
+        a, b = mesh.tail_of(g), mesh.to[g]
+        m_in = midpoint.get(mesh.edge_of(pg), a)
+        m_out = midpoint.get(mesh.edge_of(ng), b)
+        b1 = L[pg] if m_in != a else 0.0
+        b2 = L[ng] if m_out != b else 0.0
+        arg = L[g] * L[g] - 0.25 * (b1 - b2) * (b1 - b2)
+        if not arg > 0.0:
+            raise MetricError(f"axis face {f} has no real height")
+        height = math.sqrt(arg)
+        cut = fresh(f, height)  # m_out -> m_in, along the axis
+        if m_in == a:
+            diag = cut
+        elif m_out == b:
+            diag = ref(f, g)
+        else:
+            diag = fresh(f, math.sqrt(0.25 * b1 * b1 + height * height))
+        if m_in != a:
+            row(f, 0, [m_in, a, m_out], [ref(f, pg), diag, cut])
+        if m_out != b:
+            row(f, 1, [a, b, m_out], [ref(f, g), ref(f, ng), diag])
+
+    src_h = np.array(ref_h)
+    new = src_h < 0
+    key = np.where(new, n + np.cumsum(new) - 1, np.minimum(src_h, opp[src_h]))
+    ref_len = np.empty(len(src_h))
+    old_len = np.asarray(L)[src_h[~new]]
+    ref_len[~new] = np.where(is_crossing[key[~new]], 0.5 * old_len, old_len)
+    ref_len[new] = fresh_len
+    walk = np.lexsort((np.arange(len(key)), ref_face))
+    # Number the keys 0, 1, ... in order of first use along the walk.
+    _, first, inverse = np.unique(key[walk], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(first)
+    rank[order] = np.arange(len(first))
+    eid = np.empty_like(key)
+    eid[walk] = rank[inverse]
+    edge_len = ref_len[walk[first[order]]]
+
+    rows = np.lexsort((row_rank, row_face))
+    faces_v = np.concatenate([faces_v, np.array(axis_v, dtype=np.int64).reshape(-1, 3)])
+    faces_e = np.concatenate([faces_e, np.array(axis_e, dtype=np.int64).reshape(-1, 3)])
+    out_mesh, he_eid = build_from_face_edge_lists(
+        faces_v[rows], eid[faces_e[rows]], v0 + len(crossing)
+    )
+    u_out = [float(u[v]) for v in range(v0)] + [math.nan] * len(crossing)
+    return out_mesh, PennerMetric(edge_len[he_eid].tolist()), u_out

@@ -2,13 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
+import confmetric.solver as solver_mod
 from confmetric.cover import build_double_cover, restrict_to_single_cover
 from confmetric.generate import generate, grid_disk
 from confmetric.halfedge import MeshError, build_from_face_lists, validate
 from confmetric.io import ParseError, ProblemFile, gauss_bonnet_deviation
-from confmetric.metric import PennerMetric, make_delaunay, scalar_metric, vertex_angle_sums
+from confmetric.metric import MetricError, make_delaunay, scalar_metric, vertex_angle_sums
 from confmetric.solver import solve_problem
 from confmetric.symmetry import apply_symmetric_flip, validate_symmetry
 
@@ -17,7 +19,7 @@ import helpers
 
 def test_cover_of_single_triangle():
     disk = build_from_face_lists([[0, 1, 2]])
-    metric = PennerMetric.uniform(disk)
+    metric = helpers.uniform_metric(disk)
     cover, cmetric, theta_hat = build_double_cover(disk, metric, [math.pi - 2 * math.pi / 3] * 3)
     m = cover.mesh
     assert validate(m) == []
@@ -31,7 +33,7 @@ def test_cover_of_single_triangle():
 
 def test_cover_of_square_fan():
     disk = helpers.fan_disk(4)
-    metric = PennerMetric.uniform(disk)
+    metric = helpers.uniform_metric(disk)
     cover, _, _ = build_double_cover(disk, metric, [math.pi / 2] * 4 + [2 * math.pi])
     m = cover.mesh
     assert validate(m) == []
@@ -44,7 +46,7 @@ def test_cover_of_square_fan():
 @pytest.mark.parametrize("k", [3, 5, 8])
 def test_cover_count_formula(k):
     disk = helpers.fan_disk(k)
-    metric = PennerMetric.uniform(disk)
+    metric = helpers.uniform_metric(disk)
     v0, e0, f0 = disk.n_vertices, disk.n_edges(), helpers.n_faces(disk)
     cover, _, _ = build_double_cover(disk, metric, [math.pi - 2 * math.pi / k] * k + [2 * math.pi])
     m = cover.mesh
@@ -55,7 +57,7 @@ def test_cover_count_formula(k):
 
 def test_targets_interior_and_boundary():
     disk = helpers.fan_disk(6)
-    metric = PennerMetric.uniform(disk)
+    metric = helpers.uniform_metric(disk)
     ki = 0.3
     kb = (4 * math.pi - 2 * ki) / 12
     cover, _, th = build_double_cover(disk, metric, [math.pi - kb] * 6 + [2 * math.pi - ki])
@@ -87,17 +89,19 @@ def test_unbalanced_targets_rejected():
 def test_closed_input_rejected():
     mesh = helpers.tetra()
     with pytest.raises(MeshError):
-        build_double_cover(mesh, PennerMetric.uniform(mesh), [2 * math.pi] * 4)
+        build_double_cover(mesh, helpers.uniform_metric(mesh), [2 * math.pi] * 4)
 
 
 def test_flat_grid_cover_needs_no_flips():
     faces, pos = grid_disk(4)
     disk = build_from_face_lists(faces)
-    metric = PennerMetric.uniform(disk)
+    metric = helpers.uniform_metric(disk)
     for e in disk.edges():
-        a, b = disk.edge_endpoints(e)
+        a, b = helpers.edge_endpoints(disk, e)
         metric.lengths[e] = metric.lengths[disk.opp[e]] = math.dist(pos[a], pos[b])
-    boundary = {disk.to[h] for h in range(disk.n_halfedges()) if disk.is_boundary_halfedge(h)}
+    boundary = {
+        disk.to[h] for h in range(disk.n_halfedges()) if helpers.is_boundary_halfedge(disk, h)
+    }
     turn = 2 * math.pi / len(boundary)
     theta = [math.pi - turn if v in boundary else 2 * math.pi for v in range(16)]
     cover, cmetric, _ = build_double_cover(disk, metric, theta)
@@ -145,23 +149,30 @@ def test_restriction_of_fresh_cover_is_the_source_disk():
     assert validate(mesh) == []
     assert (mesh.n_vertices, mesh.n_edges(), helpers.n_faces(mesh)) == (7, 12, 6)
     disk = helpers.fan_disk(6)
-    want = sorted(frozenset(disk.edge_endpoints(e)) for e in disk.edges())
-    got = sorted(frozenset(mesh.edge_endpoints(e)) for e in mesh.edges())
+    want = sorted(frozenset(helpers.edge_endpoints(disk, e)) for e in disk.edges())
+    got = sorted(frozenset(helpers.edge_endpoints(mesh, e)) for e in mesh.edges())
     assert want == got
     assert helpers.active_lengths(mesh, metric) == [1.0] * 24
     assert u_out == [0.0] * 7
 
 
-def test_restriction_cuts_axis_triangles_at_right_angles():
+def _flipped_hexagon_cover():
+    """The hexagon cover after the axis flip of its stretched edge 0-1:
+    two axis triangles around a new crossing edge, whose id is returned."""
     cover, cmetric, _ = helpers.hexagon_cover()
     mesh, refl = cover.mesh, cover.refl
     e = next(
         x for x in mesh.edges()
         if refl.r[x] == mesh.opp[x]
-        and set(mesh.edge_endpoints(x)) == {0, 1}
+        and set(helpers.edge_endpoints(mesh, x)) == {0, 1}
     )
-    rec = apply_symmetric_flip(mesh, cmetric, refl, e)
-    b = cmetric.lengths[rec.edge]
+    return cover, cmetric, apply_symmetric_flip(mesh, cmetric, refl, e).edge
+
+
+def test_restriction_cuts_axis_triangles_at_right_angles():
+    cover, cmetric, crossing = _flipped_hexagon_cover()
+    mesh = cover.mesh
+    b = cmetric.lengths[crossing]
     res_mesh, res_metric, res_u = restrict_to_single_cover(
         cover, cmetric, [0.0] * mesh.n_vertices
     )
@@ -172,7 +183,7 @@ def test_restriction_cuts_axis_triangles_at_right_angles():
     incident = sorted(
         res_metric.lengths[x]
         for x in res_mesh.edges()
-        if m in res_mesh.edge_endpoints(x)
+        if m in helpers.edge_endpoints(res_mesh, x)
     )
     alt = math.sqrt(1.0 - 0.25 * b * b)
     assert incident == pytest.approx([0.5 * b, alt, alt], rel=1e-14)
@@ -196,8 +207,58 @@ def test_restriction_cuts_axis_quads_of_a_solved_disk(seed):
     # the lengths the cover solve returns
     cover_lengths = {}
     for e in cmesh.edges():
-        cover_lengths.setdefault(frozenset(cmesh.edge_endpoints(e)), set()).add(cscaled.lengths[e])
-    whole = [e for e in mesh.edges() if max(mesh.edge_endpoints(e)) < v0]
+        ends = frozenset(helpers.edge_endpoints(cmesh, e))
+        cover_lengths.setdefault(ends, set()).add(cscaled.lengths[e])
+    whole = [e for e in mesh.edges() if max(helpers.edge_endpoints(mesh, e)) < v0]
     assert whole
     for e in whole:
-        assert metric.lengths[e] in cover_lengths[frozenset(mesh.edge_endpoints(e))]
+        assert metric.lengths[e] in cover_lengths[frozenset(helpers.edge_endpoints(mesh, e))]
+
+
+def _solved_cover(seed, size, monkeypatch):
+    """The cover, scaled metric and u that ``solve_problem`` restricts for
+    disk ``seed``."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return restrict_to_single_cover(*args)
+
+    monkeypatch.setattr(solver_mod, "restrict_to_single_cover", recorded)
+    solve_problem(generate("disk-random-boundary", seed, size))
+    [args] = calls
+    return args
+
+
+@pytest.mark.parametrize(
+    "seed, size", [(None, None), (4, 100), (5, 100), (9, 100), (0, 1089)],
+    ids=["hexagon", "disk4", "disk5", "disk9", "disk0-1089"],
+)
+def test_restriction_matches_the_reference(seed, size, monkeypatch):
+    if seed is None:
+        cover, scaled, _ = _flipped_hexagon_cover()
+        u = [0.125 * v for v in range(cover.mesh.n_vertices)]
+    else:
+        cover, scaled, u = _solved_cover(seed, size, monkeypatch)
+    got = restrict_to_single_cover(cover, scaled, u)
+    want = helpers.reference_restrict_to_single_cover(cover, scaled, u)
+    for name in ("next_he", "opp", "to", "he_face", "boundary_faces", "n_vertices"):
+        assert getattr(got[0], name) == getattr(want[0], name), name
+    assert np.array(got[1].lengths).tobytes() == np.array(want[1].lengths).tobytes()
+    assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+    assert np.isnan(got[2][cover.n_source_vertices:]).all()
+
+
+def test_axis_face_without_a_real_height_is_named():
+    # A crossing side longer than twice the leg leaves the leg no height
+    # above the axis.
+    cover, cmetric, crossing = _flipped_hexagon_cover()
+    mesh, refl = cover.mesh, cover.refl
+    f = min(mesh.he_face[crossing], mesh.he_face[mesh.opp[crossing]])
+    leg = next(h for h in mesh.face_halfedges(f) if refl.he_label[h] == 1)
+    stretched = 2.0 * cmetric.lengths[leg] * 1.01
+    cmetric.lengths[crossing] = cmetric.lengths[mesh.opp[crossing]] = stretched
+    u = [0.0] * mesh.n_vertices
+    for restrict in (restrict_to_single_cover, helpers.reference_restrict_to_single_cover):
+        with pytest.raises(MetricError, match=f"^axis face {f} has no real height$"):
+            restrict(cover, cmetric, u)

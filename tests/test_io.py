@@ -67,7 +67,7 @@ def test_el_lines_override_positions(tmp_path):
     )
     prob = read_mesh_file(str(p))
     mesh, metric = problem_to_mesh(prob)
-    e = next(x for x in mesh.edges() if set(mesh.edge_endpoints(x)) == {0, 1})
+    e = next(x for x in mesh.edges() if set(helpers.edge_endpoints(mesh, x)) == {0, 1})
     assert metric.lengths[e] == 1.25
 
 
@@ -191,7 +191,7 @@ def test_gauss_bonnet_deviation():
 
 def solve_octa(seed=1):
     mesh = helpers.octa()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     rng = np.random.default_rng(seed)
     delta = rng.normal(0.0, 0.4, 6)
     delta -= delta.mean()
@@ -288,7 +288,7 @@ def test_csv_header_and_rows():
 
 def test_csv_of_zero_step_solve():
     mesh = helpers.tetra()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     mesh, scaled, u, report = find_conformal_metric(mesh, metric, [math.pi] * 4)
     bundle = bundle_from_solution(mesh, scaled, u, report, exit_code=0)
     lines = bundle_to_csv(bundle).splitlines()
@@ -321,7 +321,7 @@ def test_grid_disk_counts():
     assert mesh.n_vertices == 16
     assert len(faces) == 2 * 3 * 3
     assert len(mesh.boundary_faces) == 1
-    assert mesh.degree(next(iter(mesh.boundary_faces))) == 12
+    assert helpers.degree(mesh, next(iter(mesh.boundary_faces))) == 12
 
 
 def test_glued_tori_counts():

@@ -12,7 +12,6 @@ from confmetric.halfedge import build_from_face_lists
 from confmetric.metric import (
     FlipBudgetError,
     MetricError,
-    PennerMetric,
     _scan_violations_vectorized,
     flip_edge,
     gradient,
@@ -27,9 +26,9 @@ import helpers
 
 def square_with_diagonal(diag=math.sqrt(2.0)):
     mesh = build_from_face_lists([[0, 1, 2], [0, 2, 3]])
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     helpers.set_length(mesh, metric, 0, 2, diag)
-    e = next(x for x in mesh.edges() if set(mesh.edge_endpoints(x)) == {0, 2})
+    e = next(x for x in mesh.edges() if set(helpers.edge_endpoints(mesh, x)) == {0, 2})
     return mesh, metric, e
 
 
@@ -38,18 +37,18 @@ def square_with_diagonal(diag=math.sqrt(2.0)):
 
 def test_scaled_length_identity_at_zero():
     mesh = build_from_face_lists([[0, 1, 2]])
-    metric = PennerMetric.uniform(mesh, 1.7)
+    metric = helpers.uniform_metric(mesh, 1.7)
     for h in range(mesh.n_halfedges()):
-        if not mesh.is_boundary_halfedge(h):
+        if not helpers.is_boundary_halfedge(mesh, h):
             assert scalar_metric(mesh, metric, [0.0, 0.0, 0.0]).length(h) == 1.7
 
 
 def test_scaled_length_uses_average_of_endpoint_factors():
     mesh = build_from_face_lists([[0, 1, 2]])
-    metric = PennerMetric.uniform(mesh, 2.0)
+    metric = helpers.uniform_metric(mesh, 2.0)
     h = next(
         x for x in range(mesh.n_halfedges())
-        if not mesh.is_boundary_halfedge(x)
+        if not helpers.is_boundary_halfedge(mesh, x)
         and {mesh.tail_of(x), mesh.to[x]} == {0, 1}
     )
     assert scalar_metric(mesh, metric, [math.log(4.0), 0.0, 0.0]).length(h) == pytest.approx(
@@ -77,10 +76,10 @@ def test_corner_angle_clamps_instead_of_raising():
 
 def test_vertex_angle_sums_on_platonic_meshes():
     tetra = helpers.tetra()
-    sums = vertex_angle_sums(tetra, PennerMetric.uniform(tetra), [0.0] * 4)
+    sums = vertex_angle_sums(tetra, helpers.uniform_metric(tetra), [0.0] * 4)
     assert sums == pytest.approx([math.pi] * 4, rel=1e-14)
     octa = helpers.octa()
-    sums = vertex_angle_sums(octa, PennerMetric.uniform(octa), [0.0] * 6)
+    sums = vertex_angle_sums(octa, helpers.uniform_metric(octa), [0.0] * 6)
     assert sums == pytest.approx([4 * math.pi / 3] * 6, rel=1e-14)
 
 
@@ -127,7 +126,7 @@ def test_needle_angles_keep_relative_accuracy():
     # arccos of the law-of-cosines cosine gets the 1e-7 rad apex of this
     # isosceles needle wrong by about 4e-4 of its size
     mesh = build_from_face_lists([[0, 1, 2]])
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     helpers.set_length(mesh, metric, 1, 2, 1e-7)
     apex = 2.0 * math.asin(0.5e-7)
     sums = vertex_angle_sums(mesh, metric, [0.0] * 3)
@@ -137,7 +136,7 @@ def test_needle_angles_keep_relative_accuracy():
 
 def test_angle_sums_invariant_under_constant_shift():
     octa = helpers.octa()
-    metric = PennerMetric.uniform(octa)
+    metric = helpers.uniform_metric(octa)
     rng = np.random.default_rng(7)
     u = rng.normal(0.0, 0.2, 6)
     a = vertex_angle_sums(octa, metric, u)
@@ -196,13 +195,13 @@ def test_ptolemy_length_hand_value():
     # sides 1, 1.2 around one face and 1.3, 1.1 around the other, old
     # diagonal 2: new = (1*1.3 + 1.2*1.1) / 2 = 1.31
     mesh = build_from_face_lists([[0, 1, 2], [0, 2, 3]])
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     helpers.set_length(mesh, metric, 0, 1, 1.0)
     helpers.set_length(mesh, metric, 1, 2, 1.2)
     helpers.set_length(mesh, metric, 2, 3, 1.3)
     helpers.set_length(mesh, metric, 3, 0, 1.1)
     helpers.set_length(mesh, metric, 0, 2, 2.0)
-    e = next(x for x in mesh.edges() if set(mesh.edge_endpoints(x)) == {0, 2})
+    e = next(x for x in mesh.edges() if set(helpers.edge_endpoints(mesh, x)) == {0, 2})
     assert flipped_length(mesh, metric, e) == pytest.approx(1.31, rel=1e-15)
     assert flipped_length(mesh, metric, mesh.opp[e]) == pytest.approx(
         1.31, rel=1e-15
@@ -213,9 +212,9 @@ def test_ptolemy_length_hand_value():
 
 def test_ptolemy_length_on_tetra():
     mesh = helpers.tetra()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     e = next(iter(mesh.edges()))
-    helpers.set_length(mesh, metric, *mesh.edge_endpoints(e), 1.9)
+    helpers.set_length(mesh, metric, *helpers.edge_endpoints(mesh, e), 1.9)
     assert flipped_length(mesh, metric, e) == pytest.approx(2.0 / 1.9, rel=1e-15)
 
 
@@ -224,16 +223,16 @@ def test_ptolemy_length_on_tetra():
 def test_flip_then_flip_back_restores_length(lens, which):
     mesh = helpers.tetra()
     eids = sorted(mesh.edges())
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     for e, v in zip(eids, lens):
         metric.lengths[e] = metric.lengths[mesh.opp[e]] = v
     e = eids[which]
     before = metric.lengths[e]
-    pairs = sorted(frozenset(mesh.edge_endpoints(x)) for x in mesh.edges())
+    pairs = sorted(frozenset(helpers.edge_endpoints(mesh, x)) for x in mesh.edges())
     fr, _ = flip_edge(mesh, metric, e)
     flip_edge(mesh, metric, fr.h0)
     assert metric.lengths[fr.h0] == pytest.approx(before, rel=1e-12)
-    assert sorted(frozenset(mesh.edge_endpoints(x)) for x in mesh.edges()) == pairs
+    assert sorted(frozenset(helpers.edge_endpoints(mesh, x)) for x in mesh.edges()) == pairs
 
 
 # -- make_delaunay ---------------------------------------------------------
@@ -241,14 +240,14 @@ def test_flip_then_flip_back_restores_length(lens, which):
 
 def test_make_delaunay_noop_when_already_delaunay():
     mesh = helpers.octa()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     log = make_delaunay(mesh, metric, [0.0] * 6)
     assert log.total == 0
 
 
 def test_make_delaunay_flips_the_stretched_edge():
     mesh = helpers.octa()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     helpers.set_length(mesh, metric, 0, 1, 1.9)
     faces_before = helpers.n_faces(mesh)
     log = make_delaunay(mesh, metric, [0.0] * 6)
@@ -343,7 +342,7 @@ def test_side_terms_are_exact_where_a_side_product_leaves_the_float_range(u0):
     # edge, which the scan flags below a threshold just above 2 and not at 2.
     # On shuffled lengths the rescaled values are bitwise the reference's.
     mesh = helpers.octa()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     edges = mesh.edges()
     for u in ([0.0] * 6, [u0] * 6):
         value = scalar_metric(mesh, metric, u).value
@@ -366,7 +365,7 @@ def test_make_delaunay_ends_when_every_flagged_edge_rechecks_as_delaunay(monkeyp
     # the scan always flags one extra edge; ``holds`` skips it, and the one
     # pass flips exactly what it flips without the extra edge.
     mesh = helpers.octa()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     helpers.set_length(mesh, metric, 0, 1, 1.9)
     want_metric = helpers.copy_metric(metric)
     want = make_delaunay(helpers.copy_mesh(mesh), want_metric, [0.0] * 6)
@@ -401,7 +400,7 @@ def test_make_delaunay_scans_once_per_call(monkeypatch):
 
     monkeypatch.setattr(metric_mod, "_scan_violations_vectorized", counted)
     octa = helpers.octa()
-    metric = PennerMetric.uniform(octa)
+    metric = helpers.uniform_metric(octa)
     helpers.set_length(octa, metric, 0, 1, 1.9)
     cover, cmetric, _ = helpers.hexagon_cover()
     helpers.drive_to_quads(cover, cmetric)
@@ -429,13 +428,13 @@ def test_make_delaunay_calls_flip_edge_once_per_plain_flip(monkeypatch):
 
     monkeypatch.setattr(metric_mod, "flip_edge", counted)
     octa = helpers.octa()
-    log = make_delaunay(octa, PennerMetric.uniform(octa), [0.0, -2.0, 0.0, -2.0, 0.0, 0.0])
+    log = make_delaunay(octa, helpers.uniform_metric(octa), [0.0, -2.0, 0.0, -2.0, 0.0, 0.0])
     assert log.single == calls == 4
 
 
 def test_make_delaunay_flip_budget():
     mesh = helpers.octa()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     helpers.set_length(mesh, metric, 0, 1, 1.9)
     with pytest.raises(FlipBudgetError):
         make_delaunay(mesh, metric, [0.0] * 6, flip_budget_factor=0.0)
@@ -446,7 +445,7 @@ def test_make_delaunay_flip_budget():
 
 def test_gradient_is_target_minus_current():
     mesh = helpers.tetra()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     g = gradient(mesh, metric, [0.0] * 4, [math.pi] * 4)
     assert np.allclose(g, 0.0, atol=1e-14)
     theta_hat = [math.pi + 0.25, math.pi - 0.25, math.pi, math.pi]
@@ -466,7 +465,7 @@ def test_gradient_sums_to_zero_for_admissible_targets():
 
 def test_hessian_entries_on_unit_tetra():
     mesh = helpers.tetra()
-    H = hessian(mesh, PennerMetric.uniform(mesh), [0.0] * 4).toarray()
+    H = hessian(mesh, helpers.uniform_metric(mesh), [0.0] * 4).toarray()
     s3 = math.sqrt(3.0)
     for i in range(4):
         for j in range(4):
@@ -476,7 +475,7 @@ def test_hessian_entries_on_unit_tetra():
 
 def test_hessian_entries_on_unit_octahedron():
     mesh = helpers.octa()
-    H = hessian(mesh, PennerMetric.uniform(mesh), [0.0] * 6).toarray()
+    H = hessian(mesh, helpers.uniform_metric(mesh), [0.0] * 6).toarray()
     s3 = math.sqrt(3.0)
     antipode = {0: 5, 5: 0, 1: 3, 3: 1, 2: 4, 4: 2}
     for i in range(6):
@@ -545,7 +544,7 @@ def test_hessian_matches_finite_differences_on_quads():
 @pytest.mark.parametrize("u0", [-1500.0, math.nan])
 def test_kernel_raises_instead_of_nan_on_zero_or_nan_side(u0):
     mesh = helpers.octa()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     u = [u0, 0.0, 0.0, 0.0, 0.0, 0.0]
     with pytest.raises(MetricError):
         vertex_angle_sums(mesh, metric, u)
@@ -555,7 +554,7 @@ def test_kernel_raises_instead_of_nan_on_zero_or_nan_side(u0):
 
 def test_hessian_of_quad_state_degenerate_raises():
     mesh = build_from_face_lists([[0, 1, 2], [0, 2, 3]])
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     helpers.set_length(mesh, metric, 0, 2, 2.0)  # flat triangles
     with pytest.raises(MetricError):
         hessian(mesh, metric, [0.0] * 4)
@@ -567,8 +566,8 @@ def test_quad_faces_measured_via_virtual_triangles():
     helpers.drive_to_quads(cover, cmetric)
     u = [0.0] * mesh.n_vertices
     sums = vertex_angle_sums(mesh, cmetric, u)
-    n_tri = sum(1 for f in mesh.faces() if mesh.degree(f) == 3)
-    n_quad = sum(1 for f in mesh.faces() if mesh.degree(f) == 4)
+    n_tri = sum(1 for f in mesh.faces() if helpers.degree(mesh, f) == 3)
+    n_quad = sum(1 for f in mesh.faces() if helpers.degree(mesh, f) == 4)
     assert n_quad == 2
     assert math.fsum(sums) == pytest.approx(
         math.pi * n_tri + 2 * math.pi * n_quad, rel=1e-13

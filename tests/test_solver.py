@@ -39,7 +39,7 @@ import helpers
 
 def octa_problem(seed=0, spread=0.35):
     mesh = helpers.octa()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     rng = np.random.default_rng(seed)
     delta = rng.normal(0.0, spread, 6)
     delta -= delta.mean()
@@ -52,7 +52,7 @@ def octa_problem(seed=0, spread=0.35):
 
 def test_direction_is_zero_for_zero_gradient():
     mesh = helpers.octa()
-    H = hessian(mesh, PennerMetric.uniform(mesh), [0.0] * 6)
+    H = hessian(mesh, helpers.uniform_metric(mesh), [0.0] * 6)
     d = newton_direction(H, np.zeros(6))
     assert np.all(d == 0.0)
 
@@ -82,7 +82,7 @@ def test_direction_ignores_constant_gradient_component():
 
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_direction_breakdown_raises():
-    H = hessian(helpers.octa(), PennerMetric.uniform(helpers.octa()), [0.0] * 6)
+    H = hessian(helpers.octa(), helpers.uniform_metric(helpers.octa()), [0.0] * 6)
     H = H.tolil()
     H[1, :] = 0.0
     H[:, 1] = 0.0          # vertex 1 decoupled: singular reduced system
@@ -284,7 +284,7 @@ def test_line_search_rejects_a_step_that_does_not_move_u():
     # A step below the float resolution of u has slope <= 0; accepting it
     # would repeat the same step until max_newton_steps.
     mesh = helpers.tetra()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     u = np.array([0.5, -0.5, 0.25, -0.25])
     theta_hat = np.full(4, math.pi)
     g = gradient(mesh, metric, u, theta_hat)
@@ -425,7 +425,7 @@ def test_sphere_solve_is_bitwise_the_same_with_every_line_search_started_at_t_1(
 
 def test_already_satisfied_targets_need_no_steps():
     mesh = helpers.tetra()
-    metric = PennerMetric.uniform(mesh)
+    metric = helpers.uniform_metric(mesh)
     _, scaled, u, report = find_conformal_metric(mesh, metric, [math.pi] * 4)
     assert report.converged
     assert report.newton_steps == 0
@@ -481,9 +481,9 @@ def test_solve_is_gauge_invariant():
 def test_flat_grid_cover_solves_in_zero_steps():
     faces, pos = grid_disk(4)
     disk = build_from_face_lists(faces)
-    metric = PennerMetric.uniform(disk)
+    metric = helpers.uniform_metric(disk)
     for e in disk.edges():
-        a, b = disk.edge_endpoints(e)
+        a, b = helpers.edge_endpoints(disk, e)
         metric.lengths[e] = metric.lengths[disk.opp[e]] = math.dist(pos[a], pos[b])
     # flat grid boundary: right-angle corners, straight edges elsewhere
     boundary = disk.boundary_vertices()
@@ -522,7 +522,7 @@ def test_symmetric_solve_keeps_bitwise_mirror_symmetry():
 
 def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
     mesh, metric, theta_hat = octa_problem(8)
-    edge = {frozenset(mesh.edge_endpoints(e)): e for e in mesh.edges()}
+    edge = {frozenset(helpers.edge_endpoints(mesh, e)): e for e in mesh.edges()}
 
     def fail(mesh, metric, *args, **kwargs):
         # Failed trials leave their flips in the mesh.  Flipping two edges

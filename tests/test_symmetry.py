@@ -39,7 +39,7 @@ def test_reflection_identities():
     # The reflection is an automorphism of the edge structure but reverses
     # orientation, so it swaps next and prev.
     assert all(refl.r[mesh.opp[h]] == mesh.opp[refl.r[h]] for h in hs)
-    assert all(refl.r[mesh.next_he[h]] == mesh.prev(refl.r[h]) for h in hs)
+    assert all(refl.r[mesh.next_he[h]] == helpers.prev(mesh, refl.r[h]) for h in hs)
 
 
 def test_initial_classification_inventory():
@@ -106,7 +106,7 @@ def test_surgery_chain_reaches_every_quad_kind():
     assert validate(mesh) == []
     assert validate_symmetry(mesh, refl, cmetric) == []
     assert len(mesh.quad_pairs) == 2
-    degs = sorted(mesh.degree(f) for f in mesh.faces())
+    degs = sorted(helpers.degree(mesh, f) for f in mesh.faces())
     assert degs.count(4) == 2
 
 
