@@ -9,6 +9,7 @@ degenerate geometry, or any other unexpected failure of one input).
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -215,5 +216,12 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
+def run() -> int:
+    """The console entry point: ``main``, with the objects the imports
+    made frozen, so that no garbage collection walks them again."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfedge import (
-    CombinatorialMesh,
-    MeshError,
-    build_from_face_edge_lists,
-    validate,
-)
+from .halfedge import CombinatorialMesh, MeshError, _array, build_from_face_edge_lists, validate
 from .metric import MetricError, PennerMetric
 from .symmetry import ReflectionMap, SymmetryError, validate_symmetry
 
@@ -66,10 +61,8 @@ def build_double_cover(
     if not mesh.boundary_faces:
         raise MeshError("input mesh has no boundary; nothing to double")
 
-    nxt = np.asarray(mesh.next_he)
-    opp = np.asarray(mesh.opp)
-    head = np.asarray(mesh.to)
-    outer = np.isin(np.asarray(mesh.he_face), list(mesh.boundary_faces))
+    nxt, opp, head = _array(mesh.next_he), _array(mesh.opp), _array(mesh.to)
+    outer = np.isin(_array(mesh.he_face), list(mesh.boundary_faces))
     src = np.flatnonzero(~outer)
     n_int = len(src)
     pos = np.full(len(nxt), -1)
@@ -96,7 +89,7 @@ def build_double_cover(
         [np.where(axis, mirror, pos[o]), np.where(axis, mirror - n_int, pos[o] + n_int)]
     )
     to = np.concatenate([head[src], vrefl[head[o]]])
-    lengths = np.asarray(metric.lengths)[src]
+    lengths = _array(metric.lengths, float)[src]
 
     cover_mesh = CombinatorialMesh(
         next_he=next_he.tolist(), opp=opp_c.tolist(), to=to.tolist(), n_vertices=n_cover_v
@@ -112,7 +105,7 @@ def build_double_cover(
     if errs:
         raise SymmetryError("double cover asymmetric: " + "; ".join(errs))
 
-    th = np.asarray(theta, dtype=float)
+    th = _array(theta, float)
     th = np.where(on_boundary, 2.0 * th, th)
     theta_hat = np.concatenate([th, th[interior_vs]]).tolist()
 
@@ -140,19 +133,16 @@ def restrict_to_single_cover(
     """
     mesh, refl = cover.mesh, cover.refl
     v0 = cover.n_source_vertices
-    L = np.asarray(scaled.lengths)
+    L = _array(scaled.lengths, float)
     n = mesh.n_halfedges()
-    nxt = np.asarray(mesh.next_he)
-    opp = np.asarray(mesh.opp)
-    to = np.asarray(mesh.to)
-    he_face = np.asarray(mesh.he_face)
-    label = np.asarray(refl.he_label)
+    nxt, opp, to = _array(mesh.next_he), _array(mesh.opp), _array(mesh.to)
+    he_face, label = _array(mesh.he_face), _array(refl.he_label)
     h = np.arange(n)
     edge = np.minimum(h, opp)
     prev = np.empty_like(nxt)
     prev[nxt] = h
 
-    is_crossing = (he_face >= 0) & (h < opp) & (np.asarray(refl.r) == h)
+    is_crossing = (he_face >= 0) & (h < opp) & (_array(refl.r) == h)
     crossing = np.flatnonzero(is_crossing)
     midpoint = np.full(n, -1)
     midpoint[crossing] = np.arange(v0, v0 + len(crossing))

@@ -26,6 +26,13 @@ as ordinary ``next_he`` orbits whose ids sit in ``boundary_faces``.  This
 keeps both permutations total, at the cost of one membership test wherever
 real triangles are enumerated.
 
+Every vertex has one umbrella: the halfedges into it form a single orbit
+of ``h -> opp[next[h]]``, a fan closed through the outer loops.  The
+builders reject a vertex where two surface pieces touch, and
+:func:`validate` reports one; this is what lets one array map close every
+boundary loop, since a boundary vertex then has one outer halfedge in and
+one out.
+
 The builders number halfedges by a fixed rule, which result bundles rely
 on to come back byte-identical.  The halfedges of the input rows come
 first, in row order: side ``i`` of row ``f`` (from ``faces[f][i]`` to
@@ -59,6 +66,12 @@ class MeshError(Exception):
 
 class FlipError(Exception):
     """Raised when an edge flip is combinatorially impossible."""
+
+
+def _array(xs: list, dtype: type = np.intp) -> np.ndarray:
+    """Copy a mesh or metric list into a numpy array (``fromiter`` copies
+    a list of Python scalars fastest)."""
+    return np.fromiter(xs, dtype, len(xs))
 
 
 def orbit_min(perm: np.ndarray) -> np.ndarray:
@@ -98,7 +111,7 @@ class CombinatorialMesh:
 
     def __post_init__(self) -> None:
         if not self.he_face:
-            self.he_face = orbit_min(np.asarray(self.next_he, dtype=np.int64)).tolist()
+            self.he_face = orbit_min(_array(self.next_he)).tolist()
 
     # -- element ids ------------------------------------------------------
 
@@ -181,30 +194,25 @@ def _check_rows(faces: list[list[int]], k: np.ndarray, k_edges: np.ndarray) -> N
         raise MeshError(f"face {faces[i]} has {k_edges[i]} edge ids for {k[i]} sides")
 
 
-def _close_boundary_loops(next_he: np.ndarray, opp: np.ndarray, gaps: np.ndarray) -> None:
+def _close_boundary_loops(
+    next_he: np.ndarray, opp: np.ndarray, tail: np.ndarray, gaps: np.ndarray
+) -> None:
     """Wire the appended outer halfedges into loops.
 
     ``gaps`` lists the interior halfedges whose edge id is used once; their
-    outer partners are ``opp[gaps]``.  For each gap ha = a->b, circulate the
-    outgoing halfedges of b until the next gap hc; the outer partner of hc
-    is then followed by the outer partner of ha.  All walks advance
-    together, one outgoing halfedge per round.
+    outer partners are ``opp[gaps]``.  The outer partner of gap a -> b is
+    followed by the outer partner of the one gap into a.  Raises
+    :class:`MeshError` at a vertex that two gaps enter, which has more
+    than one umbrella.
     """
-    n_interior = len(next_he) - len(gaps)
-    is_gap = np.zeros(n_interior, dtype=bool)
-    is_gap[gaps] = True
-    it = next_he[gaps]
-    walking = np.flatnonzero(~is_gap[it])
-    rounds = 0
-    while walking.size:
-        rounds += 1
-        if rounds > n_interior:
-            raise MeshError("boundary walk failed to close; bad connectivity")
-        it[walking] = next_he[opp[it[walking]]]
-        walking = walking[~is_gap[it[walking]]]
-    next_he[opp[it]] = opp[gaps]
-    if (next_he < 0).any():
-        raise MeshError("boundary loops did not close")
+    heads = tail[next_he[gaps]]
+    low = int(tail.min())
+    into = np.full(int(tail.max()) - low + 1, -1)
+    into[heads - low] = gaps
+    twice = into[heads - low] != gaps
+    if twice.any():
+        raise MeshError(f"vertex {heads[twice].min()} has more than one umbrella")
+    next_he[opp[gaps]] = opp[into[tail[gaps] - low]]
 
 
 def build_from_face_lists(faces: list[list[int]]) -> CombinatorialMesh:
@@ -313,7 +321,7 @@ def _build(
     opp[gaps] = outer
     opp[outer] = gaps
     next_he = np.concatenate([nxt, np.full(len(gaps), -1)])
-    _close_boundary_loops(next_he, opp, gaps)
+    _close_boundary_loops(next_he, opp, tail, gaps)
     he_face = orbit_min(next_he)
 
     first = np.cumsum(k) - k
@@ -341,10 +349,8 @@ def validate(mesh: CombinatorialMesh) -> list[str]:
     Each check is one mask over the active halfedges (or the faces, or the
     quad records), and reports its failures in ascending order.
     """
-    nxt = np.asarray(mesh.next_he, dtype=np.int64)
-    opp = np.asarray(mesh.opp, dtype=np.int64)
-    to = np.asarray(mesh.to, dtype=np.int64)
-    he_face = np.asarray(mesh.he_face, dtype=np.int64)
+    nxt, opp, to = _array(mesh.next_he), _array(mesh.opp), _array(mesh.to)
+    he_face = _array(mesh.he_face)
     n = len(nxt)
     parked = he_face < 0
     act = np.flatnonzero(~parked)
@@ -394,7 +400,15 @@ def validate(mesh: CombinatorialMesh) -> list[str]:
             f"recorded parked halfedge {p} of quad {f} is active"
             for f, p in zip(np.repeat(q, 2)[live.ravel()], pairs[live])
         ]
-    return errs
+    if errs:
+        return errs
+
+    # One umbrella per vertex: the halfedges into a vertex form one orbit
+    # of h -> opp[next[h]], its fan, closed through the outer loops.
+    fan = orbit_min(opp[nxt])[act]
+    fans = np.bincount(to[act[fan == act]], minlength=mesh.n_vertices)
+    pinched = np.flatnonzero(fans > 1)
+    return [f"vertex {v} has more than one umbrella ({fans[v]} fans)" for v in pinched]
 
 
 # -- elementary (asymmetric) edge flip ------------------------------------

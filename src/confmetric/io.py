@@ -14,7 +14,8 @@ from itertools import chain
 
 import numpy as np
 
-from .halfedge import CombinatorialMesh, MeshError, build_from_face_edge_lists, build_from_face_lists
+from .halfedge import CombinatorialMesh, MeshError, _array
+from .halfedge import build_from_face_edge_lists, build_from_face_lists
 from .metric import PennerMetric
 
 
@@ -135,8 +136,7 @@ def problem_to_mesh(prob: ProblemFile) -> tuple[CombinatorialMesh, PennerMetric]
         mesh = build_from_face_lists(prob.faces)
     except MeshError as exc:
         raise ParseError(str(exc)) from None
-    opp = np.asarray(mesh.opp)
-    to = np.asarray(mesh.to)
+    opp, to = _array(mesh.opp), _array(mesh.to)
     edges = np.flatnonzero(np.arange(len(opp)) < opp)  # the builder parks nothing
     ends = list(zip(to[opp[edges]].tolist(), to[edges].tolist()))
     given, positions = prob.edge_lengths, prob.positions
@@ -171,12 +171,9 @@ def problem_to_mesh(prob: ProblemFile) -> tuple[CombinatorialMesh, PennerMetric]
     return mesh, PennerMetric(lengths.tolist())
 
 
-def write_problem_files(
-    prob: ProblemFile, mesh_path: str, targets_path: str | None = None
-) -> str:
+def write_problem_files(prob: ProblemFile, mesh_path: str) -> str:
     """Write mesh + sidecar; returns the sidecar's path."""
-    if targets_path is None:
-        targets_path = sidecar_path(mesh_path)
+    targets_path = sidecar_path(mesh_path)
     lines = []
     if prob.positions is not None:
         for p in prob.positions:
@@ -212,7 +209,7 @@ def gauss_bonnet_deviation(mesh: CombinatorialMesh, theta_hat: "list[float]") ->
     Solvable targets make it zero.  On a mesh with boundary this is the
     Gauss-Bonnet identity when boundary targets are pi - kappa.
     """
-    he_face = np.asarray(mesh.he_face)
+    he_face = _array(mesh.he_face)
     inner = np.flatnonzero((he_face >= 0) & ~np.isin(he_face, list(mesh.boundary_faces)))
     # sum(deg f - 2) = the corners of the faces less two per face, an int.
     corners = inner.size - 2 * int(np.count_nonzero(he_face[inner] == inner))

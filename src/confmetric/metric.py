@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .halfedge import CombinatorialMesh, FlipFrame, apply_flip, plan_flip
+from .halfedge import CombinatorialMesh, FlipFrame, _array, apply_flip, plan_flip
 from .symmetry import FlipType, ReflectionMap, apply_symmetric_flip, classify_flip
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,12 +79,6 @@ class PennerMetric:
 
     lengths: list[float]
     quad_diag: dict[int, float] = field(default_factory=dict)
-
-
-def _array(xs: list, dtype: type = np.intp) -> np.ndarray:
-    """Copy a mesh or metric list into a numpy array (``fromiter`` copies
-    a list of Python scalars fastest)."""
-    return np.fromiter(xs, dtype, len(xs))
 
 
 def _scale(lengths: np.ndarray, u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -33,13 +33,12 @@ import scipy.sparse.linalg
 
 from . import io
 from .cover import build_double_cover, restrict_to_single_cover
-from .halfedge import CombinatorialMesh
+from .halfedge import CombinatorialMesh, _array
 from .metric import (
     FlipLog,
     MetricError,
     PennerMetric,
     TriangleRead,
-    _array,
     _scale,
     gradient,
     hessian,
@@ -393,8 +392,8 @@ def find_conformal_metric(
 
 def _n_components(mesh: CombinatorialMesh) -> int:
     """Connected components of the vertex graph; isolated vertices count."""
-    opp, to = np.asarray(mesh.opp), np.asarray(mesh.to)
-    edges = np.flatnonzero((np.asarray(mesh.he_face) >= 0) & (np.arange(len(opp)) < opp))
+    opp, to = _array(mesh.opp), _array(mesh.to)
+    edges = np.flatnonzero((_array(mesh.he_face) >= 0) & (np.arange(len(opp)) < opp))
     n = mesh.n_vertices
     ends = (to[opp[edges]], to[edges])
     graph = scipy.sparse.coo_matrix((np.ones(len(edges)), ends), shape=(n, n))

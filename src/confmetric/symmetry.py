@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .halfedge import CombinatorialMesh, FlipError, FlipFrame, apply_flip, plan_flip
+from .halfedge import CombinatorialMesh, FlipError, FlipFrame, _array, apply_flip, plan_flip
 
 if TYPE_CHECKING:  # pragma: no cover
     from .metric import PennerMetric
@@ -259,21 +259,21 @@ def _flip_axis_reverse(
     mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
 ) -> FlipRecord:
     L = metric.lengths
+    nxt = mesh.next_he
     h0 = min(h, mesh.opp[h])
-    h2 = mesh.next_he[h0]
-    h4 = mesh.next_he[h2]
     h3 = mesh.opp[h0]
-    h5 = mesh.next_he[h3]
-    h1 = mesh.next_he[h5]
-    # The frame of h0 in the current faces, (h0, h2, h4) and (h3, h5, h1).
-    lnew = FlipFrame(h0, h2, h4, h3, h5, h1).ptolemy(L)
-    mesh.to[h0], mesh.to[h3] = mesh.to[h5], mesh.to[h2]
-    f1 = mesh.rebuild_face([h0, h1, h2])
-    f2 = mesh.rebuild_face([h3, h4, h5])
+    h2, h5 = nxt[h0], nxt[h3]
+    h4, h1 = nxt[h2], nxt[h5]
+    # Undo the forward flip: the faces (h0, h2, h4) and (h3, h5, h1) become
+    # (h0, h1, h2) and (h3, h4, h5), which is what ``apply_flip`` writes for
+    # this relabelled frame; its Ptolemy product is the current frame's.
+    fr = FlipFrame(h0, h5, h1, h3, h2, h4)
+    lnew = fr.ptolemy(L)
+    apply_flip(mesh, fr)
     # The restored edge is axis-parallel between two axis vertices; each
     # new face lies in the sheet of the legs it inherited.
     _mirror(L, refl, h0, h3, lnew, refl.he_label[h1], refl.he_label[h4])
-    return FlipRecord(FlipType.AXIS, (f1, f2), min(h0, h3))
+    return FlipRecord(FlipType.AXIS, (mesh.he_face[h0], mesh.he_face[h3]), min(h0, h3))
 
 
 def _flip_legs_forward(
@@ -447,7 +447,7 @@ def validate_symmetry(
         return [f"vertex_refl has {len(refl.vertex_refl)} entries for {nv} vertices"]
 
     v = np.arange(nv)
-    vr = np.asarray(refl.vertex_refl, dtype=np.int64)
+    vr = _array(refl.vertex_refl)
     wild = (vr < 0) | (vr >= nv)
     errs = [f"vertex_refl[{x}]={w} out of range" for x, w in zip(v[wild], vr[wild])]
     tame = v[~wild]
@@ -456,12 +456,8 @@ def validate_symmetry(
         return errs
 
     h = np.arange(n)
-    nxt = np.asarray(mesh.next_he, dtype=np.int64)
-    opp = np.asarray(mesh.opp, dtype=np.int64)
-    to = np.asarray(mesh.to, dtype=np.int64)
-    he_face = np.asarray(mesh.he_face, dtype=np.int64)
-    r = np.asarray(refl.r, dtype=np.int64)
-    lab = np.asarray(refl.he_label, dtype=np.int64)
+    nxt, opp, to = _array(mesh.next_he), _array(mesh.opp), _array(mesh.to)
+    he_face, r, lab = _array(mesh.he_face), _array(refl.r), _array(refl.he_label)
     parked = he_face < 0
     # Each halfedge fails at most one of the checks up to its label's.
     wild = (r < 0) | (r >= n)
@@ -533,7 +529,7 @@ def validate_symmetry(
         errs.append("parked halfedges and quad_pairs records disagree")
 
     if metric is not None:
-        L = np.asarray(metric.lengths, dtype=float)
+        L = _array(metric.lengths, float)
         live = np.flatnonzero(~parked)
         own = L[live]
         bad = own != L[opp[live]]

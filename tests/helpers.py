@@ -547,7 +547,18 @@ def reference_validate(mesh: CombinatorialMesh) -> list[str]:
     seen_v = set(mesh.to[h] for h in active)
     if len(seen_v) > mesh.n_vertices:
         errs.append("more vertex labels in use than n_vertices")
-    return errs
+    if errs:
+        return errs
+
+    # One umbrella per vertex: count the orbits of h -> opp[next[h]] (the
+    # fans of halfedges into a vertex) at each head.
+    fans = [0] * mesh.n_vertices
+    circulate = [mesh.opp[mesh.next_he[h]] for h in range(n)]
+    for orbit in reference_orbits(circulate, parked):
+        fans[mesh.to[orbit[0]]] += 1
+    return [
+        f"vertex {v} has more than one umbrella ({c} fans)" for v, c in enumerate(fans) if c > 1
+    ]
 
 
 # -- reference of the axis restriction ------------------------------------------

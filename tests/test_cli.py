@@ -1,11 +1,13 @@
 """End-to-end command line behavior and exit codes."""
 
 import dataclasses
+import functools
 import math
 import os
 import time
 
 import pytest
+import scipy.sparse.linalg
 
 import confmetric.cli
 from confmetric.cli import main
@@ -138,6 +140,68 @@ def test_solve_disconnected_mesh_rejected(tmp_path, capsys):
     put(tmp_path, "two.targets", "".join(f"v {i + 1} {t!r}\n" for i, t in enumerate(theta)))
     assert main(["solve", mesh]) == 2
     assert "not connected" in capsys.readouterr().err
+
+
+def _pinched_bowtie(tmp_path):
+    mesh = put(
+        tmp_path, "p.mesh",
+        "f 1 2 3\nf 1 4 5\n"
+        + "".join(f"el {a} {b} 1.0\n" for a, b in [(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (1, 5)]),
+    )
+    put(tmp_path, "p.targets", "")
+    return mesh, 0
+
+
+def _pinched_grid_disks(tmp_path):
+    # Two 4x4 grids of unit squares' corners; the second grid's corner
+    # (0, 0) is the first one's corner (3, 3), vertex 16.  Equal boundary
+    # curvature 3*pi/23 balances Gauss-Bonnet on the double cover.
+    ids = {(x, y): 1 + 4 * y + x for x in range(4) for y in range(4)}
+    for x in range(4):
+        for y in range(4):
+            if (x, y) != (0, 0):
+                ids[x + 3, y + 3] = 16 + 4 * y + x
+    faces = []
+    for dx in (0, 3):
+        for x in range(dx, dx + 3):
+            for y in range(dx, dx + 3):
+                a, b, c, d = ids[x, y], ids[x + 1, y], ids[x + 1, y + 1], ids[x, y + 1]
+                faces += [(a, b, c), (a, c, d)]
+    at = {v: p for p, v in ids.items()}
+    boundary = {v for (x, y), v in ids.items() if x % 3 == 0 or y % 3 == 0}
+    mesh = put(
+        tmp_path, "p.mesh",
+        "".join(f"v {at[v][0]} {at[v][1]} 0\n" for v in range(1, 32))
+        + "".join(f"f {a} {b} {c}\n" for a, b, c in faces),
+    )
+    put(tmp_path, "p.targets", "".join(f"k {v} {3 * math.pi / 23!r}\n" for v in sorted(boundary)))
+    return mesh, 15
+
+
+def _pinched_tetrahedra(tmp_path):
+    # Two tetrahedra that share vertex 1; the targets balance over both.
+    tets = [[1, 2, 3], [1, 3, 4], [1, 4, 2], [2, 4, 3]]
+    other = {1: 1, 2: 5, 3: 6, 4: 7}
+    faces = tets + [[other[v] for v in f] for f in tets]
+    pairs = {tuple(sorted((f[i], f[(i + 1) % 3]))) for f in faces for i in range(3)}
+    mesh = put(
+        tmp_path, "p.mesh",
+        "".join(f"f {a} {b} {c}\n" for a, b, c in faces)
+        + "".join(f"el {a} {b} 1.0\n" for a, b in sorted(pairs)),
+    )
+    put(tmp_path, "p.targets", "".join(f"v {v} {8 * math.pi / 7!r}\n" for v in range(1, 8)))
+    return mesh, 0
+
+
+@pytest.mark.parametrize("command", ["solve", "delaunay"])
+@pytest.mark.parametrize("make", [_pinched_bowtie, _pinched_grid_disks, _pinched_tetrahedra])
+def test_vertex_with_more_than_one_umbrella_exits_2_naming_it(tmp_path, capsys, command, make):
+    mesh, vertex = make(tmp_path)
+    assert main([command, mesh]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{mesh}: error: vertex {vertex} has more than one umbrella")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "p.result").exists()
 
 
 def test_solve_el_line_naming_no_edge_exits_2(tmp_path, capsys):
@@ -348,6 +412,33 @@ def test_flip_budget_breach_exit_4(tmp_path, capsys):
     )
     assert main(["solve", mesh, "--flip-budget", "0.0"]) == 4
     assert "invariant breach" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "sq.result")
+
+
+def test_direction_off_the_residual_gate_ends_linear_solve_breakdown(tmp_path, capsys, monkeypatch):
+    # A linear solver that answers twice the solution: the direction misses
+    # the 1e-10 residual gate, and the solve ends with its last good state.
+    solve = scipy.sparse.linalg.spsolve
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda A, b: 2.0 * solve(A, b))
+    mesh = tetra_files(tmp_path, [math.pi + 0.1, math.pi - 0.1, math.pi, math.pi])
+    assert main(["solve", mesh]) == 3
+    assert "linear_solve_breakdown steps=0" in capsys.readouterr().out
+    bundle = read_bundle(str(tmp_path / "t.result"))
+    assert bundle.termination == "linear_solve_breakdown"
+    assert bundle.exit_code == 3
+    assert bundle.u == [0.0] * 4
+
+
+def test_delaunay_flip_budget_breach_exit_4(tmp_path, capsys, monkeypatch):
+    # The square whose bad diagonal needs one flip, with no flip allowed.
+    no_flips = functools.partial(confmetric.cli.make_delaunay, flip_budget_factor=0.0)
+    monkeypatch.setattr(confmetric.cli, "make_delaunay", no_flips)
+    mesh = put(
+        tmp_path, "sq.mesh",
+        "f 1 2 3\nf 1 3 4\nel 1 2 1.0\nel 2 3 1.0\nel 3 4 1.0\nel 1 4 1.0\nel 1 3 1.9\n",
+    )
+    assert main(["delaunay", mesh]) == 4
+    assert capsys.readouterr().err.startswith(f"{mesh}: invariant breach: ")
     assert not os.path.exists(tmp_path / "sq.result")
 
 

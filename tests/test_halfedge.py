@@ -113,6 +113,40 @@ def test_face_list_builder_rejects(faces, match):
         build_from_face_lists(faces)
 
 
+TWO_TETRAHEDRA = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2],
+                  [0, 5, 4], [0, 4, 6], [4, 5, 6], [0, 6, 5]]
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [[0, 1, 2], [0, 3, 4]],
+        TWO_TETRAHEDRA,
+        TWO_TETRAHEDRA[:4] + [[0, 4, 5]],
+    ],
+    ids=["bowtie", "two_tetrahedra", "tetrahedron_and_triangle"],
+)
+def test_builders_reject_a_vertex_with_more_than_one_umbrella(faces):
+    # Two open fans (two boundary gaps enter vertex 0), two closed ones,
+    # and one of each: the builder or validate names the vertex.
+    with pytest.raises(MeshError, match="vertex 0 has more than one umbrella"):
+        build_from_face_lists(faces)
+    pairs = [sorted((f[i], f[(i + 1) % 3])) for f in faces for i in range(3)]
+    ids = [10 * a + b for a, b in pairs]
+    face_edges = [ids[i:i + 3] for i in range(0, len(ids), 3)]
+    with pytest.raises(MeshError, match="vertex 0 has more than one umbrella"):
+        build_from_face_edge_lists(faces, face_edges)
+
+
+def test_annulus_closes_both_boundary_loops_as_the_reference():
+    k = 5
+    faces = [row for i in range(k) for row in (
+        [i, k + i, k + (i + 1) % k], [i, k + (i + 1) % k, (i + 1) % k])]
+    mesh = build_from_face_lists(faces)
+    assert len(mesh.boundary_faces) == 2
+    _assert_same_mesh(mesh, helpers.reference_build_from_face_lists(faces))
+
+
 def test_flip_square_diagonal():
     mesh = build_from_face_lists([[0, 1, 2], [0, 2, 3]])
     diag = next(e for e in mesh.edges() if set(helpers.edge_endpoints(mesh, e)) == {0, 2})
@@ -340,6 +374,16 @@ def _quad_record_on_a_triangle(mesh):
     mesh.quad_pairs[_two_faces(mesh)[0]] = mesh.quad_pairs.pop(quad)
 
 
+def _pinched(mesh):
+    # Relabel a vertex w with the label of a vertex v that shares no edge
+    # with it: v then has the umbrellas of both.
+    v = mesh.to[_two_faces(mesh)[0]]
+    heads = [x for x in mesh.to if x >= 0]
+    near = {v} | {mesh.to[h] for h in range(len(mesh.to)) if mesh.tail_of(h) == v}
+    w = next(x for x in heads if x not in near)
+    mesh.to = [v if x == w else x for x in mesh.to]
+
+
 def _quad_record_of_live_halfedges(mesh):
     f = _two_faces(mesh)[0]
     mesh.quad_pairs[min(mesh.quad_pairs)] = (f, mesh.opp[f])
@@ -354,7 +398,7 @@ MESHES = {
     "make, mutate",
     [(make, mutate) for make in MESHES
      for mutate in (None, _opp_fixed_point, _next_not_a_bijection, _chaining_broken,
-                    _wrong_degree, _wrong_he_face)]
+                    _wrong_degree, _wrong_he_face, _pinched)]
     + [("cover", _quad_record_on_a_triangle), ("cover", _quad_record_of_live_halfedges)],
 )
 def test_validate_reports_what_the_reference_reports(make, mutate):
