@@ -29,7 +29,7 @@ from .io import (
     write_bundle,
     write_problem_files,
 )
-from .metric import FlipBudgetError, MetricError, make_delaunay
+from .metric import make_delaunay
 from .solver import SolverConfig, solve_problem
 
 EXIT_OK = 0
@@ -131,8 +131,8 @@ def cmd_delaunay(args) -> int:
     u = [0.0] * mesh.n_vertices
     try:
         log = make_delaunay(mesh, metric, u)
-    except (FlipBudgetError, MetricError, MeshError) as exc:
-        print(f"{args.input}: invariant breach: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"{args.input}: invariant breach: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     bundle = bundle_from_solution(mesh, metric, u, None, EXIT_OK, flips=log)
     out_path = _result_path(args.input, args.out, False)

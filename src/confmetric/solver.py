@@ -14,7 +14,10 @@ the first Newton step.  A step that accepted t >= 1/2 thus starts the
 next one at t = 1; after a short step the search no longer pays the
 flips toward a full step and back that each rejected trial costs.
 The Newton system is solved with one unknown per mirror orbit of the
-double cover; a closed mesh has one vertex per orbit.
+double cover; a closed mesh has one vertex per orbit.  With one orbit
+pinned the system is symmetric positive definite (the energy is convex),
+so it is factored by a banded LAPACK Cholesky after a reverse
+Cuthill-McKee ordering of the orbits narrows its band.
 
 A solve reads the mesh and metric lists into numpy at its start and
 after every retriangulation that flips; each read serves the scans,
@@ -27,9 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from . import io
 from .cover import build_double_cover, restrict_to_single_cover
@@ -161,8 +164,12 @@ def newton_direction(
     g is projected to zero mean (Gauss-Bonnet roundoff) and averaged per
     orbit to g_bar, which drops the antisymmetric roundoff no symmetric d
     can cancel.  P^T H P y = -P^T g_bar is solved with orbit 0 pinned (the
-    constants span H's nullspace) and d recentred.  Raises SolverError if
-    d is non-finite or |H d + g_bar| exceeds 1e-10 * |g_bar|.
+    constants span H's nullspace) and d recentred.  The pinned system is
+    symmetric positive definite: its orbits are ordered by reverse
+    Cuthill-McKee, its lower band is summed straight from H's entries, and
+    LAPACK factors that band by Cholesky.  Raises SolverError if the band
+    is not positive definite, if d is non-finite, or if |H d + g_bar|
+    exceeds 1e-10 * |g_bar|.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
@@ -173,12 +180,29 @@ def newton_direction(
     gnorm = float(np.linalg.norm(g_bar))
     if gnorm == 0.0 or len(size) == 1:
         return np.zeros(n)
-    Hr = H
-    if len(size) < n:  # else every orbit is one vertex and P = I
-        P = scipy.sparse.csr_matrix((np.ones(n), orbit, np.arange(n + 1)), shape=(n, len(size)))
-        Hr = P.T @ H @ P
-    y = scipy.sparse.linalg.spsolve(scipy.sparse.csc_matrix(Hr)[1:, 1:], -g_sum[1:])
-    d = np.concatenate(([0.0], np.atleast_1d(y)))[orbit]
+    m = len(size) - 1  # unknowns: every orbit but the pinned orbit 0
+    C = H.tocoo()
+    i, j = orbit[C.row] - 1, orbit[C.col] - 1
+    kept = (i >= 0) & (j >= 0)
+    i, j, v = i[kept], j[kept], C.data[kept]
+    graph = scipy.sparse.csr_matrix((v, (i, j)), shape=(m, m))
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+    rank = np.empty(m, dtype=np.intp)
+    rank[perm] = np.arange(m)
+    i, j = rank[i], rank[j]
+    lower = i >= j  # LAPACK's lower band form: band[i - j, j] = A[i, j]
+    k, j, v = i[lower] - j[lower], j[lower], v[lower]
+    width = int(k.max(initial=0)) + 1
+    band = np.bincount(k * m + j, v, minlength=width * m).reshape(width, m)
+    try:
+        factor = scipy.linalg.cholesky_banded(
+            band, overwrite_ab=True, lower=True, check_finite=False
+        )
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"pinned Hessian is not positive definite ({exc})") from exc
+    y = np.empty(m)
+    y[perm] = scipy.linalg.cho_solve_banded((factor, True), -g_sum[1:][perm], check_finite=False)
+    d = np.concatenate(([0.0], y))[orbit]
     if not np.all(np.isfinite(d)):
         raise SolverError("non-finite Newton direction (degenerate Hessian)")
     d -= d.mean()

@@ -7,7 +7,7 @@ import os
 import time
 
 import pytest
-import scipy.sparse.linalg
+import scipy.linalg
 
 import confmetric.cli
 from confmetric.cli import main
@@ -418,8 +418,8 @@ def test_flip_budget_breach_exit_4(tmp_path, capsys):
 def test_direction_off_the_residual_gate_ends_linear_solve_breakdown(tmp_path, capsys, monkeypatch):
     # A linear solver that answers twice the solution: the direction misses
     # the 1e-10 residual gate, and the solve ends with its last good state.
-    solve = scipy.sparse.linalg.spsolve
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", lambda A, b: 2.0 * solve(A, b))
+    solve = scipy.linalg.cho_solve_banded
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", lambda *a, **kw: 2.0 * solve(*a, **kw))
     mesh = tetra_files(tmp_path, [math.pi + 0.1, math.pi - 0.1, math.pi, math.pi])
     assert main(["solve", mesh]) == 3
     assert "linear_solve_breakdown steps=0" in capsys.readouterr().out
@@ -427,6 +427,23 @@ def test_direction_off_the_residual_gate_ends_linear_solve_breakdown(tmp_path, c
     assert bundle.termination == "linear_solve_breakdown"
     assert bundle.exit_code == 3
     assert bundle.u == [0.0] * 4
+
+
+def test_factor_that_is_not_positive_definite_ends_linear_solve_breakdown(
+    tmp_path, capsys, monkeypatch
+):
+    def not_positive_definite(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("1-th leading minor not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", not_positive_definite)
+    mesh = tetra_files(tmp_path, [math.pi + 0.1, math.pi - 0.1, math.pi, math.pi])
+    assert main(["solve", mesh]) == 3
+    out, err = capsys.readouterr()
+    assert "linear_solve_breakdown steps=0" in out
+    assert err == ""
+    bundle = read_bundle(str(tmp_path / "t.result"))
+    assert bundle.termination == "linear_solve_breakdown"
+    assert bundle.exit_code == 3
 
 
 def test_delaunay_flip_budget_breach_exit_4(tmp_path, capsys, monkeypatch):
@@ -496,6 +513,17 @@ def test_unexpected_failure_ends_only_its_input(tmp_path, capsys, monkeypatch):
     assert "first/t.mesh: invariant breach: RuntimeError: boom" in capsys.readouterr().err
     assert not (tmp_path / "first" / "t.result").exists()
     assert read_bundle(str(tmp_path / "second" / "t.result")).termination == "converged"
+
+
+def test_delaunay_unexpected_failure_exit_4(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(confmetric.cli, "make_delaunay", boom)
+    mesh = tetra_files(tmp_path)
+    assert main(["delaunay", mesh]) == 4
+    assert capsys.readouterr().err == f"{mesh}: invariant breach: RuntimeError: boom\n"
+    assert not os.path.exists(tmp_path / "t.result")
 
 
 def test_delaunay_identity(tmp_path, capsys):

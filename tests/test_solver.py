@@ -80,7 +80,6 @@ def test_direction_ignores_constant_gradient_component():
     assert d1 == pytest.approx(d2, abs=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_direction_breakdown_raises():
     H = hessian(helpers.octa(), helpers.uniform_metric(helpers.octa()), [0.0] * 6)
     H = H.tolil()
@@ -88,6 +87,32 @@ def test_direction_breakdown_raises():
     H[:, 1] = 0.0          # vertex 1 decoupled: singular reduced system
     with pytest.raises(SolverError):
         newton_direction(H.tocsr(), np.array([0.3, -0.3, 0.2, -0.2, 0.1, -0.1]))
+
+
+def test_direction_of_a_negative_definite_system_raises_solver_error():
+    # The band factor's LinAlgError must not escape as such: the solve ends
+    # in linear_solve_breakdown only on SolverError.
+    mesh, metric, theta_hat = octa_problem(1)
+    g = gradient(mesh, metric, [0.0] * 6, theta_hat)
+    H = hessian(mesh, metric, [0.0] * 6)
+    with pytest.raises(SolverError, match="not positive definite"):
+        newton_direction(-H, g)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_direction_does_not_depend_on_the_vertex_labels(seed):
+    # The fill-reducing order is internal: relabelling the vertices
+    # relabels the direction, up to the rounding of another factorization.
+    prob = generate("sphere-random-angles", seed, 42)
+    mesh, metric = problem_to_mesh(prob)
+    theta_hat = [prob.theta_targets.get(v, 2 * math.pi) for v in range(mesh.n_vertices)]
+    u = np.zeros(mesh.n_vertices)
+    g = gradient(mesh, metric, u, theta_hat)
+    H = hessian(mesh, metric, u)
+    d = newton_direction(H, g)
+    p = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    d_p = newton_direction(H[p][:, p], g[p])
+    assert np.linalg.norm(d_p - d[p]) <= 1e-13 * np.linalg.norm(d)
 
 
 def _pinned_reference(H, g, refl):
@@ -136,13 +161,27 @@ def test_orbit_solve_is_mirror_symmetric_and_matches_a_full_solve(monkeypatch, i
     H, g, refl = _first_direction_input(monkeypatch, instance)
     d = newton_direction(H, g, refl)
     want = _pinned_reference(H, g, refl)
-    if refl is None:
-        # one vertex per orbit: the same solve as the full pinned one
-        assert np.array_equal(d, want)
-        return
-    assert any(v != w for v, w in enumerate(refl.vertex_refl))
-    assert np.array_equal(d, d[refl.vertex_refl])
+    if refl is not None:
+        assert any(v != w for v, w in enumerate(refl.vertex_refl))
+        assert np.array_equal(d, d[refl.vertex_refl])
     assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_every_direction_of_a_disk_solve_matches_a_full_solve(monkeypatch):
+    # The reference solves for the orbit-averaged g, as the direction does:
+    # from the raw g its last directions keep the antisymmetric roundoff,
+    # which is 6e-4 of the direction at the last step.
+    prob = generate("disk-random-boundary", 0, 1089)
+    seen = _direction_inputs(monkeypatch, lambda: solve_problem(prob))
+    assert len(seen) > 1
+    for H, g, refl in seen:
+        d = newton_direction(H, g, refl)
+        assert np.array_equal(d, d[refl.vertex_refl])
+        vr = np.array(refl.vertex_refl)
+        g0 = g - g.mean()
+        g_bar = np.where(vr == np.arange(len(vr)), g0, 0.5 * (g0 + g0[vr]))
+        want = _pinned_reference(H, g_bar, refl)
+        assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_orbit_solve_passes_the_residual_gate_near_convergence(monkeypatch):
