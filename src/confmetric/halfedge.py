@@ -61,7 +61,18 @@ import numpy as np
 
 
 class MeshError(Exception):
-    """Raised when input connectivity is not an oriented manifold complex."""
+    """Raised when input connectivity is not an oriented manifold complex.
+
+    ``text`` holds a ``{}`` field for each of ``vertices``; the message
+    names them by their 0-based ids, and :meth:`one_based` by file index.
+    """
+
+    def __init__(self, text: str, *vertices: int):
+        super().__init__(text.format(*vertices) if vertices else text)
+        self.text, self.vertices = text, vertices
+
+    def one_based(self) -> str:
+        return self.text.format(*(v + 1 for v in self.vertices)) if self.vertices else self.text
 
 
 class FlipError(Exception):
@@ -183,15 +194,22 @@ def _rows(rows) -> tuple[np.ndarray, np.ndarray]:
     return k, flat
 
 
-def _check_rows(faces: list[list[int]], k: np.ndarray, k_edges: np.ndarray) -> None:
+def _face_error(tail: np.ndarray, k: np.ndarray, i: int, what: str) -> MeshError:
+    """MeshError ``face [a, b, c] <what>`` for row ``i`` of the rows laid end to end."""
+    start = int(k[:i].sum())
+    row = tail[start : start + k[i]].tolist()
+    return MeshError("face [" + ", ".join(["{}"] * len(row)) + "] " + what, *row)
+
+
+def _check_rows(tail: np.ndarray, k: np.ndarray, k_edges: np.ndarray) -> None:
     """MeshError at the first row with fewer than 3 vertices, or with an
     edge id count other than its vertex count."""
     bad = np.flatnonzero((k < 3) | (k_edges != k))
     if bad.size:
         i = bad[0]
         if k[i] < 3:
-            raise MeshError(f"face {faces[i]} has fewer than 3 vertices")
-        raise MeshError(f"face {faces[i]} has {k_edges[i]} edge ids for {k[i]} sides")
+            raise _face_error(tail, k, i, "has fewer than 3 vertices")
+        raise _face_error(tail, k, i, f"has {k_edges[i]} edge ids for {k[i]} sides")
 
 
 def _close_boundary_loops(
@@ -211,7 +229,7 @@ def _close_boundary_loops(
     into[heads - low] = gaps
     twice = into[heads - low] != gaps
     if twice.any():
-        raise MeshError(f"vertex {heads[twice].min()} has more than one umbrella")
+        raise MeshError("vertex {} has more than one umbrella", heads[twice].min())
     next_he[opp[gaps]] = opp[into[tail[gaps] - low]]
 
 
@@ -230,11 +248,11 @@ def build_from_face_lists(faces: list[list[int]]) -> CombinatorialMesh:
     keys = np.sort(np.repeat(np.arange(len(faces)), k) * span + (tail - low))
     repeats = keys[1:][keys[1:] == keys[:-1]]
     if repeats.size:
-        raise MeshError(f"face {faces[repeats[0] // span]} repeats a vertex")
-    _check_rows(faces, k, k)
+        raise _face_error(tail, k, repeats[0] // span, "repeats a vertex")
+    _check_rows(tail, k, k)
     to = tail[_successor(k)]
     pair = (np.minimum(tail, to) - low) * span + (np.maximum(tail, to) - low)
-    return _build(faces, k, tail, pair, top + 1)[0]
+    return _build(k, tail, pair, top + 1)[0]
 
 
 def build_from_face_edge_lists(
@@ -265,10 +283,10 @@ def build_from_face_edge_lists(
         raise MeshError("faces and face_edges differ in length")
     k, tail = _rows(faces)
     k_edges, he_eid = _rows(face_edges)
-    _check_rows(faces, k, k_edges)
+    _check_rows(tail, k, k_edges)
     if n_vertices is None:
         n_vertices = 1 + int(tail.max())
-    return _build(faces, k, tail, he_eid, n_vertices, quad_rows)
+    return _build(k, tail, he_eid, n_vertices, quad_rows)
 
 
 def _successor(k: np.ndarray) -> np.ndarray:
@@ -280,7 +298,6 @@ def _successor(k: np.ndarray) -> np.ndarray:
 
 
 def _build(
-    faces: list[list[int]],
     k: np.ndarray,
     tail: np.ndarray,
     he_eid: np.ndarray,
@@ -305,10 +322,11 @@ def _build(
         i = bad[np.argmin(ha[bad])]  # the first edge id used
         a, b = ha[i], hb[i]
         if uses[i] > 2:
-            raise MeshError(f"edge id {he_eid[a]} ({tail[a]}-{to[a]}) used {uses[i]} times")
+            text = f"edge id {he_eid[a]} ({{}}-{{}}) used {uses[i]} times"
+            raise MeshError(text, tail[a], to[a])
         raise MeshError(
-            f"edge id {he_eid[a]} used with inconsistent orientation "
-            f"({tail[a]}->{to[a]} vs {tail[b]}->{to[b]})"
+            f"edge id {he_eid[a]} used with inconsistent orientation ({{}}->{{}} vs {{}}->{{}})",
+            tail[a], to[a], tail[b], to[b],
         )
 
     paired = uses == 2
@@ -328,18 +346,23 @@ def _build(
     quads = first[np.fromiter(quad_rows, dtype=np.int64)]
     parked = np.arange(n_active, n_active + 2 * len(quads)).reshape(-1, 2)
     swap = parked[:, ::-1].ravel()
+    arrays = (
+        np.concatenate([next_he, swap]),
+        np.concatenate([opp, swap]),
+        np.concatenate([to, tail[gaps], np.full(swap.size, -1)]),
+        np.concatenate([he_face, np.full(swap.size, -1)]),
+    )
     mesh = CombinatorialMesh(
-        next_he=np.concatenate([next_he, swap]).tolist(),
-        opp=np.concatenate([opp, swap]).tolist(),
-        to=np.concatenate([to, tail[gaps], np.full(swap.size, -1)]).tolist(),
+        *(a.tolist() for a in arrays[:3]),
         n_vertices=n_vertices,
         boundary_faces=set(he_face[n:].tolist()),
-        he_face=np.concatenate([he_face, np.full(swap.size, -1)]).tolist(),
+        he_face=arrays[3].tolist(),
         quad_pairs={f: (a, b) for f, (a, b) in zip(quads.tolist(), parked.tolist())},
     )
-    errors = validate(mesh)
+    errors = _diagnose(mesh, *arrays)
     if errors:
-        raise MeshError("; ".join(errors))
+        vertices = chain.from_iterable(e.vertices for e in errors)
+        raise MeshError("; ".join(e.text for e in errors), *vertices)
     return mesh, np.concatenate([he_eid, he_eid[gaps], np.repeat(he_eid[quads], 2)]).tolist()
 
 
@@ -349,8 +372,14 @@ def validate(mesh: CombinatorialMesh) -> list[str]:
     Each check is one mask over the active halfedges (or the faces, or the
     quad records), and reports its failures in ascending order.
     """
-    nxt, opp, to = _array(mesh.next_he), _array(mesh.opp), _array(mesh.to)
-    he_face = _array(mesh.he_face)
+    lists = (mesh.next_he, mesh.opp, mesh.to, mesh.he_face)
+    return [str(e) for e in _diagnose(mesh, *map(_array, lists))]
+
+
+def _diagnose(
+    mesh: CombinatorialMesh, nxt: np.ndarray, opp: np.ndarray, to: np.ndarray, he_face: np.ndarray
+) -> list[MeshError]:
+    """:func:`validate`'s failures as errors, from the mesh's lists as arrays."""
     n = len(nxt)
     parked = he_face < 0
     act = np.flatnonzero(~parked)
@@ -372,7 +401,7 @@ def validate(mesh: CombinatorialMesh) -> list[str]:
     odd = hit != 1
     errs += [f"next_he not a bijection at {h} (hit {c})" for h, c in zip(act[odd], hit[odd])]
     if errs:
-        return errs
+        return list(map(MeshError, errs))
 
     fid = orbit_min(np.where(parked, np.arange(n), nxt))[act]
     faces = act[fid == act]
@@ -401,14 +430,15 @@ def validate(mesh: CombinatorialMesh) -> list[str]:
             for f, p in zip(np.repeat(q, 2)[live.ravel()], pairs[live])
         ]
     if errs:
-        return errs
+        return list(map(MeshError, errs))
 
     # One umbrella per vertex: the halfedges into a vertex form one orbit
     # of h -> opp[next[h]], its fan, closed through the outer loops.
     fan = orbit_min(opp[nxt])[act]
     fans = np.bincount(to[act[fan == act]], minlength=mesh.n_vertices)
     pinched = np.flatnonzero(fans > 1)
-    return [f"vertex {v} has more than one umbrella ({fans[v]} fans)" for v in pinched]
+    text = "vertex {{}} has more than one umbrella ({} fans)"
+    return [MeshError(text.format(fans[v]), v) for v in pinched]
 
 
 # -- elementary (asymmetric) edge flip ------------------------------------

@@ -9,12 +9,14 @@ survives write -> read -> write byte-identically.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import astuple, dataclass, field, fields
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
-from .halfedge import CombinatorialMesh, MeshError, _array
+from .halfedge import CombinatorialMesh, MeshError, _array, _rows
 from .halfedge import build_from_face_edge_lists, build_from_face_lists
 from .metric import PennerMetric
 
@@ -30,13 +32,14 @@ class ParseError(Exception):
 class ProblemFile:
     """Parsed mesh + targets, before any solver objects are built.
 
-    ``edge_lengths`` is keyed by sorted vertex pair; it overrides
-    position-derived lengths edge by edge.  ``theta_targets`` and
-    ``kappa_targets`` are mutually exclusive.
+    ``faces`` and ``positions`` are lists of rows or (F, 3) and (V, 3)
+    arrays; the readers give arrays.  ``edge_lengths`` is keyed by sorted
+    vertex pair; it overrides position-derived lengths edge by edge.
+    ``theta_targets`` and ``kappa_targets`` are mutually exclusive.
     """
 
-    faces: list[list[int]]
-    positions: list[tuple[float, float, float]] | None = None
+    faces: list[list[int]] | np.ndarray
+    positions: list[tuple[float, float, float]] | np.ndarray | None = None
     edge_lengths: dict[tuple[int, int], float] = field(default_factory=dict)
     theta_targets: dict[int, float] = field(default_factory=dict)
     kappa_targets: dict[int, float] = field(default_factory=dict)
@@ -45,81 +48,135 @@ class ProblemFile:
     @property
     def n_vertices(self) -> int:
         """Vertex count of the mesh the faces build: one past the largest id."""
-        return 1 + max(max(f) for f in self.faces)
+        return 1 + int(_rows(self.faces)[1].max())
 
 
-def _finite(tok: str) -> float:
-    val = float(tok)
-    if not math.isfinite(val):
-        raise ValueError(f"non-finite number {tok!r}")
-    return val
-
-
-def _tokens(path: str):
-    """(line number, fields) per nonblank line; ParseError at a non-UTF-8 line."""
+def _split(path: str) -> tuple[list[list[str]], np.ndarray, tuple[int, str] | None]:
+    """The token rows of a file's nonblank lines, their line numbers, and
+    the error at its first line that is not UTF-8 text, if any: the rows
+    stop before it.  Lines end where ``bytes.splitlines`` ends them, and
+    ``#`` starts a comment."""
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, 1):
+    data, error = b"\n".join(lines), None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = data.count(b"\n", 0, exc.start)
+        text = b"\n".join(lines[:bad]).decode("utf-8")
         try:
-            line = raw.decode("utf-8").split("#", 1)[0].strip()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
-        if line:
-            yield lineno, line.split()
+            lines[bad].decode("utf-8")
+        except UnicodeDecodeError as line_exc:
+            error = (bad + 1, f"not UTF-8 text: {line_exc.reason}")
+    rows = list(map(str.split, re.sub("#.*", "", text).split("\n")))
+    sizes = np.fromiter(map(len, rows), np.intp, len(rows))
+    return list(filter(None, rows)), np.flatnonzero(sizes) + 1, error
+
+
+class _Table:
+    """A problem file's rows grouped by tag, one token tuple per column,
+    and the first error found in them.
+
+    Every row must have ``width`` tokens and one of ``tags``.  The checks
+    run in the order in which a line reads its tokens, each over a whole
+    column, and an error displaces the one held only from an earlier line;
+    so :meth:`done` raises the error that reading line by line meets first.
+    """
+
+    def __init__(self, path: str, tags: tuple[str, ...], width: int):
+        rows, lineno, error = _split(path)
+        self.path, self.error = path, error or (math.inf, "")
+        first = list(map(itemgetter(0), rows))
+        kind = dict(zip(tags, range(len(tags))))
+        code = np.fromiter(map(kind.get, first, repeat(-1)), np.intp, len(rows))
+        code[np.fromiter(map(len, rows), np.intp, len(rows)) != width] = -1
+        if (code < 0).any():
+            i = np.argmax(code < 0)
+            self.error = min(self.error, (lineno[i], f"unrecognized line {first[i]!r}"))
+        self.groups = {}
+        for i, tag in enumerate(tags):
+            sel = np.flatnonzero(code == i).tolist()
+            self.groups[tag] = lineno[sel], list(zip(*map(rows.__getitem__, sel))) or [()] * width
+
+    def fail(self, tag: str, i: int, word) -> None:
+        """An error at row ``i`` of ``tag``'s rows, unless the error held is
+        on an earlier line or the same one; ``word`` is its message, or
+        makes it from the row's tokens."""
+        lines, cols = self.groups[tag]
+        if lines[i] < self.error[0]:
+            self.error = (lines[i], word([c[i] for c in cols]) if callable(word) else word)
+
+    def check(self, tag: str, bad: np.ndarray, word) -> None:
+        """An error at the first of ``tag``'s rows that ``bad`` marks."""
+        if bad.any():
+            self.fail(tag, np.argmax(bad), word)
+
+    def numbers(self, tag: str, j: int, cast=float) -> np.ndarray:
+        """Column ``j`` of ``tag``'s rows as one array, each token read by
+        ``cast``, ``float`` (which must come out finite) or ``int``.  From
+        the first token that ``cast`` rejects on the column reads 0, and an
+        int beyond 64 bits reads as 0 or, when positive, the largest int."""
+        toks = self.groups[tag][1][j]
+        dtype = np.int64 if cast is int else np.float64
+        try:
+            vals = np.fromiter(map(cast, toks), dtype, len(toks))
+        except (ValueError, OverflowError):
+            vals = np.zeros(len(toks), dtype)
+            for i, tok in enumerate(toks):  # only for a column with a bad token
+                try:
+                    vals[i] = cast(tok)
+                except OverflowError:
+                    vals[i] = np.iinfo(dtype).max if int(tok) > 0 else 0
+                except ValueError as exc:
+                    self.fail(tag, i, str(exc))
+                    break
+        if cast is float:
+            self.check(tag, ~np.isfinite(vals), lambda row: f"non-finite number {row[j]!r}")
+        return vals
+
+    def done(self) -> None:
+        line, message = self.error
+        if message:
+            raise ParseError(f"{self.path}:{line}: {message}")
 
 
 def read_mesh_file(path: str) -> ProblemFile:
     """Parse `v x y z`, `f i j k`, and `el i j length` lines."""
-    positions: list[tuple[float, float, float]] = []
-    faces: list[list[int]] = []
-    lengths: dict[tuple[int, int], float] = {}
-    for lineno, tok in _tokens(path):
-        try:
-            if tok[0] == "v" and len(tok) == 4:
-                positions.append((_finite(tok[1]), _finite(tok[2]), _finite(tok[3])))
-            elif tok[0] == "f" and len(tok) == 4:
-                f = [int(t) - 1 for t in tok[1:]]
-                if min(f) < 0:
-                    raise ValueError("vertex index < 1")
-                faces.append(f)
-            elif tok[0] == "el" and len(tok) == 4:
-                i, j = int(tok[1]) - 1, int(tok[2]) - 1
-                val = _finite(tok[3])
-                if min(i, j) < 0 or not val > 0.0:
-                    raise ValueError("bad el line")
-                lengths[(min(i, j), max(i, j))] = val
-            else:
-                raise ValueError(f"unrecognized line {tok[0]!r}")
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if not faces:
+    table = _Table(path, ("v", "f", "el"), 4)
+    xyz = np.column_stack([table.numbers("v", j) for j in (1, 2, 3)])
+    f = np.column_stack([table.numbers("f", j, int) for j in (1, 2, 3)])
+    table.check("f", f.min(axis=1) < 1, "vertex index < 1")
+    a, b, length = table.numbers("el", 1, int), table.numbers("el", 2, int), table.numbers("el", 3)
+    lo, hi = np.minimum(a, b) - 1, np.maximum(a, b) - 1
+    table.check("el", (lo < 0) | ~(length > 0.0), "bad el line")
+    table.done()
+    if not len(f):
         raise ParseError(f"{path}: no faces")
-    n = max(w for f in faces for w in f) + 1
-    if positions and len(positions) != n:
-        raise ParseError(f"{path}: {len(positions)} v lines but the faces use vertices 1..{n}")
-    return ProblemFile(faces, positions or None, lengths)
+    if len(xyz) and len(xyz) != f.max():
+        raise ParseError(f"{path}: {len(xyz)} v lines but the faces use vertices 1..{f.max()}")
+    lengths = dict(zip(zip(lo.tolist(), hi.tolist()), length.tolist()))
+    return ProblemFile(f - 1, xyz if len(xyz) else None, lengths)
 
 
 def read_targets_file(path: str, prob: ProblemFile) -> None:
     """Parse `v i theta`, `k i kappa` and `opt name value` lines into ``prob``.
 
-    Every target must name a vertex of ``prob``, 1..V.
+    Every target must name a vertex of ``prob``, 1..V.  A vertex or option
+    named twice takes its last value.
     """
     n = prob.n_vertices
-    for lineno, tok in _tokens(path):
-        try:
-            if tok[0] in ("v", "k") and len(tok) == 3:
-                v = int(tok[1])
-                if not 1 <= v <= n:
-                    raise ValueError(f"vertex index {v} outside 1..{n}")
-                targets = prob.theta_targets if tok[0] == "v" else prob.kappa_targets
-                targets[v - 1] = _finite(tok[2])
-            elif tok[0] == "opt" and len(tok) == 3:
-                prob.options[tok[1]] = _finite(tok[2])
-            else:
-                raise ValueError(f"unrecognized line {tok[0]!r}")
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    table = _Table(path, ("v", "k", "opt"), 3)
+    read = []
+    for tag in ("v", "k"):
+        v = table.numbers(tag, 1, int)
+        outside = lambda row: f"vertex index {int(row[1])} outside 1..{n}"  # noqa: E731
+        table.check(tag, (v < 1) | (v > n), outside)
+        read.append(zip((v - 1).tolist(), table.numbers(tag, 2).tolist()))
+    value = table.numbers("opt", 2)
+    table.done()
+    prob.theta_targets.update(read[0])
+    prob.kappa_targets.update(read[1])
+    prob.options.update(zip(table.groups["opt"][1][1], value.tolist()))
     if prob.theta_targets and prob.kappa_targets:
         raise ParseError(f"{path}: mixes theta (v) and kappa (k) targets")
 
@@ -128,46 +185,53 @@ def problem_to_mesh(prob: ProblemFile) -> tuple[CombinatorialMesh, PennerMetric]
     """Build mesh + metric, deriving lengths from positions where needed.
 
     The faces must use every vertex index up to the largest, and every
-    ``el`` pair must be an edge of the faces."""
-    used = np.unique(np.fromiter(chain.from_iterable(prob.faces), dtype=np.int64))
-    if used.size != used[-1] + 1:
-        raise ParseError(f"the faces use {used.size} of the vertex indices 1..{used[-1] + 1}")
+    ``el`` pair must be an edge of the faces.  Connectivity errors name
+    vertices by file index."""
+    flat = _rows(prob.faces)[1]
+    ids = np.sort(flat)  # not np.unique: it imports numpy.ma, 15 ms without scipy
+    used = 1 + np.count_nonzero(np.diff(ids))
+    if used != ids[-1] + 1:
+        raise ParseError(f"the faces use {used} of the vertex indices 1..{ids[-1] + 1}")
     try:
         mesh = build_from_face_lists(prob.faces)
     except MeshError as exc:
-        raise ParseError(str(exc)) from None
+        raise ParseError(exc.one_based()) from None
     opp, to = _array(mesh.opp), _array(mesh.to)
     edges = np.flatnonzero(np.arange(len(opp)) < opp)  # the builder parks nothing
-    ends = list(zip(to[opp[edges]].tolist(), to[edges].tolist()))
-    given, positions = prob.edge_lengths, prob.positions
-    found = 0
-    vals = []
-    for a, b in ends:
-        val = given.get((a, b) if a < b else (b, a))
-        if val is not None:
-            found += 1
-        elif positions is not None:
-            val = math.dist(positions[a], positions[b])
-        else:
-            raise ParseError(f"no length for edge {a + 1}-{b + 1} and no positions")
-        if not val > 0.0:
-            raise ParseError(f"degenerate edge {a + 1}-{b + 1}")
-        vals.append(val)
-    if found < len(given):
-        pairs = {(a, b) if a < b else (b, a) for a, b in ends}
-        a, b = next(key for key in given if key not in pairs)
-        raise ParseError(f"el {a + 1} {b + 1} names no edge of the faces")
+    a, b = to[opp[edges]], to[edges]
+    n, given = mesh.n_vertices, prob.edge_lengths
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(keys)
+    lo, hi = np.fromiter(chain.from_iterable(given), np.int64, 2 * len(given)).reshape(-1, 2).T
+    at = order[np.searchsorted(keys, lo * n + hi, sorter=order).clip(max=len(keys) - 1)]
+    named = (0 <= lo) & (lo < hi) & (hi < n) & (keys[at] == lo * n + hi)
+    vals = np.full(len(edges), np.nan)
+    vals[at[named]] = np.fromiter(given.values(), float, len(given))[named]
+    missing = np.ones(len(edges), dtype=bool)
+    missing[at[named]] = False
+    if prob.positions is not None:
+        xyz = np.asarray(prob.positions, dtype=float).tolist()
+        ends = (map(xyz.__getitem__, end[missing].tolist()) for end in (a, b))
+        vals[missing] = list(map(math.dist, *ends))
+    bad = np.flatnonzero(~(vals > 0.0))
+    if bad.size:
+        e = bad[0]
+        if prob.positions is None and missing[e]:
+            raise ParseError(f"no length for edge {a[e] + 1}-{b[e] + 1} and no positions")
+        raise ParseError(f"degenerate edge {a[e] + 1}-{b[e] + 1}")
+    if not named.all():
+        i = np.argmin(named)
+        raise ParseError(f"el {lo[i] + 1} {hi[i] + 1} names no edge of the faces")
     lengths = np.empty(len(opp))
     lengths[edges] = lengths[opp[edges]] = vals
     # Solver input contract: faces must start as honest triangles.  The
     # builder has checked that every f row is one, and row i's sides are
     # halfedges 3i..3i+2.
-    sides = np.sort(lengths[: 3 * len(prob.faces)].reshape(-1, 3), axis=1)
+    sides = np.sort(lengths[: len(flat)].reshape(-1, 3), axis=1)
     bad = np.flatnonzero(sides[:, 0] + sides[:, 1] < sides[:, 2])
     if bad.size:
-        i = bad[0]
-        verts = " ".join(str(w + 1) for w in prob.faces[i])
-        raise ParseError(f"triangle inequality violated on face {i + 1} (f {verts})")
+        verts = " ".join(map(str, flat[3 * bad[0] : 3 * bad[0] + 3] + 1))
+        raise ParseError(f"triangle inequality violated on face {bad[0] + 1} (f {verts})")
     return mesh, PennerMetric(lengths.tolist())
 
 
@@ -176,7 +240,7 @@ def write_problem_files(prob: ProblemFile, mesh_path: str) -> str:
     targets_path = sidecar_path(mesh_path)
     lines = []
     if prob.positions is not None:
-        for p in prob.positions:
+        for p in np.asarray(prob.positions, dtype=float).tolist():
             lines.append(f"v {p[0]!r} {p[1]!r} {p[2]!r}")
     for f in prob.faces:
         lines.append("f " + " ".join(str(w + 1) for w in f))
@@ -311,7 +375,10 @@ def _iteration_row(t: list[str]) -> IterationRow:
 def read_bundle(path: str) -> ResultBundle:
     """Parse a result bundle.  Raises ParseError, with the path and the
     line, at any missing line or malformed field."""
-    rows = list(_tokens(path))
+    rows, lineno, error = _split(path)
+    if error:
+        raise ParseError(f"{path}:{error[0]}: {error[1]}")
+    rows = list(zip(lineno.tolist(), rows))
     pos = 0
 
     def need(tag: str) -> list[str]:

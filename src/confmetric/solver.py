@@ -438,10 +438,11 @@ def solve_problem(
     to the source disk unless ``keep_double_cover`` is set; the restricted
     u is NaN at the midpoint vertices the cut adds.  Returns the same tuple
     as ``find_conformal_metric``.  Raises ``io.ParseError`` when the input
-    is rejected: bad lengths, more than one connected component, or
-    targets that violate Gauss-Bonnet.  Gauss-Bonnet is checked on the
-    system the solver receives (the cover for a bounded mesh): the residual
-    sums to the deviation, so a deviation above V * eps_tol cannot converge.
+    is rejected: bad lengths, more than one connected component, a target
+    angle sum that is not positive, or targets that violate Gauss-Bonnet.
+    Gauss-Bonnet is checked on the system the solver receives (the cover
+    for a bounded mesh): the residual sums to the deviation, so a deviation
+    above V * eps_tol cannot converge.
     """
     cfg = config if config is not None else SolverConfig()
     mesh, metric = io.problem_to_mesh(prob)
@@ -455,6 +456,9 @@ def solve_problem(
         theta = [f - prob.kappa_targets.get(v, 0.0) for v, f in enumerate(flat)]
     else:
         theta = [prob.theta_targets.get(v, two_pi) for v in range(n)]
+    v = next((v for v, t in enumerate(theta) if not t > 0.0), None)
+    if v is not None:
+        raise io.ParseError(f"vertex {v + 1} has target angle sum {theta[v]!r}, not > 0")
     refl = None
     if mesh.boundary_faces:
         # From here on the system is the double cover.

@@ -19,6 +19,7 @@ from confmetric.halfedge import (
     build_from_face_lists,
     plan_flip,
 )
+from confmetric.io import ParseError, ProblemFile
 from confmetric.metric import MetricError, PennerMetric, flip_edge, read_triangles, scalar_metric
 from confmetric.symmetry import FlipType, ReflectionMap, apply_symmetric_flip, classify_flip
 
@@ -673,3 +674,83 @@ def reference_restrict_to_single_cover(cover, scaled, u):
     )
     u_out = [float(u[v]) for v in range(v0)] + [math.nan] * len(crossing)
     return out_mesh, PennerMetric(edge_len[he_eid].tolist()), u_out
+
+
+# -- reference of the problem file readers ---------------------------------------
+#
+# The readers as they read one line at a time, each row its own tuple, list
+# or dict entry: the oracle the bulk readers are held to, value for value
+# and message for message.
+
+
+def _reference_finite(tok: str) -> float:
+    val = float(tok)
+    if not math.isfinite(val):
+        raise ValueError(f"non-finite number {tok!r}")
+    return val
+
+
+def _reference_tokens(path: str):
+    """(line number, fields) per nonblank line; ParseError at a non-UTF-8 line."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from None
+        if line:
+            yield lineno, line.split()
+
+
+def reference_read_mesh_file(path: str) -> ProblemFile:
+    """Parse `v x y z`, `f i j k`, and `el i j length` lines."""
+    positions: list[tuple[float, float, float]] = []
+    faces: list[list[int]] = []
+    lengths: dict[tuple[int, int], float] = {}
+    for lineno, tok in _reference_tokens(path):
+        try:
+            if tok[0] == "v" and len(tok) == 4:
+                positions.append(tuple(_reference_finite(t) for t in tok[1:]))
+            elif tok[0] == "f" and len(tok) == 4:
+                f = [int(t) - 1 for t in tok[1:]]
+                if min(f) < 0:
+                    raise ValueError("vertex index < 1")
+                faces.append(f)
+            elif tok[0] == "el" and len(tok) == 4:
+                i, j = int(tok[1]) - 1, int(tok[2]) - 1
+                val = _reference_finite(tok[3])
+                if min(i, j) < 0 or not val > 0.0:
+                    raise ValueError("bad el line")
+                lengths[(min(i, j), max(i, j))] = val
+            else:
+                raise ValueError(f"unrecognized line {tok[0]!r}")
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if not faces:
+        raise ParseError(f"{path}: no faces")
+    n = max(w for f in faces for w in f) + 1
+    if positions and len(positions) != n:
+        raise ParseError(f"{path}: {len(positions)} v lines but the faces use vertices 1..{n}")
+    return ProblemFile(faces, positions or None, lengths)
+
+
+def reference_read_targets_file(path: str, prob: ProblemFile) -> None:
+    """Parse `v i theta`, `k i kappa` and `opt name value` lines into ``prob``."""
+    n = prob.n_vertices
+    for lineno, tok in _reference_tokens(path):
+        try:
+            if tok[0] in ("v", "k") and len(tok) == 3:
+                v = int(tok[1])
+                if not 1 <= v <= n:
+                    raise ValueError(f"vertex index {v} outside 1..{n}")
+                targets = prob.theta_targets if tok[0] == "v" else prob.kappa_targets
+                targets[v - 1] = _reference_finite(tok[2])
+            elif tok[0] == "opt" and len(tok) == 3:
+                prob.options[tok[1]] = _reference_finite(tok[2])
+            else:
+                raise ValueError(f"unrecognized line {tok[0]!r}")
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if prob.theta_targets and prob.kappa_targets:
+        raise ParseError(f"{path}: mixes theta (v) and kappa (k) targets")

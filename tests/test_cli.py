@@ -90,6 +90,25 @@ def test_solve_gauss_bonnet_deviation_above_tolerance(tmp_path, capsys, kind, se
     assert not os.path.exists(tmp_path / "g.result")
 
 
+def test_solve_nonpositive_target_on_closed_mesh_exits_2(tmp_path, capsys):
+    # The angles still total 4*pi; without the check the solve breaks down.
+    mesh = tetra_files(tmp_path, [0.0] + [4 * math.pi / 3] * 3)
+    assert main(["solve", mesh]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(": error: vertex 1 has target angle sum 0.0, not > 0\n")
+    assert not (tmp_path / "t.result").exists()
+
+
+def test_solve_nonpositive_boundary_target_exits_2(tmp_path, capsys):
+    # A boundary vertex's angle sum is pi - kappa; the curvatures total 2*pi.
+    mesh = triangle_disk_files(tmp_path)
+    put(tmp_path, "d.targets", f"k 1 0.5\nk 2 {math.pi + 0.25!r}\nk 3 {math.pi - 0.75!r}\n")
+    assert main(["solve", mesh]) == 2
+    assert f"vertex 2 has target angle sum {math.pi - (math.pi + 0.25)!r}, not > 0" in (
+        capsys.readouterr().err
+    )
+
+
 def test_solve_nan_target_rejected(tmp_path, capsys):
     mesh = tetra_files(tmp_path, [math.nan, math.pi, math.pi, math.pi])
     assert main(["solve", mesh]) == 2
@@ -149,7 +168,7 @@ def _pinched_bowtie(tmp_path):
         + "".join(f"el {a} {b} 1.0\n" for a, b in [(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (1, 5)]),
     )
     put(tmp_path, "p.targets", "")
-    return mesh, 0
+    return mesh, 1
 
 
 def _pinched_grid_disks(tmp_path):
@@ -175,7 +194,7 @@ def _pinched_grid_disks(tmp_path):
         + "".join(f"f {a} {b} {c}\n" for a, b, c in faces),
     )
     put(tmp_path, "p.targets", "".join(f"k {v} {3 * math.pi / 23!r}\n" for v in sorted(boundary)))
-    return mesh, 15
+    return mesh, 16
 
 
 def _pinched_tetrahedra(tmp_path):
@@ -190,12 +209,13 @@ def _pinched_tetrahedra(tmp_path):
         + "".join(f"el {a} {b} 1.0\n" for a, b in sorted(pairs)),
     )
     put(tmp_path, "p.targets", "".join(f"v {v} {8 * math.pi / 7!r}\n" for v in range(1, 8)))
-    return mesh, 0
+    return mesh, 1
 
 
 @pytest.mark.parametrize("command", ["solve", "delaunay"])
 @pytest.mark.parametrize("make", [_pinched_bowtie, _pinched_grid_disks, _pinched_tetrahedra])
 def test_vertex_with_more_than_one_umbrella_exits_2_naming_it(tmp_path, capsys, command, make):
+    # The message names the vertex by its file index, as every io message does.
     mesh, vertex = make(tmp_path)
     assert main([command, mesh]) == 2
     err = capsys.readouterr().err

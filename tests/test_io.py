@@ -2,12 +2,15 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confmetric.generate import (
     ICOSPHERE_SIZES,
@@ -21,6 +24,7 @@ from confmetric.halfedge import MeshError, build_from_face_lists, validate
 from confmetric.io import (
     CSV_HEADER,
     ParseError,
+    ProblemFile,
     bundle_from_solution,
     bundle_to_csv,
     gauss_bonnet_deviation,
@@ -51,8 +55,8 @@ def test_read_mesh_file_vertices_and_faces(tmp_path):
         "f 1 2 3\n"
     )
     prob = read_mesh_file(str(p))
-    assert prob.faces == [[0, 1, 2]]
-    assert prob.positions == [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    assert prob.faces.tolist() == [[0, 1, 2]]
+    assert prob.positions.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
     mesh, metric = problem_to_mesh(prob)
     assert validate(mesh) == []
     assert sorted(metric.lengths[e] for e in mesh.edges()) == pytest.approx(
@@ -148,6 +152,166 @@ def test_targets_file_rejects_mixed_kinds(tmp_path):
         read_targets_file(str(t), prob)
 
 
+# -- the bulk readers against the line-by-line reference -------------------------
+
+INT_FORMS = (str, lambda i: f"+{i}", lambda i: f"0{i}", lambda i: "_".join(str(i)))
+ANY_FLOATS = ("1e-400", "-0.0", "+3", "1_0", "2.5E-1", "-7")
+POSITIVE_FLOATS = ("+3", "1_0", "2.5E-1", "1e-300", "0.1")
+SEPARATORS = (" ", "  ", "\t", " \x0c ", "\u0085", " \t ")
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+def _int(rng, i):
+    return rng.choice(INT_FORMS)(i)
+
+
+def _float(rng, positive=False):
+    if rng.random() < 0.3:
+        return rng.choice(POSITIVE_FLOATS if positive else ANY_FLOATS)
+    return repr(rng.uniform(0.01, 5.0) if positive else rng.uniform(-5.0, 5.0))
+
+
+def _mesh_rows(rng):
+    """The rows of a valid mesh file: faces over vertices 1..n, maybe one
+    position per vertex, maybe el lines, some pairs named twice."""
+    n = rng.randint(3, 9)
+    faces = [rng.sample(range(1, n + 1), 3) for _ in range(rng.randint(1, 6))]
+    faces.append([n, 1, 2])
+    rows = [["f", *(_int(rng, w) for w in f)] for f in faces]
+    if rng.random() < 0.7:
+        rows += [["v", _float(rng), _float(rng), _float(rng)] for _ in range(n)]
+    for _ in range(rng.randint(0, 5)):
+        a, b = rng.sample(range(1, n + 1), 2)
+        rows.append(["el", _int(rng, a), _int(rng, b), _float(rng, positive=True)])
+    rng.shuffle(rows)
+    return rows, n
+
+
+def _target_rows(rng, n):
+    """The rows of a valid targets file for vertices 1..n, of one kind."""
+    tag = rng.choice("vk")
+    rows = [[tag, _int(rng, rng.randint(1, n)), _float(rng)] for _ in range(rng.randint(0, 6))]
+    rows += [["opt", rng.choice(["tol", "max_steps", "x_y"]), _float(rng)]
+             for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    return rows
+
+
+def _file_bytes(rng, rows):
+    """``rows`` as a file, with blank lines, comments, mixed separators and
+    mixed line ends; a row may already be bytes."""
+    out = []
+    for row in rows:
+        if rng.random() < 0.15:
+            out.append(rng.choice(["", "   ", "# a comment, é", "\t# x"]).encode())
+        if isinstance(row, bytes):
+            out.append(row)
+            continue
+        line = rng.choice(["", " ", "\t"]) + rng.choice(SEPARATORS).join(row)
+        if rng.random() < 0.2:
+            line += rng.choice(["#", " # note", "\t#é # more"])
+        out.append(line.encode())
+    return b"".join(line + rng.choice(LINE_ENDS).encode() for line in out)
+
+
+MESH_MUTATIONS = tuple(
+    line.split() if isinstance(line, str) else line
+    for line in (
+        "q 1 2 3", "f 1 2", "v 1 2 3 4", "el 1 2",  # unknown tag, wrong token count
+        "f 1 x 3", "v 0 abc 0", "el 1 2 1.0.0", "f 1.0 2 3",  # not a number
+        "v nan 0 0", "v 0 0 -inf", "el 1 2 inf", "v nan x 1",  # not finite
+        "f 0 1 2", "f 1 -99999999999999999999 2", "el 0 1 1.0",  # index < 1
+        "el 1 2 -1.0", "el 1 2 0", "el 1 2 1e-400", "el 0 2 x",  # el <= 0
+        b"f 1 2 \xff", b"v 1 2 \xc3", b"# \xe9\xff",  # not UTF-8
+    )
+)
+TARGET_MUTATIONS = tuple(
+    line.split() if isinstance(line, str) else line
+    for line in (
+        "q 1 2", "v 1", "opt tol", "k 1 2 3",  # unknown tag, wrong token count
+        "v 1 abc", "k x 1.0", "opt tol zz", "v 1.5 1",  # not a number
+        "k 2 inf", "opt tol nan",  # not finite
+        "v 0 1.0", "k -3 x", "v 99 1.0",  # index outside 1..V
+        "k 99999999999999999999 1.0", "v -99999999999999999999 1",
+        b"v 1 \xff", b"opt \xc3",  # not UTF-8
+    )
+)
+
+
+def _read(reader, *args):
+    """What ``reader`` makes of a file: its result, or its ParseError text."""
+    try:
+        return reader(*args), None
+    except ParseError as exc:
+        return None, str(exc)
+
+
+def _bits(values):
+    """A dict's items with each value's bits, or an array's rows' bits."""
+    if isinstance(values, dict):
+        assert all(type(v) is float for v in values.values())
+        return [(k, v.hex()) for k, v in values.items()]
+    return None if values is None else np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_same_problem(bulk, ref):
+    assert np.asarray(bulk.faces).tolist() == ref.faces
+    assert _bits(bulk.positions) == _bits(ref.positions)
+    for name in ("edge_lengths", "theta_targets", "kappa_targets", "options"):
+        assert _bits(getattr(bulk, name)) == _bits(getattr(ref, name))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_bulk_readers_match_the_line_by_line_reference(tmp_path_factory, seed, mutations):
+    # Valid files (mutations 0) read to the same values bitwise; files with
+    # one or more bad lines, or a file-level fault, give the same ParseError.
+    rng = random.Random(seed)
+    folder = tmp_path_factory.mktemp("files")
+    rows, n = _mesh_rows(rng)
+    targets = _target_rows(rng, n)
+    for _ in range(mutations):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.insert(rng.randint(0, len(rows)), rng.choice(MESH_MUTATIONS))
+        elif kind == 1:
+            targets.insert(rng.randint(0, len(targets)), rng.choice(TARGET_MUTATIONS))
+        elif kind == 2:  # one v line too many or too few, or no f line
+            v_rows = [r for r in rows if r[0] == "v"]
+            rows = rows + [["v", "0", "0", "0"]] if not v_rows or rng.random() < 0.5 else \
+                [r for r in rows if r is not v_rows[0]]
+            if rng.random() < 0.2:
+                rows = [r for r in rows if r[0] != "f"]
+        else:  # the other kind of target
+            targets.insert(rng.randint(0, len(targets)), [rng.choice("vk"), "1", "0.5"])
+    mesh = folder / "m.mesh"
+    mesh.write_bytes(_file_bytes(rng, rows))
+    bulk, error = _read(read_mesh_file, str(mesh))
+    ref, ref_error = _read(helpers.reference_read_mesh_file, str(mesh))
+    assert error == ref_error
+    if error is None:
+        _assert_same_problem(bulk, ref)
+    side = folder / "m.targets"
+    side.write_bytes(_file_bytes(rng, targets))
+    bulk, ref = ProblemFile([[0, 1, n - 1]]), ProblemFile([[0, 1, n - 1]])
+    _, error = _read(read_targets_file, str(side), bulk)
+    assert error == _read(helpers.reference_read_targets_file, str(side), ref)[1]
+    if error is None:
+        _assert_same_problem(bulk, ref)
+
+
+def test_a_pair_vertex_or_option_named_twice_keeps_its_last_value(tmp_path):
+    m = tmp_path / "m.mesh"
+    m.write_text("f 1 2 3\nel 1 2 1\nel 2 3 1\nel 1 3 1\nel 2 1 1.5\n")
+    t = tmp_path / "m.targets"
+    t.write_text("v 2 1.0\nopt tol 1e-6\nv 1 2.0\nv 2 3.0\nopt tol 1e-9\n")
+    prob = read_mesh_file(str(m))
+    read_targets_file(str(t), prob)
+    assert list(prob.edge_lengths.items()) == [((0, 1), 1.5), ((1, 2), 1.0), ((0, 2), 1.0)]
+    assert list(prob.theta_targets.items()) == [(1, 3.0), (0, 2.0)]
+    assert prob.options == {"tol": 1e-9}
+
+
 def test_sidecar_path():
     assert sidecar_path("runs/case7.mesh") == "runs/case7.targets"
     assert sidecar_path("case7") == "case7.targets"
@@ -160,7 +324,7 @@ def test_write_problem_files_round_trip(tmp_path):
     targets_path = write_problem_files(inst, mesh_path)
     prob = read_mesh_file(mesh_path)
     read_targets_file(targets_path, prob)
-    assert prob.faces == inst.faces
+    assert prob.faces.tolist() == inst.faces
     assert prob.theta_targets == inst.theta_targets
     mesh, metric = problem_to_mesh(prob)
     assert validate(mesh) == []
@@ -176,6 +340,45 @@ def test_write_problem_files_length_only_instance(tmp_path):
     mesh, metric = problem_to_mesh(prob)
     assert validate(mesh) == []
     assert helpers.euler_characteristic(mesh) == -2
+
+
+@pytest.mark.parametrize("kind", ["sphere-random-angles", "disk-random-boundary"])
+def test_the_benchmark_harness_api_round_trips(tmp_path, kind):
+    # What perfbench/workloads.py and setup_probe.py do with the library:
+    # relabel a generated instance as lists and dicts, write it, read it
+    # back, build the solver input and look targets up.
+    inst = generate(kind, seed=1, size=30)
+    rng = np.random.default_rng([4, 1])
+    n = inst.n_vertices
+    perm = [int(p) for p in rng.permutation(n)]
+    faces = [[perm[v] for v in f] for f in inst.faces]
+    turns = rng.integers(0, 3, len(faces))
+    inst.faces = [faces[i][t:] + faces[i][:t] for i, t in zip(rng.permutation(len(faces)), turns)]
+    positions = [None] * n
+    for v, p in enumerate(inst.positions):
+        positions[perm[v]] = p
+    inst.positions = positions
+    inst.theta_targets = {perm[v]: t for v, t in inst.theta_targets.items()}
+    inst.kappa_targets = {perm[v]: k for v, k in inst.kappa_targets.items()}
+
+    path = str(tmp_path / "a.mesh")
+    write_problem_files(inst, path)
+    prob = read_mesh_file(path)
+    read_targets_file(sidecar_path(path), prob)
+    mesh, lengths = problem_to_mesh(prob)
+    theta = [prob.theta_targets.get(v, 2.0 * math.pi) for v in range(mesh.n_vertices)]
+    assert theta == [inst.theta_targets.get(v, 2.0 * math.pi) for v in range(n)]
+    assert dict(prob.kappa_targets.items()) == inst.kappa_targets
+    # The parsed arrays and the generated lists build the same mesh and lengths.
+    listed_mesh, listed_lengths = problem_to_mesh(inst)
+    for name in ("next_he", "opp", "to", "he_face"):
+        assert getattr(mesh, name) == getattr(listed_mesh, name)
+    assert np.array_equal(np.asarray(lengths.lengths), np.asarray(listed_lengths.lengths))
+    # Write -> read -> write is byte-identical: no numpy scalar reaches repr.
+    again = str(tmp_path / "b.mesh")
+    write_problem_files(prob, again)
+    for a, b in [(path, again), (sidecar_path(path), sidecar_path(again))]:
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_gauss_bonnet_deviation():
