@@ -278,8 +278,10 @@ def test_bulk_readers_match_the_line_by_line_reference(tmp_path_factory, seed, m
             targets.insert(rng.randint(0, len(targets)), rng.choice(TARGET_MUTATIONS))
         elif kind == 2:  # one v line too many or too few, or no f line
             v_rows = [r for r in rows if r[0] == "v"]
-            rows = rows + [["v", "0", "0", "0"]] if not v_rows or rng.random() < 0.5 else \
-                [r for r in rows if r is not v_rows[0]]
+            if v_rows and rng.random() < 0.5:
+                rows.remove(v_rows[0])
+            else:
+                rows.append(["v", "0", "0", "0"])
             if rng.random() < 0.2:
                 rows = [r for r in rows if r[0] != "f"]
         else:  # the other kind of target
