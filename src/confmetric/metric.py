@@ -24,7 +24,7 @@ triangles, corner vertices and the side opposite each corner.  The solver
 reuses one read until it flips; other calls read afresh.  Corner quantities
 come from needle-safe Heron terms (Kahan's ordering): angles from the
 half-angle tangent, summed per vertex with one ``bincount``, and
-cotangents as (b^2 + c^2 - a^2) / 4A for the Hessian's triplets.  The
+cotangents as (b^2 + c^2 - a^2) / 4A for the Hessian's corner terms.  The
 law-of-cosines ``arccos`` loses about ``1e-16 / angle`` per corner, which
 on needles near 1e-7 rad left the single-cone solves short of their
 tolerance.  A side longer than the other two gives a flat triangle (angles
@@ -48,15 +48,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .halfedge import CombinatorialMesh, FlipFrame, _array, apply_flip, plan_flip
 from .symmetry import FlipType, ReflectionMap, apply_symmetric_flip, classify_flip
-
-if TYPE_CHECKING:  # pragma: no cover
-    import scipy.sparse
 
 
 class MetricError(Exception):
@@ -440,32 +437,24 @@ def hessian(
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     read: TriangleRead | None = None,
-) -> "scipy.sparse.csr_matrix":
-    """Positive semidefinite cotangent matrix of the scaled metric.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cotangent corner terms ``(a, b, w)`` of the scaled metric, one per corner.
 
-    Row i holds the negated derivatives of the angle sum at vertex i with
-    respect to u: off-diagonal entries are -(cot a + cot b)/2 over the
-    corners opposite the edge ij, diagonals make rows sum to zero.  Quads
-    are assembled through their virtual triangles, consistent with how
+    ``a`` and ``b`` are the ends of the side opposite the corner and ``w``
+    half its cotangent (Bobenko & Springborn, DCG 2007), so that the
+    positive semidefinite matrix H = sum w (e_a - e_b)(e_a - e_b)^T holds
+    the negated derivatives of the angle sums with respect to u: -(cot a +
+    cot b)/2 off the diagonal at edge ij, rows summing to zero.  Quads
+    enter through their virtual triangles, consistent with how
     ``vertex_angle_sums`` measures them, from ``read`` as it does.
     """
-    import scipy.sparse
-
     r, S = _corner_table(mesh, metric, u, read)
     p, q = _heron_terms(S)
     area4 = np.sqrt(p[:, 0] * q[:, 0] * q[:, 1] * q[:, 2])
     if not np.all(area4 > 0.0):
         raise MetricError("degenerate triangle while assembling the Hessian")
-    # Each corner adds half its cotangent (b^2 + c^2 - a^2) / 4A to the edge
-    # it faces, from va to vb: -w off the diagonal at (va, vb) and (vb, va),
-    # +w on the diagonal at va and vb.
+    # Half the cotangent: (b^2 + c^2 - a^2) / 4A / 2.
     b = S[:, [1, 2, 0]]
     c = S[:, [2, 0, 1]]
-    w = (0.5 * (b * b + c * c - S * S) / area4[:, None]).ravel()
-    va = r.V[:, [1, 2, 0]].ravel()
-    vb = r.V[:, [2, 0, 1]].ravel()
-    rows = np.concatenate((va, vb, va, vb))
-    cols = np.concatenate((vb, va, va, vb))
-    vals = np.concatenate((-w, -w, w, w))
-    n = mesh.n_vertices
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    w = 0.5 * (b * b + c * c - S * S) / area4[:, None]
+    return r.A.ravel(), r.B.ravel(), w.ravel()

@@ -5,19 +5,21 @@ energy while never evaluating the energy itself: residual g = theta_hat -
 Theta(u), direction d = -H^-1 g with H the cotangent matrix, and a line
 search that retriangulates to Delaunay before every gradient evaluation.
 The line search halves t from its first trial until the slope
-<d, g(u + t*d)> is nonpositive; when a rejected trial at 2t brackets the
-minimiser, it then tries one regula-falsi point between t and 2t on that
-slope, so a full step that lands just past the minimiser does not cost a
-rate-1/2 phase.  The first trial is warm-started near the last accepted
-step: at the largest power of two <= min(1, 2 * t_prev), and at t = 1 on
-the first Newton step.  A step that accepted t >= 1/2 thus starts the
-next one at t = 1; after a short step the search no longer pays the
-flips toward a full step and back that each rejected trial costs.
-The Newton system is solved with one unknown per mirror orbit of the
-double cover; a closed mesh has one vertex per orbit.  With one orbit
-pinned the system is symmetric positive definite (the energy is convex),
-so it is factored by a banded LAPACK Cholesky after a reverse
-Cuthill-McKee ordering of the orbits narrows its band.
+<d, g(u + t*d)> is nonpositive or max|g| is within the tolerance; when a
+rejected trial at 2t brackets the minimiser, it then tries one
+regula-falsi point between t and 2t on that slope, so a full step that
+lands just past the minimiser does not cost a rate-1/2 phase.  The first
+trial is warm-started near the last accepted step: at the largest power
+of two <= min(1, 2 * t_prev), and at t = 1 on the first Newton step.  A
+step that accepted t >= 1/2 thus starts the next one at t = 1; after a
+short step the search no longer pays the flips toward a full step and
+back that each rejected trial costs.
+H is never built as a matrix: ``hessian`` gives one term per corner, and
+the Newton system is summed from them with one unknown per mirror orbit
+of the double cover (a closed mesh has one vertex per orbit).  With the
+stiffest orbit pinned the system is symmetric positive definite (the
+energy is convex), so it is factored by a banded LAPACK Cholesky after a
+reverse Cuthill-McKee ordering of the orbits narrows its band.
 
 A solve reads the mesh and metric lists into numpy at its start and
 after every retriangulation that flips; each read serves the scans,
@@ -138,7 +140,8 @@ class LineSearchResult:
     """The accepted point u + t*d, and the residual ``g_try`` evaluated there.
 
     ``halvings`` is the number of trials after the first, ``slope`` is
-    <d, g_try>, ``t0`` is the first trial, and ``refined`` is True when t
+    <d, g_try>: <= 0 unless the trial was accepted for max|g_try| <=
+    ``eps_tol``; ``t0`` is the first trial, and ``refined`` is True when t
     is the regula-falsi point rather than a power of two.  ``read`` is
     what the last gradient read.
     """
@@ -154,59 +157,71 @@ class LineSearchResult:
     read: TriangleRead | None
 
 
-def newton_direction(
-    H: "scipy.sparse.spmatrix", g: np.ndarray, refl: ReflectionMap | None = None
-) -> np.ndarray:
+def newton_direction(terms: tuple, g: np.ndarray, orbit: np.ndarray | None = None) -> np.ndarray:
     """Solve H d = -g with one unknown per mirror orbit; d has zero mean.
 
-    P maps the orbits of ``refl.vertex_refl`` (single vertices when
-    ``refl`` is None) to vertices, so d = P y is mirror-symmetric bitwise.
-    g is projected to zero mean (Gauss-Bonnet roundoff) and averaged per
-    orbit to g_bar, which drops the antisymmetric roundoff no symmetric d
-    can cancel.  P^T H P y = -P^T g_bar is solved with orbit 0 pinned (the
-    constants span H's nullspace) and d recentred.  The pinned system is
-    symmetric positive definite: its orbits are ordered by reverse
-    Cuthill-McKee, its lower band is summed straight from H's entries, and
-    LAPACK factors that band by Cholesky.  Raises SolverError if the band
-    is not positive definite, if d is non-finite, or if |H d + g_bar|
-    exceeds 1e-10 * |g_bar|.
+    H = sum w (e_a - e_b)(e_a - e_b)^T comes as the corner terms ``(a, b,
+    w)`` of ``hessian``, and ``orbit`` maps each vertex to its mirror orbit
+    (None: every vertex alone), so d = P y is mirror-symmetric bitwise.  g
+    is projected to zero mean (Gauss-Bonnet roundoff) and averaged per orbit
+    to g_bar, which drops the antisymmetric roundoff no symmetric d can
+    cancel.  Terms inside one orbit add nothing to P^T H P and are dropped.
+    The constants span its nullspace, so the orbit with the largest
+    diagonal, the stiffest, is pinned (a high-degree vertex would widen the
+    band) and d recentred.  The pinned system is symmetric positive
+    definite: its orbits are ordered by reverse Cuthill-McKee, its lower
+    band is summed from the terms, and LAPACK factors it by Cholesky.
+    Raises SolverError if the band is not positive definite, if d is
+    non-finite, or if the flux residual |sum w (d_a - d_b)(e_a - e_b) +
+    g_bar| exceeds 1e-10 * |g_bar|.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    rep = np.arange(n) if refl is None else np.minimum(np.arange(n), _array(refl.vertex_refl))
-    _, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
+    orbit = np.arange(n) if orbit is None else orbit
     g_sum = np.bincount(orbit, g - g.mean())  # P^T g_bar
-    g_bar = (g_sum / size)[orbit]
+    g_bar = (g_sum / np.bincount(orbit))[orbit]
     gnorm = float(np.linalg.norm(g_bar))
-    if gnorm == 0.0 or len(size) == 1:
+    m = len(g_sum) - 1  # unknowns: every orbit but the pinned one
+    if gnorm == 0.0 or m == 0:
         return np.zeros(n)
-    m = len(size) - 1  # unknowns: every orbit but the pinned orbit 0
-    C = H.tocoo()
-    i, j = orbit[C.row] - 1, orbit[C.col] - 1
-    kept = (i >= 0) & (j >= 0)
-    i, j, v = i[kept], j[kept], C.data[kept]
-    graph = scipy.sparse.csr_matrix((v, (i, j)), shape=(m, m))
+    a, b, w = terms
+    i, j = orbit[a], orbit[b]
+    cross = np.flatnonzero(i != j)  # indices: gathers beat boolean masks here
+    a, b, i, j, w = a[cross], b[cross], i[cross], j[cross], w[cross]
+    diag = np.bincount(i, w, m + 1) + np.bincount(j, w, m + 1)
+    pin = int(np.argmax(diag))
+    free = np.insert(np.arange(m), pin, m)  # the pinned orbit becomes m
+    i, j = free[i], free[j]
+    kept = np.flatnonzero((i < m) & (j < m))
+    once = np.flatnonzero((a < b)[kept])  # an edge's two corners see it as a -> b and as b -> a
+    i, j, v = i[kept], j[kept], -w[kept]
+    rows, cols = np.concatenate((i[once], j[once])), np.concatenate((j[once], i[once]))
+    cols = np.sort(rows * m + cols) % m  # grouped by row, as CSR stores them
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+    graph = scipy.sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(m, m))
     perm = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
-    rank = np.empty(m, dtype=np.intp)
-    rank[perm] = np.arange(m)
+    rank = np.argsort(perm)
     i, j = rank[i], rank[j]
-    lower = i >= j  # LAPACK's lower band form: band[i - j, j] = A[i, j]
-    k, j, v = i[lower] - j[lower], j[lower], v[lower]
+    k, j = np.abs(i - j), np.minimum(i, j)  # LAPACK's lower band: band[i - j, j] = A[i, j]
     width = int(k.max(initial=0)) + 1
     band = np.bincount(k * m + j, v, minlength=width * m).reshape(width, m)
+    band[0] = np.delete(diag, pin)[perm]
     try:
         factor = scipy.linalg.cholesky_banded(
             band, overwrite_ab=True, lower=True, check_finite=False
         )
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"pinned Hessian is not positive definite ({exc})") from exc
-    y = np.empty(m)
-    y[perm] = scipy.linalg.cho_solve_banded((factor, True), -g_sum[1:][perm], check_finite=False)
-    d = np.concatenate(([0.0], y))[orbit]
+    y = np.zeros(m + 1)
+    y[perm] = scipy.linalg.cho_solve_banded(
+        (factor, True), -np.delete(g_sum, pin)[perm], check_finite=False
+    )
+    d = y[free][orbit]
     if not np.all(np.isfinite(d)):
         raise SolverError("non-finite Newton direction (degenerate Hessian)")
     d -= d.mean()
-    residual = float(np.linalg.norm(H @ d + g_bar))
+    flux = w * (d[a] - d[b])
+    residual = float(np.linalg.norm(np.bincount(a, flux, n) - np.bincount(b, flux, n) + g_bar))
     if residual > 1e-10 * gnorm:
         raise SolverError(
             f"linear solve residual {residual:.3e} exceeds 1e-10 * |g| = {1e-10 * gnorm:.3e}"
@@ -236,7 +251,9 @@ def line_search(
     if its slope is <= 0, otherwise the mesh is retriangulated at t and the
     gradient evaluated there again (should that slope now be positive,
     halving resumes below t).  The energy is convex, so a nonpositive slope
-    means descent without evaluating the energy.
+    means descent without evaluating the energy.  A trial with max|g| <=
+    ``config.eps_tol`` is accepted at once, whatever its slope, with no
+    refinement after it: the sign of a slope made of roundoff is noise.
 
     Every trial retriangulates to Delaunay in place before evaluating the
     gradient, and rejected trials leave their flips in the mesh; the next
@@ -256,7 +273,7 @@ def line_search(
     flips = FlipLog()
     trials = 0
 
-    def trial(t: float) -> tuple[np.ndarray, np.ndarray, float]:
+    def trial(t: float) -> tuple[np.ndarray, np.ndarray, float, bool]:
         nonlocal trials, read
         u_try = u + t * d
         if np.array_equal(u_try, u):
@@ -268,7 +285,7 @@ def line_search(
         flips.merge(log)
         g_try = gradient(mesh, metric, u_try, theta_hat, read)
         trials += 1
-        return u_try, g_try, float(d @ g_try)
+        return u_try, g_try, float(d @ g_try), np.abs(g_try).max(initial=0.0) <= cfg.eps_tol
 
     t0 = math.ldexp(0.5, math.frexp(t_max)[1])  # largest power of two <= t_max
     k = 0  # t = t0 * 2^-k
@@ -276,14 +293,14 @@ def line_search(
     may_refine = True
     while True:
         t = t0 * 0.5**k
-        u_try, g_try, slope = trial(t)
-        if slope <= 0.0:
-            if may_refine and slope_2t is not None:
+        u_try, g_try, slope, within = trial(t)
+        if slope <= 0.0 or within:
+            if may_refine and slope_2t is not None and not within:
                 may_refine = False
                 t_r = t + t * -slope / (slope_2t - slope)
                 if t < t_r < 2.0 * t:
-                    u_r, g_r, slope_r = trial(t_r)
-                    if slope_r <= 0.0:
+                    u_r, g_r, slope_r, within = trial(t_r)
+                    if slope_r <= 0.0 or within:
                         return LineSearchResult(
                             u_r, g_r, trials - 1, flips, slope_r, t_r, t0, True, read
                         )
@@ -350,6 +367,9 @@ def find_conformal_metric(
     if theta_hat.shape[0] != n:
         raise MetricError("theta_hat length does not match vertex count")
 
+    # Each vertex's mirror orbit; surgeries keep vertex_refl.
+    rep = np.arange(n) if refl is None else np.minimum(np.arange(n), _array(refl.vertex_refl))
+    orbit = np.unique(rep, return_inverse=True)[1]
     read = read_triangles(mesh, metric)
     flips0 = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor, read)
     read = read_triangles(mesh, metric) if flips0.total else read
@@ -367,9 +387,9 @@ def find_conformal_metric(
         if err <= cfg.eps_tol:
             termination = "converged"
             break
-        H = hessian(mesh, metric, u, read)
+        terms = hessian(mesh, metric, u, read)
         try:
-            d = newton_direction(H, g, refl)
+            d = newton_direction(terms, g, orbit)
         except SolverError:
             termination = "linear_solve_breakdown"
             break
@@ -382,24 +402,12 @@ def find_conformal_metric(
             make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
             termination = "line_search_failed"
             break
-        u, read = ls.u, ls.read
-        g = ls.g_try
+        u, g, read = ls.u, ls.g_try, ls.read
         t_max = min(1.0, _T_GROWTH * ls.t)
         err = float(np.abs(g).max())
-        steps.append(
-            NewtonStep(
-                k,
-                err,
-                ls.halvings,
-                ls.flips,
-                decrement,
-                float(g.sum()),
-                _symmetry_snapshot(mesh, metric, u, refl),
-                ls.refined,
-                ls.t,
-                ls.t0,
-            )
-        )
+        snapshot = _symmetry_snapshot(mesh, metric, u, refl)
+        row = (ls.halvings, ls.flips, decrement, float(g.sum()), snapshot, ls.refined, ls.t, ls.t0)
+        steps.append(NewtonStep(k, err, *row))
     if termination is None:
         termination = "converged" if err <= cfg.eps_tol else "max_newton_steps"
 

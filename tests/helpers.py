@@ -7,6 +7,7 @@ import math
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse
 
 import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
@@ -21,7 +22,7 @@ from confmetric.halfedge import (
 )
 from confmetric.io import ParseError, ProblemFile
 from confmetric.metric import MetricError, PennerMetric, flip_edge, read_triangles, scalar_metric
-from confmetric.symmetry import FlipType, ReflectionMap, apply_symmetric_flip, classify_flip
+from confmetric.symmetry import FlipType, apply_symmetric_flip, classify_flip
 
 
 def corner_angle(l_opp, l_a, l_b):
@@ -55,8 +56,25 @@ def copy_metric(metric):
     return PennerMetric(list(metric.lengths), dict(metric.quad_diag))
 
 
-def copy_refl(refl):
-    return ReflectionMap(list(refl.r), list(refl.he_label), list(refl.vertex_refl))
+def hessian_matrix(terms, n):
+    """The n x n CSR matrix sum w (e_a - e_b)(e_a - e_b)^T of ``hessian``'s
+    corner terms ``(a, b, w)``: -w at (a, b) and (b, a), +w at (a, a) and
+    (b, b), duplicates summed."""
+    a, b, w = terms
+    rows = np.concatenate((a, b, a, b))
+    cols = np.concatenate((b, a, a, b))
+    vals = np.concatenate((-w, -w, w, w))
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def mirror_partner(orbit):
+    """Each vertex's mirror image, from an orbit map of orbits of size 1 or 2."""
+    n = len(orbit)
+    lo = np.full(n, n)
+    hi = np.full(n, -1)
+    np.minimum.at(lo, orbit, np.arange(n))
+    np.maximum.at(hi, orbit, np.arange(n))
+    return lo[orbit] + hi[orbit] - np.arange(n)
 
 
 def prev(mesh, h):

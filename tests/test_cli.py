@@ -224,6 +224,24 @@ def test_vertex_with_more_than_one_umbrella_exits_2_naming_it(tmp_path, capsys, 
     assert not (tmp_path / "p.result").exists()
 
 
+@pytest.mark.parametrize(
+    "faces, message",
+    [
+        ([(1, 2, 3), (1, 2, 4), (2, 1, 5)], "edge (1-2) used 3 times"),
+        ([(1, 2, 3), (1, 2, 4)], "edge used with inconsistent orientation (1->2 vs 1->2)"),
+    ],
+)
+def test_misused_edge_exits_2_naming_its_vertex_pair(tmp_path, capsys, faces, message):
+    # The builder keys each edge by its vertex pair internally; the message
+    # names the pair by file index and no internal key.
+    n = max(map(max, faces))
+    rows = [f"v {v} {v * v} 0" for v in range(n)] + [f"f {a} {b} {c}" for a, b, c in faces]
+    mesh = put(tmp_path, "e.mesh", "\n".join(rows) + "\n")
+    put(tmp_path, "e.targets", "")
+    assert main(["solve", mesh]) == 2
+    assert capsys.readouterr().err == f"{mesh}: error: {message}\n"
+
+
 def test_solve_el_line_naming_no_edge_exits_2(tmp_path, capsys):
     mesh = tetra_files(tmp_path)
     with open(mesh, "a") as fh:

@@ -584,8 +584,8 @@ def test_generate_rejects_unknown_kind():
 
 
 def test_importing_the_package_and_io_leaves_scipy_unloaded():
-    # metric.hessian imports scipy lazily; the package root must not pull
-    # it in through the solver, so parsing and writing files stays light.
+    # The package root must not pull scipy in through the solver, so
+    # parsing and writing files stays light.
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, confmetric, confmetric.io; print('scipy' in sys.modules)"],

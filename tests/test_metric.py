@@ -465,7 +465,8 @@ def test_gradient_sums_to_zero_for_admissible_targets():
 
 def test_hessian_entries_on_unit_tetra():
     mesh = helpers.tetra()
-    H = hessian(mesh, helpers.uniform_metric(mesh), [0.0] * 4).toarray()
+    terms = hessian(mesh, helpers.uniform_metric(mesh), [0.0] * 4)
+    H = helpers.hessian_matrix(terms, 4).toarray()
     s3 = math.sqrt(3.0)
     for i in range(4):
         for j in range(4):
@@ -475,7 +476,8 @@ def test_hessian_entries_on_unit_tetra():
 
 def test_hessian_entries_on_unit_octahedron():
     mesh = helpers.octa()
-    H = hessian(mesh, helpers.uniform_metric(mesh), [0.0] * 6).toarray()
+    terms = hessian(mesh, helpers.uniform_metric(mesh), [0.0] * 6)
+    H = helpers.hessian_matrix(terms, 6).toarray()
     s3 = math.sqrt(3.0)
     antipode = {0: 5, 5: 0, 1: 3, 3: 1, 2: 4, 4: 2}
     for i in range(6):
@@ -492,7 +494,7 @@ def test_hessian_rows_sum_to_zero_and_psd():
     mesh, metric = helpers.shuffled_closed_mesh(rng, flips=10)
     u = rng.normal(0.0, 0.3, mesh.n_vertices)
     make_delaunay(mesh, metric, u)
-    H = hessian(mesh, metric, u).toarray()
+    H = helpers.hessian_matrix(hessian(mesh, metric, u), mesh.n_vertices).toarray()
     assert np.max(np.abs(H.sum(axis=1))) <= 1e-12
     assert np.max(np.abs(H - H.T)) <= 1e-13
     evals = np.linalg.eigvalsh(H)
@@ -500,7 +502,7 @@ def test_hessian_rows_sum_to_zero_and_psd():
 
 
 def assert_hessian_matches_finite_differences(mesh, metric, u):
-    H = hessian(mesh, metric, u).toarray()
+    H = helpers.hessian_matrix(hessian(mesh, metric, u), mesh.n_vertices).toarray()
     theta_hat = np.zeros(mesh.n_vertices)
     step = 1e-6
     n = mesh.n_vertices

@@ -52,8 +52,8 @@ def octa_problem(seed=0, spread=0.35):
 
 def test_direction_is_zero_for_zero_gradient():
     mesh = helpers.octa()
-    H = hessian(mesh, helpers.uniform_metric(mesh), [0.0] * 6)
-    d = newton_direction(H, np.zeros(6))
+    terms = hessian(mesh, helpers.uniform_metric(mesh), [0.0] * 6)
+    d = newton_direction(terms, np.zeros(6))
     assert np.all(d == 0.0)
 
 
@@ -62,10 +62,10 @@ def test_direction_solves_the_system_with_zero_mean():
     from confmetric.metric import gradient
 
     g = gradient(mesh, metric, [0.0] * 6, theta_hat)
-    H = hessian(mesh, metric, [0.0] * 6)
-    d = newton_direction(H, g)
+    terms = hessian(mesh, metric, [0.0] * 6)
+    d = newton_direction(terms, g)
     assert abs(d.mean()) <= 1e-14
-    r = H @ d + (g - g.mean())
+    r = helpers.hessian_matrix(terms, 6) @ d + (g - g.mean())
     assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(g)
 
 
@@ -74,19 +74,17 @@ def test_direction_ignores_constant_gradient_component():
     from confmetric.metric import gradient
 
     g = gradient(mesh, metric, [0.0] * 6, theta_hat)
-    H = hessian(mesh, metric, [0.0] * 6)
-    d1 = newton_direction(H, g)
-    d2 = newton_direction(H, g + 0.7)
+    terms = hessian(mesh, metric, [0.0] * 6)
+    d1 = newton_direction(terms, g)
+    d2 = newton_direction(terms, g + 0.7)
     assert d1 == pytest.approx(d2, abs=1e-12)
 
 
 def test_direction_breakdown_raises():
-    H = hessian(helpers.octa(), helpers.uniform_metric(helpers.octa()), [0.0] * 6)
-    H = H.tolil()
-    H[1, :] = 0.0
-    H[:, 1] = 0.0          # vertex 1 decoupled: singular reduced system
+    a, b, w = hessian(helpers.octa(), helpers.uniform_metric(helpers.octa()), [0.0] * 6)
+    keep = (a != 1) & (b != 1)  # vertex 1 decoupled: singular reduced system
     with pytest.raises(SolverError):
-        newton_direction(H.tocsr(), np.array([0.3, -0.3, 0.2, -0.2, 0.1, -0.1]))
+        newton_direction((a[keep], b[keep], w[keep]), np.array([0.3, -0.3, 0.2, -0.2, 0.1, -0.1]))
 
 
 def test_direction_of_a_negative_definite_system_raises_solver_error():
@@ -94,9 +92,9 @@ def test_direction_of_a_negative_definite_system_raises_solver_error():
     # in linear_solve_breakdown only on SolverError.
     mesh, metric, theta_hat = octa_problem(1)
     g = gradient(mesh, metric, [0.0] * 6, theta_hat)
-    H = hessian(mesh, metric, [0.0] * 6)
+    a, b, w = hessian(mesh, metric, [0.0] * 6)
     with pytest.raises(SolverError, match="not positive definite"):
-        newton_direction(-H, g)
+        newton_direction((a, b, -w), g)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -108,35 +106,35 @@ def test_direction_does_not_depend_on_the_vertex_labels(seed):
     theta_hat = [prob.theta_targets.get(v, 2 * math.pi) for v in range(mesh.n_vertices)]
     u = np.zeros(mesh.n_vertices)
     g = gradient(mesh, metric, u, theta_hat)
-    H = hessian(mesh, metric, u)
-    d = newton_direction(H, g)
+    a, b, w = hessian(mesh, metric, u)
+    d = newton_direction((a, b, w), g)
     p = np.random.default_rng(seed).permutation(mesh.n_vertices)
-    d_p = newton_direction(H[p][:, p], g[p])
+    inv = np.argsort(p)  # vertex v is relabelled inv[v]
+    d_p = newton_direction((inv[a], inv[b], w), g[p])
     assert np.linalg.norm(d_p - d[p]) <= 1e-13 * np.linalg.norm(d)
 
 
-def _pinned_reference(H, g, refl):
+def _pinned_reference(H, g, vr):
     """The direction of a full pinned solve, with each mirror orbit then
-    copied from its lower-index member."""
+    copied from its lower-index member (``vr`` maps each vertex to its
+    mirror image)."""
     g0 = g - g.mean()
     x = scipy.sparse.linalg.spsolve(scipy.sparse.csc_matrix(H)[1:, 1:], -g0[1:])
     d = np.concatenate(([0.0], x))
     d -= d.mean()
-    if refl is not None:
-        vr = np.array(refl.vertex_refl)
-        low = np.flatnonzero(vr > np.arange(len(vr)))
-        d[vr[low]] = d[low]
+    low = np.flatnonzero(vr > np.arange(len(vr)))
+    d[vr[low]] = d[low]
     return d
 
 
 def _direction_inputs(monkeypatch, solve):
-    """Every (H, g, refl) that ``solve()`` hands to newton_direction."""
+    """Every (terms, g, orbit) that ``solve()`` hands to newton_direction."""
     seen = []
     real = solver_mod.newton_direction
 
-    def spy(H, g, refl=None):
-        seen.append((H, np.array(g), helpers.copy_refl(refl) if refl is not None else None))
-        return real(H, g, refl)
+    def spy(terms, g, orbit=None):
+        seen.append((tuple(np.array(x) for x in terms), np.array(g), np.array(orbit)))
+        return real(terms, g, orbit)
 
     monkeypatch.setattr(solver_mod, "newton_direction", spy)
     solve()
@@ -158,12 +156,13 @@ def _first_direction_input(monkeypatch, instance):
 
 @pytest.mark.parametrize("instance", ["octahedron", "hexagon-cover", "disk-cover"])
 def test_orbit_solve_is_mirror_symmetric_and_matches_a_full_solve(monkeypatch, instance):
-    H, g, refl = _first_direction_input(monkeypatch, instance)
-    d = newton_direction(H, g, refl)
-    want = _pinned_reference(H, g, refl)
-    if refl is not None:
-        assert any(v != w for v, w in enumerate(refl.vertex_refl))
-        assert np.array_equal(d, d[refl.vertex_refl])
+    terms, g, orbit = _first_direction_input(monkeypatch, instance)
+    d = newton_direction(terms, g, orbit)
+    vr = helpers.mirror_partner(orbit)
+    want = _pinned_reference(helpers.hessian_matrix(terms, len(g)), g, vr)
+    if instance != "octahedron":
+        assert np.any(vr != np.arange(len(vr)))
+        assert np.array_equal(d, d[vr])
     assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -174,13 +173,13 @@ def test_every_direction_of_a_disk_solve_matches_a_full_solve(monkeypatch):
     prob = generate("disk-random-boundary", 0, 1089)
     seen = _direction_inputs(monkeypatch, lambda: solve_problem(prob))
     assert len(seen) > 1
-    for H, g, refl in seen:
-        d = newton_direction(H, g, refl)
-        assert np.array_equal(d, d[refl.vertex_refl])
-        vr = np.array(refl.vertex_refl)
+    for terms, g, orbit in seen:
+        d = newton_direction(terms, g, orbit)
+        vr = helpers.mirror_partner(orbit)
+        assert np.array_equal(d, d[vr])
         g0 = g - g.mean()
         g_bar = np.where(vr == np.arange(len(vr)), g0, 0.5 * (g0 + g0[vr]))
-        want = _pinned_reference(H, g_bar, refl)
+        want = _pinned_reference(helpers.hessian_matrix(terms, len(g)), g_bar, vr)
         assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -189,14 +188,15 @@ def test_orbit_solve_passes_the_residual_gate_near_convergence(monkeypatch):
     # antisymmetric roundoff of g (norm about 8e-15) exceeds what the 1e-10 gate
     # allows; the gate measures d against the orbit-averaged g.
     prob = generate("disk-random-boundary", 0, 1089)
-    H, g, refl = _direction_inputs(monkeypatch, lambda: solve_problem(prob))[-1]
+    terms, g, orbit = _direction_inputs(monkeypatch, lambda: solve_problem(prob))[-1]
     assert 1e-11 < np.abs(g).max() < 1e-9
-    d = newton_direction(H, g, refl)
-    assert np.array_equal(d, d[refl.vertex_refl])
-    vr = np.array(refl.vertex_refl)
+    d = newton_direction(terms, g, orbit)
+    vr = helpers.mirror_partner(orbit)
+    assert np.array_equal(d, d[vr])
     g0 = g - g.mean()
     g_bar = np.where(vr == np.arange(len(vr)), g0, 0.5 * (g0 + g0[vr]))
     assert np.linalg.norm(g0 - g_bar) > 1e-10 * np.linalg.norm(g_bar)
+    H = helpers.hessian_matrix(terms, len(g))
     assert np.linalg.norm(H @ d + g_bar) <= 1e-10 * np.linalg.norm(g_bar)
 
 
@@ -319,6 +319,26 @@ def test_line_search_resumes_halving_if_the_fallback_slope_turns_positive(monkey
     assert np.array_equal(res.u, u + 0.25 * d)
 
 
+@pytest.mark.parametrize("above", [True, False])
+def test_line_search_accepts_a_trial_within_tolerance_whatever_its_slope(above):
+    # Near the solution the slope at a trial is roundoff, and its sign is
+    # noise.  An ascent direction has a positive slope at every t: the first
+    # trial is accepted only when its residual is within eps_tol.
+    mesh, metric, u, d, theta_hat = _octa_search_inputs(3, 0.01)
+    m2, metric2 = helpers.copy_mesh(mesh), helpers.copy_metric(metric)
+    make_delaunay(m2, metric2, u - d)
+    first = np.abs(gradient(m2, metric2, u - d, theta_hat)).max()
+    cfg = SolverConfig(eps_tol=2.0 * first if above else 0.5 * first, max_halvings=3)
+    if not above:
+        with pytest.raises(LineSearchError, match="within 3 halvings"):
+            line_search(mesh, metric, u, -d, theta_hat, config=cfg)
+        return
+    res = line_search(mesh, metric, u, -d, theta_hat, config=cfg)
+    assert res.halvings == 0 and res.t == res.t0 == 1.0 and not res.refined
+    assert res.slope > 0.0
+    assert np.array_equal(res.u, u - d)
+
+
 def test_line_search_rejects_a_step_that_does_not_move_u():
     # A step below the float resolution of u has slope <= 0; accepting it
     # would repeat the same step until max_newton_steps.
@@ -428,6 +448,14 @@ def test_cone_sweep_converges_with_warm_started_line_searches():
         assert report.converged, genus
         flips += report.total_flips().total
     assert flips <= 36_000
+
+
+def test_genus_10_cone_solve_does_not_break_down():
+    # With orbit 0 pinned, the cone vertex sat inside the band, and step 49
+    # missed the 1e-10 residual gate.  The stiffest orbit is pinned instead.
+    cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=200)
+    *_, report = solve_problem(generate("single-cone-genus-10", 0, 0), cfg)
+    assert report.termination != "linear_solve_breakdown"
 
 
 def test_newton_steps_record_the_accepted_and_first_trial_step():
