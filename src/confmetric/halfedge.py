@@ -252,7 +252,7 @@ def build_from_face_lists(faces: list[list[int]]) -> CombinatorialMesh:
     _check_rows(tail, k, k)
     to = tail[_successor(k)]
     pair = (np.minimum(tail, to) - low) * span + (np.maximum(tail, to) - low)
-    return _build(k, tail, pair, top + 1, named=False)[0]
+    return _build(k, tail, pair, top + 1)[0]
 
 
 def build_from_face_edge_lists(
@@ -303,11 +303,10 @@ def _build(
     he_eid: np.ndarray,
     n_vertices: int,
     quad_rows: Iterable[int] = (),
-    named: bool = True,
 ) -> tuple[CombinatorialMesh, list[int]]:
     """The mesh of checked rows: pair the halfedges by edge id, close the
-    boundary, park one pair per quad row, and validate.  Unless ``named``,
-    an edge used wrongly is named by its vertex pair alone."""
+    boundary, park one pair per quad row, and validate.  An edge used
+    wrongly is named by its vertex pair."""
     n = len(tail)
     nxt = _successor(k)
     to = tail[nxt]
@@ -323,11 +322,10 @@ def _build(
     if bad.size:
         i = bad[np.argmin(ha[bad])]  # the first edge id used
         a, b = ha[i], hb[i]
-        name = f"edge id {he_eid[a]} " if named else "edge "
         if uses[i] > 2:
-            raise MeshError(name + f"({{}}-{{}}) used {uses[i]} times", tail[a], to[a])
+            raise MeshError(f"edge ({{}}-{{}}) used {uses[i]} times", tail[a], to[a])
         raise MeshError(
-            name + "used with inconsistent orientation ({}->{} vs {}->{})",
+            "edge used with inconsistent orientation ({}->{} vs {}->{})",
             tail[a], to[a], tail[b], to[b],
         )
 

@@ -24,24 +24,27 @@ triangles, corner vertices and the side opposite each corner.  The solver
 reuses one read until it flips; other calls read afresh.  Corner quantities
 come from needle-safe Heron terms (Kahan's ordering): angles from the
 half-angle tangent, summed per vertex with one ``bincount``, and
-cotangents as (b^2 + c^2 - a^2) / 4A for the Hessian's corner terms.  The
-law-of-cosines ``arccos`` loses about ``1e-16 / angle`` per corner, which
-on needles near 1e-7 rad left the single-cone solves short of their
-tolerance.  A side longer than the other two gives a flat triangle (angles
-pi, 0, 0).  The kernel raises :class:`MetricError` rather than let a zero
-or non-finite length turn into NaN.
+cotangents as the law-of-cosines numerator b^2 + c^2 - a^2, formed once by
+``_law_of_cosines``, over 4A.  The law-of-cosines ``arccos`` loses about
+``1e-16 / angle`` per corner, which on needles near 1e-7 rad left the
+single-cone solves short of their tolerance.  A side longer than the other
+two gives a flat triangle (angles pi, 0, 0).  The kernel raises
+:class:`MetricError` rather than let a zero or non-finite length turn into
+NaN.
 
 ``make_delaunay`` flips until every interior edge satisfies the Delaunay
 condition, in one pass.  One full scan reads the same corner table, quads
-included: each side's term (b^2 + c^2 - a^2) / bc lands on its halfedge,
-and an edge's Delaunay value is the sum over its two halfedges.  The edges
-it flags seed one work list.  ``holds`` from ``scalar_metric``, the one
-scalar scaled length and side term bound to the mesh and metric lists once
-per call, alone decides which popped edges are skipped: parked and
-boundary edges, edges whose value clears the tie band, and edges that the
-mirror symmetry forces to be Delaunay.  ``value`` reads the edge's frame
-once, and each plain flip calls this module's ``flip_edge`` global, so a
-wrapper there sees every ``FlipLog.single``.
+included: each side's term, the same numerator over bc, lands on its
+halfedge, and an edge's Delaunay value is the sum over its two halfedges.
+The edges it flags seed one work list.  ``holds`` from ``scalar_metric``,
+the one scalar scaled length and side term (``term``) bound to the mesh
+and metric lists once per call, alone decides which popped edges are
+skipped: parked and boundary edges, edges whose value clears the tie band,
+and edges that the mirror symmetry forces to be Delaunay.  ``value`` reads
+the edge's frame once and scales its triangles' lengths inline (a call per
+length costs the flip loop a fifth more time), and each plain flip calls
+this module's ``flip_edge`` global, so a wrapper there sees every
+``FlipLog.single``.
 """
 
 from __future__ import annotations
@@ -107,7 +110,6 @@ def read_triangles(mesh: CombinatorialMesh, metric: PennerMetric) -> TriangleRea
     n = len(nxt)
     to = _array(mesh.to)
     opp = _array(mesh.opp)
-    tail = to[opp]
     lengths = _array(metric.lengths, float)
 
     q0 = _array(list(metric.quad_diag))
@@ -133,11 +135,12 @@ def read_triangles(mesh: CombinatorialMesh, metric: PennerMetric) -> TriangleRea
         cyc = np.concatenate((cyc, np.stack((q0, q1, d1), 1), np.stack((q2, q3, d2), 1)))
         d = _array(list(metric.quad_diag.values()), float)
         lengths = np.concatenate((lengths, d, d))
-        to, tail = np.concatenate((to, to[q3], to[q1])), np.concatenate((tail, to[q1], to[q3]))
+        to = np.concatenate((to, to[q3], to[q1]))
 
-    side = cyc[:, [2, 0, 1]]  # the side opposite each corner
+    side = cyc[:, [2, 0, 1]]  # from corner k + 1 to corner k + 2
     H = np.where(side < n, side, -1)
-    return TriangleRead(to[cyc], lengths[side], to[side], tail[side], H, opp)
+    V = to[cyc]
+    return TriangleRead(V, lengths[side], V[:, [2, 0, 1]], V[:, [1, 2, 0]], H, opp)
 
 
 def _corner_table(
@@ -157,6 +160,14 @@ def _corner_table(
     return r, np.ldexp(sides, -np.frexp(sides.max(axis=1, keepdims=True))[1])
 
 
+def _law_of_cosines(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sides ``b`` and ``c`` beside each corner of the (T, 3) sides ``S``
+    and ``b^2 + c^2 - a^2`` with ``a = S``: 2bc cos, or 4A cot, of the corner."""
+    b = S[:, [1, 2, 0]]
+    c = S[:, [2, 0, 1]]
+    return b, c, b * b + c * c - S * S
+
+
 def _heron_terms(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Needle-safe Heron terms of every triangle from its (T, 3) sides.
 
@@ -165,8 +176,7 @@ def _heron_terms(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     clamped at 0 where a side exceeds the other two.  ``p * q0 * q1 * q2``
     is 16 times the squared area.
     """
-    b = S[:, [1, 2, 0]]
-    c = S[:, [2, 0, 1]]
+    b, c, _ = _law_of_cosines(S)
     q = np.maximum(np.minimum(b, c) + (np.maximum(b, c) - S), 0.0)
     return S.sum(axis=1, keepdims=True), q
 
@@ -213,11 +223,10 @@ def scalar_metric(
     ``length(h)`` scales the edge of ``h`` and ``diag(f)`` the stored
     diagonal of quad ``f``.  ``value(e)`` sums the two side terms (a^2 + b^2
     - c^2) / ab of edge ``e`` (for a quad side, in the virtual triangle cut
-    off by the stored diagonal).  Where ab would be subnormal or a square
-    overflows, a, b and c are first rescaled as in the corner table, and
-    MetricError is raised if ab is still zero.  ``value`` reads the frame of
-    ``e`` once and forms a triangle's term inline; only a quad side's term
-    and the rescale are calls.  ``holds(e)`` is true for a parked or
+    off by the stored diagonal), each formed by ``term``.  Where ab would be
+    near the subnormal range or a side reaches 2^510, ``term`` first
+    rescales a, b and c as the corner table does, and raises MetricError if
+    ab is then zero or infinite.  ``holds(e)`` is true for a parked or
     boundary edge, else when ``value(e) >= -eps_flip``, else when ``refl``
     forces the condition (``classify_flip`` is asked only then).  Flips
     mutate the bound lists in place, so one binding serves every flip at
@@ -228,7 +237,8 @@ def scalar_metric(
     boundary_faces = mesh.boundary_faces
     L, quad_diag = metric.lengths, metric.quad_diag
     uu = np.asarray(u, dtype=float).tolist()
-    exp, inf = math.exp, math.inf
+    exp, frexp, ldexp, inf = math.exp, math.frexp, math.ldexp, math.inf
+    big = 2.0**510  # sides below it have finite squares and sums of squares
     tie = -eps_flip
 
     def scaled(l: float, a: int, b: int) -> float:
@@ -241,28 +251,26 @@ def scalar_metric(
         q1 = nxt[f]
         return scaled(quad_diag[f], to[q1], to[nxt[nxt[q1]]])
 
-    def rescaled(a: float, b: float, c: float, h: int) -> float:
-        # ab is near the subnormal range or a square overflowed.
-        e = -math.frexp(max(a, b, c))[1]
-        a, b, c = math.ldexp(a, e), math.ldexp(b, e), math.ldexp(c, e)
+    def term(a: float, b: float, c: float, h: int) -> float:
+        # Halfedge h's side term; dividing by a power of two is exact.
         ab = a * b
-        if not 0.0 < ab < inf:
-            raise MetricError(f"scaled lengths beside halfedge {h} left the float range")
+        if not (1e-270 < ab and a < big and b < big and c < big):
+            e = -frexp(max(a, b, c))[1]
+            a, b, c = ldexp(a, e), ldexp(b, e), ldexp(c, e)
+            ab = a * b
+            if not 0.0 < ab < inf:
+                raise MetricError(f"scaled lengths beside halfedge {h} left the float range")
         return (a * a + b * b - c * c) / ab
 
     def quad_side(h: int) -> float:
         f = he_face[h]
         hs = face_halfedges(f)
-        c = length(h)
-        a = length(hs[hs.index(h) ^ 1])
-        b = diag(f)
-        ab = a * b
-        num = a * a + b * b - c * c
-        return num / ab if 1e-270 < ab and -inf < num < inf else rescaled(a, b, c, h)
+        return term(length(hs[hs.index(h) ^ 1]), diag(f), length(h), h)
 
     def value(e: int) -> float:
         # One read of the frame: the triangles i -> j -> k and j -> i -> m,
-        # with e running from i to j.  A quad side takes quad_side.
+        # with e running from i to j.  A quad side takes quad_side.  Inline
+        # scaling: a ``scaled`` call per length costs a fifth more time.
         o = opp[e]
         ui, uj = uu[to[o]], uu[to[e]]
         sij = exp(0.5 * (ui + uj))  # IEEE + commutes: the factor of both c
@@ -271,22 +279,14 @@ def scalar_metric(
         else:
             h1 = nxt[e]
             uk = uu[to[h1]]
-            c = L[e] * sij
             a = L[h1] * exp(0.5 * (uj + uk))
-            b = L[nxt[h1]] * exp(0.5 * (uk + ui))
-            ab = a * b
-            num = a * a + b * b - c * c
-            t = num / ab if 1e-270 < ab and -inf < num < inf else rescaled(a, b, c, e)
+            t = term(a, L[nxt[h1]] * exp(0.5 * (uk + ui)), L[e] * sij, e)
         if he_face[o] in quad_diag:
             return t + quad_side(o)
         h4 = nxt[o]
         um = uu[to[h4]]
-        c = L[o] * sij
         a = L[h4] * exp(0.5 * (ui + um))
-        b = L[nxt[h4]] * exp(0.5 * (um + uj))
-        ab = a * b
-        num = a * a + b * b - c * c
-        return t + (num / ab if 1e-270 < ab and -inf < num < inf else rescaled(a, b, c, o))
+        return t + term(a, L[nxt[h4]] * exp(0.5 * (um + uj)), L[o] * sij, o)
 
     def holds(e: int) -> bool:
         fa = he_face[e]
@@ -360,8 +360,7 @@ def _scan_violations_vectorized(
     product bc of rescaled sides is zero.
     """
     r, S = _corner_table(mesh, metric, u, read)
-    b = S[:, [1, 2, 0]]
-    c = S[:, [2, 0, 1]]
+    b, c, num = _law_of_cosines(S)
     bc = b * c
     if not np.all((bc > 0.0) | (r.H < 0)):
         raise MetricError("scaled lengths beside a side left the float range")
@@ -369,7 +368,7 @@ def _scan_violations_vectorized(
     n = len(opp)
     # Entries at stored diagonals (H = -1) land in the spare last slot.
     term = np.full(n + 1, np.nan)
-    term[r.H] = (b * b + c * c - S * S) / bc
+    term[r.H] = num / bc
     bad = (np.arange(n) < opp) & (term[:n] + term[opp] < -eps_flip)
     return np.flatnonzero(bad).tolist()
 
@@ -454,7 +453,5 @@ def hessian(
     if not np.all(area4 > 0.0):
         raise MetricError("degenerate triangle while assembling the Hessian")
     # Half the cotangent: (b^2 + c^2 - a^2) / 4A / 2.
-    b = S[:, [1, 2, 0]]
-    c = S[:, [2, 0, 1]]
-    w = 0.5 * (b * b + c * c - S * S) / area4[:, None]
+    w = 0.5 * _law_of_cosines(S)[2] / area4[:, None]
     return r.A.ravel(), r.B.ravel(), w.ravel()

@@ -343,6 +343,12 @@ def scale_conformally(
     return PennerMetric(lengths.tolist(), diag)
 
 
+def _ldexp_metric(metric: PennerMetric, k: int) -> None:
+    """Multiply every length and quad diagonal of ``metric`` by 2^k, in place."""
+    metric.lengths[:] = np.ldexp(_array(metric.lengths, float), k).tolist()
+    metric.quad_diag.update({f: math.ldexp(d, k) for f, d in metric.quad_diag.items()})
+
+
 def find_conformal_metric(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
@@ -354,11 +360,14 @@ def find_conformal_metric(
 
     Mutates mesh and metric in place (flips); returns the mesh, the final
     scaled metric, the scale factors, and the iteration report.  The
-    iteration starts at u = 0; scaling every input length by one factor
-    changes no angle, so it scales the returned metric by that factor and
-    leaves u as it is, up to rounding.  The returned triangulation is
-    Delaunay for the returned u.  Convergence is judged on the residual
-    recomputed after the final retriangulation.
+    iteration starts at u = 0, on the lengths and quad diagonals divided by
+    the power of two that puts the median length in [1, 2); both metrics
+    are multiplied back at the end (not on an exception).  Scaling every
+    input length by one factor changes no angle, so it scales the returned
+    metric by that factor and leaves u as it is: bitwise for a power of
+    two, up to rounding otherwise.  The returned triangulation is Delaunay
+    for the returned u.  Convergence is judged on the residual recomputed
+    after the final retriangulation.
     """
     cfg = config if config is not None else SolverConfig()
     n = mesh.n_vertices
@@ -366,6 +375,8 @@ def find_conformal_metric(
     theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat.shape[0] != n:
         raise MetricError("theta_hat length does not match vertex count")
+    scale = math.frexp(np.median(_array(metric.lengths, float)))[1] - 1
+    _ldexp_metric(metric, -scale)
 
     # Each vertex's mirror orbit; surgeries keep vertex_refl.
     rep = np.arange(n) if refl is None else np.minimum(np.arange(n), _array(refl.vertex_refl))
@@ -411,6 +422,7 @@ def find_conformal_metric(
     if termination is None:
         termination = "converged" if err <= cfg.eps_tol else "max_newton_steps"
 
+    _ldexp_metric(metric, scale)
     scaled = scale_conformally(mesh, metric, u)
     report = SolverReport(
         steps=steps,

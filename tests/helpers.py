@@ -458,13 +458,13 @@ def reference_build_from_face_edge_lists(
     for eid, hs in uses.items():
         if len(hs) > 2:
             raise MeshError(
-                f"edge id {eid} ({tail[hs[0]]}-{to[hs[0]]}) used {len(hs)} times"
+                f"edge ({tail[hs[0]]}-{to[hs[0]]}) used {len(hs)} times"
             )
         if len(hs) == 2:
             ha, hb = hs
             if (tail[ha], to[ha]) != (to[hb], tail[hb]):
                 raise MeshError(
-                    f"edge id {eid} used with inconsistent orientation "
+                    "edge used with inconsistent orientation "
                     f"({tail[ha]}->{to[ha]} vs {tail[hb]}->{to[hb]})"
                 )
             opp[ha] = hb

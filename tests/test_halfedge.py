@@ -113,6 +113,23 @@ def test_face_list_builder_rejects(faces, match):
         build_from_face_lists(faces)
 
 
+@pytest.mark.parametrize(
+    "faces, face_edges, message",
+    [
+        ([[0, 1, 2], [0, 1, 3], [1, 0, 4]], [[7, 1, 2], [7, 3, 4], [7, 5, 6]],
+         "edge (0-1) used 3 times"),
+        ([[0, 1, 2], [0, 1, 3]], [[7, 1, 2], [7, 3, 4]],
+         "edge used with inconsistent orientation (0->1 vs 0->1)"),
+    ],
+)
+def test_face_edge_builder_names_a_misused_edge_by_its_vertex_pair(faces, face_edges, message):
+    # Edge ids are internal labels (a bundle's are 1-based, these 0-based),
+    # so the message names the vertices and no id.
+    with pytest.raises(MeshError) as err:
+        build_from_face_edge_lists(faces, face_edges)
+    assert str(err.value) == message
+
+
 TWO_TETRAHEDRA = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2],
                   [0, 5, 4], [0, 4, 6], [4, 5, 6], [0, 6, 5]]
 

@@ -340,7 +340,8 @@ def test_side_terms_are_exact_where_a_side_product_leaves_the_float_range(u0):
     # 1e-260 it underflows to 0.  A power-of-two rescale is exact, so the
     # uniform octahedron gives exactly its u = 0 values: 1 per side, 2 per
     # edge, which the scan flags below a threshold just above 2 and not at 2.
-    # On shuffled lengths the rescaled values are bitwise the reference's.
+    # On shuffled lengths, and on a cover with quads, where a quad side's
+    # term takes the rescale too, the values are bitwise the reference's.
     mesh = helpers.octa()
     metric = helpers.uniform_metric(mesh)
     edges = mesh.edges()
@@ -351,12 +352,16 @@ def test_side_terms_are_exact_where_a_side_product_leaves_the_float_range(u0):
         assert _scan_violations_vectorized(mesh, metric, u, -2.0) == []
         assert _scan_violations_vectorized(mesh, metric, u, -math.nextafter(2.0, 3.0)) == edges
     rng = np.random.default_rng(5)
-    mesh, metric = helpers.shuffled_closed_mesh(rng, level=1, flips=30)
-    u = u0 + rng.normal(0.0, 0.3, mesh.n_vertices)
-    value = scalar_metric(mesh, metric, u).value
-    assert [value(e).hex() for e in mesh.edges()] == [
-        helpers.reference_delaunay_value(mesh, metric, u, e).hex() for e in mesh.edges()
-    ]
+    cover, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cover, cmetric)
+    for mesh, metric in [helpers.shuffled_closed_mesh(rng, level=1, flips=30),
+                         (cover.mesh, cmetric)]:
+        u = u0 + rng.normal(0.0, 0.3, mesh.n_vertices)
+        value = scalar_metric(mesh, metric, u).value
+        edges = [e for e in mesh.edges() if not helpers.is_boundary_edge(mesh, e)]
+        assert [value(e).hex() for e in edges] == [
+            helpers.reference_delaunay_value(mesh, metric, u, e).hex() for e in edges
+        ]
 
 
 def test_make_delaunay_ends_when_every_flagged_edge_rechecks_as_delaunay(monkeypatch):

@@ -545,6 +545,36 @@ def test_solve_is_gauge_invariant():
     assert la == pytest.approx(lb, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "lengths, termination, steps",
+    [
+        ([1.027, 0.954, 0.908, 0.903, 1.063, 1.083], "converged", 16),
+        ([1.002, 1.09, 0.929, 1.09, 0.962, 0.985], "linear_solve_breakdown", 1),
+    ],
+)
+def test_lengths_scaled_by_a_power_of_two_change_no_bit_of_the_solve(lengths, termination, steps):
+    # A tetrahedron with one small target.  The solve runs at the scale that
+    # puts the median length in [1, 2), so copies scaled by 2^600 and
+    # 2^-600, whose side products leave the float range, end the same way
+    # with the same u, and their solved metrics are the same times 2^k.
+    t = [1.03, 2.0e-5, 7.74]
+    theta_hat = t + [4 * math.pi - sum(t)]
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    runs = []
+    for k in (0, 600, -600):
+        mesh = helpers.tetra()
+        metric = helpers.uniform_metric(mesh)
+        for (a, b), x in zip(pairs, lengths):
+            helpers.set_length(mesh, metric, a, b, math.ldexp(x, k))
+        given = list(metric.lengths)
+        _, scaled, u, report = find_conformal_metric(mesh, metric, theta_hat)
+        assert (report.termination, report.newton_steps) == (termination, steps)
+        if report.total_flips().total == 0:
+            assert metric.lengths == given
+        runs.append((u.tobytes(), [math.ldexp(x, -k) for x in scaled.lengths]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_flat_grid_cover_solves_in_zero_steps():
     faces, pos = grid_disk(4)
     disk = build_from_face_lists(faces)

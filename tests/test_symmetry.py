@@ -1,5 +1,8 @@
 """Reflection bookkeeping and the symmetric surgery zoo."""
 
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +139,176 @@ def test_validators_catch_quad_bookkeeping_faults():
         fault(mesh, refl, cmetric, quad, tri)
         errs = validate(mesh) + validate_symmetry(mesh, refl, cmetric)
         assert errs, fault.__name__
+
+
+# Each message validate_symmetry can report, as a pattern, with a mutation
+# of the quad state of drive_to_quads that makes it report that message.
+# A mutation edits the state's lists in place through the namespace that
+# test_validate_symmetry_reports_each_fault builds.
+MUTANTS = {}
+
+
+def mutant(pattern):
+    def register(fn):
+        MUTANTS[pattern] = fn
+        return fn
+
+    return register
+
+
+@mutant(r"reflection arrays sized for \d+ of \d+ halfedges")
+def short_r(s):
+    s.r.pop()
+
+
+@mutant(r"vertex_refl has \d+ entries for \d+ vertices")
+def long_vertex_refl(s):
+    s.vr.append(0)
+
+
+@mutant(r"vertex_refl\[\d+\]=\d+ out of range")
+def wild_vertex_refl(s):
+    s.vr[0] = len(s.vr)
+
+
+@mutant(r"vertex_refl not involutive at \d+")
+def hub_fixed(s):
+    s.vr[s.hub] = s.hub
+
+
+@mutant(r"r\[\d+\]=\d+ out of range")
+def wild_r(s):
+    s.r[s.a] = len(s.r)
+
+
+@mutant(r"r not involutive at \d+")
+def a_fixed(s):
+    s.r[s.a] = s.a
+
+
+@mutant(r"r pairs parked halfedge \d+ with active \d+")
+def parked_with_live(s):
+    p, q = s.parked
+    s.r[p], s.r[s.a], s.r[q], s.r[s.ra] = s.a, p, s.ra, q
+
+
+@mutant(r"parked halfedge \d+ is r-fixed")
+def parked_fixed(s):
+    p, q = s.parked
+    s.r[p], s.r[q] = p, q
+
+
+@mutant(r"he_label\[\d+\]=5 invalid")
+def label_5(s):
+    s.lab[s.a] = 5
+
+
+@mutant(r"he_label\[\d+\]=1 inconsistent with r\[\d+\]=\d+")
+def fixed_labelled_1(s):
+    s.lab[s.fixed] = 1
+
+
+@mutant(r"mirror of \d+ has label 1, not 2")
+def mirror_labelled_1(s):
+    s.lab[s.ra] = 1
+
+
+@mutant(r"r does not commute with opp at \d+")
+def mirrors_swapped(s):
+    s.r[s.a], s.r[s.rb], s.r[s.b], s.r[s.ra] = s.rb, s.a, s.ra, s.b
+
+
+@mutant(r"r does not reverse the face walk at \d+")
+def edge_mirrors_swapped(s):
+    mirrors_swapped(s)
+    oa, ob, ora, orb = (s.opp[x] for x in (s.a, s.b, s.ra, s.rb))
+    s.r[oa], s.r[orb], s.r[ob], s.r[ora] = orb, oa, ora, ob
+
+
+@mutant(r"head of r\[\d+\] is not the mirrored tail of \d+")
+def hub_and_mirror_fixed(s):
+    w = s.vr[s.hub]
+    s.vr[s.hub], s.vr[w] = s.hub, w
+
+
+@mutant(r"copy face \d+ mixes labels \[1, 2\]")
+def mirror_labels_swapped(s):
+    s.lab[s.a], s.lab[s.ra] = 2, 1
+
+
+@mutant(r"parked pair of quad \d+ is not a mirror pair")
+def parked_pairs_crossed(s):
+    (f, (p1, p2)), (g, (p3, p4)) = s.pairs.items()
+    s.pairs[f], s.pairs[g] = (p1, p4), (p3, p2)
+
+
+@mutant("parked halfedges and quad_pairs records disagree")
+def record_lost(s):
+    del s.pairs[s.quad]
+
+
+@mutant(r"halfedge lengths of edge \d+ differ")
+def halfedge_stretched(s):
+    s.L[s.a] *= 2
+
+
+@mutant(r"mirror edges at \d+ have different lengths")
+def edge_stretched(s):
+    for x in (s.a, s.opp[s.a]):
+        s.L[x] *= 2
+
+
+@mutant(r"nonpositive length at halfedge \d+")
+def orbit_negated(s):
+    for x in {s.a, s.opp[s.a], s.ra, s.opp[s.ra]}:
+        s.L[x] = -s.L[x]
+
+
+@mutant("quad_diag keys disagree with the quad_pairs records")
+def diag_lost(s):
+    del s.diag[s.quad]
+
+
+@mutant(r"nonpositive stored diagonal for quad \d+")
+def diag_zero(s):
+    s.diag[s.quad] = 0.0
+
+
+@pytest.mark.parametrize(
+    "pattern, mutate", [pytest.param(p, f, id=f.__name__) for p, f in MUTANTS.items()]
+)
+def test_validate_symmetry_reports_each_fault(pattern, mutate):
+    # ``a`` and ``b`` are sheet-1 halfedges of two edges that lie between
+    # copy faces (faces with no r-fixed side) and whose mirrors are other
+    # edges (r[a] is not opp[a]); ``fixed`` is r-fixed, ``hub`` a vertex
+    # off the axis and ``parked`` the parked pair of ``quad``.
+    cover, cmetric, _ = helpers.hexagon_cover()
+    mesh, refl = cover.mesh, cover.refl
+    helpers.drive_to_quads(cover, cmetric)
+    assert validate(mesh) == [] and validate_symmetry(mesh, refl, cmetric) == []
+    live = [h for h in range(mesh.n_halfedges()) if mesh.he_face[h] >= 0]
+
+    def copy_face(h):
+        return 0 not in [refl.he_label[x] for x in mesh.face_halfedges(mesh.he_face[h])]
+
+    sheet = [
+        h for h in live
+        if refl.he_label[h] == 1 and refl.r[h] != mesh.opp[h]
+        and copy_face(h) and copy_face(mesh.opp[h])
+    ]
+    a = sheet[0]
+    b = next(h for h in sheet if h not in (a, mesh.opp[a]))
+    quad = min(mesh.quad_pairs)
+    s = SimpleNamespace(
+        r=refl.r, lab=refl.he_label, vr=refl.vertex_refl, opp=mesh.opp,
+        pairs=mesh.quad_pairs, L=cmetric.lengths, diag=cmetric.quad_diag,
+        a=a, b=b, ra=refl.r[a], rb=refl.r[b], quad=quad, parked=mesh.quad_pairs[quad],
+        fixed=next(h for h in live if refl.r[h] == h),
+        hub=next(v for v, w in enumerate(refl.vertex_refl) if v != w),
+    )
+    mutate(s)
+    errs = validate_symmetry(mesh, refl, cmetric)
+    assert any(re.fullmatch(pattern, e) for e in errs), errs
 
 
 def _structure(mesh, refl, cmetric):
