@@ -181,7 +181,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--max-halvings",
         type=int,
         help="line-search budget N: trials at t0, t0/2, ..., t0 * 2^-N, plus at most "
-        "two for a regula-falsi refinement; t0 is 1 on the first Newton step, then "
+        "one for a regula-falsi refinement; t0 is 1 on the first Newton step, then "
         "the largest power of two <= min(1, 2 * the last accepted t)",
     )
     sp.add_argument("--flip-budget", type=float, help="flip budget factor per retriangulation")

@@ -185,6 +185,20 @@ class CombinatorialMesh:
         return fid
 
 
+@dataclass
+class PennerMetric:
+    """Per-halfedge lengths plus stored diagonals of transient quad faces.
+
+    ``quad_diag`` is keyed by quad face id.  The stored diagonal connects
+    the heads of the second and fourth halfedges of the face cycle; both
+    diagonals of an axis quad have the same length, so the choice only
+    fixes which virtual triangulation measures the quad.
+    """
+
+    lengths: list[float]
+    quad_diag: dict[int, float] = field(default_factory=dict)
+
+
 def _rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """Each row's length, and all rows concatenated, as int arrays."""
     if isinstance(rows, np.ndarray):

@@ -16,9 +16,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .halfedge import CombinatorialMesh, MeshError, _array, _rows
+from .halfedge import CombinatorialMesh, MeshError, PennerMetric, _array, _rows
 from .halfedge import build_from_face_edge_lists, build_from_face_lists
-from .metric import PennerMetric
 
 
 class ParseError(Exception):

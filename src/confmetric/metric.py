@@ -50,12 +50,12 @@ this module's ``flip_edge`` global, so a wrapper there sees every
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .halfedge import CombinatorialMesh, FlipFrame, _array, apply_flip, plan_flip
+from .halfedge import CombinatorialMesh, FlipFrame, PennerMetric, _array, apply_flip, plan_flip
 from .symmetry import FlipType, ReflectionMap, apply_symmetric_flip, classify_flip
 
 
@@ -65,20 +65,6 @@ class MetricError(Exception):
 
 class FlipBudgetError(Exception):
     """Raised when make_delaunay exceeds its flip budget."""
-
-
-@dataclass
-class PennerMetric:
-    """Per-halfedge lengths plus stored diagonals of transient quad faces.
-
-    ``quad_diag`` is keyed by quad face id.  The stored diagonal connects
-    the heads of the second and fourth halfedges of the face cycle; both
-    diagonals of an axis quad have the same length, so the choice only
-    fixes which virtual triangulation measures the quad.
-    """
-
-    lengths: list[float]
-    quad_diag: dict[int, float] = field(default_factory=dict)
 
 
 def _scale(lengths: np.ndarray, u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,23 +146,26 @@ def _corner_table(
     return r, np.ldexp(sides, -np.frexp(sides.max(axis=1, keepdims=True))[1])
 
 
-def _law_of_cosines(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sides ``b`` and ``c`` beside each corner of the (T, 3) sides ``S``
-    and ``b^2 + c^2 - a^2`` with ``a = S``: 2bc cos, or 4A cot, of the corner."""
-    b = S[:, [1, 2, 0]]
-    c = S[:, [2, 0, 1]]
-    return b, c, b * b + c * c - S * S
+def _beside(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sides ``b`` and ``c`` beside each corner of the (T, 3) sides ``S``."""
+    return S[:, [1, 2, 0]], S[:, [2, 0, 1]]
 
 
-def _heron_terms(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Needle-safe Heron terms of every triangle from its (T, 3) sides.
+def _law_of_cosines(S: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``b^2 + c^2 - a^2`` with ``a = S`` and ``b, c = _beside(S)``: 2bc cos,
+    or 4A cot, of each corner."""
+    return b * b + c * c - S * S
+
+
+def _heron_terms(S: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Needle-safe Heron terms of every triangle from its (T, 3) sides ``S``
+    and ``b, c = _beside(S)``.
 
     Returns the perimeter ``p`` (T, 1) and ``q = p - 2 S`` (T, 3), formed
     as ``min + (max - side)`` so that it never cancels (Kahan's ordering),
     clamped at 0 where a side exceeds the other two.  ``p * q0 * q1 * q2``
     is 16 times the squared area.
     """
-    b, c, _ = _law_of_cosines(S)
     q = np.maximum(np.minimum(b, c) + (np.maximum(b, c) - S), 0.0)
     return S.sum(axis=1, keepdims=True), q
 
@@ -191,7 +180,7 @@ def vertex_angle_sums(
     virtual triangulation along the stored diagonal.  ``read`` must be a
     read of the current lists; None reads them afresh."""
     r, S = _corner_table(mesh, metric, u, read)
-    p, q = _heron_terms(S)
+    p, q = _heron_terms(S, *_beside(S))
     # tan(angle / 2) = sqrt(q_next * q_prev / (p * q_own)), accurate for
     # needles where arccos of the law-of-cosines cosine is not.  A side
     # longer than the other two gives angles pi, 0, 0.
@@ -360,7 +349,8 @@ def _scan_violations_vectorized(
     product bc of rescaled sides is zero.
     """
     r, S = _corner_table(mesh, metric, u, read)
-    b, c, num = _law_of_cosines(S)
+    b, c = _beside(S)
+    num = _law_of_cosines(S, b, c)
     bc = b * c
     if not np.all((bc > 0.0) | (r.H < 0)):
         raise MetricError("scaled lengths beside a side left the float range")
@@ -448,10 +438,11 @@ def hessian(
     ``vertex_angle_sums`` measures them, from ``read`` as it does.
     """
     r, S = _corner_table(mesh, metric, u, read)
-    p, q = _heron_terms(S)
+    b, c = _beside(S)
+    p, q = _heron_terms(S, b, c)
     area4 = np.sqrt(p[:, 0] * q[:, 0] * q[:, 1] * q[:, 2])
     if not np.all(area4 > 0.0):
         raise MetricError("degenerate triangle while assembling the Hessian")
     # Half the cotangent: (b^2 + c^2 - a^2) / 4A / 2.
-    w = 0.5 * _law_of_cosines(S)[2] / area4[:, None]
+    w = 0.5 * _law_of_cosines(S, b, c) / area4[:, None]
     return r.A.ravel(), r.B.ravel(), w.ravel()

@@ -8,7 +8,9 @@ The line search halves t from its first trial until the slope
 <d, g(u + t*d)> is nonpositive or max|g| is within the tolerance; when a
 rejected trial at 2t brackets the minimiser, it then tries one
 regula-falsi point between t and 2t on that slope, so a full step that
-lands just past the minimiser does not cost a rate-1/2 phase.  The first
+lands just past the minimiser does not cost a rate-1/2 phase.  A rejected
+regula-falsi trial, like a failed line search, writes back the state saved
+before it instead of retriangulating.  The first
 trial is warm-started near the last accepted step: at the largest power
 of two <= min(1, 2 * t_prev), and at t = 1 on the first Newton step.  A
 step that accepted t >= 1/2 thus starts the next one at t = 1; after a
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -64,7 +67,12 @@ class SolverError(Exception):
 
 
 class LineSearchError(Exception):
-    """No acceptable step within the halving budget."""
+    """No acceptable step within the halving budget; carries the search's
+    ``flips``, its ``trials`` (gradient evaluations) and its first trial ``t0``."""
+
+    def __init__(self, message: str, flips: FlipLog, trials: int, t0: float):
+        super().__init__(message)
+        self.flips, self.trials, self.t0 = flips, trials, t0
 
 
 @dataclass
@@ -91,13 +99,14 @@ class NewtonStep:
     ``step`` 0 describes the state after the initial retriangulation,
     before any Newton update; its decrement is NaN.  ``flips`` aggregates
     every surgery performed during the step, including rejected line-search
-    trials (the mesh keeps those flips; there is no rollback).
-    ``symmetry_ok`` is None for solves without a reflection map.
+    trials (a rejected refinement or a failed search is written back, not
+    flipped back).  ``symmetry_ok`` is None for solves without a reflection map.
     ``halvings`` counts the line-search trials after the first, and
     ``refined`` is True when the step taken is the line search's
     regula-falsi point.  ``t`` is the step the line search accepted and
     ``t0`` its first trial: 1.0 unless the step was warm-started below a
-    full step.  Both are NaN at step 0.
+    full step.  Both are NaN at step 0, and ``t`` in the last row of a
+    failed line search, which keeps u and counts its trials and flips.
     """
 
     step: int
@@ -143,7 +152,7 @@ class LineSearchResult:
     <d, g_try>: <= 0 unless the trial was accepted for max|g_try| <=
     ``eps_tol``; ``t0`` is the first trial, and ``refined`` is True when t
     is the regula-falsi point rather than a power of two.  ``read`` is
-    what the last gradient read.
+    what the gradient at the accepted point read.
     """
 
     u: np.ndarray
@@ -248,22 +257,23 @@ def line_search(
     rejected trial at 2t precedes it, phi'(t) <= 0 < phi'(2t) brackets the
     minimiser along d, and one regula-falsi trial at
     t_r = t + t * -phi'(t) / (phi'(2t) - phi'(t)) follows: t_r is accepted
-    if its slope is <= 0, otherwise the mesh is retriangulated at t and the
-    gradient evaluated there again (should that slope now be positive,
-    halving resumes below t).  The energy is convex, so a nonpositive slope
+    if its slope is <= 0, otherwise the mesh, metric and reflection map
+    saved at t are written back and t is accepted with the gradient and
+    read measured there.  The energy is convex, so a nonpositive slope
     means descent without evaluating the energy.  A trial with max|g| <=
     ``config.eps_tol`` is accepted at once, whatever its slope, with no
     refinement after it: the sign of a slope made of roundoff is noise.
 
     Every trial retriangulates to Delaunay in place before evaluating the
-    gradient, and rejected trials leave their flips in the mesh; the next
+    gradient, and rejected halvings leave their flips in the mesh; the next
     trial continues from whatever triangulation the previous one reached.
     The returned u is exactly ``u + t * d``, and ``halvings`` counts the
     trials after the first (gradient evaluations minus one).  Raises
-    LineSearchError when no trial within ``config.max_halvings`` halvings
-    of t0 is accepted, or when a trial leaves u unchanged.  ``config``
-    also gives the Delaunay tie tolerance and the flip budget of each
-    retriangulation.
+    LineSearchError, with the flips and trials made, when no trial within
+    ``config.max_halvings`` halvings of t0 is accepted, or when a trial
+    leaves u unchanged; the mesh is then left where the last trial put it.
+    ``config`` also gives the Delaunay tie tolerance and the flip budget of
+    each retriangulation.
     ``read`` reads the mesh at entry (None: read afresh); every trial that
     flips reads again.
     """
@@ -279,7 +289,7 @@ def line_search(
         if np.array_equal(u_try, u):
             # The step is below the float resolution of u: accepting it
             # would repeat the same step until the Newton budget runs out.
-            raise LineSearchError("step does not move u")
+            raise LineSearchError("step does not move u", flips, trials, t0)
         log = make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, cfg.flip_budget_factor, read)
         read = read_triangles(mesh, metric) if log.total else read
         flips.merge(log)
@@ -290,26 +300,46 @@ def line_search(
     t0 = math.ldexp(0.5, math.frexp(t_max)[1])  # largest power of two <= t_max
     k = 0  # t = t0 * 2^-k
     slope_2t = None  # phi'(2t), once the trial at 2t has been rejected
-    may_refine = True
     while True:
         t = t0 * 0.5**k
         u_try, g_try, slope, within = trial(t)
         if slope <= 0.0 or within:
-            if may_refine and slope_2t is not None and not within:
-                may_refine = False
+            if slope_2t is not None and not within:
                 t_r = t + t * -slope / (slope_2t - slope)
                 if t < t_r < 2.0 * t:
+                    restore, read_t = _save(mesh, metric, refl), read
                     u_r, g_r, slope_r, within = trial(t_r)
                     if slope_r <= 0.0 or within:
                         return LineSearchResult(
                             u_r, g_r, trials - 1, flips, slope_r, t_r, t0, True, read
                         )
-                    continue  # retriangulate at t and evaluate there again
+                    restore()
+                    read = read_t
             return LineSearchResult(u_try, g_try, trials - 1, flips, slope, t, t0, False, read)
         if k == cfg.max_halvings:
-            raise LineSearchError(f"no acceptable step within {cfg.max_halvings} halvings")
+            raise LineSearchError(
+                f"no acceptable step within {cfg.max_halvings} halvings", flips, trials, t0
+            )
         slope_2t = slope
         k += 1
+
+
+def _save(
+    mesh: CombinatorialMesh, metric: PennerMetric, refl: ReflectionMap | None
+) -> Callable[[], None]:
+    """Copy every list and dict a retriangulation writes; the returned call
+    writes them back in place, bitwise, so a read of the saved state is
+    valid again.  Dicts keep their saved order, which reads follow."""
+    parts = [mesh.next_he, mesh.opp, mesh.to, mesh.he_face, mesh.quad_pairs]
+    parts += [metric.lengths, metric.quad_diag] + ([refl.r, refl.he_label] if refl else [])
+    saved = [p.copy() for p in parts]
+
+    def restore() -> None:
+        for p, s in zip(parts, saved):
+            p.clear()
+            (p.update if isinstance(p, dict) else p.extend)(s)
+
+    return restore
 
 
 def _symmetry_snapshot(
@@ -367,7 +397,8 @@ def find_conformal_metric(
     metric by that factor and leaves u as it is: bitwise for a power of
     two, up to rounding otherwise.  The returned triangulation is Delaunay
     for the returned u.  Convergence is judged on the residual recomputed
-    after the final retriangulation.
+    after the final retriangulation.  A failed line search writes back the
+    state its Newton step started from.
     """
     cfg = config if config is not None else SolverConfig()
     n = mesh.n_vertices
@@ -405,20 +436,23 @@ def find_conformal_metric(
             termination = "linear_solve_breakdown"
             break
         decrement = float(-(d @ g))
+        restore = _save(mesh, metric, refl)
         try:
             ls = line_search(mesh, metric, u, d, theta_hat, refl, cfg, read, t_max)
-        except LineSearchError:
-            # The failed trials moved the triangulation; restore the
-            # Delaunay state for the u we are keeping, from a fresh read.
-            make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor)
+        except LineSearchError as exc:
+            restore()  # the Delaunay state of the u we keep
             termination = "line_search_failed"
-            break
+            ls = LineSearchResult(
+                u, g, exc.trials - 1, exc.flips, math.nan, math.nan, exc.t0, False, read
+            )
         u, g, read = ls.u, ls.g_try, ls.read
         t_max = min(1.0, _T_GROWTH * ls.t)
         err = float(np.abs(g).max())
         snapshot = _symmetry_snapshot(mesh, metric, u, refl)
         row = (ls.halvings, ls.flips, decrement, float(g.sum()), snapshot, ls.refined, ls.t, ls.t0)
         steps.append(NewtonStep(k, err, *row))
+        if termination is not None:
+            break
     if termination is None:
         termination = "converged" if err <= cfg.eps_tol else "max_newton_steps"
 

@@ -51,14 +51,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .halfedge import CombinatorialMesh, FlipError, FlipFrame, _array, apply_flip, plan_flip
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .metric import PennerMetric
+from .halfedge import CombinatorialMesh, FlipError, FlipFrame, PennerMetric, _array
+from .halfedge import apply_flip, plan_flip
 
 
 class SymmetryError(Exception):
@@ -212,7 +209,7 @@ def _mirror(
 
 
 def _flip_paired(
-    mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
+    mesh: CombinatorialMesh, metric: PennerMetric, refl: ReflectionMap, h: int
 ) -> FlipRecord:
     L = metric.lengths
     fr1 = plan_flip(mesh, h)
@@ -243,7 +240,7 @@ def _flip_paired(
 
 
 def _flip_axis_forward(
-    mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
+    mesh: CombinatorialMesh, metric: PennerMetric, refl: ReflectionMap, h: int
 ) -> FlipRecord:
     fr = plan_flip(mesh, h)
     lnew = fr.ptolemy(metric.lengths)
@@ -256,7 +253,7 @@ def _flip_axis_forward(
 
 
 def _flip_axis_reverse(
-    mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
+    mesh: CombinatorialMesh, metric: PennerMetric, refl: ReflectionMap, h: int
 ) -> FlipRecord:
     L = metric.lengths
     nxt = mesh.next_he
@@ -277,7 +274,7 @@ def _flip_axis_reverse(
 
 
 def _flip_legs_forward(
-    mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
+    mesh: CombinatorialMesh, metric: PennerMetric, refl: ReflectionMap, h: int
 ) -> FlipRecord:
     L = metric.lengths
     nxt = mesh.next_he
@@ -337,7 +334,7 @@ def _flip_legs_forward(
 
 
 def _flip_legs_reverse(
-    mesh: CombinatorialMesh, metric: "PennerMetric", refl: ReflectionMap, h: int
+    mesh: CombinatorialMesh, metric: PennerMetric, refl: ReflectionMap, h: int
 ) -> FlipRecord:
     L = metric.lengths
     nxt = mesh.next_he
@@ -410,7 +407,7 @@ _SURGERIES = {
 
 def apply_symmetric_flip(
     mesh: CombinatorialMesh,
-    metric: "PennerMetric",
+    metric: PennerMetric,
     refl: ReflectionMap,
     h: int,
 ) -> FlipRecord:
@@ -429,7 +426,7 @@ def apply_symmetric_flip(
 def validate_symmetry(
     mesh: CombinatorialMesh,
     refl: ReflectionMap,
-    metric: "PennerMetric | None" = None,
+    metric: PennerMetric | None = None,
 ) -> list[str]:
     """Full-scan diagnostics of a symmetric state; empty list means valid.
 
