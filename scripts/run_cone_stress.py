@@ -44,7 +44,8 @@ def main():
             f"genus {g:2d}  V={mesh.n_vertices:3d}  cone={cone:7.3f}  {status:<18s} "
             f"steps={report.newton_steps:4d}  residual={report.final_residual:.3e}  "
             f"u in [{report.u_min:8.3f}, {report.u_max:7.3f}]  "
-            f"flips={report.total_flips().total:5d}  {dt:5.2f}s"
+            f"flips={report.total_flips().total:5d}  "
+            f"restarts={sum(rec.restarts for rec in report.steps):3d}  {dt:5.2f}s"
         )
     return worst_rc
 

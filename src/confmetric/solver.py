@@ -8,14 +8,20 @@ The line search halves t from its first trial until the slope
 <d, g(u + t*d)> is nonpositive or max|g| is within the tolerance; when a
 rejected trial at 2t brackets the minimiser, it then tries one
 regula-falsi point between t and 2t on that slope, so a full step that
-lands just past the minimiser does not cost a rate-1/2 phase.  A rejected
-regula-falsi trial, like a failed line search, writes back the state saved
-before it instead of retriangulating.  The first
+lands just past the minimiser does not cost a rate-1/2 phase.  The first
 trial is warm-started near the last accepted step: at the largest power
 of two <= min(1, 2 * t_prev), and at t = 1 on the first Newton step.  A
 step that accepted t >= 1/2 thus starts the next one at t = 1; after a
 short step the search no longer pays the flips toward a full step and
 back that each rejected trial costs.
+A line search saves the state it is handed: mesh, metric and reflection
+map.  Edge flips reach the Delaunay triangulation at any u from any
+triangulation, so before each halving retrial the search counts the
+violations at the new u on that state and on the one the last trial
+left, and writes the saved state back when it has strictly fewer.  A
+failed search writes it back too, so its Newton step keeps the state it
+started from; a rejected regula-falsi trial writes back the state saved
+at t.  Nothing is flipped back.
 H is never built as a matrix: ``hessian`` gives one term per corner, and
 the Newton system is summed from them with one unknown per mirror orbit
 of the double cover (a closed mesh has one vertex per orbit).  With the
@@ -25,7 +31,8 @@ reverse Cuthill-McKee ordering of the orbits narrows its band.
 
 A solve reads the mesh and metric lists into numpy at its start and
 after every retriangulation that flips; each read serves the scans,
-gradients and Hessians up to the next flip, and dies with the solve.
+gradients and Hessians up to the next flip, and a saved state keeps its
+read, which serves again once the state is written back.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .metric import (
     PennerMetric,
     TriangleRead,
     _scale,
+    _scan_violations_vectorized,
     gradient,
     hessian,
     make_delaunay,
@@ -68,11 +76,12 @@ class SolverError(Exception):
 
 class LineSearchError(Exception):
     """No acceptable step within the halving budget; carries the search's
-    ``flips``, its ``trials`` (gradient evaluations) and its first trial ``t0``."""
+    ``flips``, its ``trials`` (gradient evaluations), its first trial ``t0``
+    and its ``restarts``."""
 
-    def __init__(self, message: str, flips: FlipLog, trials: int, t0: float):
+    def __init__(self, message: str, flips: FlipLog, trials: int, t0: float, restarts: int):
         super().__init__(message)
-        self.flips, self.trials, self.t0 = flips, trials, t0
+        self.flips, self.trials, self.t0, self.restarts = flips, trials, t0, restarts
 
 
 @dataclass
@@ -99,9 +108,10 @@ class NewtonStep:
     ``step`` 0 describes the state after the initial retriangulation,
     before any Newton update; its decrement is NaN.  ``flips`` aggregates
     every surgery performed during the step, including rejected line-search
-    trials (a rejected refinement or a failed search is written back, not
-    flipped back).  ``symmetry_ok`` is None for solves without a reflection map.
-    ``halvings`` counts the line-search trials after the first, and
+    trials (a rejected refinement, a restart or a failed search is written
+    back, not flipped back).  ``symmetry_ok`` is None for solves without a
+    reflection map.  ``halvings`` counts the line-search trials after the
+    first, ``restarts`` those that started from the step's entry state, and
     ``refined`` is True when the step taken is the line search's
     regula-falsi point.  ``t`` is the step the line search accepted and
     ``t0`` its first trial: 1.0 unless the step was warm-started below a
@@ -119,6 +129,7 @@ class NewtonStep:
     refined: bool = False
     t: float = math.nan
     t0: float = math.nan
+    restarts: int = 0
 
 
 @dataclass
@@ -151,8 +162,9 @@ class LineSearchResult:
     ``halvings`` is the number of trials after the first, ``slope`` is
     <d, g_try>: <= 0 unless the trial was accepted for max|g_try| <=
     ``eps_tol``; ``t0`` is the first trial, and ``refined`` is True when t
-    is the regula-falsi point rather than a power of two.  ``read`` is
-    what the gradient at the accepted point read.
+    is the regula-falsi point rather than a power of two.  ``restarts``
+    counts the trials that started from the entry state.  ``read`` is what
+    the gradient at the accepted point read.
     """
 
     u: np.ndarray
@@ -163,7 +175,8 @@ class LineSearchResult:
     t: float
     t0: float
     refined: bool
-    read: TriangleRead | None
+    restarts: int
+    read: TriangleRead
 
 
 def newton_direction(terms: tuple, g: np.ndarray, orbit: np.ndarray | None = None) -> np.ndarray:
@@ -265,15 +278,20 @@ def line_search(
     refinement after it: the sign of a slope made of roundoff is noise.
 
     Every trial retriangulates to Delaunay in place before evaluating the
-    gradient, and rejected halvings leave their flips in the mesh; the next
-    trial continues from whatever triangulation the previous one reached.
-    The returned u is exactly ``u + t * d``, and ``halvings`` counts the
-    trials after the first (gradient evaluations minus one).  Raises
-    LineSearchError, with the flips and trials made, when no trial within
-    ``config.max_halvings`` halvings of t0 is accepted, or when a trial
-    leaves u unchanged; the mesh is then left where the last trial put it.
-    ``config`` also gives the Delaunay tie tolerance and the flip budget of
-    each retriangulation.
+    gradient.  The search saves the mesh, metric and reflection map it is
+    handed, with their read.  Before each halving retrial it counts the
+    edges that violate Delaunay at the new u on that read and on the read
+    of the current triangulation, and when the entry state has strictly
+    fewer it writes that state back and flips from there (a restart); on
+    a tie it continues from the current one.  The regula-falsi trial
+    always continues.  The returned u is exactly ``u + t * d``, and
+    ``halvings`` counts the trials after the first (gradient evaluations
+    minus one).  Raises LineSearchError, with the flips, trials and
+    restarts made, when no trial within ``config.max_halvings`` halvings
+    of t0 is accepted, or when a trial leaves u unchanged; the entry state
+    is then written back, so the mesh, metric and reflection map are
+    bitwise as they were handed in.  ``config`` also gives the Delaunay
+    tie tolerance and the flip budget of each retriangulation.
     ``read`` reads the mesh at entry (None: read afresh); every trial that
     flips reads again.
     """
@@ -281,15 +299,29 @@ def line_search(
     u = np.asarray(u, dtype=float)
     d = np.asarray(d, dtype=float)
     flips = FlipLog()
-    trials = 0
+    trials = restarts = 0
+    restore = _save(mesh, metric, refl)
+    read = entry = read if read is not None else read_triangles(mesh, metric)
 
-    def trial(t: float) -> tuple[np.ndarray, np.ndarray, float, bool]:
-        nonlocal trials, read
+    def fail(message: str) -> LineSearchError:
+        restore()
+        return LineSearchError(message, flips, trials, t0, restarts)
+
+    def violations(r: TriangleRead, u_try: np.ndarray) -> int:
+        # ``entry`` stays a read of the saved state while the lists move on.
+        return len(_scan_violations_vectorized(mesh, metric, u_try, cfg.eps_flip, r))
+
+    def trial(t: float, retrial: bool) -> tuple[np.ndarray, np.ndarray, float, bool]:
+        nonlocal trials, restarts, read
         u_try = u + t * d
         if np.array_equal(u_try, u):
             # The step is below the float resolution of u: accepting it
             # would repeat the same step until the Newton budget runs out.
-            raise LineSearchError("step does not move u", flips, trials, t0)
+            raise fail("step does not move u")
+        if retrial and read is not entry and violations(entry, u_try) < violations(read, u_try):
+            restore()  # the flip loop scans this side again
+            read = entry
+            restarts += 1
         log = make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, cfg.flip_budget_factor, read)
         read = read_triangles(mesh, metric) if log.total else read
         flips.merge(log)
@@ -302,24 +334,24 @@ def line_search(
     slope_2t = None  # phi'(2t), once the trial at 2t has been rejected
     while True:
         t = t0 * 0.5**k
-        u_try, g_try, slope, within = trial(t)
+        u_try, g_try, slope, within = trial(t, k > 0)
         if slope <= 0.0 or within:
             if slope_2t is not None and not within:
                 t_r = t + t * -slope / (slope_2t - slope)
                 if t < t_r < 2.0 * t:
-                    restore, read_t = _save(mesh, metric, refl), read
-                    u_r, g_r, slope_r, within = trial(t_r)
+                    restore_t, read_t = _save(mesh, metric, refl), read
+                    u_r, g_r, slope_r, within = trial(t_r, False)
                     if slope_r <= 0.0 or within:
                         return LineSearchResult(
-                            u_r, g_r, trials - 1, flips, slope_r, t_r, t0, True, read
+                            u_r, g_r, trials - 1, flips, slope_r, t_r, t0, True, restarts, read
                         )
-                    restore()
+                    restore_t()
                     read = read_t
-            return LineSearchResult(u_try, g_try, trials - 1, flips, slope, t, t0, False, read)
-        if k == cfg.max_halvings:
-            raise LineSearchError(
-                f"no acceptable step within {cfg.max_halvings} halvings", flips, trials, t0
+            return LineSearchResult(
+                u_try, g_try, trials - 1, flips, slope, t, t0, False, restarts, read
             )
+        if k == cfg.max_halvings:
+            raise fail(f"no acceptable step within {cfg.max_halvings} halvings")
         slope_2t = slope
         k += 1
 
@@ -397,7 +429,7 @@ def find_conformal_metric(
     metric by that factor and leaves u as it is: bitwise for a power of
     two, up to rounding otherwise.  The returned triangulation is Delaunay
     for the returned u.  Convergence is judged on the residual recomputed
-    after the final retriangulation.  A failed line search writes back the
+    after the final retriangulation.  A failed line search leaves the
     state its Newton step started from.
     """
     cfg = config if config is not None else SolverConfig()
@@ -436,21 +468,20 @@ def find_conformal_metric(
             termination = "linear_solve_breakdown"
             break
         decrement = float(-(d @ g))
-        restore = _save(mesh, metric, refl)
         try:
             ls = line_search(mesh, metric, u, d, theta_hat, refl, cfg, read, t_max)
-        except LineSearchError as exc:
-            restore()  # the Delaunay state of the u we keep
+        except LineSearchError as exc:  # the search wrote back the state of the u we keep
             termination = "line_search_failed"
             ls = LineSearchResult(
-                u, g, exc.trials - 1, exc.flips, math.nan, math.nan, exc.t0, False, read
+                u, g, exc.trials - 1, exc.flips, math.nan, math.nan, exc.t0, False,
+                exc.restarts, read,
             )
         u, g, read = ls.u, ls.g_try, ls.read
         t_max = min(1.0, _T_GROWTH * ls.t)
         err = float(np.abs(g).max())
         snapshot = _symmetry_snapshot(mesh, metric, u, refl)
         row = (ls.halvings, ls.flips, decrement, float(g.sum()), snapshot, ls.refined, ls.t, ls.t0)
-        steps.append(NewtonStep(k, err, *row))
+        steps.append(NewtonStep(k, err, *row, ls.restarts))
         if termination is not None:
             break
     if termination is None:

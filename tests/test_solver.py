@@ -612,25 +612,29 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
     entry = []
 
     def fail(mesh, metric, *args, **kwargs):
-        # Failed trials leave their flips in the mesh: here two edges with
-        # no face in common, which leave two edges of the uniform
-        # octahedron failing at u = 0.
+        # A failed search writes back the state it was handed, as
+        # line_search does; here after flipping two edges with no face in
+        # common, which leave two edges of the uniform octahedron failing
+        # at u = 0.
         entry.append(_state(mesh, metric))
+        restore = solver_mod._save(mesh, metric, None)
         for a, b in ((0, 1), (3, 5)):
             flip_edge(mesh, metric, edge[frozenset((a, b))])
-        raise LineSearchError("forced", FlipLog(single=2), 1, 1.0)
+        restore()
+        raise LineSearchError("forced", FlipLog(single=2), 1, 1.0, 1)
 
     monkeypatch.setattr(solver_mod, "line_search", fail)
     with helpers.delaunay_after_every_retriangulation() as audited:
         _, _, u, report = find_conformal_metric(mesh, metric, theta_hat)
     assert report.termination == "line_search_failed"
-    # The state the step started from is written back, not retriangulated:
-    # the one audit is the initial retriangulation's.  Uniform lengths 1
-    # are solved at scale 2^0, so the metric comes back as it was.
+    # The state the step started from is kept, not retriangulated: the one
+    # audit is the initial retriangulation's.  Uniform lengths 1 are solved
+    # at scale 2^0, so the metric comes back as it was.
     assert len(audited) == 1 and np.array_equal(audited[0], u)
     assert _state(mesh, metric) == entry[0]
     last = report.steps[-1]
     assert report.newton_steps == 1 and last.flips == FlipLog(single=2) and last.halvings == 0
+    assert last.restarts == 1
     assert math.isnan(last.t) and last.t0 == 1.0 and np.all(u == 0.0)
 
 
@@ -700,6 +704,94 @@ def test_a_failed_line_search_leaves_the_state_it_found(monkeypatch, kind, size)
     k = math.frexp(metric.lengths[0])[1] - math.frexp(metric0.lengths[0])[1]
     solver_mod._ldexp_metric(metric0, k)
     assert _state(mesh, metric, refl) == _state(mesh0, metric0, refl0)
+
+
+def _check_restarts(monkeypatch):
+    """Wrap the solver's ``line_search`` and ``make_delaunay``.  Each search
+    must start its first trial from the state it was handed, bitwise.
+    Before each halving retrial, the violations at the trial's u are
+    counted from fresh reads of copies of that entry state and of the state
+    the last trial left: the trial must start from the entry state when it
+    has strictly fewer, else from the last trial's state, and the search's
+    ``restarts`` must count the first case.  Returns a list of each
+    search's restarts, its ties (equal counts) and its reflection map."""
+    real_search, real_md = solver_mod.line_search, solver_mod.make_delaunay
+    trials, restarts = [], []
+
+    def violations(state, u):
+        mesh, metric, _ = state
+        return len(metric_mod._scan_violations_vectorized(mesh, metric, u, 1e-12))
+
+    def md(mesh, metric, u, refl=None, *args):
+        before = _state(mesh, metric, refl)
+        log = real_md(mesh, metric, u, refl, *args)
+        trials.append((np.array(u), before, copy.deepcopy((mesh, metric, refl))))
+        return log
+
+    def search(mesh, metric, u, d, theta_hat, refl=None, *args):
+        entry = copy.deepcopy((mesh, metric, refl))
+        trials.clear()
+        res = real_search(mesh, metric, u, d, theta_hat, refl, *args)
+        # A regula-falsi trial, accepted or written back, comes last.
+        halving = trials[:-1] if res.refined or not np.array_equal(trials[-1][0], res.u) else trials
+        assert trials[0][1] == _state(*entry)
+        seen = ties = 0
+        for (_, _, last), (u_try, before, _) in zip(halving, halving[1:]):
+            counts = violations(entry, u_try), violations(last, u_try)
+            assert before == _state(*(entry if counts[0] < counts[1] else last))
+            seen += counts[0] < counts[1]
+            ties += counts[0] == counts[1]
+        assert res.restarts == seen
+        restarts.append((seen, ties, refl))
+        return res
+
+    monkeypatch.setattr(solver_mod, "make_delaunay", md)
+    monkeypatch.setattr(solver_mod, "line_search", search)
+    return restarts
+
+
+@pytest.mark.parametrize(
+    "kind, seed, size, tol, ties",
+    [("sphere-random-angles", 0, 642, 1e-10, 0), ("single-cone-genus-4", 0, 0, 1e-8, 2)],
+)
+def test_a_restarted_trial_flips_from_the_entry_state_it_has_fewer_violations_on(
+    monkeypatch, kind, seed, size, tol, ties
+):
+    # The genus-4 cone also has retrials whose two counts tie; they continue.
+    searches = _check_restarts(monkeypatch)
+    *_, report = solve_problem(generate(kind, seed, size), SolverConfig(eps_tol=tol))
+    assert report.converged
+    restarts = [n for n, _, _ in searches]
+    assert [rec.restarts for rec in report.steps[1:]] == restarts and sum(restarts) > 0
+    assert sum(n for _, n, _ in searches) == ties
+
+
+@pytest.mark.parametrize("seed, size", [(0, 289), (7, 1089)])
+def test_restarted_cover_solves_stay_delaunay_and_mirror_symmetric(monkeypatch, seed, size):
+    # Disk seed 0 at 1,089 vertices restarts no trial; these two restart one.
+    searches = _check_restarts(monkeypatch)
+    with helpers.delaunay_after_every_retriangulation():
+        mesh, metric, u, report = solve_problem(
+            generate("disk-random-boundary", seed, size), keep_double_cover=True
+        )
+    assert report.converged and sum(n for n, _, _ in searches) == 1
+    assert all(rec.symmetry_ok for rec in report.steps)
+    refl = searches[0][2]
+    assert np.array_equal(u, u[refl.vertex_refl])
+    live = [h for h in range(mesh.n_halfedges()) if mesh.he_face[h] >= 0]
+    assert all(metric.lengths[h] == metric.lengths[refl.r[h]] for h in live)
+
+
+def test_the_sphere_set_flips_at_most_12_000_times():
+    # Halving retrials that continued from the last trial's triangulation
+    # flipped 17,077 times over these seven solves; restarting from the
+    # entry state when it has fewer violations, 10,721.
+    flips = 0
+    for seed in range(7):
+        *_, report = solve_problem(generate("sphere-random-angles", seed, 642))
+        assert report.converged, seed
+        flips += report.total_flips().total
+    assert flips <= 12_000
 
 
 @pytest.mark.parametrize(
