@@ -2,8 +2,9 @@
 
 Exit codes: 0 success/converged, 2 parse or validation failure or a file
 that cannot be read or written, 3 non-convergence within budgets,
-4 internal invariant breach (flip budget exhausted, symmetry corruption,
-degenerate geometry, or any other unexpected failure of one input).
+4 internal invariant breach (a flip loop that does not terminate within
+its fixed budget, symmetry corruption, degenerate geometry, or any other
+unexpected failure of one input).
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ EXIT_INVARIANT = 4
 _OPT_NAMES = {
     "tol": ("eps_tol", float),
     "max_steps": ("max_newton_steps", int),
-    "max_halvings": ("max_halvings", int),
-    "flip_budget": ("flip_budget_factor", float),
     "eps_flip": ("eps_flip", float),
 }
 
@@ -49,7 +48,7 @@ _OPT_NAMES = {
 def _build_config(options: dict, args) -> SolverConfig:
     """Solver settings from ``opt`` lines; a command line flag of the same
     name wins.  Every value must be finite and nonnegative, ``tol``
-    positive, and ``max_steps`` and ``max_halvings`` integral."""
+    positive, and ``max_steps`` integral."""
     for name in options:
         if name not in _OPT_NAMES:
             raise ParseError(f"unknown solver option {name!r}")
@@ -177,14 +176,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="result path (single input) or directory (several inputs)")
     sp.add_argument("--tol", type=float, help="convergence tolerance on max angle error")
     sp.add_argument("--max-steps", type=int, help="Newton step budget")
-    sp.add_argument(
-        "--max-halvings",
-        type=int,
-        help="line-search budget N: trials at t0, t0/2, ..., t0 * 2^-N, plus at most "
-        "one for a regula-falsi refinement; t0 is 1 on the first Newton step, then "
-        "the largest power of two <= min(1, 2 * the last accepted t)",
-    )
-    sp.add_argument("--flip-budget", type=float, help="flip budget factor per retriangulation")
     sp.add_argument("--keep-double-cover", action="store_true", help="emit the symmetric cover instead of restricting")
     sp.set_defaults(func=cmd_solve)
 

@@ -69,6 +69,12 @@ from .symmetry import ReflectionMap
 # section 3.5).
 _T_GROWTH = 2.0
 
+# Caps on the halvings of a line search and on the flips per edge of a
+# retriangulation.  Flips reach Delaunay from any start (Bobenko & Springborn
+# 2007), so a spent flip budget is a flip loop that did not terminate.
+_MAX_HALVINGS = 40
+_FLIP_BUDGET_FACTOR = 100.0
+
 
 class SolverError(Exception):
     """Linear solve breakdown (non-finite or high-residual direction)."""
@@ -86,18 +92,19 @@ class LineSearchError(Exception):
 
 @dataclass
 class SolverConfig:
-    """Stopping and safety knobs for the Newton iteration.
+    """Stopping knobs for the Newton iteration, each with an ``opt`` name
+    (``cli._OPT_NAMES``); the halving and flip caps are constants.
 
     ``eps_flip`` is the Delaunay tie tolerance: edges whose predicate value
     sits in [-eps_flip, 0) are treated as co-circular and never flipped.
-    Each field has an ``opt`` name (``cli._OPT_NAMES``).  The orbit solve
-    has no knob: a direction missing its 1e-10 residual gate ends the solve.
+    The disk battery runs at 0, where the genus-4 cone cycles until its flip
+    budget runs out.  Up to 1e-2 a sphere, a disk and a cone take the same
+    steps; wider bands end in a degenerate triangle (exit 4), the cone from
+    0.05, the sphere from 0.5 and the disk at 1 (``docs/formats.md``).
     """
 
     eps_tol: float = 1e-10
     max_newton_steps: int = 50
-    max_halvings: int = 40
-    flip_budget_factor: float = 100.0
     eps_flip: float = 1e-12
 
 
@@ -226,7 +233,8 @@ def newton_direction(terms: tuple, g: np.ndarray, orbit: np.ndarray | None = Non
     i, j = rank[i], rank[j]
     k, j = np.abs(i - j), np.minimum(i, j)  # LAPACK's lower band: band[i - j, j] = A[i, j]
     width = int(k.max(initial=0)) + 1
-    band = np.bincount(k * m + j, v, minlength=width * m).reshape(width, m)
+    # When every term touches the pinned orbit, bincount returns integers.
+    band = np.bincount(k * m + j, v, width * m).astype(float, copy=False).reshape(width, m)
     band[0] = np.delete(diag, pin)[perm]
     try:
         factor = scipy.linalg.cholesky_banded(
@@ -287,11 +295,11 @@ def line_search(
     always continues.  The returned u is exactly ``u + t * d``, and
     ``halvings`` counts the trials after the first (gradient evaluations
     minus one).  Raises LineSearchError, with the flips, trials and
-    restarts made, when no trial within ``config.max_halvings`` halvings
-    of t0 is accepted, or when a trial leaves u unchanged; the entry state
-    is then written back, so the mesh, metric and reflection map are
-    bitwise as they were handed in.  ``config`` also gives the Delaunay
-    tie tolerance and the flip budget of each retriangulation.
+    restarts made, when no trial within ``_MAX_HALVINGS`` halvings of t0
+    is accepted, or when a trial leaves u unchanged; the entry state is
+    then written back, so the mesh, metric and reflection map are bitwise
+    as they were handed in.  ``config`` also gives the Delaunay tie
+    tolerance of each retriangulation.
     ``read`` reads the mesh at entry (None: read afresh); every trial that
     flips reads again.
     """
@@ -322,7 +330,7 @@ def line_search(
             restore()  # the flip loop scans this side again
             read = entry
             restarts += 1
-        log = make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, cfg.flip_budget_factor, read)
+        log = make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, _FLIP_BUDGET_FACTOR, read)
         read = read_triangles(mesh, metric) if log.total else read
         flips.merge(log)
         g_try = gradient(mesh, metric, u_try, theta_hat, read)
@@ -350,8 +358,8 @@ def line_search(
             return LineSearchResult(
                 u_try, g_try, trials - 1, flips, slope, t, t0, False, restarts, read
             )
-        if k == cfg.max_halvings:
-            raise fail(f"no acceptable step within {cfg.max_halvings} halvings")
+        if k == _MAX_HALVINGS:
+            raise fail(f"no acceptable step within {_MAX_HALVINGS} halvings")
         slope_2t = slope
         k += 1
 
@@ -445,7 +453,7 @@ def find_conformal_metric(
     rep = np.arange(n) if refl is None else np.minimum(np.arange(n), _array(refl.vertex_refl))
     orbit = np.unique(rep, return_inverse=True)[1]
     read = read_triangles(mesh, metric)
-    flips0 = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, cfg.flip_budget_factor, read)
+    flips0 = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, _FLIP_BUDGET_FACTOR, read)
     read = read_triangles(mesh, metric) if flips0.total else read
     g = gradient(mesh, metric, u, theta_hat, read)
     err = float(np.abs(g).max()) if n else 0.0

@@ -4,13 +4,15 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import time
 
 import pytest
 import scipy.linalg
 
 import confmetric.cli
-from confmetric.cli import main
+import confmetric.solver
+from confmetric.cli import main, make_parser
 from confmetric.io import read_bundle, read_mesh_file, read_targets_file, sidecar_path
 from confmetric.metric import PennerMetric, vertex_angle_sums
 from confmetric.solver import SolverConfig
@@ -408,9 +410,11 @@ def test_unknown_option_rejected(tmp_path, capsys):
     assert main(["solve", mesh]) == 2
     assert "banana" in capsys.readouterr().err
     # a removed option is rejected like any other unknown name
-    put(tmp_path, "d.targets", "opt min_decrement 0\n")
-    assert main(["solve", mesh]) == 2
-    assert "unknown solver option 'min_decrement'" in capsys.readouterr().err
+    for name, value in [("min_decrement", 0), ("max_halvings", 3), ("flip_budget", 1)]:
+        put(tmp_path, "d.targets", f"opt {name} {value}\n")
+        assert main(["solve", mesh]) == 2
+        assert f"unknown solver option {name!r}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "d.result")
 
 
 @pytest.mark.parametrize(
@@ -431,15 +435,28 @@ def test_unknown_option_rejected(tmp_path, capsys):
     ],
 )
 def test_out_of_range_solver_option_exit_2(tmp_path, capsys, name, flags, opt):
+    # max_halvings and flip_budget are constants now: their flags and opt
+    # lines are rejected whatever the value, with the same exit code.
     mesh = tetra_files(tmp_path)
     with open(sidecar_path(mesh), "a") as fh:
         fh.write(opt)
-    assert main(["solve", mesh, *flags]) == 2
-    assert f"solver option {name} must be" in capsys.readouterr().err
+    try:
+        code = main(["solve", mesh, *flags])
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    if name not in confmetric.cli._OPT_NAMES:
+        message = f"unrecognized arguments: {flags[0]}" if flags else "unknown solver option"
+    else:
+        message = f"solver option {name} must be"
+    assert message in err
     assert not os.path.exists(tmp_path / "t.result")
 
 
-def test_flip_budget_breach_exit_4(tmp_path, capsys):
+def test_flip_budget_breach_exit_4(tmp_path, capsys, monkeypatch):
+    # The square whose bad diagonal needs one flip, with no flip allowed.
+    monkeypatch.setattr(confmetric.solver, "_FLIP_BUDGET_FACTOR", 0.0)
     mesh = put(
         tmp_path, "sq.mesh",
         "f 1 2 3\nf 1 3 4\nel 1 2 1.0\nel 2 3 1.0\nel 3 4 1.0\nel 1 4 1.0\nel 1 3 1.9\n",
@@ -448,7 +465,7 @@ def test_flip_budget_breach_exit_4(tmp_path, capsys):
         tmp_path, "sq.targets",
         "".join(f"k {i} {repr(math.pi / 2)}\n" for i in (1, 2, 3, 4)),
     )
-    assert main(["solve", mesh, "--flip-budget", "0.0"]) == 4
+    assert main(["solve", mesh]) == 4
     assert "invariant breach" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "sq.result")
 
@@ -728,3 +745,18 @@ def test_every_solver_setting_is_an_opt_name():
     # tests can turn.
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert fields == {field for field, _ in confmetric.cli._OPT_NAMES.values()}
+
+
+def test_the_docs_name_exactly_the_solver_options():
+    # The opt names of the targets grammar in docs/formats.md, and the
+    # solve flags the README's command line section lists.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "docs", "formats.md")) as fh:
+        grammar = re.search(r"^name\s+=(.*?);", fh.read(), re.M | re.S).group(1)
+    assert set(re.findall(r'"(\w+)"', grammar)) == set(confmetric.cli._OPT_NAMES)
+    with open(os.path.join(root, "README.md")) as fh:
+        paragraph = next(p for p in fh.read().split("\n\n") if re.search(r"Useful\s+flags", p))
+    listed = re.findall(r"`[^`]*?(--[\w-]+)", paragraph)
+    assert "--tol" in listed
+    for flag in listed:
+        assert flag not in make_parser().parse_known_args(["solve", flag, "1", "a.mesh"])[1]
