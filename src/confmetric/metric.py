@@ -64,7 +64,12 @@ class MetricError(Exception):
 
 
 class FlipBudgetError(Exception):
-    """Raised when make_delaunay exceeds its flip budget."""
+    """Raised when make_delaunay exceeds its flip budget; carries the
+    ``flips`` it made."""
+
+    def __init__(self, message: str, flips: "FlipLog"):
+        super().__init__(message)
+        self.flips = flips
 
 
 def _scale(lengths: np.ndarray, u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -380,7 +385,8 @@ def make_delaunay(
     popped from it that does not hold is flipped; a plain flip pushes its
     four outer edges, a surgery the edges of the faces it rebuilds.  The
     call returns when the stack is empty.  Raises :class:`FlipBudgetError`
-    after ``flip_budget_factor * mesh.n_edges()`` flips, counted at entry.
+    after ``flip_budget_factor * mesh.n_edges()`` flips, counted at entry,
+    with the flips made; they are not undone.
     The scan uses ``read`` as ``vertex_angle_sums`` does.
     """
     log = FlipLog()
@@ -393,7 +399,7 @@ def make_delaunay(
         if holds(h):
             continue
         if log.total >= budget:
-            raise FlipBudgetError(f"exceeded {budget:.0f} flips without reaching Delaunay")
+            raise FlipBudgetError(f"exceeded {budget:.0f} flips without reaching Delaunay", log)
         if refl is None:
             _, h1, h2, _, h4, h5 = flip_edge(mesh, metric, h)[0]
             log.single += 1

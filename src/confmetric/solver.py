@@ -18,10 +18,13 @@ A line search saves the state it is handed: mesh, metric and reflection
 map.  Edge flips reach the Delaunay triangulation at any u from any
 triangulation, so before each halving retrial the search counts the
 violations at the new u on that state and on the one the last trial
-left, and writes the saved state back when it has strictly fewer.  A
-failed search writes it back too, so its Newton step keeps the state it
-started from; a rejected regula-falsi trial writes back the state saved
-at t.  Nothing is flipped back.
+left, and writes the saved state back when it has strictly fewer.  For
+the same reason a trial from the saved state need not walk all the way
+to an overshooting u: it is rejected once it has flipped a quarter of
+the edges, and the saved state is written back.  A failed search writes
+it back too, so its Newton step keeps the state it started from; a
+rejected regula-falsi trial writes back the state saved at t.  Nothing
+is flipped back.
 H is never built as a matrix: ``hessian`` gives one term per corner, and
 the Newton system is summed from them with one unknown per mirror orbit
 of the double cover (a closed mesh has one vertex per orbit).  With the
@@ -50,6 +53,7 @@ from . import io
 from .cover import build_double_cover, restrict_to_single_cover
 from .halfedge import CombinatorialMesh, _array
 from .metric import (
+    FlipBudgetError,
     FlipLog,
     MetricError,
     PennerMetric,
@@ -74,6 +78,12 @@ _T_GROWTH = 2.0
 # 2007), so a spent flip budget is a flip loop that did not terminate.
 _MAX_HALVINGS = 40
 _FLIP_BUDGET_FACTOR = 100.0
+# A line-search trial that starts from the entry triangulation, before the
+# search's first _CAP_HALVINGS halvings, is rejected once it has made
+# _TRIAL_FLIP_CAP flips per edge: on the seed-0 benchmark sets no trial
+# that far from the entry state passes the slope test.
+_TRIAL_FLIP_CAP = 0.25
+_CAP_HALVINGS = 20
 
 
 class SolverError(Exception):
@@ -82,12 +92,15 @@ class SolverError(Exception):
 
 class LineSearchError(Exception):
     """No acceptable step within the halving budget; carries the search's
-    ``flips``, its ``trials`` (gradient evaluations), its first trial ``t0``
-    and its ``restarts``."""
+    ``flips``, its ``trials`` (gradient evaluations), its first trial
+    ``t0``, its ``restarts`` and its ``capped`` trials."""
 
-    def __init__(self, message: str, flips: FlipLog, trials: int, t0: float, restarts: int):
+    def __init__(
+        self, message: str, flips: FlipLog, trials: int, t0: float, restarts: int, capped: int
+    ):
         super().__init__(message)
-        self.flips, self.trials, self.t0, self.restarts = flips, trials, t0, restarts
+        self.flips, self.trials, self.t0 = flips, trials, t0
+        self.restarts, self.capped = restarts, capped
 
 
 @dataclass
@@ -97,10 +110,12 @@ class SolverConfig:
 
     ``eps_flip`` is the Delaunay tie tolerance: edges whose predicate value
     sits in [-eps_flip, 0) are treated as co-circular and never flipped.
-    The disk battery runs at 0, where the genus-4 cone cycles until its flip
-    budget runs out.  Up to 1e-2 a sphere, a disk and a cone take the same
-    steps; wider bands end in a degenerate triangle (exit 4), the cone from
-    0.05, the sphere from 0.5 and the disk at 1 (``docs/formats.md``).
+    The disk battery and the cones of genus 2 to 8 converge at 0: the line
+    search's trial cap keeps the genus-4 and genus-6 cones away from a flip
+    cycle there, but nothing proves the flip loop free of cycles.  Up to
+    1e-2 a sphere, a disk and a cone take the same steps; wider bands end
+    in a degenerate triangle (exit 4), the cone from 0.05, the sphere from
+    0.5 and the disk at 1 (``docs/formats.md``).
     """
 
     eps_tol: float = 1e-10
@@ -115,10 +130,12 @@ class NewtonStep:
     ``step`` 0 describes the state after the initial retriangulation,
     before any Newton update; its decrement is NaN.  ``flips`` aggregates
     every surgery performed during the step, including rejected line-search
-    trials (a rejected refinement, a restart or a failed search is written
-    back, not flipped back).  ``symmetry_ok`` is None for solves without a
-    reflection map.  ``halvings`` counts the line-search trials after the
-    first, ``restarts`` those that started from the step's entry state, and
+    trials (a rejected refinement, a capped trial, a restart or a failed
+    search is written back, not flipped back).  ``symmetry_ok`` is None for
+    solves without a reflection map.  ``halvings`` counts the line-search
+    trials that evaluated a gradient, less one; ``capped`` the trials
+    rejected at their flip cap, which evaluate none; ``restarts`` the
+    halving retrials that started from the step's entry state; and
     ``refined`` is True when the step taken is the line search's
     regula-falsi point.  ``t`` is the step the line search accepted and
     ``t0`` its first trial: 1.0 unless the step was warm-started below a
@@ -137,6 +154,7 @@ class NewtonStep:
     t: float = math.nan
     t0: float = math.nan
     restarts: int = 0
+    capped: int = 0
 
 
 @dataclass
@@ -166,12 +184,13 @@ class SolverReport:
 class LineSearchResult:
     """The accepted point u + t*d, and the residual ``g_try`` evaluated there.
 
-    ``halvings`` is the number of trials after the first, ``slope`` is
-    <d, g_try>: <= 0 unless the trial was accepted for max|g_try| <=
+    ``halvings`` is the number of gradient evaluations less one, ``slope``
+    is <d, g_try>: <= 0 unless the trial was accepted for max|g_try| <=
     ``eps_tol``; ``t0`` is the first trial, and ``refined`` is True when t
     is the regula-falsi point rather than a power of two.  ``restarts``
-    counts the trials that started from the entry state.  ``read`` is what
-    the gradient at the accepted point read.
+    counts the halving retrials that started from the entry state, and
+    ``capped`` the trials rejected at their flip cap.  ``read`` is what the
+    gradient at the accepted point read.
     """
 
     u: np.ndarray
@@ -183,6 +202,7 @@ class LineSearchResult:
     t0: float
     refined: bool
     restarts: int
+    capped: int
     read: TriangleRead
 
 
@@ -292,14 +312,20 @@ def line_search(
     of the current triangulation, and when the entry state has strictly
     fewer it writes that state back and flips from there (a restart); on
     a tie it continues from the current one.  The regula-falsi trial
-    always continues.  The returned u is exactly ``u + t * d``, and
-    ``halvings`` counts the trials after the first (gradient evaluations
-    minus one).  Raises LineSearchError, with the flips, trials and
-    restarts made, when no trial within ``_MAX_HALVINGS`` halvings of t0
-    is accepted, or when a trial leaves u unchanged; the entry state is
-    then written back, so the mesh, metric and reflection map are bitwise
-    as they were handed in.  ``config`` also gives the Delaunay tie
-    tolerance of each retriangulation.
+    always continues.  A trial that starts from the entry state within
+    ``_CAP_HALVINGS`` halvings of t0 (the first trial, a restart, a trial
+    after a capped one) may flip ``_TRIAL_FLIP_CAP`` times per edge: one
+    that needs more is capped, rejected without a gradient, and the entry
+    state and its read are written back; the next trial has no
+    regula-falsi bracket.  Other trials have the full flip budget.  The
+    returned u is exactly ``u + t * d``, ``halvings`` counts the gradient
+    evaluations minus one, and ``capped`` the capped trials, whose flips
+    count in ``flips``.  Raises LineSearchError, with the flips, trials,
+    restarts and capped trials made, when no trial within
+    ``_MAX_HALVINGS`` halvings of t0 is accepted, or when a trial leaves u
+    unchanged; the entry state is then written back, so the mesh, metric
+    and reflection map are bitwise as they were handed in.  ``config``
+    also gives the Delaunay tie tolerance of each retriangulation.
     ``read`` reads the mesh at entry (None: read afresh); every trial that
     flips reads again.
     """
@@ -307,20 +333,22 @@ def line_search(
     u = np.asarray(u, dtype=float)
     d = np.asarray(d, dtype=float)
     flips = FlipLog()
-    trials = restarts = 0
+    trials = restarts = capped = 0
     restore = _save(mesh, metric, refl)
     read = entry = read if read is not None else read_triangles(mesh, metric)
 
     def fail(message: str) -> LineSearchError:
         restore()
-        return LineSearchError(message, flips, trials, t0, restarts)
+        return LineSearchError(message, flips, trials, t0, restarts, capped)
 
     def violations(r: TriangleRead, u_try: np.ndarray) -> int:
         # ``entry`` stays a read of the saved state while the lists move on.
         return len(_scan_violations_vectorized(mesh, metric, u_try, cfg.eps_flip, r))
 
-    def trial(t: float, retrial: bool) -> tuple[np.ndarray, np.ndarray, float, bool]:
-        nonlocal trials, restarts, read
+    def trial(
+        t: float, retrial: bool, cap: bool
+    ) -> tuple[np.ndarray, np.ndarray | None, float, bool]:
+        nonlocal trials, restarts, capped, read
         u_try = u + t * d
         if np.array_equal(u_try, u):
             # The step is below the float resolution of u: accepting it
@@ -330,7 +358,18 @@ def line_search(
             restore()  # the flip loop scans this side again
             read = entry
             restarts += 1
-        log = make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, _FLIP_BUDGET_FACTOR, read)
+        cap = cap and read is entry
+        budget = _TRIAL_FLIP_CAP if cap else _FLIP_BUDGET_FACTOR
+        try:
+            log = make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, budget, read)
+        except FlipBudgetError as exc:
+            if not cap:
+                raise
+            flips.merge(exc.flips)
+            restore()
+            read = entry
+            capped += 1
+            return u_try, None, math.nan, False  # rejected, with no slope to bracket
         read = read_triangles(mesh, metric) if log.total else read
         flips.merge(log)
         g_try = gradient(mesh, metric, u_try, theta_hat, read)
@@ -342,25 +381,26 @@ def line_search(
     slope_2t = None  # phi'(2t), once the trial at 2t has been rejected
     while True:
         t = t0 * 0.5**k
-        u_try, g_try, slope, within = trial(t, k > 0)
+        u_try, g_try, slope, within = trial(t, k > 0, k < _CAP_HALVINGS)
         if slope <= 0.0 or within:
             if slope_2t is not None and not within:
                 t_r = t + t * -slope / (slope_2t - slope)
                 if t < t_r < 2.0 * t:
                     restore_t, read_t = _save(mesh, metric, refl), read
-                    u_r, g_r, slope_r, within = trial(t_r, False)
+                    u_r, g_r, slope_r, within = trial(t_r, False, False)
                     if slope_r <= 0.0 or within:
                         return LineSearchResult(
-                            u_r, g_r, trials - 1, flips, slope_r, t_r, t0, True, restarts, read
+                            u_r, g_r, trials - 1, flips, slope_r, t_r, t0, True, restarts,
+                            capped, read,
                         )
                     restore_t()
                     read = read_t
             return LineSearchResult(
-                u_try, g_try, trials - 1, flips, slope, t, t0, False, restarts, read
+                u_try, g_try, trials - 1, flips, slope, t, t0, False, restarts, capped, read
             )
         if k == _MAX_HALVINGS:
             raise fail(f"no acceptable step within {_MAX_HALVINGS} halvings")
-        slope_2t = slope
+        slope_2t = None if g_try is None else slope
         k += 1
 
 
@@ -482,14 +522,14 @@ def find_conformal_metric(
             termination = "line_search_failed"
             ls = LineSearchResult(
                 u, g, exc.trials - 1, exc.flips, math.nan, math.nan, exc.t0, False,
-                exc.restarts, read,
+                exc.restarts, exc.capped, read,
             )
         u, g, read = ls.u, ls.g_try, ls.read
         t_max = min(1.0, _T_GROWTH * ls.t)
         err = float(np.abs(g).max())
         snapshot = _symmetry_snapshot(mesh, metric, u, refl)
         row = (ls.halvings, ls.flips, decrement, float(g.sum()), snapshot, ls.refined, ls.t, ls.t0)
-        steps.append(NewtonStep(k, err, *row, ls.restarts))
+        steps.append(NewtonStep(k, err, *row, ls.restarts, ls.capped))
         if termination is not None:
             break
     if termination is None:

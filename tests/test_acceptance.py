@@ -394,9 +394,11 @@ def test_genus_two_cone_of_three_full_turns_converges(cone_run):
 
 
 def _kernel_calls(report):
-    """Scans, gradients and Hessians of a solve without a line-search failure."""
+    """Scans, gradients and Hessians of a solve without a line-search failure.
+    A trial rejected at its flip cap scans but evaluates no gradient."""
     retriangulations = 1 + sum(rec.halvings + 1 for rec in report.steps[1:])
-    return 2 * retriangulations + report.newton_steps
+    capped = sum(rec.capped for rec in report.steps)
+    return 2 * retriangulations + capped + report.newton_steps
 
 
 def test_the_cone_solve_hands_its_kernels_only_fresh_reads(cone_run):

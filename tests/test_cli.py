@@ -456,6 +456,8 @@ def test_out_of_range_solver_option_exit_2(tmp_path, capsys, name, flags, opt):
 
 def test_flip_budget_breach_exit_4(tmp_path, capsys, monkeypatch):
     # The square whose bad diagonal needs one flip, with no flip allowed.
+    # The initial retriangulation is not a line-search trial, so no cap
+    # turns its spent budget into a rejection.
     monkeypatch.setattr(confmetric.solver, "_FLIP_BUDGET_FACTOR", 0.0)
     mesh = put(
         tmp_path, "sq.mesh",

@@ -14,15 +14,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "script, args, prefix, lines",
+    "script, args, prefix, lines, columns",
     [
-        ("run_sphere_suite.py", ["--count", "2", "--size", "42"], "seed ", 2),
-        ("run_disk_suite.py", ["--count", "3", "--size", "25"], "seed ", 3),
-        ("run_cone_stress.py", ["--genus-min", "2", "--genus-max", "2"], "genus ", 1),
+        ("run_sphere_suite.py", ["--count", "2", "--size", "42"], "seed ", 2, ()),
+        ("run_disk_suite.py", ["--count", "3", "--size", "25"], "seed ", 3, ()),
+        (  # the genus-2 cone's first full step is capped
+            "run_cone_stress.py", ["--genus-min", "2", "--genus-max", "2"], "genus ", 1,
+            ("restarts=", "capped=  1"),
+        ),
     ],
     ids=["sphere", "disk", "cone"],
 )
-def test_suite_driver_runs(script, args, prefix, lines):
+def test_suite_driver_runs(script, args, prefix, lines, columns):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
@@ -32,6 +35,7 @@ def test_suite_driver_runs(script, args, prefix, lines):
     rows = [line for line in proc.stdout.splitlines() if line.startswith(prefix)]
     assert len(rows) == lines, proc.stdout
     assert all("converged" in row for row in rows)
+    assert all(c in row for row in rows for c in columns)
 
 
 def test_benchmark_tracer_wraps_every_target_but_four():

@@ -18,6 +18,7 @@ from confmetric.generate import generate, grid_disk
 from confmetric.halfedge import build_from_face_lists, validate
 from confmetric.io import problem_to_mesh
 from confmetric.metric import (
+    FlipBudgetError,
     FlipLog,
     PennerMetric,
     flip_edge,
@@ -395,6 +396,81 @@ def test_warm_started_line_search_counts_max_halvings_from_its_first_trial(monke
     assert res.refined and len(seen) == res.halvings + 1 == 3
 
 
+def _first_search_inputs(monkeypatch, kind, size):
+    """Copies of the arguments of the first line search of a seed-0 solve."""
+    got = []
+
+    def grab(*args):
+        got.append(copy.deepcopy(args))
+        raise LineSearchError("grabbed", FlipLog(), 0, 1.0, 0, 0)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "line_search", grab)
+        solve_problem(generate(kind, 0, size), SolverConfig(eps_tol=1e-8))
+    return got[0]
+
+
+@pytest.mark.parametrize(
+    "kind, size", [("single-cone-genus-2", 0), ("disk-random-boundary", 289)]
+)
+def test_a_capped_trial_writes_back_the_entry_state_and_evaluates_no_gradient(
+    monkeypatch, kind, size
+):
+    # From the entry state the full first step flips 161 times on the cone
+    # and 178 on the disk cover, the half step 8 and 97; a cap of half + 1
+    # flips rejects the first trial alone.
+    args = _first_search_inputs(monkeypatch, kind, size)
+    mesh, metric, u, d, theta_hat, refl, cfg, read, t_max = args
+
+    def flips_at(t):
+        m, mt, r = copy.deepcopy((mesh, metric, refl))
+        return make_delaunay(m, mt, u + t * d, r).total
+
+    full, half = flips_at(1.0), flips_at(0.5)
+    assert t_max == 1.0 and full > half + 1
+    monkeypatch.setattr(solver_mod, "_TRIAL_FLIP_CAP", (half + 0.5) / mesh.n_edges())
+    entry = _state(mesh, metric, refl)
+    calls = []  # per retriangulation: u, state and read it started from, flips
+    real_md = solver_mod.make_delaunay
+
+    def md(mesh, metric, u_try, refl, eps_flip, factor, r):
+        calls.append([np.array(u_try), _state(mesh, metric, refl), r, None])
+        try:
+            calls[-1][3] = real_md(mesh, metric, u_try, refl, eps_flip, factor, r)
+        except FlipBudgetError as exc:
+            calls[-1][3] = exc.flips
+            raise
+        return calls[-1][3]
+
+    monkeypatch.setattr(solver_mod, "make_delaunay", md)
+    seen = _spy_gradient(monkeypatch)
+    res = line_search(*args)
+    assert res.capped == 1 and calls[0][3].total == half + 1
+    # The trial at t = 1/2 starts from the entry lists, bitwise, and from
+    # the read the search was handed.
+    assert np.array_equal(calls[1][0], u + 0.5 * d)
+    assert calls[1][1] == entry and calls[1][2] is read
+    # The capped trial evaluates no gradient, and its flips count.
+    assert len(seen) == res.halvings + 1 == len(calls) - 1
+    assert not any(np.array_equal(x, calls[0][0]) for x in seen)
+    total = FlipLog()
+    for *_, log in calls:
+        total.merge(log)
+    assert res.flips == total
+    # A capped trial measures no slope, so nothing refines above t = 1/2.
+    assert not (res.refined and res.t > 0.5)
+
+
+def test_an_uncapped_trial_that_spends_its_flip_budget_raises(monkeypatch):
+    # The regula-falsi trial of this search flips an edge under the full
+    # budget, even from the entry state: spent, that budget is a breach,
+    # not a capped rejection.
+    mesh, metric, u, d, theta_hat = _octa_search_inputs(14, 1.0)
+    monkeypatch.setattr(solver_mod, "_FLIP_BUDGET_FACTOR", 0.0)
+    with pytest.raises(FlipBudgetError):
+        line_search(mesh, metric, u, d, theta_hat)
+
+
 def _cone_first_trial(genus):
     """A single-cone mesh retriangulated at the full first Newton step."""
     mesh, metric, u, d, _ = _cone_search_inputs(genus)
@@ -455,6 +531,26 @@ def test_genus_10_cone_solve_does_not_break_down():
     cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=200)
     *_, report = solve_problem(generate("single-cone-genus-10", 0, 0), cfg)
     assert report.termination != "linear_solve_breakdown"
+
+
+def test_genus_9_cone_solve_converges():
+    # Uncapped trials walked to each overshooting u, and the search ended
+    # line_search_failed at step 134; with capped trials 42 steps and 2,362
+    # flips reach the tolerance.
+    cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=200)
+    *_, report = solve_problem(generate("single-cone-genus-9", 0, 0), cfg)
+    assert report.converged
+    assert sum(rec.capped for rec in report.steps) > 0
+
+
+@pytest.mark.parametrize("genus", [4, 6])
+def test_cone_solves_converge_without_a_tie_band(genus):
+    # At eps_flip 0 an uncapped overshooting trial of these cones cycled
+    # through flips until the flip budget ran out (29,100 and 43,500 flips,
+    # FlipBudgetError); capped, they converge in 13 and 17 steps.
+    cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=200, eps_flip=0.0)
+    *_, report = solve_problem(generate(f"single-cone-genus-{genus}", 0, 0), cfg)
+    assert report.converged
 
 
 def test_newton_steps_record_the_accepted_and_first_trial_step():
@@ -548,7 +644,7 @@ def test_solve_is_gauge_invariant():
     "lengths, termination, steps",
     [
         ([1.027, 0.954, 0.908, 0.903, 1.063, 1.083], "converged", 16),
-        ([1.002, 1.09, 0.929, 1.09, 0.962, 0.985], "converged", 16),
+        ([1.002, 1.09, 0.929, 1.09, 0.962, 0.985], "converged", 17),
     ],
 )
 def test_lengths_scaled_by_a_power_of_two_change_no_bit_of_the_solve(lengths, termination, steps):
@@ -556,7 +652,8 @@ def test_lengths_scaled_by_a_power_of_two_change_no_bit_of_the_solve(lengths, te
     # puts the median length in [1, 2), so copies scaled by 2^600 and
     # 2^-600, whose side products leave the float range, end the same way
     # with the same u, and their solved metrics are the same times 2^k.
-    # The second tetrahedron's flips leave a star around its pinned hub.
+    # The second tetrahedron's flips leave a star around its pinned hub;
+    # its first full step flips past the cap of 1.5 flips on 6 edges.
     t = [1.03, 2.0e-5, 7.74]
     theta_hat = t + [4 * math.pi - sum(t)]
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -639,7 +736,7 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
         for a, b in ((0, 1), (3, 5)):
             flip_edge(mesh, metric, edge[frozenset((a, b))])
         restore()
-        raise LineSearchError("forced", FlipLog(single=2), 1, 1.0, 1)
+        raise LineSearchError("forced", FlipLog(single=2), 1, 1.0, 1, 0)
 
     monkeypatch.setattr(solver_mod, "line_search", fail)
     with helpers.delaunay_after_every_retriangulation() as audited:
