@@ -16,14 +16,12 @@ short step the search no longer pays the flips toward a full step and
 back that each rejected trial costs.
 A line search saves the state it is handed: mesh, metric and reflection
 map.  Edge flips reach the Delaunay triangulation at any u from any
-triangulation, so before each halving retrial the search counts the
-violations at the new u on that state and on the one the last trial
-left, and writes the saved state back when it has strictly fewer.  For
-the same reason a trial from the saved state need not walk all the way
-to an overshooting u: it is rejected once it has flipped a quarter of
-the edges, and the saved state is written back.  A failed search writes
-it back too, so its Newton step keeps the state it started from; a
-rejected regula-falsi trial writes back the state saved at t.  Nothing
+triangulation, so a halving retrial continues from the triangulation the
+last trial left, and a trial from the saved state need not walk all the
+way to an overshooting u: it is rejected once it has flipped a quarter
+of the edges, and the saved state is written back.  A failed search
+writes it back too, so its Newton step keeps the state it started from;
+a rejected regula-falsi trial writes back the state saved at t.  Nothing
 is flipped back.
 H is never built as a matrix: ``hessian`` gives one term per corner, and
 the Newton system is summed from them with one unknown per mirror orbit
@@ -59,7 +57,6 @@ from .metric import (
     PennerMetric,
     TriangleRead,
     _scale,
-    _scan_violations_vectorized,
     gradient,
     hessian,
     make_delaunay,
@@ -93,14 +90,11 @@ class SolverError(Exception):
 class LineSearchError(Exception):
     """No acceptable step within the halving budget; carries the search's
     ``flips``, its ``trials`` (gradient evaluations), its first trial
-    ``t0``, its ``restarts`` and its ``capped`` trials."""
+    ``t0`` and its ``capped`` trials."""
 
-    def __init__(
-        self, message: str, flips: FlipLog, trials: int, t0: float, restarts: int, capped: int
-    ):
+    def __init__(self, message: str, flips: FlipLog, trials: int, t0: float, capped: int):
         super().__init__(message)
-        self.flips, self.trials, self.t0 = flips, trials, t0
-        self.restarts, self.capped = restarts, capped
+        self.flips, self.trials, self.t0, self.capped = flips, trials, t0, capped
 
 
 @dataclass
@@ -130,17 +124,16 @@ class NewtonStep:
     ``step`` 0 describes the state after the initial retriangulation,
     before any Newton update; its decrement is NaN.  ``flips`` aggregates
     every surgery performed during the step, including rejected line-search
-    trials (a rejected refinement, a capped trial, a restart or a failed
-    search is written back, not flipped back).  ``symmetry_ok`` is None for
-    solves without a reflection map.  ``halvings`` counts the line-search
-    trials that evaluated a gradient, less one; ``capped`` the trials
-    rejected at their flip cap, which evaluate none; ``restarts`` the
-    halving retrials that started from the step's entry state; and
-    ``refined`` is True when the step taken is the line search's
-    regula-falsi point.  ``t`` is the step the line search accepted and
-    ``t0`` its first trial: 1.0 unless the step was warm-started below a
-    full step.  Both are NaN at step 0, and ``t`` in the last row of a
-    failed line search, which keeps u and counts its trials and flips.
+    trials (a rejected refinement, a capped trial or a failed search is
+    written back, not flipped back).  ``symmetry_ok`` is None for solves
+    without a reflection map.  ``halvings`` counts the line-search trials
+    that evaluated a gradient, less one; ``capped`` the trials rejected at
+    their flip cap, which evaluate none; and ``refined`` is True when the
+    step taken is the line search's regula-falsi point.  ``t`` is the step
+    the line search accepted and ``t0`` its first trial: 1.0 unless the
+    step was warm-started below a full step.  Both are NaN at step 0, and
+    ``t`` in the last row of a failed line search, which keeps u and
+    counts its trials and flips.
     """
 
     step: int
@@ -153,7 +146,6 @@ class NewtonStep:
     refined: bool = False
     t: float = math.nan
     t0: float = math.nan
-    restarts: int = 0
     capped: int = 0
 
 
@@ -187,9 +179,8 @@ class LineSearchResult:
     ``halvings`` is the number of gradient evaluations less one, ``slope``
     is <d, g_try>: <= 0 unless the trial was accepted for max|g_try| <=
     ``eps_tol``; ``t0`` is the first trial, and ``refined`` is True when t
-    is the regula-falsi point rather than a power of two.  ``restarts``
-    counts the halving retrials that started from the entry state, and
-    ``capped`` the trials rejected at their flip cap.  ``read`` is what the
+    is the regula-falsi point rather than a power of two.  ``capped``
+    counts the trials rejected at their flip cap.  ``read`` is what the
     gradient at the accepted point read.
     """
 
@@ -201,7 +192,6 @@ class LineSearchResult:
     t: float
     t0: float
     refined: bool
-    restarts: int
     capped: int
     read: TriangleRead
 
@@ -307,25 +297,22 @@ def line_search(
 
     Every trial retriangulates to Delaunay in place before evaluating the
     gradient.  The search saves the mesh, metric and reflection map it is
-    handed, with their read.  Before each halving retrial it counts the
-    edges that violate Delaunay at the new u on that read and on the read
-    of the current triangulation, and when the entry state has strictly
-    fewer it writes that state back and flips from there (a restart); on
-    a tie it continues from the current one.  The regula-falsi trial
-    always continues.  A trial that starts from the entry state within
-    ``_CAP_HALVINGS`` halvings of t0 (the first trial, a restart, a trial
-    after a capped one) may flip ``_TRIAL_FLIP_CAP`` times per edge: one
-    that needs more is capped, rejected without a gradient, and the entry
-    state and its read are written back; the next trial has no
-    regula-falsi bracket.  Other trials have the full flip budget.  The
-    returned u is exactly ``u + t * d``, ``halvings`` counts the gradient
-    evaluations minus one, and ``capped`` the capped trials, whose flips
-    count in ``flips``.  Raises LineSearchError, with the flips, trials,
-    restarts and capped trials made, when no trial within
-    ``_MAX_HALVINGS`` halvings of t0 is accepted, or when a trial leaves u
-    unchanged; the entry state is then written back, so the mesh, metric
-    and reflection map are bitwise as they were handed in.  ``config``
-    also gives the Delaunay tie tolerance of each retriangulation.
+    handed, with their read.  The first trial, and a trial after a capped
+    one, starts from that entry state; every other trial, the regula-falsi
+    one among them, continues from the triangulation the last trial left.
+    A trial that starts from the entry state within ``_CAP_HALVINGS``
+    halvings of t0 may flip ``_TRIAL_FLIP_CAP`` times per edge: one that
+    needs more is capped, rejected without a gradient, and the entry state
+    and its read are written back; the next trial has no regula-falsi
+    bracket.  Other trials have the full flip budget.  The returned u is
+    exactly ``u + t * d``, ``halvings`` counts the gradient evaluations
+    minus one, and ``capped`` the capped trials, whose flips count in
+    ``flips``.  Raises LineSearchError, with the flips, trials and capped
+    trials made, when no trial within ``_MAX_HALVINGS`` halvings of t0 is
+    accepted, or when a trial leaves u unchanged; the entry state is then
+    written back, so the mesh, metric and reflection map are bitwise as
+    they were handed in.  ``config`` also gives the Delaunay tie tolerance
+    of each retriangulation.
     ``read`` reads the mesh at entry (None: read afresh); every trial that
     flips reads again.
     """
@@ -333,31 +320,21 @@ def line_search(
     u = np.asarray(u, dtype=float)
     d = np.asarray(d, dtype=float)
     flips = FlipLog()
-    trials = restarts = capped = 0
+    trials = capped = 0
     restore = _save(mesh, metric, refl)
     read = entry = read if read is not None else read_triangles(mesh, metric)
 
     def fail(message: str) -> LineSearchError:
         restore()
-        return LineSearchError(message, flips, trials, t0, restarts, capped)
+        return LineSearchError(message, flips, trials, t0, capped)
 
-    def violations(r: TriangleRead, u_try: np.ndarray) -> int:
-        # ``entry`` stays a read of the saved state while the lists move on.
-        return len(_scan_violations_vectorized(mesh, metric, u_try, cfg.eps_flip, r))
-
-    def trial(
-        t: float, retrial: bool, cap: bool
-    ) -> tuple[np.ndarray, np.ndarray | None, float, bool]:
-        nonlocal trials, restarts, capped, read
+    def trial(t: float, cap: bool) -> tuple[np.ndarray, np.ndarray | None, float, bool]:
+        nonlocal trials, capped, read
         u_try = u + t * d
         if np.array_equal(u_try, u):
             # The step is below the float resolution of u: accepting it
             # would repeat the same step until the Newton budget runs out.
             raise fail("step does not move u")
-        if retrial and read is not entry and violations(entry, u_try) < violations(read, u_try):
-            restore()  # the flip loop scans this side again
-            read = entry
-            restarts += 1
         cap = cap and read is entry
         budget = _TRIAL_FLIP_CAP if cap else _FLIP_BUDGET_FACTOR
         try:
@@ -381,22 +358,21 @@ def line_search(
     slope_2t = None  # phi'(2t), once the trial at 2t has been rejected
     while True:
         t = t0 * 0.5**k
-        u_try, g_try, slope, within = trial(t, k > 0, k < _CAP_HALVINGS)
+        u_try, g_try, slope, within = trial(t, k < _CAP_HALVINGS)
         if slope <= 0.0 or within:
             if slope_2t is not None and not within:
                 t_r = t + t * -slope / (slope_2t - slope)
                 if t < t_r < 2.0 * t:
                     restore_t, read_t = _save(mesh, metric, refl), read
-                    u_r, g_r, slope_r, within = trial(t_r, False, False)
+                    u_r, g_r, slope_r, within = trial(t_r, False)
                     if slope_r <= 0.0 or within:
                         return LineSearchResult(
-                            u_r, g_r, trials - 1, flips, slope_r, t_r, t0, True, restarts,
-                            capped, read,
+                            u_r, g_r, trials - 1, flips, slope_r, t_r, t0, True, capped, read
                         )
                     restore_t()
                     read = read_t
             return LineSearchResult(
-                u_try, g_try, trials - 1, flips, slope, t, t0, False, restarts, capped, read
+                u_try, g_try, trials - 1, flips, slope, t, t0, False, capped, read
             )
         if k == _MAX_HALVINGS:
             raise fail(f"no acceptable step within {_MAX_HALVINGS} halvings")
@@ -521,15 +497,14 @@ def find_conformal_metric(
         except LineSearchError as exc:  # the search wrote back the state of the u we keep
             termination = "line_search_failed"
             ls = LineSearchResult(
-                u, g, exc.trials - 1, exc.flips, math.nan, math.nan, exc.t0, False,
-                exc.restarts, exc.capped, read,
+                u, g, exc.trials - 1, exc.flips, math.nan, math.nan, exc.t0, False, exc.capped, read
             )
         u, g, read = ls.u, ls.g_try, ls.read
         t_max = min(1.0, _T_GROWTH * ls.t)
         err = float(np.abs(g).max())
         snapshot = _symmetry_snapshot(mesh, metric, u, refl)
         row = (ls.halvings, ls.flips, decrement, float(g.sum()), snapshot, ls.refined, ls.t, ls.t0)
-        steps.append(NewtonStep(k, err, *row, ls.restarts, ls.capped))
+        steps.append(NewtonStep(k, err, *row, ls.capped))
         if termination is not None:
             break
     if termination is None:

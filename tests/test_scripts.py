@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ("run_disk_suite.py", ["--count", "3", "--size", "25"], "seed ", 3, ()),
         (  # the genus-2 cone's first full step is capped
             "run_cone_stress.py", ["--genus-min", "2", "--genus-max", "2"], "genus ", 1,
-            ("restarts=", "capped=  1"),
+            ("capped=  1",),
         ),
     ],
     ids=["sphere", "disk", "cone"],

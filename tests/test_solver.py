@@ -402,7 +402,7 @@ def _first_search_inputs(monkeypatch, kind, size):
 
     def grab(*args):
         got.append(copy.deepcopy(args))
-        raise LineSearchError("grabbed", FlipLog(), 0, 1.0, 0, 0)
+        raise LineSearchError("grabbed", FlipLog(), 0, 1.0, 0)
 
     with monkeypatch.context() as m:
         m.setattr(solver_mod, "line_search", grab)
@@ -736,7 +736,7 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
         for a, b in ((0, 1), (3, 5)):
             flip_edge(mesh, metric, edge[frozenset((a, b))])
         restore()
-        raise LineSearchError("forced", FlipLog(single=2), 1, 1.0, 1, 0)
+        raise LineSearchError("forced", FlipLog(single=2), 1, 1.0, 0)
 
     monkeypatch.setattr(solver_mod, "line_search", fail)
     with helpers.delaunay_after_every_retriangulation() as audited:
@@ -749,7 +749,6 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
     assert _state(mesh, metric) == entry[0]
     last = report.steps[-1]
     assert report.newton_steps == 1 and last.flips == FlipLog(single=2) and last.halvings == 0
-    assert last.restarts == 1
     assert math.isnan(last.t) and last.t0 == 1.0 and np.all(u == 0.0)
 
 
@@ -821,75 +820,61 @@ def test_a_failed_line_search_leaves_the_state_it_found(monkeypatch, kind, size)
     assert _state(mesh, metric, refl) == _state(mesh0, metric0, refl0)
 
 
-def _check_restarts(monkeypatch):
+def _check_continuations(monkeypatch):
     """Wrap the solver's ``line_search`` and ``make_delaunay``.  Each search
-    must start its first trial from the state it was handed, bitwise.
-    Before each halving retrial, the violations at the trial's u are
-    counted from fresh reads of copies of that entry state and of the state
-    the last trial left: the trial must start from the entry state when it
-    has strictly fewer, else from the last trial's state, and the search's
-    ``restarts`` must count the first case.  Returns a list of each
-    search's restarts, its ties (equal counts) and its reflection map."""
+    must start its first trial from the state it was handed, bitwise, and
+    every later trial from the state the trial before it left, or from the
+    handed state again when that trial was capped.  Returns, per search,
+    the trials that continued from a state the search had flipped, its
+    capped trials and its reflection map."""
     real_search, real_md = solver_mod.line_search, solver_mod.make_delaunay
-    trials, restarts = [], []
-
-    def violations(state, u):
-        mesh, metric, _ = state
-        return len(metric_mod._scan_violations_vectorized(mesh, metric, u, 1e-12))
+    trials, searches = [], []
 
     def md(mesh, metric, u, refl=None, *args):
         before = _state(mesh, metric, refl)
-        log = real_md(mesh, metric, u, refl, *args)
-        trials.append((np.array(u), before, copy.deepcopy((mesh, metric, refl))))
+        try:
+            log = real_md(mesh, metric, u, refl, *args)
+        except FlipBudgetError:
+            trials.append((before, None))  # capped: the search writes back its entry state
+            raise
+        trials.append((before, _state(mesh, metric, refl)))
         return log
 
     def search(mesh, metric, u, d, theta_hat, refl=None, *args):
-        entry = copy.deepcopy((mesh, metric, refl))
+        entry = _state(mesh, metric, refl)
         trials.clear()
         res = real_search(mesh, metric, u, d, theta_hat, refl, *args)
-        # A regula-falsi trial, accepted or written back, comes last.
-        halving = trials[:-1] if res.refined or not np.array_equal(trials[-1][0], res.u) else trials
-        assert trials[0][1] == _state(*entry)
-        seen = ties = 0
-        for (_, _, last), (u_try, before, _) in zip(halving, halving[1:]):
-            counts = violations(entry, u_try), violations(last, u_try)
-            assert before == _state(*(entry if counts[0] < counts[1] else last))
-            seen += counts[0] < counts[1]
-            ties += counts[0] == counts[1]
-        assert res.restarts == seen
-        restarts.append((seen, ties, refl))
+        starts = [entry] + [entry if after is None else after for _, after in trials[:-1]]
+        assert [before for before, _ in trials] == starts
+        capped = sum(after is None for _, after in trials)
+        assert capped == res.capped
+        searches.append((sum(start != entry for start in starts), capped, refl))
         return res
 
     monkeypatch.setattr(solver_mod, "make_delaunay", md)
     monkeypatch.setattr(solver_mod, "line_search", search)
-    return restarts
+    return searches
 
 
 @pytest.mark.parametrize(
-    "kind, seed, size, tol, ties",
-    [("sphere-random-angles", 0, 642, 1e-10, 0), ("single-cone-genus-4", 0, 0, 1e-8, 2)],
+    "kind, size, tol", [("sphere-random-angles", 642, 1e-10), ("single-cone-genus-4", 0, 1e-8)]
 )
-def test_a_restarted_trial_flips_from_the_entry_state_it_has_fewer_violations_on(
-    monkeypatch, kind, seed, size, tol, ties
-):
-    # The genus-4 cone also has retrials whose two counts tie; they continue.
-    searches = _check_restarts(monkeypatch)
-    *_, report = solve_problem(generate(kind, seed, size), SolverConfig(eps_tol=tol))
-    assert report.converged
-    restarts = [n for n, _, _ in searches]
-    assert [rec.restarts for rec in report.steps[1:]] == restarts and sum(restarts) > 0
-    assert sum(n for _, n, _ in searches) == ties
+def test_a_retrial_continues_where_the_last_trial_left_off(monkeypatch, kind, size, tol):
+    # Both solves have trials that continue and trials that are capped.
+    searches = _check_continuations(monkeypatch)
+    *_, report = solve_problem(generate(kind, 0, size), SolverConfig(eps_tol=tol))
+    assert report.converged and len(searches) == report.newton_steps
+    assert sum(n for n, _, _ in searches) > 0 and sum(n for _, n, _ in searches) > 0
 
 
 @pytest.mark.parametrize("seed, size", [(0, 289), (7, 1089)])
-def test_restarted_cover_solves_stay_delaunay_and_mirror_symmetric(monkeypatch, seed, size):
-    # Disk seed 0 at 1,089 vertices restarts no trial; these two restart one.
-    searches = _check_restarts(monkeypatch)
+def test_continued_cover_solves_stay_delaunay_and_mirror_symmetric(monkeypatch, seed, size):
+    searches = _check_continuations(monkeypatch)
     with helpers.delaunay_after_every_retriangulation():
         mesh, metric, u, report = solve_problem(
             generate("disk-random-boundary", seed, size), keep_double_cover=True
         )
-    assert report.converged and sum(n for n, _, _ in searches) == 1
+    assert report.converged and sum(n for n, _, _ in searches) > 0
     assert all(rec.symmetry_ok for rec in report.steps)
     refl = searches[0][2]
     assert np.array_equal(u, u[refl.vertex_refl])
@@ -898,9 +883,9 @@ def test_restarted_cover_solves_stay_delaunay_and_mirror_symmetric(monkeypatch, 
 
 
 def test_the_sphere_set_flips_at_most_12_000_times():
-    # Halving retrials that continued from the last trial's triangulation
-    # flipped 17,077 times over these seven solves; restarting from the
-    # entry state when it has fewer violations, 10,721.
+    # Uncapped trials flipped 17,077 times over these seven solves when
+    # every retrial continued from the last trial's triangulation; with
+    # trials from the entry state capped at a quarter flip per edge, 8,162.
     flips = 0
     for seed in range(7):
         *_, report = solve_problem(generate("sphere-random-angles", seed, 642))
