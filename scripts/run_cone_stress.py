@@ -38,6 +38,8 @@ def main():
             continue
         dt = time.perf_counter() - t0
         status = report.termination
+        if report.steps[-1].failure:  # why the last line search failed
+            status += f" ({report.steps[-1].failure})"
         if not report.converged:
             worst_rc = max(worst_rc, 3)
         print(

@@ -72,6 +72,13 @@ class FlipBudgetError(Exception):
         self.flips = flips
 
 
+# Defaults of every retriangulation: flips per edge before FlipBudgetError
+# (flips reach Delaunay from any start, so a spent budget is a flip loop that
+# did not terminate: Bobenko & Springborn 2007), and the Delaunay tie band.
+_FLIP_BUDGET_FACTOR = 100.0
+_EPS_FLIP = 1e-12
+
+
 def _scale(lengths: np.ndarray, u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized ``ScalarMetric.length``: ``lengths * exp((u[a] + u[b]) / 2)``."""
     return lengths * np.exp(0.5 * (u[a] + u[b]))
@@ -210,7 +217,7 @@ def scalar_metric(
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     refl: ReflectionMap | None = None,
-    eps_flip: float = 1e-12,
+    eps_flip: float = _EPS_FLIP,
 ) -> ScalarMetric:
     """Bind the mesh and metric lists once for scalar queries at ``u``.
 
@@ -373,8 +380,8 @@ def make_delaunay(
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     refl: ReflectionMap | None = None,
-    eps_flip: float = 1e-12,
-    flip_budget_factor: float = 100.0,
+    eps_flip: float = _EPS_FLIP,
+    flip_budget_factor: float = _FLIP_BUDGET_FACTOR,
     read: TriangleRead | None = None,
 ) -> FlipLog:
     """Flip edges until the scaled metric is Delaunay; returns flip counts.

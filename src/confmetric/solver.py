@@ -20,9 +20,10 @@ triangulation, so a halving retrial continues from the triangulation the
 last trial left, and a trial from the saved state need not walk all the
 way to an overshooting u: it is rejected once it has flipped a quarter
 of the edges, and the saved state is written back.  A failed search
-writes it back too, so its Newton step keeps the state it started from;
-a rejected regula-falsi trial writes back the state saved at t.  Nothing
-is flipped back.
+writes it back too, so its Newton step keeps the state it started from,
+and returns the same record as an accepted one, with the reason in
+``failure``; a rejected regula-falsi trial writes back the state saved
+at t.  Nothing is flipped back.
 H is never built as a matrix: ``hessian`` gives one term per corner, and
 the Newton system is summed from them with one unknown per mirror orbit
 of the double cover (a closed mesh has one vertex per orbit).  With the
@@ -51,6 +52,8 @@ from . import io
 from .cover import build_double_cover, restrict_to_single_cover
 from .halfedge import CombinatorialMesh, _array
 from .metric import (
+    _EPS_FLIP,
+    _FLIP_BUDGET_FACTOR,
     FlipBudgetError,
     FlipLog,
     MetricError,
@@ -70,31 +73,16 @@ from .symmetry import ReflectionMap
 # section 3.5).
 _T_GROWTH = 2.0
 
-# Caps on the halvings of a line search and on the flips per edge of a
-# retriangulation.  Flips reach Delaunay from any start (Bobenko & Springborn
-# 2007), so a spent flip budget is a flip loop that did not terminate.
-_MAX_HALVINGS = 40
-_FLIP_BUDGET_FACTOR = 100.0
-# A line-search trial that starts from the entry triangulation, before the
-# search's first _CAP_HALVINGS halvings, is rejected once it has made
-# _TRIAL_FLIP_CAP flips per edge: on the seed-0 benchmark sets no trial
+# A line search fails after _MAX_HALVINGS halvings of its first trial.  A
+# trial that starts from the entry triangulation is rejected once it has
+# made _TRIAL_FLIP_CAP flips per edge: on the seed-0 benchmark sets no trial
 # that far from the entry state passes the slope test.
+_MAX_HALVINGS = 40
 _TRIAL_FLIP_CAP = 0.25
-_CAP_HALVINGS = 20
 
 
 class SolverError(Exception):
     """Linear solve breakdown (non-finite or high-residual direction)."""
-
-
-class LineSearchError(Exception):
-    """No acceptable step within the halving budget; carries the search's
-    ``flips``, its ``trials`` (gradient evaluations), its first trial
-    ``t0`` and its ``capped`` trials."""
-
-    def __init__(self, message: str, flips: FlipLog, trials: int, t0: float, capped: int):
-        super().__init__(message)
-        self.flips, self.trials, self.t0, self.capped = flips, trials, t0, capped
 
 
 @dataclass
@@ -114,7 +102,7 @@ class SolverConfig:
 
     eps_tol: float = 1e-10
     max_newton_steps: int = 50
-    eps_flip: float = 1e-12
+    eps_flip: float = _EPS_FLIP
 
 
 @dataclass
@@ -132,8 +120,9 @@ class NewtonStep:
     step taken is the line search's regula-falsi point.  ``t`` is the step
     the line search accepted and ``t0`` its first trial: 1.0 unless the
     step was warm-started below a full step.  Both are NaN at step 0, and
-    ``t`` in the last row of a failed line search, which keeps u and
-    counts its trials and flips.
+    ``t`` in the last row of a failed line search, which keeps u, counts
+    its trials and flips, and gives the search's reason in ``failure``
+    (empty in every other row).
     """
 
     step: int
@@ -147,6 +136,7 @@ class NewtonStep:
     t: float = math.nan
     t0: float = math.nan
     capped: int = 0
+    failure: str = ""
 
 
 @dataclass
@@ -181,11 +171,13 @@ class LineSearchResult:
     ``eps_tol``; ``t0`` is the first trial, and ``refined`` is True when t
     is the regula-falsi point rather than a power of two.  ``capped``
     counts the trials rejected at their flip cap.  ``read`` is what the
-    gradient at the accepted point read.
+    gradient at the accepted point read.  ``failure`` is empty, or the
+    reason no point was accepted: then ``u`` and ``read`` are the entry's,
+    ``g_try`` is None, and ``slope`` and ``t`` are NaN.
     """
 
     u: np.ndarray
-    g_try: np.ndarray
+    g_try: np.ndarray | None
     halvings: int
     flips: FlipLog
     slope: float
@@ -194,6 +186,7 @@ class LineSearchResult:
     refined: bool
     capped: int
     read: TriangleRead
+    failure: str = ""
 
 
 def newton_direction(terms: tuple, g: np.ndarray, orbit: np.ndarray | None = None) -> np.ndarray:
@@ -232,11 +225,9 @@ def newton_direction(terms: tuple, g: np.ndarray, orbit: np.ndarray | None = Non
     free = np.insert(np.arange(m), pin, m)  # the pinned orbit becomes m
     i, j = free[i], free[j]
     kept = np.flatnonzero((i < m) & (j < m))
-    once = np.flatnonzero((a < b)[kept])  # an edge's two corners see it as a -> b and as b -> a
     i, j, v = i[kept], j[kept], -w[kept]
-    rows, cols = np.concatenate((i[once], j[once])), np.concatenate((j[once], i[once]))
-    cols = np.sort(rows * m + cols) % m  # grouped by row, as CSR stores them
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+    cols = np.sort(i * m + j) % m  # an edge's two corners give i -> j and j -> i; CSR order
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=m))))
     graph = scipy.sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(m, m))
     perm = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
     rank = np.argsort(perm)
@@ -300,21 +291,21 @@ def line_search(
     handed, with their read.  The first trial, and a trial after a capped
     one, starts from that entry state; every other trial, the regula-falsi
     one among them, continues from the triangulation the last trial left.
-    A trial that starts from the entry state within ``_CAP_HALVINGS``
-    halvings of t0 may flip ``_TRIAL_FLIP_CAP`` times per edge: one that
-    needs more is capped, rejected without a gradient, and the entry state
-    and its read are written back; the next trial has no regula-falsi
-    bracket.  Other trials have the full flip budget.  The returned u is
-    exactly ``u + t * d``, ``halvings`` counts the gradient evaluations
-    minus one, and ``capped`` the capped trials, whose flips count in
-    ``flips``.  Raises LineSearchError, with the flips, trials and capped
-    trials made, when no trial within ``_MAX_HALVINGS`` halvings of t0 is
-    accepted, or when a trial leaves u unchanged; the entry state is then
-    written back, so the mesh, metric and reflection map are bitwise as
-    they were handed in.  ``config`` also gives the Delaunay tie tolerance
-    of each retriangulation.
-    ``read`` reads the mesh at entry (None: read afresh); every trial that
-    flips reads again.
+    A power-of-two trial that starts from the entry state may flip
+    ``_TRIAL_FLIP_CAP`` times per edge: one that needs more is capped,
+    rejected without a gradient, and the entry state and its read are
+    written back; the next trial has no regula-falsi bracket.  Other trials
+    have the full flip budget.  The returned u is exactly ``u + t * d``,
+    ``halvings`` counts the gradient evaluations minus one, and ``capped``
+    the capped trials, whose flips count in ``flips``.
+
+    The search fails when no trial within ``_MAX_HALVINGS`` halvings of t0
+    is accepted, or when a power of two t leaves u unchanged (rounding is
+    monotone, so a regula-falsi point past a t that moved u moves it too).
+    It then writes the entry state back, bitwise, and returns the entry u
+    and read with the reason in ``failure``.  ``config`` also gives the
+    Delaunay tie tolerance of each retriangulation.  ``read`` reads the
+    mesh at entry (None: read afresh); every trial that flips reads again.
     """
     cfg = config if config is not None else SolverConfig()
     u = np.asarray(u, dtype=float)
@@ -324,17 +315,8 @@ def line_search(
     restore = _save(mesh, metric, refl)
     read = entry = read if read is not None else read_triangles(mesh, metric)
 
-    def fail(message: str) -> LineSearchError:
-        restore()
-        return LineSearchError(message, flips, trials, t0, capped)
-
-    def trial(t: float, cap: bool) -> tuple[np.ndarray, np.ndarray | None, float, bool]:
+    def trial(u_try: np.ndarray, cap: bool) -> tuple[np.ndarray | None, float, bool]:
         nonlocal trials, capped, read
-        u_try = u + t * d
-        if np.array_equal(u_try, u):
-            # The step is below the float resolution of u: accepting it
-            # would repeat the same step until the Newton budget runs out.
-            raise fail("step does not move u")
         cap = cap and read is entry
         budget = _TRIAL_FLIP_CAP if cap else _FLIP_BUDGET_FACTOR
         try:
@@ -346,25 +328,32 @@ def line_search(
             restore()
             read = entry
             capped += 1
-            return u_try, None, math.nan, False  # rejected, with no slope to bracket
+            return None, math.nan, False  # rejected, with no slope to bracket
         read = read_triangles(mesh, metric) if log.total else read
         flips.merge(log)
         g_try = gradient(mesh, metric, u_try, theta_hat, read)
         trials += 1
-        return u_try, g_try, float(d @ g_try), np.abs(g_try).max(initial=0.0) <= cfg.eps_tol
+        return g_try, float(d @ g_try), np.abs(g_try).max(initial=0.0) <= cfg.eps_tol
 
     t0 = math.ldexp(0.5, math.frexp(t_max)[1])  # largest power of two <= t_max
-    k = 0  # t = t0 * 2^-k
     slope_2t = None  # phi'(2t), once the trial at 2t has been rejected
-    while True:
+    failure = f"no acceptable step within {_MAX_HALVINGS} halvings"
+    for k in range(_MAX_HALVINGS + 1):
         t = t0 * 0.5**k
-        u_try, g_try, slope, within = trial(t, k < _CAP_HALVINGS)
+        u_try = u + t * d
+        if np.array_equal(u_try, u):
+            # The step is below the float resolution of u: accepting it
+            # would repeat the same step until the Newton budget runs out.
+            failure = "step does not move u"
+            break
+        g_try, slope, within = trial(u_try, True)
         if slope <= 0.0 or within:
             if slope_2t is not None and not within:
                 t_r = t + t * -slope / (slope_2t - slope)
                 if t < t_r < 2.0 * t:
                     restore_t, read_t = _save(mesh, metric, refl), read
-                    u_r, g_r, slope_r, within = trial(t_r, False)
+                    u_r = u + t_r * d
+                    g_r, slope_r, within = trial(u_r, False)
                     if slope_r <= 0.0 or within:
                         return LineSearchResult(
                             u_r, g_r, trials - 1, flips, slope_r, t_r, t0, True, capped, read
@@ -374,10 +363,11 @@ def line_search(
             return LineSearchResult(
                 u_try, g_try, trials - 1, flips, slope, t, t0, False, capped, read
             )
-        if k == _MAX_HALVINGS:
-            raise fail(f"no acceptable step within {_MAX_HALVINGS} halvings")
         slope_2t = None if g_try is None else slope
-        k += 1
+    restore()
+    return LineSearchResult(
+        u, None, trials - 1, flips, math.nan, math.nan, t0, False, capped, entry, failure
+    )
 
 
 def _save(
@@ -492,20 +482,16 @@ def find_conformal_metric(
             termination = "linear_solve_breakdown"
             break
         decrement = float(-(d @ g))
-        try:
-            ls = line_search(mesh, metric, u, d, theta_hat, refl, cfg, read, t_max)
-        except LineSearchError as exc:  # the search wrote back the state of the u we keep
-            termination = "line_search_failed"
-            ls = LineSearchResult(
-                u, g, exc.trials - 1, exc.flips, math.nan, math.nan, exc.t0, False, exc.capped, read
-            )
-        u, g, read = ls.u, ls.g_try, ls.read
+        ls = line_search(mesh, metric, u, d, theta_hat, refl, cfg, read, t_max)
+        u, read = ls.u, ls.read  # a failed search returns the u it was handed
+        g = g if ls.g_try is None else ls.g_try
         t_max = min(1.0, _T_GROWTH * ls.t)
         err = float(np.abs(g).max())
         snapshot = _symmetry_snapshot(mesh, metric, u, refl)
         row = (ls.halvings, ls.flips, decrement, float(g.sum()), snapshot, ls.refined, ls.t, ls.t0)
-        steps.append(NewtonStep(k, err, *row, ls.capped))
-        if termination is not None:
+        steps.append(NewtonStep(k, err, *row, ls.capped, ls.failure))
+        if ls.failure:
+            termination = "line_search_failed"
             break
     if termination is None:
         termination = "converged" if err <= cfg.eps_tol else "max_newton_steps"

@@ -228,7 +228,10 @@ def delaunay_after_every_retriangulation():
         flips += 1
         return real_flip(*args)
 
-    def audit(mesh, metric, u, refl=None, eps_flip=1e-12, flip_budget_factor=100.0, read=None):
+    def audit(
+        mesh, metric, u, refl=None, eps_flip=metric_mod._EPS_FLIP,
+        flip_budget_factor=metric_mod._FLIP_BUDGET_FACTOR, read=None,
+    ):
         before = flips
         log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor, read)
         assert flips - before == log.single, "flip_edge not called once per plain flip"

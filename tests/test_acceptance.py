@@ -62,8 +62,8 @@ class RetriangulationAudit:
     def install(self):
         real = solver_mod.make_delaunay
 
-        def audited(mesh, metric, u, refl=None, eps_flip=1e-12,
-                    flip_budget_factor=100.0, read=None):
+        def audited(mesh, metric, u, refl=None, eps_flip=metric_mod._EPS_FLIP,
+                    flip_budget_factor=metric_mod._FLIP_BUDGET_FACTOR, read=None):
             log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor, read)
             bad = metric_mod._scan_violations_vectorized(mesh, metric, u, 0.0)
             self.scans += 1

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
@@ -25,11 +27,12 @@ from confmetric.metric import (
     gradient,
     hessian,
     make_delaunay,
+    read_triangles,
     scalar_metric,
     vertex_angle_sums,
 )
 from confmetric.solver import (
-    LineSearchError,
+    LineSearchResult,
     SolverConfig,
     SolverError,
     find_conformal_metric,
@@ -316,6 +319,16 @@ def test_rejected_refinement_returns_the_power_of_two_point_on_a_delaunay_mesh(m
     assert np.array_equal(res.g_try, gradient(mesh, metric, res.u, theta_hat))
 
 
+def _failed_search(mesh, metric, u, d, theta_hat, **kwargs):
+    """Run a line search that must fail; check that it returns the entry u
+    and read and no gradient, and return its reason."""
+    read = read_triangles(mesh, metric)
+    res = line_search(mesh, metric, u, d, theta_hat, read=read, **kwargs)
+    assert res.u.tobytes() == np.asarray(u, dtype=float).tobytes() and res.read is read
+    assert res.g_try is None and math.isnan(res.t) and math.isnan(res.slope)
+    return res.failure
+
+
 @pytest.mark.parametrize("above", [True, False])
 def test_line_search_accepts_a_trial_within_tolerance_whatever_its_slope(monkeypatch, above):
     # Near the solution the slope at a trial is roundoff, and its sign is
@@ -328,8 +341,8 @@ def test_line_search_accepts_a_trial_within_tolerance_whatever_its_slope(monkeyp
     monkeypatch.setattr(solver_mod, "_MAX_HALVINGS", 3)
     cfg = SolverConfig(eps_tol=2.0 * first if above else 0.5 * first)
     if not above:
-        with pytest.raises(LineSearchError, match="within 3 halvings"):
-            line_search(mesh, metric, u, -d, theta_hat, config=cfg)
+        failure = _failed_search(mesh, metric, u, -d, theta_hat, config=cfg)
+        assert failure == "no acceptable step within 3 halvings"
         return
     res = line_search(mesh, metric, u, -d, theta_hat, config=cfg)
     assert res.halvings == 0 and res.t == res.t0 == 1.0 and not res.refined
@@ -345,8 +358,24 @@ def test_line_search_rejects_a_step_that_does_not_move_u():
     u = np.array([0.5, -0.5, 0.25, -0.25])
     theta_hat = np.full(4, math.pi)
     g = gradient(mesh, metric, u, theta_hat)
-    with pytest.raises(LineSearchError):
-        line_search(mesh, metric, u, -1e-20 * g, theta_hat)
+    failure = _failed_search(mesh, metric, u, -1e-20 * g, theta_hat)
+    assert failure == "step does not move u"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@given(_finite, _finite, st.integers(-60, 0), _open_unit)
+def test_a_step_past_a_power_of_two_that_moves_u_moves_it_too(u, d, k, frac):
+    # Why line_search checks only its power-of-two trials (t <= 1, at most
+    # 40 halvings) for a step that does not move u: a regula-falsi point
+    # t_r lies in (t, 2t), and rounding is monotone, so u + t_r*d moves u
+    # whenever u + t*d does.
+    t = math.ldexp(1.0, k)
+    t_r = t + frac * t
+    assume(t < t_r < 2.0 * t and u + t * d != u)
+    assert u + t_r * d != u
 
 
 def _cone_search_inputs(genus):
@@ -386,9 +415,8 @@ def test_warm_started_line_search_counts_max_halvings_from_its_first_trial(monke
     seen = _spy_gradient(monkeypatch)
     mesh, metric, u, d, theta_hat = _cone_search_inputs(2)
     monkeypatch.setattr(solver_mod, "_MAX_HALVINGS", 0)
-    with pytest.raises(LineSearchError):
-        line_search(mesh, metric, u, d, theta_hat, t_max=0.5)
-    assert len(seen) == 1
+    failure = _failed_search(mesh, metric, u, d, theta_hat, t_max=0.5)
+    assert failure == "no acceptable step within 0 halvings" and len(seen) == 1
     seen.clear()
     mesh, metric, u, d, theta_hat = _cone_search_inputs(2)
     monkeypatch.setattr(solver_mod, "_MAX_HALVINGS", 1)
@@ -400,9 +428,11 @@ def _first_search_inputs(monkeypatch, kind, size):
     """Copies of the arguments of the first line search of a seed-0 solve."""
     got = []
 
-    def grab(*args):
-        got.append(copy.deepcopy(args))
-        raise LineSearchError("grabbed", FlipLog(), 0, 1.0, 0)
+    def grab(mesh, metric, u, d, theta_hat, refl, config, read, t_max):
+        got.append(copy.deepcopy((mesh, metric, u, d, theta_hat, refl, config, read, t_max)))
+        return LineSearchResult(
+            u, None, -1, FlipLog(), math.nan, math.nan, 1.0, False, 0, read, "grabbed"
+        )
 
     with monkeypatch.context() as m:
         m.setattr(solver_mod, "line_search", grab)
@@ -726,7 +756,7 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
     edge = {frozenset(helpers.edge_endpoints(mesh, e)): e for e in mesh.edges()}
     entry = []
 
-    def fail(mesh, metric, *args, **kwargs):
+    def fail(mesh, metric, u, d, theta_hat, refl, config, read, t_max):
         # A failed search writes back the state it was handed, as
         # line_search does; here after flipping two edges with no face in
         # common, which leave two edges of the uniform octahedron failing
@@ -736,7 +766,9 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
         for a, b in ((0, 1), (3, 5)):
             flip_edge(mesh, metric, edge[frozenset((a, b))])
         restore()
-        raise LineSearchError("forced", FlipLog(single=2), 1, 1.0, 0)
+        return LineSearchResult(
+            u, None, 0, FlipLog(single=2), math.nan, math.nan, 1.0, False, 0, read, "forced"
+        )
 
     monkeypatch.setattr(solver_mod, "line_search", fail)
     with helpers.delaunay_after_every_retriangulation() as audited:
@@ -750,6 +782,7 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
     last = report.steps[-1]
     assert report.newton_steps == 1 and last.flips == FlipLog(single=2) and last.halvings == 0
     assert math.isnan(last.t) and last.t0 == 1.0 and np.all(u == 0.0)
+    assert last.failure == "forced" and report.steps[0].failure == ""
 
 
 def _check_rejected_refinements(monkeypatch):
@@ -812,6 +845,7 @@ def test_a_failed_line_search_leaves_the_state_it_found(monkeypatch, kind, size)
     *_, u, report = solve_problem(generate(kind, 0, size), keep_double_cover=True)
     assert report.termination == "line_search_failed" and len(entry) == 1
     assert report.steps[-1].flips.total > 0 and np.all(u == 0.0)
+    assert report.steps[-1].failure == "no acceptable step within 0 halvings"
     mesh, metric, refl, (mesh0, metric0, refl0) = entry[0]
     # The solve runs at a power-of-two length scale and multiplies the
     # metric back on return.
