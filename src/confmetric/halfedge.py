@@ -49,6 +49,10 @@ halfedge has ``he_face[h] == -1``; its ``next_he``/``opp`` form a private
 2-cycle and its ``to`` is -1.  Parked halfedges are invisible to iteration
 and validation but keep their index so the inverse surgery can reinstall
 them.
+
+The plain flip, :func:`flip_edge`, runs :func:`plan_flip`,
+``FlipFrame.ptolemy`` and :func:`apply_flip`; the flip loop and the paired
+and forward axis flips all flip through it.
 """
 
 from __future__ import annotations
@@ -521,3 +525,13 @@ def apply_flip(mesh: CombinatorialMesh, fr: FlipFrame) -> None:
     nxt[h1], nxt[h3], nxt[h5] = h3, h5, h1
     he_face[h0] = he_face[h2] = he_face[h4] = min(h0, h2, h4)
     he_face[h1] = he_face[h3] = he_face[h5] = min(h1, h3, h5)
+
+
+def flip_edge(mesh: CombinatorialMesh, metric: PennerMetric, h: int) -> tuple[FlipFrame, float]:
+    """Plain flip of the edge of ``h``; returns its frame and Ptolemy length."""
+    L = metric.lengths
+    fr = plan_flip(mesh, h)
+    lnew = fr.ptolemy(L)
+    apply_flip(mesh, fr)
+    L[fr.h0] = L[fr.h3] = lnew
+    return fr, lnew

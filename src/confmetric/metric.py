@@ -42,9 +42,9 @@ and metric lists once per call, alone decides which popped edges are
 skipped: parked and boundary edges, edges whose value clears the tie band,
 and edges that the mirror symmetry forces to be Delaunay.  ``value`` reads
 the edge's frame once and scales its triangles' lengths inline (a call per
-length costs the flip loop a fifth more time), and each plain flip calls
-this module's ``flip_edge`` global, so a wrapper there sees every
-``FlipLog.single``.
+length costs the flip loop a fifth more time).  Each plain flip calls the
+``flip_edge`` imported from ``halfedge`` through this module's global, so a
+wrapper on ``metric.flip_edge`` sees every ``FlipLog.single``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .halfedge import CombinatorialMesh, FlipFrame, PennerMetric, _array, apply_flip, plan_flip
+from .halfedge import CombinatorialMesh, PennerMetric, _array, flip_edge
 from .symmetry import FlipType, ReflectionMap, apply_symmetric_flip, classify_flip
 
 
@@ -301,19 +301,6 @@ def scalar_metric(
 
 
 # -- flips --------------------------------------------------------------------
-
-
-def flip_edge(
-    mesh: CombinatorialMesh, metric: PennerMetric, h: int
-) -> tuple[FlipFrame, float]:
-    """Plain (asymmetric) flip with the Ptolemy length update."""
-    sl = metric.lengths
-    fr = plan_flip(mesh, h)
-    lnew = fr.ptolemy(sl)
-    apply_flip(mesh, fr)
-    sl[fr.h0] = lnew
-    sl[fr.h3] = lnew
-    return fr, lnew
 
 
 @dataclass

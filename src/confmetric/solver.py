@@ -525,8 +525,9 @@ def solve_problem(
 ) -> tuple[CombinatorialMesh, PennerMetric, "np.ndarray | list[float]", SolverReport]:
     """Solve a parsed problem, closed or with boundary.
 
-    Targets are theta (angle sums, default 2*pi) or kappa (curvatures,
-    default 0); a boundary vertex's angle sum is pi - kappa.  A closed mesh
+    Targets are theta (angle sums) or kappa (curvatures); a vertex's angle
+    sum is its flat value minus kappa, where flat is pi on the boundary and
+    2*pi inside, and an omitted vertex is flat in either form.  A closed mesh
     goes straight to ``find_conformal_metric``.  A mesh with boundary is
     solved on its mirror-symmetric double cover, and the result is cut back
     to the source disk unless ``keep_double_cover`` is set; the restricted
@@ -543,13 +544,10 @@ def solve_problem(
     n = mesh.n_vertices
     if _n_components(mesh) > 1:
         raise io.ParseError("mesh is not connected")
-    two_pi = 2.0 * math.pi
-    if prob.kappa_targets:
-        boundary = mesh.boundary_vertices()
-        flat = [math.pi if v in boundary else two_pi for v in range(n)]
-        theta = [f - prob.kappa_targets.get(v, 0.0) for v, f in enumerate(flat)]
-    else:
-        theta = [prob.theta_targets.get(v, two_pi) for v in range(n)]
+    boundary = mesh.boundary_vertices()
+    flat = [math.pi if v in boundary else 2.0 * math.pi for v in range(n)]
+    given, kappa = prob.theta_targets, prob.kappa_targets
+    theta = [given.get(v, f - kappa.get(v, 0.0)) for v, f in enumerate(flat)]
     v = next((v for v, t in enumerate(theta) if not t > 0.0), None)
     if v is not None:
         raise io.ParseError(f"vertex {v + 1} has target angle sum {theta[v]!r}, not > 0")

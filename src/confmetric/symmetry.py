@@ -43,8 +43,11 @@ grouped surgeries that restore it:
   condition (self-adjacent faces, or copy edges between two axis faces);
   these are never flipped.
 
-All length updates are Ptolemy relations evaluated once and written to
-every mirrored slot, so exact symmetry of the metric is preserved bitwise.
+A paired flip is the plain flip (``halfedge.flip_edge``) of each mirror
+edge, an axis flip forward that of its edge.  The mirror frame has the
+same four sides, its two Ptolemy products in the other order, and IEEE
+``*`` and ``+`` commute, so the two values are bitwise equal.  The other
+surgeries evaluate each relation once and write it to every mirrored slot.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from enum import Enum
 import numpy as np
 
 from .halfedge import CombinatorialMesh, FlipError, FlipFrame, PennerMetric, _array
-from .halfedge import apply_flip, plan_flip
+from .halfedge import apply_flip, flip_edge
 
 
 class SymmetryError(Exception):
@@ -211,40 +214,27 @@ def _mirror(
 def _flip_paired(
     mesh: CombinatorialMesh, metric: PennerMetric, refl: ReflectionMap, h: int
 ) -> FlipRecord:
-    L = metric.lengths
-    fr1 = plan_flip(mesh, h)
-    s1 = refl.r[fr1.h0]
-    s2 = mesh.opp[s1]
-    fr2 = plan_flip(mesh, s1)
-    # The two frames touch disjoint faces (one sheet each), so both plans
-    # stay valid while the flips are applied in sequence.
-    lnew = fr1.ptolemy(L)
-    apply_flip(mesh, fr1)
-    apply_flip(mesh, fr2)
-    for x in (fr1.h0, fr1.h3, s1, s2):
-        L[x] = lnew
+    # Flip h, then its mirror in the other sheet.  The mirror is planned after
+    # the first flip: a FlipError there means the state had already broken
+    # mirror symmetry, an invariant breach with or without the first flip.
+    fr1, _ = flip_edge(mesh, metric, h)
+    fr2, _ = flip_edge(mesh, metric, refl.r[h])
     # The new diagonals mirror each other crosswise: the image of the
     # halfedge in slot h0 now sits in slot opp(r_old(h0)).
-    h0, h3 = fr1.h0, fr1.h3
+    h0, h3, s1, s2 = fr1.h0, fr1.h3, fr2.h0, fr2.h3
     refl.r[h0] = s2
     refl.r[s2] = h0
     refl.r[h3] = s1
     refl.r[s1] = h3
-    faces = (
-        mesh.he_face[fr1.h0],
-        mesh.he_face[fr1.h1],
-        mesh.he_face[fr2.h0],
-        mesh.he_face[fr2.h1],
-    )
+    he_face = mesh.he_face
+    faces = (he_face[h0], he_face[fr1.h1], he_face[s1], he_face[fr2.h1])
     return FlipRecord(FlipType.PAIRED, faces, min(h0, h3))
 
 
 def _flip_axis_forward(
     mesh: CombinatorialMesh, metric: PennerMetric, refl: ReflectionMap, h: int
 ) -> FlipRecord:
-    fr = plan_flip(mesh, h)
-    lnew = fr.ptolemy(metric.lengths)
-    apply_flip(mesh, fr)
+    fr, lnew = flip_edge(mesh, metric, h)
     # The new edge crosses the axis between a vertex and its mirror; the
     # legs (h1,h5) and (h2,h4) were mirror pairs already and stay so.
     _crossing(metric.lengths, refl, fr.h0, fr.h3, lnew)

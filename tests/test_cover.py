@@ -86,6 +86,26 @@ def test_unbalanced_targets_rejected():
         solve_problem(prob)
 
 
+def test_an_omitted_boundary_vertex_is_flat_in_either_target_form():
+    # A 25-vertex disk whose boundary vertex b passes its curvature on to
+    # another, c.  Stated as angle sums without b, b must default to its
+    # flat angle sum pi, as it does when left out of the curvatures.
+    kprob = generate("disk-random-boundary", 0, 25)
+    kappa = kprob.kappa_targets
+    flat = [2 * math.pi] * kprob.n_vertices
+    for v in kappa:  # the generator states every boundary vertex
+        flat[v] = math.pi
+    b, c = sorted(kappa)[:2]
+    kappa[c] += kappa.pop(b)
+    assert -math.pi < kappa[c] < math.pi
+    theta = {v: f - kappa.get(v, 0.0) for v, f in enumerate(flat) if v != b}
+    tprob = ProblemFile(kprob.faces, positions=kprob.positions, theta_targets=theta)
+    *_, ku, kreport = solve_problem(kprob)
+    *_, tu, treport = solve_problem(tprob)
+    assert kreport.termination == treport.termination == "converged"
+    assert np.array_equal(ku, tu, equal_nan=True)
+
+
 def test_closed_input_rejected():
     mesh = helpers.tetra()
     with pytest.raises(MeshError):

@@ -86,19 +86,27 @@ def shuffled(draw):
 def problems(draw, floor=MIN_TARGET):
     """A problem whose targets are positive shares of the angle total that
     Gauss-Bonnet fixes, each at least ``floor``: angle sums on a closed
-    mesh, curvatures on a disk (2 pi - theta inside, pi - angle on the
-    boundary)."""
+    mesh; on a disk curvatures (flat minus the angle sum: 2 pi inside, pi
+    on the boundary), or angle sums that leave one vertex out at its flat
+    value."""
     prob, boundary = draw(embedded() | shuffled())
     n = prob.n_vertices
-    total = 2 * math.pi * (n - 2) if not boundary else math.pi * (2 * n - len(boundary) - 2)
+    on_boundary = np.array([v in boundary for v in range(n)], dtype=bool)
+    flat = np.where(on_boundary, math.pi, 2 * math.pi)
+    total = flat.sum() - 2 * math.pi * (1 if boundary else 2)
     weights = np.array(draw(st.lists(st.floats(floor, 1.0), min_size=n, max_size=n)))
+    omit = draw(st.sampled_from([None, *range(n)])) if boundary else None
+    if omit is not None:
+        weights[omit] = 0.0
+        total -= flat[omit]
     share = total * weights / weights.sum()
-    assert np.all(np.where([v in boundary for v in range(n)], 2.0, 1.0) * share >= floor)
-    if boundary:
-        flat = [math.pi if v in boundary else 2 * math.pi for v in range(n)]
-        prob.kappa_targets = {v: flat[v] - s for v, s in enumerate(share.tolist())}
+    if omit is not None:
+        share[omit] = flat[omit]
+    assert np.all(np.where(on_boundary, 2.0, 1.0) * share >= floor)
+    if boundary and omit is None:
+        prob.kappa_targets = dict(enumerate((flat - share).tolist()))
     else:
-        prob.theta_targets = dict(enumerate(share.tolist()))
+        prob.theta_targets = {v: s for v, s in enumerate(share.tolist()) if v != omit}
     return prob
 
 

@@ -1,6 +1,7 @@
 """No hook that nothing uses: every function and class of the package is
 named somewhere outside its own definition, in the package, the suite
-drivers or the benchmark harness."""
+drivers or the benchmark harness, and every name a module of the package
+imports is used in that module."""
 
 import ast
 import collections
@@ -59,3 +60,37 @@ def test_every_definition_in_src_is_used_outside_itself():
             if all(p == path and line in span for p, line in uses[name]):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_every_name_a_module_imports_is_used_in_it():
+    stale = []
+    for path in sorted((ROOT / "src" / "confmetric").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # Every name read, and every dotted prefix of an attribute chain,
+        # so that ``import a.b`` counts only where ``a.b`` is reached.
+        used = set()
+        for node in ast.walk(tree):
+            chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+            while chain:
+                used.add(chain)
+                chain = chain.rpartition(".")[0]
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in used:
+                        stale.append(f"{path.name}:{node.lineno} {name}")
+    assert stale == []

@@ -67,36 +67,52 @@ def test_face_labels_are_sheet_pure():
     assert labels == [1] * 6 + [2] * 6
 
 
+def symmetric_states():
+    """Fresh hexagon covers: the uniform lengths, then random mirror-symmetric
+    lengths of seeds 0 to 3, whose Ptolemy products differ."""
+    yield fresh()
+    for seed in range(4):
+        mesh, refl, cmetric = fresh()
+        rng = np.random.default_rng(seed)
+        cmetric.lengths = helpers.random_symmetric_lengths(mesh, refl, rng)
+        yield mesh, refl, cmetric
+
+
 def test_paired_flip_acts_on_both_sheets():
-    mesh, refl, cmetric = fresh()
-    e = helpers.find_flip_of_kind(mesh, refl, FlipType.PAIRED, True)
-    n_edges = mesh.n_edges()
-    ptolemy = plan_flip(mesh, e).ptolemy(cmetric.lengths)
-    rec = apply_symmetric_flip(mesh, cmetric, refl, e)
-    assert rec.kind is FlipType.PAIRED
-    assert validate(mesh) == []
-    assert validate_symmetry(mesh, refl, cmetric) == []
-    assert mesh.n_edges() == n_edges
-    # The new edge and its mirror carry the same length bitwise.
-    assert cmetric.lengths[rec.edge] == cmetric.lengths[refl.r[rec.edge]]
-    assert cmetric.lengths[rec.edge] == ptolemy
+    for mesh, refl, cmetric in symmetric_states():
+        e = helpers.find_flip_of_kind(mesh, refl, FlipType.PAIRED, True)
+        n_edges = mesh.n_edges()
+        ptolemy = plan_flip(mesh, e).ptolemy(cmetric.lengths)
+        rec = apply_symmetric_flip(mesh, cmetric, refl, e)
+        assert rec.kind is FlipType.PAIRED
+        assert validate(mesh) == []
+        assert validate_symmetry(mesh, refl, cmetric) == []
+        assert mesh.n_edges() == n_edges
+        # The new edge and its mirror, each flipped on its own, carry the
+        # first frame's Ptolemy length bitwise on all four halfedges.
+        h, s = rec.edge, refl.r[rec.edge]
+        four = (h, mesh.opp[h], s, mesh.opp[s])
+        assert [cmetric.lengths[x] for x in four] == [ptolemy] * 4
 
 
 def test_axis_forward_builds_crossing_edge():
-    mesh, refl, cmetric = fresh()
-    e = helpers.find_flip_of_kind(mesh, refl, FlipType.AXIS, True)
-    rec = apply_symmetric_flip(mesh, cmetric, refl, e)
-    assert rec.kind is FlipType.AXIS
-    assert validate(mesh) == []
-    assert validate_symmetry(mesh, refl, cmetric) == []
-    # Two mirror-twin triangles become two self-mirrored (label 0) ones
-    # joined along a crossing edge fixed pointwise by the reflection.
-    labels = sorted(face_label(mesh, refl, f) for f in mesh.faces())
-    assert labels.count(0) == 2
-    assert refl.r[rec.edge] == rec.edge
-    assert refl.he_label[rec.edge] == 0
-    assert len(mesh.quad_pairs) == 0
-    assert mesh.n_edges() == 18
+    for mesh, refl, cmetric in symmetric_states():
+        e = helpers.find_flip_of_kind(mesh, refl, FlipType.AXIS, True)
+        ptolemy = plan_flip(mesh, e).ptolemy(cmetric.lengths)
+        rec = apply_symmetric_flip(mesh, cmetric, refl, e)
+        assert rec.kind is FlipType.AXIS
+        assert validate(mesh) == []
+        assert validate_symmetry(mesh, refl, cmetric) == []
+        # Two mirror-twin triangles become two self-mirrored (label 0) ones
+        # joined along a crossing edge fixed pointwise by the reflection.
+        labels = sorted(face_label(mesh, refl, f) for f in mesh.faces())
+        assert labels.count(0) == 2
+        assert refl.r[rec.edge] == rec.edge
+        assert refl.he_label[rec.edge] == 0
+        assert len(mesh.quad_pairs) == 0
+        assert mesh.n_edges() == 18
+        pair = (rec.edge, mesh.opp[rec.edge])
+        assert [cmetric.lengths[x] for x in pair] == [ptolemy] * 2
 
 
 def test_surgery_chain_reaches_every_quad_kind():
