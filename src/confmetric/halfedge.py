@@ -48,7 +48,7 @@ symmetric flip has temporarily merged two triangles into a quad.  A parked
 halfedge has ``he_face[h] == -1``; its ``next_he``/``opp`` form a private
 2-cycle and its ``to`` is -1.  Parked halfedges are invisible to iteration
 and validation but keep their index so the inverse surgery can reinstall
-them.
+them; meanwhile their two length slots hold the quad's stored diagonal.
 
 The plain flip, :func:`flip_edge`, runs :func:`plan_flip`,
 ``FlipFrame.ptolemy`` and :func:`apply_flip`; the flip loop and the paired
@@ -191,16 +191,14 @@ class CombinatorialMesh:
 
 @dataclass
 class PennerMetric:
-    """Per-halfedge lengths plus stored diagonals of transient quad faces.
-
-    ``quad_diag`` is keyed by quad face id.  The stored diagonal connects
-    the heads of the second and fourth halfedges of the face cycle; both
-    diagonals of an axis quad have the same length, so the choice only
-    fixes which virtual triangulation measures the quad.
+    """Per-halfedge lengths.  A transient quad's parked pair holds its
+    stored diagonal, which connects the heads of the second and fourth
+    halfedges of the face cycle; both diagonals of an axis quad have the
+    same length, so the choice only fixes which virtual triangulation
+    measures the quad.
     """
 
     lengths: list[float]
-    quad_diag: dict[int, float] = field(default_factory=dict)
 
 
 def _rows(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -289,8 +287,8 @@ def build_from_face_edge_lists(
     most twice, in opposite directions; ids appearing once lie on the
     boundary.  Returns the mesh and the edge id of every halfedge
     (boundary halfedges inherit their partner's id).  Each row named in
-    ``quad_rows`` becomes a recorded quad; its parked pair takes the row's
-    first edge id.
+    ``quad_rows`` becomes a recorded quad whose parked pair takes a fresh
+    id past every id used, in ``quad_rows`` order.
 
     Halfedges are numbered by the module's rule: the rows' sides in row
     order, so a face's id is its row's first halfedge; then the outer
@@ -381,7 +379,8 @@ def _build(
     if errors:
         vertices = chain.from_iterable(e.vertices for e in errors)
         raise MeshError("; ".join(e.text for e in errors), *vertices)
-    return mesh, np.concatenate([he_eid, he_eid[gaps], np.repeat(he_eid[quads], 2)]).tolist()
+    fresh = he_eid.max() + 1 + np.arange(len(quads))
+    return mesh, np.concatenate([he_eid, he_eid[gaps], np.repeat(fresh, 2)]).tolist()
 
 
 def validate(mesh: CombinatorialMesh) -> list[str]:

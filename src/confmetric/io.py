@@ -324,8 +324,9 @@ class ResultBundle:
     iterations: list[IterationRow]
 
     def rebuild_mesh(self) -> tuple[CombinatorialMesh, list[int]]:
-        """The bundle's mesh, each 4-entry row a recorded quad, and the
-        ``edge_lengths`` index of every halfedge."""
+        """The bundle's mesh, each ``qd`` row a recorded quad, and every
+        halfedge's index into ``edge_lengths`` followed by the ``qd``
+        diagonals in line order (a parked pair indexes its quad's)."""
         return build_from_face_edge_lists(
             self.faces_v, self.faces_e, len(self.u), quad_rows=self.quad_diags
         )
@@ -444,7 +445,7 @@ def bundle_from_solution(
         faces_v.append([mesh.tail_of(h) for h in hs])
         faces_e.append([dense[mesh.edge_of(h)] for h in hs])
         if len(hs) == 4:
-            quad_diags[row] = scaled.quad_diag[f]
+            quad_diags[row] = scaled.lengths[mesh.quad_pairs[f][0]]
     steps = report.steps if report is not None else []
     iterations = [
         IterationRow(

@@ -12,25 +12,26 @@ the Newton derivatives all use scaled lengths; flips always update the
 *original* lengths so that scaling and flipping commute.
 
 Transient quad faces (created by symmetric flips) are measured through
-their stored diagonal: the quad splits into two virtual triangles along
-the diagonal, which scales like an ordinary edge between its endpoints.
+their stored diagonal, the length of their parked pair: the quad splits
+into two virtual triangles along the diagonal, which scales like an
+ordinary edge between its endpoints.
 
 Angle sums and the cotangent Hessian come from one numpy corner table.
 ``read_triangles`` copies the lists into a u-free ``TriangleRead``: the
 triangles straight off the halfedge arrays (a face is a halfedge with
 ``he_face[h] == h``, which a parked halfedge never has, that is neither a
 stored quad nor an outer loop), every stored quad as its two virtual
-triangles, corner vertices and the side opposite each corner.  The solver
-reuses one read until it flips; other calls read afresh.  Corner quantities
-come from needle-safe Heron terms (Kahan's ordering): angles from the
-half-angle tangent, summed per vertex with one ``bincount``, and
-cotangents as the law-of-cosines numerator b^2 + c^2 - a^2, formed once by
-``_law_of_cosines``, over 4A.  The law-of-cosines ``arccos`` loses about
-``1e-16 / angle`` per corner, which on needles near 1e-7 rad left the
-single-cone solves short of their tolerance.  A side longer than the other
-two gives a flat triangle (angles pi, 0, 0).  The kernel raises
-:class:`MetricError` rather than let a zero or non-finite length turn into
-NaN.
+triangles, whose diagonal sides are its parked pair, corner vertices and
+the side opposite each corner.  The solver reuses one read until it flips;
+other calls read afresh.  Corner quantities come from needle-safe Heron
+terms (Kahan's ordering): angles from the half-angle tangent, summed per
+vertex with one ``bincount``, and cotangents as the law-of-cosines
+numerator b^2 + c^2 - a^2, formed once by ``_law_of_cosines``, over 4A.
+The law-of-cosines ``arccos`` loses about ``1e-16 / angle`` per corner,
+which on needles near 1e-7 rad left the single-cone solves short of their
+tolerance.  A side longer than the other two gives a flat triangle (angles
+pi, 0, 0).  The kernel raises :class:`MetricError` rather than let a zero
+or non-finite length turn into NaN.
 
 ``make_delaunay`` flips until every interior edge satisfies the Delaunay
 condition, in one pass.  One full scan reads the same corner table, quads
@@ -110,7 +111,7 @@ def read_triangles(mesh: CombinatorialMesh, metric: PennerMetric) -> TriangleRea
     opp = _array(mesh.opp)
     lengths = _array(metric.lengths, float)
 
-    q0 = _array(list(metric.quad_diag))
+    q0 = _array(list(mesh.quad_pairs))
     is_face = _array(mesh.he_face) == np.arange(n)
     is_face[list(mesh.boundary_faces)] = False
     is_face[q0] = False
@@ -126,19 +127,17 @@ def read_triangles(mesh: CombinatorialMesh, metric: PennerMetric) -> TriangleRea
         q1 = nxt[q0]
         q2 = nxt[q1]
         q3 = nxt[q2]
-        # Each stored diagonal becomes two virtual halfedges past the real
-        # ones: head(q1) -> head(q3) closes (q0, q1), the reverse (q2, q3).
-        d1 = n + np.arange(len(q0))
-        d2 = d1 + len(q0)
-        cyc = np.concatenate((cyc, np.stack((q0, q1, d1), 1), np.stack((q2, q3, d2), 1)))
-        d = _array(list(metric.quad_diag.values()), float)
-        lengths = np.concatenate((lengths, d, d))
-        to = np.concatenate((to, to[q3], to[q1]))
+        # The parked pair (p, q) is the stored diagonal: p runs head(q1) ->
+        # head(q3) and closes (q0, q1), q the reverse and closes (q2, q3).
+        p, q = np.array(list(mesh.quad_pairs.values())).T
+        cyc = np.concatenate((cyc, np.stack((q0, q1, p), 1), np.stack((q2, q3, q), 1)))
+        to[p], to[q] = to[q3], to[q1]
 
     side = cyc[:, [2, 0, 1]]  # from corner k + 1 to corner k + 2
-    H = np.where(side < n, side, -1)
     V = to[cyc]
-    return TriangleRead(V, lengths[side], V[:, [2, 0, 1]], V[:, [1, 2, 0]], H, opp)
+    L = lengths[side]
+    side[len(h0) :, 0] = -1  # a stored diagonal has no Delaunay term
+    return TriangleRead(V, L, V[:, [2, 0, 1]], V[:, [1, 2, 0]], side, opp)
 
 
 def _corner_table(
@@ -222,21 +221,21 @@ def scalar_metric(
     """Bind the mesh and metric lists once for scalar queries at ``u``.
 
     ``length(h)`` scales the edge of ``h`` and ``diag(f)`` the stored
-    diagonal of quad ``f``.  ``value(e)`` sums the two side terms (a^2 + b^2
-    - c^2) / ab of edge ``e`` (for a quad side, in the virtual triangle cut
-    off by the stored diagonal), each formed by ``term``.  Where ab would be
-    near the subnormal range or a side reaches 2^510, ``term`` first
-    rescales a, b and c as the corner table does, and raises MetricError if
-    ab is then zero or infinite.  ``holds(e)`` is true for a parked or
-    boundary edge, else when ``value(e) >= -eps_flip``, else when ``refl``
-    forces the condition (``classify_flip`` is asked only then).  Flips
-    mutate the bound lists in place, so one binding serves every flip at
-    the same ``u``.
+    diagonal of quad ``f``, its parked pair's length.  ``value(e)`` sums
+    the two side terms (a^2 + b^2 - c^2) / ab of edge ``e`` (for a quad
+    side, in the virtual triangle cut off by the stored diagonal), each
+    formed by ``term``.  Where ab would be near the subnormal range or a
+    side reaches 2^510, ``term`` first rescales a, b and c as the corner
+    table does, and raises MetricError if ab is then zero or infinite.
+    ``holds(e)`` is true for a parked or boundary edge, else when
+    ``value(e) >= -eps_flip``, else when ``refl`` forces the condition
+    (``classify_flip`` is asked only then).  Flips mutate the bound lists
+    in place, so one binding serves every flip at the same ``u``.
     """
     nxt, opp, to = mesh.next_he, mesh.opp, mesh.to
     he_face, face_halfedges = mesh.he_face, mesh.face_halfedges
     boundary_faces = mesh.boundary_faces
-    L, quad_diag = metric.lengths, metric.quad_diag
+    L, quad_pairs = metric.lengths, mesh.quad_pairs
     uu = np.asarray(u, dtype=float).tolist()
     exp, frexp, ldexp, inf = math.exp, math.frexp, math.ldexp, math.inf
     big = 2.0**510  # sides below it have finite squares and sums of squares
@@ -250,7 +249,7 @@ def scalar_metric(
 
     def diag(f: int) -> float:
         q1 = nxt[f]
-        return scaled(quad_diag[f], to[q1], to[nxt[nxt[q1]]])
+        return scaled(L[quad_pairs[f][0]], to[q1], to[nxt[nxt[q1]]])
 
     def term(a: float, b: float, c: float, h: int) -> float:
         # Halfedge h's side term; dividing by a power of two is exact.
@@ -275,14 +274,14 @@ def scalar_metric(
         o = opp[e]
         ui, uj = uu[to[o]], uu[to[e]]
         sij = exp(0.5 * (ui + uj))  # IEEE + commutes: the factor of both c
-        if he_face[e] in quad_diag:
+        if he_face[e] in quad_pairs:
             t = quad_side(e)
         else:
             h1 = nxt[e]
             uk = uu[to[h1]]
             a = L[h1] * exp(0.5 * (uj + uk))
             t = term(a, L[nxt[h1]] * exp(0.5 * (uk + ui)), L[e] * sij, e)
-        if he_face[o] in quad_diag:
+        if he_face[o] in quad_pairs:
             return t + quad_side(o)
         h4 = nxt[o]
         um = uu[to[h4]]

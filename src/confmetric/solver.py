@@ -94,10 +94,10 @@ class SolverConfig:
     sits in [-eps_flip, 0) are treated as co-circular and never flipped.
     The disk battery and the cones of genus 2 to 8 converge at 0: the line
     search's trial cap keeps the genus-4 and genus-6 cones away from a flip
-    cycle there, but nothing proves the flip loop free of cycles.  Up to
-    1e-2 a sphere, a disk and a cone take the same steps; wider bands end
-    in a degenerate triangle (exit 4), the cone from 0.05, the sphere from
-    0.5 and the disk at 1 (``docs/formats.md``).
+    cycle there, but nothing proves the flip loop free of cycles.  Measured
+    at commit 3c87656: up to 0.07 a sphere, a disk and a cone take the same
+    steps; wider bands end in a degenerate triangle (exit 4), the cone from
+    0.1, the sphere at 0.3 and the disk at 0.7 (``docs/formats.md``).
     """
 
     eps_tol: float = 1e-10
@@ -143,9 +143,13 @@ class NewtonStep:
 class SolverReport:
     steps: list[NewtonStep]
     termination: str
-    final_residual: float
     u_min: float
     u_max: float
+
+    @property
+    def final_residual(self) -> float:
+        """The last row's residual: every exit records it there."""
+        return self.steps[-1].max_error
 
     @property
     def converged(self) -> bool:
@@ -376,8 +380,8 @@ def _save(
     """Copy every list and dict a retriangulation writes; the returned call
     writes them back in place, bitwise, so a read of the saved state is
     valid again.  Dicts keep their saved order, which reads follow."""
-    parts = [mesh.next_he, mesh.opp, mesh.to, mesh.he_face, mesh.quad_pairs]
-    parts += [metric.lengths, metric.quad_diag] + ([refl.r, refl.he_label] if refl else [])
+    parts = [mesh.next_he, mesh.opp, mesh.to, mesh.he_face, mesh.quad_pairs, metric.lengths]
+    parts += [refl.r, refl.he_label] if refl else []
     saved = [p.copy() for p in parts]
 
     def restore() -> None:
@@ -399,8 +403,7 @@ def _symmetry_snapshot(
     if np.any(u != u[_array(refl.vertex_refl)]):
         return False
     L = _array(metric.lengths, float)
-    live = np.flatnonzero(_array(mesh.he_face) >= 0)
-    return not np.any(L[live] != L[_array(refl.r)[live]])
+    return not np.any(L != L[_array(refl.r)])
 
 
 def scale_conformally(
@@ -414,15 +417,15 @@ def scale_conformally(
     lengths = _array(metric.lengths, float)
     live = np.flatnonzero(_array(mesh.he_face) >= 0)
     lengths[live] = _scale(lengths[live], uu, to[live], to[_array(mesh.opp)[live]])
-    scaled_diag = scalar_metric(mesh, metric, u).diag
-    diag = {f: scaled_diag(f) for f in metric.quad_diag}
-    return PennerMetric(lengths.tolist(), diag)
+    diag = scalar_metric(mesh, metric, u).diag
+    for f, pair in mesh.quad_pairs.items():
+        lengths[list(pair)] = diag(f)
+    return PennerMetric(lengths.tolist())
 
 
 def _ldexp_metric(metric: PennerMetric, k: int) -> None:
-    """Multiply every length and quad diagonal of ``metric`` by 2^k, in place."""
+    """Multiply every length of ``metric``, quad diagonals included, by 2^k, in place."""
     metric.lengths[:] = np.ldexp(_array(metric.lengths, float), k).tolist()
-    metric.quad_diag.update({f: math.ldexp(d, k) for f, d in metric.quad_diag.items()})
 
 
 def find_conformal_metric(
@@ -501,7 +504,6 @@ def find_conformal_metric(
     report = SolverReport(
         steps=steps,
         termination=termination,
-        final_residual=err,
         u_min=float(u.min()) if n else 0.0,
         u_max=float(u.max()) if n else 0.0,
     )

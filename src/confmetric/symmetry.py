@@ -19,8 +19,8 @@ halfedges are fixed and it runs from one sheet to the other through the
 axis.  Faces are *copy* faces (all sides one label) or *axis* faces (fixed
 by R; they contain fixed halfedges).  Axis triangles have one crossing side
 and two legs exchanged by R; axis quads alternate leg, crossing, leg,
-crossing and carry a stored diagonal length plus a parked halfedge pair so
-the inverse surgery can split them back into two triangles.
+crossing and carry a parked halfedge pair, whose lengths are the stored
+diagonal, so the inverse surgery can split them back into two triangles.
 
 Flipping one edge of a symmetric pair breaks the symmetry, so flips come in
 grouped surgeries that restore it:
@@ -293,7 +293,7 @@ def _flip_legs_forward(
     m1 = L[h1]
     m2 = L[h2]
     if quad:
-        d0 = metric.quad_diag.pop(fq)
+        d0 = L[mesh.quad_pairs[fq][0]]
         x = (L[mid[0]] * m1 + d0 * m2) / d
     else:
         d0, x = d, m2
@@ -315,9 +315,9 @@ def _flip_legs_forward(
     fb = mesh.rebuild_face([h1, h3, h5, c])
     if quad:
         mesh.quad_pairs[fa] = (q, p)
-        metric.quad_diag[fa] = x
+        L[p] = L[q] = x
     mesh.quad_pairs[fb] = pair_b
-    metric.quad_diag[fb] = y
+    L[pair_b[0]] = L[pair_b[1]] = y
     _crossing(L, refl, h0, h3, lnew)
     kind = FlipType.QUAD_QUAD if quad else FlipType.TRI_QUAD
     return FlipRecord(kind, (fa, fb), min(h0, h3))
@@ -347,10 +347,10 @@ def _flip_legs_reverse(
     # The released pair (p, q) returns opposite (h0, h3), by the record
     # order of _flip_legs_forward; a quad at h0 passes fb's record on.
     kept = mesh.quad_pairs.pop(fb)
-    db = metric.quad_diag.pop(fb)
+    db = L[kept[0]]
     if quad:
         q, p = mesh.quad_pairs.pop(fa)
-        da = metric.quad_diag.pop(fa)
+        da = L[p]
     else:
         p, q = kept
         da = L[h2]
@@ -374,7 +374,7 @@ def _flip_legs_reverse(
     fm = mesh.rebuild_face([c, p, *mid, q])
     if quad:
         mesh.quad_pairs[fm] = kept
-        metric.quad_diag[fm] = d0
+        L[kept[0]] = L[kept[1]] = d0
     # The restored copy edges are mirror images, and so are p and q.
     lab1 = refl.he_label[h1]
     lab5 = refl.he_label[h5]
@@ -423,7 +423,8 @@ def validate_symmetry(
     Checks the involution properties of ``r`` and ``vertex_refl``, their
     compatibility with the mesh permutations, the label discipline, that
     no copy face mixes labels, parked-pair bookkeeping, and (when a metric
-    is given) bitwise equality of mirrored lengths.  Faces are grouped by
+    is given) that every length, parked pairs' included, is positive and
+    bitwise equal across ``opp`` and ``r``.  Faces are grouped by
     ``he_face``, which :func:`~confmetric.halfedge.validate` checks.
 
     The shape of an axis face needs no check of its own.  Once ``validate``
@@ -507,19 +508,10 @@ def validate_symmetry(
         errs.append("parked halfedges and quad_pairs records disagree")
 
     if metric is not None:
+        # Every halfedge, a parked pair's stored diagonal included.
         L = _array(metric.lengths, float)
-        live = np.flatnonzero(~parked)
-        own = L[live]
-        bad = own != L[opp[live]]
-        errs += [
-            f"halfedge lengths of edge {e} differ" for e in np.minimum(live, opp[live])[bad]
-        ]
-        errs += [f"mirror edges at {x} have different lengths" for x in live[own != L[r[live]]]]
-        errs += [f"nonpositive length at halfedge {x}" for x in live[~(own > 0)]]
-        if set(metric.quad_diag) != set(mesh.quad_pairs):
-            errs.append("quad_diag keys disagree with the quad_pairs records")
-        for f, dv in metric.quad_diag.items():
-            if not dv > 0:
-                errs.append(f"nonpositive stored diagonal for quad {f}")
+        errs += [f"halfedge lengths of edge {e} differ" for e in np.minimum(h, opp)[L != L[opp]]]
+        errs += [f"mirror edges at {x} have different lengths" for x in h[L != L[r]]]
+        errs += [f"nonpositive length at halfedge {x}" for x in h[~(L > 0)]]
 
     return errs

@@ -53,7 +53,7 @@ def copy_mesh(mesh):
 
 
 def copy_metric(metric):
-    return PennerMetric(list(metric.lengths), dict(metric.quad_diag))
+    return PennerMetric(list(metric.lengths))
 
 
 def hessian_matrix(terms, n):
@@ -185,6 +185,36 @@ def hexagon_cover(long_edges=((0, 1),), length=1.9):
     return build_double_cover(disk, metric, [math.pi - math.pi / 3] * 6 + [2 * math.pi])
 
 
+def annulus(seed, rings=4, around=12, radii=(1.0, 2.0)):
+    """A planar annulus of ``rings`` rings of ``around`` vertices, with
+    random boundary curvature.
+
+    Ring i is vertices ``around * i`` on, at a radius from ``radii[0]``
+    (the inner ring) to ``radii[1]`` in equal steps; each cell between two
+    rings is split along the same diagonal.  The boundary curvatures are
+    ``default_rng(seed).uniform(-1.5, 1.5)``, inner ring first, less their
+    mean, so that they total 2 pi chi = 0.
+    """
+    r0, r1 = radii
+    pos, faces = [], []
+    for i in range(rings):
+        r = r0 + (r1 - r0) * i / (rings - 1)
+        for j in range(around):
+            a = 2.0 * math.pi * j / around
+            pos.append((r * math.cos(a), r * math.sin(a), 0.0))
+    v = lambda i, j: around * i + j % around
+    for i in range(rings - 1):
+        for j in range(around):
+            faces.append([v(i, j), v(i + 1, j), v(i + 1, j + 1)])
+            faces.append([v(i, j), v(i + 1, j + 1), v(i, j + 1)])
+    kappa = np.random.default_rng(seed).uniform(-1.5, 1.5, 2 * around)
+    kappa -= kappa.mean()
+    boundary = [*range(around), *range(around * (rings - 1), around * rings)]
+    return ProblemFile(
+        faces, positions=pos, kappa_targets={b: float(k) for b, k in zip(boundary, kappa)}
+    )
+
+
 def find_flip_of_kind(mesh, refl, want, forward):
     for e in mesh.edges():
         kind, fwd = classify_flip(mesh, refl, e)
@@ -304,7 +334,7 @@ def reference_delaunay_value(mesh, metric, u, e):
     terms = []
     for h in (e, mesh.opp[e]):
         f = mesh.he_face[h]
-        if f in metric.quad_diag:
+        if f in mesh.quad_pairs:
             hs = mesh.face_halfedges(f)
             a, b = sm.length(hs[hs.index(h) ^ 1]), sm.diag(f)
         else:
@@ -424,7 +454,7 @@ def reference_build_from_face_edge_lists(
     boundary.  Returns the mesh and the edge id of every halfedge
     (boundary halfedges inherit their partner's id).  Each row named in
     ``quad_rows`` becomes a recorded quad; its parked pair, appended last,
-    takes the row's first edge id.
+    takes a fresh id past every id used, in ``quad_rows`` order.
     """
     if n_vertices is None:
         n_vertices = 1 + max(max(f) for f in faces)
@@ -485,12 +515,14 @@ def reference_build_from_face_edge_lists(
     _reference_close_boundary_loops(next_he, opp, boundary_of, n_interior)
     n_active = len(next_he)
     quad_pairs = {}
+    fresh = 1 + max(max(fe) for fe in face_edges)
     for row in quad_rows:
         a, b = len(next_he), len(next_he) + 1
         next_he += [b, a]
         opp += [b, a]
         to += [-1, -1]
-        he_eid += [face_edges[row][0]] * 2
+        he_eid += [fresh] * 2
+        fresh += 1
         quad_pairs[first[row]] = (a, b)
     he_face = [-1] * len(next_he)
     for orbit in reference_orbits(next_he[:n_active]):

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import time
+from pathlib import Path
 
 import pytest
 import scipy.linalg
@@ -19,6 +20,7 @@ from confmetric.solver import SolverConfig
 
 
 PI = repr(math.pi)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def put(tmp_path, name, text):
@@ -762,3 +764,16 @@ def test_the_docs_name_exactly_the_solver_options():
     assert "--tol" in listed
     for flag in listed:
         assert flag not in make_parser().parse_known_args(["solve", flag, "1", "a.mesh"])[1]
+
+
+def test_readme_command_line_block_prints_its_output_line(tmp_path, monkeypatch, capsys):
+    # README's "Command line" section: its first code block runs as shown,
+    # and its second is the line the solve prints, verbatim.
+    section = README.read_text().split("## Command line\n", 1)[1]
+    commands, _, output = section.split("```\n")[1:4]
+    monkeypatch.chdir(tmp_path)
+    for line in commands.splitlines():
+        name, *argv = line.split()
+        assert name == "confmetric"
+        assert main(argv) == 0, line
+    assert output.strip() in capsys.readouterr().out.splitlines()

@@ -8,8 +8,9 @@ import pytest
 import confmetric.solver as solver_mod
 from confmetric.cover import build_double_cover, restrict_to_single_cover
 from confmetric.generate import generate, grid_disk
-from confmetric.halfedge import MeshError, build_from_face_lists, validate
-from confmetric.io import ParseError, ProblemFile, gauss_bonnet_deviation
+from confmetric.halfedge import MeshError, PennerMetric, build_from_face_lists, validate
+from confmetric.io import ParseError, ProblemFile, bundle_from_solution, gauss_bonnet_deviation
+from confmetric.io import read_bundle, write_bundle
 from confmetric.metric import MetricError, make_delaunay, scalar_metric, vertex_angle_sums
 from confmetric.solver import solve_problem
 from confmetric.symmetry import apply_symmetric_flip, validate_symmetry
@@ -144,8 +145,9 @@ def test_symmetric_make_delaunay_repairs_and_validates():
 
 def test_quad_measures_agree_across_both_diagonals():
     # axis quads are isosceles trapezoids, hence inscribable: rotating the
-    # face cycle while replacing the stored diagonal with its Ptolemy
-    # partner d2 = (l0*l2 + l1*l3)/d must not move any angle sum
+    # face cycle while replacing the stored diagonal (the parked pair's
+    # length) with its Ptolemy partner d2 = (l0*l2 + l1*l3)/d must not move
+    # any angle sum
     cover, cmetric, _ = helpers.hexagon_cover()
     mesh = cover.mesh
     helpers.drive_to_quads(cover, cmetric)
@@ -154,9 +156,10 @@ def test_quad_measures_agree_across_both_diagonals():
     for f in list(mesh.quad_pairs):
         hs = mesh.face_halfedges(f)
         l0, l1, l2, l3 = (cmetric.lengths[h] for h in hs)
-        d = cmetric.quad_diag[f]
+        p, q = mesh.quad_pairs[f]
+        d = cmetric.lengths[p]
         mesh.rebuild_face(hs[1:] + hs[:1])
-        cmetric.quad_diag[f] = (l0 * l2 + l1 * l3) / d
+        cmetric.lengths[p] = cmetric.lengths[q] = (l0 * l2 + l1 * l3) / d
     assert validate(mesh) == []
     after = vertex_angle_sums(mesh, cmetric, u)
     assert before == pytest.approx(after, abs=1e-10)
@@ -235,9 +238,9 @@ def test_restriction_cuts_axis_quads_of_a_solved_disk(seed):
         assert metric.lengths[e] in cover_lengths[frozenset(helpers.edge_endpoints(mesh, e))]
 
 
-def _solved_cover(seed, size, monkeypatch):
+def _solved_cover(prob, monkeypatch):
     """The cover, scaled metric and u that ``solve_problem`` restricts for
-    disk ``seed``."""
+    ``prob``."""
     calls = []
 
     def recorded(*args):
@@ -245,7 +248,7 @@ def _solved_cover(seed, size, monkeypatch):
         return restrict_to_single_cover(*args)
 
     monkeypatch.setattr(solver_mod, "restrict_to_single_cover", recorded)
-    solve_problem(generate("disk-random-boundary", seed, size))
+    solve_problem(prob)
     [args] = calls
     return args
 
@@ -259,7 +262,8 @@ def test_restriction_matches_the_reference(seed, size, monkeypatch):
         cover, scaled, _ = _flipped_hexagon_cover()
         u = [0.125 * v for v in range(cover.mesh.n_vertices)]
     else:
-        cover, scaled, u = _solved_cover(seed, size, monkeypatch)
+        prob = generate("disk-random-boundary", seed, size)
+        cover, scaled, u = _solved_cover(prob, monkeypatch)
     got = restrict_to_single_cover(cover, scaled, u)
     want = helpers.reference_restrict_to_single_cover(cover, scaled, u)
     for name in ("next_he", "opp", "to", "he_face", "boundary_faces", "n_vertices"):
@@ -282,3 +286,36 @@ def test_axis_face_without_a_real_height_is_named():
     for restrict in (restrict_to_single_cover, helpers.reference_restrict_to_single_cover):
         with pytest.raises(MetricError, match=f"^axis face {f} has no real height$"):
             restrict(cover, cmetric, u)
+
+
+# Annulus seed 2 converges in 5 steps with 8 tri-quad surgeries, and its
+# cover ends with 2 axis quads: quads on a surface that is not a disk.
+
+
+def test_annulus_kept_cover_bundle_rebuilds_with_its_diagonals(tmp_path):
+    mesh, scaled, u, report = solve_problem(helpers.annulus(2), keep_double_cover=True)
+    assert len(mesh.quad_pairs) == 2
+    path = str(tmp_path / "annulus.result")
+    write_bundle(bundle_from_solution(mesh, scaled, u, report, 0), path)
+    bundle = read_bundle(path)
+    assert len(bundle.quad_diags) == 2
+    rebuilt, he_eid = bundle.rebuild_mesh()
+    lengths = bundle.edge_lengths + list(bundle.quad_diags.values())
+    zero = [0.0] * mesh.n_vertices
+    got = vertex_angle_sums(rebuilt, PennerMetric([lengths[e] for e in he_eid]), zero)
+    assert np.max(np.abs(got - vertex_angle_sums(mesh, scaled, zero))) <= 1e-12
+
+
+def test_annulus_cover_ends_symmetric_with_its_quads(monkeypatch):
+    cover, scaled, _ = _solved_cover(helpers.annulus(2), monkeypatch)
+    assert cover.mesh.quad_pairs
+    assert validate_symmetry(cover.mesh, cover.refl, scaled) == []
+
+
+def test_annulus_restricted_boundary_angles_are_pi_minus_kappa():
+    prob = helpers.annulus(2)
+    mesh, metric, _, report = solve_problem(prob)
+    assert report.converged
+    sums = vertex_angle_sums(mesh, metric, [0.0] * mesh.n_vertices)
+    for v, k in prob.kappa_targets.items():
+        assert sums[v] == pytest.approx(math.pi - k, abs=1e-9)

@@ -156,9 +156,7 @@ def test_builders_reject_a_vertex_with_more_than_one_umbrella(faces):
 
 
 def test_annulus_closes_both_boundary_loops_as_the_reference():
-    k = 5
-    faces = [row for i in range(k) for row in (
-        [i, k + i, k + (i + 1) % k], [i, k + (i + 1) % k, (i + 1) % k])]
+    faces = helpers.annulus(0, rings=2, around=5).faces
     mesh = build_from_face_lists(faces)
     assert len(mesh.boundary_faces) == 2
     _assert_same_mesh(mesh, helpers.reference_build_from_face_lists(faces))

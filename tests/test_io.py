@@ -458,13 +458,13 @@ def test_bundle_with_quads_rebuilds_recorded_quads(tmp_path):
     rebuilt, he_eid = bundle.rebuild_mesh()
     assert validate(rebuilt) == []
     assert rebuilt.n_edges() == len(bundle.edge_lengths)
-    assert all(0 <= e < len(bundle.edge_lengths) for e in he_eid)
-    rows = sorted(rebuilt.faces())  # a rebuilt face's id is its row's first halfedge
-    metric = PennerMetric(
-        [bundle.edge_lengths[e] for e in he_eid],
-        {rows[row]: d for row, d in bundle.quad_diags.items()},
-    )
-    assert set(metric.quad_diag) == set(rebuilt.quad_pairs)
+    # The ids index the edge lengths followed by the diagonals, and each
+    # quad's parked pair takes its own diagonal's id.
+    lengths = bundle.edge_lengths + list(bundle.quad_diags.values())
+    assert sorted(set(he_eid)) == list(range(len(lengths)))
+    ne = len(bundle.edge_lengths)
+    assert [he_eid[p] for p, _ in rebuilt.quad_pairs.values()] == [ne, ne + 1]
+    metric = PennerMetric([lengths[e] for e in he_eid])
     want = vertex_angle_sums(mesh, cmetric, u)
     got = vertex_angle_sums(rebuilt, metric, u)
     assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12

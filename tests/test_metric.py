@@ -99,7 +99,7 @@ def reference_angle_sums(mesh, metric, u):
         else:
             l0, l1, l2, l3 = ls
             v0, v1, v2, v3 = vs
-            d = metric.quad_diag[f] * math.exp(0.5 * (u[v1] + u[v3]))
+            d = metric.lengths[mesh.quad_pairs[f][0]] * math.exp(0.5 * (u[v1] + u[v3]))
             theta[v3] += helpers.corner_angle(l1, l0, d)
             theta[v0] += helpers.corner_angle(d, l0, l1)
             theta[v1] += helpers.corner_angle(l0, l1, d)
@@ -316,7 +316,7 @@ def test_scan_flags_exactly_the_scalar_violations(eps):
     rng = np.random.default_rng(17)
     cover, cmetric, _ = helpers.hexagon_cover()
     helpers.drive_to_quads(cover, cmetric)
-    assert cmetric.quad_diag
+    assert cover.mesh.quad_pairs
     mesh, metric = helpers.shuffled_closed_mesh(rng, level=1, flips=30)
     for m, met, quads in [(cover.mesh, cmetric, True), (mesh, metric, False)]:
         candidates = [e for e in m.edges() if not helpers.is_boundary_edge(m, e)]
@@ -539,11 +539,11 @@ def test_hessian_matches_finite_differences_on_quads():
     # derivative, so the quad state gets fresh near-equilateral lengths.
     cover, cmetric, _ = helpers.hexagon_cover()
     helpers.drive_to_quads(cover, cmetric)
-    assert len(cmetric.quad_diag) == 2
+    assert len(cover.mesh.quad_pairs) == 2
     rng = np.random.default_rng(8)
     cmetric.lengths = helpers.random_symmetric_lengths(cover.mesh, cover.refl, rng, 0.9, 1.1)
-    for f in cmetric.quad_diag:
-        cmetric.quad_diag[f] = float(rng.uniform(0.9, 1.1))
+    for p, q in cover.mesh.quad_pairs.values():
+        cmetric.lengths[p] = cmetric.lengths[q] = float(rng.uniform(0.9, 1.1))
     u = rng.normal(0.0, 0.05, cover.mesh.n_vertices)
     assert_hessian_matches_finite_differences(cover.mesh, cmetric, u)
 

@@ -1,5 +1,5 @@
-"""Smoke runs of the three suite drivers on small inputs, and the
-benchmark tracer's table of wrapped functions."""
+"""Smoke runs of the three suite drivers on small inputs, the benchmark
+tracer's table of wrapped functions, and the benchmark's output checks."""
 
 import importlib
 import importlib.util
@@ -9,6 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from confmetric.cli import main
+from confmetric.generate import generate
+from confmetric.io import read_bundle, write_problem_files
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,13 +42,21 @@ def test_suite_driver_runs(script, args, prefix, lines, columns):
     assert all(c in row for row in rows for c in columns)
 
 
+def _perfbench(name):
+    """The benchmark module ``perfbench/<name>.py``, imported by path."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where a dataclass looks up its module
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_wraps_every_target_but_four():
     # The tracer reports a target it cannot find as absent instead of
     # failing, so a renamed kernel would read 0 in the benchmark's layer
     # metrics and skip its traced self-checks.
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench("tracer")
     targets = [(importlib.import_module(m), attr) for m, attr, _ in tracer.TARGETS]
     before = [getattr(module, attr, None) for module, attr in targets]
     t = tracer.Tracer()
@@ -59,3 +71,20 @@ def test_benchmark_tracer_wraps_every_target_but_four():
         "confmetric.cli.restrict_to_single_cover",
     ]
     assert all(getattr(m, attr, None) is fn for (m, attr), fn in zip(targets, before))
+
+
+def test_benchmark_checks_pass_on_a_small_sphere_and_disk(tmp_path):
+    # The benchmark builds metrics and reads bundles through the library
+    # API; a change that breaks its checks would otherwise show only when
+    # the benchmark runs.
+    workloads = _perfbench("workloads")
+    sphere, disk = str(tmp_path / "sphere.mesh"), str(tmp_path / "disk.mesh")
+    write_problem_files(generate("sphere-random-angles", 0, 162), sphere)
+    write_problem_files(generate("disk-random-boundary", 7, 289), disk)
+    wl = workloads.WORKLOADS["sphere"]
+    theta, result = workloads.solve_library(wl, sphere)
+    assert workloads.check_library(wl, theta, result).newton_steps == result[3].newton_steps
+    out = str(workloads.bundle_path(tmp_path, disk))
+    assert main(["solve", disk, "--out", out]) == 0
+    got = workloads.check_cli_instance(workloads.WORKLOADS["disk-cli"], disk, tmp_path)
+    assert got.flips == read_bundle(out).flip_totals[1:]

@@ -138,14 +138,14 @@ def test_validators_catch_quad_bookkeeping_faults():
     def move_record_onto_triangle(mesh, refl, cmetric, quad, tri):
         mesh.quad_pairs[tri] = mesh.quad_pairs.pop(quad)
 
-    def delete_diag(mesh, refl, cmetric, quad, tri):
-        del cmetric.quad_diag[quad]
+    def split_diag(mesh, refl, cmetric, quad, tri):
+        cmetric.lengths[mesh.quad_pairs[quad][0]] *= 2
 
     def point_record_at_live_pair(mesh, refl, cmetric, quad, tri):
         h = next(h for h in mesh.edges() if refl.r[h] not in (h, mesh.opp[h]))
         mesh.quad_pairs[quad] = (h, refl.r[h])
 
-    for fault in (delete_record, move_record_onto_triangle, delete_diag,
+    for fault in (delete_record, move_record_onto_triangle, split_diag,
                   point_record_at_live_pair):
         cover, cmetric, _ = helpers.hexagon_cover()
         mesh, refl = cover.mesh, cover.refl
@@ -160,7 +160,8 @@ def test_validators_catch_quad_bookkeeping_faults():
 # Each message validate_symmetry can report, as a pattern, with a mutation
 # of the quad state of drive_to_quads that makes it report that message.
 # A mutation edits the state's lists in place through the namespace that
-# test_validate_symmetry_reports_each_fault builds.
+# test_validate_symmetry_reports_each_fault builds; a field in braces in
+# a pattern is filled in from that namespace.
 MUTANTS = {}
 
 
@@ -280,14 +281,10 @@ def orbit_negated(s):
         s.L[x] = -s.L[x]
 
 
-@mutant("quad_diag keys disagree with the quad_pairs records")
-def diag_lost(s):
-    del s.diag[s.quad]
-
-
-@mutant(r"nonpositive stored diagonal for quad \d+")
+@mutant("nonpositive length at halfedge {parked[0]}")
 def diag_zero(s):
-    s.diag[s.quad] = 0.0
+    for x in s.parked:
+        s.L[x] = 0.0
 
 
 @pytest.mark.parametrize(
@@ -317,14 +314,14 @@ def test_validate_symmetry_reports_each_fault(pattern, mutate):
     quad = min(mesh.quad_pairs)
     s = SimpleNamespace(
         r=refl.r, lab=refl.he_label, vr=refl.vertex_refl, opp=mesh.opp,
-        pairs=mesh.quad_pairs, L=cmetric.lengths, diag=cmetric.quad_diag,
+        pairs=mesh.quad_pairs, L=cmetric.lengths,
         a=a, b=b, ra=refl.r[a], rb=refl.r[b], quad=quad, parked=mesh.quad_pairs[quad],
         fixed=next(h for h in live if refl.r[h] == h),
         hub=next(v for v, w in enumerate(refl.vertex_refl) if v != w),
     )
     mutate(s)
     errs = validate_symmetry(mesh, refl, cmetric)
-    assert any(re.fullmatch(pattern, e) for e in errs), errs
+    assert any(re.fullmatch(pattern.format_map(vars(s)), e) for e in errs), errs
 
 
 def _structure(mesh, refl, cmetric):
@@ -333,8 +330,7 @@ def _structure(mesh, refl, cmetric):
     return (
         pick(mesh.to), pick(mesh.next_he), pick(mesh.opp),
         pick(refl.r), pick(refl.he_label), tuple(refl.vertex_refl),
-        dict(mesh.quad_pairs), pick(cmetric.lengths),
-        dict(cmetric.quad_diag),
+        dict(mesh.quad_pairs), tuple(cmetric.lengths),
     )
 
 
