@@ -374,7 +374,8 @@ def _iteration_row(t: list[str]) -> IterationRow:
 
 def read_bundle(path: str) -> ResultBundle:
     """Parse a result bundle.  Raises ParseError, with the path and the
-    line, at any missing line or malformed field."""
+    line, at any missing line or malformed field, and unless the ``fe``
+    rows use exactly the edge ids 1..``ne``."""
     rows, lineno, error = _split(path)
     if error:
         raise ParseError(f"{path}:{error[0]}: {error[1]}")
@@ -410,6 +411,10 @@ def read_bundle(path: str) -> ResultBundle:
             faces_v.append([int(w) - 1 for w in need("fv")[1:]])
             faces_e.append([int(w) - 1 for w in need("fe")[1:]])
         lengths = [float.fromhex(need("el")[2]) for _ in range(int(need("ne")[1]))]
+        e = min(set().union(*faces_e) ^ set(range(len(lengths))), default=None)
+        if e is not None:  # a quad's parked pair takes the first id past ne
+            where = "in no fe row" if 0 <= e < len(lengths) else "outside 1..ne"
+            raise ParseError(f"{path}: edge id {e + 1} is {where} (ne {len(lengths)})")
         quad_diags: dict[int, float] = {}
         while pos < len(rows) and rows[pos][1][0] == "qd":
             t = need("qd")

@@ -65,8 +65,8 @@ class MetricError(Exception):
 
 
 class FlipBudgetError(Exception):
-    """Raised when make_delaunay exceeds its flip budget; carries the
-    ``flips`` it made."""
+    """Raised when make_delaunay exceeds its flip budget, or when its scan
+    refuses a capped call; carries the ``flips`` it made."""
 
     def __init__(self, message: str, flips: "FlipLog"):
         super().__init__(message)
@@ -78,6 +78,10 @@ class FlipBudgetError(Exception):
 # did not terminate: Bobenko & Springborn 2007), and the Delaunay tie band.
 _FLIP_BUDGET_FACTOR = 100.0
 _EPS_FLIP = 1e-12
+# A capped call (below one flip per edge) is refused before any flip when its
+# scan finds more than max(_DEEP_SHARE * E, _DEEP_FLOOR) unforced edges below
+# -_DEEP: far outside the tie band, so none lies there at a Delaunay start.
+_DEEP, _DEEP_SHARE, _DEEP_FLOOR = 0.5, 0.1, 2
 
 
 def _scale(lengths: np.ndarray, u: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,9 +339,10 @@ def _scan_violations_vectorized(
     u: "list[float] | np.ndarray",
     eps_flip: float,
     read: TriangleRead | None = None,
-) -> list[int]:
+    deep: float = math.inf,
+) -> tuple[list[int], list[int]]:
     """Canonical ids, ascending, of the edges whose Delaunay value is below
-    ``-eps_flip``.
+    ``-eps_flip``, and of those among them below ``-deep`` (none by default).
 
     Every side of the corner table stores its term (b^2 + c^2 - a^2) / bc
     at its halfedge.  Halfedges of outer loops and parked halfedges keep
@@ -357,8 +362,9 @@ def _scan_violations_vectorized(
     # Entries at stored diagonals (H = -1) land in the spare last slot.
     term = np.full(n + 1, np.nan)
     term[r.H] = num / bc
-    bad = (np.arange(n) < opp) & (term[:n] + term[opp] < -eps_flip)
-    return np.flatnonzero(bad).tolist()
+    value = term[:n] + term[opp]
+    bad = np.flatnonzero((np.arange(n) < opp) & (value < -eps_flip))
+    return bad.tolist(), bad[value[bad] < -deep].tolist()
 
 
 def make_delaunay(
@@ -379,14 +385,22 @@ def make_delaunay(
     four outer edges, a surgery the edges of the faces it rebuilds.  The
     call returns when the stack is empty.  Raises :class:`FlipBudgetError`
     after ``flip_budget_factor * mesh.n_edges()`` flips, counted at entry,
-    with the flips made; they are not undone.
+    with the flips made; they are not undone, or with none when the scan
+    refuses a capped call (see ``_DEEP``; forced edges do not count).
     The scan uses ``read`` as ``vertex_angle_sums`` does.
     """
     log = FlipLog()
     budget = flip_budget_factor * mesh.n_edges()
     opp = mesh.opp
     holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
-    stack = _scan_violations_vectorized(mesh, metric, u, eps_flip, read)[::-1]
+    tau = _DEEP if flip_budget_factor < 1.0 else math.inf
+    flagged, deep = _scan_violations_vectorized(mesh, metric, u, eps_flip, read, tau)
+    limit = max(_DEEP_SHARE * mesh.n_edges(), _DEEP_FLOOR)
+    if len(deep) > limit and refl is not None:
+        deep = [e for e in deep if classify_flip(mesh, refl, e)[0] is not FlipType.ALWAYS_DELAUNAY]
+    if len(deep) > limit:
+        raise FlipBudgetError(f"{len(deep)} edges below -{tau} before any flip", log)
+    stack = flagged[::-1]
     while stack:
         h = stack.pop()
         if holds(h):

@@ -19,11 +19,12 @@ map.  Edge flips reach the Delaunay triangulation at any u from any
 triangulation, so a halving retrial continues from the triangulation the
 last trial left, and a trial from the saved state need not walk all the
 way to an overshooting u: it is rejected once it has flipped a quarter
-of the edges, and the saved state is written back.  A failed search
-writes it back too, so its Newton step keeps the state it started from,
-and returns the same record as an accepted one, with the reason in
-``failure``; a rejected regula-falsi trial writes back the state saved
-at t.  Nothing is flipped back.
+of the edges, or before any flip when its scan condemns it, and the
+saved state is written back.  A failed search writes it back too, so
+its Newton step keeps the state it started from, and returns the same
+record as an accepted one, with the reason in ``failure``; a rejected
+regula-falsi trial writes back the state saved at t.  Nothing is
+flipped back.
 H is never built as a matrix: ``hessian`` gives one term per corner, and
 the Newton system is summed from them with one unknown per mirror orbit
 of the double cover (a closed mesh has one vertex per orbit).  With the
@@ -75,8 +76,8 @@ _T_GROWTH = 2.0
 
 # A line search fails after _MAX_HALVINGS halvings of its first trial.  A
 # trial that starts from the entry triangulation is rejected once it has
-# made _TRIAL_FLIP_CAP flips per edge: on the seed-0 benchmark sets no trial
-# that far from the entry state passes the slope test.
+# made _TRIAL_FLIP_CAP flips per edge, or when its scan condemns it: on the
+# seed-0 benchmark sets no trial that far from the entry state passes.
 _MAX_HALVINGS = 40
 _TRIAL_FLIP_CAP = 0.25
 
@@ -116,13 +117,13 @@ class NewtonStep:
     written back, not flipped back).  ``symmetry_ok`` is None for solves
     without a reflection map.  ``halvings`` counts the line-search trials
     that evaluated a gradient, less one; ``capped`` the trials rejected at
-    their flip cap, which evaluate none; and ``refined`` is True when the
-    step taken is the line search's regula-falsi point.  ``t`` is the step
-    the line search accepted and ``t0`` its first trial: 1.0 unless the
-    step was warm-started below a full step.  Both are NaN at step 0, and
-    ``t`` in the last row of a failed line search, which keeps u, counts
-    its trials and flips, and gives the search's reason in ``failure``
-    (empty in every other row).
+    their flip cap or by their scan, which evaluate none; and ``refined``
+    is True when the step taken is the line search's regula-falsi point.
+    ``t`` is the step the line search accepted and ``t0`` its first trial:
+    1.0 unless the step was warm-started below a full step.  Both are NaN
+    at step 0, and ``t`` in the last row of a failed line search, which
+    keeps u, counts its trials and flips, and gives the search's reason in
+    ``failure`` (empty in every other row).
     """
 
     step: int
@@ -174,10 +175,10 @@ class LineSearchResult:
     is <d, g_try>: <= 0 unless the trial was accepted for max|g_try| <=
     ``eps_tol``; ``t0`` is the first trial, and ``refined`` is True when t
     is the regula-falsi point rather than a power of two.  ``capped``
-    counts the trials rejected at their flip cap.  ``read`` is what the
-    gradient at the accepted point read.  ``failure`` is empty, or the
-    reason no point was accepted: then ``u`` and ``read`` are the entry's,
-    ``g_try`` is None, and ``slope`` and ``t`` are NaN.
+    counts the trials rejected at their flip cap or by their scan.
+    ``read`` is what the gradient at the accepted point read.  ``failure``
+    is empty, or the reason no point was accepted: then ``u`` and ``read``
+    are the entry's, ``g_try`` is None, and ``slope`` and ``t`` are NaN.
     """
 
     u: np.ndarray
@@ -298,10 +299,11 @@ def line_search(
     A power-of-two trial that starts from the entry state may flip
     ``_TRIAL_FLIP_CAP`` times per edge: one that needs more is capped,
     rejected without a gradient, and the entry state and its read are
-    written back; the next trial has no regula-falsi bracket.  Other trials
-    have the full flip budget.  The returned u is exactly ``u + t * d``,
-    ``halvings`` counts the gradient evaluations minus one, and ``capped``
-    the capped trials, whose flips count in ``flips``.
+    written back; a trial its scan condemns (``make_delaunay``) flips
+    nothing and needs none.  The next trial has no regula-falsi bracket.
+    Other trials have the full flip budget.  The returned u is exactly
+    ``u + t * d``, ``halvings`` counts the gradient evaluations minus one,
+    and ``capped`` the capped trials, whose flips count in ``flips``.
 
     The search fails when no trial within ``_MAX_HALVINGS`` halvings of t0
     is accepted, or when a power of two t leaves u unchanged (rounding is
@@ -329,8 +331,8 @@ def line_search(
             if not cap:
                 raise
             flips.merge(exc.flips)
-            restore()
-            read = entry
+            if exc.flips.total:  # a trial its scan refused flipped nothing
+                restore()
             capped += 1
             return None, math.nan, False  # rejected, with no slope to bracket
         read = read_triangles(mesh, metric) if log.total else read
@@ -393,10 +395,7 @@ def _save(
 
 
 def _symmetry_snapshot(
-    mesh: CombinatorialMesh,
-    metric: PennerMetric,
-    u: np.ndarray,
-    refl: ReflectionMap | None,
+    metric: PennerMetric, u: np.ndarray, refl: ReflectionMap | None
 ) -> bool | None:
     if refl is None:
         return None
@@ -466,11 +465,8 @@ def find_conformal_metric(
     read = read_triangles(mesh, metric) if flips0.total else read
     g = gradient(mesh, metric, u, theta_hat, read)
     err = float(np.abs(g).max()) if n else 0.0
-    steps = [
-        NewtonStep(
-            0, err, 0, flips0, math.nan, float(g.sum()), _symmetry_snapshot(mesh, metric, u, refl)
-        )
-    ]
+    snapshot = _symmetry_snapshot(metric, u, refl)
+    steps = [NewtonStep(0, err, 0, flips0, math.nan, float(g.sum()), snapshot)]
 
     termination: str | None = None
     t_max = 1.0
@@ -490,7 +486,7 @@ def find_conformal_metric(
         g = g if ls.g_try is None else ls.g_try
         t_max = min(1.0, _T_GROWTH * ls.t)
         err = float(np.abs(g).max())
-        snapshot = _symmetry_snapshot(mesh, metric, u, refl)
+        snapshot = _symmetry_snapshot(metric, u, refl)
         row = (ls.halvings, ls.flips, decrement, float(g.sum()), snapshot, ls.refined, ls.t, ls.t0)
         steps.append(NewtonStep(k, err, *row, ls.capped, ls.failure))
         if ls.failure:

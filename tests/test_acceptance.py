@@ -24,6 +24,7 @@ import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
 from confmetric.generate import generate
 from confmetric.metric import (
+    FlipBudgetError,
     flip_edge,
     gradient,
     hessian,
@@ -65,7 +66,7 @@ class RetriangulationAudit:
         def audited(mesh, metric, u, refl=None, eps_flip=metric_mod._EPS_FLIP,
                     flip_budget_factor=metric_mod._FLIP_BUDGET_FACTOR, read=None):
             log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor, read)
-            bad = metric_mod._scan_violations_vectorized(mesh, metric, u, 0.0)
+            bad, _ = metric_mod._scan_violations_vectorized(mesh, metric, u, 0.0)
             self.scans += 1
             self.checks += self.interior_edges(mesh)
             value = scalar_metric(mesh, metric, u).value
@@ -380,6 +381,39 @@ def test_holds_accepts_exactly_the_forced_edges_when_no_value_clears_the_band():
         }
         assert any(_edge_signature(mesh, refl, e) == sig for e in forced)
         assert {e for e in mesh.edges() if holds(e)} == forced
+
+
+def test_a_capped_retriangulation_does_not_count_forced_edges_as_deep(monkeypatch):
+    # Forced edges hold whatever their value, so a capped call does not
+    # count them toward refusing it.  With no floor and no share, the scan
+    # here reports each chain state's forced edges as deep: the call goes
+    # on.  One more edge that can flip makes it refuse before any flip.
+    monkeypatch.setattr(metric_mod, "_DEEP_SHARE", 0.0)
+    monkeypatch.setattr(metric_mod, "_DEEP_FLOOR", 0)
+    real = metric_mod._scan_violations_vectorized
+    for chain in FORCED_DELAUNAY_CHAINS.values():
+        cover, cmetric, _ = helpers.hexagon_cover(long_edges=(), length=1.0)
+        mesh, refl = cover.mesh, cover.refl
+        for e in chain:
+            apply_symmetric_flip(mesh, cmetric, refl, e)
+        u = [0.0] * mesh.n_vertices
+        forced = [
+            e for e in mesh.edges()
+            if classify_flip(mesh, refl, e)[0] is FlipType.ALWAYS_DELAUNAY
+        ]
+        free = next(
+            e for e in mesh.edges() if e not in forced and not helpers.is_boundary_edge(mesh, e)
+        )
+        for deep in (sorted([*forced, free]), forced):
+            monkeypatch.setattr(
+                metric_mod, "_scan_violations_vectorized", lambda *a, deep=deep: (real(*a)[0], deep)
+            )
+            if free in deep:
+                with pytest.raises(FlipBudgetError) as exc:
+                    make_delaunay(mesh, cmetric, u, refl, flip_budget_factor=0.999)
+                assert exc.value.flips.total == 0
+            else:
+                make_delaunay(mesh, cmetric, u, refl, flip_budget_factor=0.999)
 
 
 def test_genus_two_cone_of_three_full_turns_converges(cone_run):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import confmetric.solver as solver_mod
+from confmetric.cli import main
 from confmetric.cover import build_double_cover, restrict_to_single_cover
 from confmetric.generate import generate, grid_disk
 from confmetric.halfedge import MeshError, PennerMetric, build_from_face_lists, validate
@@ -304,6 +305,33 @@ def test_annulus_kept_cover_bundle_rebuilds_with_its_diagonals(tmp_path):
     zero = [0.0] * mesh.n_vertices
     got = vertex_angle_sums(rebuilt, PennerMetric([lengths[e] for e in he_eid]), zero)
     assert np.max(np.abs(got - vertex_angle_sums(mesh, scaled, zero))) <= 1e-12
+
+
+def test_a_bundle_with_an_el_line_no_fe_row_uses_is_rejected(tmp_path, capsys):
+    # An extra el line would give the first parked pair its length instead
+    # of the quad's qd diagonal; an fe id past ne would name no length.
+    mesh, scaled, u, report = solve_problem(helpers.annulus(2), keep_double_cover=True)
+    path = str(tmp_path / "annulus.result")
+    write_bundle(bundle_from_solution(mesh, scaled, u, report, 0), path)
+    lines = open(path).read().splitlines(keepends=True)
+    ne = next(i for i, x in enumerate(lines) if x.startswith("ne "))
+    n = int(lines[ne].split()[1])
+    fe = next(i for i, x in enumerate(lines) if x.startswith("fe "))
+    last_el = lines[ne + n] + "el 1.0 0x1p+0\n"
+    past_ne = " ".join(["fe", str(n + 1), *lines[fe].split()[2:]]) + "\n"
+    edits = {  # a closed cover uses each edge id twice
+        f"edge id {n + 1} is in no fe row (ne {n + 1})": {ne: f"ne {n + 1}\n", ne + n: last_el},
+        f"edge id {n + 1} is outside 1..ne (ne {n})": {fe: past_ne},
+    }
+    for message, edit in edits.items():
+        bad = str(tmp_path / "bad.result")
+        open(bad, "w").write("".join(edit.get(i, x) for i, x in enumerate(lines)))
+        with pytest.raises(ParseError) as exc:
+            read_bundle(bad)
+        assert str(exc.value) == f"{bad}: {message}"
+        capsys.readouterr()
+        assert main(["report", bad]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_annulus_cover_ends_symmetric_with_its_quads(monkeypatch):

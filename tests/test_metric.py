@@ -327,7 +327,9 @@ def test_scan_flags_exactly_the_scalar_violations(eps):
             assert [value(e).hex() for e in candidates] == [
                 helpers.reference_delaunay_value(m, met, u, e).hex() for e in candidates
             ]
-            assert _scan_violations_vectorized(m, met, u, eps) == want
+            assert _scan_violations_vectorized(m, met, u, eps) == (want, [])
+            deep = [e for e in want if value(e) < -0.5]
+            assert _scan_violations_vectorized(m, met, u, eps, deep=0.5) == (want, deep)
             if eps < 0:
                 assert len(want) > len(candidates) / 2
                 if quads:
@@ -349,8 +351,8 @@ def test_side_terms_are_exact_where_a_side_product_leaves_the_float_range(u0):
         value = scalar_metric(mesh, metric, u).value
         reference = [helpers.reference_delaunay_value(mesh, metric, u, e) for e in edges]
         assert [value(e) for e in edges] == reference == [2.0] * len(edges)
-        assert _scan_violations_vectorized(mesh, metric, u, -2.0) == []
-        assert _scan_violations_vectorized(mesh, metric, u, -math.nextafter(2.0, 3.0)) == edges
+        assert _scan_violations_vectorized(mesh, metric, u, -2.0)[0] == []
+        assert _scan_violations_vectorized(mesh, metric, u, -math.nextafter(2.0, 3.0))[0] == edges
     rng = np.random.default_rng(5)
     cover, cmetric, _ = helpers.hexagon_cover()
     helpers.drive_to_quads(cover, cmetric)
@@ -381,7 +383,8 @@ def test_make_delaunay_ends_when_every_flagged_edge_rechecks_as_delaunay(monkeyp
     def scan_with_a_tie(*args, **kwargs):
         nonlocal scans
         scans += 1
-        return sorted({*real(*args, **kwargs), extra})
+        flagged, deep = real(*args, **kwargs)
+        return sorted({*flagged, extra}), deep
 
     monkeypatch.setattr(metric_mod, "_scan_violations_vectorized", scan_with_a_tie)
     log = make_delaunay(mesh, metric, [0.0] * 6)

@@ -491,6 +491,49 @@ def test_a_capped_trial_writes_back_the_entry_state_and_evaluates_no_gradient(
     assert not (res.refined and res.t > 0.5)
 
 
+@pytest.mark.parametrize(
+    "kind, size, t", [("sphere-random-angles", 642, 1.0), ("disk-random-boundary", 289, 4.0)]
+)
+def test_a_capped_retriangulation_that_its_scan_condemns_flips_nothing(monkeypatch, kind, size, t):
+    # The sphere's full first step leaves more than a tenth of the edges
+    # below -0.5 (capped after 480 flips before its scan refused it), and
+    # so does four times the disk cover's, whose deep edges are classified
+    # first.  Refused, the call leaves every list bitwise as it found it.
+    args = _first_search_inputs(monkeypatch, kind, size)
+    mesh, metric, u, d, theta_hat, refl, cfg, read, t_max = args
+    entry = _state(mesh, metric, refl)
+    with pytest.raises(FlipBudgetError) as exc:
+        make_delaunay(mesh, metric, u + t * d, refl, cfg.eps_flip, solver_mod._TRIAL_FLIP_CAP, read)
+    assert exc.value.flips == FlipLog()
+    assert _state(mesh, metric, refl) == entry
+    assert make_delaunay(mesh, metric, u + t * d, refl, cfg.eps_flip, read=read).total > 0
+
+
+@pytest.mark.parametrize(
+    "kind, size, tol",
+    [("sphere-random-angles", 642, 1e-10), ("single-cone-genus-4", 0, 1e-8),
+     ("disk-random-boundary", 289, 1e-10)],
+)
+def test_a_capped_retriangulation_at_the_entry_u_is_never_refused(monkeypatch, kind, size, tol):
+    # Every line search is handed a state that is Delaunay at its u, so no
+    # edge lies below -0.5 there, and a capped call with no flip to spend
+    # returns; by continuity, halving reaches a trial the scan admits.
+    real = solver_mod.line_search
+    searches = 0
+
+    def search(mesh, metric, u, d, theta_hat, refl, config, read, t_max):
+        nonlocal searches
+        searches += 1
+        scan = metric_mod._scan_violations_vectorized
+        assert scan(mesh, metric, u, config.eps_flip, read, metric_mod._DEEP)[1] == []
+        assert make_delaunay(mesh, metric, u, refl, config.eps_flip, 0.0, read).total == 0
+        return real(mesh, metric, u, d, theta_hat, refl, config, read, t_max)
+
+    monkeypatch.setattr(solver_mod, "line_search", search)
+    *_, report = solve_problem(generate(kind, 0, size), SolverConfig(eps_tol=tol))
+    assert report.converged and searches == report.newton_steps
+
+
 def test_an_uncapped_trial_that_spends_its_flip_budget_raises(monkeypatch):
     # The regula-falsi trial of this search flips an edge under the full
     # budget, even from the entry state: spent, that budget is a breach,
@@ -830,9 +873,12 @@ def test_a_rejected_refinement_restores_the_state_measured_at_t(monkeypatch):
     "kind, size", [("sphere-random-angles", 642), ("disk-random-boundary", 1089)]
 )
 def test_a_failed_line_search_leaves_the_state_it_found(monkeypatch, kind, size):
-    # One trial and no halving: the first Newton step of either seed-0
-    # instance fails after flipping (563 plain flips on the sphere, 398
-    # surgeries on the disk cover), and the write-back discards the flips.
+    # One uncapped trial and no halving: the first Newton step of either
+    # seed-0 instance fails after flipping (563 plain flips on the sphere,
+    # 398 surgeries on the disk cover), and the write-back discards the
+    # flips.  Capped, the sphere's trial is refused at its scan and flips
+    # nothing; no disk trial is capped.
+    monkeypatch.setattr(solver_mod, "_TRIAL_FLIP_CAP", solver_mod._FLIP_BUDGET_FACTOR)
     real = solver_mod.line_search
     entry = []
 
@@ -916,16 +962,18 @@ def test_continued_cover_solves_stay_delaunay_and_mirror_symmetric(monkeypatch, 
     assert all(metric.lengths[h] == metric.lengths[refl.r[h]] for h in live)
 
 
-def test_the_sphere_set_flips_at_most_12_000_times():
+def test_the_sphere_set_flips_at_most_6_000_times():
     # Uncapped trials flipped 17,077 times over these seven solves when
     # every retrial continued from the last trial's triangulation; with
-    # trials from the entry state capped at a quarter flip per edge, 8,162.
+    # trials from the entry state capped at a quarter flip per edge, 8,162,
+    # of which the seven capped first trials made 3,360.  Their scans now
+    # refuse them before any flip: 4,802.
     flips = 0
     for seed in range(7):
         *_, report = solve_problem(generate("sphere-random-angles", seed, 642))
         assert report.converged, seed
         flips += report.total_flips().total
-    assert flips <= 12_000
+    assert flips <= 6_000
 
 
 @pytest.mark.parametrize(
@@ -944,7 +992,9 @@ def test_the_report_counts_what_the_kernels_were_called_for(
     # The traced benchmark checks these equalities between the calls its
     # wrappers see and what the solves report.  A failed line search has
     # a row of its own, so its Hessian, direction, trials and flips count
-    # (1,195, 563 and 398 flips on the three failures).
+    # (1,195, 563 and 398 flips on the three failures).  Each failure's one
+    # trial is uncapped: capped, the scan refuses the cone's and the
+    # sphere's before any flip.
     calls = collections.Counter()
     searching = []
 
@@ -966,6 +1016,8 @@ def test_the_report_counts_what_the_kernels_were_called_for(
                          (metric_mod, "flip_edge"), (metric_mod, "apply_symmetric_flip")]:
         spy(module, name)
     monkeypatch.setattr(solver_mod, "_MAX_HALVINGS", max_halvings)
+    if max_halvings == 0:
+        monkeypatch.setattr(solver_mod, "_TRIAL_FLIP_CAP", solver_mod._FLIP_BUDGET_FACTOR)
     *_, report = solve_problem(generate(kind, 0, size))
     assert report.termination == termination
     steps, total = report.newton_steps, report.total_flips()
