@@ -96,7 +96,7 @@ class SolverConfig:
     The disk battery and the cones of genus 2 to 8 converge at 0: the line
     search's trial cap keeps the genus-4 and genus-6 cones away from a flip
     cycle there, but nothing proves the flip loop free of cycles.  Measured
-    at commit 3c87656: up to 0.07 a sphere, a disk and a cone take the same
+    at commit 83073dc: up to 0.07 a sphere, a disk and a cone take the same
     steps; wider bands end in a degenerate triangle (exit 4), the cone from
     0.1, the sphere at 0.3 and the disk at 0.7 (``docs/formats.md``).
     """
