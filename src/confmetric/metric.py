@@ -22,8 +22,10 @@ triangles straight off the halfedge arrays (a face is a halfedge with
 ``he_face[h] == h``, which a parked halfedge never has, that is neither a
 stored quad nor an outer loop), every stored quad as its two virtual
 triangles, whose diagonal sides are its parked pair, corner vertices and
-the side opposite each corner.  The solver reuses one read until it flips;
-other calls read afresh.  Corner quantities come from needle-safe Heron
+the side opposite each corner; and each halfedge's length and head, a
+parked pair's heads being its diagonal's ends, so that one ``_scale``
+scales every length.  The solver reuses one read until it flips; other
+calls read afresh.  Corner quantities come from needle-safe Heron
 terms (Kahan's ordering): angles from the half-angle tangent, summed per
 vertex with one ``bincount``, and cotangents as the law-of-cosines
 numerator b^2 + c^2 - a^2, formed once by ``_law_of_cosines``, over 4A.
@@ -97,7 +99,8 @@ class TriangleRead(NamedTuple):
     into numpy, valid until the next flip.  Row t is a triangle or a
     virtual triangle of a quad, with corners ``V`` in face order; column k
     holds the side opposite ``V[t, k]``: its length ``L``, head ``A``, tail
-    ``B`` and halfedge ``H`` (-1 at a stored diagonal)."""
+    ``B`` and halfedge ``H`` (-1 at a stored diagonal).  ``lengths`` and
+    ``heads`` are per halfedge; a parked pair's heads are its diagonal's ends."""
 
     V: np.ndarray
     L: np.ndarray
@@ -105,6 +108,8 @@ class TriangleRead(NamedTuple):
     B: np.ndarray
     H: np.ndarray
     opp: np.ndarray
+    lengths: np.ndarray
+    heads: np.ndarray
 
 
 def read_triangles(mesh: CombinatorialMesh, metric: PennerMetric) -> TriangleRead:
@@ -141,7 +146,7 @@ def read_triangles(mesh: CombinatorialMesh, metric: PennerMetric) -> TriangleRea
     V = to[cyc]
     L = lengths[side]
     side[len(h0) :, 0] = -1  # a stored diagonal has no Delaunay term
-    return TriangleRead(V, L, V[:, [2, 0, 1]], V[:, [1, 2, 0]], side, opp)
+    return TriangleRead(V, L, V[:, [2, 0, 1]], V[:, [1, 2, 0]], side, opp, lengths, to)
 
 
 def _corner_table(

@@ -34,8 +34,9 @@ reverse Cuthill-McKee ordering of the orbits narrows its band.
 
 A solve reads the mesh and metric lists into numpy at its start and
 after every retriangulation that flips; each read serves the scans,
-gradients and Hessians up to the next flip, and a saved state keeps its
-read, which serves again once the state is written back.
+gradients, Hessians and symmetry snapshots up to the next flip, and a
+saved state keeps its read, which serves again once the state is
+written back.  The returned scaled metric is the last read's.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .metric import (
     hessian,
     make_delaunay,
     read_triangles,
-    scalar_metric,
 )
 from .symmetry import ReflectionMap
 
@@ -207,7 +207,7 @@ def newton_direction(terms: tuple, g: np.ndarray, orbit: np.ndarray | None = Non
     diagonal, the stiffest, is pinned (a high-degree vertex would widen the
     band) and d recentred.  The pinned system is symmetric positive
     definite: its orbits are ordered by reverse Cuthill-McKee, its lower
-    band is summed from the terms, and LAPACK factors it by Cholesky.
+    band is summed from the terms, and one LAPACK call solves it by Cholesky.
     Raises SolverError if the band is not positive definite, if d is
     non-finite, or if the flux residual |sum w (d_a - d_b)(e_a - e_b) +
     g_bar| exceeds 1e-10 * |g_bar|.
@@ -242,16 +242,13 @@ def newton_direction(terms: tuple, g: np.ndarray, orbit: np.ndarray | None = Non
     # When every term touches the pinned orbit, bincount returns integers.
     band = np.bincount(k * m + j, v, width * m).astype(float, copy=False).reshape(width, m)
     band[0] = np.delete(diag, pin)[perm]
+    y = np.zeros(m + 1)
     try:
-        factor = scipy.linalg.cholesky_banded(
-            band, overwrite_ab=True, lower=True, check_finite=False
+        y[perm] = scipy.linalg.solveh_banded(
+            band, -np.delete(g_sum, pin)[perm], overwrite_ab=True, lower=True, check_finite=False
         )
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"pinned Hessian is not positive definite ({exc})") from exc
-    y = np.zeros(m + 1)
-    y[perm] = scipy.linalg.cho_solve_banded(
-        (factor, True), -np.delete(g_sum, pin)[perm], check_finite=False
-    )
     d = y[free][orbit]
     if not np.all(np.isfinite(d)):
         raise SolverError("non-finite Newton direction (degenerate Hessian)")
@@ -395,31 +392,19 @@ def _save(
 
 
 def _symmetry_snapshot(
-    metric: PennerMetric, u: np.ndarray, refl: ReflectionMap | None
+    read: TriangleRead, u: np.ndarray, refl: ReflectionMap | None, mirror: np.ndarray
 ) -> bool | None:
     if refl is None:
         return None
-    if np.any(u != u[_array(refl.vertex_refl)]):
+    if np.any(u != u[mirror]):
         return False
-    L = _array(metric.lengths, float)
-    return not np.any(L != L[_array(refl.r)])
+    return not np.any(read.lengths != read.lengths[_array(refl.r)])
 
 
-def scale_conformally(
-    mesh: CombinatorialMesh,
-    metric: PennerMetric,
-    u: np.ndarray,
-) -> PennerMetric:
-    """Materialize the scaled metric: lengths and quad diagonals at u."""
-    uu = np.asarray(u, dtype=float)
-    to = _array(mesh.to)
-    lengths = _array(metric.lengths, float)
-    live = np.flatnonzero(_array(mesh.he_face) >= 0)
-    lengths[live] = _scale(lengths[live], uu, to[live], to[_array(mesh.opp)[live]])
-    diag = scalar_metric(mesh, metric, u).diag
-    for f, pair in mesh.quad_pairs.items():
-        lengths[list(pair)] = diag(f)
-    return PennerMetric(lengths.tolist())
+def scale_conformally(read: TriangleRead, u: np.ndarray, k: int = 0) -> PennerMetric:
+    """The scaled metric of ``read`` at u, times 2^k, stored diagonals included."""
+    h, uu = read.heads, np.asarray(u, dtype=float)
+    return PennerMetric(_scale(np.ldexp(read.lengths, k), uu, h, h[read.opp]).tolist())
 
 
 def _ldexp_metric(metric: PennerMetric, k: int) -> None:
@@ -458,14 +443,14 @@ def find_conformal_metric(
     _ldexp_metric(metric, -scale)
 
     # Each vertex's mirror orbit; surgeries keep vertex_refl.
-    rep = np.arange(n) if refl is None else np.minimum(np.arange(n), _array(refl.vertex_refl))
-    orbit = np.unique(rep, return_inverse=True)[1]
+    mirror = np.arange(n) if refl is None else _array(refl.vertex_refl)
+    orbit = np.unique(np.minimum(np.arange(n), mirror), return_inverse=True)[1]
     read = read_triangles(mesh, metric)
     flips0 = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, _FLIP_BUDGET_FACTOR, read)
     read = read_triangles(mesh, metric) if flips0.total else read
     g = gradient(mesh, metric, u, theta_hat, read)
     err = float(np.abs(g).max()) if n else 0.0
-    snapshot = _symmetry_snapshot(metric, u, refl)
+    snapshot = _symmetry_snapshot(read, u, refl, mirror)
     steps = [NewtonStep(0, err, 0, flips0, math.nan, float(g.sum()), snapshot)]
 
     termination: str | None = None
@@ -486,7 +471,7 @@ def find_conformal_metric(
         g = g if ls.g_try is None else ls.g_try
         t_max = min(1.0, _T_GROWTH * ls.t)
         err = float(np.abs(g).max())
-        snapshot = _symmetry_snapshot(metric, u, refl)
+        snapshot = _symmetry_snapshot(read, u, refl, mirror)
         row = (ls.halvings, ls.flips, decrement, float(g.sum()), snapshot, ls.refined, ls.t, ls.t0)
         steps.append(NewtonStep(k, err, *row, ls.capped, ls.failure))
         if ls.failure:
@@ -496,7 +481,7 @@ def find_conformal_metric(
         termination = "converged" if err <= cfg.eps_tol else "max_newton_steps"
 
     _ldexp_metric(metric, scale)
-    scaled = scale_conformally(mesh, metric, u)
+    scaled = scale_conformally(read, u, scale)
     report = SolverReport(
         steps=steps,
         termination=termination,

@@ -6,6 +6,7 @@ import inspect
 import math
 from typing import Iterable
 
+import mpmath
 import numpy as np
 import scipy.sparse
 
@@ -38,6 +39,32 @@ def corner_angle(l_opp, l_a, l_b):
     elif c < -1.0:
         c = -1.0
     return math.acos(c)
+
+
+def mp_angle_sums(mesh, lengths):
+    """Angle sum of every vertex of ``mesh`` at 50 significant digits.
+
+    The high-precision oracle for the kernel's angle sums: each corner of a
+    triangle is ``acos((b^2 + c^2 - a^2) / 2bc)`` of the per-halfedge
+    ``lengths``, taken as given (u = 0), with the cosine clamped as in
+    ``corner_angle``.  At 50 digits the law of cosines loses nothing a
+    double can show, needles included.  Returns the sums rounded to
+    floats; a face that is not a triangle raises ValueError.
+    """
+    with mpmath.workdps(50):
+        sums = [mpmath.mpf(0)] * mesh.n_vertices
+        for f in mesh.faces():
+            hs = mesh.face_halfedges(f)
+            if len(hs) != 3:
+                raise ValueError(f"face {f} is not a triangle")
+            sides = [mpmath.mpf(lengths[h]) for h in hs]
+            for k, h in enumerate(hs):
+                # The corner at the head of side k lies between sides k and
+                # k + 1, opposite side k - 1.
+                a, b, c = sides[k - 1], sides[k], sides[(k + 1) % 3]
+                cos = (b * b + c * c - a * a) / (2 * b * c)
+                sums[mesh.to[h]] += mpmath.acos(max(-1, min(1, cos)))
+        return [float(x) for x in sums]
 
 
 def copy_mesh(mesh):

@@ -22,6 +22,7 @@ import scipy.stats
 
 import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
+from confmetric import io
 from confmetric.generate import generate
 from confmetric.metric import (
     FlipBudgetError,
@@ -472,3 +473,42 @@ def test_angle_residual_sum_vanishes_at_every_iteration(sphere_suite, disk_suite
                 worst_ratio = max(worst_ratio, abs(rec.grad_sum) / (1e-10 * n))
     print(f"\nresidual conservation: {iterations} iterations, worst |sum g| at {worst_ratio:.2e} of budget")
     assert worst_ratio <= 1.0
+
+
+# -- the high-precision oracle --------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, size, tol", [("sphere-random-angles", 642, 1e-10), ("single-cone-genus-8", 0, 1e-8)]
+)
+def test_reported_residual_is_the_oracle_residual_of_the_returned_metric(kind, size, tol):
+    # The kernel measures the residual at the solve's own scale and u; the
+    # 50-digit oracle measures the scaled metric the solve returns.
+    prob = generate(kind, 0, size)
+    mesh, scaled, _, report = solve_problem(prob, SolverConfig(eps_tol=tol))
+    sums = helpers.mp_angle_sums(mesh, scaled.lengths)
+    theta = [
+        prob.theta_targets.get(v, 2.0 * math.pi - prob.kappa_targets.get(v, 0.0))
+        for v in range(mesh.n_vertices)
+    ]
+    oracle = max(abs(t - s) for t, s in zip(theta, sums))
+    assert abs(oracle - report.final_residual) <= 1e-12
+    assert report.converged
+
+
+def test_restricted_bundle_meets_its_targets_by_the_oracle():
+    # Boundary vertices close at pi - kappa, the midpoints the cut adds
+    # (u is NaN there) at pi, and interior vertices at 2 pi.
+    prob = generate("disk-random-boundary", 0, 1089)
+    rmesh, rmetric, ru, report = solve_problem(prob)
+    bundle = io.bundle_from_solution(rmesh, rmetric, ru, report, 0)
+    assert not bundle.quad_diags and any(math.isnan(x) for x in bundle.u)
+    mesh, edge = bundle.rebuild_mesh()
+    sums = helpers.mp_angle_sums(mesh, [bundle.edge_lengths[e] for e in edge])
+    for v, s in enumerate(sums):
+        if v in prob.kappa_targets:
+            want = math.pi - prob.kappa_targets[v]
+        else:
+            want = math.pi if math.isnan(bundle.u[v]) else 2.0 * math.pi
+        assert abs(s - want) <= 1e-9, (v, s, want)
+    assert report.converged

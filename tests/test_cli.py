@@ -477,8 +477,8 @@ def test_flip_budget_breach_exit_4(tmp_path, capsys, monkeypatch):
 def test_direction_off_the_residual_gate_ends_linear_solve_breakdown(tmp_path, capsys, monkeypatch):
     # A linear solver that answers twice the solution: the direction misses
     # the 1e-10 residual gate, and the solve ends with its last good state.
-    solve = scipy.linalg.cho_solve_banded
-    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", lambda *a, **kw: 2.0 * solve(*a, **kw))
+    solve = scipy.linalg.solveh_banded
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", lambda *a, **kw: 2.0 * solve(*a, **kw))
     mesh = tetra_files(tmp_path, [math.pi + 0.1, math.pi - 0.1, math.pi, math.pi])
     assert main(["solve", mesh]) == 3
     assert "linear_solve_breakdown steps=0" in capsys.readouterr().out
@@ -494,7 +494,7 @@ def test_factor_that_is_not_positive_definite_ends_linear_solve_breakdown(
     def not_positive_definite(*args, **kwargs):
         raise scipy.linalg.LinAlgError("1-th leading minor not positive definite")
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", not_positive_definite)
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", not_positive_definite)
     mesh = tetra_files(tmp_path, [math.pi + 0.1, math.pi - 0.1, math.pi, math.pi])
     assert main(["solve", mesh]) == 3
     out, err = capsys.readouterr()

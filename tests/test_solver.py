@@ -687,12 +687,54 @@ def test_solved_scaled_metric_matches_scale_conformally():
     mesh, metric, theta_hat = octa_problem(6)
     pristine = helpers.copy_metric(metric)
     mesh_out, scaled, u, report = find_conformal_metric(mesh, metric, theta_hat)
-    again = scale_conformally(mesh_out, metric, u)
+    again = scale_conformally(read_triangles(mesh_out, metric), u)
     assert scaled.lengths == again.lengths
     # the driver never touches the original-scale lengths except by flips
     assert report.converged
     if report.total_flips().total == 0:
         assert metric.lengths == pristine.lengths
+
+
+def test_scale_conformally_scales_quad_diagonals_as_scalar_metric_does():
+    # The read's heads put a parked pair between its quad's diagonal
+    # corners, the corners ``scalar_metric(...).diag`` scales between.
+    cover, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cover, cmetric)
+    mesh = cover.mesh
+    assert mesh.quad_pairs
+    n = mesh.n_vertices
+    rep = np.minimum(np.arange(n), cover.refl.vertex_refl)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        u = rng.uniform(-3.0, 3.0, n)[rep]  # mirror-symmetric, bitwise
+        scaled = scale_conformally(read_triangles(mesh, cmetric), u).lengths
+        scalar = scalar_metric(mesh, cmetric, u)
+        for h in range(mesh.n_halfedges()):
+            if mesh.he_face[h] >= 0:
+                assert abs(scaled[h] - scalar.length(h)) <= 2 * math.ulp(scalar.length(h))
+        for f, pair in mesh.quad_pairs.items():
+            for h in pair:
+                assert abs(scaled[h] - scalar.diag(f)) <= 2 * math.ulp(scalar.diag(f))
+
+
+@pytest.mark.parametrize(
+    "kind, size", [("sphere-random-angles", 162), ("disk-random-boundary", 289)]
+)
+def test_a_solve_converts_the_length_list_three_times(monkeypatch, kind, size):
+    # The median and the two power-of-two rescales, whatever the step
+    # count: the symmetry snapshot and the returned metric use the read.
+    real = solver_mod._array
+    floats = []
+
+    def spy(xs, dtype=np.intp):
+        if np.dtype(dtype).kind == "f":
+            floats.append(len(xs))
+        return real(xs, dtype)
+
+    monkeypatch.setattr(solver_mod, "_array", spy)
+    *_, report = solve_problem(generate(kind, 0, size))
+    assert report.converged and report.newton_steps > 1
+    assert len(floats) == 3
 
 
 def test_solve_is_gauge_invariant():
