@@ -403,8 +403,8 @@ def _symmetry_snapshot(
 
 def scale_conformally(read: TriangleRead, u: np.ndarray, k: int = 0) -> PennerMetric:
     """The scaled metric of ``read`` at u, times 2^k, stored diagonals included."""
-    h, uu = read.heads, np.asarray(u, dtype=float)
-    return PennerMetric(_scale(np.ldexp(read.lengths, k), uu, h, h[read.opp]).tolist())
+    to, uu = read.heads, np.asarray(u, dtype=float)
+    return PennerMetric(_scale(np.ldexp(read.lengths, k), uu, to, to[read.opp]).tolist())
 
 
 def _ldexp_metric(metric: PennerMetric, k: int) -> None:
