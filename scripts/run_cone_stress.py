@@ -5,7 +5,8 @@ A genus-g surface built from glued tori gets all its curvature pushed into
 one cone of angle 2*pi*(2g - 1).  Higher genus concentrates more curvature
 at one vertex, so the conformal factors span a wider range and double
 precision eventually gives out.  The sweep reports, per genus, how hard the
-solve was and how wide u had to stretch; failures are reported, not raised.
+solve was (steps, flips, gradient evaluations in line searches and capped
+trials) and how wide u had to stretch; failures are reported, not raised.
 """
 
 import argparse
@@ -47,6 +48,7 @@ def main():
             f"steps={report.newton_steps:4d}  residual={report.final_residual:.3e}  "
             f"u in [{report.u_min:8.3f}, {report.u_max:7.3f}]  "
             f"flips={report.total_flips().total:5d}  "
+            f"trials={sum(rec.halvings + 1 for rec in report.steps[1:]):4d}  "
             f"capped={sum(rec.capped for rec in report.steps):3d}  {dt:5.2f}s"
         )
     return worst_rc

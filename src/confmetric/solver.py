@@ -4,11 +4,12 @@ The iteration follows the classical scheme for the convex scale-factor
 energy while never evaluating the energy itself: residual g = theta_hat -
 Theta(u), direction d = -H^-1 g with H the cotangent matrix, and a line
 search that retriangulates to Delaunay before every gradient evaluation.
-The line search halves t from its first trial until the slope
-<d, g(u + t*d)> is nonpositive or max|g| is within the tolerance; when a
-rejected trial at 2t brackets the minimiser, it then tries one
-regula-falsi point between t and 2t on that slope, so a full step that
-lands just past the minimiser does not cost a rate-1/2 phase.  The first
+The line search accepts the first trial whose slope <d, g(u + t*d)> is
+nonpositive or whose max|g| is within the tolerance.  The slope at t = 0
+is <d, g>, so when the first trial t0 is rejected with a slope, the next
+trial is the zero of the slope's secant between 0 and t0, kept within
+[t0/10, 9*t0/10]: a full step that lands just past the minimiser does not
+cost a rate-1/2 phase.  Every other rejected trial halves t.  The first
 trial is warm-started near the last accepted step: at the largest power
 of two <= min(1, 2 * t_prev), and at t = 1 on the first Newton step.  A
 step that accepted t >= 1/2 thus starts the next one at t = 1; after a
@@ -16,14 +17,13 @@ short step the search no longer pays the flips toward a full step and
 back that each rejected trial costs.
 A line search saves the state it is handed: mesh, metric and reflection
 map.  Edge flips reach the Delaunay triangulation at any u from any
-triangulation, so a halving retrial continues from the triangulation the
-last trial left, and a trial from the saved state need not walk all the
-way to an overshooting u: it is rejected once it has flipped a quarter
-of the edges, or before any flip when its scan condemns it, and the
-saved state is written back.  A failed search writes it back too, so
-its Newton step keeps the state it started from, and returns the same
-record as an accepted one, with the reason in ``failure``; a rejected
-regula-falsi trial writes back the state saved at t.  Nothing is
+triangulation, so a retrial continues from the triangulation the last
+trial left, and a trial from the saved state need not walk all the way
+to an overshooting u: it is rejected once it has flipped a quarter of
+the edges, or before any flip when its scan condemns it, and the saved
+state is written back.  A failed search writes it back too, so its
+Newton step keeps the state it started from, and returns the same
+record as an accepted one, with the reason in ``failure``.  Nothing is
 flipped back.
 H is never built as a matrix: ``hessian`` gives one term per corner, and
 the Newton system is summed from them with one unknown per mirror orbit
@@ -74,10 +74,11 @@ from .symmetry import ReflectionMap
 # section 3.5).
 _T_GROWTH = 2.0
 
-# A line search fails after _MAX_HALVINGS halvings of its first trial.  A
-# trial that starts from the entry triangulation is rejected once it has
-# made _TRIAL_FLIP_CAP flips per edge, or when its scan condemns it: on the
-# seed-0 benchmark sets no trial that far from the entry state passes.
+# A line search fails after _MAX_HALVINGS rejected trials past its first,
+# the secant trial among them.  A trial that starts from the entry
+# triangulation is rejected once it has made _TRIAL_FLIP_CAP flips per
+# edge, or when its scan condemns it: on the seed-0 benchmark sets no trial
+# that far from the entry state passes.
 _MAX_HALVINGS = 40
 _TRIAL_FLIP_CAP = 0.25
 
@@ -113,13 +114,11 @@ class NewtonStep:
     ``step`` 0 describes the state after the initial retriangulation,
     before any Newton update; its decrement is NaN.  ``flips`` aggregates
     every surgery performed during the step, including rejected line-search
-    trials (a rejected refinement, a capped trial or a failed search is
-    written back, not flipped back).  ``symmetry_ok`` is None for solves
-    without a reflection map.  ``halvings`` counts the line-search trials
-    that evaluated a gradient, less one; ``capped`` the trials rejected at
-    their flip cap or by their scan, which evaluate none; and ``refined``
-    is True when the step taken is the line search's regula-falsi point.
-    ``t`` is the step the line search accepted and ``t0`` its first trial:
+    trials (a capped trial or a failed search is written back, not flipped
+    back).  ``symmetry_ok`` is None for solves without a reflection map.
+    ``halvings`` counts the line-search trials that evaluated a gradient,
+    less one; ``capped`` the trials rejected at their flip cap or by their
+    scan, which evaluate none.  ``t`` is the step the line search accepted and ``t0`` its first trial:
     1.0 unless the step was warm-started below a full step.  Both are NaN
     at step 0, and ``t`` in the last row of a failed line search, which
     keeps u, counts its trials and flips, and gives the search's reason in
@@ -133,7 +132,6 @@ class NewtonStep:
     decrement: float
     grad_sum: float
     symmetry_ok: bool | None
-    refined: bool = False
     t: float = math.nan
     t0: float = math.nan
     capped: int = 0
@@ -173,9 +171,8 @@ class LineSearchResult:
 
     ``halvings`` is the number of gradient evaluations less one, ``slope``
     is <d, g_try>: <= 0 unless the trial was accepted for max|g_try| <=
-    ``eps_tol``; ``t0`` is the first trial, and ``refined`` is True when t
-    is the regula-falsi point rather than a power of two.  ``capped``
-    counts the trials rejected at their flip cap or by their scan.
+    ``eps_tol``; ``t0`` is the first trial.  ``capped`` counts the trials
+    rejected at their flip cap or by their scan.
     ``read`` is what the gradient at the accepted point read.  ``failure``
     is empty, or the reason no point was accepted: then ``u`` and ``read``
     are the entry's, ``g_try`` is None, and ``slope`` and ``t`` are NaN.
@@ -188,7 +185,6 @@ class LineSearchResult:
     slope: float
     t: float
     t0: float
-    refined: bool
     capped: int
     read: TriangleRead
     failure: str = ""
@@ -267,6 +263,7 @@ def line_search(
     metric: PennerMetric,
     u: np.ndarray,
     d: np.ndarray,
+    g: np.ndarray,
     theta_hat: np.ndarray,
     refl: ReflectionMap | None = None,
     config: SolverConfig | None = None,
@@ -275,40 +272,36 @@ def line_search(
 ) -> LineSearchResult:
     """Step to u + t*d with slope phi'(t) = <d, g(u + t*d)> <= 0.
 
-    Trials run at t = t0, t0/2, t0/4, ... until one has phi'(t) <= 0,
-    where t0 is the largest power of two <= ``t_max`` (1 by default;
-    ``find_conformal_metric`` passes twice the last accepted t).  When a
-    rejected trial at 2t precedes it, phi'(t) <= 0 < phi'(2t) brackets the
-    minimiser along d, and one regula-falsi trial at
-    t_r = t + t * -phi'(t) / (phi'(2t) - phi'(t)) follows: t_r is accepted
-    if its slope is <= 0, otherwise the mesh, metric and reflection map
-    saved at t are written back and t is accepted with the gradient and
-    read measured there.  The energy is convex, so a nonpositive slope
-    means descent without evaluating the energy.  A trial with max|g| <=
-    ``config.eps_tol`` is accepted at once, whatever its slope, with no
-    refinement after it: the sign of a slope made of roundoff is noise.
+    ``g`` is the residual at u, so phi'(0) = <d, g>.  The first trial is
+    at t0, the largest power of two <= ``t_max`` (1 by default;
+    ``find_conformal_metric`` passes twice the last accepted t).  When it
+    is rejected with a measured slope and phi'(0) < 0 < phi'(t0), the next
+    trial is the zero of the secant of phi' through 0 and t0,
+    t1 = t0 * phi'(0) / (phi'(0) - phi'(t0)), kept within [t0/10,
+    9*t0/10]; every other rejected trial halves t.  The energy is convex,
+    so a nonpositive slope means descent without evaluating the energy.  A
+    trial with max|g| <= ``config.eps_tol`` is accepted at once, whatever
+    its slope: the sign of a slope made of roundoff is noise.
 
     Every trial retriangulates to Delaunay in place before evaluating the
     gradient.  The search saves the mesh, metric and reflection map it is
-    handed, with their read.  The first trial, and a trial after a capped
-    one, starts from that entry state; every other trial, the regula-falsi
-    one among them, continues from the triangulation the last trial left.
-    A power-of-two trial that starts from the entry state may flip
-    ``_TRIAL_FLIP_CAP`` times per edge: one that needs more is capped,
-    rejected without a gradient, and the entry state and its read are
-    written back; a trial its scan condemns (``make_delaunay``) flips
-    nothing and needs none.  The next trial has no regula-falsi bracket.
-    Other trials have the full flip budget.  The returned u is exactly
-    ``u + t * d``, ``halvings`` counts the gradient evaluations minus one,
-    and ``capped`` the capped trials, whose flips count in ``flips``.
+    handed, with their read.  A trial that starts from that entry state
+    (the first, and any trial after one that was capped or flipped
+    nothing) may flip ``_TRIAL_FLIP_CAP`` times per edge: one that needs
+    more is capped, rejected with no gradient and so no slope, and the
+    entry state and its read are written back; a trial its scan condemns
+    (``make_delaunay``) flips nothing and needs none.  Every other trial
+    continues from the triangulation the last trial left, with the full
+    flip budget.  The returned u is exactly ``u + t * d``, ``halvings``
+    counts the gradient evaluations minus one, and ``capped`` the capped
+    trials, whose flips count in ``flips``.
 
-    The search fails when no trial within ``_MAX_HALVINGS`` halvings of t0
-    is accepted, or when a power of two t leaves u unchanged (rounding is
-    monotone, so a regula-falsi point past a t that moved u moves it too).
-    It then writes the entry state back, bitwise, and returns the entry u
-    and read with the reason in ``failure``.  ``config`` also gives the
-    Delaunay tie tolerance of each retriangulation.  ``read`` reads the
-    mesh at entry (None: read afresh); every trial that flips reads again.
+    The search fails when t0 and the ``_MAX_HALVINGS`` trials after it are
+    rejected, or when a trial leaves u unchanged.  It then writes the
+    entry state back, bitwise, and returns the entry u and read with the
+    reason in ``failure``.  ``config`` also gives the Delaunay tie
+    tolerance of each retriangulation.  ``read`` reads the mesh at entry
+    (None: read afresh); every trial that flips reads again.
     """
     cfg = config if config is not None else SolverConfig()
     u = np.asarray(u, dtype=float)
@@ -318,9 +311,9 @@ def line_search(
     restore = _save(mesh, metric, refl)
     read = entry = read if read is not None else read_triangles(mesh, metric)
 
-    def trial(u_try: np.ndarray, cap: bool) -> tuple[np.ndarray | None, float, bool]:
+    def trial(u_try: np.ndarray) -> tuple[np.ndarray | None, float, bool]:
         nonlocal trials, capped, read
-        cap = cap and read is entry
+        cap = read is entry
         budget = _TRIAL_FLIP_CAP if cap else _FLIP_BUDGET_FACTOR
         try:
             log = make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, budget, read)
@@ -331,45 +324,33 @@ def line_search(
             if exc.flips.total:  # a trial its scan refused flipped nothing
                 restore()
             capped += 1
-            return None, math.nan, False  # rejected, with no slope to bracket
+            return None, math.nan, False  # rejected, with no slope to interpolate
         read = read_triangles(mesh, metric) if log.total else read
         flips.merge(log)
         g_try = gradient(mesh, metric, u_try, theta_hat, read)
         trials += 1
         return g_try, float(d @ g_try), np.abs(g_try).max(initial=0.0) <= cfg.eps_tol
 
-    t0 = math.ldexp(0.5, math.frexp(t_max)[1])  # largest power of two <= t_max
-    slope_2t = None  # phi'(2t), once the trial at 2t has been rejected
+    slope_0 = float(d @ g)
+    t = t0 = math.ldexp(0.5, math.frexp(t_max)[1])  # largest power of two <= t_max
     failure = f"no acceptable step within {_MAX_HALVINGS} halvings"
     for k in range(_MAX_HALVINGS + 1):
-        t = t0 * 0.5**k
         u_try = u + t * d
         if np.array_equal(u_try, u):
             # The step is below the float resolution of u: accepting it
             # would repeat the same step until the Newton budget runs out.
             failure = "step does not move u"
             break
-        g_try, slope, within = trial(u_try, True)
+        g_try, slope, within = trial(u_try)
         if slope <= 0.0 or within:
-            if slope_2t is not None and not within:
-                t_r = t + t * -slope / (slope_2t - slope)
-                if t < t_r < 2.0 * t:
-                    restore_t, read_t = _save(mesh, metric, refl), read
-                    u_r = u + t_r * d
-                    g_r, slope_r, within = trial(u_r, False)
-                    if slope_r <= 0.0 or within:
-                        return LineSearchResult(
-                            u_r, g_r, trials - 1, flips, slope_r, t_r, t0, True, capped, read
-                        )
-                    restore_t()
-                    read = read_t
-            return LineSearchResult(
-                u_try, g_try, trials - 1, flips, slope, t, t0, False, capped, read
-            )
-        slope_2t = None if g_try is None else slope
+            return LineSearchResult(u_try, g_try, trials - 1, flips, slope, t, t0, capped, read)
+        if k == 0 and slope_0 < 0.0 < slope:  # a capped trial's slope is NaN
+            t = t0 * min(max(slope_0 / (slope_0 - slope), 0.1), 0.9)  # the secant zero of phi'
+        else:
+            t *= 0.5
     restore()
     return LineSearchResult(
-        u, None, trials - 1, flips, math.nan, math.nan, t0, False, capped, entry, failure
+        u, None, trials - 1, flips, math.nan, math.nan, t0, capped, entry, failure
     )
 
 
@@ -466,13 +447,13 @@ def find_conformal_metric(
             termination = "linear_solve_breakdown"
             break
         decrement = float(-(d @ g))
-        ls = line_search(mesh, metric, u, d, theta_hat, refl, cfg, read, t_max)
+        ls = line_search(mesh, metric, u, d, g, theta_hat, refl, cfg, read, t_max)
         u, read = ls.u, ls.read  # a failed search returns the u it was handed
         g = g if ls.g_try is None else ls.g_try
         t_max = min(1.0, _T_GROWTH * ls.t)
         err = float(np.abs(g).max())
         snapshot = _symmetry_snapshot(read, u, refl, mirror)
-        row = (ls.halvings, ls.flips, decrement, float(g.sum()), snapshot, ls.refined, ls.t, ls.t0)
+        row = (ls.halvings, ls.flips, decrement, float(g.sum()), snapshot, ls.t, ls.t0)
         steps.append(NewtonStep(k, err, *row, ls.capped, ls.failure))
         if ls.failure:
             termination = "line_search_failed"

@@ -67,6 +67,38 @@ def mp_angle_sums(mesh, lengths):
         return [float(x) for x in sums]
 
 
+def mp_delaunay_values(mesh, lengths):
+    """Delaunay value of every interior edge of ``mesh`` at 50 digits.
+
+    The high-precision oracle for the kernel's ``value``: each halfedge h
+    of an edge adds (a^2 + b^2 - c^2) / ab, with c the length of h and a, b
+    the other two sides of its triangle; for a side of a quad, its
+    neighbour in the virtual triangle and the stored diagonal (the parked
+    pair's length).  The per-halfedge ``lengths`` are taken as given
+    (u = 0).  Returns {edge: value rounded to a float} over the edges with
+    no boundary face on either side.
+    """
+    with mpmath.workdps(50):
+
+        def term(h):
+            f = mesh.he_face[h]
+            hs = mesh.face_halfedges(f)
+            if f in mesh.quad_pairs:
+                others = hs[hs.index(h) ^ 1], mesh.quad_pairs[f][0]
+            else:
+                others = mesh.next_he[h], prev(mesh, h)
+            a, b = (mpmath.mpf(lengths[x]) for x in others)
+            c = mpmath.mpf(lengths[h])
+            return (a * a + b * b - c * c) / (a * b)
+
+        outer = mesh.boundary_faces
+        return {
+            e: float(term(e) + term(mesh.opp[e]))
+            for e in mesh.edges()
+            if mesh.he_face[e] not in outer and mesh.he_face[mesh.opp[e]] not in outer
+        }
+
+
 def copy_mesh(mesh):
     return CombinatorialMesh(
         next_he=list(mesh.next_he),

@@ -496,6 +496,25 @@ def test_reported_residual_is_the_oracle_residual_of_the_returned_metric(kind, s
     assert report.converged
 
 
+@pytest.mark.parametrize(
+    "kind, size, tol",
+    [("sphere-random-angles", 642, 1e-10), ("single-cone-genus-8", 0, 1e-8),
+     ("disk-random-boundary", 1089, 1e-10)],
+)
+def test_returned_triangulation_is_delaunay_by_the_oracle(kind, size, tol):
+    # Every edge of the returned triangulation, the disk's double cover
+    # with its quads included, has a 50-digit Delaunay value at or above
+    # the tie band on the returned scaled metric.  A flip loop whose tie
+    # band were widened to 1e-3 would leave 4 edges of the disk cover
+    # below -1e-12.
+    cfg = SolverConfig(eps_tol=tol)
+    mesh, scaled, _, report = solve_problem(generate(kind, 0, size), cfg, keep_double_cover=True)
+    assert report.converged
+    values = helpers.mp_delaunay_values(mesh, scaled.lengths)
+    assert len(values) == mesh.n_edges()
+    assert [e for e, x in values.items() if x < -cfg.eps_flip] == []
+
+
 def test_restricted_bundle_meets_its_targets_by_the_oracle():
     # Boundary vertices close at pi - kappa, the midpoints the cut adds
     # (u is NaN there) at pi, and interior vertices at 2 pi.

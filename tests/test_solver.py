@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import assume, given
-from hypothesis import strategies as st
 
 import confmetric.metric as metric_mod
 import confmetric.solver as solver_mod
@@ -206,12 +204,12 @@ def test_every_direction_of_a_disk_solve_matches_a_full_solve(monkeypatch):
 
 
 def test_orbit_solve_passes_the_residual_gate_near_convergence(monkeypatch):
-    # The last step of this disk starts from |g| about 2.6e-10, where the
-    # antisymmetric roundoff of g (norm about 8e-15) exceeds what the 1e-10 gate
-    # allows; the gate measures d against the orbit-averaged g.
+    # The last step of this disk starts from |g| about 1.9e-9, where the
+    # antisymmetric roundoff of g exceeds what the 1e-10 gate allows (a
+    # mirror-symmetric d cannot cancel it); the gate measures d against the
+    # orbit-averaged g.
     prob = generate("disk-random-boundary", 0, 1089)
     terms, g, orbit = _direction_inputs(monkeypatch, lambda: solve_problem(prob))[-1]
-    assert 1e-11 < np.abs(g).max() < 1e-9
     d = newton_direction(terms, g, orbit)
     vr = helpers.mirror_partner(orbit)
     assert np.array_equal(d, d[vr])
@@ -219,49 +217,37 @@ def test_orbit_solve_passes_the_residual_gate_near_convergence(monkeypatch):
     g_bar = np.where(vr == np.arange(len(vr)), g0, 0.5 * (g0 + g0[vr]))
     assert np.linalg.norm(g0 - g_bar) > 1e-10 * np.linalg.norm(g_bar)
     H = helpers.hessian_matrix(terms, len(g))
+    assert np.linalg.norm(H @ d + g0) > 1e-10 * np.linalg.norm(g0)
     assert np.linalg.norm(H @ d + g_bar) <= 1e-10 * np.linalg.norm(g_bar)
 
 
 # -- line search -------------------------------------------------------------
 
 
-def test_line_search_accepts_full_step_near_solution():
-    mesh, metric, theta_hat = octa_problem(3, spread=0.01)
-    from confmetric.metric import gradient
-
+def _octa_search_inputs(seed, spread):
+    """The arguments of the first line search of an octahedron solve."""
+    mesh, metric, theta_hat = octa_problem(seed, spread)
     u = np.zeros(6)
     g = gradient(mesh, metric, u, theta_hat)
     d = newton_direction(hessian(mesh, metric, u), g)
-    res = line_search(mesh, metric, u, d, np.asarray(theta_hat))
+    return mesh, metric, u, d, g, np.asarray(theta_hat)
+
+
+def test_line_search_accepts_full_step_near_solution():
+    mesh, metric, u, d, g, theta_hat = _octa_search_inputs(3, 0.01)
+    res = line_search(mesh, metric, u, d, g, theta_hat)
     assert res.halvings == 0
     assert res.slope <= 0.0
     assert res.u == pytest.approx(d, abs=1e-15)
 
 
 def test_line_search_slope_is_nonpositive_at_acceptance():
-    mesh, metric, theta_hat = octa_problem(4, spread=0.8)
-    from confmetric.metric import gradient
-
-    u = np.zeros(6)
-    g = gradient(mesh, metric, u, theta_hat)
-    d = newton_direction(hessian(mesh, metric, u), g)
-    res = line_search(mesh, metric, u, d, np.asarray(theta_hat))
+    mesh, metric, u, d, g, theta_hat = _octa_search_inputs(4, 0.8)
+    res = line_search(mesh, metric, u, d, g, theta_hat)
     assert res.slope <= 0.0
-    # the returned point is exactly u + t*d, with t a power of two or the
-    # regula-falsi point strictly inside a bracket [2^k, 2^(k+1)]
+    # the returned point is exactly u + t*d, at a t no larger than the first
     assert np.array_equal(res.u, u + res.t * d)
-    lo = 2.0 ** math.floor(math.log2(res.t))
-    assert res.t == lo or (res.refined and lo < res.t < 2.0 * lo)
-
-
-def _octa_search_inputs(seed, spread):
-    from confmetric.metric import gradient
-
-    mesh, metric, theta_hat = octa_problem(seed, spread)
-    u = np.zeros(6)
-    g = gradient(mesh, metric, u, theta_hat)
-    d = newton_direction(hessian(mesh, metric, u), g)
-    return mesh, metric, u, d, np.asarray(theta_hat)
+    assert 0.0 < res.t <= res.t0
 
 
 def _spy_gradient(monkeypatch):
@@ -277,53 +263,51 @@ def _spy_gradient(monkeypatch):
     return seen
 
 
+def _secant_ratio(d, g, u_first, mesh, metric, theta_hat):
+    """phi'(0) / (phi'(0) - phi'(t0)) for a first trial at u_first = u + t0*d:
+    the zero of the slope's secant from t = 0, as a share of t0.  The first
+    trial's slope is measured on a copy retriangulated there."""
+    m, mt = helpers.copy_mesh(mesh), helpers.copy_metric(metric)
+    make_delaunay(m, mt, u_first)
+    slope_0, slope_1 = d @ g, d @ gradient(m, mt, u_first, theta_hat)
+    assert slope_0 < 0.0 < slope_1
+    return slope_0 / (slope_0 - slope_1)
+
+
 @pytest.mark.parametrize(
-    "seed, spread, halvings, t, refined, accepted",
-    [(3, 0.01, 0, 1.0, False, -1), (4, 0.8, 2, None, True, -1), (14, 1.0, 2, 0.5, False, -2)],
-    ids=["full_step", "refined", "refinement_rejected"],
+    "seed, spread, halvings, ratio",
+    [(3, 0.01, 0, None), (3, 1.0, 1, (0.1, 0.9)), (170, 1.5, 2, (0.1, 0.9)), (4, 0.8, 1, (0.9, 1))],
+    ids=["full_step", "refined", "refinement_rejected", "refined_at_nine_tenths"],
 )
 def test_line_search_gradient_calls_are_halvings_plus_one(
-    monkeypatch, seed, spread, halvings, t, refined, accepted
+    monkeypatch, seed, spread, halvings, ratio
 ):
-    mesh, metric, u, d, theta_hat = _octa_search_inputs(seed, spread)
+    # A full step; a rejected t = 1 followed by its accepted secant trial;
+    # a rejected secant trial, followed by half of it; and a secant zero
+    # past 0.9, kept at 0.9.
+    mesh, metric, u, d, g, theta_hat = _octa_search_inputs(seed, spread)
+    inputs = helpers.copy_mesh(mesh), helpers.copy_metric(metric)
     seen = _spy_gradient(monkeypatch)
-    res = line_search(mesh, metric, u, d, theta_hat)
+    res = line_search(mesh, metric, u, d, g, theta_hat)
     assert len(seen) == res.halvings + 1 == halvings + 1
-    assert res.refined is refined
-    if t is not None:
-        assert res.t == t
-    # the accepted point is the last one evaluated; after a rejected
-    # refinement it is the one evaluated before the refinement
-    assert np.array_equal(seen[accepted], res.u)
+    # the accepted point is the last one evaluated
+    assert np.array_equal(seen[-1], res.u) and np.array_equal(res.u, u + res.t * d)
+    if ratio:
+        # After a rejected first trial with a slope, the second gradient is
+        # evaluated at exactly u + t1*d; every later trial halves.
+        r = _secant_ratio(d, g, seen[0], *inputs, theta_hat)
+        assert ratio[0] < r < ratio[1]
+        t1 = res.t0 * min(max(r, 0.1), 0.9)
+        assert [x.tobytes() for x in seen[1:]] == [
+            (u + t1 * 0.5**k * d).tobytes() for k in range(halvings)
+        ]
 
 
-def test_rejected_refinement_returns_the_power_of_two_point_on_a_delaunay_mesh(monkeypatch):
-    # t = 1 is rejected and t = 1/2 accepted; the regula-falsi point between
-    # them has a positive slope and flips an edge, which the restore of the
-    # state saved at t = 1/2 must take back.
-    from confmetric.metric import gradient
-
-    mesh, metric, u, d, theta_hat = _octa_search_inputs(14, 1.0)
-    seen = _spy_gradient(monkeypatch)
-    res = line_search(mesh, metric, u, d, theta_hat)
-    assert not res.refined and res.t == 0.5 and res.slope <= 0.0
-    assert np.array_equal(res.u, u + 0.5 * d)
-    t_tried = [float((x - u) @ d / (d @ d)) for x in seen]
-    assert t_tried[:2] == pytest.approx([1.0, 0.5], abs=1e-14)
-    assert 0.5 < t_tried[2] < 1.0
-    assert res.flips.total > 0
-    holds = scalar_metric(mesh, metric, res.u, None, 1e-12).holds
-    for e in mesh.edges():
-        if not helpers.is_boundary_edge(mesh, e):
-            assert holds(e)
-    assert np.array_equal(res.g_try, gradient(mesh, metric, res.u, theta_hat))
-
-
-def _failed_search(mesh, metric, u, d, theta_hat, **kwargs):
+def _failed_search(mesh, metric, u, d, g, theta_hat, **kwargs):
     """Run a line search that must fail; check that it returns the entry u
     and read and no gradient, and return its reason."""
     read = read_triangles(mesh, metric)
-    res = line_search(mesh, metric, u, d, theta_hat, read=read, **kwargs)
+    res = line_search(mesh, metric, u, d, g, theta_hat, read=read, **kwargs)
     assert res.u.tobytes() == np.asarray(u, dtype=float).tobytes() and res.read is read
     assert res.g_try is None and math.isnan(res.t) and math.isnan(res.slope)
     return res.failure
@@ -333,19 +317,22 @@ def _failed_search(mesh, metric, u, d, theta_hat, **kwargs):
 def test_line_search_accepts_a_trial_within_tolerance_whatever_its_slope(monkeypatch, above):
     # Near the solution the slope at a trial is roundoff, and its sign is
     # noise.  An ascent direction has a positive slope at every t: the first
-    # trial is accepted only when its residual is within eps_tol.
-    mesh, metric, u, d, theta_hat = _octa_search_inputs(3, 0.01)
+    # trial is accepted only when its residual is within eps_tol.  Its slope
+    # at t = 0 is positive too, so the search only halves.
+    mesh, metric, u, d, g, theta_hat = _octa_search_inputs(3, 0.01)
     m2, metric2 = helpers.copy_mesh(mesh), helpers.copy_metric(metric)
     make_delaunay(m2, metric2, u - d)
     first = np.abs(gradient(m2, metric2, u - d, theta_hat)).max()
     monkeypatch.setattr(solver_mod, "_MAX_HALVINGS", 3)
     cfg = SolverConfig(eps_tol=2.0 * first if above else 0.5 * first)
     if not above:
-        failure = _failed_search(mesh, metric, u, -d, theta_hat, config=cfg)
+        seen = _spy_gradient(monkeypatch)
+        failure = _failed_search(mesh, metric, u, -d, g, theta_hat, config=cfg)
         assert failure == "no acceptable step within 3 halvings"
+        assert [x.tobytes() for x in seen] == [(u - 0.5**k * d).tobytes() for k in range(4)]
         return
-    res = line_search(mesh, metric, u, -d, theta_hat, config=cfg)
-    assert res.halvings == 0 and res.t == res.t0 == 1.0 and not res.refined
+    res = line_search(mesh, metric, u, -d, g, theta_hat, config=cfg)
+    assert res.halvings == 0 and res.t == res.t0 == 1.0
     assert res.slope > 0.0
     assert np.array_equal(res.u, u - d)
 
@@ -358,24 +345,8 @@ def test_line_search_rejects_a_step_that_does_not_move_u():
     u = np.array([0.5, -0.5, 0.25, -0.25])
     theta_hat = np.full(4, math.pi)
     g = gradient(mesh, metric, u, theta_hat)
-    failure = _failed_search(mesh, metric, u, -1e-20 * g, theta_hat)
+    failure = _failed_search(mesh, metric, u, -1e-20 * g, g, theta_hat)
     assert failure == "step does not move u"
-
-
-_finite = st.floats(allow_nan=False, allow_infinity=False)
-_open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-
-
-@given(_finite, _finite, st.integers(-60, 0), _open_unit)
-def test_a_step_past_a_power_of_two_that_moves_u_moves_it_too(u, d, k, frac):
-    # Why line_search checks only its power-of-two trials (t <= 1, at most
-    # 40 halvings) for a step that does not move u: a regula-falsi point
-    # t_r lies in (t, 2t), and rounding is monotone, so u + t_r*d moves u
-    # whenever u + t*d does.
-    t = math.ldexp(1.0, k)
-    t_r = t + frac * t
-    assume(t < t_r < 2.0 * t and u + t * d != u)
-    assert u + t_r * d != u
 
 
 def _cone_search_inputs(genus):
@@ -386,53 +357,53 @@ def _cone_search_inputs(genus):
     theta_hat = np.array([prob.theta_targets.get(v, 2.0 * math.pi) for v in range(n)])
     u = np.zeros(n)
     make_delaunay(mesh, metric, u)
-    d = newton_direction(hessian(mesh, metric, u), gradient(mesh, metric, u, theta_hat))
-    return mesh, metric, u, d, theta_hat
+    g = gradient(mesh, metric, u, theta_hat)
+    d = newton_direction(hessian(mesh, metric, u), g)
+    return mesh, metric, u, d, g, theta_hat
 
 
 @pytest.mark.parametrize("t_max, t0", [(0.7, 0.5), (0.5, 0.5), (0.3, 0.25)])
 def test_warm_started_line_search_starts_at_the_largest_power_of_two_below_t_max(
     monkeypatch, t_max, t0
 ):
-    # From t = 1 the genus-2 cone's first step rejects t = 1 and 1/2 and
-    # refines between 1/4 and 1/2; a search started at 1/2 skips t = 1.
-    mesh, metric, u, d, theta_hat = _cone_search_inputs(2)
+    # From t = 1 the genus-2 cone's first step caps t = 1, rejects t = 1/2
+    # and accepts 1/4; a search started at 1/2 skips t = 1, and its secant
+    # trial after 1/2 is accepted between 1/4 and 1/2.
+    mesh, metric, u, d, g, theta_hat = _cone_search_inputs(2)
     seen = _spy_gradient(monkeypatch)
-    res = line_search(mesh, metric, u, d, theta_hat, t_max=t_max)
+    res = line_search(mesh, metric, u, d, g, theta_hat, t_max=t_max)
     assert np.array_equal(seen[0], u + t0 * d)
     assert res.t0 == t0
     assert len(seen) == res.halvings + 1
     assert np.array_equal(seen[-1], res.u) and np.array_equal(res.u, u + res.t * d)
     if t0 == 0.5:
-        assert res.refined and res.halvings == 2 and 0.25 < res.t < 0.5
+        assert res.halvings == 1 and 0.25 < res.t < 0.5
     else:
-        assert not res.refined and res.halvings == 0 and res.t == 0.25
+        assert res.halvings == 0 and res.t == 0.25
 
 
 def test_warm_started_line_search_counts_max_halvings_from_its_first_trial(monkeypatch):
     # t = 1/2 is rejected: with no halving that is the only trial, and one
-    # halving reaches the accepted t = 1/4 and its refinement.
+    # more trial reaches the accepted secant point below it.
     seen = _spy_gradient(monkeypatch)
-    mesh, metric, u, d, theta_hat = _cone_search_inputs(2)
+    mesh, metric, u, d, g, theta_hat = _cone_search_inputs(2)
     monkeypatch.setattr(solver_mod, "_MAX_HALVINGS", 0)
-    failure = _failed_search(mesh, metric, u, d, theta_hat, t_max=0.5)
+    failure = _failed_search(mesh, metric, u, d, g, theta_hat, t_max=0.5)
     assert failure == "no acceptable step within 0 halvings" and len(seen) == 1
     seen.clear()
-    mesh, metric, u, d, theta_hat = _cone_search_inputs(2)
+    mesh, metric, u, d, g, theta_hat = _cone_search_inputs(2)
     monkeypatch.setattr(solver_mod, "_MAX_HALVINGS", 1)
-    res = line_search(mesh, metric, u, d, theta_hat, t_max=0.5)
-    assert res.refined and len(seen) == res.halvings + 1 == 3
+    res = line_search(mesh, metric, u, d, g, theta_hat, t_max=0.5)
+    assert len(seen) == res.halvings + 1 == 2 and res.t < 0.5
 
 
 def _first_search_inputs(monkeypatch, kind, size):
     """Copies of the arguments of the first line search of a seed-0 solve."""
     got = []
 
-    def grab(mesh, metric, u, d, theta_hat, refl, config, read, t_max):
-        got.append(copy.deepcopy((mesh, metric, u, d, theta_hat, refl, config, read, t_max)))
-        return LineSearchResult(
-            u, None, -1, FlipLog(), math.nan, math.nan, 1.0, False, 0, read, "grabbed"
-        )
+    def grab(mesh, metric, u, d, g, theta_hat, refl, config, read, t_max):
+        got.append(copy.deepcopy((mesh, metric, u, d, g, theta_hat, refl, config, read, t_max)))
+        return LineSearchResult(u, None, -1, FlipLog(), math.nan, math.nan, 1.0, 0, read, "grabbed")
 
     with monkeypatch.context() as m:
         m.setattr(solver_mod, "line_search", grab)
@@ -450,7 +421,7 @@ def test_a_capped_trial_writes_back_the_entry_state_and_evaluates_no_gradient(
     # and 178 on the disk cover, the half step 8 and 97; a cap of half + 1
     # flips rejects the first trial alone.
     args = _first_search_inputs(monkeypatch, kind, size)
-    mesh, metric, u, d, theta_hat, refl, cfg, read, t_max = args
+    mesh, metric, u, d, g, theta_hat, refl, cfg, read, t_max = args
 
     def flips_at(t):
         m, mt, r = copy.deepcopy((mesh, metric, refl))
@@ -487,8 +458,8 @@ def test_a_capped_trial_writes_back_the_entry_state_and_evaluates_no_gradient(
     for *_, log in calls:
         total.merge(log)
     assert res.flips == total
-    # A capped trial measures no slope, so nothing refines above t = 1/2.
-    assert not (res.refined and res.t > 0.5)
+    # A capped first trial measures no slope, so every later trial halves.
+    assert math.frexp(res.t)[0] == 0.5
 
 
 @pytest.mark.parametrize(
@@ -500,7 +471,7 @@ def test_a_capped_retriangulation_that_its_scan_condemns_flips_nothing(monkeypat
     # so does four times the disk cover's, whose deep edges are classified
     # first.  Refused, the call leaves every list bitwise as it found it.
     args = _first_search_inputs(monkeypatch, kind, size)
-    mesh, metric, u, d, theta_hat, refl, cfg, read, t_max = args
+    mesh, metric, u, d, g, theta_hat, refl, cfg, read, t_max = args
     entry = _state(mesh, metric, refl)
     with pytest.raises(FlipBudgetError) as exc:
         make_delaunay(mesh, metric, u + t * d, refl, cfg.eps_flip, solver_mod._TRIAL_FLIP_CAP, read)
@@ -521,13 +492,13 @@ def test_a_capped_retriangulation_at_the_entry_u_is_never_refused(monkeypatch, k
     real = solver_mod.line_search
     searches = 0
 
-    def search(mesh, metric, u, d, theta_hat, refl, config, read, t_max):
+    def search(mesh, metric, u, d, g, theta_hat, refl, config, read, t_max):
         nonlocal searches
         searches += 1
         scan = metric_mod._scan_violations_vectorized
         assert scan(mesh, metric, u, config.eps_flip, read, metric_mod._DEEP)[1] == []
         assert make_delaunay(mesh, metric, u, refl, config.eps_flip, 0.0, read).total == 0
-        return real(mesh, metric, u, d, theta_hat, refl, config, read, t_max)
+        return real(mesh, metric, u, d, g, theta_hat, refl, config, read, t_max)
 
     monkeypatch.setattr(solver_mod, "line_search", search)
     *_, report = solve_problem(generate(kind, 0, size), SolverConfig(eps_tol=tol))
@@ -535,18 +506,18 @@ def test_a_capped_retriangulation_at_the_entry_u_is_never_refused(monkeypatch, k
 
 
 def test_an_uncapped_trial_that_spends_its_flip_budget_raises(monkeypatch):
-    # The regula-falsi trial of this search flips an edge under the full
-    # budget, even from the entry state: spent, that budget is a breach,
-    # not a capped rejection.
-    mesh, metric, u, d, theta_hat = _octa_search_inputs(14, 1.0)
+    # The first trial of this search flips under its cap and is rejected;
+    # the secant trial continues from there and flips under the full
+    # budget: spent, that budget is a breach, not a capped rejection.
+    mesh, metric, u, d, g, theta_hat = _octa_search_inputs(2, 1.0)
     monkeypatch.setattr(solver_mod, "_FLIP_BUDGET_FACTOR", 0.0)
     with pytest.raises(FlipBudgetError):
-        line_search(mesh, metric, u, d, theta_hat)
+        line_search(mesh, metric, u, d, g, theta_hat)
 
 
 def _cone_first_trial(genus):
     """A single-cone mesh retriangulated at the full first Newton step."""
-    mesh, metric, u, d, _ = _cone_search_inputs(genus)
+    mesh, metric, u, d, *_ = _cone_search_inputs(genus)
     flips = make_delaunay(mesh, metric, u + d)
     holds = scalar_metric(mesh, metric, u + d).holds
     return flips, [e for e in mesh.edges() if not holds(e)]
@@ -641,13 +612,13 @@ def test_newton_steps_record_the_accepted_and_first_trial_step():
 
 
 def test_sphere_solve_is_bitwise_the_same_with_every_line_search_started_at_t_1(monkeypatch):
-    # Every step of this solve accepts t >= 1/2, a refined t included, so
+    # Every step of this solve accepts t >= 1/2, a secant t included, so
     # the warm start never moves the first trial below t = 1.
     *_, u_warm, warm = solve_problem(generate("sphere-random-angles", 1, 642))
     real = solver_mod.line_search
-    monkeypatch.setattr(solver_mod, "line_search", lambda *args: real(*args[:8], t_max=1.0))
+    monkeypatch.setattr(solver_mod, "line_search", lambda *args: real(*args[:9], t_max=1.0))
     *_, u_cold, cold = solve_problem(generate("sphere-random-angles", 1, 642))
-    assert any(rec.refined for rec in warm.steps)
+    assert any(0.5 < rec.t < 1.0 for rec in warm.steps[1:])
     assert all(rec.t0 == 1.0 for rec in warm.steps[1:])
     assert [(r.halvings, r.flips) for r in warm.steps] == [
         (r.halvings, r.flips) for r in cold.steps
@@ -841,7 +812,7 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
     edge = {frozenset(helpers.edge_endpoints(mesh, e)): e for e in mesh.edges()}
     entry = []
 
-    def fail(mesh, metric, u, d, theta_hat, refl, config, read, t_max):
+    def fail(mesh, metric, u, d, g, theta_hat, refl, config, read, t_max):
         # A failed search writes back the state it was handed, as
         # line_search does; here after flipping two edges with no face in
         # common, which leave two edges of the uniform octahedron failing
@@ -852,7 +823,7 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
             flip_edge(mesh, metric, edge[frozenset((a, b))])
         restore()
         return LineSearchResult(
-            u, None, 0, FlipLog(single=2), math.nan, math.nan, 1.0, False, 0, read, "forced"
+            u, None, 0, FlipLog(single=2), math.nan, math.nan, 1.0, 0, read, "forced"
         )
 
     monkeypatch.setattr(solver_mod, "line_search", fail)
@@ -870,45 +841,29 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
     assert last.failure == "forced" and report.steps[0].failure == ""
 
 
-def _check_rejected_refinements(monkeypatch):
-    """Wrap the solver's ``line_search`` and ``gradient``: after a rejected
-    refinement, the mesh, metric and reflection map, the read and g_try
-    must be bitwise what the gradient saw at the accepted t.  Returns the
-    list of the t of every such search."""
-    real_search, real_gradient = solver_mod.line_search, solver_mod.gradient
-    seen, checked, refl_now = [], [], [None]
+@pytest.mark.parametrize(
+    "kind, size", [("sphere-random-angles", 642), ("disk-random-boundary", 1089)]
+)
+def test_a_line_search_saves_the_state_it_is_handed_once(monkeypatch, kind, size):
+    # A rejected trial is followed by a smaller one from the triangulation
+    # it left, or from the entry state after a cap: no state is saved at
+    # any t, and nothing but the entry state is written back.
+    real_search, real_save = solver_mod.line_search, solver_mod._save
+    saves = []
 
-    def gradient(mesh, metric, u, theta_hat, read=None):
-        g = real_gradient(mesh, metric, u, theta_hat, read)
-        seen.append((np.array(u), _state(mesh, metric, refl_now[0]), read, g.copy()))
-        return g
+    def save(*args):
+        saves[-1] += 1
+        return real_save(*args)
 
-    def search(mesh, metric, u, d, theta_hat, refl=None, *args, **kwargs):
-        seen.clear()
-        refl_now[0] = refl
-        res = real_search(mesh, metric, u, d, theta_hat, refl, *args, **kwargs)
-        if not np.array_equal(seen[-1][0], res.u):
-            u_t, state, read, g = seen[-2]
-            assert not res.refined and np.array_equal(u_t, res.u)
-            assert _state(mesh, metric, refl) == state
-            assert all(x.tobytes() == y.tobytes() for x, y in zip(res.read, read, strict=True))
-            assert res.g_try.tobytes() == g.tobytes()
-            checked.append(res.t)
-        return res
+    def search(*args):
+        saves.append(0)
+        return real_search(*args)
 
-    monkeypatch.setattr(solver_mod, "gradient", gradient)
+    monkeypatch.setattr(solver_mod, "_save", save)
     monkeypatch.setattr(solver_mod, "line_search", search)
-    return checked
-
-
-def test_a_rejected_refinement_restores_the_state_measured_at_t(monkeypatch):
-    checked = _check_rejected_refinements(monkeypatch)
-    mesh, metric, u, d, theta_hat = _octa_search_inputs(14, 1.0)
-    solver_mod.line_search(mesh, metric, u, d, theta_hat)
-    assert checked == [0.5]
-    # the disk cover's solve rejects one refinement, and keeps converging
-    *_, report = solve_problem(generate("disk-random-boundary", 0, 1089))
-    assert report.converged and len(checked) == 2
+    *_, report = solve_problem(generate(kind, 0, size))
+    assert report.converged and saves == [1] * report.newton_steps
+    assert any(rec.halvings for rec in report.steps)  # some search rejects a trial
 
 
 @pytest.mark.parametrize(
@@ -924,9 +879,9 @@ def test_a_failed_line_search_leaves_the_state_it_found(monkeypatch, kind, size)
     real = solver_mod.line_search
     entry = []
 
-    def search(mesh, metric, u, d, theta_hat, refl=None, *args):
+    def search(mesh, metric, u, d, g, theta_hat, refl=None, *args):
         entry.append((mesh, metric, refl, copy.deepcopy((mesh, metric, refl))))
-        return real(mesh, metric, u, d, theta_hat, refl, *args)
+        return real(mesh, metric, u, d, g, theta_hat, refl, *args)
 
     monkeypatch.setattr(solver_mod, "line_search", search)
     monkeypatch.setattr(solver_mod, "_MAX_HALVINGS", 0)
@@ -962,10 +917,10 @@ def _check_continuations(monkeypatch):
         trials.append((before, _state(mesh, metric, refl)))
         return log
 
-    def search(mesh, metric, u, d, theta_hat, refl=None, *args):
+    def search(mesh, metric, u, d, g, theta_hat, refl=None, *args):
         entry = _state(mesh, metric, refl)
         trials.clear()
-        res = real_search(mesh, metric, u, d, theta_hat, refl, *args)
+        res = real_search(mesh, metric, u, d, g, theta_hat, refl, *args)
         starts = [entry] + [entry if after is None else after for _, after in trials[:-1]]
         assert [before for before, _ in trials] == starts
         capped = sum(after is None for _, after in trials)
