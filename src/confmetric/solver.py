@@ -118,11 +118,11 @@ class NewtonStep:
     back).  ``symmetry_ok`` is None for solves without a reflection map.
     ``halvings`` counts the line-search trials that evaluated a gradient,
     less one; ``capped`` the trials rejected at their flip cap or by their
-    scan, which evaluate none.  ``t`` is the step the line search accepted and ``t0`` its first trial:
-    1.0 unless the step was warm-started below a full step.  Both are NaN
-    at step 0, and ``t`` in the last row of a failed line search, which
-    keeps u, counts its trials and flips, and gives the search's reason in
-    ``failure`` (empty in every other row).
+    scan, which evaluate none.  ``t`` is the step the line search accepted
+    and ``t0`` its first trial: 1.0 unless the step was warm-started below
+    a full step.  Both are NaN at step 0, and ``t`` in the last row of a
+    failed line search, which keeps u, counts its trials and flips, and
+    gives the search's reason in ``failure`` (empty in every other row).
     """
 
     step: int
