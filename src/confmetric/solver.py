@@ -22,9 +22,9 @@ trial left, and a trial from the saved state need not walk all the way
 to an overshooting u: it is rejected once it has flipped a quarter of
 the edges, or before any flip when its scan condemns it, and the saved
 state is written back.  A failed search writes it back too, so its
-Newton step keeps the state it started from, and returns the same
-record as an accepted one, with the reason in ``failure``.  Nothing is
-flipped back.
+Newton step keeps the state it started from.  Nothing is flipped back.
+Either way the search returns its step's trace row, a ``NewtonStep``,
+built where its numbers are known.
 H is never built as a matrix: ``hessian`` gives one term per corner, and
 the Newton system is summed from them with one unknown per mirror orbit
 of the double cover (a closed mesh has one vertex per orbit).  With the
@@ -109,20 +109,22 @@ class SolverConfig:
 
 @dataclass
 class NewtonStep:
-    """One row of the iteration trace.
+    """One row of the iteration trace; the one place that says what its
+    numbers mean.
 
-    ``step`` 0 describes the state after the initial retriangulation,
-    before any Newton update; its decrement is NaN.  ``flips`` aggregates
-    every surgery performed during the step, including rejected line-search
-    trials (a capped trial or a failed search is written back, not flipped
-    back).  ``symmetry_ok`` is None for solves without a reflection map.
-    ``halvings`` counts the line-search trials that evaluated a gradient,
-    less one; ``capped`` the trials rejected at their flip cap or by their
-    scan, which evaluate none.  ``t`` is the step the line search accepted
-    and ``t0`` its first trial: 1.0 unless the step was warm-started below
-    a full step.  Both are NaN at step 0, and ``t`` in the last row of a
-    failed line search, which keeps u, counts its trials and flips, and
-    gives the search's reason in ``failure`` (empty in every other row).
+    ``line_search`` builds every row after step 0; the driver numbers it
+    and sets ``symmetry_ok`` (None for solves without a reflection map).
+    Step 0 is the state after the initial retriangulation, before any
+    Newton update.  ``max_error`` and ``grad_sum`` are max|g| and sum g of
+    the residual the step ends with, ``decrement`` is -<d, g> at its start
+    (NaN at step 0), and ``flips`` counts every surgery the step made,
+    those of rejected trials included.  ``halvings`` counts the trials
+    that evaluated a gradient, less one; ``capped`` the trials rejected at
+    their flip cap or by their scan, which evaluate none.  ``t`` is the
+    step accepted and ``t0`` the first trial: 1.0 unless warm-started
+    below a full step.  Both are NaN at step 0, and ``t`` in the row of a
+    failed search, which ends with the state it started from and gives
+    its reason in ``failure`` (empty in every other row).
     """
 
     step: int
@@ -163,31 +165,6 @@ class SolverReport:
         for rec in self.steps:
             out.merge(rec.flips)
         return out
-
-
-@dataclass
-class LineSearchResult:
-    """The accepted point u + t*d, and the residual ``g_try`` evaluated there.
-
-    ``halvings`` is the number of gradient evaluations less one, ``slope``
-    is <d, g_try>: <= 0 unless the trial was accepted for max|g_try| <=
-    ``eps_tol``; ``t0`` is the first trial.  ``capped`` counts the trials
-    rejected at their flip cap or by their scan.
-    ``read`` is what the gradient at the accepted point read.  ``failure``
-    is empty, or the reason no point was accepted: then ``u`` and ``read``
-    are the entry's, ``g_try`` is None, and ``slope`` and ``t`` are NaN.
-    """
-
-    u: np.ndarray
-    g_try: np.ndarray | None
-    halvings: int
-    flips: FlipLog
-    slope: float
-    t: float
-    t0: float
-    capped: int
-    read: TriangleRead
-    failure: str = ""
 
 
 def newton_direction(terms: tuple, g: np.ndarray, orbit: np.ndarray | None = None) -> np.ndarray:
@@ -269,7 +246,7 @@ def line_search(
     config: SolverConfig | None = None,
     read: TriangleRead | None = None,
     t_max: float = 1.0,
-) -> LineSearchResult:
+) -> tuple[np.ndarray, np.ndarray, TriangleRead, NewtonStep]:
     """Step to u + t*d with slope phi'(t) = <d, g(u + t*d)> <= 0.
 
     ``g`` is the residual at u, so phi'(0) = <d, g>.  The first trial is
@@ -292,16 +269,17 @@ def line_search(
     entry state and its read are written back; a trial its scan condemns
     (``make_delaunay``) flips nothing and needs none.  Every other trial
     continues from the triangulation the last trial left, with the full
-    flip budget.  The returned u is exactly ``u + t * d``, ``halvings``
-    counts the gradient evaluations minus one, and ``capped`` the capped
-    trials, whose flips count in ``flips``.
+    flip budget.
 
-    The search fails when t0 and the ``_MAX_HALVINGS`` trials after it are
+    Returns ``(u, g, read, row)``: the accepted point, exactly ``u + t * d``,
+    its residual and read, and the step's ``NewtonStep`` with its
+    decrement -phi'(0); the caller sets ``step`` and ``symmetry_ok``.  The
+    search fails when t0 and the ``_MAX_HALVINGS`` trials after it are
     rejected, or when a trial leaves u unchanged.  It then writes the
-    entry state back, bitwise, and returns the entry u and read with the
-    reason in ``failure``.  ``config`` also gives the Delaunay tie
-    tolerance of each retriangulation.  ``read`` reads the mesh at entry
-    (None: read afresh); every trial that flips reads again.
+    entry state back, bitwise, and returns the entry u, g and read, with
+    the reason in the row's ``failure``.  ``config`` also gives the
+    Delaunay tie tolerance of each retriangulation.  ``read`` reads the
+    mesh at entry (None: read afresh); every trial that flips reads again.
     """
     cfg = config if config is not None else SolverConfig()
     u = np.asarray(u, dtype=float)
@@ -343,15 +321,18 @@ def line_search(
             break
         g_try, slope, within = trial(u_try)
         if slope <= 0.0 or within:
-            return LineSearchResult(u_try, g_try, trials - 1, flips, slope, t, t0, capped, read)
+            u, g, failure = u_try, g_try, ""
+            break
         if k == 0 and slope_0 < 0.0 < slope:  # a capped trial's slope is NaN
             t = t0 * min(max(slope_0 / (slope_0 - slope), 0.1), 0.9)  # the secant zero of phi'
         else:
             t *= 0.5
-    restore()
-    return LineSearchResult(
-        u, None, trials - 1, flips, math.nan, math.nan, t0, capped, entry, failure
-    )
+    if failure:
+        restore()
+        t, read = math.nan, entry
+    err, g_sum = float(np.abs(g).max()), float(g.sum())
+    row = NewtonStep(0, err, trials - 1, flips, -slope_0, g_sum, None, t, t0, capped, failure)
+    return u, g, read, row
 
 
 def _save(
@@ -446,16 +427,12 @@ def find_conformal_metric(
         except SolverError:
             termination = "linear_solve_breakdown"
             break
-        decrement = float(-(d @ g))
-        ls = line_search(mesh, metric, u, d, g, theta_hat, refl, cfg, read, t_max)
-        u, read = ls.u, ls.read  # a failed search returns the u it was handed
-        g = g if ls.g_try is None else ls.g_try
-        t_max = min(1.0, _T_GROWTH * ls.t)
-        err = float(np.abs(g).max())
-        snapshot = _symmetry_snapshot(read, u, refl, mirror)
-        row = (ls.halvings, ls.flips, decrement, float(g.sum()), snapshot, ls.t, ls.t0)
-        steps.append(NewtonStep(k, err, *row, ls.capped, ls.failure))
-        if ls.failure:
+        # A failed search returns the u, g and read it was handed.
+        u, g, read, row = line_search(mesh, metric, u, d, g, theta_hat, refl, cfg, read, t_max)
+        row.step, row.symmetry_ok = k, _symmetry_snapshot(read, u, refl, mirror)
+        steps.append(row)
+        err, t_max = row.max_error, min(1.0, _T_GROWTH * row.t)
+        if row.failure:
             termination = "line_search_failed"
             break
     if termination is None:

@@ -274,6 +274,31 @@ def annulus(seed, rings=4, around=12, radii=(1.0, 2.0)):
     )
 
 
+def holed_torus(seed, size=6):
+    """A ``size`` x ``size`` grid torus of equilateral unit triangles less
+    the two triangles of one cell: one boundary loop, chi = -1.
+
+    Vertex ``size * i + j`` is grid point (i, j), and each cell is split
+    along the same diagonal; the cell at (0, 0) is left out.  The curvatures
+    of its four corners are ``default_rng(seed).uniform(-1.5, 1.5)`` less
+    their mean, less pi/2, so that they total 2 pi chi = -2 pi.
+    """
+    v = lambda i, j: size * (i % size) + j % size
+    faces = []
+    for i in range(size):
+        for j in range(size):
+            if (i, j) != (0, 0):
+                faces.append([v(i, j), v(i + 1, j), v(i + 1, j + 1)])
+                faces.append([v(i, j), v(i + 1, j + 1), v(i, j + 1)])
+    lengths = {tuple(sorted((f[k - 1], f[k]))): 1.0 for f in faces for k in range(3)}
+    kappa = np.random.default_rng(seed).uniform(-1.5, 1.5, 4)
+    kappa -= kappa.mean() + math.pi / 2
+    boundary = [v(0, 0), v(1, 0), v(1, 1), v(0, 1)]
+    return ProblemFile(
+        faces, edge_lengths=lengths, kappa_targets={b: float(k) for b, k in zip(boundary, kappa)}
+    )
+
+
 def find_flip_of_kind(mesh, refl, want, forward):
     for e in mesh.edges():
         kind, fwd = classify_flip(mesh, refl, e)

@@ -497,19 +497,26 @@ def test_reported_residual_is_the_oracle_residual_of_the_returned_metric(kind, s
 
 
 @pytest.mark.parametrize(
-    "kind, size, tol",
-    [("sphere-random-angles", 642, 1e-10), ("single-cone-genus-8", 0, 1e-8),
-     ("disk-random-boundary", 1089, 1e-10)],
+    "make, tol, quads",
+    [
+        pytest.param(lambda: generate("sphere-random-angles", 0, 642), 1e-10, 0,
+                     id="sphere-random-angles-642-1e-10"),
+        pytest.param(lambda: generate("single-cone-genus-8", 0, 0), 1e-8, 0,
+                     id="single-cone-genus-8-0-1e-08"),
+        pytest.param(lambda: generate("disk-random-boundary", 0, 1089), 1e-10, 1,
+                     id="disk-random-boundary-1089-1e-10"),
+        pytest.param(lambda: helpers.annulus(2), 1e-10, 2, id="annulus-2-1e-10"),
+    ],
 )
-def test_returned_triangulation_is_delaunay_by_the_oracle(kind, size, tol):
-    # Every edge of the returned triangulation, the disk's double cover
-    # with its quads included, has a 50-digit Delaunay value at or above
-    # the tie band on the returned scaled metric.  A flip loop whose tie
-    # band were widened to 1e-3 would leave 4 edges of the disk cover
-    # below -1e-12.
+def test_returned_triangulation_is_delaunay_by_the_oracle(make, tol, quads):
+    # Every edge of the returned triangulation, a double cover with its
+    # quads included, has a 50-digit Delaunay value at or above the tie
+    # band on the returned scaled metric.  A flip loop whose tie band were
+    # widened to 1e-3 would leave 4 edges of the disk cover below -1e-12.
+    # The annulus's cover is a torus with two quads.
     cfg = SolverConfig(eps_tol=tol)
-    mesh, scaled, _, report = solve_problem(generate(kind, 0, size), cfg, keep_double_cover=True)
-    assert report.converged
+    mesh, scaled, _, report = solve_problem(make(), cfg, keep_double_cover=True)
+    assert report.converged and len(mesh.quad_pairs) == quads
     values = helpers.mp_delaunay_values(mesh, scaled.lengths)
     assert len(values) == mesh.n_edges()
     assert [e for e, x in values.items() if x < -cfg.eps_flip] == []
@@ -517,17 +524,20 @@ def test_returned_triangulation_is_delaunay_by_the_oracle(kind, size, tol):
 
 def test_restricted_bundle_meets_its_targets_by_the_oracle():
     # Boundary vertices close at pi - kappa, the midpoints the cut adds
-    # (u is NaN there) at pi, and interior vertices at 2 pi.
-    prob = generate("disk-random-boundary", 0, 1089)
-    rmesh, rmetric, ru, report = solve_problem(prob)
-    bundle = io.bundle_from_solution(rmesh, rmetric, ru, report, 0)
-    assert not bundle.quad_diags and any(math.isnan(x) for x in bundle.u)
-    mesh, edge = bundle.rebuild_mesh()
-    sums = helpers.mp_angle_sums(mesh, [bundle.edge_lengths[e] for e in edge])
-    for v, s in enumerate(sums):
-        if v in prob.kappa_targets:
-            want = math.pi - prob.kappa_targets[v]
-        else:
-            want = math.pi if math.isnan(bundle.u[v]) else 2.0 * math.pi
-        assert abs(s - want) <= 1e-9, (v, s, want)
-    assert report.converged
+    # (u is NaN there) at pi, and interior vertices at 2 pi: on the disk,
+    # and on both boundary loops of the annulus.  Computing the forward
+    # axis surgery's apex height as (L[c]*m1 + d0*m2)/d puts the annulus's
+    # boundary 0.88 off.
+    for prob in (generate("disk-random-boundary", 0, 1089), helpers.annulus(2)):
+        rmesh, rmetric, ru, report = solve_problem(prob)
+        assert report.converged
+        bundle = io.bundle_from_solution(rmesh, rmetric, ru, report, 0)
+        assert not bundle.quad_diags and any(math.isnan(x) for x in bundle.u)
+        mesh, edge = bundle.rebuild_mesh()
+        sums = helpers.mp_angle_sums(mesh, [bundle.edge_lengths[e] for e in edge])
+        for v, s in enumerate(sums):
+            if v in prob.kappa_targets:
+                want = math.pi - prob.kappa_targets[v]
+            else:
+                want = math.pi if math.isnan(bundle.u[v]) else 2.0 * math.pi
+            assert abs(s - want) <= 1e-9, (v, s, want)

@@ -1,5 +1,6 @@
-"""Smoke runs of the three suite drivers on small inputs, the benchmark
-tracer's table of wrapped functions, and the benchmark's output checks."""
+"""Smoke runs of the suite drivers (the batteries on small inputs), the
+benchmark tracer's table of wrapped functions, and the benchmark's output
+checks."""
 
 import importlib
 import importlib.util
@@ -26,8 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
             "run_cone_stress.py", ["--genus-min", "2", "--genus-max", "2"], "genus ", 1,
             ("trials=   8", "capped=  1"),
         ),
+        ("run_seed_sets.py", [], "set ", 3, ("steps=", "trials=", "capped=", "flips=")),
     ],
-    ids=["sphere", "disk", "cone"],
+    ids=["sphere", "disk", "cone", "seed-sets"],
 )
 def test_suite_driver_runs(script, args, prefix, lines, columns):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -30,7 +30,7 @@ from confmetric.metric import (
     vertex_angle_sums,
 )
 from confmetric.solver import (
-    LineSearchResult,
+    NewtonStep,
     SolverConfig,
     SolverError,
     find_conformal_metric,
@@ -235,19 +235,41 @@ def _octa_search_inputs(seed, spread):
 
 def test_line_search_accepts_full_step_near_solution():
     mesh, metric, u, d, g, theta_hat = _octa_search_inputs(3, 0.01)
-    res = line_search(mesh, metric, u, d, g, theta_hat)
-    assert res.halvings == 0
-    assert res.slope <= 0.0
-    assert res.u == pytest.approx(d, abs=1e-15)
+    u_new, g_new, _, row = line_search(mesh, metric, u, d, g, theta_hat)
+    assert row.halvings == 0
+    assert d @ g_new <= 0.0
+    assert u_new == pytest.approx(d, abs=1e-15)
 
 
 def test_line_search_slope_is_nonpositive_at_acceptance():
     mesh, metric, u, d, g, theta_hat = _octa_search_inputs(4, 0.8)
-    res = line_search(mesh, metric, u, d, g, theta_hat)
-    assert res.slope <= 0.0
+    u_new, g_new, _, row = line_search(mesh, metric, u, d, g, theta_hat)
+    assert d @ g_new <= 0.0
     # the returned point is exactly u + t*d, at a t no larger than the first
-    assert np.array_equal(res.u, u + res.t * d)
-    assert 0.0 < res.t <= res.t0
+    assert np.array_equal(u_new, u + row.t * d)
+    assert 0.0 < row.t <= row.t0
+
+
+def test_line_search_returns_the_trace_row_of_its_step(monkeypatch):
+    # The row is built from the numbers the search holds: its decrement is
+    # the slope at t = 0, its residual figures those of the returned g.
+    mesh, metric, u, d, g, theta_hat = _octa_search_inputs(4, 0.8)
+    _, g_new, _, row = line_search(mesh, metric, u, d, g, theta_hat)
+    assert row.decrement == -(d @ g) and row.failure == ""
+    assert row.max_error == np.abs(g_new).max() and row.grad_sum == g_new.sum()
+    # The driver appends the very rows the searches return.
+    real = solver_mod.line_search
+    rows = []
+
+    def search(*args):
+        out = real(*args)
+        rows.append(out[3])
+        return out
+
+    monkeypatch.setattr(solver_mod, "line_search", search)
+    *_, report = solve_problem(generate("sphere-random-angles", 0, 642))
+    assert report.converged and report.newton_steps > 1
+    assert all(rec is row for rec, row in zip(report.steps[1:], rows, strict=True))
 
 
 def _spy_gradient(monkeypatch):
@@ -288,29 +310,38 @@ def test_line_search_gradient_calls_are_halvings_plus_one(
     mesh, metric, u, d, g, theta_hat = _octa_search_inputs(seed, spread)
     inputs = helpers.copy_mesh(mesh), helpers.copy_metric(metric)
     seen = _spy_gradient(monkeypatch)
-    res = line_search(mesh, metric, u, d, g, theta_hat)
-    assert len(seen) == res.halvings + 1 == halvings + 1
+    u_new, _, _, row = line_search(mesh, metric, u, d, g, theta_hat)
+    assert len(seen) == row.halvings + 1 == halvings + 1
     # the accepted point is the last one evaluated
-    assert np.array_equal(seen[-1], res.u) and np.array_equal(res.u, u + res.t * d)
+    assert np.array_equal(seen[-1], u_new) and np.array_equal(u_new, u + row.t * d)
     if ratio:
         # After a rejected first trial with a slope, the second gradient is
         # evaluated at exactly u + t1*d; every later trial halves.
         r = _secant_ratio(d, g, seen[0], *inputs, theta_hat)
         assert ratio[0] < r < ratio[1]
-        t1 = res.t0 * min(max(r, 0.1), 0.9)
+        t1 = row.t0 * min(max(r, 0.1), 0.9)
         assert [x.tobytes() for x in seen[1:]] == [
             (u + t1 * 0.5**k * d).tobytes() for k in range(halvings)
         ]
 
 
 def _failed_search(mesh, metric, u, d, g, theta_hat, **kwargs):
-    """Run a line search that must fail; check that it returns the entry u
-    and read and no gradient, and return its reason."""
+    """Run a line search that must fail; check that it returns the entry u,
+    g and read, and a row with t NaN that measures the entry g, and return
+    its reason."""
     read = read_triangles(mesh, metric)
-    res = line_search(mesh, metric, u, d, g, theta_hat, read=read, **kwargs)
-    assert res.u.tobytes() == np.asarray(u, dtype=float).tobytes() and res.read is read
-    assert res.g_try is None and math.isnan(res.t) and math.isnan(res.slope)
-    return res.failure
+    u_new, g_new, r, row = line_search(mesh, metric, u, d, g, theta_hat, read=read, **kwargs)
+    assert u_new.tobytes() == np.asarray(u, dtype=float).tobytes() and r is read
+    assert g_new.tobytes() == g.tobytes() and math.isnan(row.t)
+    assert row.max_error == np.abs(g).max() and row.decrement == -(d @ g)
+    return row.failure
+
+
+def _failed_row(d, g, halvings, flips, failure):
+    """The row a failed search from residual g along d returns, t0 = 1."""
+    err, g_sum = float(np.abs(g).max()), float(g.sum())
+    return NewtonStep(0, err, halvings, flips, float(-(d @ g)), g_sum, None, t0=1.0,
+                      failure=failure)
 
 
 @pytest.mark.parametrize("above", [True, False])
@@ -331,10 +362,10 @@ def test_line_search_accepts_a_trial_within_tolerance_whatever_its_slope(monkeyp
         assert failure == "no acceptable step within 3 halvings"
         assert [x.tobytes() for x in seen] == [(u - 0.5**k * d).tobytes() for k in range(4)]
         return
-    res = line_search(mesh, metric, u, -d, g, theta_hat, config=cfg)
-    assert res.halvings == 0 and res.t == res.t0 == 1.0
-    assert res.slope > 0.0
-    assert np.array_equal(res.u, u - d)
+    u_new, g_new, _, row = line_search(mesh, metric, u, -d, g, theta_hat, config=cfg)
+    assert row.halvings == 0 and row.t == row.t0 == 1.0
+    assert (-d) @ g_new > 0.0
+    assert np.array_equal(u_new, u - d)
 
 
 def test_line_search_rejects_a_step_that_does_not_move_u():
@@ -371,15 +402,15 @@ def test_warm_started_line_search_starts_at_the_largest_power_of_two_below_t_max
     # trial after 1/2 is accepted between 1/4 and 1/2.
     mesh, metric, u, d, g, theta_hat = _cone_search_inputs(2)
     seen = _spy_gradient(monkeypatch)
-    res = line_search(mesh, metric, u, d, g, theta_hat, t_max=t_max)
+    u_new, _, _, row = line_search(mesh, metric, u, d, g, theta_hat, t_max=t_max)
     assert np.array_equal(seen[0], u + t0 * d)
-    assert res.t0 == t0
-    assert len(seen) == res.halvings + 1
-    assert np.array_equal(seen[-1], res.u) and np.array_equal(res.u, u + res.t * d)
+    assert row.t0 == t0
+    assert len(seen) == row.halvings + 1
+    assert np.array_equal(seen[-1], u_new) and np.array_equal(u_new, u + row.t * d)
     if t0 == 0.5:
-        assert res.halvings == 1 and 0.25 < res.t < 0.5
+        assert row.halvings == 1 and 0.25 < row.t < 0.5
     else:
-        assert res.halvings == 0 and res.t == 0.25
+        assert row.halvings == 0 and row.t == 0.25
 
 
 def test_warm_started_line_search_counts_max_halvings_from_its_first_trial(monkeypatch):
@@ -393,8 +424,8 @@ def test_warm_started_line_search_counts_max_halvings_from_its_first_trial(monke
     seen.clear()
     mesh, metric, u, d, g, theta_hat = _cone_search_inputs(2)
     monkeypatch.setattr(solver_mod, "_MAX_HALVINGS", 1)
-    res = line_search(mesh, metric, u, d, g, theta_hat, t_max=0.5)
-    assert len(seen) == res.halvings + 1 == 2 and res.t < 0.5
+    row = line_search(mesh, metric, u, d, g, theta_hat, t_max=0.5)[3]
+    assert len(seen) == row.halvings + 1 == 2 and row.t < 0.5
 
 
 def _first_search_inputs(monkeypatch, kind, size):
@@ -403,7 +434,7 @@ def _first_search_inputs(monkeypatch, kind, size):
 
     def grab(mesh, metric, u, d, g, theta_hat, refl, config, read, t_max):
         got.append(copy.deepcopy((mesh, metric, u, d, g, theta_hat, refl, config, read, t_max)))
-        return LineSearchResult(u, None, -1, FlipLog(), math.nan, math.nan, 1.0, 0, read, "grabbed")
+        return u, g, read, _failed_row(d, g, -1, FlipLog(), "grabbed")
 
     with monkeypatch.context() as m:
         m.setattr(solver_mod, "line_search", grab)
@@ -445,21 +476,21 @@ def test_a_capped_trial_writes_back_the_entry_state_and_evaluates_no_gradient(
 
     monkeypatch.setattr(solver_mod, "make_delaunay", md)
     seen = _spy_gradient(monkeypatch)
-    res = line_search(*args)
-    assert res.capped == 1 and calls[0][3].total == half + 1
+    row = line_search(*args)[3]
+    assert row.capped == 1 and calls[0][3].total == half + 1
     # The trial at t = 1/2 starts from the entry lists, bitwise, and from
     # the read the search was handed.
     assert np.array_equal(calls[1][0], u + 0.5 * d)
     assert calls[1][1] == entry and calls[1][2] is read
     # The capped trial evaluates no gradient, and its flips count.
-    assert len(seen) == res.halvings + 1 == len(calls) - 1
+    assert len(seen) == row.halvings + 1 == len(calls) - 1
     assert not any(np.array_equal(x, calls[0][0]) for x in seen)
     total = FlipLog()
     for *_, log in calls:
         total.merge(log)
-    assert res.flips == total
+    assert row.flips == total
     # A capped first trial measures no slope, so every later trial halves.
-    assert math.frexp(res.t)[0] == 0.5
+    assert math.frexp(row.t)[0] == 0.5
 
 
 @pytest.mark.parametrize(
@@ -822,9 +853,7 @@ def test_retriangulation_after_line_search_failure_is_verified(monkeypatch):
         for a, b in ((0, 1), (3, 5)):
             flip_edge(mesh, metric, edge[frozenset((a, b))])
         restore()
-        return LineSearchResult(
-            u, None, 0, FlipLog(single=2), math.nan, math.nan, 1.0, 0, read, "forced"
-        )
+        return u, g, read, _failed_row(d, g, 0, FlipLog(single=2), "forced")
 
     monkeypatch.setattr(solver_mod, "line_search", fail)
     with helpers.delaunay_after_every_retriangulation() as audited:
@@ -924,7 +953,7 @@ def _check_continuations(monkeypatch):
         starts = [entry] + [entry if after is None else after for _, after in trials[:-1]]
         assert [before for before, _ in trials] == starts
         capped = sum(after is None for _, after in trials)
-        assert capped == res.capped
+        assert capped == res[3].capped
         searches.append((sum(start != entry for start in starts), capped, refl))
         return res
 
