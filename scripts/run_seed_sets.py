@@ -6,7 +6,10 @@ counts in README and ROADMAP: spheres 0-6 at 642 vertices, single cones
 of genus 2-8 at tolerance 1e-8 with up to 200 Newton steps, and disks 0-1
 at 1,089 vertices, restricted to the disk.  For each family it prints the
 converged share, the Newton steps, the line-search trials that evaluated
-a gradient, the capped trials and the flips.  The last line is the sha1 of
+a gradient, the capped trials, the flips, and the flips the solution
+needed (``direct=``: those ``make_delaunay`` makes from the input
+triangulation, a disk's double cover, straight to the returned u; not
+hashed).  The last line is the sha1 of
 every returned u, every returned length and every field of every trace
 row, in that order per solve: two trees that print the same digest solve
 these sets bit for bit.  Exits 3 unless every solve converges.
@@ -20,7 +23,10 @@ import sys
 
 import numpy as np
 
+from confmetric.cover import build_double_cover
 from confmetric.generate import generate
+from confmetric.io import problem_to_mesh
+from confmetric.metric import make_delaunay
 from confmetric.solver import SolverConfig, solve_problem
 
 SETS = [
@@ -31,18 +37,33 @@ SETS = [
 ]
 
 
+def direct_flips(prob, u):
+    """Flips from the input triangulation of ``prob`` straight to the u that
+    ``solve_problem`` returned; a disk's restricted u is read through the
+    mirror of its double cover."""
+    mesh, metric = problem_to_mesh(prob)
+    refl = None
+    if mesh.boundary_faces:
+        cover, metric, _ = build_double_cover(mesh, metric, [0.0] * mesh.n_vertices)
+        mesh, refl = cover.mesh, cover.refl
+        u = [u[min(v, w)] for v, w in enumerate(refl.vertex_refl)]
+    return make_delaunay(mesh, metric, u, refl).total
+
+
 def main():
     digest = hashlib.sha1()
     all_converged = True
     for family, instances, cfg in SETS:
-        converged = steps = trials = capped = flips = 0
+        converged = steps = trials = capped = flips = direct = 0
         for kind, seed, size in instances:
-            _, metric, u, report = solve_problem(generate(kind, seed, size), cfg)
+            prob = generate(kind, seed, size)
+            _, metric, u, report = solve_problem(prob, cfg)
             converged += report.converged
             steps += report.newton_steps
             trials += sum(rec.halvings + 1 for rec in report.steps[1:])
             capped += sum(rec.capped for rec in report.steps)
             flips += report.total_flips().total
+            direct += direct_flips(prob, u)
             digest.update(np.asarray(u, dtype=float).tobytes())
             digest.update(np.asarray(metric.lengths, dtype=float).tobytes())
             for rec in report.steps:
@@ -50,7 +71,7 @@ def main():
         all_converged &= converged == len(instances)
         print(
             f"set {family:<6s} {converged}/{len(instances)} converged  steps={steps:4d}  "
-            f"trials={trials:4d}  capped={capped:3d}  flips={flips:5d}"
+            f"trials={trials:4d}  capped={capped:3d}  flips={flips:5d}  direct={direct:5d}"
         )
     print(f"digest {digest.hexdigest()}")
     return 0 if all_converged else 3

@@ -15,6 +15,10 @@ import math
 import os
 import sys
 
+# One BLAS thread unless the user says otherwise: set before numpy loads.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .generate import generate
 from .halfedge import MeshError
 from .io import (
@@ -41,7 +45,6 @@ EXIT_INVARIANT = 4
 _OPT_NAMES = {
     "tol": ("eps_tol", float),
     "max_steps": ("max_newton_steps", int),
-    "eps_flip": ("eps_flip", float),
 }
 
 

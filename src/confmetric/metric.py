@@ -75,14 +75,17 @@ class FlipBudgetError(Exception):
         self.flips = flips
 
 
-# Defaults of every retriangulation: flips per edge before FlipBudgetError
-# (flips reach Delaunay from any start, so a spent budget is a flip loop that
-# did not terminate: Bobenko & Springborn 2007), and the Delaunay tie band.
+# The fixed numerics of every retriangulation, each read at call time: flips
+# per edge before FlipBudgetError (flips reach Delaunay from any start, so a
+# spent budget is a flip loop that did not terminate: Bobenko & Springborn
+# 2007), and before it in a capped call, which may stop short of Delaunay (a
+# line-search trial from its entry state); and the Delaunay tie band.
 _FLIP_BUDGET_FACTOR = 100.0
+_TRIAL_FLIP_CAP = 0.25
 _EPS_FLIP = 1e-12
-# A capped call (below one flip per edge) is refused before any flip when its
-# scan finds more than max(_DEEP_SHARE * E, _DEEP_FLOOR) unforced edges below
-# -_DEEP: far outside the tie band, so none lies there at a Delaunay start.
+# A capped call is refused before any flip when its scan finds more than
+# max(_DEEP_SHARE * E, _DEEP_FLOOR) unforced edges below -_DEEP: far outside
+# the tie band, so none lies there at a Delaunay start.
 _DEEP, _DEEP_SHARE, _DEEP_FLOOR = 0.5, 0.1, 2
 
 
@@ -225,7 +228,6 @@ def scalar_metric(
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     refl: ReflectionMap | None = None,
-    eps_flip: float = _EPS_FLIP,
 ) -> ScalarMetric:
     """Bind the mesh and metric lists once for scalar queries at ``u``.
 
@@ -237,7 +239,7 @@ def scalar_metric(
     side reaches 2^510, ``term`` first rescales a, b and c as the corner
     table does, and raises MetricError if ab is then zero or infinite.
     ``holds(e)`` is true for a parked or boundary edge, else when
-    ``value(e) >= -eps_flip``, else when ``refl`` forces the condition
+    ``value(e) >= -_EPS_FLIP``, else when ``refl`` forces the condition
     (``classify_flip`` is asked only then).  Flips mutate the bound lists
     in place, so one binding serves every flip at the same ``u``.
     """
@@ -248,7 +250,7 @@ def scalar_metric(
     uu = np.asarray(u, dtype=float).tolist()
     exp, frexp, ldexp, inf = math.exp, math.frexp, math.ldexp, math.inf
     big = 2.0**510  # sides below it have finite squares and sums of squares
-    tie = -eps_flip
+    tie = -_EPS_FLIP
 
     def scaled(l: float, a: int, b: int) -> float:
         return l * exp(0.5 * (uu[a] + uu[b]))
@@ -377,8 +379,7 @@ def make_delaunay(
     metric: PennerMetric,
     u: "list[float] | np.ndarray",
     refl: ReflectionMap | None = None,
-    eps_flip: float = _EPS_FLIP,
-    flip_budget_factor: float = _FLIP_BUDGET_FACTOR,
+    capped: bool = False,
     read: TriangleRead | None = None,
 ) -> FlipLog:
     """Flip edges until the scaled metric is Delaunay; returns flip counts.
@@ -389,17 +390,17 @@ def make_delaunay(
     popped from it that does not hold is flipped; a plain flip pushes its
     four outer edges, a surgery the edges of the faces it rebuilds.  The
     call returns when the stack is empty.  Raises :class:`FlipBudgetError`
-    after ``flip_budget_factor * mesh.n_edges()`` flips, counted at entry,
-    with the flips made; they are not undone, or with none when the scan
-    refuses a capped call (see ``_DEEP``; forced edges do not count).
-    The scan uses ``read`` as ``vertex_angle_sums`` does.
+    after ``_FLIP_BUDGET_FACTOR`` flips per edge, ``_TRIAL_FLIP_CAP`` if
+    ``capped``, counted at entry, with the flips made; they are not undone,
+    or with none when the scan refuses a capped call (see ``_DEEP``; forced
+    edges do not count).  The scan uses ``read`` as ``vertex_angle_sums`` does.
     """
     log = FlipLog()
-    budget = flip_budget_factor * mesh.n_edges()
+    budget = (_TRIAL_FLIP_CAP if capped else _FLIP_BUDGET_FACTOR) * mesh.n_edges()
     opp = mesh.opp
-    holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
-    tau = _DEEP if flip_budget_factor < 1.0 else math.inf
-    flagged, deep = _scan_violations_vectorized(mesh, metric, u, eps_flip, read, tau)
+    holds = scalar_metric(mesh, metric, u, refl).holds
+    tau = _DEEP if capped else math.inf
+    flagged, deep = _scan_violations_vectorized(mesh, metric, u, _EPS_FLIP, read, tau)
     limit = max(_DEEP_SHARE * mesh.n_edges(), _DEEP_FLOOR)
     if len(deep) > limit and refl is not None:
         deep = [e for e in deep if classify_flip(mesh, refl, e)[0] is not FlipType.ALWAYS_DELAUNAY]

@@ -54,8 +54,6 @@ from . import io
 from .cover import build_double_cover, restrict_to_single_cover
 from .halfedge import CombinatorialMesh, _array
 from .metric import (
-    _EPS_FLIP,
-    _FLIP_BUDGET_FACTOR,
     FlipBudgetError,
     FlipLog,
     MetricError,
@@ -75,12 +73,8 @@ from .symmetry import ReflectionMap
 _T_GROWTH = 2.0
 
 # A line search fails after _MAX_HALVINGS rejected trials past its first,
-# the secant trial among them.  A trial that starts from the entry
-# triangulation is rejected once it has made _TRIAL_FLIP_CAP flips per
-# edge, or when its scan condemns it: on the seed-0 benchmark sets no trial
-# that far from the entry state passes.
+# the secant trial among them.
 _MAX_HALVINGS = 40
-_TRIAL_FLIP_CAP = 0.25
 
 
 class SolverError(Exception):
@@ -90,21 +84,11 @@ class SolverError(Exception):
 @dataclass
 class SolverConfig:
     """Stopping knobs for the Newton iteration, each with an ``opt`` name
-    (``cli._OPT_NAMES``); the halving and flip caps are constants.
-
-    ``eps_flip`` is the Delaunay tie tolerance: edges whose predicate value
-    sits in [-eps_flip, 0) are treated as co-circular and never flipped.
-    The disk battery and the cones of genus 2 to 8 converge at 0: the line
-    search's trial cap keeps the genus-4 and genus-6 cones away from a flip
-    cycle there, but nothing proves the flip loop free of cycles.  Measured
-    at commit 83073dc: up to 0.07 a sphere, a disk and a cone take the same
-    steps; wider bands end in a degenerate triangle (exit 4), the cone from
-    0.1, the sphere at 0.3 and the disk at 0.7 (``docs/formats.md``).
-    """
+    (``cli._OPT_NAMES``); the halving cap is a constant here, and the flip
+    caps and the Delaunay tie band are ``metric``'s."""
 
     eps_tol: float = 1e-10
     max_newton_steps: int = 50
-    eps_flip: float = _EPS_FLIP
 
 
 @dataclass
@@ -264,12 +248,13 @@ def line_search(
     gradient.  The search saves the mesh, metric and reflection map it is
     handed, with their read.  A trial that starts from that entry state
     (the first, and any trial after one that was capped or flipped
-    nothing) may flip ``_TRIAL_FLIP_CAP`` times per edge: one that needs
-    more is capped, rejected with no gradient and so no slope, and the
-    entry state and its read are written back; a trial its scan condemns
-    (``make_delaunay``) flips nothing and needs none.  Every other trial
-    continues from the triangulation the last trial left, with the full
-    flip budget.
+    nothing) is a capped ``make_delaunay`` call, which may make a quarter
+    flip per edge (``metric`` owns the cap): one that needs more is
+    capped, rejected with no gradient and so no slope, and the entry state
+    and its read are written back; a trial its scan condemns flips nothing
+    and needs none.  On the seed-0 benchmark sets no trial that far from
+    the entry state passes.  Every other trial continues from the
+    triangulation the last trial left, with the full flip budget.
 
     Returns ``(u, g, read, row)``: the accepted point, exactly ``u + t * d``,
     its residual and read, and the step's ``NewtonStep`` with its
@@ -277,9 +262,8 @@ def line_search(
     search fails when t0 and the ``_MAX_HALVINGS`` trials after it are
     rejected, or when a trial leaves u unchanged.  It then writes the
     entry state back, bitwise, and returns the entry u, g and read, with
-    the reason in the row's ``failure``.  ``config`` also gives the
-    Delaunay tie tolerance of each retriangulation.  ``read`` reads the
-    mesh at entry (None: read afresh); every trial that flips reads again.
+    the reason in the row's ``failure``.  ``read`` reads the mesh at entry
+    (None: read afresh); every trial that flips reads again.
     """
     cfg = config if config is not None else SolverConfig()
     u = np.asarray(u, dtype=float)
@@ -292,9 +276,8 @@ def line_search(
     def trial(u_try: np.ndarray) -> tuple[np.ndarray | None, float, bool]:
         nonlocal trials, capped, read
         cap = read is entry
-        budget = _TRIAL_FLIP_CAP if cap else _FLIP_BUDGET_FACTOR
         try:
-            log = make_delaunay(mesh, metric, u_try, refl, cfg.eps_flip, budget, read)
+            log = make_delaunay(mesh, metric, u_try, refl, cap, read)
         except FlipBudgetError as exc:
             if not cap:
                 raise
@@ -369,11 +352,6 @@ def scale_conformally(read: TriangleRead, u: np.ndarray, k: int = 0) -> PennerMe
     return PennerMetric(_scale(np.ldexp(read.lengths, k), uu, to, to[read.opp]).tolist())
 
 
-def _ldexp_metric(metric: PennerMetric, k: int) -> None:
-    """Multiply every length of ``metric``, quad diagonals included, by 2^k, in place."""
-    metric.lengths[:] = np.ldexp(_array(metric.lengths, float), k).tolist()
-
-
 def find_conformal_metric(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
@@ -401,14 +379,15 @@ def find_conformal_metric(
     theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat.shape[0] != n:
         raise MetricError("theta_hat length does not match vertex count")
-    scale = math.frexp(np.median(_array(metric.lengths, float)))[1] - 1
-    _ldexp_metric(metric, -scale)
+    lengths = _array(metric.lengths, float)
+    scale = math.frexp(np.median(lengths))[1] - 1
+    metric.lengths[:] = np.ldexp(lengths, -scale).tolist()
 
     # Each vertex's mirror orbit; surgeries keep vertex_refl.
     mirror = np.arange(n) if refl is None else _array(refl.vertex_refl)
     orbit = np.unique(np.minimum(np.arange(n), mirror), return_inverse=True)[1]
     read = read_triangles(mesh, metric)
-    flips0 = make_delaunay(mesh, metric, u, refl, cfg.eps_flip, _FLIP_BUDGET_FACTOR, read)
+    flips0 = make_delaunay(mesh, metric, u, refl, read=read)
     read = read_triangles(mesh, metric) if flips0.total else read
     g = gradient(mesh, metric, u, theta_hat, read)
     err = float(np.abs(g).max()) if n else 0.0
@@ -438,7 +417,7 @@ def find_conformal_metric(
     if termination is None:
         termination = "converged" if err <= cfg.eps_tol else "max_newton_steps"
 
-    _ldexp_metric(metric, scale)
+    metric.lengths[:] = np.ldexp(read.lengths, scale).tolist()  # read is of the current lists
     scaled = scale_conformally(read, u, scale)
     report = SolverReport(
         steps=steps,

@@ -326,7 +326,7 @@ def drive_to_quads(cover, cmetric):
 def delaunay_after_every_retriangulation():
     """Wrap the solver's ``make_delaunay`` for the duration of the block.
 
-    After each call every edge must hold at the call's tie band, with the
+    After each call every edge must hold at the tie band, with the
     same scalar predicate the flip loop uses, and the call must have made
     exactly ``FlipLog.single`` calls to ``confmetric.metric.flip_edge``
     (a traced run counts plain flips by wrapping that global); a failure
@@ -342,14 +342,11 @@ def delaunay_after_every_retriangulation():
         flips += 1
         return real_flip(*args)
 
-    def audit(
-        mesh, metric, u, refl=None, eps_flip=metric_mod._EPS_FLIP,
-        flip_budget_factor=metric_mod._FLIP_BUDGET_FACTOR, read=None,
-    ):
+    def audit(mesh, metric, u, refl=None, capped=False, read=None):
         before = flips
-        log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor, read)
+        log = real(mesh, metric, u, refl, capped, read)
         assert flips - before == log.single, "flip_edge not called once per plain flip"
-        holds = scalar_metric(mesh, metric, u, refl, eps_flip).holds
+        holds = scalar_metric(mesh, metric, u, refl).holds
         failing = [e for e in mesh.edges() if not holds(e)]
         assert failing == [], f"{len(failing)} edges not Delaunay after make_delaunay"
         audited.append(np.array(u, dtype=float))

@@ -64,9 +64,8 @@ class RetriangulationAudit:
     def install(self):
         real = solver_mod.make_delaunay
 
-        def audited(mesh, metric, u, refl=None, eps_flip=metric_mod._EPS_FLIP,
-                    flip_budget_factor=metric_mod._FLIP_BUDGET_FACTOR, read=None):
-            log = real(mesh, metric, u, refl, eps_flip, flip_budget_factor, read)
+        def audited(mesh, metric, u, refl=None, capped=False, read=None):
+            log = real(mesh, metric, u, refl, capped, read)
             bad, _ = metric_mod._scan_violations_vectorized(mesh, metric, u, 0.0)
             self.scans += 1
             self.checks += self.interior_edges(mesh)
@@ -104,13 +103,13 @@ def disk_suite():
     # so these runs enforce the weak inequality with no band at all.
     audit = RetriangulationAudit()
     real = audit.install()
-    cfg = SolverConfig(eps_flip=0.0)
+    band, metric_mod._EPS_FLIP = metric_mod._EPS_FLIP, 0.0
     runs = []
     t0 = time.perf_counter()
     try:
         for seed in range(SUITE_SIZE):
             prob = generate("disk-random-boundary", seed, 1089)
-            rmesh, rmetric, _, report = solve_problem(prob, cfg)
+            rmesh, rmetric, _, report = solve_problem(prob)
             sums = vertex_angle_sums(rmesh, rmetric, [0.0] * rmesh.n_vertices)
             boundary_dev = max(
                 abs(sums[v] - (math.pi - k)) for v, k in prob.kappa_targets.items()
@@ -128,7 +127,7 @@ def disk_suite():
                 }
             )
     finally:
-        solver_mod.make_delaunay = real
+        solver_mod.make_delaunay, metric_mod._EPS_FLIP = real, band
     return {"runs": runs, "elapsed": time.perf_counter() - t0, "audit": audit}
 
 
@@ -183,11 +182,13 @@ def test_every_retriangulation_leaves_all_edges_delaunay(sphere_suite, disk_suit
     """Weak-inequality rescan of every post-make_delaunay state.
 
     The disk suite runs with a zero tie band, so its rescan must be
-    literally clean.  The sphere runs keep the default 1e-12 band because
-    their co-circular ties cycle if forced; a tie evaluates to either side
-    of zero in double precision, and the flip loop's scalar ``holds``, not
-    this vectorized rescan, decides whether an edge is flipped, so
-    offenders there must stay inside the band in magnitude.  Anything
+    literally clean.  The sphere runs keep the fixed 1e-12 band, as every
+    solve does.  No sphere has been seen to cycle at a zero band; the flip
+    cycles on record are of genus-4 and genus-6 cones before line-search
+    trials were capped.  A tie evaluates to either side of zero in double
+    precision, and the flip loop's scalar ``holds``, not this vectorized
+    rescan, decides whether an edge is flipped, so offenders there must
+    stay inside the band in magnitude.  Anything
     beyond it is a genuine violation; those sit around 1e-5 when the scan
     is broken on purpose.
     """
@@ -365,17 +366,18 @@ def test_symmetry_forced_configurations_stay_delaunay_under_random_metrics():
         assert minima[sig] >= 0.0
 
 
-def test_holds_accepts_exactly_the_forced_edges_when_no_value_clears_the_band():
+def test_holds_accepts_exactly_the_forced_edges_when_no_value_clears_the_band(monkeypatch):
     # With an infinite negative band no value clears it, so only
     # classify_flip can make an edge hold.  (A band of -4 would not do:
     # Penner lengths need not satisfy triangle inequalities, and these
     # states hold edges with values from 4 to 8.)
+    monkeypatch.setattr(metric_mod, "_EPS_FLIP", -math.inf)
     for sig, chain in FORCED_DELAUNAY_CHAINS.items():
         cover, cmetric, _ = helpers.hexagon_cover(long_edges=(), length=1.0)
         mesh, refl = cover.mesh, cover.refl
         for e in chain:
             apply_symmetric_flip(mesh, cmetric, refl, e)
-        holds = scalar_metric(mesh, cmetric, [0.0] * mesh.n_vertices, refl, -math.inf).holds
+        holds = scalar_metric(mesh, cmetric, [0.0] * mesh.n_vertices, refl).holds
         forced = {
             e for e in mesh.edges()
             if classify_flip(mesh, refl, e)[0] is FlipType.ALWAYS_DELAUNAY
@@ -389,6 +391,9 @@ def test_a_capped_retriangulation_does_not_count_forced_edges_as_deep(monkeypatc
     # count them toward refusing it.  With no floor and no share, the scan
     # here reports each chain state's forced edges as deep: the call goes
     # on.  One more edge that can flip makes it refuse before any flip.
+    # A cap of just under a flip per edge leaves these small covers the
+    # flips they need.
+    monkeypatch.setattr(metric_mod, "_TRIAL_FLIP_CAP", 0.999)
     monkeypatch.setattr(metric_mod, "_DEEP_SHARE", 0.0)
     monkeypatch.setattr(metric_mod, "_DEEP_FLOOR", 0)
     real = metric_mod._scan_violations_vectorized
@@ -411,10 +416,10 @@ def test_a_capped_retriangulation_does_not_count_forced_edges_as_deep(monkeypatc
             )
             if free in deep:
                 with pytest.raises(FlipBudgetError) as exc:
-                    make_delaunay(mesh, cmetric, u, refl, flip_budget_factor=0.999)
+                    make_delaunay(mesh, cmetric, u, refl, capped=True)
                 assert exc.value.flips.total == 0
             else:
-                make_delaunay(mesh, cmetric, u, refl, flip_budget_factor=0.999)
+                make_delaunay(mesh, cmetric, u, refl, capped=True)
 
 
 def test_genus_two_cone_of_three_full_turns_converges(cone_run):
@@ -519,7 +524,7 @@ def test_returned_triangulation_is_delaunay_by_the_oracle(make, tol, quads):
     assert report.converged and len(mesh.quad_pairs) == quads
     values = helpers.mp_delaunay_values(mesh, scaled.lengths)
     assert len(values) == mesh.n_edges()
-    assert [e for e, x in values.items() if x < -cfg.eps_flip] == []
+    assert [e for e, x in values.items() if x < -metric_mod._EPS_FLIP] == []
 
 
 def test_restricted_bundle_meets_its_targets_by_the_oracle():

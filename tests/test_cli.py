@@ -1,10 +1,11 @@
 """End-to-end command line behavior and exit codes."""
 
 import dataclasses
-import functools
 import math
 import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 import scipy.linalg
 
 import confmetric.cli
-import confmetric.solver
+import confmetric.metric
 from confmetric.cli import main, make_parser
 from confmetric.io import read_bundle, read_mesh_file, read_targets_file, sidecar_path
 from confmetric.metric import PennerMetric, vertex_angle_sums
@@ -434,11 +435,13 @@ def test_unknown_option_rejected(tmp_path, capsys):
         ("flip_budget", [], "opt flip_budget -1\n"),
         ("max_halvings", [], "opt max_halvings -2\n"),
         ("eps_flip", [], "opt eps_flip -1e-12\n"),
+        ("eps_flip", [], "opt eps_flip 0\n"),
     ],
 )
 def test_out_of_range_solver_option_exit_2(tmp_path, capsys, name, flags, opt):
-    # max_halvings and flip_budget are constants now: their flags and opt
-    # lines are rejected whatever the value, with the same exit code.
+    # max_halvings, flip_budget and eps_flip (the Delaunay tie band) are
+    # constants now: their flags and opt lines are rejected whatever the
+    # value, with the same exit code, eps_flip even at a value once accepted.
     mesh = tetra_files(tmp_path)
     with open(sidecar_path(mesh), "a") as fh:
         fh.write(opt)
@@ -449,7 +452,7 @@ def test_out_of_range_solver_option_exit_2(tmp_path, capsys, name, flags, opt):
     assert code == 2
     err = capsys.readouterr().err
     if name not in confmetric.cli._OPT_NAMES:
-        message = f"unrecognized arguments: {flags[0]}" if flags else "unknown solver option"
+        message = f"unrecognized arguments: {flags[0]}" if flags else f"unknown solver option {name!r}"
     else:
         message = f"solver option {name} must be"
     assert message in err
@@ -460,7 +463,7 @@ def test_flip_budget_breach_exit_4(tmp_path, capsys, monkeypatch):
     # The square whose bad diagonal needs one flip, with no flip allowed.
     # The initial retriangulation is not a line-search trial, so no cap
     # turns its spent budget into a rejection.
-    monkeypatch.setattr(confmetric.solver, "_FLIP_BUDGET_FACTOR", 0.0)
+    monkeypatch.setattr(confmetric.metric, "_FLIP_BUDGET_FACTOR", 0.0)
     mesh = put(
         tmp_path, "sq.mesh",
         "f 1 2 3\nf 1 3 4\nel 1 2 1.0\nel 2 3 1.0\nel 3 4 1.0\nel 1 4 1.0\nel 1 3 1.9\n",
@@ -507,8 +510,7 @@ def test_factor_that_is_not_positive_definite_ends_linear_solve_breakdown(
 
 def test_delaunay_flip_budget_breach_exit_4(tmp_path, capsys, monkeypatch):
     # The square whose bad diagonal needs one flip, with no flip allowed.
-    no_flips = functools.partial(confmetric.cli.make_delaunay, flip_budget_factor=0.0)
-    monkeypatch.setattr(confmetric.cli, "make_delaunay", no_flips)
+    monkeypatch.setattr(confmetric.metric, "_FLIP_BUDGET_FACTOR", 0.0)
     mesh = put(
         tmp_path, "sq.mesh",
         "f 1 2 3\nf 1 3 4\nel 1 2 1.0\nel 2 3 1.0\nel 3 4 1.0\nel 1 4 1.0\nel 1 3 1.9\n",
@@ -749,6 +751,20 @@ def test_every_solver_setting_is_an_opt_name():
     # tests can turn.
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert fields == {field for field, _ in confmetric.cli._OPT_NAMES.values()}
+
+
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given, want", [({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "1 2 1")])
+def test_the_command_line_pins_blas_to_one_thread_unless_told(given, want):
+    # The pins go in before numpy loads; a user's own setting wins.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env.update(given, PYTHONPATH=src)
+    code = f"import os, confmetric.cli; print(*(os.environ[k] for k in {BLAS_THREADS!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.strip()) == (0, want), proc.stderr
 
 
 def test_the_docs_name_exactly_the_solver_options():

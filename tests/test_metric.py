@@ -161,11 +161,12 @@ def test_delaunay_value_unit_square_diagonals():
     assert not sm.holds(e)
 
 
-def test_delaunay_guard_band():
+def test_delaunay_guard_band(monkeypatch):
     mesh, metric, e = square_with_diagonal(math.sqrt(2.0))
     u = [0.0] * 4
     val = scalar_metric(mesh, metric, u).value(e)
-    assert scalar_metric(mesh, metric, u, eps_flip=abs(val) + 1e-15).holds(e)
+    monkeypatch.setattr(metric_mod, "_EPS_FLIP", abs(val) + 1e-15)
+    assert scalar_metric(mesh, metric, u).holds(e)
 
 
 def test_delaunay_value_raises_on_underflowed_length():
@@ -440,12 +441,13 @@ def test_make_delaunay_calls_flip_edge_once_per_plain_flip(monkeypatch):
     assert log.single == calls == 4
 
 
-def test_make_delaunay_flip_budget():
+def test_make_delaunay_flip_budget(monkeypatch):
     mesh = helpers.octa()
     metric = helpers.uniform_metric(mesh)
     helpers.set_length(mesh, metric, 0, 1, 1.9)
+    monkeypatch.setattr(metric_mod, "_FLIP_BUDGET_FACTOR", 0.0)
     with pytest.raises(FlipBudgetError):
-        make_delaunay(mesh, metric, [0.0] * 6, flip_budget_factor=0.0)
+        make_delaunay(mesh, metric, [0.0] * 6)
 
 
 # -- Newton pieces ----------------------------------------------------------

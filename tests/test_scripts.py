@@ -22,12 +22,12 @@ ROOT = Path(__file__).resolve().parent.parent
     "script, args, prefix, lines, columns",
     [
         ("run_sphere_suite.py", ["--count", "2", "--size", "42"], "seed ", 2, ()),
-        ("run_disk_suite.py", ["--count", "3", "--size", "25"], "seed ", 3, ()),
+        ("run_disk_suite.py", ["--count", "3", "--size", "25"], "seed ", 3, ("direct=",)),
         (  # the genus-2 cone's first full step is capped; 6 steps evaluate 8 gradients
             "run_cone_stress.py", ["--genus-min", "2", "--genus-max", "2"], "genus ", 1,
             ("trials=   8", "capped=  1"),
         ),
-        ("run_seed_sets.py", [], "set ", 3, ("steps=", "trials=", "capped=", "flips=")),
+        ("run_seed_sets.py", [], "set ", 3, ("steps=", "trials=", "capped=", "flips=", "direct=")),
     ],
     ids=["sphere", "disk", "cone", "seed-sets"],
 )

@@ -460,15 +460,15 @@ def test_a_capped_trial_writes_back_the_entry_state_and_evaluates_no_gradient(
 
     full, half = flips_at(1.0), flips_at(0.5)
     assert t_max == 1.0 and full > half + 1
-    monkeypatch.setattr(solver_mod, "_TRIAL_FLIP_CAP", (half + 0.5) / mesh.n_edges())
+    monkeypatch.setattr(metric_mod, "_TRIAL_FLIP_CAP", (half + 0.5) / mesh.n_edges())
     entry = _state(mesh, metric, refl)
     calls = []  # per retriangulation: u, state and read it started from, flips
     real_md = solver_mod.make_delaunay
 
-    def md(mesh, metric, u_try, refl, eps_flip, factor, r):
+    def md(mesh, metric, u_try, refl, capped, r):
         calls.append([np.array(u_try), _state(mesh, metric, refl), r, None])
         try:
-            calls[-1][3] = real_md(mesh, metric, u_try, refl, eps_flip, factor, r)
+            calls[-1][3] = real_md(mesh, metric, u_try, refl, capped, r)
         except FlipBudgetError as exc:
             calls[-1][3] = exc.flips
             raise
@@ -505,10 +505,10 @@ def test_a_capped_retriangulation_that_its_scan_condemns_flips_nothing(monkeypat
     mesh, metric, u, d, g, theta_hat, refl, cfg, read, t_max = args
     entry = _state(mesh, metric, refl)
     with pytest.raises(FlipBudgetError) as exc:
-        make_delaunay(mesh, metric, u + t * d, refl, cfg.eps_flip, solver_mod._TRIAL_FLIP_CAP, read)
+        make_delaunay(mesh, metric, u + t * d, refl, True, read)
     assert exc.value.flips == FlipLog()
     assert _state(mesh, metric, refl) == entry
-    assert make_delaunay(mesh, metric, u + t * d, refl, cfg.eps_flip, read=read).total > 0
+    assert make_delaunay(mesh, metric, u + t * d, refl, read=read).total > 0
 
 
 @pytest.mark.parametrize(
@@ -518,8 +518,8 @@ def test_a_capped_retriangulation_that_its_scan_condemns_flips_nothing(monkeypat
 )
 def test_a_capped_retriangulation_at_the_entry_u_is_never_refused(monkeypatch, kind, size, tol):
     # Every line search is handed a state that is Delaunay at its u, so no
-    # edge lies below -0.5 there, and a capped call with no flip to spend
-    # returns; by continuity, halving reaches a trial the scan admits.
+    # edge lies below -0.5 there, and a capped call returns with no flip;
+    # by continuity, halving reaches a trial the scan admits.
     real = solver_mod.line_search
     searches = 0
 
@@ -527,8 +527,8 @@ def test_a_capped_retriangulation_at_the_entry_u_is_never_refused(monkeypatch, k
         nonlocal searches
         searches += 1
         scan = metric_mod._scan_violations_vectorized
-        assert scan(mesh, metric, u, config.eps_flip, read, metric_mod._DEEP)[1] == []
-        assert make_delaunay(mesh, metric, u, refl, config.eps_flip, 0.0, read).total == 0
+        assert scan(mesh, metric, u, metric_mod._EPS_FLIP, read, metric_mod._DEEP)[1] == []
+        assert make_delaunay(mesh, metric, u, refl, True, read).total == 0
         return real(mesh, metric, u, d, g, theta_hat, refl, config, read, t_max)
 
     monkeypatch.setattr(solver_mod, "line_search", search)
@@ -541,7 +541,7 @@ def test_an_uncapped_trial_that_spends_its_flip_budget_raises(monkeypatch):
     # the secant trial continues from there and flips under the full
     # budget: spent, that budget is a breach, not a capped rejection.
     mesh, metric, u, d, g, theta_hat = _octa_search_inputs(2, 1.0)
-    monkeypatch.setattr(solver_mod, "_FLIP_BUDGET_FACTOR", 0.0)
+    monkeypatch.setattr(metric_mod, "_FLIP_BUDGET_FACTOR", 0.0)
     with pytest.raises(FlipBudgetError):
         line_search(mesh, metric, u, d, g, theta_hat)
 
@@ -619,11 +619,12 @@ def test_genus_9_cone_solve_converges():
 
 
 @pytest.mark.parametrize("genus", [4, 6])
-def test_cone_solves_converge_without_a_tie_band(genus):
-    # At eps_flip 0 an uncapped overshooting trial of these cones cycled
-    # through flips until the flip budget ran out (29,100 and 43,500 flips,
-    # FlipBudgetError); capped, they converge in 13 and 17 steps.
-    cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=200, eps_flip=0.0)
+def test_cone_solves_converge_without_a_tie_band(monkeypatch, genus):
+    # At a zero tie band an uncapped overshooting trial of these cones
+    # cycled through flips until the flip budget ran out (29,100 and 43,500
+    # flips, FlipBudgetError); capped, they converge in 13 and 17 steps.
+    monkeypatch.setattr(metric_mod, "_EPS_FLIP", 0.0)
+    cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=200)
     *_, report = solve_problem(generate(f"single-cone-genus-{genus}", 0, 0), cfg)
     assert report.converged
 
@@ -722,9 +723,9 @@ def test_scale_conformally_scales_quad_diagonals_as_scalar_metric_does():
 @pytest.mark.parametrize(
     "kind, size", [("sphere-random-angles", 162), ("disk-random-boundary", 289)]
 )
-def test_a_solve_converts_the_length_list_three_times(monkeypatch, kind, size):
-    # The median and the two power-of-two rescales, whatever the step
-    # count: the symmetry snapshot and the returned metric use the read.
+def test_a_solve_converts_the_length_list_once(monkeypatch, kind, size):
+    # For the median and the scale-down, whatever the step count: the
+    # symmetry snapshot, the scale-back and the returned metric use the read.
     real = solver_mod._array
     floats = []
 
@@ -736,7 +737,7 @@ def test_a_solve_converts_the_length_list_three_times(monkeypatch, kind, size):
     monkeypatch.setattr(solver_mod, "_array", spy)
     *_, report = solve_problem(generate(kind, 0, size))
     assert report.converged and report.newton_steps > 1
-    assert len(floats) == 3
+    assert len(floats) == 1
 
 
 def test_solve_is_gauge_invariant():
@@ -904,7 +905,8 @@ def test_a_failed_line_search_leaves_the_state_it_found(monkeypatch, kind, size)
     # 398 surgeries on the disk cover), and the write-back discards the
     # flips.  Capped, the sphere's trial is refused at its scan and flips
     # nothing; no disk trial is capped.
-    monkeypatch.setattr(solver_mod, "_TRIAL_FLIP_CAP", solver_mod._FLIP_BUDGET_FACTOR)
+    monkeypatch.setattr(metric_mod, "_TRIAL_FLIP_CAP", metric_mod._FLIP_BUDGET_FACTOR)
+    monkeypatch.setattr(metric_mod, "_DEEP", math.inf)
     real = solver_mod.line_search
     entry = []
 
@@ -922,7 +924,7 @@ def test_a_failed_line_search_leaves_the_state_it_found(monkeypatch, kind, size)
     # The solve runs at a power-of-two length scale and multiplies the
     # metric back on return.
     k = math.frexp(metric.lengths[0])[1] - math.frexp(metric0.lengths[0])[1]
-    solver_mod._ldexp_metric(metric0, k)
+    metric0.lengths[:] = np.ldexp(metric0.lengths, k).tolist()
     assert _state(mesh, metric, refl) == _state(mesh0, metric0, refl0)
 
 
@@ -936,10 +938,10 @@ def _check_continuations(monkeypatch):
     real_search, real_md = solver_mod.line_search, solver_mod.make_delaunay
     trials, searches = [], []
 
-    def md(mesh, metric, u, refl=None, *args):
+    def md(mesh, metric, u, refl=None, *args, **kwargs):
         before = _state(mesh, metric, refl)
         try:
-            log = real_md(mesh, metric, u, refl, *args)
+            log = real_md(mesh, metric, u, refl, *args, **kwargs)
         except FlipBudgetError:
             trials.append((before, None))  # capped: the search writes back its entry state
             raise
@@ -1043,7 +1045,8 @@ def test_the_report_counts_what_the_kernels_were_called_for(
         spy(module, name)
     monkeypatch.setattr(solver_mod, "_MAX_HALVINGS", max_halvings)
     if max_halvings == 0:
-        monkeypatch.setattr(solver_mod, "_TRIAL_FLIP_CAP", solver_mod._FLIP_BUDGET_FACTOR)
+        monkeypatch.setattr(metric_mod, "_TRIAL_FLIP_CAP", metric_mod._FLIP_BUDGET_FACTOR)
+        monkeypatch.setattr(metric_mod, "_DEEP", math.inf)
     *_, report = solve_problem(generate(kind, 0, size))
     assert report.termination == termination
     steps, total = report.newton_steps, report.total_flips()
