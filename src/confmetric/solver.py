@@ -27,10 +27,10 @@ Either way the search returns its step's trace row, a ``NewtonStep``,
 built where its numbers are known.
 H is never built as a matrix: ``hessian`` gives one term per corner, and
 the Newton system is summed from them with one unknown per mirror orbit
-of the double cover (a closed mesh has one vertex per orbit).  With the
-stiffest orbit pinned the system is symmetric positive definite (the
-energy is convex), so it is factored by a banded LAPACK Cholesky after a
-reverse Cuthill-McKee ordering of the orbits narrows its band.
+of the double cover (a closed mesh has one vertex per orbit).  With one
+orbit pinned it is symmetric positive definite (the energy is convex) and
+solved by a banded LAPACK Cholesky in a reverse Cuthill-McKee order; a
+solve keeps pin, order and band layout while its band stays as narrow.
 
 A solve reads the mesh and metric lists into numpy at its start and
 after every retriangulation that flips; each read serves the scans,
@@ -151,7 +151,9 @@ class SolverReport:
         return out
 
 
-def newton_direction(terms: tuple, g: np.ndarray, orbit: np.ndarray | None = None) -> np.ndarray:
+def newton_direction(
+    terms: tuple, g: np.ndarray, orbit: np.ndarray | None = None, plan: dict | None = None
+) -> np.ndarray:
     """Solve H d = -g with one unknown per mirror orbit; d has zero mean.
 
     H = sum w (e_a - e_b)(e_a - e_b)^T comes as the corner terms ``(a, b,
@@ -160,11 +162,11 @@ def newton_direction(terms: tuple, g: np.ndarray, orbit: np.ndarray | None = Non
     is projected to zero mean (Gauss-Bonnet roundoff) and averaged per orbit
     to g_bar, which drops the antisymmetric roundoff no symmetric d can
     cancel.  Terms inside one orbit add nothing to P^T H P and are dropped.
-    The constants span its nullspace, so the orbit with the largest
-    diagonal, the stiffest, is pinned (a high-degree vertex would widen the
-    band) and d recentred.  The pinned system is symmetric positive
-    definite: its orbits are ordered by reverse Cuthill-McKee, its lower
-    band is summed from the terms, and one LAPACK call solves it by Cholesky.
+    The constants span its nullspace, so one orbit is pinned and d
+    recentred.  The pinned system is symmetric positive definite: one
+    ``bincount`` sums the weights into its lower band, laid out by ``plan``
+    (see ``_plan``; a dict the caller keeps across the steps of one
+    ``orbit`` array, None: a fresh one), and one LAPACK Cholesky solves it.
     Raises SolverError if the band is not positive definite, if d is
     non-finite, or if the flux residual |sum w (d_a - d_b)(e_a - e_b) +
     g_bar| exceeds 1e-10 * |g_bar|.
@@ -179,44 +181,62 @@ def newton_direction(terms: tuple, g: np.ndarray, orbit: np.ndarray | None = Non
     if gnorm == 0.0 or m == 0:
         return np.zeros(n)
     a, b, w = terms
-    i, j = orbit[a], orbit[b]
-    cross = np.flatnonzero(i != j)  # indices: gathers beat boolean masks here
-    a, b, i, j, w = a[cross], b[cross], i[cross], j[cross], w[cross]
-    diag = np.bincount(i, w, m + 1) + np.bincount(j, w, m + 1)
-    pin = int(np.argmax(diag))
-    free = np.insert(np.arange(m), pin, m)  # the pinned orbit becomes m
-    i, j = free[i], free[j]
-    kept = np.flatnonzero((i < m) & (j < m))
-    i, j, v = i[kept], j[kept], -w[kept]
-    cols = np.sort(i * m + j) % m  # an edge's two corners give i -> j and j -> i; CSR order
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=m))))
-    graph = scipy.sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(m, m))
-    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
-    rank = np.argsort(perm)
-    i, j = rank[i], rank[j]
-    k, j = np.abs(i - j), np.minimum(i, j)  # LAPACK's lower band: band[i - j, j] = A[i, j]
-    width = int(k.max(initial=0)) + 1
-    # When every term touches the pinned orbit, bincount returns integers.
-    band = np.bincount(k * m + j, v, width * m).astype(float, copy=False).reshape(width, m)
-    band[0] = np.delete(diag, pin)[perm]
-    y = np.zeros(m + 1)
+    p = _plan({} if plan is None else plan, a, b, orbit, m)
+    wc = w[p["cross"]]  # a term's entries: off the diagonal, where H holds -w, and its two ends
+    band = np.bincount(p["slot"], np.concatenate((-wc, wc, wc)), p["width"] * m + 1)
+    band = band[:-1].reshape(m, -1).T  # the slot past the band is the pin's
     try:
-        y[perm] = scipy.linalg.solveh_banded(
-            band, -np.delete(g_sum, pin)[perm], overwrite_ab=True, lower=True, check_finite=False
+        x = scipy.linalg.solveh_banded(
+            band, -g_sum[p["order"]], overwrite_ab=True, lower=True, check_finite=False
         )
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"pinned Hessian is not positive definite ({exc})") from exc
-    d = y[free][orbit]
+    d = np.append(x, 0.0)[p["rank"]][orbit]
     if not np.all(np.isfinite(d)):
         raise SolverError("non-finite Newton direction (degenerate Hessian)")
     d -= d.mean()
-    flux = w * (d[a] - d[b])
+    flux = w * (d[a] - d[b])  # zero, bitwise, inside an orbit
     residual = float(np.linalg.norm(np.bincount(a, flux, n) - np.bincount(b, flux, n) + g_bar))
     if residual > 1e-10 * gnorm:
         raise SolverError(
             f"linear solve residual {residual:.3e} exceeds 1e-10 * |g| = {1e-10 * gnorm:.3e}"
         )
     return d
+
+
+def _plan(p: dict, a: np.ndarray, b: np.ndarray, orbit: np.ndarray, m: int) -> dict:
+    """``p`` refreshed for the terms ``(a, b)``: kept for the terms of its last
+    call, re-slotted under its order for new ones, and made anew when their
+    band under that order is wider than the order's first (``made``).  An
+    order pins the orbit with the most cross terms (``pin``: a cone vertex of
+    high degree widens the band) and ranks the rest by reverse Cuthill-McKee."""
+    if p.get("orbit") is not orbit:
+        p.clear()
+    elif np.array_equal(a, p["a"]) and np.array_equal(b, p["b"]):
+        return p
+    cross = np.flatnonzero(orbit[a] != orbit[b])  # indices: gathers beat boolean masks here
+    i, j = orbit[a[cross]], orbit[b[cross]]
+    if "rank" not in p:
+        pin = int(np.argmax(np.bincount(i, minlength=m + 1) + np.bincount(j, minlength=m + 1)))
+        kept = np.flatnonzero((i != pin) & (j != pin))
+        fi, fj = (x - (x > pin) for x in (i[kept], j[kept]))  # the other orbits, as 0..m-1
+        cols = np.sort(fi * m + fj) % m  # an edge's two corners give i -> j and j -> i; CSR order
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(fi, minlength=m))))
+        graph = scipy.sparse.csr_array((np.ones(len(cols)), cols, indptr), shape=(m, m))
+        perm = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+        order = perm + (perm >= pin)  # the orbit in each band row; the pin's row is m
+        p.update(orbit=orbit, pin=pin, order=order, rank=np.argsort(np.append(order, pin)))
+    ri, rj = p["rank"][i], p["rank"][j]
+    lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
+    width = int((hi - lo)[hi < m].max(initial=0)) + 1
+    if width > p.setdefault("made", width):  # the kept order widens the band: make a new one
+        p.clear()
+        return _plan(p, a, b, orbit, m)
+    # LAPACK's lower band, band[r - c, c] = A[r, c], in Fortran order; the pin's slot is past it.
+    off = np.where(hi < m, lo * width + hi - lo, m * width)
+    slot = np.concatenate((off, ri * width, rj * width))
+    p.update(a=a.copy(), b=b.copy(), width=width, slot=slot, cross=cross)
+    return p
 
 
 def line_search(
@@ -337,13 +357,11 @@ def _save(
 
 
 def _symmetry_snapshot(
-    read: TriangleRead, u: np.ndarray, refl: ReflectionMap | None, mirror: np.ndarray
+    read: TriangleRead, u: np.ndarray, r: np.ndarray | None, mirror: np.ndarray
 ) -> bool | None:
-    if refl is None:
+    if r is None:
         return None
-    if np.any(u != u[mirror]):
-        return False
-    return not np.any(read.lengths != read.lengths[_array(refl.r)])
+    return not (np.any(u != u[mirror]) or np.any(read.lengths != read.lengths[r]))
 
 
 def scale_conformally(read: TriangleRead, u: np.ndarray, k: int = 0) -> PennerMetric:
@@ -391,24 +409,26 @@ def find_conformal_metric(
     read = read_triangles(mesh, metric) if flips0.total else read
     g = gradient(mesh, metric, u, theta_hat, read)
     err = float(np.abs(g).max()) if n else 0.0
-    snapshot = _symmetry_snapshot(read, u, refl, mirror)
+    r = _array(refl.r) if refl else None  # converted again after a step that flips
+    snapshot = _symmetry_snapshot(read, u, r, mirror)
     steps = [NewtonStep(0, err, 0, flips0, math.nan, float(g.sum()), snapshot)]
 
     termination: str | None = None
-    t_max = 1.0
+    t_max, plan = 1.0, {}  # plan: newton_direction's band layout, kept across steps
     for k in range(1, cfg.max_newton_steps + 1):
         if err <= cfg.eps_tol:
             termination = "converged"
             break
         terms = hessian(mesh, metric, u, read)
         try:
-            d = newton_direction(terms, g, orbit)
+            d = newton_direction(terms, g, orbit, plan)
         except SolverError:
             termination = "linear_solve_breakdown"
             break
         # A failed search returns the u, g and read it was handed.
         u, g, read, row = line_search(mesh, metric, u, d, g, theta_hat, refl, cfg, read, t_max)
-        row.step, row.symmetry_ok = k, _symmetry_snapshot(read, u, refl, mirror)
+        r = _array(refl.r) if refl and row.flips.total else r
+        row.step, row.symmetry_ok = k, _symmetry_snapshot(read, u, r, mirror)
         steps.append(row)
         err, t_max = row.max_error, min(1.0, _T_GROWTH * row.t)
         if row.failure:

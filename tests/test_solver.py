@@ -8,7 +8,9 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 import confmetric.metric as metric_mod
@@ -148,13 +150,15 @@ def _pinned_reference(H, g, vr):
 
 
 def _direction_inputs(monkeypatch, solve):
-    """Every (terms, g, orbit) that ``solve()`` hands to newton_direction."""
+    """Every (terms, g, orbit) that ``solve()`` hands to newton_direction,
+    with the direction it got back under the solve's kept plan."""
     seen = []
     real = solver_mod.newton_direction
 
-    def spy(terms, g, orbit=None):
-        seen.append((tuple(np.array(x) for x in terms), np.array(g), np.array(orbit)))
-        return real(terms, g, orbit)
+    def spy(terms, g, orbit=None, plan=None):
+        d = real(terms, g, orbit, plan)
+        seen.append((tuple(np.array(x) for x in terms), np.array(g), np.array(orbit), d))
+        return d
 
     monkeypatch.setattr(solver_mod, "newton_direction", spy)
     solve()
@@ -176,7 +180,7 @@ def _first_direction_input(monkeypatch, instance):
 
 @pytest.mark.parametrize("instance", ["octahedron", "hexagon-cover", "disk-cover"])
 def test_orbit_solve_is_mirror_symmetric_and_matches_a_full_solve(monkeypatch, instance):
-    terms, g, orbit = _first_direction_input(monkeypatch, instance)
+    terms, g, orbit, _ = _first_direction_input(monkeypatch, instance)
     d = newton_direction(terms, g, orbit)
     vr = helpers.mirror_partner(orbit)
     want = _pinned_reference(helpers.hessian_matrix(terms, len(g)), g, vr)
@@ -189,12 +193,15 @@ def test_orbit_solve_is_mirror_symmetric_and_matches_a_full_solve(monkeypatch, i
 def test_every_direction_of_a_disk_solve_matches_a_full_solve(monkeypatch):
     # The reference solves for the orbit-averaged g, as the direction does:
     # from the raw g its last directions keep the antisymmetric roundoff,
-    # which is 6e-4 of the direction at the last step.
+    # which is 6e-4 of the direction at the last step.  The solve's
+    # direction, from the plan it kept across steps, is a fresh plan's up
+    # to the rounding of another order.
     prob = generate("disk-random-boundary", 0, 1089)
     seen = _direction_inputs(monkeypatch, lambda: solve_problem(prob))
     assert len(seen) > 1
-    for terms, g, orbit in seen:
+    for terms, g, orbit, kept in seen:
         d = newton_direction(terms, g, orbit)
+        assert np.linalg.norm(kept - d) <= 1e-12 * np.linalg.norm(d)
         vr = helpers.mirror_partner(orbit)
         assert np.array_equal(d, d[vr])
         g0 = g - g.mean()
@@ -203,13 +210,73 @@ def test_every_direction_of_a_disk_solve_matches_a_full_solve(monkeypatch):
         assert np.linalg.norm(d - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def _plan_trace(monkeypatch, prob, cfg):
+    """Solve ``prob``; per Newton direction, the RCM orders it made and the
+    pin its plan then held, and the width of every band solved."""
+    calls, widths, rcm = [], [], []
+    real, real_rcm, real_solve = (
+        solver_mod.newton_direction,
+        scipy.sparse.csgraph.reverse_cuthill_mckee,
+        scipy.linalg.solveh_banded,
+    )
+
+    def direction(terms, g, orbit=None, plan=None):
+        before = len(rcm)
+        d = real(terms, g, orbit, plan)
+        calls.append((len(rcm) - before, plan["pin"]))
+        return d
+
+    def order(*args, **kwargs):
+        rcm.append(1)
+        return real_rcm(*args, **kwargs)
+
+    def solve(band, *args, **kwargs):
+        widths.append(band.shape[0])
+        return real_solve(band, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "newton_direction", direction)
+    monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", order)
+    monkeypatch.setattr(scipy.linalg, "solveh_banded", solve)
+    *_, report = solve_problem(prob, cfg)
+    return report, calls, widths
+
+
+@pytest.mark.parametrize("genus", [8, 12])
+def test_every_order_after_the_first_pins_the_cone_vertex(monkeypatch, genus):
+    # Pinned by the largest diagonal, the genus-12 cone vertex (degree
+    # 104-164) stayed in the system at steps 4-6 and 11-12, whose bands
+    # held up to 122 diagonals.  An order pins the orbit with the most
+    # cross terms.  At step 1 (u = 0, uniform lengths) the cone vertex has
+    # degree 6, as its neighbours do, so no order there singles it out.
+    cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=12)
+    prob = generate(f"single-cone-genus-{genus}", 0, 0)
+    cone = next(v for v, t in prob.theta_targets.items() if t > 2.0 * math.pi)
+    report, calls, widths = _plan_trace(monkeypatch, prob, cfg)
+    assert report.newton_steps == len(calls) == len(widths) == 12
+    pins = [pin for built, pin in calls[1:] if built]
+    assert len(pins) > 5 and set(pins) == {cone}
+    assert max(widths) < 100
+
+
+def test_a_sphere_solve_orders_its_orbits_again_only_after_flips(monkeypatch):
+    # The order belongs to the triangulation: a direction after a line
+    # search that flipped nothing reuses its plan, and one after flips
+    # keeps the order unless the band under it got wider.
+    report, calls, _ = _plan_trace(monkeypatch, generate("sphere-random-angles", 0, 642), None)
+    assert report.converged and len(calls) == report.newton_steps
+    built = [n for n, _ in calls]
+    assert sum(built) < report.newton_steps
+    still = [k for k in range(2, len(calls) + 1) if report.steps[k - 1].flips.total == 0]
+    assert still and all(built[k - 1] == 0 for k in still)
+
+
 def test_orbit_solve_passes_the_residual_gate_near_convergence(monkeypatch):
     # The last step of this disk starts from |g| about 1.9e-9, where the
     # antisymmetric roundoff of g exceeds what the 1e-10 gate allows (a
     # mirror-symmetric d cannot cancel it); the gate measures d against the
     # orbit-averaged g.
     prob = generate("disk-random-boundary", 0, 1089)
-    terms, g, orbit = _direction_inputs(monkeypatch, lambda: solve_problem(prob))[-1]
+    terms, g, orbit, _ = _direction_inputs(monkeypatch, lambda: solve_problem(prob))[-1]
     d = newton_direction(terms, g, orbit)
     vr = helpers.mirror_partner(orbit)
     assert np.array_equal(d, d[vr])
@@ -602,7 +669,8 @@ def test_cone_sweep_converges_with_warm_started_line_searches():
 
 def test_genus_10_cone_solve_does_not_break_down():
     # With orbit 0 pinned, the cone vertex sat inside the band, and step 49
-    # missed the 1e-10 residual gate.  The stiffest orbit is pinned instead.
+    # missed the 1e-10 residual gate.  An order pins the orbit with the most
+    # cross terms instead, the cone vertex once it has the highest degree.
     cfg = SolverConfig(eps_tol=1e-8, max_newton_steps=200)
     *_, report = solve_problem(generate("single-cone-genus-10", 0, 0), cfg)
     assert report.termination != "linear_solve_breakdown"
