@@ -10,8 +10,13 @@ trials) and how wide u had to stretch; failures are reported, not raised.
 """
 
 import argparse
+import os
 import sys
 import time
+
+# One BLAS thread unless the caller says otherwise: set before numpy loads.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 from confmetric.generate import generate
 from confmetric.solver import SolverConfig, solve_problem

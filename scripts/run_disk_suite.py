@@ -12,8 +12,13 @@ from the input cover straight to the returned u).
 
 import argparse
 import math
+import os
 import sys
 import time
+
+# One BLAS thread unless the caller says otherwise: set before numpy loads.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import scipy.stats
 from run_seed_sets import direct_flips

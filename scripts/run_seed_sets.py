@@ -19,7 +19,12 @@ these sets bit for bit.  Exits 3 unless every solve converges.
 
 import dataclasses
 import hashlib
+import os
 import sys
+
+# One BLAS thread unless the caller says otherwise: set before numpy loads.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 
@@ -44,8 +49,7 @@ def direct_flips(prob, u):
     mesh, metric = problem_to_mesh(prob)
     refl = None
     if mesh.boundary_faces:
-        cover, metric, _ = build_double_cover(mesh, metric, [0.0] * mesh.n_vertices)
-        mesh, refl = cover.mesh, cover.refl
+        mesh, refl, metric, _ = build_double_cover(mesh, metric, [0.0] * mesh.n_vertices)
         u = [u[min(v, w)] for v, w in enumerate(refl.vertex_refl)]
     return make_delaunay(mesh, metric, u, refl).total
 

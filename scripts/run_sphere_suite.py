@@ -14,6 +14,10 @@ import statistics
 import sys
 import time
 
+# One BLAS thread unless the caller says otherwise: set before numpy loads.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from confmetric.generate import generate
 from confmetric.io import bundle_from_solution, write_bundle
 from confmetric.solver import SolverConfig, solve_problem

@@ -24,9 +24,6 @@ edge id, which the mesh builder only compares.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .halfedge import CombinatorialMesh, MeshError, _array, build_from_face_edge_lists, validate
@@ -34,29 +31,18 @@ from .metric import MetricError, PennerMetric
 from .symmetry import ReflectionMap, SymmetryError, validate_symmetry
 
 
-@dataclass
-class DoubleCover:
-    """A closed symmetric mesh built from a bounded one.
-
-    Vertices 0..n_source_vertices-1 keep their source ids; mirrored
-    interior vertices follow.
-    """
-
-    mesh: CombinatorialMesh
-    refl: ReflectionMap
-    n_source_vertices: int
-
-
 def build_double_cover(
     mesh: CombinatorialMesh,
     metric: PennerMetric,
     theta: "list[float]",
-) -> tuple[DoubleCover, PennerMetric, list[float]]:
+) -> tuple[CombinatorialMesh, ReflectionMap, PennerMetric, list[float]]:
     """Glue a mirror copy of ``mesh`` along its boundary.
 
     ``theta[v]`` is the target angle sum at vertex ``v`` of ``mesh``
-    (``pi - kappa`` at a boundary vertex).  Returns the cover, its
-    (mirrored) metric, and its per-vertex target angle sums.
+    (``pi - kappa`` at a boundary vertex).  Returns the closed cover, its
+    reflection, (mirrored) metric and target angle sums.  Source vertices
+    keep their ids and the mirrored interior vertices follow, so the source
+    vertices are the v with ``vertex_refl[v] >= v``, one per mirror orbit.
     """
     if not mesh.boundary_faces:
         raise MeshError("input mesh has no boundary; nothing to double")
@@ -109,15 +95,15 @@ def build_double_cover(
     th = np.where(on_boundary, 2.0 * th, th)
     theta_hat = np.concatenate([th, th[interior_vs]]).tolist()
 
-    cover = DoubleCover(mesh=cover_mesh, refl=refl, n_source_vertices=v0)
-    return cover, PennerMetric(np.concatenate([lengths, lengths]).tolist()), theta_hat
+    return cover_mesh, refl, PennerMetric(np.concatenate([lengths, lengths]).tolist()), theta_hat
 
 
 def restrict_to_single_cover(
-    cover: DoubleCover,
+    mesh: CombinatorialMesh,
+    refl: ReflectionMap,
     scaled: PennerMetric,
-    u: "list[float]",
-) -> tuple[CombinatorialMesh, PennerMetric, list[float]]:
+    u: "np.ndarray | list[float]",
+) -> tuple[CombinatorialMesh, PennerMetric, np.ndarray]:
     """Cut a solved symmetric metric along its axis and keep one sheet.
 
     ``scaled`` is the scaled metric the solver returns for the cover.  Every
@@ -127,12 +113,11 @@ def restrict_to_single_cover(
     split along a -> m_out into two triangles.  An axis triangle is read
     as an axis quad whose crossing side at one end of the leg is missing:
     it has length 0 and its midpoint is the apex on the axis, so only one
-    triangle remains.  The returned mesh carries scaled lengths and a
-    conformal factor list holding the solved ``u`` at kept source vertices
-    and NaN at the new midpoints.
+    triangle remains.  The returned mesh carries scaled lengths, and its u
+    is a float array: the solved u at the source vertices (numbered as
+    ``build_double_cover`` numbers them), NaN at the midpoints after them.
     """
-    mesh, refl = cover.mesh, cover.refl
-    v0 = cover.n_source_vertices
+    v0 = int(np.count_nonzero(_array(refl.vertex_refl) >= np.arange(mesh.n_vertices)))
     L = _array(scaled.lengths, float)
     n = mesh.n_halfedges()
     nxt, opp, to = _array(mesh.next_he), _array(mesh.opp), _array(mesh.to)
@@ -191,5 +176,5 @@ def restrict_to_single_cover(
     rank = np.repeat([0, 0, 1], [len(copy1), c_in.sum(), c_out.sum()])
     rows = np.lexsort((rank, np.concatenate([copy1, f[c_in], f[c_out]])))
     out_mesh, he_eid = build_from_face_edge_lists(row_v[rows], row_e[rows], v0 + len(crossing))
-    u_out = [float(u[v]) for v in range(v0)] + [math.nan] * len(crossing)
+    u_out = np.concatenate([np.asarray(u, dtype=float)[:v0], np.full(len(crossing), np.nan)])
     return out_mesh, PennerMetric(edge_len[he_eid].tolist()), u_out

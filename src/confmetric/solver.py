@@ -165,8 +165,8 @@ def newton_direction(
     The constants span its nullspace, so one orbit is pinned and d
     recentred.  The pinned system is symmetric positive definite: one
     ``bincount`` sums the weights into its lower band, laid out by ``plan``
-    (see ``_plan``; a dict the caller keeps across the steps of one
-    ``orbit`` array, None: a fresh one), and one LAPACK Cholesky solves it.
+    (``_plan``: a dict kept across the steps for one ``orbit`` array, empty
+    at the first; None: fresh), and one LAPACK Cholesky solves it.
     Raises SolverError if the band is not positive definite, if d is
     non-finite, or if the flux residual |sum w (d_a - d_b)(e_a - e_b) +
     g_bar| exceeds 1e-10 * |g_bar|.
@@ -205,18 +205,17 @@ def newton_direction(
 
 
 def _plan(p: dict, a: np.ndarray, b: np.ndarray, orbit: np.ndarray, m: int) -> dict:
-    """``p`` refreshed for the terms ``(a, b)``: kept for the terms of its last
-    call, re-slotted under its order for new ones, and made anew when their
-    band under that order is wider than the order's first (``made``).  An
-    order pins the orbit with the most cross terms (``pin``: a cone vertex of
-    high degree widens the band) and ranks the rest by reverse Cuthill-McKee."""
-    if p.get("orbit") is not orbit:
-        p.clear()
-    elif np.array_equal(a, p["a"]) and np.array_equal(b, p["b"]):
+    """``p`` refreshed for the terms ``(a, b)``: made if empty, kept for the
+    terms of its last call, re-slotted under its order for new ones, and made
+    anew when their band under that order is wider than the order's first
+    (``made``).  An order pins the orbit with the most cross terms (``pin``:
+    a cone vertex of high degree widens the band) and ranks the rest by
+    reverse Cuthill-McKee."""
+    if p and np.array_equal(a, p["a"]) and np.array_equal(b, p["b"]):
         return p
     cross = np.flatnonzero(orbit[a] != orbit[b])  # indices: gathers beat boolean masks here
     i, j = orbit[a[cross]], orbit[b[cross]]
-    if "rank" not in p:
+    if not p:
         pin = int(np.argmax(np.bincount(i, minlength=m + 1) + np.bincount(j, minlength=m + 1)))
         kept = np.flatnonzero((i != pin) & (j != pin))
         fi, fj = (x - (x > pin) for x in (i[kept], j[kept]))  # the other orbits, as 0..m-1
@@ -225,7 +224,7 @@ def _plan(p: dict, a: np.ndarray, b: np.ndarray, orbit: np.ndarray, m: int) -> d
         graph = scipy.sparse.csr_array((np.ones(len(cols)), cols, indptr), shape=(m, m))
         perm = scipy.sparse.csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
         order = perm + (perm >= pin)  # the orbit in each band row; the pin's row is m
-        p.update(orbit=orbit, pin=pin, order=order, rank=np.argsort(np.append(order, pin)))
+        p.update(pin=pin, order=order, rank=np.argsort(np.append(order, pin)))
     ri, rj = p["rank"][i], p["rank"][j]
     lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
     width = int((hi - lo)[hi < m].max(initial=0)) + 1
@@ -462,22 +461,22 @@ def solve_problem(
     prob: io.ProblemFile,
     config: SolverConfig | None = None,
     keep_double_cover: bool = False,
-) -> tuple[CombinatorialMesh, PennerMetric, "np.ndarray | list[float]", SolverReport]:
+) -> tuple[CombinatorialMesh, PennerMetric, np.ndarray, SolverReport]:
     """Solve a parsed problem, closed or with boundary.
 
     Targets are theta (angle sums) or kappa (curvatures); a vertex's angle
     sum is its flat value minus kappa, where flat is pi on the boundary and
     2*pi inside, and an omitted vertex is flat in either form.  A closed mesh
     goes straight to ``find_conformal_metric``.  A mesh with boundary is
-    solved on its mirror-symmetric double cover, and the result is cut back
-    to the source disk unless ``keep_double_cover`` is set; the restricted
-    u is NaN at the midpoint vertices the cut adds.  Returns the same tuple
-    as ``find_conformal_metric``.  Raises ``io.ParseError`` when the input
-    is rejected: bad lengths, more than one connected component, a target
-    angle sum that is not positive, or targets that violate Gauss-Bonnet.
-    Gauss-Bonnet is checked on the system the solver receives (the cover
-    for a bounded mesh): the residual sums to the deviation, so a deviation
-    above V * eps_tol cannot converge.
+    solved on the mesh and reflection ``build_double_cover`` returns, and
+    cut back to the source disk unless ``keep_double_cover`` is set.  Returns
+    the same tuple as ``find_conformal_metric``, u a float array either way:
+    a restricted u is NaN at the midpoint vertices the cut adds.  Raises
+    ``io.ParseError`` when the input is rejected: bad lengths, more than one
+    connected component, a target angle sum that is not positive, or targets
+    that violate Gauss-Bonnet.  Gauss-Bonnet is checked on the system the
+    solver receives (the cover for a bounded mesh): the residual sums to the
+    deviation, so a deviation above V * eps_tol cannot converge.
     """
     cfg = config if config is not None else SolverConfig()
     mesh, metric = io.problem_to_mesh(prob)
@@ -494,8 +493,7 @@ def solve_problem(
     refl = None
     if mesh.boundary_faces:
         # From here on the system is the double cover.
-        cover, metric, theta = build_double_cover(mesh, metric, theta)
-        mesh, refl = cover.mesh, cover.refl
+        mesh, refl, metric, theta = build_double_cover(mesh, metric, theta)
     deviation = io.gauss_bonnet_deviation(mesh, theta)
     bound = mesh.n_vertices * cfg.eps_tol
     if abs(deviation) > bound:
@@ -505,5 +503,4 @@ def solve_problem(
     smesh, scaled, u, report = find_conformal_metric(mesh, metric, theta, cfg, refl=refl)
     if refl is None or keep_double_cover:
         return smesh, scaled, u, report
-    rmesh, rmetric, ru = restrict_to_single_cover(cover, scaled, u)
-    return rmesh, rmetric, ru, report
+    return (*restrict_to_single_cover(smesh, refl, scaled, u), report)

@@ -274,14 +274,17 @@ def annulus(seed, rings=4, around=12, radii=(1.0, 2.0)):
     )
 
 
-def holed_torus(seed, size=6):
+def holed_torus(seed, size=6, jitter=0.0):
     """A ``size`` x ``size`` grid torus of equilateral unit triangles less
     the two triangles of one cell: one boundary loop, chi = -1.
 
     Vertex ``size * i + j`` is grid point (i, j), and each cell is split
     along the same diagonal; the cell at (0, 0) is left out.  The curvatures
     of its four corners are ``default_rng(seed).uniform(-1.5, 1.5)`` less
-    their mean, less pi/2, so that they total 2 pi chi = -2 pi.
+    their mean, less pi/2, so that they total 2 pi chi = -2 pi.  Each edge
+    length is then scaled by ``default_rng(100 + seed).uniform(1 - jitter,
+    1 + jitter)``, in edge order; below 1/3 every face keeps the triangle
+    inequality.
     """
     v = lambda i, j: size * (i % size) + j % size
     faces = []
@@ -290,7 +293,9 @@ def holed_torus(seed, size=6):
             if (i, j) != (0, 0):
                 faces.append([v(i, j), v(i + 1, j), v(i + 1, j + 1)])
                 faces.append([v(i, j), v(i + 1, j + 1), v(i, j + 1)])
-    lengths = {tuple(sorted((f[k - 1], f[k]))): 1.0 for f in faces for k in range(3)}
+    edges = {tuple(sorted((f[k - 1], f[k]))): None for f in faces for k in range(3)}
+    scale = np.random.default_rng(100 + seed).uniform(1 - jitter, 1 + jitter, len(edges))
+    lengths = {e: float(s) for e, s in zip(edges, scale)}
     kappa = np.random.default_rng(seed).uniform(-1.5, 1.5, 4)
     kappa -= kappa.mean() + math.pi / 2
     boundary = [v(0, 0), v(1, 0), v(1, 1), v(0, 1)]
@@ -307,13 +312,12 @@ def find_flip_of_kind(mesh, refl, want, forward):
     return None
 
 
-def drive_to_quads(cover, cmetric):
+def drive_to_quads(mesh, refl, cmetric):
     """Produce a cover state containing quad faces: axis, tri-quad, quad-quad.
 
     Returns the list of flip records applied.  Requires a hexagon_cover-like
     state with one stretched parallel edge.
     """
-    mesh, refl = cover.mesh, cover.refl
     recs = []
     for want in (FlipType.AXIS, FlipType.TRI_QUAD, FlipType.QUAD_QUAD):
         e = find_flip_of_kind(mesh, refl, want, True)
@@ -702,7 +706,7 @@ def reference_validate(mesh: CombinatorialMesh) -> list[str]:
 # edges by first reference: the oracle the array restriction is held to.
 
 
-def reference_restrict_to_single_cover(cover, scaled, u):
+def reference_restrict_to_single_cover(mesh, refl, scaled, u, v0):
     """Cut a solved symmetric metric along its axis and keep one sheet.
 
     Copy-1 faces are copied with arrays; each axis face is cut in a loop:
@@ -710,10 +714,9 @@ def reference_restrict_to_single_cover(cover, scaled, u):
     crossing sides before and after it bound the polygon
     ``[m_in] a b [m_out]``, split along a -> m_out.  Output edge ids follow
     first reference in a face by face walk, and an edge takes the length of
-    its first referring halfedge, halved for a crossing edge.
+    its first referring halfedge, halved for a crossing edge.  ``v0`` is the
+    source disk's own vertex count.
     """
-    mesh, refl = cover.mesh, cover.refl
-    v0 = cover.n_source_vertices
     L = scaled.lengths
     n = mesh.n_halfedges()
     nxt = np.asarray(mesh.next_he)

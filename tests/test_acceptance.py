@@ -335,8 +335,7 @@ def test_symmetry_forced_configurations_stay_delaunay_under_random_metrics():
         tallies[sig] = 0
         minima[sig] = math.inf
         for _ in range(1000):
-            cover, cmetric, _ = helpers.hexagon_cover(long_edges=(), length=1.0)
-            mesh, refl = cover.mesh, cover.refl
+            mesh, refl, cmetric, _ = helpers.hexagon_cover(long_edges=(), length=1.0)
             fresh = helpers.random_symmetric_lengths(mesh, refl, rng)
             for h in range(mesh.n_halfedges()):
                 if mesh.he_face[h] >= 0:
@@ -373,8 +372,7 @@ def test_holds_accepts_exactly_the_forced_edges_when_no_value_clears_the_band(mo
     # states hold edges with values from 4 to 8.)
     monkeypatch.setattr(metric_mod, "_EPS_FLIP", -math.inf)
     for sig, chain in FORCED_DELAUNAY_CHAINS.items():
-        cover, cmetric, _ = helpers.hexagon_cover(long_edges=(), length=1.0)
-        mesh, refl = cover.mesh, cover.refl
+        mesh, refl, cmetric, _ = helpers.hexagon_cover(long_edges=(), length=1.0)
         for e in chain:
             apply_symmetric_flip(mesh, cmetric, refl, e)
         holds = scalar_metric(mesh, cmetric, [0.0] * mesh.n_vertices, refl).holds
@@ -398,8 +396,7 @@ def test_a_capped_retriangulation_does_not_count_forced_edges_as_deep(monkeypatc
     monkeypatch.setattr(metric_mod, "_DEEP_FLOOR", 0)
     real = metric_mod._scan_violations_vectorized
     for chain in FORCED_DELAUNAY_CHAINS.values():
-        cover, cmetric, _ = helpers.hexagon_cover(long_edges=(), length=1.0)
-        mesh, refl = cover.mesh, cover.refl
+        mesh, refl, cmetric, _ = helpers.hexagon_cover(long_edges=(), length=1.0)
         for e in chain:
             apply_symmetric_flip(mesh, cmetric, refl, e)
         u = [0.0] * mesh.n_vertices
@@ -456,9 +453,9 @@ def test_cover_solves_hand_their_kernels_only_fresh_reads():
     assert report.converged
     assert flips.paired and flips.axis and flips.tri_quad and flips.quad_quad
     assert reads == {"read": _kernel_calls(report)}
-    cover, cmetric, theta_hat = helpers.hexagon_cover(((0, 1), (2, 3)), 1.6)
+    mesh, refl, cmetric, theta_hat = helpers.hexagon_cover(((0, 1), (2, 3)), 1.6)
     with helpers.every_read_is_fresh() as reads:
-        *_, report = find_conformal_metric(cover.mesh, cmetric, theta_hat, refl=cover.refl)
+        *_, report = find_conformal_metric(mesh, cmetric, theta_hat, refl=refl)
     assert report.converged and report.steps[0].flips.total > 0
     assert reads == {"read": _kernel_calls(report)}
 

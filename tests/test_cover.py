@@ -22,13 +22,12 @@ import helpers
 def test_cover_of_single_triangle():
     disk = build_from_face_lists([[0, 1, 2]])
     metric = helpers.uniform_metric(disk)
-    cover, cmetric, theta_hat = build_double_cover(disk, metric, [math.pi - 2 * math.pi / 3] * 3)
-    m = cover.mesh
+    m, refl, cmetric, theta_hat = build_double_cover(disk, metric, [math.pi - 2 * math.pi / 3] * 3)
     assert validate(m) == []
     assert (m.n_vertices, m.n_edges(), helpers.n_faces(m)) == (3, 3, 2)
     assert helpers.euler_characteristic(m) == 2
     # every edge lies on the axis
-    assert all(cover.refl.r[e] == m.opp[e] for e in m.edges())
+    assert all(refl.r[e] == m.opp[e] for e in m.edges())
     assert theta_hat == pytest.approx([2 * math.pi / 3] * 3)
     assert abs(gauss_bonnet_deviation(m, theta_hat)) < 1e-12
 
@@ -36,13 +35,12 @@ def test_cover_of_single_triangle():
 def test_cover_of_square_fan():
     disk = helpers.fan_disk(4)
     metric = helpers.uniform_metric(disk)
-    cover, _, _ = build_double_cover(disk, metric, [math.pi / 2] * 4 + [2 * math.pi])
-    m = cover.mesh
+    m, refl, _, _ = build_double_cover(disk, metric, [math.pi / 2] * 4 + [2 * math.pi])
     assert validate(m) == []
     # V = 2*5-4, E = 2*8-4, F = 2*4
     assert (m.n_vertices, m.n_edges(), helpers.n_faces(m)) == (6, 12, 8)
     assert helpers.euler_characteristic(m) == 2
-    assert validate_symmetry(m, cover.refl) == []
+    assert validate_symmetry(m, refl) == []
 
 
 @pytest.mark.parametrize("k", [3, 5, 8])
@@ -50,8 +48,7 @@ def test_cover_count_formula(k):
     disk = helpers.fan_disk(k)
     metric = helpers.uniform_metric(disk)
     v0, e0, f0 = disk.n_vertices, disk.n_edges(), helpers.n_faces(disk)
-    cover, _, _ = build_double_cover(disk, metric, [math.pi - 2 * math.pi / k] * k + [2 * math.pi])
-    m = cover.mesh
+    m, _, _, _ = build_double_cover(disk, metric, [math.pi - 2 * math.pi / k] * k + [2 * math.pi])
     assert m.n_vertices == 2 * v0 - k
     assert m.n_edges() == 2 * e0 - k
     assert helpers.n_faces(m) == 2 * f0
@@ -62,7 +59,7 @@ def test_targets_interior_and_boundary():
     metric = helpers.uniform_metric(disk)
     ki = 0.3
     kb = (4 * math.pi - 2 * ki) / 12
-    cover, _, th = build_double_cover(disk, metric, [math.pi - kb] * 6 + [2 * math.pi - ki])
+    m, _, _, th = build_double_cover(disk, metric, [math.pi - kb] * 6 + [2 * math.pi - ki])
     # boundary vertices get twice their angle sum pi - kb, so lose twice
     # their curvature, interior ones keep theirs, and the mirrored interior
     # copy repeats its source
@@ -70,7 +67,7 @@ def test_targets_interior_and_boundary():
         assert th[v] == pytest.approx(2 * math.pi - 2 * kb, rel=1e-15)
     assert th[6] == pytest.approx(2 * math.pi - ki, rel=1e-15)
     assert th[7] == th[6]
-    assert abs(gauss_bonnet_deviation(cover.mesh, th)) < 1e-12
+    assert abs(gauss_bonnet_deviation(m, th)) < 1e-12
 
 
 def test_unbalanced_targets_rejected():
@@ -126,14 +123,13 @@ def test_flat_grid_cover_needs_no_flips():
     }
     turn = 2 * math.pi / len(boundary)
     theta = [math.pi - turn if v in boundary else 2 * math.pi for v in range(16)]
-    cover, cmetric, _ = build_double_cover(disk, metric, theta)
-    log = make_delaunay(cover.mesh, cmetric, [0.0] * cover.mesh.n_vertices, refl=cover.refl)
+    mesh, refl, cmetric, _ = build_double_cover(disk, metric, theta)
+    log = make_delaunay(mesh, cmetric, [0.0] * mesh.n_vertices, refl=refl)
     assert log.total == 0
 
 
 def test_symmetric_make_delaunay_repairs_and_validates():
-    cover, cmetric, _ = helpers.hexagon_cover(long_edges=((0, 1), (3, 4)))
-    mesh, refl = cover.mesh, cover.refl
+    mesh, refl, cmetric, _ = helpers.hexagon_cover(long_edges=((0, 1), (3, 4)))
     u = [0.0] * mesh.n_vertices
     log = make_delaunay(mesh, cmetric, u, refl=refl)
     assert log.total >= 2
@@ -149,9 +145,8 @@ def test_quad_measures_agree_across_both_diagonals():
     # face cycle while replacing the stored diagonal (the parked pair's
     # length) with its Ptolemy partner d2 = (l0*l2 + l1*l3)/d must not move
     # any angle sum
-    cover, cmetric, _ = helpers.hexagon_cover()
-    mesh = cover.mesh
-    helpers.drive_to_quads(cover, cmetric)
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(mesh, refl, cmetric)
     u = [0.0] * mesh.n_vertices
     before = vertex_angle_sums(mesh, cmetric, u)
     for f in list(mesh.quad_pairs):
@@ -167,9 +162,9 @@ def test_quad_measures_agree_across_both_diagonals():
 
 
 def test_restriction_of_fresh_cover_is_the_source_disk():
-    cover, cmetric, _ = helpers.hexagon_cover(long_edges=())
-    u = [0.0] * cover.mesh.n_vertices
-    mesh, metric, u_out = restrict_to_single_cover(cover, cmetric, u)
+    cmesh, refl, cmetric, _ = helpers.hexagon_cover(long_edges=())
+    u = [0.0] * cmesh.n_vertices
+    mesh, metric, u_out = restrict_to_single_cover(cmesh, refl, cmetric, u)
     assert validate(mesh) == []
     assert (mesh.n_vertices, mesh.n_edges(), helpers.n_faces(mesh)) == (7, 12, 6)
     disk = helpers.fan_disk(6)
@@ -177,28 +172,26 @@ def test_restriction_of_fresh_cover_is_the_source_disk():
     got = sorted(frozenset(helpers.edge_endpoints(mesh, e)) for e in mesh.edges())
     assert want == got
     assert helpers.active_lengths(mesh, metric) == [1.0] * 24
-    assert u_out == [0.0] * 7
+    assert u_out.dtype == float and u_out.tolist() == [0.0] * 7
 
 
 def _flipped_hexagon_cover():
     """The hexagon cover after the axis flip of its stretched edge 0-1:
     two axis triangles around a new crossing edge, whose id is returned."""
-    cover, cmetric, _ = helpers.hexagon_cover()
-    mesh, refl = cover.mesh, cover.refl
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
     e = next(
         x for x in mesh.edges()
         if refl.r[x] == mesh.opp[x]
         and set(helpers.edge_endpoints(mesh, x)) == {0, 1}
     )
-    return cover, cmetric, apply_symmetric_flip(mesh, cmetric, refl, e).edge
+    return mesh, refl, cmetric, apply_symmetric_flip(mesh, cmetric, refl, e).edge
 
 
 def test_restriction_cuts_axis_triangles_at_right_angles():
-    cover, cmetric, crossing = _flipped_hexagon_cover()
-    mesh = cover.mesh
+    mesh, refl, cmetric, crossing = _flipped_hexagon_cover()
     b = cmetric.lengths[crossing]
     res_mesh, res_metric, res_u = restrict_to_single_cover(
-        cover, cmetric, [0.0] * mesh.n_vertices
+        mesh, refl, cmetric, [0.0] * mesh.n_vertices
     )
     assert validate(res_mesh) == []
     assert res_mesh.n_vertices == 8  # one midpoint added
@@ -240,8 +233,8 @@ def test_restriction_cuts_axis_quads_of_a_solved_disk(seed):
 
 
 def _solved_cover(prob, monkeypatch):
-    """The cover, scaled metric and u that ``solve_problem`` restricts for
-    ``prob``."""
+    """The cover mesh, reflection, scaled metric and u that ``solve_problem``
+    restricts for ``prob``."""
     calls = []
 
     def recorded(*args):
@@ -260,37 +253,67 @@ def _solved_cover(prob, monkeypatch):
 )
 def test_restriction_matches_the_reference(seed, size, monkeypatch):
     if seed is None:
-        cover, scaled, _ = _flipped_hexagon_cover()
-        u = [0.125 * v for v in range(cover.mesh.n_vertices)]
+        mesh, refl, scaled, _ = _flipped_hexagon_cover()
+        u = [0.125 * v for v in range(mesh.n_vertices)]
+        v0 = 7  # the hexagon fan's vertices
     else:
         prob = generate("disk-random-boundary", seed, size)
-        cover, scaled, u = _solved_cover(prob, monkeypatch)
-    got = restrict_to_single_cover(cover, scaled, u)
-    want = helpers.reference_restrict_to_single_cover(cover, scaled, u)
+        mesh, refl, scaled, u = _solved_cover(prob, monkeypatch)
+        v0 = prob.n_vertices
+    got = restrict_to_single_cover(mesh, refl, scaled, u)
+    want = helpers.reference_restrict_to_single_cover(mesh, refl, scaled, u, v0)
     for name in ("next_he", "opp", "to", "he_face", "boundary_faces", "n_vertices"):
         assert getattr(got[0], name) == getattr(want[0], name), name
     assert np.array(got[1].lengths).tobytes() == np.array(want[1].lengths).tobytes()
     assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
-    assert np.isnan(got[2][cover.n_source_vertices:]).all()
+    assert np.isnan(got[2][v0:]).all()
+
+
+def test_a_solve_returns_u_as_an_array_and_its_kept_cover_restricts_to_it(monkeypatch):
+    # The restricted u is NaN exactly at the midpoints, past the source
+    # vertices.  The kept cover, cut with the reflection its solve flipped
+    # along, is the restricted solve, bitwise.
+    prob = generate("disk-random-boundary", 0, 289)
+    mesh, metric, u, _ = solve_problem(prob)
+    assert isinstance(u, np.ndarray) and u.dtype == float
+    assert mesh.n_vertices > prob.n_vertices
+    assert np.flatnonzero(np.isnan(u)).tolist() == list(range(prob.n_vertices, mesh.n_vertices))
+    refls = []
+    solve = solver_mod.find_conformal_metric
+
+    def recorded(*args, refl=None):
+        refls.append(refl)
+        return solve(*args, refl=refl)
+
+    monkeypatch.setattr(solver_mod, "find_conformal_metric", recorded)
+    cmesh, scaled, cu, _ = solve_problem(prob, keep_double_cover=True)
+    [refl] = refls
+    rmesh, rmetric, ru = restrict_to_single_cover(cmesh, refl, scaled, cu)
+    for name in ("next_he", "opp", "to", "he_face", "boundary_faces", "n_vertices"):
+        assert getattr(rmesh, name) == getattr(mesh, name), name
+    assert np.array(rmetric.lengths).tobytes() == np.array(metric.lengths).tobytes()
+    assert ru.dtype == float and ru.tobytes() == u.tobytes()
 
 
 def test_axis_face_without_a_real_height_is_named():
     # A crossing side longer than twice the leg leaves the leg no height
     # above the axis.
-    cover, cmetric, crossing = _flipped_hexagon_cover()
-    mesh, refl = cover.mesh, cover.refl
+    mesh, refl, cmetric, crossing = _flipped_hexagon_cover()
     f = min(mesh.he_face[crossing], mesh.he_face[mesh.opp[crossing]])
     leg = next(h for h in mesh.face_halfedges(f) if refl.he_label[h] == 1)
     stretched = 2.0 * cmetric.lengths[leg] * 1.01
     cmetric.lengths[crossing] = cmetric.lengths[mesh.opp[crossing]] = stretched
     u = [0.0] * mesh.n_vertices
-    for restrict in (restrict_to_single_cover, helpers.reference_restrict_to_single_cover):
+    # The reference takes the source disk's vertex count: the hexagon fan's 7.
+    reference = lambda *args: helpers.reference_restrict_to_single_cover(*args, 7)
+    for restrict in (restrict_to_single_cover, reference):
         with pytest.raises(MetricError, match=f"^axis face {f} has no real height$"):
-            restrict(cover, cmetric, u)
+            restrict(mesh, refl, cmetric, u)
 
 
-# Annulus seed 2 converges in 5 steps with 8 tri-quad surgeries, and its
-# cover ends with 2 axis quads: quads on a surface that is not a disk.
+# Annulus seed 2 converges in 6 steps with 22 paired, 4 axis and 2 tri-quad
+# surgeries, and its cover ends with 2 axis quads: quads on a surface that
+# is not a disk.
 
 
 def test_annulus_kept_cover_bundle_rebuilds_with_its_diagonals(tmp_path):
@@ -335,9 +358,9 @@ def test_a_bundle_with_an_el_line_no_fe_row_uses_is_rejected(tmp_path, capsys):
 
 
 def test_annulus_cover_ends_symmetric_with_its_quads(monkeypatch):
-    cover, scaled, _ = _solved_cover(helpers.annulus(2), monkeypatch)
-    assert cover.mesh.quad_pairs
-    assert validate_symmetry(cover.mesh, cover.refl, scaled) == []
+    mesh, refl, scaled, _ = _solved_cover(helpers.annulus(2), monkeypatch)
+    assert mesh.quad_pairs
+    assert validate_symmetry(mesh, refl, scaled) == []
 
 
 def test_annulus_restricted_boundary_angles_are_pi_minus_kappa():
@@ -349,17 +372,24 @@ def test_annulus_restricted_boundary_angles_are_pi_minus_kappa():
         assert sums[v] == pytest.approx(math.pi - k, abs=1e-9)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_holed_torus_cover_stays_symmetric_and_closes_the_boundary(seed, monkeypatch):
+@pytest.mark.parametrize(
+    "seed, jitter",
+    [(0, 0.0), (1, 0.0), (2, 0.0), (9, 0.3), (13, 0.3)],
+    ids=["0", "1", "2", "9-jitter", "13-jitter"],
+)
+def test_holed_torus_cover_stays_symmetric_and_closes_the_boundary(seed, jitter, monkeypatch):
     # A torus less one cell has chi = -1 and one boundary loop, so its
-    # double cover is a closed surface of genus 2.  Each seed converges in
-    # 4 or 5 steps with no flip.
-    prob = helpers.holed_torus(seed)
-    cover, scaled, _ = _solved_cover(prob, monkeypatch)
-    assert helpers.euler_characteristic(cover.mesh) == -2
-    assert validate_symmetry(cover.mesh, cover.refl, scaled) == []
+    # double cover is a closed surface of genus 2.  On unit lengths each
+    # seed converges in 4 or 5 steps with no flip; jittered lengths make
+    # seeds 9 and 13 run paired and axis surgeries on the genus-2 cover.
+    prob = helpers.holed_torus(seed, jitter=jitter)
+    cmesh, refl, scaled, _ = _solved_cover(prob, monkeypatch)
+    assert helpers.euler_characteristic(cmesh) == -2
+    assert validate_symmetry(cmesh, refl, scaled) == []
     mesh, metric, _, report = solve_problem(prob)
     assert report.converged and all(rec.symmetry_ok for rec in report.steps)
+    flips = report.total_flips()
+    assert (flips.paired >= 1 and flips.axis >= 1) == (jitter > 0), flips
     sums = helpers.mp_angle_sums(mesh, metric.lengths)
     for v, k in prob.kappa_targets.items():
         assert abs(sums[v] - (math.pi - k)) <= 1e-9, (v, sums[v], k)

@@ -67,15 +67,15 @@ def test_two_triangle_sphere():
 
 
 def _cover_with_quads():
-    cover, cmetric, _ = helpers.hexagon_cover()
-    helpers.drive_to_quads(cover, cmetric)
-    assert cover.mesh.quad_pairs
-    return cover.mesh
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(mesh, refl, cmetric)
+    assert mesh.quad_pairs
+    return mesh
 
 
 @pytest.mark.parametrize(
     "make",
-    [helpers.octa, lambda: helpers.fan_disk(6), lambda: helpers.hexagon_cover()[0].mesh,
+    [helpers.octa, lambda: helpers.fan_disk(6), lambda: helpers.hexagon_cover()[0],
      _cover_with_quads],
     ids=["closed", "bounded", "cover", "cover-with-quads"],
 )

@@ -447,9 +447,8 @@ def test_bundle_mesh_rebuilds(tmp_path):
 
 
 def test_bundle_with_quads_rebuilds_recorded_quads(tmp_path):
-    cover, cmetric, _ = helpers.hexagon_cover()
-    helpers.drive_to_quads(cover, cmetric)
-    mesh = cover.mesh
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(mesh, refl, cmetric)
     u = [0.0] * mesh.n_vertices
     p = str(tmp_path / "q.result")
     write_bundle(bundle_from_solution(mesh, cmetric, u, None, 0, flips=FlipLog()), p)

@@ -115,11 +115,11 @@ def test_angle_sums_match_per_face_reference():
     u = rng.normal(0.0, 0.3, mesh.n_vertices)
     want = reference_angle_sums(mesh, metric, u)
     assert vertex_angle_sums(mesh, metric, u) == pytest.approx(want, rel=1e-14, abs=1e-14)
-    cover, cmetric, _ = helpers.hexagon_cover()
-    helpers.drive_to_quads(cover, cmetric)
-    u = rng.normal(0.0, 0.3, cover.mesh.n_vertices)
-    want = reference_angle_sums(cover.mesh, cmetric, u)
-    assert vertex_angle_sums(cover.mesh, cmetric, u) == pytest.approx(want, rel=1e-14, abs=1e-14)
+    cmesh, refl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cmesh, refl, cmetric)
+    u = rng.normal(0.0, 0.3, cmesh.n_vertices)
+    want = reference_angle_sums(cmesh, cmetric, u)
+    assert vertex_angle_sums(cmesh, cmetric, u) == pytest.approx(want, rel=1e-14, abs=1e-14)
 
 
 def test_needle_angles_keep_relative_accuracy():
@@ -315,11 +315,11 @@ def test_scan_flags_exactly_the_scalar_violations(eps):
     # that flags most edges.  The scalar value itself must be bitwise the
     # sum of two side terms formed from scaled lengths, quad sides included.
     rng = np.random.default_rng(17)
-    cover, cmetric, _ = helpers.hexagon_cover()
-    helpers.drive_to_quads(cover, cmetric)
-    assert cover.mesh.quad_pairs
+    cmesh, refl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cmesh, refl, cmetric)
+    assert cmesh.quad_pairs
     mesh, metric = helpers.shuffled_closed_mesh(rng, level=1, flips=30)
-    for m, met, quads in [(cover.mesh, cmetric, True), (mesh, metric, False)]:
+    for m, met, quads in [(cmesh, cmetric, True), (mesh, metric, False)]:
         candidates = [e for e in m.edges() if not helpers.is_boundary_edge(m, e)]
         for _ in range(4):
             u = rng.normal(0.0, 0.3, m.n_vertices)
@@ -355,10 +355,10 @@ def test_side_terms_are_exact_where_a_side_product_leaves_the_float_range(u0):
         assert _scan_violations_vectorized(mesh, metric, u, -2.0)[0] == []
         assert _scan_violations_vectorized(mesh, metric, u, -math.nextafter(2.0, 3.0))[0] == edges
     rng = np.random.default_rng(5)
-    cover, cmetric, _ = helpers.hexagon_cover()
-    helpers.drive_to_quads(cover, cmetric)
+    cmesh, refl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cmesh, refl, cmetric)
     for mesh, metric in [helpers.shuffled_closed_mesh(rng, level=1, flips=30),
-                         (cover.mesh, cmetric)]:
+                         (cmesh, cmetric)]:
         u = u0 + rng.normal(0.0, 0.3, mesh.n_vertices)
         value = scalar_metric(mesh, metric, u).value
         edges = [e for e in mesh.edges() if not helpers.is_boundary_edge(mesh, e)]
@@ -411,9 +411,9 @@ def test_make_delaunay_scans_once_per_call(monkeypatch):
     octa = helpers.octa()
     metric = helpers.uniform_metric(octa)
     helpers.set_length(octa, metric, 0, 1, 1.9)
-    cover, cmetric, _ = helpers.hexagon_cover()
-    helpers.drive_to_quads(cover, cmetric)
-    for mesh, met, refl in [(octa, metric, None), (cover.mesh, cmetric, cover.refl)]:
+    cmesh, crefl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(cmesh, crefl, cmetric)
+    for mesh, met, refl in [(octa, metric, None), (cmesh, cmetric, crefl)]:
         u = [0.0] * mesh.n_vertices
         scans = 0
         assert make_delaunay(mesh, met, u, refl).total >= 1
@@ -542,15 +542,15 @@ def test_hessian_matches_finite_differences_on_quads():
     # The quads' virtual triangles go through the same kernel as triangles.
     # The surgery chain leaves flat (clamped) corners, which have no
     # derivative, so the quad state gets fresh near-equilateral lengths.
-    cover, cmetric, _ = helpers.hexagon_cover()
-    helpers.drive_to_quads(cover, cmetric)
-    assert len(cover.mesh.quad_pairs) == 2
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(mesh, refl, cmetric)
+    assert len(mesh.quad_pairs) == 2
     rng = np.random.default_rng(8)
-    cmetric.lengths = helpers.random_symmetric_lengths(cover.mesh, cover.refl, rng, 0.9, 1.1)
-    for p, q in cover.mesh.quad_pairs.values():
+    cmetric.lengths = helpers.random_symmetric_lengths(mesh, refl, rng, 0.9, 1.1)
+    for p, q in mesh.quad_pairs.values():
         cmetric.lengths[p] = cmetric.lengths[q] = float(rng.uniform(0.9, 1.1))
-    u = rng.normal(0.0, 0.05, cover.mesh.n_vertices)
-    assert_hessian_matches_finite_differences(cover.mesh, cmetric, u)
+    u = rng.normal(0.0, 0.05, mesh.n_vertices)
+    assert_hessian_matches_finite_differences(mesh, cmetric, u)
 
 
 @pytest.mark.parametrize("u0", [-1500.0, math.nan])
@@ -573,9 +573,8 @@ def test_hessian_of_quad_state_degenerate_raises():
 
 
 def test_quad_faces_measured_via_virtual_triangles():
-    cover, cmetric, _ = helpers.hexagon_cover()
-    mesh = cover.mesh
-    helpers.drive_to_quads(cover, cmetric)
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(mesh, refl, cmetric)
     u = [0.0] * mesh.n_vertices
     sums = vertex_angle_sums(mesh, cmetric, u)
     n_tri = sum(1 for f in mesh.faces() if helpers.degree(mesh, f) == 3)

@@ -44,6 +44,33 @@ def test_suite_driver_runs(script, args, prefix, lines, columns):
     assert all(c in row for row in rows for c in columns)
 
 
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Imports a module, and prints the BLAS thread variables and exits as the
+# import of numpy starts.
+_AT_NUMPY = """
+import importlib.abc, os, sys
+class AtNumpy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(*(os.environ.get(k) for k in {names!r}), flush=True)
+            os._exit(0)
+sys.meta_path.insert(0, AtNumpy())
+import {module}
+"""
+
+
+@pytest.mark.parametrize("script", sorted(p.stem for p in (ROOT / "scripts").glob("run_*.py")))
+def test_every_script_pins_blas_to_one_thread_unless_told(script):
+    # The pins go in before numpy loads; the caller's OPENBLAS_NUM_THREADS
+    # wins over its pin.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env.update(OPENBLAS_NUM_THREADS="2", PYTHONPATH=f"{ROOT / 'scripts'}{os.pathsep}{ROOT / 'src'}")
+    code = _AT_NUMPY.format(names=BLAS_THREADS, module=script)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "1 2 1"), proc.stderr
+
+
 def _perfbench(name):
     """The benchmark module ``perfbench/<name>.py``, imported by path."""
     path = ROOT / "perfbench" / f"{name}.py"

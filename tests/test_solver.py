@@ -170,8 +170,8 @@ def _first_direction_input(monkeypatch, instance):
         mesh, metric, theta_hat = octa_problem(5)
         solve = lambda: find_conformal_metric(mesh, metric, theta_hat)
     elif instance == "hexagon-cover":
-        cover, cmetric, theta_hat = helpers.hexagon_cover(long_edges=((0, 1), (2, 3)), length=1.6)
-        solve = lambda: find_conformal_metric(cover.mesh, cmetric, theta_hat, refl=cover.refl)
+        mesh, refl, cmetric, theta_hat = helpers.hexagon_cover(((0, 1), (2, 3)), 1.6)
+        solve = lambda: find_conformal_metric(mesh, cmetric, theta_hat, refl=refl)
     else:
         prob = generate("disk-random-boundary", 0, 1089)
         solve = lambda: solve_problem(prob, SolverConfig(max_newton_steps=1))
@@ -769,12 +769,11 @@ def test_solved_scaled_metric_matches_scale_conformally():
 def test_scale_conformally_scales_quad_diagonals_as_scalar_metric_does():
     # The read's heads put a parked pair between its quad's diagonal
     # corners, the corners ``scalar_metric(...).diag`` scales between.
-    cover, cmetric, _ = helpers.hexagon_cover()
-    helpers.drive_to_quads(cover, cmetric)
-    mesh = cover.mesh
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(mesh, refl, cmetric)
     assert mesh.quad_pairs
     n = mesh.n_vertices
-    rep = np.minimum(np.arange(n), cover.refl.vertex_refl)
+    rep = np.minimum(np.arange(n), refl.vertex_refl)
     rng = np.random.default_rng(5)
     for _ in range(20):
         u = rng.uniform(-3.0, 3.0, n)[rep]  # mirror-symmetric, bitwise
@@ -871,18 +870,17 @@ def test_flat_grid_cover_solves_in_zero_steps():
     for v, (x, y, _) in enumerate(pos):
         if {x, y} <= {0.0, 3.0} :
             theta[v] = math.pi / 2
-    cover, cmetric, theta_hat = build_double_cover(disk, metric, theta)
-    _, _, u, report = find_conformal_metric(cover.mesh, cmetric, theta_hat, refl=cover.refl)
+    mesh, refl, cmetric, theta_hat = build_double_cover(disk, metric, theta)
+    _, _, u, report = find_conformal_metric(mesh, cmetric, theta_hat, refl=refl)
     assert report.converged
     assert report.newton_steps == 0
     assert np.max(np.abs(u)) == 0.0
 
 
 def test_symmetric_solve_keeps_bitwise_mirror_symmetry():
-    cover, cmetric, theta_hat = helpers.hexagon_cover(
+    mesh, refl, cmetric, theta_hat = helpers.hexagon_cover(
         long_edges=((0, 1), (2, 3)), length=1.6
     )
-    mesh, refl = cover.mesh, cover.refl
     _, scaled, u, report = find_conformal_metric(mesh, cmetric, theta_hat, refl=refl)
     assert report.converged
     assert all(rec.symmetry_ok for rec in report.steps)
@@ -893,7 +891,7 @@ def test_symmetric_solve_keeps_bitwise_mirror_symmetry():
             assert cmetric.lengths[h] == cmetric.lengths[refl.r[h]]
     # restriction of the solved cover has the prescribed boundary angles;
     # it cuts the scaled metric the solver returns
-    rmesh, rmetric, ru = restrict_to_single_cover(cover, scaled, u)
+    rmesh, rmetric, ru = restrict_to_single_cover(mesh, refl, scaled, u)
     sums = vertex_angle_sums(rmesh, rmetric, [0.0] * rmesh.n_vertices)
     for v in range(7):
         want = theta_hat[v] / 2 if v < 6 else theta_hat[v]

@@ -22,8 +22,8 @@ import helpers
 
 
 def fresh():
-    cover, cmetric, _ = helpers.hexagon_cover()
-    return cover.mesh, cover.refl, cmetric
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
+    return mesh, refl, cmetric
 
 
 def test_initial_cover_is_valid_symmetric_state():
@@ -116,9 +116,8 @@ def test_axis_forward_builds_crossing_edge():
 
 
 def test_surgery_chain_reaches_every_quad_kind():
-    cover, cmetric, _ = helpers.hexagon_cover()
-    mesh, refl = cover.mesh, cover.refl
-    recs = helpers.drive_to_quads(cover, cmetric)  # forward flips, by classify_flip
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
+    recs = helpers.drive_to_quads(mesh, refl, cmetric)  # forward flips, by classify_flip
     assert [r.kind for r in recs] == [
         FlipType.AXIS, FlipType.TRI_QUAD, FlipType.QUAD_QUAD
     ]
@@ -147,9 +146,8 @@ def test_validators_catch_quad_bookkeeping_faults():
 
     for fault in (delete_record, move_record_onto_triangle, split_diag,
                   point_record_at_live_pair):
-        cover, cmetric, _ = helpers.hexagon_cover()
-        mesh, refl = cover.mesh, cover.refl
-        helpers.drive_to_quads(cover, cmetric)
+        mesh, refl, cmetric, _ = helpers.hexagon_cover()
+        helpers.drive_to_quads(mesh, refl, cmetric)
         quad = min(mesh.quad_pairs)
         tri = next(f for f in mesh.faces() if f not in mesh.quad_pairs)
         fault(mesh, refl, cmetric, quad, tri)
@@ -295,9 +293,8 @@ def test_validate_symmetry_reports_each_fault(pattern, mutate):
     # copy faces (faces with no r-fixed side) and whose mirrors are other
     # edges (r[a] is not opp[a]); ``fixed`` is r-fixed, ``hub`` a vertex
     # off the axis and ``parked`` the parked pair of ``quad``.
-    cover, cmetric, _ = helpers.hexagon_cover()
-    mesh, refl = cover.mesh, cover.refl
-    helpers.drive_to_quads(cover, cmetric)
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(mesh, refl, cmetric)
     assert validate(mesh) == [] and validate_symmetry(mesh, refl, cmetric) == []
     live = [h for h in range(mesh.n_halfedges()) if mesh.he_face[h] >= 0]
 
@@ -340,13 +337,11 @@ def test_forward_then_reverse_is_slot_exact(depth):
     # unwinding only the innermost record must restore the state exactly,
     # slot for slot, because the reverse surgeries divide back out the very
     # products the forward ones formed.
-    cover, cmetric, _ = helpers.hexagon_cover()
-    mesh, refl = cover.mesh, cover.refl
-    recs = helpers.drive_to_quads(cover, cmetric)[:depth]
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
+    recs = helpers.drive_to_quads(mesh, refl, cmetric)[:depth]
     if depth < 3:
         # rebuild a fresh chain of the wanted depth
-        cover, cmetric, _ = helpers.hexagon_cover()
-        mesh, refl = cover.mesh, cover.refl
+        mesh, refl, cmetric, _ = helpers.hexagon_cover()
         recs = []
         for want in (FlipType.AXIS, FlipType.TRI_QUAD, FlipType.QUAD_QUAD)[:depth]:
             e = helpers.find_flip_of_kind(mesh, refl, want, True)
@@ -365,24 +360,29 @@ def test_forward_then_reverse_is_slot_exact(depth):
 
 
 def test_full_unwind_restores_length_multiset():
-    cover, cmetric, _ = helpers.hexagon_cover()
-    mesh, refl = cover.mesh, cover.refl
-    snap = helpers.active_lengths(mesh, cmetric)
-    recs = helpers.drive_to_quads(cover, cmetric)
-    for rec in reversed(recs):
-        kind, fwd = classify_flip(mesh, refl, rec.edge)
-        assert kind is rec.kind and not fwd
-        apply_symmetric_flip(mesh, cmetric, refl, rec.edge)
-        assert validate_symmetry(mesh, refl, cmetric) == []
-    back = helpers.active_lengths(mesh, cmetric)
-    assert len(back) == len(snap)
-    assert max(abs(a - b) for a, b in zip(snap, back)) <= 1e-14
+    # On the hexagon cover's lengths (1 and one stretched edge), and on
+    # random symmetric ones, where no two sides of a surgery's frame are
+    # equal by accident.
+    for seed in (None, 0, 1, 2):
+        mesh, refl, cmetric, _ = helpers.hexagon_cover()
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            cmetric.lengths = helpers.random_symmetric_lengths(mesh, refl, rng)
+        snap = helpers.active_lengths(mesh, cmetric)
+        recs = helpers.drive_to_quads(mesh, refl, cmetric)
+        for rec in reversed(recs):
+            kind, fwd = classify_flip(mesh, refl, rec.edge)
+            assert kind is rec.kind and not fwd
+            apply_symmetric_flip(mesh, cmetric, refl, rec.edge)
+            assert validate_symmetry(mesh, refl, cmetric) == []
+        back = helpers.active_lengths(mesh, cmetric)
+        assert len(back) == len(snap)
+        assert max(abs(a - b) for a, b in zip(snap, back)) <= 1e-14, seed
 
 
 def test_always_delaunay_edges_refuse_to_flip():
-    cover, cmetric, _ = helpers.hexagon_cover()
-    mesh, refl = cover.mesh, cover.refl
-    helpers.drive_to_quads(cover, cmetric)
+    mesh, refl, cmetric, _ = helpers.hexagon_cover()
+    helpers.drive_to_quads(mesh, refl, cmetric)
     e = helpers.find_flip_of_kind(mesh, refl, FlipType.ALWAYS_DELAUNAY, True)
     assert e is not None
     with pytest.raises(FlipError):
@@ -402,10 +402,9 @@ def test_mixed_sheet_face_label_raises():
 @given(st.integers(0, 10_000), st.integers(1, 12))
 def test_random_symmetric_flip_walks_stay_valid(seed, n_flips):
     rng = np.random.default_rng(seed)
-    cover, cmetric, _ = helpers.hexagon_cover(
+    mesh, refl, cmetric, _ = helpers.hexagon_cover(
         long_edges=((0, 1), (2, 3)), length=1.7
     )
-    mesh, refl = cover.mesh, cover.refl
     L = helpers.random_symmetric_lengths(mesh, refl, rng, low=0.9, high=1.2)
     for h, val in enumerate(L):
         if val:
@@ -433,10 +432,9 @@ def test_seeded_walks_meet_every_surgery_and_stay_valid():
     seen = set()
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        cover, cmetric, _ = helpers.hexagon_cover(
+        mesh, refl, cmetric, _ = helpers.hexagon_cover(
             long_edges=((0, 1), (2, 3), (4, 5)), length=1.7
         )
-        mesh, refl = cover.mesh, cover.refl
         L = helpers.random_symmetric_lengths(mesh, refl, rng)
         for h, val in enumerate(L):
             if val:
